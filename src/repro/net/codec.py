@@ -24,6 +24,7 @@ import asyncio
 import json
 import struct
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.events import Message
@@ -140,6 +141,7 @@ class MalformedFrame(CodecError):
 # -- value (de)serialization -------------------------------------------------
 
 _CONTAINER_TAGS = ("T", "S", "F", "D", "L")
+_INFINITY = float("inf")
 
 
 def encode_value(value: Any) -> Any:
@@ -166,6 +168,51 @@ def encode_value(value: Any) -> Any:
         return {
             "D": [[encode_value(k), encode_value(v)] for k, v in value.items()]
         }
+    raise CodecError(
+        "value of type %s is not wire-encodable: %r" % (type(value).__name__, value)
+    )
+
+
+def dumps_value(value: Any) -> str:
+    """Exactly ``json.dumps(encode_value(value), separators=(",", ":"))``.
+
+    One pass from the value to compact JSON text: no intermediate
+    wrapper tree and no per-call ``JSONEncoder`` (the WAL serializes
+    every record body through this).  Same vocabulary as
+    :func:`encode_value` and the same :class:`CodecError` outside it;
+    scalars are spelled the way :mod:`json` spells them, non-finite
+    floats included (``NaN`` / ``Infinity``).
+    """
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return _json_string(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INFINITY:
+            return "Infinity"
+        if value == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    if isinstance(value, tuple):
+        return '{"T":[%s]}' % ",".join(map(dumps_value, value))
+    if isinstance(value, list):
+        return '{"L":[%s]}' % ",".join(map(dumps_value, value))
+    if isinstance(value, (set, frozenset)):
+        items = sorted(value, key=repr)
+        tag = "F" if isinstance(value, frozenset) else "S"
+        return '{"%s":[%s]}' % (tag, ",".join(map(dumps_value, items)))
+    if isinstance(value, dict):
+        return '{"D":[%s]}' % ",".join(
+            ["[%s,%s]" % (dumps_value(k), dumps_value(v)) for k, v in value.items()]
+        )
     raise CodecError(
         "value of type %s is not wire-encodable: %r" % (type(value).__name__, value)
     )
@@ -254,13 +301,16 @@ class Frame:
         return KIND_NAMES.get(self.kind, "unknown(%d)" % self.kind)
 
 
+#: One encoder for every frame (``json.dumps`` with non-default
+#: separators would construct one per call).  Frames reject NaN/inf.
+_frame_json = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+
+
 def encode_frame(kind: int, body: Optional[Dict[str, Any]] = None) -> bytes:
     """Serialize one frame (length prefix included)."""
     if kind not in FRAME_KINDS:
         raise UnknownFrameKind("cannot encode unknown frame kind %r" % (kind,))
-    payload = json.dumps(
-        body or {}, separators=(",", ":"), allow_nan=False
-    ).encode("utf-8")
+    payload = _frame_json(body or {}).encode("utf-8")
     size = _HEAD.size + len(payload)
     if size > MAX_FRAME_BYTES:
         raise FrameOversized(

@@ -43,8 +43,6 @@ import hashlib
 import json
 import struct
 import zlib
-from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Dict, Optional, Tuple
 
 from repro.events import Event, EventKind, Message
@@ -109,6 +107,8 @@ KIND_NAMES = {
     CHECKPOINT: "CHECKPOINT",
 }
 
+_dumps = codec.dumps_value
+
 _LENGTH = struct.Struct("!I")
 _HEAD = struct.Struct("!BBI")  # version, kind, crc32(body)
 
@@ -143,26 +143,79 @@ class UnknownWalVersion(WalError):
 # -- the record ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class WalRecord:
-    """One durable record: a kind and a JSON-safe body."""
+    """One durable record: a kind and a JSON-safe body.
 
-    kind: int
-    body: Dict[str, Any]
+    The fixed-shape constructors below build their body straight to the
+    on-disk ``text`` and leave ``body`` to be decoded from it on first
+    use, so a constructed record's body is by construction what a reader
+    of the log will see.
+    """
+
+    __slots__ = ("kind", "text", "_body")
+
+    def __init__(
+        self,
+        kind: int,
+        body: Optional[Dict[str, Any]] = None,
+        *,
+        text: Optional[str] = None,
+    ):
+        self.kind = kind
+        self.text = text
+        self._body = body
+
+    @property
+    def body(self) -> Dict[str, Any]:
+        if self._body is None:
+            self._body = codec.decode_value(json.loads(self.text))
+        return self._body
 
     @property
     def kind_name(self) -> str:
         return KIND_NAMES.get(self.kind, str(self.kind))
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WalRecord):
+            return NotImplemented
+        return self.kind == other.kind and self.body == other.body
 
-def _content_id_uncached(message: Message) -> str:
-    canonical = json.dumps(
-        codec.message_to_wire(message), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    def __repr__(self) -> str:
+        return "WalRecord(kind=%r, body=%r)" % (self.kind, self.body)
 
 
-_content_id_cached = lru_cache(maxsize=8192)(_content_id_uncached)
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+#: ``id(message) -> (its '["m",...],["cid","..."]' record text, message)``.
+#: Keyed on the object, not on ``Message.__eq__``: ``Message(payload=1)``
+#: and ``Message(payload=True)`` compare and hash equal yet encode
+#: differently, and the text is defined by the encoding.  The entry holds
+#: the message, so its ``id`` cannot be recycled while it is cached.
+_MESSAGE_CACHE_SIZE = 8192
+_message_cache: Dict[int, Tuple[str, Message]] = {}
+
+
+def _content_id_of(wire: Dict[str, Any]) -> str:
+    return hashlib.sha256(_canonical_json(wire).encode("utf-8")).hexdigest()[:16]
+
+
+def _message_text(message: Message) -> str:
+    """The ``m`` and ``cid`` pairs of ``message``, encoded once.
+
+    One ``Message`` object is logged at up to three records per host
+    (invoke/send on the sender, packet/receive/deliver on the receiver);
+    all of them splice the same text.  Messages are frozen: one whose
+    payload is mutated after its first record keeps its first encoding.
+    """
+    entry = _message_cache.get(id(message))
+    if entry is None:
+        wire = codec.message_to_wire(message)
+        text = '["m",%s],["cid","%s"]' % (_dumps(wire), _content_id_of(wire))
+        if len(_message_cache) >= _MESSAGE_CACHE_SIZE:
+            # Start over: only messages in flight are looked up again.
+            _message_cache.clear()
+        entry = _message_cache[id(message)] = (text, message)
+    return entry[0]
 
 
 def content_id(message: Message) -> str:
@@ -171,16 +224,9 @@ def content_id(message: Message) -> str:
     The hash covers the canonical JSON of the message's wire form
     (sorted keys, no whitespace), so the same message content yields the
     same id in every process, every run, and every replay -- the WAL's
-    cross-host join key.  Cached when the message is hashable: one
-    message is logged at up to four events (invoke/send/receive/
-    deliver), and messages are frozen, so equal content always means an
-    equal id.  A message whose payload is an unhashable container takes
-    the uncached path.
+    cross-host join key.
     """
-    try:
-        return _content_id_cached(message)
-    except TypeError:
-        return _content_id_uncached(message)
+    return _content_id_of(codec.message_to_wire(message))
 
 
 # -- framing ------------------------------------------------------------------
@@ -193,9 +239,8 @@ def encode_record(record: WalRecord) -> bytes:
     # No sort_keys: record bodies are built with deterministic insertion
     # order, so the bytes are already reproducible; only content_id needs
     # the fully canonical (sorted) form.
-    body = json.dumps(
-        codec.encode_value(record.body), separators=(",", ":")
-    ).encode("utf-8")
+    text = record.text if record.text is not None else _dumps(record.body)
+    body = text.encode("utf-8")
     size = _HEAD.size + len(body)
     if size > MAX_RECORD_BYTES:
         raise WalError("record of %d bytes exceeds the 4 MiB bound" % size)
@@ -260,16 +305,17 @@ def event_record(
     vc: Optional[Dict[int, int]] = None,
 ) -> WalRecord:
     """One trace record as an EVENT body (message inline + content id)."""
-    body: Dict[str, Any] = {
-        "t": record.time,
-        "p": record.process,
-        "k": _EVENT_KIND_TO_NAME[record.event.kind],
-        "m": codec.message_to_wire(message),
-        "cid": content_id(message),
-    }
-    if vc:
-        body["vc"] = dict(vc)
-    return WalRecord(kind=EVENT, body=body)
+    return WalRecord(
+        EVENT,
+        text='{"D":[["t",%s],["p",%s],["k","%s"],%s%s]}'
+        % (
+            _dumps(record.time),
+            _dumps(record.process),
+            _EVENT_KIND_TO_NAME[record.event.kind],
+            _message_text(message),
+            ',["vc",%s]' % _dumps(dict(vc)) if vc else "",
+        ),
+    )
 
 
 def event_from_record(
@@ -295,37 +341,34 @@ def event_from_record(
 def invoke_record(t: float, process: int, message: Message) -> WalRecord:
     """A redo input: the user invoked ``message`` at ``process``."""
     return WalRecord(
-        kind=INPUT,
-        body={
-            "t": t,
-            "p": process,
-            "op": "invoke",
-            "m": codec.message_to_wire(message),
-            "cid": content_id(message),
-        },
+        INPUT,
+        text='{"D":[["t",%s],["p",%s],["op","invoke"],%s]}'
+        % (_dumps(t), _dumps(process), _message_text(message)),
     )
 
 
 def packet_record(t: float, process: int, packet: Packet) -> WalRecord:
     """A redo input: ``packet`` arrived at ``process``."""
-    body: Dict[str, Any] = {
-        "t": t,
-        "p": process,
-        "op": "packet",
-        "src": packet.src,
-        "dst": packet.dst,
-        "kind": packet.kind,
-        "sent": packet.send_time,
-        "uid": packet.uid,
-        "cs": packet.channel_seq,
-    }
     if packet.is_user and packet.message is not None:
-        body["m"] = codec.message_to_wire(packet.message)
-        body["cid"] = content_id(packet.message)
-        body["tag"] = packet.tag
+        tail = '%s,["tag",%s]' % (_message_text(packet.message), _dumps(packet.tag))
     else:
-        body["payload"] = packet.payload
-    return WalRecord(kind=INPUT, body=body)
+        tail = '["payload",%s]' % _dumps(packet.payload)
+    return WalRecord(
+        INPUT,
+        text='{"D":[["t",%s],["p",%s],["op","packet"],["src",%s],["dst",%s],'
+        '["kind",%s],["sent",%s],["uid",%s],["cs",%s],%s]}'
+        % (
+            _dumps(t),
+            _dumps(process),
+            _dumps(packet.src),
+            _dumps(packet.dst),
+            _dumps(packet.kind),
+            _dumps(packet.send_time),
+            _dumps(packet.uid),
+            _dumps(packet.channel_seq),
+            tail,
+        ),
+    )
 
 
 def input_from_record(body: Dict[str, Any]) -> Tuple[str, float, int, Any]:
@@ -369,8 +412,16 @@ def probe_record(
     """A FAULT/RETX/TIMER record taped from a bus probe."""
     if kind not in (FAULT, RETX, TIMER):
         raise WalError("probe records must be FAULT, RETX or TIMER")
+    try:
+        data_text = _dumps(dict(data))
+    except codec.CodecError:
+        # Probe payloads are free-form; degrade to repr rather than
+        # lose the record.
+        data_text = _dumps({key: repr(value) for key, value in data.items()})
     return WalRecord(
-        kind=kind, body={"t": t, "p": process, "probe": probe, "data": dict(data)}
+        kind,
+        text='{"D":[["t",%s],["p",%s],["probe",%s],["data",%s]]}'
+        % (_dumps(t), _dumps(process), _dumps(probe), data_text),
     )
 
 

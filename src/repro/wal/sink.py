@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.events import Message
-from repro.net import codec
 from repro.simulation.trace import TraceRecord
 from repro.wal import records as rec
 from repro.wal.records import WalRecord
@@ -114,20 +113,12 @@ class WalSink:
 
     def _on_probe(self, event) -> None:
         kind = _PROBE_KINDS[event.probe]
-        data = dict(event.data)
         try:
-            codec.encode_value(data)
-        except codec.CodecError:
-            # Probe payloads are free-form; degrade to repr rather than
-            # lose the record.
-            data = {key: repr(value) for key, value in data.items()}
-        process = data.get("process", -1)
-        try:
-            process = int(process)
+            process = int(event.data.get("process", -1))
         except (TypeError, ValueError):
             process = -1
         self.writer.append(
-            rec.probe_record(kind, event.time, process, event.probe, data)
+            rec.probe_record(kind, event.time, process, event.probe, event.data)
         )
 
     def attach_bus(self, bus) -> None:

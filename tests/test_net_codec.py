@@ -155,6 +155,23 @@ class TestValueEncoding:
             codec.message_from_wire({"id": "m1"})  # sender/receiver missing
 
 
+class TestNonFiniteFloats:
+    """Frames refuse NaN/inf; the WAL's side is pinned in test_wal_bytes."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_frames_reject_them(self, value):
+        with pytest.raises(ValueError, match="Out of range float"):
+            codec.encode_frame(codec.CONTROL, {"src": 0, "dst": 1, "payload": value})
+        with pytest.raises(ValueError, match="Out of range float"):
+            codec.encode_frame(
+                codec.USER, {"tag": codec.encode_value((1, [value]))}
+            )
+
+    def test_finite_floats_keep_their_spelling(self):
+        frame = codec.encode_frame(codec.CONTROL, {"payload": [-0.0, 1e16, 0.1]})
+        assert frame[6:] == b'{"payload":[-0.0,1e+16,0.1]}'
+
+
 class TestStrictDecodeErrors:
     def _frame(self):
         return codec.encode_frame(codec.HELLO, {"process": 0, "role": "peer"})
