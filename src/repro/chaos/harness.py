@@ -52,6 +52,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.chaos.plan import ChaosAction, ChaosPlan
 from repro.faults.proxy import FaultProxy
 from repro.net import codec
+from repro.net.client import ControlLink, quiesced
 from repro.net.cluster import LiveObserver, LoadGenerator, free_ports
 from repro.net.host import NetHost
 from repro.net.resilience import LINK_UP, ReconnectPolicy, ResilienceConfig
@@ -117,10 +118,6 @@ class InlineHost:
         self.host = self._make()
         await self.host.start()
 
-    async def ready(self) -> None:
-        assert self.host is not None
-        await self.host.ready()
-
     @property
     def alive(self) -> bool:
         return self.host is not None and not self.host._done.is_set()
@@ -145,9 +142,6 @@ class InlineHost:
                 if error not in self.errors
             )
             await self.host.shutdown()
-
-    def stats(self) -> Optional[Dict[str, Any]]:
-        return self.host.stats_body() if self.host is not None else None
 
 
 class ProcHost:
@@ -210,10 +204,6 @@ class ProcHost:
             stderr=subprocess.DEVNULL,
         )
 
-    async def ready(self) -> None:
-        """The load-client READY probe is the only readiness signal an
-        external process exposes; :func:`run_chaos` polls it anyway."""
-
     @property
     def alive(self) -> bool:
         return self.proc is not None and self.proc.poll() is None
@@ -245,9 +235,6 @@ class ProcHost:
             except subprocess.TimeoutExpired:
                 self.proc.kill()
                 self.proc.wait()
-
-    def stats(self) -> Optional[Dict[str, Any]]:
-        return None  # polled over the wire like every other host
 
 
 # -- the report ----------------------------------------------------------------
@@ -401,42 +388,20 @@ async def poll_stats(
     timeout: float = 2.0,
 ) -> Optional[Dict[str, Any]]:
     """One STATS body over a throwaway load connection, or ``None`` if
-    the host is unreachable / not (yet) ready."""
+    the host is unreachable / not (yet) ready within ``timeout``."""
+    link = ControlLink(host, port, "load", run_id)
+
+    async def once() -> Dict[str, Any]:
+        await link.connect(timeout=0.0)  # a down host is an answer, not a wait
+        await link.ready(timeout=None)
+        return await link.request(codec.STATS)
+
     try:
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port), timeout
-        )
-    except (OSError, asyncio.TimeoutError):
-        return None
-    try:
-        writer.write(
-            codec.encode_frame(
-                codec.HELLO, {"process": -1, "role": "load", "run": run_id}
-            )
-        )
-        await writer.drain()
-        deadline = time.monotonic() + timeout
-        saw_ready = False
-        while time.monotonic() < deadline:
-            remaining = max(0.05, deadline - time.monotonic())
-            frame = await asyncio.wait_for(
-                codec.read_frame(reader), remaining
-            )
-            if frame is None:
-                return None
-            if frame.kind == codec.READY and not saw_ready:
-                saw_ready = True
-                writer.write(codec.encode_frame(codec.STATS, {}))
-                await writer.drain()
-            elif frame.kind == codec.STATS:
-                return frame.body
-            # BACKPRESSURE and anything else: skip.
-        return None
-    except (OSError, asyncio.TimeoutError, codec.CodecError, ConnectionError):
+        return await asyncio.wait_for(once(), timeout)
+    except (OSError, asyncio.TimeoutError, codec.CodecError):
         return None
     finally:
-        if not writer.is_closing():
-            writer.close()
+        await link.close()
 
 
 # -- the run -------------------------------------------------------------------
@@ -606,6 +571,18 @@ async def run_chaos(
                 await asyncio.sleep(delay)
             await apply_action(action)
 
+    async def poll_all() -> List[Optional[Dict[str, Any]]]:
+        return await asyncio.gather(
+            *(poll_stats(port, run_id) for port in public)
+        )
+
+    def links_up(bodies: List[Dict[str, Any]]) -> bool:
+        return all(
+            state == LINK_UP
+            for body in bodies
+            for state in body.get("links", {}).values()
+        )
+
     stats: List[Dict[str, Any]] = []
     try:
         for proxy in proxies:
@@ -615,10 +592,7 @@ async def run_chaos(
         # Readiness probe that works for both handle flavours.
         ready_deadline = time.monotonic() + 20.0
         while time.monotonic() < ready_deadline:
-            polled = await asyncio.gather(
-                *(poll_stats(port, run_id) for port in public)
-            )
-            if all(body is not None for body in polled):
+            if all(body is not None for body in await poll_all()):
                 break
             await asyncio.sleep(0.1)
         else:
@@ -647,44 +621,22 @@ async def run_chaos(
         deadline = converge_start + convergence_deadline
         converged = False
         while time.monotonic() < deadline:
-            polled = await asyncio.gather(
-                *(poll_stats(port, run_id) for port in public)
-            )
+            polled = await poll_all()
             if all(body is not None for body in polled):
                 stats = list(polled)  # type: ignore[arg-type]
-                invoked = sum(body["invoked"] for body in stats)
-                delivered = sum(body["deliveries"] for body in stats)
-                pending = sum(body["pending"] for body in stats)
-                links_ok = all(
-                    state == LINK_UP
-                    for body in stats
-                    for state in body.get("links", {}).values()
-                )
-                if delivered >= invoked and pending == 0 and links_ok:
+                if quiesced(stats) and links_up(stats):
                     converged = True
                     break
             await asyncio.sleep(0.1)
         report.converge_seconds = time.monotonic() - converge_start
         report.reconverged = converged
         if not stats:
-            polled = await asyncio.gather(
-                *(poll_stats(port, run_id) for port in public)
-            )
-            stats = [body for body in polled if body is not None]
-        report.links_up = bool(stats) and all(
-            state == LINK_UP
-            for body in stats
-            for state in body.get("links", {}).values()
-        )
+            stats = [body for body in await poll_all() if body is not None]
+        report.links_up = bool(stats) and links_up(stats)
 
         # Invariant 1: the live ordering monitor.
         if observer is not None:
-            settle = time.monotonic() + 3.0
-            while (
-                observer.events_merged < observer.events_seen
-                or observer.pending_merge
-            ) and time.monotonic() < settle:
-                await asyncio.sleep(0.02)
+            await observer.settle(3.0)
             observer.final_check()
             found = observer.violation
             if found is not None:

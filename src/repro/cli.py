@@ -94,6 +94,14 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     return 0
 
 
+def _ports(args: argparse.Namespace) -> List[int]:
+    """Where the cluster's endpoints listen.  A sharded fleet exposes
+    one ingress per *shard* (its stats carry a "shard" field, which
+    `repro top` uses to pick the sharded view), else one per process."""
+    endpoints = getattr(args, "shards", 0) or args.processes
+    return [args.port_base + index for index in range(endpoints)]
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     specification = _resolve_spec(args.predicate, args.distinct)
     color_every = args.color_every
@@ -367,7 +375,7 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
     `repro load --shards` sends at the end of a run unless
     --keep-serving is passed.
     """
-    from repro.net.shard import ShardWorkerConfig, spawn_worker
+    from repro.net.shard import ShardCoordinator
 
     lane_kind = _SHARD_LANE_KINDS.get(args.protocol)
     if lane_kind is None:
@@ -377,22 +385,17 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    workers = []
-    for shard in range(args.shards):
-        workers.append(
-            spawn_worker(
-                ShardWorkerConfig(
-                    shard=shard,
-                    n_shards=args.shards,
-                    n_processes=args.processes,
-                    port=args.port_base + shard,
-                    host=args.host,
-                    run_id=args.run_id,
-                    lane_kind=lane_kind,
-                    wal_dir=args.wal,  # worker namespaces <wal>/shard<k>
-                )
-            )
-        )
+    fleet = ShardCoordinator(
+        args.shards,
+        args.processes,
+        host=args.host,
+        port_base=args.port_base,
+        run_id=args.run_id,
+        lane_kind=lane_kind,
+        wal_dir=args.wal,  # worker namespaces <wal>/shard<k>
+    )
+    fleet.spawn()
+    workers = fleet.processes
     print(
         "serving %d %s shard(s) x %d lane processes on %s:%d-%d (run %s)"
         % (
@@ -452,7 +455,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             from repro.protocols.reliable import make_reliable
 
             factory = make_reliable(factory)
-    ports = [args.port_base + index for index in range(args.processes)]
     resilience = None
     if args.heartbeat_interval is not None:
         from repro.net.resilience import ResilienceConfig
@@ -461,7 +463,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     host = NetHost(
         factory,
         args.process_id,
-        ports,
+        _ports(args),
         host=args.host,
         run_id=args.run_id,
         faults=faults,
@@ -522,9 +524,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_load_sharded(args: argparse.Namespace) -> int:
     """`repro load --shards N`: drive keyed load at a running shard fleet."""
-    import asyncio
-
-    from repro.net import codec
     from repro.net.shard import ShardCoordinator
 
     coordinator = ShardCoordinator(
@@ -550,8 +549,7 @@ def _cmd_load_sharded(args: argparse.Namespace) -> int:
                 metrics_text = await coordinator.metrics()
         finally:
             if args.keep_serving:
-                for link in coordinator.links:
-                    await link.close()
+                await coordinator.client.close()
             else:
                 await coordinator.stop()
         print(report.render(), flush=True)
@@ -561,24 +559,19 @@ def _cmd_load_sharded(args: argparse.Namespace) -> int:
             print("metrics: %s" % args.metrics_out, flush=True)
         return 0 if report.ok else 1
 
-    try:
-        return asyncio.run(drive())
-    except (ConnectionError, OSError, codec.CodecError) as exc:
-        print("repro load: %s" % _net_error(exc, args), file=sys.stderr)
-        return 1
+    code = _run_cluster_client(args, drive())
+    return 1 if code is None else code
 
 
 def _cmd_load(args: argparse.Namespace) -> int:
-    import asyncio
     import json
-    import time as _time
 
     from repro.net import codec
-    from repro.net.cluster import LiveObserver, LoadGenerator
+    from repro.net.cluster import LiveObserver, LoadGenerator, drive_run
 
     if args.shards:
         return _cmd_load_sharded(args)
-    ports = [args.port_base + index for index in range(args.processes)]
+    ports = _ports(args)
     spec = None
     if not args.no_monitor:
         if args.spec is not None:
@@ -596,13 +589,9 @@ def _cmd_load(args: argparse.Namespace) -> int:
             if spec is not None or args.record
             else None
         )
-        recorder = soak_wal = None
+        soak_wal = None
         if args.record or args.wal:
-            from repro.wal import WalSink
-
-            spec_name = args.spec or (
-                getattr(spec, "name", None) if spec is not None else None
-            )
+            spec_name = args.spec or getattr(spec, "name", None)
             wal_meta = {
                 "run": args.run_id,
                 "processes": args.processes,
@@ -613,9 +602,10 @@ def _cmd_load(args: argparse.Namespace) -> int:
             if spec_name:
                 wal_meta["spec"] = spec_name
             if args.record:
-                recorder = WalSink(args.record, meta=wal_meta)
-                recorder.attach_trace(observer.trace)
+                observer.record(args.record, wal_meta)
             if args.wal:
+                from repro.wal import WalSink
+
                 soak_wal = WalSink(args.wal, meta=dict(wal_meta, role="load"))
         load = LoadGenerator(
             ports,
@@ -645,50 +635,27 @@ def _cmd_load(args: argparse.Namespace) -> int:
             if observer is not None:
                 await observer.connect(ports, host=args.host, run_id=args.run_id)
             await load.connect()
-            started = _time.monotonic()
-            load_seconds = (
-                await load.run(args.rate, duration) if duration > 0 else 0.0
-            )
-            await load.drain_hosts()
-            quiesced, stats = await load.quiesce(timeout=args.quiesce_timeout)
-            if observer is not None:
-                deadline = _time.monotonic() + 2.0
-                while (
-                    observer.events_merged < observer.events_seen
-                    or observer.pending_merge
-                ) and _time.monotonic() < deadline:
-                    await asyncio.sleep(0.02)
-                observer.final_check()
-            total_seconds = _time.monotonic() - started
-            report = load.report(
+            report = await drive_run(
+                load,
+                observer,
                 args.protocol or "protocol",
-                stats,
-                load_seconds,
-                total_seconds,
-                quiesced,
-                observer=observer,
+                args.rate,
+                duration,
+                args.quiesce_timeout,
             )
             # Pull observability artifacts while the hosts still serve
             # (a BYE tears the flight recorders down with the process).
-            if observer is not None and observer.violation is not None:
-                from repro.obs.forensics import build_forensics
-
-                try:
-                    dumps = await load.collect_traces()
-                except (ConnectionError, codec.CodecError):
-                    dumps = []
-                report.forensics = build_forensics(observer, dumps)
             if args.trace_out or args.metrics_out:
                 from repro.net.collector import stitch_flight_dumps
 
                 try:
                     if args.trace_out:
-                        dumps = await load.collect_traces()
+                        dumps = await load.traces()
                         trace = stitch_flight_dumps(dumps, args.processes)
                         with open(args.trace_out, "w") as handle:
                             json.dump(trace, handle)
                     if args.metrics_out:
-                        bodies = await load.collect_metrics()
+                        bodies = await load.metrics()
                         with open(args.metrics_out, "w") as handle:
                             handle.write(
                                 "".join(b.get("text", "") for b in bodies)
@@ -696,23 +663,17 @@ def _cmd_load(args: argparse.Namespace) -> int:
                 except (ConnectionError, codec.CodecError) as exc:
                     report.errors.append("artifact pull: %s" % exc)
             if not args.keep_serving:
-                await load.shutdown_hosts()
+                await load.bye()
             return report
         finally:
             await load.close()
             if observer is not None:
                 await observer.close()
-            if recorder is not None:
-                recorder.close()
             if soak_wal is not None:
                 soak_wal.close()
 
-    # Same operator-facing treatment as `repro trace` / `repro top`: a
-    # cluster that is not there is one readable line, not a traceback.
-    try:
-        report = asyncio.run(drive())
-    except (OSError, asyncio.TimeoutError, codec.CodecError) as exc:
-        print("repro load: %s" % _net_error(exc, args), file=sys.stderr)
+    report = _run_cluster_client(args, drive())
+    if report is None:
         return 1
     print(report.render(), flush=True)
     if args.record:
@@ -821,50 +782,53 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0 if result.violation is None else 1
 
 
-def _net_error(exc: BaseException, args: argparse.Namespace) -> str:
-    """A one-line operator-facing account of a collector failure."""
+def _run_cluster_client(args: argparse.Namespace, coroutine):
+    """``asyncio.run`` a verb that talks to a live cluster.
+
+    Nothing listening on the target ports, a peer speaking another frame
+    version, or a dead cluster timing the handshake out is one
+    operator-facing line on stderr and a ``None`` result, not a
+    traceback.  (asyncio.TimeoutError is not an OSError before Python
+    3.10, so it is caught explicitly.)
+    """
     import asyncio
 
     from repro.net import codec
 
-    ports = "%d-%d" % (args.port_base, args.port_base + args.processes - 1)
-    where = "%s:%s" % (args.host, ports)
-    if isinstance(exc, codec.UnknownVersion):
-        return "%s (is the cluster at %s running an older build?)" % (exc, where)
-    if isinstance(exc, codec.CodecError):
-        return "bad frame from %s: %s" % (where, exc)
-    if isinstance(exc, asyncio.TimeoutError):
-        return "timed out waiting for the cluster at %s" % where
-    if isinstance(exc, ConnectionRefusedError):
-        return "connection refused at %s (is `repro serve` running?)" % where
-    return "cannot reach the cluster at %s: %s" % (where, exc)
+    try:
+        return asyncio.run(coroutine)
+    except (OSError, asyncio.TimeoutError, codec.CodecError) as exc:
+        ports = _ports(args)
+        where = "%s:%d-%d" % (args.host, ports[0], ports[-1])
+        if isinstance(exc, codec.UnknownVersion):
+            why = "%s (is the cluster at %s running an older build?)" % (exc, where)
+        elif isinstance(exc, codec.CodecError):
+            why = "bad frame from %s: %s" % (where, exc)
+        elif isinstance(exc, asyncio.TimeoutError):
+            why = "timed out waiting for the cluster at %s" % where
+        elif isinstance(exc, ConnectionRefusedError):
+            why = "connection refused at %s (is `repro serve` running?)" % where
+        else:
+            why = "cannot reach the cluster at %s: %s" % (where, exc)
+        print("repro %s: %s" % (args.command, why), file=sys.stderr)
+        return None
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    import asyncio
     import json
 
-    from repro.net import codec
     from repro.net.collector import ClusterCollector, stitch_flight_dumps
 
-    ports = [args.port_base + index for index in range(args.processes)]
-
     async def pull():
-        collector = ClusterCollector(ports, host=args.host, run_id=args.run_id)
+        collector = ClusterCollector(_ports(args), host=args.host, run_id=args.run_id)
         try:
             await collector.connect(timeout=args.timeout)
             return await collector.pull(rounds=args.rounds)
         finally:
             await collector.close()
 
-    # One readable line for the operator errors: nothing listening on the
-    # target ports, a peer speaking another frame version, or a dead
-    # cluster timing the handshake out.  (asyncio.TimeoutError is not an
-    # OSError before Python 3.10, so it is caught explicitly.)
-    try:
-        pulls = asyncio.run(pull())
-    except (OSError, asyncio.TimeoutError, codec.CodecError) as exc:
-        print("repro trace: %s" % _net_error(exc, args), file=sys.stderr)
+    pulls = _run_cluster_client(args, pull())
+    if pulls is None:
         return 1
     dumps = [pull.trace_body for pull in pulls if pull.trace_body]
     offsets = {pull.process: pull.offset for pull in pulls}
@@ -908,16 +872,10 @@ def _cmd_top(args: argparse.Namespace) -> int:
     import asyncio
     import time as _time
 
-    from repro.net import codec
     from repro.net.collector import ClusterCollector, render_top
 
-    # Sharded fleets expose one ingress per *shard* (their stats carry a
-    # "shard" field, which render_top uses to pick the sharded view).
-    endpoints = args.shards or args.processes
-    ports = [args.port_base + index for index in range(endpoints)]
-
     async def watch() -> int:
-        collector = ClusterCollector(ports, host=args.host, run_id=args.run_id)
+        collector = ClusterCollector(_ports(args), host=args.host, run_id=args.run_id)
         await collector.connect(timeout=args.timeout)
         previous = None
         previous_at = None
@@ -940,12 +898,10 @@ def _cmd_top(args: argparse.Namespace) -> int:
             await collector.close()
 
     try:
-        return asyncio.run(watch())
+        code = _run_cluster_client(args, watch())
     except KeyboardInterrupt:  # pragma: no cover - interactive exit
         return 0
-    except (OSError, asyncio.TimeoutError, codec.CodecError) as exc:
-        print("repro top: %s" % _net_error(exc, args), file=sys.stderr)
-        return 1
+    return 1 if code is None else code
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -1000,6 +956,36 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+#: The option groups several verbs share, declared once: where a
+#: cluster's endpoints are (serve, load, trace, top) and how the network
+#: under a protocol misbehaves (simulate, serve).
+_SHARED_OPTIONS = {
+    "--processes": dict(type=int, default=3),
+    "--port-base": dict(type=int, default=9400),
+    "--host": dict(default="127.0.0.1"),
+    "--run-id": dict(default="default"),
+    "--drop-rate": dict(type=float, default=0.0),
+    "--dup-rate": dict(type=float, default=0.0),
+    "--spike-rate": dict(type=float, default=0.0),
+    "--fault-seed": dict(type=int, default=0),
+    "--no-reliable": dict(action="store_true"),
+}
+_ENDPOINT = ("--processes", "--port-base", "--host", "--run-id")
+
+
+def _shared(parser: argparse.ArgumentParser, *flags: str, **helps: str) -> None:
+    """Add :data:`_SHARED_OPTIONS` entries at this point of ``parser``.
+
+    Not argparse ``parents=``: a parent's options are listed before all
+    of the verb's own, which would reorder every ``--help``.  Help text
+    (keyed by dest) stays with the verb, because it says what the value
+    means *to that verb*.
+    """
+    for flag in flags:
+        dest = flag[2:].replace("-", "_")
+        parser.add_argument(flag, help=helps.get(dest), **_SHARED_OPTIONS[flag])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1046,34 +1032,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--max-latency", type=float, default=40.0)
     p_sim.add_argument("--color-every", type=int, default=None)
     p_sim.add_argument("--color", default="red")
-    p_sim.add_argument(
+    _shared(
+        p_sim,
         "--drop-rate",
-        type=float,
-        default=0.0,
-        help="probability each packet is destroyed in flight",
-    )
-    p_sim.add_argument(
         "--dup-rate",
-        type=float,
-        default=0.0,
-        help="probability each packet is duplicated in flight",
-    )
-    p_sim.add_argument(
         "--spike-rate",
-        type=float,
-        default=0.0,
-        help="probability each packet is hit by a fixed delay spike",
-    )
-    p_sim.add_argument(
         "--fault-seed",
-        type=int,
-        default=0,
-        help="seed of the fault RNG (independent of the latency seed)",
-    )
-    p_sim.add_argument(
         "--no-reliable",
-        action="store_true",
-        help="do not stack the ARQ sublayer under the protocol when "
+        drop_rate="probability each packet is destroyed in flight",
+        dup_rate="probability each packet is duplicated in flight",
+        spike_rate="probability each packet is hit by a fixed delay spike",
+        fault_seed="seed of the fault RNG (independent of the latency seed)",
+        no_reliable="do not stack the ARQ sublayer under the protocol when "
         "faults are enabled (watch the channel assumption break)",
     )
     p_sim.add_argument(
@@ -1229,20 +1199,12 @@ def build_parser() -> argparse.ArgumentParser:
         "running every lane process for its keys; drive it with "
         "`repro load --shards N`",
     )
-    p_serve.add_argument(
-        "--processes", type=int, default=3, help="total cluster size"
-    )
-    p_serve.add_argument(
-        "--port-base",
-        type=int,
-        default=9400,
-        help="process i listens on port-base + i",
-    )
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument(
-        "--run-id",
-        default="default",
-        help="rendezvous token; connections for another run are rejected",
+    _shared(
+        p_serve,
+        *_ENDPOINT,
+        processes="total cluster size",
+        port_base="process i listens on port-base + i",
+        run_id="rendezvous token; connections for another run are rejected",
     )
     p_serve.add_argument(
         "--time-scale",
@@ -1250,26 +1212,27 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.01,
         help="real seconds per virtual time unit (protocol timer scale)",
     )
-    p_serve.add_argument(
-        "--drop-rate", type=float, default=0.0,
-        help="probability each outbound packet is destroyed (WAN emulation)",
+    _shared(
+        p_serve,
+        "--drop-rate",
+        "--dup-rate",
+        "--spike-rate",
+        drop_rate="probability each outbound packet is destroyed (WAN emulation)",
     )
-    p_serve.add_argument("--dup-rate", type=float, default=0.0)
-    p_serve.add_argument("--spike-rate", type=float, default=0.0)
     p_serve.add_argument(
         "--spike-delay", type=float, default=50.0,
         help="extra virtual-time latency a spiked packet suffers",
     )
-    p_serve.add_argument("--fault-seed", type=int, default=0)
+    _shared(p_serve, "--fault-seed")
     p_serve.add_argument(
         "--soak",
         action="store_true",
         help="shorthand for a 5%% drop fault plan over the real transport",
     )
-    p_serve.add_argument(
+    _shared(
+        p_serve,
         "--no-reliable",
-        action="store_true",
-        help="do not stack the ARQ sublayer when faults are enabled",
+        no_reliable="do not stack the ARQ sublayer when faults are enabled",
     )
     p_serve.add_argument(
         "--trace-out",
@@ -1323,10 +1286,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="monitor this specification instead (catalogue name or DSL)",
     )
-    p_load.add_argument("--processes", type=int, default=3)
-    p_load.add_argument("--port-base", type=int, default=9400)
-    p_load.add_argument("--host", default="127.0.0.1")
-    p_load.add_argument("--run-id", default="default")
+    _shared(p_load, *_ENDPOINT)
     p_load.add_argument(
         "--rate", type=float, default=1000.0, help="offered user msgs/sec"
     )
@@ -1454,10 +1414,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="pull every host's flight recorder and stitch one Perfetto "
         "trace with estimated clock offsets",
     )
-    p_trace.add_argument("--processes", type=int, default=3)
-    p_trace.add_argument("--port-base", type=int, default=9400)
-    p_trace.add_argument("--host", default="127.0.0.1")
-    p_trace.add_argument("--run-id", default="default")
+    _shared(p_trace, *_ENDPOINT)
     p_trace.add_argument(
         "--rounds",
         type=int,
@@ -1490,7 +1447,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="live per-host view: throughput, latency percentiles, "
         "retransmissions, stuck messages, clock offsets",
     )
-    p_top.add_argument("--processes", type=int, default=3)
+    _shared(p_top, "--processes")
     p_top.add_argument(
         "--shards",
         type=int,
@@ -1499,9 +1456,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="watch a sharded fleet: dial N shard ingress ports and "
         "render the per-lane-process aggregation with a shards column",
     )
-    p_top.add_argument("--port-base", type=int, default=9400)
-    p_top.add_argument("--host", default="127.0.0.1")
-    p_top.add_argument("--run-id", default="default")
+    _shared(p_top, *_ENDPOINT[1:])
     p_top.add_argument(
         "--interval", type=float, default=2.0, help="seconds between polls"
     )

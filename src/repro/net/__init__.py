@@ -40,7 +40,7 @@ from repro.net.collector import (
     render_top,
     stitch_flight_dumps,
 )
-from repro.net.host import NetHost, NetProtocolHost, TapTrace
+from repro.net.host import NetHost, NetProtocolHost
 from repro.net.resilience import (
     LinkMonitor,
     PhiAccrualDetector,
@@ -70,7 +70,6 @@ __all__ = [
     "PhiAccrualDetector",
     "ReconnectPolicy",
     "ResilienceConfig",
-    "TapTrace",
     "UnknownFrameKind",
     "UnknownVersion",
     "WallClock",

@@ -1,0 +1,258 @@
+"""The client side of the control protocol -- and nothing else dials.
+
+Every non-peer connection to an endpoint (a
+:class:`~repro.net.host.NetHost`, or a shard worker's ingress) is the
+same conversation: dial until a deadline (the endpoint may still be
+binding), ``HELLO{role, run}``, wait for ``READY``, then same-kind
+request/reply round trips -- ``STATS``, ``METRICS``, ``TRACE``,
+``DRAIN``, ``BYE``, ``COLLECT`` -- while the endpoint is free to push
+``BACKPRESSURE`` frames at any moment in between.
+
+:class:`ControlLink` is one such connection.  Its reader task is the
+single answer to "what if a ``BACKPRESSURE`` frame arrives before my
+reply": pushed frames update the link's pause flag, every other frame
+is a reply, and :meth:`ControlLink.reply` refuses a reply of the wrong
+kind instead of handing it to the wrong caller.  :class:`ClusterClient`
+holds one link per endpoint port; the load generator, the collector,
+the shard coordinator and the chaos poller are all built on it, and
+the live observer uses a bare :class:`ControlLink` for its attach (an
+observer stream carries no replies, so it reads the link's stream
+itself).
+
+:data:`PULLS` is the server half of the same table: the endpoints
+answer those request kinds from the named ``*_body()`` method.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import time
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+from repro.net import codec
+
+__all__ = ["PULLS", "ClusterClient", "ControlLink", "quiesced"]
+
+#: Request kind -> the endpoint method whose return value is the reply
+#: body.  :meth:`ClusterClient.stats` / ``metrics`` / ``traces`` are the
+#: client half; ``NetHost._client_loop`` and the shard worker's ingress
+#: loop both answer from this table.
+PULLS = {
+    codec.STATS: "stats_body",
+    codec.METRICS: "metrics_body",
+    codec.TRACE: "trace_body",
+}
+
+
+def quiesced(stats: Sequence[Dict[str, Any]]) -> bool:
+    """Whether STATS bodies show every invoked message delivered and no
+    endpoint holding local pending work."""
+    invoked = sum(s.get("invoked", 0) for s in stats)
+    delivered = sum(s.get("deliveries", 0) for s in stats)
+    pending = sum(s.get("pending", 0) for s in stats)
+    return delivered >= invoked and pending == 0
+
+
+class ControlLink:
+    """One client connection to one endpoint (see the module docstring)."""
+
+    def __init__(self, host: str, port: int, role: str, run_id: str) -> None:
+        self.host = host
+        self.port = port
+        self.role = role
+        self.run_id = run_id
+        self.reader: Optional[asyncio.StreamReader] = None
+        self.writer: Optional[asyncio.StreamWriter] = None
+        #: Latest BACKPRESSURE state the endpoint pushed, and how many
+        #: such frames arrived.
+        self.paused = False
+        self.backpressure_signals = 0
+        #: What tore the stream (a codec or connection error), if anything.
+        self.failure: Optional[Exception] = None
+        self._replies: Optional[asyncio.Queue] = None
+        self._task: Optional[asyncio.Task] = None
+
+    async def connect(self, timeout: float = 20.0) -> None:
+        """Dial, retrying refused connects until ``timeout`` has passed
+        (``0`` is a single attempt), then send the HELLO."""
+        deadline = time.monotonic() + timeout
+        while True:
+            try:
+                self.reader, self.writer = await asyncio.open_connection(
+                    self.host, self.port
+                )
+                break
+            except OSError:
+                if time.monotonic() > deadline:
+                    raise
+                await asyncio.sleep(0.05)
+        self.send(
+            codec.HELLO, {"process": -1, "role": self.role, "run": self.run_id}
+        )
+        await self.writer.drain()
+
+    async def ready(self, timeout: Optional[float] = 20.0) -> Dict[str, Any]:
+        """Start the demultiplexing reader and wait for READY (which an
+        endpoint sends once its own rendezvous is complete)."""
+        self._replies = asyncio.Queue()
+        self._task = asyncio.get_running_loop().create_task(self._demultiplex())
+        return await self.reply(codec.READY, timeout)
+
+    async def _demultiplex(self) -> None:
+        assert self.reader is not None and self._replies is not None
+        try:
+            while True:
+                frame = await codec.read_frame(self.reader)
+                if frame is None:
+                    break
+                if frame.kind == codec.BACKPRESSURE:
+                    self.backpressure_signals += 1
+                    self.paused = frame.body.get("state") == "high"
+                else:
+                    self._replies.put_nowait(frame)
+        except (codec.CodecError, ConnectionError) as exc:
+            self.failure = exc
+        self._replies.put_nowait(None)
+
+    def send(self, kind: int, body: Optional[Dict[str, Any]] = None) -> None:
+        """Write one frame (no drain, no reply expected by this call)."""
+        assert self.writer is not None
+        self.writer.write(codec.encode_frame(kind, body))
+
+    async def reply(
+        self, kind: int, timeout: Optional[float] = None
+    ) -> Dict[str, Any]:
+        """The body of the next reply, which must be of ``kind``."""
+        assert self._replies is not None
+        frame = await asyncio.wait_for(self._replies.get(), timeout)
+        name = codec.KIND_NAMES.get(kind, kind)
+        if frame is None:
+            self._replies.put_nowait(None)  # EOF is sticky for later callers
+            if self.failure is not None:
+                raise self.failure
+            hint = " (wrong run id?)" if kind == codec.READY else ""
+            raise ConnectionError(
+                "%s:%d closed the connection before its %s reply%s"
+                % (self.host, self.port, name, hint)
+            )
+        if frame.kind != kind:
+            raise codec.CodecError(
+                "%s:%d answered a %s request with a %s frame"
+                % (self.host, self.port, name, frame.kind_name)
+            )
+        return frame.body
+
+    async def request(
+        self, kind: int, body: Optional[Dict[str, Any]] = None
+    ) -> Dict[str, Any]:
+        """Send one frame and return its same-kind reply's body."""
+        assert self.writer is not None
+        self.send(kind, body)
+        await self.writer.drain()
+        return await self.reply(kind)
+
+    async def close(self) -> None:
+        if self.writer is not None and not self.writer.is_closing():
+            self.writer.close()
+        if self._task is not None:
+            self._task.cancel()
+            await asyncio.gather(self._task, return_exceptions=True)
+
+
+class ClusterClient:
+    """One ``load``-role :class:`ControlLink` per endpoint port."""
+
+    def __init__(
+        self,
+        ports: Sequence[int],
+        host: str = "127.0.0.1",
+        run_id: str = "default",
+    ) -> None:
+        self.ports = list(ports)
+        self.host = host
+        self.run_id = run_id
+        self.links = [ControlLink(host, port, "load", run_id) for port in self.ports]
+
+    @property
+    def n_processes(self) -> int:
+        return len(self.ports)
+
+    @property
+    def errors(self) -> List[str]:
+        """One line per link whose stream was torn (run reports carry it)."""
+        return [
+            "load stream %d: %s" % (index, link.failure)
+            for index, link in enumerate(self.links)
+            if link.failure is not None
+        ]
+
+    @property
+    def backpressure_signals(self) -> int:
+        """BACKPRESSURE frames the endpoints pushed, over all links."""
+        return sum(link.backpressure_signals for link in self.links)
+
+    async def connect(self, timeout: float = 20.0) -> None:
+        """Dial every endpoint, then wait for each READY; a failed
+        rendezvous leaves no half-open link behind."""
+        try:
+            for link in self.links:
+                await link.connect(timeout)
+            for link in self.links:
+                await link.ready(timeout)
+        except BaseException:
+            await self.close()
+            raise
+
+    async def close(self) -> None:
+        for link in self.links:
+            await link.close()
+
+    async def round_trip(
+        self, kind: int, body: Optional[Dict[str, Any]] = None
+    ) -> List[Dict[str, Any]]:
+        """Send one frame to every endpoint; one reply body per endpoint."""
+        for link in self.links:
+            link.send(kind, body)
+        bodies = []
+        for link in self.links:
+            assert link.writer is not None
+            await link.writer.drain()
+            bodies.append(await link.reply(kind))
+        return bodies
+
+    async def stats(self) -> List[Dict[str, Any]]:
+        """One STATS body per endpoint."""
+        return await self.round_trip(codec.STATS)
+
+    async def metrics(self) -> List[Dict[str, Any]]:
+        """One METRICS body (OpenMetrics text + snapshot) per endpoint."""
+        return await self.round_trip(codec.METRICS)
+
+    async def traces(self) -> List[Dict[str, Any]]:
+        """One TRACE body (flight-recorder dump + clock fix) per endpoint."""
+        return await self.round_trip(codec.TRACE)
+
+    async def drain(self) -> None:
+        """Announce that no further invokes are coming."""
+        await self.round_trip(codec.DRAIN)
+
+    async def bye(self) -> None:
+        """Send BYE (each endpoint acks, then exits its serve loop)."""
+        try:
+            await self.round_trip(codec.BYE)
+        except (ConnectionError, codec.CodecError):
+            pass  # an endpoint may close before the ack is read
+
+    async def quiesce(
+        self, timeout: float = 30.0, poll: float = 0.1
+    ) -> Tuple[bool, List[Dict[str, Any]]]:
+        """Poll STATS until :func:`quiesced` or ``timeout``; returns
+        (quiesced, final stats)."""
+        deadline = time.monotonic() + timeout
+        stats = await self.stats()
+        while time.monotonic() < deadline:
+            if quiesced(stats):
+                return True, stats
+            await asyncio.sleep(poll)
+            stats = await self.stats()
+        return False, stats

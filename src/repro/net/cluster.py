@@ -18,7 +18,9 @@ load generator
     :class:`LoadGenerator` drives open-loop traffic (INVOKE frames at a
     target rate), drains, waits for the cluster to quiesce, and reduces
     the hosts' STATS replies to a :class:`NetRunReport` with throughput
-    and p50/p99 delivery latency.
+    and p50/p99 delivery latency.  :func:`drive_run` is the one arc
+    (load -> drain -> quiesce -> settle -> verdict -> report) both
+    :func:`run_cluster` and ``repro load`` follow.
 
 The stream merge is the subtle part: host ``p``'s stream carries exactly
 the events located at ``p`` (sends at the sender, deliveries at the
@@ -42,6 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.events import Event, EventKind, Message
 from repro.net import codec
+from repro.net.client import ClusterClient, ControlLink
 from repro.net.host import NetHost, event_from_wire
 from repro.net.transport import DEFAULT_TIME_SCALE
 from repro.obs.metrics import Histogram
@@ -63,29 +66,7 @@ def free_ports(n: int, host: str = "127.0.0.1") -> List[int]:
             sock.close()
 
 
-async def _connect_with_retry(
-    host: str, port: int, timeout: float
-) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-    deadline = time.monotonic() + timeout
-    while True:
-        try:
-            return await asyncio.open_connection(host, port)
-        except OSError:
-            if time.monotonic() > deadline:
-                raise
-            await asyncio.sleep(0.05)
-
-
 # -- the live observer --------------------------------------------------------
-
-#: Largest *family* member the live monitor searches per event.  The
-#: anchored search is O(n^{arity-1}) per event, so long family members
-#: (a crown of length 6 costs O(n^5)) are intractable against a live
-#: stream of thousands of events.  The observer monitors the short
-#: members live and closes the completeness gap with the spec's
-#: polynomial membership oracle at end of run (:meth:`final_check`).
-LIVE_FAMILY_ARITY = 2
-
 
 class LiveObserver:
     """Merge per-host event streams and monitor the ordering spec live.
@@ -95,8 +76,10 @@ class LiveObserver:
     of serving the catalogue over a real network at all.  Specifications
     whose families would make the per-event search super-quadratic (the
     logically synchronous crowns) are monitored live only up to
-    :data:`LIVE_FAMILY_ARITY`; their exact membership oracle runs over
-    the merged trace in :meth:`final_check` once traffic drains.
+    :data:`~repro.verification.engine.FAMILY_ARITY_CAP`; their exact
+    membership oracle runs over the merged trace in :meth:`final_check`
+    once traffic drains (the policy is
+    :func:`~repro.verification.engine.capped_monitor`'s, not ours).
     """
 
     def __init__(
@@ -109,26 +92,14 @@ class LiveObserver:
         self.n_processes = n_processes
         self.trace = Trace(n_processes)
         self.spec = spec
-        self.monitor = None
-        self.oracle_outcome: Optional[bool] = None
-        self._needs_oracle = False
+        self.monitor = self._oracle_check = None
         if spec is not None:
-            import dataclasses
+            from repro.verification.engine import capped_monitor
 
-            from repro.verification.engine import SpecMonitor
-
-            live_spec = spec
-            cap = getattr(spec, "family_arity_cap", None)
-            if (
-                getattr(spec, "families", ())
-                and getattr(spec, "oracle", None) is not None
-                and (cap is None or cap > LIVE_FAMILY_ARITY)
-            ):
-                live_spec = dataclasses.replace(
-                    spec, family_arity_cap=LIVE_FAMILY_ARITY
-                )
-                self._needs_oracle = True
-            self.monitor = SpecMonitor(live_spec, bus=bus)
+            self.monitor, self._oracle_check = capped_monitor(spec, bus=bus)
+        self._needs_oracle = self._oracle_check is not None
+        self.oracle_outcome: Optional[bool] = None
+        self._oracle_rejection: Optional[str] = None
         self.bus = bus
         self.events_seen = 0
         self.events_merged = 0
@@ -137,7 +108,7 @@ class LiveObserver:
         #: Per-host FIFOs of not-yet-appended (time, process, event, message).
         self._queues: List[deque] = [deque() for _ in range(n_processes)]
         self._sends_appended: set = set()
-        self._writers: List[asyncio.StreamWriter] = []
+        self._links: List[ControlLink] = []
         self._readers: List[asyncio.Task] = []
         #: Re-attach to a host whose stream dies (it replays its full
         #: trace on attach; :meth:`_append` dedupes, so a reconnect is
@@ -145,7 +116,8 @@ class LiveObserver:
         self.reconnect = reconnect
         self.reconnects = 0
         self._closing = False
-        self._endpoints: List[Tuple[str, int, str, float]] = []
+        self._attach_timeout = 20.0
+        self._recorder: Optional[Any] = None
 
     @property
     def violation(self):
@@ -153,18 +125,14 @@ class LiveObserver:
         end-of-run oracle rejected the merged trace)."""
         if self.monitor is not None and self.monitor.violation is not None:
             return self.monitor.violation
-        if self.oracle_outcome is False:
-            return "membership oracle rejected the merged run (spec %s)" % (
-                getattr(self.spec, "name", self.spec),
-            )
-        return None
+        return self._oracle_rejection
 
     def final_check(self):
         """Run the exact membership oracle over the merged trace.
 
-        A no-op unless the spec needed the live search truncated (see
-        :data:`LIVE_FAMILY_ARITY`); call it after traffic has drained and
-        the merge caught up.  Returns the (possibly new) violation.
+        A no-op unless the spec needed the live search truncated; call
+        it after traffic has drained and the merge caught up (see
+        :meth:`settle`).  Returns the (possibly new) violation.
         """
         if (
             self._needs_oracle
@@ -172,9 +140,17 @@ class LiveObserver:
             and self.oracle_outcome is None
             and self.trace.record_count
         ):
-            run = self.trace.to_system_run().users_view()
-            self.oracle_outcome = bool(self.spec.admits(run))
+            self._oracle_rejection = self._oracle_check(self.trace)
+            self.oracle_outcome = self._oracle_rejection is None
         return self.violation
+
+    async def settle(self, timeout: float = 2.0) -> None:
+        """Let the tail of the event stream reach the merge."""
+        deadline = time.monotonic() + timeout
+        while (
+            self.events_merged < self.events_seen or self.pending_merge
+        ) and time.monotonic() < deadline:
+            await asyncio.sleep(0.02)
 
     @property
     def pending_merge(self) -> int:
@@ -194,40 +170,38 @@ class LiveObserver:
         timeout: float = 20.0,
     ) -> None:
         """Attach to every host and start the stream readers."""
-        for index, port in enumerate(ports):
-            self._endpoints.append((host, port, run_id, timeout))
-            reader, writer = await self._attach(host, port, run_id, timeout)
-            self._writers.append(writer)
+        self._attach_timeout = timeout
+        for index, port in enumerate(ports, len(self._links)):
+            link = ControlLink(host, port, "observer", run_id)
+            await link.connect(timeout)
+            self._links.append(link)
             self._readers.append(
-                asyncio.get_running_loop().create_task(
-                    self._read_stream(index, reader)
-                )
+                asyncio.get_running_loop().create_task(self._read_stream(index))
             )
 
-    async def _attach(
-        self, host: str, port: int, run_id: str, timeout: float
-    ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        reader, writer = await _connect_with_retry(host, port, timeout)
-        writer.write(
-            codec.encode_frame(
-                codec.HELLO,
-                {"process": -1, "role": "observer", "run": run_id},
-            )
-        )
-        await writer.drain()
-        return reader, writer
+    def record(self, directory: str, meta: Dict[str, Any]) -> None:
+        """Record the merged view of the run into one WAL, which
+        ``repro replay`` and :func:`repro.wal.replay_log` re-execute
+        bit-identically; :meth:`close` closes it."""
+        from repro.wal import WalSink
+
+        self._recorder = WalSink(directory, meta=meta)
+        self._recorder.attach_trace(self.trace)
 
     async def close(self) -> None:
         self._closing = True
-        for writer in self._writers:
-            if not writer.is_closing():
-                writer.close()
+        for link in self._links:
+            await link.close()
         for task in self._readers:
             task.cancel()
         await asyncio.gather(*self._readers, return_exceptions=True)
+        if self._recorder is not None:
+            self._recorder.close()
 
-    async def _read_stream(self, index: int, reader: asyncio.StreamReader) -> None:
+    async def _read_stream(self, index: int) -> None:
+        link = self._links[index]
         while True:
+            reader = link.reader
             try:
                 while True:
                     frame = await codec.read_frame(reader)
@@ -250,21 +224,17 @@ class LiveObserver:
             # The host went away (crash, restart, severed link).  Keep
             # re-attaching until it is back: the replay-on-attach plus
             # merge-side dedup make this exactly-once for the trace.
-            host, port, run_id, timeout = self._endpoints[index]
+            await link.close()
             try:
-                reader, writer = await self._attach(host, port, run_id, timeout)
+                await link.connect(self._attach_timeout)
             except (OSError, asyncio.CancelledError):
                 if self._closing:
                     return
                 self.errors.append(
                     "observer stream %d: host %s:%d did not come back"
-                    % (index, host, port)
+                    % (index, link.host, link.port)
                 )
                 return
-            old = self._writers[index]
-            if not old.is_closing():
-                old.close()
-            self._writers[index] = writer
             self.reconnects += 1
 
     def _on_probe(self, body: Dict[str, Any]) -> None:
@@ -348,6 +318,18 @@ class Pacer:
         if k <= 0:
             return 0
         return min(self.total, int(round(k * self.tick * self.rate)))
+
+    async def schedule(self):
+        """Yield ticks ``1..ticks``; after the consumer's work for tick
+        ``k``, sleep to the *absolute* deadline ``start + deadline(k)``,
+        so a late tick shortens the next sleep instead of pushing every
+        later tick out."""
+        loop = asyncio.get_running_loop()
+        start = loop.time()
+        for tick in range(1, self.ticks + 1):
+            yield tick
+            # Zero still yields to the loop, so the hosts keep reading.
+            await asyncio.sleep(max(0.0, start + self.deadline(tick) - loop.time()))
 
 
 @dataclass
@@ -434,12 +416,15 @@ class NetRunReport:
         return self.quiesced and self.violation is None and not self.errors
 
 
-class LoadGenerator:
+class LoadGenerator(ClusterClient):
     """Open-loop traffic over one connection per host.
 
-    Message ``m<i>`` gets a seeded ``(sender, receiver != sender)`` pair;
-    INVOKE frames are batched per pacing tick so the generator sustains
-    tens of thousands of messages per second without per-message drains.
+    A :class:`~repro.net.client.ClusterClient` (rendezvous, STATS /
+    TRACE / METRICS pulls, DRAIN, quiesce, BYE) plus the paced INVOKE
+    loop.  Message ``m<i>`` gets a seeded ``(sender, receiver != sender)``
+    pair; INVOKE frames are batched per pacing tick so the generator
+    sustains tens of thousands of messages per second without
+    per-message drains.
     """
 
     def __init__(
@@ -454,9 +439,7 @@ class LoadGenerator:
     ) -> None:
         import random
 
-        self.ports = list(ports)
-        self.host = host
-        self.run_id = run_id
+        super().__init__(ports, host, run_id)
         self.seed = seed
         self.rng = random.Random(seed)
         self.color_rate = color_rate
@@ -464,24 +447,10 @@ class LoadGenerator:
         #: (``None`` leaves keys implicit, i.e. per-channel).
         self.keys = keys
         self.requested = 0
-        self.errors: List[str] = []
         #: Optional :class:`repro.wal.WalSink` for resumable soak runs:
         #: one CHECKPOINT per pacing tick, so an interrupted soak resumes
         #: from its last progress marker (:meth:`fast_forward`).
         self.wal = wal
-        self._streams: List[
-            Tuple[asyncio.StreamReader, asyncio.StreamWriter]
-        ] = []
-        #: One reader task per stream: BACKPRESSURE frames (which a host
-        #: pushes unsolicited) flip the pause flags; every other frame is
-        #: a reply routed to its stream's queue for :meth:`_round_trip`.
-        self._reader_tasks: List[asyncio.Task] = []
-        self._replies: List[asyncio.Queue] = []
-        self._paused: List[bool] = []
-        self.backpressure_signals = 0
-        #: Wall seconds :meth:`run` spent withholding traffic from
-        #: congested hosts (closed-loop mode only).
-        self.throttled_seconds = 0.0
 
     def fast_forward(self, requested: int) -> None:
         """Re-draw the first ``requested`` messages so the seeded RNG
@@ -500,56 +469,6 @@ class LoadGenerator:
             if record.kind == _rec.CHECKPOINT:
                 newest = dict(record.body)
         return newest
-
-    @property
-    def n_processes(self) -> int:
-        return len(self.ports)
-
-    async def connect(self, timeout: float = 20.0) -> None:
-        """Dial every host as a load client and wait for its READY."""
-        loop = asyncio.get_running_loop()
-        for index, port in enumerate(self.ports):
-            reader, writer = await _connect_with_retry(self.host, port, timeout)
-            writer.write(
-                codec.encode_frame(
-                    codec.HELLO,
-                    {"process": -1, "role": "load", "run": self.run_id},
-                )
-            )
-            await writer.drain()
-            self._streams.append((reader, writer))
-            self._replies.append(asyncio.Queue())
-            self._paused.append(False)
-            self._reader_tasks.append(
-                loop.create_task(self._client_reader(index, reader))
-            )
-        for queue in self._replies:
-            frame = await asyncio.wait_for(queue.get(), timeout)
-            if frame is None or frame.kind != codec.READY:
-                raise RuntimeError(
-                    "host did not become ready (got %r)" % (frame,)
-                )
-
-    async def _client_reader(
-        self, index: int, reader: asyncio.StreamReader
-    ) -> None:
-        """Demultiplex one host's stream (see the reader-task comment)."""
-        try:
-            while True:
-                frame = await codec.read_frame(reader)
-                if frame is None:
-                    self._replies[index].put_nowait(None)
-                    return
-                if frame.kind == codec.BACKPRESSURE:
-                    self.backpressure_signals += 1
-                    self._paused[index] = frame.body.get("state") == "high"
-                else:
-                    self._replies[index].put_nowait(frame)
-        except (codec.CodecError, ConnectionError) as exc:
-            self.errors.append("load stream %d: %s" % (index, exc))
-            self._replies[index].put_nowait(None)
-        except asyncio.CancelledError:
-            pass
 
     def _next_message(self) -> Message:
         self.requested += 1
@@ -593,7 +512,8 @@ class LoadGenerator:
         batches: List[bytearray] = [bytearray() for _ in self.ports]
         #: Frames withheld from paused hosts (closed-loop mode).
         held: List[bytearray] = [bytearray() for _ in self.ports]
-        for tick in range(1, pacer.ticks + 1):
+        writers = [link.writer for link in self.links]
+        async for tick in pacer.schedule():
             due = pacer.due(tick)
             for batch in batches:
                 del batch[:]
@@ -603,44 +523,30 @@ class LoadGenerator:
                     codec.INVOKE, codec.message_to_wire(message)
                 )
                 sent += 1
-            throttled = False
-            for index, (batch, (_, writer)) in enumerate(
-                zip(batches, self._streams)
-            ):
+            for index, (batch, writer) in enumerate(zip(batches, writers)):
                 if writer.is_closing():
                     continue  # a crashed host; chaos runs tolerate this
-                if closed_loop and self._paused[index]:
+                if closed_loop and self.links[index].paused:
                     held[index] += batch
-                    if batch or held[index]:
-                        throttled = True
                     continue
                 if held[index]:
                     writer.write(bytes(held[index]))
                     del held[index][:]
                 if batch:
                     writer.write(bytes(batch))
-            if throttled:
-                self.throttled_seconds += pacer.tick
             if self.wal is not None:
                 self.wal.checkpoint(
                     requested=self.requested,
                     elapsed=loop.time() - start,
                     seed=self.seed,
                 )
-            # Sleep to the *absolute* deadline: a late tick shortens the
-            # next sleep instead of pushing every later tick out.
-            delay = start + pacer.deadline(tick) - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            else:
-                await asyncio.sleep(0)  # yield so hosts keep reading
         # Release anything still held: the run is over, the hosts drain
         # at their own pace (withholding forever would lose messages).
-        for index, (_, writer) in enumerate(self._streams):
+        for index, writer in enumerate(writers):
             if held[index] and not writer.is_closing():
                 writer.write(bytes(held[index]))
                 del held[index][:]
-        for _, writer in self._streams:
+        for writer in writers:
             if not writer.is_closing():
                 await writer.drain()
         if self.wal is not None:
@@ -651,70 +557,6 @@ class LoadGenerator:
                 done=True,
             )
         return loop.time() - start
-
-    async def _round_trip(self, kind: int, body: Dict[str, Any]) -> List[codec.Frame]:
-        """Send one frame to every host; await the replies (which the
-        reader tasks route here -- unsolicited frames never interleave)."""
-        for _, writer in self._streams:
-            writer.write(codec.encode_frame(kind, body))
-        replies = []
-        for (_, writer), queue in zip(self._streams, self._replies):
-            await writer.drain()
-            frame = await queue.get()
-            if frame is None:
-                raise ConnectionError("host closed during a %s round trip"
-                                      % codec.KIND_NAMES.get(kind, kind))
-            replies.append(frame)
-        return replies
-
-    async def drain_hosts(self) -> None:
-        """Announce that no further invokes are coming."""
-        await self._round_trip(codec.DRAIN, {})
-
-    async def collect_stats(self) -> List[Dict[str, Any]]:
-        """One STATS body per host."""
-        return [frame.body for frame in await self._round_trip(codec.STATS, {})]
-
-    async def collect_traces(self) -> List[Dict[str, Any]]:
-        """One TRACE body (flight-recorder dump + clock fix) per host."""
-        return [frame.body for frame in await self._round_trip(codec.TRACE, {})]
-
-    async def collect_metrics(self) -> List[Dict[str, Any]]:
-        """One METRICS body (OpenMetrics text + snapshot) per host."""
-        return [frame.body for frame in await self._round_trip(codec.METRICS, {})]
-
-    async def quiesce(
-        self, timeout: float = 30.0, poll: float = 0.1
-    ) -> Tuple[bool, List[Dict[str, Any]]]:
-        """Poll until every invoked message is delivered and no host has
-        local pending work; returns (quiesced, final stats)."""
-        deadline = time.monotonic() + timeout
-        stats = await self.collect_stats()
-        while time.monotonic() < deadline:
-            invoked = sum(s.get("invoked", 0) for s in stats)
-            delivered = sum(s.get("deliveries", 0) for s in stats)
-            pending = sum(s.get("pending", 0) for s in stats)
-            if delivered >= invoked and pending == 0:
-                return True, stats
-            await asyncio.sleep(poll)
-            stats = await self.collect_stats()
-        return False, stats
-
-    async def shutdown_hosts(self) -> None:
-        """Send BYE (each host acks, then exits its serve loop)."""
-        try:
-            await self._round_trip(codec.BYE, {})
-        except (ConnectionError, codec.CodecError):
-            pass  # a host may close before the ack is read
-
-    async def close(self) -> None:
-        for _, writer in self._streams:
-            if not writer.is_closing():
-                writer.close()
-        for task in self._reader_tasks:
-            task.cancel()
-        if self._reader_tasks:
-            await asyncio.gather(*self._reader_tasks, return_exceptions=True)
 
     # -- reduction -----------------------------------------------------------
 
@@ -792,6 +634,46 @@ class LoadGenerator:
 # -- whole-cluster drivers ----------------------------------------------------
 
 
+async def drive_run(
+    load: LoadGenerator,
+    observer: Optional[LiveObserver],
+    protocol_name: str,
+    rate: float,
+    duration: float,
+    quiesce_timeout: float = 30.0,
+) -> NetRunReport:
+    """The arc of one run over connected roles: offer load, DRAIN,
+    quiesce, let the observer settle, close its verdict, reduce to a
+    report -- and pull forensics if the verdict is a violation.
+
+    ``duration <= 0`` skips the load phase (a resumed soak that had
+    already offered everything)."""
+    started = time.monotonic()
+    load_seconds = await load.run(rate, duration) if duration > 0 else 0.0
+    await load.drain()
+    quiesced, stats = await load.quiesce(timeout=quiesce_timeout)
+    if observer is not None:
+        await observer.settle()
+        observer.final_check()
+    report = load.report(
+        protocol_name,
+        stats,
+        load_seconds,
+        time.monotonic() - started,
+        quiesced,
+        observer=observer,
+    )
+    if observer is not None and observer.violation is not None:
+        from repro.obs.forensics import build_forensics
+
+        try:
+            dumps = await load.traces()
+        except (ConnectionError, codec.CodecError):
+            dumps = []  # forensics degrade to the merged trace alone
+        report.forensics = build_forensics(observer, dumps)
+    return report
+
+
 async def run_cluster(
     protocol_factory: Callable[[int, int], object],
     n_processes: int,
@@ -823,9 +705,8 @@ async def run_cluster(
 
     ``wal_dir`` gives every host a per-process WAL segment directory
     (``<wal_dir>/p<i>``) -- durable crash recovery.  ``record_dir``
-    records the *observer's* merged view of the run (requires a
-    ``spec``-driven observer) into one WAL the ``repro replay``
-    subcommand and :func:`repro.wal.replay_log` re-execute bit-identically.
+    records the *observer's* merged view of the run
+    (:meth:`LiveObserver.record`).
     """
     run_id = run_id or "inline-%d" % seed
     ports = free_ports(n_processes)
@@ -850,29 +731,17 @@ async def run_cluster(
     # the recorder's baseline configuration for overhead benchmarks.
     observer = (
         LiveObserver(n_processes, spec=spec)
-        if spec is not None or observe
+        if spec is not None or observe or record_dir is not None
         else None
     )
-    recorder = None
     if record_dir is not None:
-        if observer is None:
-            observer = LiveObserver(n_processes)
-        from repro.wal import WalSink
-
-        recorder = WalSink(
+        observer.record(
             record_dir,
-            meta={
-                "run": run_id,
-                "processes": n_processes,
-                "seed": seed,
-                **wal_meta,
-            },
+            {"run": run_id, "processes": n_processes, "seed": seed, **wal_meta},
         )
-        recorder.attach_trace(observer.trace)
     load = LoadGenerator(
         ports, run_id=run_id, seed=seed, color_rate=color_rate, keys=keys
     )
-    started = time.monotonic()
     try:
         for host in hosts:
             await host.start()
@@ -880,44 +749,16 @@ async def run_cluster(
         if observer is not None:
             await observer.connect(ports, run_id=run_id)
         await load.connect()
-        load_seconds = await load.run(rate, duration)
-        await load.drain_hosts()
-        quiesced, stats = await load.quiesce(timeout=quiesce_timeout)
-        if observer is not None:
-            # Let the tail of the event stream reach the merge.
-            deadline = time.monotonic() + 2.0
-            while (
-                observer.events_merged < observer.events_seen
-                or observer.pending_merge
-            ) and time.monotonic() < deadline:
-                await asyncio.sleep(0.02)
-            observer.final_check()
-        total_seconds = time.monotonic() - started
-        for host in hosts:
-            load.errors.extend(host.errors)
-        report = load.report(
-            protocol_name,
-            stats,
-            load_seconds,
-            total_seconds,
-            quiesced,
-            observer=observer,
+        report = await drive_run(
+            load, observer, protocol_name, rate, duration, quiesce_timeout
         )
-        if observer is not None and observer.violation is not None:
-            from repro.obs.forensics import build_forensics
-
-            try:
-                dumps = await load.collect_traces()
-            except (ConnectionError, codec.CodecError):
-                dumps = []  # forensics degrade to the merged trace alone
-            report.forensics = build_forensics(observer, dumps)
+        for host in hosts:
+            report.errors.extend(host.errors)
         return report
     finally:
         await load.close()
         if observer is not None:
             await observer.close()
-        if recorder is not None:
-            recorder.close()
         for host in hosts:
             await host.shutdown()
 

@@ -1,7 +1,8 @@
 """Pull-based cluster collection: flight dumps, metrics, stitched traces.
 
-The observability plane is pull-only: a collector dials every host as a
-``load``-role client and round-trips :data:`~repro.net.codec.TRACE` and
+The observability plane is pull-only: a collector is a
+:class:`~repro.net.client.ClusterClient` (every host dialed as a
+``load``-role client) that round-trips :data:`~repro.net.codec.TRACE` and
 :data:`~repro.net.codec.METRICS` frames.  Three consumers build on that:
 
 ``repro trace``
@@ -27,13 +28,12 @@ the less the queueing, the tighter the bound).
 
 from __future__ import annotations
 
-import asyncio
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.net import codec
-from repro.net.cluster import _connect_with_retry
+from repro.net.client import ClusterClient
 from repro.obs.bus import Bus
 from repro.obs.export import spans_to_chrome_trace
 from repro.obs.flight import FlightRecorder
@@ -101,65 +101,8 @@ class HostPull:
         return estimate_offset(self.samples)
 
 
-class ClusterCollector:
+class ClusterCollector(ClusterClient):
     """Dial every host and pull TRACE / METRICS / STATS on demand."""
-
-    def __init__(
-        self,
-        ports: Sequence[int],
-        host: str = "127.0.0.1",
-        run_id: str = "default",
-    ) -> None:
-        self.ports = list(ports)
-        self.host = host
-        self.run_id = run_id
-        self._streams: List[
-            Tuple[asyncio.StreamReader, asyncio.StreamWriter]
-        ] = []
-
-    @property
-    def n_processes(self) -> int:
-        return len(self.ports)
-
-    async def connect(self, timeout: float = 20.0) -> None:
-        """Dial every host (load role) and wait for each READY."""
-        for port in self.ports:
-            reader, writer = await _connect_with_retry(self.host, port, timeout)
-            writer.write(
-                codec.encode_frame(
-                    codec.HELLO,
-                    {"process": -1, "role": "load", "run": self.run_id},
-                )
-            )
-            await writer.drain()
-            self._streams.append((reader, writer))
-        for reader, _ in self._streams:
-            frame = await asyncio.wait_for(codec.read_frame(reader), timeout)
-            if frame is None or frame.kind != codec.READY:
-                raise RuntimeError("host did not become ready (got %r)" % (frame,))
-
-    async def close(self) -> None:
-        for _, writer in self._streams:
-            if not writer.is_closing():
-                writer.close()
-
-    async def _pull_one(
-        self, index: int, kind: int
-    ) -> Tuple[OffsetSample, Dict[str, Any]]:
-        """One stamped round trip of ``kind`` against host ``index``."""
-        reader, writer = self._streams[index]
-        t0 = time.time()
-        writer.write(codec.encode_frame(kind, {}))
-        await writer.drain()
-        frame = await codec.read_frame(reader)
-        t1 = time.time()
-        if frame is None or frame.kind != kind:
-            raise ConnectionError(
-                "host %d closed during a %s pull"
-                % (index, codec.KIND_NAMES.get(kind, kind))
-            )
-        sample = OffsetSample(t0=t0, t1=t1, host_wall=frame.body.get("wall", t1))
-        return sample, frame.body
 
     async def pull(self, rounds: int = 3) -> List[HostPull]:
         """TRACE (``rounds`` stamped round trips each) + METRICS + STATS.
@@ -169,14 +112,17 @@ class ClusterCollector:
         only grows).
         """
         pulls = []
-        for index in range(len(self._streams)):
+        for index, link in enumerate(self.links):
             pull = HostPull(process=index)
             for _ in range(max(1, rounds)):
-                sample, body = await self._pull_one(index, codec.TRACE)
-                pull.samples.append(sample)
-                pull.trace_body = body
-            _, pull.metrics_body = await self._pull_one(index, codec.METRICS)
-            _, pull.stats_body = await self._pull_one(index, codec.STATS)
+                t0 = time.time()
+                pull.trace_body = await link.request(codec.TRACE)
+                t1 = time.time()
+                pull.samples.append(
+                    OffsetSample(t0, t1, pull.trace_body.get("wall", t1))
+                )
+            pull.metrics_body = await link.request(codec.METRICS)
+            pull.stats_body = await link.request(codec.STATS)
             if pull.trace_body is not None:
                 pull.process = int(pull.trace_body.get("process", index))
             pulls.append(pull)

@@ -27,6 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.events import Event, EventKind, Message
 from repro.net import codec
+from repro.net.client import PULLS
 from repro.net.resilience import (
     LINK_DOWN,
     LINK_UP,
@@ -96,14 +97,6 @@ def event_from_wire(body: Dict[str, Any]) -> "tuple[float, int, Event, Message]"
         return float(body["t"]), int(body["p"]), Event(message.id, kind), message
     except (KeyError, TypeError, ValueError) as exc:
         raise codec.MalformedFrame("bad event body %r: %s" % (body, exc)) from exc
-
-
-class TapTrace(Trace):
-    """Backwards-compatible alias: the tap machinery (``attach_tap``
-    streaming every record to ``tap(record, message)``) moved into the
-    base :class:`~repro.simulation.trace.Trace` when the WAL sink grew a
-    second consumer for it.  Past records are still the attacher's job
-    (see :meth:`NetHost._attach_observer`, which replays)."""
 
 
 class NetProtocolHost(ProtocolHost):
@@ -274,7 +267,7 @@ class NetHost:
             bus=self.bus,
             transport=outbound,
         )
-        self.trace = TapTrace(n_processes)
+        self.trace = Trace(n_processes)
         self.stats = SimulationStats()
         self.host = NetProtocolHost(
             self.clock,  # type: ignore[arg-type]
@@ -429,26 +422,7 @@ class NetHost:
         if self._done.is_set():
             return
         self.crashed = True
-        self.draining = True
-        self.clock.cancel_all()
-        if self._unsubscribe_bridge is not None:
-            self._unsubscribe_bridge()
-            self._unsubscribe_bridge = None
-        if self._server is not None:
-            self._server.close()
-        for task in list(self._tasks):
-            task.cancel()
-        for writer in (
-            self._peer_writers
-            + list(self._accepted_writers)
-            + list(self._client_writers)
-            + self._observer_writers
-        ):
-            if not writer.is_closing():
-                writer.close()
-        if self._server is not None:
-            await self._server.wait_closed()
-        self._done.set()
+        await self._teardown()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -509,27 +483,32 @@ class NetHost:
         """Cancel outstanding protocol timers and close every stream."""
         if self._done.is_set():
             return
-        self.draining = True
-        self.clock.cancel_all()
-        if self._unsubscribe_bridge is not None:
-            self._unsubscribe_bridge()
-            self._unsubscribe_bridge = None
         for recorder in (self.flight, self.metrics, self.watchdog):
             if recorder is not None:
                 recorder.close()
         if self.wal is not None:
             self.wal.close()
+        await self._teardown()
+
+    async def _teardown(self) -> None:
+        """What :meth:`crash` and :meth:`shutdown` share: stop the timers,
+        the server and the tasks, and close every stream (peers then see
+        EOF, exactly as they would if the process had gone)."""
+        self.draining = True
+        self.clock.cancel_all()
+        if self._unsubscribe_bridge is not None:
+            self._unsubscribe_bridge()
+            self._unsubscribe_bridge = None
         if self._server is not None:
             self._server.close()
         for task in list(self._tasks):
             task.cancel()
-        writers = (
+        for writer in (
             self._peer_writers
             + list(self._accepted_writers)
             + list(self._client_writers)
             + self._observer_writers
-        )
-        for writer in writers:
+        ):
             if not writer.is_closing():
                 writer.close()
         if self._server is not None:
@@ -1053,18 +1032,9 @@ class NetHost:
                     return
                 if frame.kind == codec.INVOKE:
                     self._handle_invoke(frame)
-                elif frame.kind == codec.STATS:
-                    writer.write(
-                        codec.encode_frame(codec.STATS, self.stats_body())
-                    )
-                elif frame.kind == codec.TRACE:
-                    writer.write(
-                        codec.encode_frame(codec.TRACE, self.trace_body())
-                    )
-                elif frame.kind == codec.METRICS:
-                    writer.write(
-                        codec.encode_frame(codec.METRICS, self.metrics_body())
-                    )
+                elif frame.kind in PULLS:
+                    body = getattr(self, PULLS[frame.kind])()
+                    writer.write(codec.encode_frame(frame.kind, body))
                 elif frame.kind == codec.DRAIN:
                     self.draining = True
                     drained_here = True

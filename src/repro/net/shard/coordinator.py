@@ -4,7 +4,8 @@ The coordinator owns the fleet view of a sharded run:
 
 1. **spawn/connect** -- start ``n_shards`` :mod:`worker
    <repro.net.shard.worker>` processes (or dial an already-running
-   fleet, the ``repro serve --shards`` case) and rendezvous HELLO/READY;
+   fleet, the ``repro serve --shards`` case) and rendezvous through a
+   :class:`~repro.net.client.ClusterClient`, one link per shard ingress;
 2. **drive** -- generate compact invoke rows, route each by its ordering
    key through :class:`~repro.net.shard.router.ShardRouter`, and ship
    one :data:`~repro.net.codec.INVOKE_BATCH` frame per shard per pacing
@@ -36,6 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.events import Event, Message
 from repro.net import codec
+from repro.net.client import ClusterClient
 from repro.net.cluster import Pacer
 from repro.net.shard.router import ShardRouter, key_for
 from repro.net.shard.worker import (
@@ -196,67 +198,6 @@ def cross_key_oracle(
     }
 
 
-class _ShardLink:
-    """One coordinator-side ingress connection to a shard worker."""
-
-    def __init__(self, shard: int, host: str, port: int) -> None:
-        self.shard = shard
-        self.host = host
-        self.port = port
-        self.reader: Optional[asyncio.StreamReader] = None
-        self.writer: Optional[asyncio.StreamWriter] = None
-
-    async def connect(self, timeout: float = 10.0) -> None:
-        """Dial with retries (the worker process may still be binding)."""
-        deadline = time.monotonic() + timeout
-        last: Optional[Exception] = None
-        while time.monotonic() < deadline:
-            try:
-                self.reader, self.writer = await asyncio.open_connection(
-                    self.host, self.port
-                )
-                self.writer.write(
-                    codec.encode_frame(
-                        codec.HELLO, {"role": "coordinator", "shard": self.shard}
-                    )
-                )
-                await self.writer.drain()
-                ready = await codec.read_frame(self.reader)
-                if ready is None or ready.kind != codec.READY:
-                    raise ConnectionError(
-                        "shard %d: expected READY, got %r"
-                        % (self.shard, ready and ready.kind)
-                    )
-                return
-            except (ConnectionError, OSError) as error:
-                last = error
-                self.reader = self.writer = None
-                await asyncio.sleep(0.05)
-        raise ConnectionError(
-            "shard %d never became ready on %s:%d (%s)"
-            % (self.shard, self.host, self.port, last)
-        )
-
-    def send(self, kind: int, body: Dict[str, Any]) -> None:
-        assert self.writer is not None
-        self.writer.write(codec.encode_frame(kind, body))
-
-    async def request(self, kind: int, body: Dict[str, Any]) -> Dict[str, Any]:
-        """Send one frame and read its (same-kind) reply."""
-        assert self.reader is not None and self.writer is not None
-        self.send(kind, body)
-        await self.writer.drain()
-        reply = await codec.read_frame(self.reader)
-        if reply is None:
-            raise ConnectionError("shard %d closed mid-request" % self.shard)
-        return reply.body
-
-    async def close(self) -> None:
-        if self.writer is not None and not self.writer.is_closing():
-            self.writer.close()
-        self.reader = self.writer = None
-
-
 class ShardCoordinator:
     """Fleet controller for ``n_shards`` lane workers (see module doc)."""
 
@@ -289,10 +230,9 @@ class ShardCoordinator:
         self.stall_seconds = stall_seconds
         self.router = ShardRouter(n_shards)
         self.rng = random.Random(seed)
-        self.links = [
-            _ShardLink(shard, host, port_base + shard)
-            for shard in range(n_shards)
-        ]
+        self.client = ClusterClient(
+            [port_base + shard for shard in range(n_shards)], host, run_id
+        )
         self.processes: List[Any] = []
         self._next_id = 0
         #: All ordered sender/receiver pairs, so load generation draws
@@ -330,9 +270,7 @@ class ShardCoordinator:
 
     async def connect(self, timeout: float = 10.0) -> None:
         """Rendezvous with every shard (spawned here or externally)."""
-        await asyncio.gather(
-            *(link.connect(timeout=timeout) for link in self.links)
-        )
+        await self.client.connect(timeout)
 
     async def start(self, timeout: float = 10.0) -> None:
         self.spawn()
@@ -340,14 +278,8 @@ class ShardCoordinator:
 
     async def stop(self) -> None:
         """BYE every shard, close links, reap spawned processes."""
-        for link in self.links:
-            if link.writer is None:
-                continue
-            try:
-                await link.request(codec.BYE, {})
-            except (ConnectionError, codec.CodecError, OSError):
-                pass
-            await link.close()
+        await self.client.bye()
+        await self.client.close()
         for process in self.processes:
             process.join(timeout=5.0)
             if process.is_alive():  # pragma: no cover - hung worker
@@ -391,43 +323,30 @@ class ShardCoordinator:
     ) -> int:
         """Drive paced keyed load at the fleet; returns rows offered.
 
-        One INVOKE_BATCH frame per shard per pacing tick; sleeps target
-        the Pacer's *absolute* deadlines, so a late tick borrows from
-        the next sleep instead of stretching the whole run.
+        One INVOKE_BATCH frame per shard per pacing tick, on the
+        :meth:`Pacer.schedule <repro.net.cluster.Pacer.schedule>`
+        absolute-deadline schedule.
         """
         pacer = Pacer(rate, duration)
-        loop = asyncio.get_running_loop()
-        start = loop.time()
+        links = self.client.links
         emitted = 0
-        for tick in range(1, pacer.ticks + 1):
+        async for tick in pacer.schedule():
             due = pacer.due(tick)
             if due > emitted:
                 batches: Dict[int, List[list]] = {}
                 self._generate_tick(due - emitted, keys, batches)
                 emitted = due
                 for shard, rows in batches.items():
-                    self.links[shard].send(
-                        codec.INVOKE_BATCH, {"rows": rows}
-                    )
+                    links[shard].send(codec.INVOKE_BATCH, {"rows": rows})
                 await asyncio.gather(
-                    *(
-                        self.links[shard].writer.drain()
-                        for shard in batches
-                    )
+                    *(links[shard].writer.drain() for shard in batches)
                 )
-            delay = start + pacer.deadline(tick) - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
         return emitted
 
     # -- merge ----------------------------------------------------------------
 
     async def stats(self) -> List[Dict[str, Any]]:
-        return list(
-            await asyncio.gather(
-                *(link.request(codec.STATS, {}) for link in self.links)
-            )
-        )
+        return await self.client.stats()
 
     async def metrics(self) -> str:
         """Concatenated OpenMetrics exposition of every shard.
@@ -436,11 +355,8 @@ class ShardCoordinator:
         concatenation is well-formed for a scraper (distinct label sets,
         shared metric families).
         """
-        bodies = await asyncio.gather(
-            *(link.request(codec.METRICS, {}) for link in self.links)
-        )
         chunks = []
-        for body in bodies:
+        for body in await self.client.metrics():
             text = body.get("text", "")
             # Strip per-shard EOF markers; a single one terminates the
             # merged exposition.
@@ -451,23 +367,16 @@ class ShardCoordinator:
 
     async def drain(self, timeout: float = 10.0) -> bool:
         """Flush every shard and wait until nothing is in flight."""
-        await asyncio.gather(
-            *(link.request(codec.DRAIN, {}) for link in self.links)
-        )
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            bodies = await self.stats()
-            if all(body.get("pending", 0) == 0 for body in bodies):
-                return True
-            await asyncio.sleep(0.05)
-        return False
+        await self.client.drain()
+        drained, _ = await self.client.quiesce(timeout, poll=0.05)
+        return drained
 
     async def collect(
         self, per_shard_limit: int = ORACLE_SAMPLE
     ) -> List[Tuple[str, int, int, str, float, float]]:
         """Page back delivered rows from every shard's collect ring."""
         rows: List[Tuple[str, int, int, str, float, float]] = []
-        for link in self.links:
+        for link in self.client.links:
             fetched = 0
             offset = 0
             while fetched < per_shard_limit:

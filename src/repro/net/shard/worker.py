@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.net import codec
+from repro.net.client import PULLS
 from repro.net.shard.lanes import KeyStats, LaneViolation, lane_checker
 from repro.obs.bus import Bus
 from repro.obs.flight import FlightRecorder
@@ -422,6 +423,13 @@ class ShardWorker:
             hello = await codec.read_frame(reader)
             if hello is None or hello.kind != codec.HELLO:
                 return
+            if hello.body.get("run") != self.config.run_id:
+                self.errors.append(
+                    "rejected connection for run %r (serving %r)"
+                    % (hello.body.get("run"), self.config.run_id)
+                )
+                writer.close()
+                return
             writer.write(
                 codec.encode_frame(
                     codec.READY,
@@ -435,40 +443,23 @@ class ShardWorker:
                     return
                 if frame.kind == codec.INVOKE_BATCH:
                     self._on_invoke_batch(frame.body.get("rows") or [])
-                elif frame.kind == codec.STATS:
-                    writer.write(
-                        codec.encode_frame(codec.STATS, self.stats_body())
-                    )
-                    await writer.drain()
-                elif frame.kind == codec.METRICS:
-                    writer.write(
-                        codec.encode_frame(codec.METRICS, self.metrics_body())
-                    )
-                    await writer.drain()
-                elif frame.kind == codec.TRACE:
-                    writer.write(
-                        codec.encode_frame(codec.TRACE, self.trace_body())
-                    )
-                    await writer.drain()
+                    continue
+                body: Dict[str, Any] = {}
+                if frame.kind in PULLS:
+                    body = getattr(self, PULLS[frame.kind])()
                 elif frame.kind == codec.COLLECT:
-                    writer.write(
-                        codec.encode_frame(
-                            codec.COLLECT,
-                            self.collect_body(
-                                int(frame.body.get("offset", 0)),
-                                int(frame.body.get("limit", COLLECT_PAGE)),
-                            ),
-                        )
+                    body = self.collect_body(
+                        int(frame.body.get("offset", 0)),
+                        int(frame.body.get("limit", COLLECT_PAGE)),
                     )
-                    await writer.drain()
                 elif frame.kind == codec.DRAIN:
                     self.draining = True
                     self._flush_lanes()
-                    writer.write(codec.encode_frame(codec.DRAIN, {}))
-                    await writer.drain()
-                elif frame.kind == codec.BYE:
-                    writer.write(codec.encode_frame(codec.BYE, {}))
-                    await writer.drain()
+                elif frame.kind != codec.BYE:
+                    continue
+                writer.write(codec.encode_frame(frame.kind, body))
+                await writer.drain()
+                if frame.kind == codec.BYE:
                     self._done.set()
                     return
         except (codec.CodecError, ConnectionError, asyncio.CancelledError):

@@ -57,7 +57,8 @@ class SyncRendezvousProtocol(Protocol):
             raise ValueError("need 0 < retry_low <= retry_high")
         self.retry_low = retry_low
         self.retry_high = retry_high
-        self._rng = random.Random(seed)
+        self._seed = seed
+        self._rng: Optional[random.Random] = None
         self._outbox: Deque[Message] = deque()
         self._phase = IDLE
         self._committed_to: Optional[int] = None
@@ -90,6 +91,11 @@ class SyncRendezvousProtocol(Protocol):
 
     def _retry_later(self, ctx: HostContext) -> None:
         self._phase = BACKOFF
+        if self._rng is None:
+            # One backoff stream per *process*: two processes that NACKed
+            # each other and then drew the same delays wake together and
+            # collide again -- on a low-jitter transport, indefinitely.
+            self._rng = random.Random("%d/%d" % (self._seed, ctx.process_id))
         delay = self._rng.uniform(self.retry_low, self.retry_high)
 
         def wake() -> None:

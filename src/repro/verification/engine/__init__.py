@@ -11,6 +11,9 @@ One evaluation core behind every consumer of forbidden predicates:
   anchoring the search at each new event, with ``push()``/``pop()``
   snapshots for DFS exploration (see
   :mod:`repro.verification.engine.monitor`);
+- :func:`capped_monitor` is the one verdict policy for a whole run
+  (capped incremental search, then the membership oracle at end of run),
+  shared by the live observer and the WAL replay;
 - the batch helpers below run the same compiled plans over a finished
   :class:`~repro.runs.user_run.UserRun`; the historical APIs
   (``find_assignment``, ``run_admitted``, ``Specification.admits``,
@@ -27,9 +30,11 @@ from repro.runs.user_run import UserRun
 from repro.verification.engine.causality import OnlineCausality
 from repro.verification.engine.indexes import MessageIndex
 from repro.verification.engine.monitor import (
+    FAMILY_ARITY_CAP,
     FirstViolation,
     MonitorStats,
     SpecMonitor,
+    capped_monitor,
 )
 from repro.verification.engine.plan import (
     Assignment,
@@ -39,6 +44,7 @@ from repro.verification.engine.plan import (
 
 __all__ = [
     "CompiledPredicate",
+    "FAMILY_ARITY_CAP",
     "FirstViolation",
     "MessageIndex",
     "MonitorStats",
@@ -46,6 +52,7 @@ __all__ = [
     "SpecMonitor",
     "batch_find_assignment",
     "batch_run_admitted",
+    "capped_monitor",
     "compile_predicate",
     "index_for_run",
     "monitor_trace",

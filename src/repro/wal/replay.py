@@ -141,7 +141,15 @@ def replay_log(directory: str, spec=None) -> ReplayResult:
     if spec is None and meta.get("spec"):
         spec = resolve_spec_name(str(meta["spec"]))
     if spec is not None:
-        violation = _verify_trace(trace, spec)
+        # The live observer's policy over the same records, so the
+        # verdict matches the live one -- including which step (monitor
+        # or oracle) flagged the run.
+        from repro.verification.engine import capped_monitor
+
+        monitor, oracle_check = capped_monitor(spec)
+        violation = monitor.advance(trace)
+        if violation is None and oracle_check is not None:
+            violation = oracle_check(trace)
     return ReplayResult(
         trace=trace,
         meta=meta,
@@ -149,48 +157,6 @@ def replay_log(directory: str, spec=None) -> ReplayResult:
         tail_dropped=log.tail_dropped,
         segments=len(log.segments),
     )
-
-
-#: Largest family member the incremental monitor searches during a
-#: replay -- the same cap :data:`repro.net.cluster.LIVE_FAMILY_ARITY`
-#: applies live, and for the same reason: the anchored search on a
-#: logically-synchronous crown family is super-quadratic in the trace.
-REPLAY_FAMILY_ARITY = 2
-
-
-def _verify_trace(trace: Trace, spec) -> Optional[Any]:
-    """The LiveObserver's two-step verdict, replayed offline.
-
-    Monitor incrementally with the family search capped, then close the
-    completeness gap with the spec's exact polynomial membership oracle
-    over the full trace.  Verdicts therefore match the live observer's
-    exactly -- including which step flagged the run.
-    """
-    import dataclasses
-
-    from repro.verification.engine import SpecMonitor
-
-    check_spec = spec
-    needs_oracle = False
-    cap = getattr(spec, "family_arity_cap", None)
-    if (
-        getattr(spec, "families", ())
-        and getattr(spec, "oracle", None) is not None
-        and (cap is None or cap > REPLAY_FAMILY_ARITY)
-    ):
-        check_spec = dataclasses.replace(
-            spec, family_arity_cap=REPLAY_FAMILY_ARITY
-        )
-        needs_oracle = True
-    violation = SpecMonitor(check_spec).advance(trace)
-    if violation is None and needs_oracle and trace.record_count:
-        run = trace.to_system_run().users_view()
-        if not spec.admits(run):
-            violation = (
-                "membership oracle rejected the replayed run (spec %s)"
-                % (getattr(spec, "name", spec),)
-            )
-    return violation
 
 
 def delivery_order(trace: Trace) -> List[Tuple[int, str]]:

@@ -1,0 +1,238 @@
+"""The one control-protocol client, against stub and real endpoints.
+
+Every consumer of the control plane (load generator, collector, shard
+coordinator, chaos poller, observer attach) is built on
+:mod:`repro.net.client`, so the awkward cases are pinned here once: a
+``BACKPRESSURE`` frame pushed between a request and its reply, a reply
+of the wrong kind, EOF in the middle of a request, an endpoint that is
+not listening yet, and an endpoint serving another run id.
+"""
+
+import asyncio
+import time
+
+import pytest
+
+from repro.cli import main
+from repro.net import codec
+from repro.net.client import ClusterClient, ControlLink
+from repro.net.cluster import free_ports
+from repro.net.collector import ClusterCollector
+from repro.net.shard import ShardWorker, ShardWorkerConfig
+
+
+async def _stub_endpoint(port, answer):
+    """A server that completes the rendezvous and then hands each
+    request frame to ``answer(frame, writer)``."""
+
+    async def handler(reader, writer):
+        hello = await codec.read_frame(reader)
+        assert hello.kind == codec.HELLO and hello.body["role"] == "load"
+        writer.write(codec.encode_frame(codec.READY, {"process": 0}))
+        while True:
+            frame = await codec.read_frame(reader)
+            if frame is None:
+                break
+            answer(frame, writer)
+        writer.close()
+
+    return await asyncio.start_server(handler, "127.0.0.1", port)
+
+
+def _congested(frame, writer):
+    """What a NetHost crossing its high watermark does to *every*
+    load-role connection: BACKPRESSURE lands ahead of the reply."""
+    writer.write(
+        codec.encode_frame(
+            codec.BACKPRESSURE, {"process": 0, "state": "high", "pending": 9}
+        )
+    )
+    writer.write(
+        codec.encode_frame(frame.kind, {"process": 0, "wall": time.time()})
+    )
+
+
+class TestPushedFramesNeverMasqueradeAsReplies:
+    def test_collector_pull_survives_backpressure_before_each_reply(self):
+        """`repro top` / `repro trace` against a congested host used to
+        die with "host closed during a pull" and stay off by one reply."""
+        port = free_ports(1)[0]
+
+        async def scenario():
+            server = await _stub_endpoint(port, _congested)
+            collector = ClusterCollector([port])
+            async with server:
+                await collector.connect(timeout=5.0)
+                try:
+                    pulls = await collector.pull(rounds=2)
+                    pulls += await collector.pull(rounds=1)
+                finally:
+                    await collector.close()
+            return pulls, collector
+
+        pulls, collector = asyncio.run(scenario())
+        assert [pull.process for pull in pulls] == [0, 0]
+        assert all(pull.stats_body and pull.metrics_body for pull in pulls)
+        assert collector.links[0].paused
+        # 2 + 1 TRACE rounds, then METRICS and STATS per pull.
+        assert collector.backpressure_signals == 7
+
+    def test_reply_of_another_kind_is_refused(self):
+        port = free_ports(1)[0]
+
+        def confused(frame, writer):
+            writer.write(codec.encode_frame(codec.TRACE, {"process": 0}))
+
+        async def scenario():
+            server = await _stub_endpoint(port, confused)
+            client = ClusterClient([port])
+            async with server:
+                await client.connect(timeout=5.0)
+                try:
+                    return await client.stats()
+                finally:
+                    await client.close()
+
+        with pytest.raises(codec.CodecError, match="stats request with a trace"):
+            asyncio.run(scenario())
+
+    def test_eof_mid_request_is_a_connection_error_and_stays_one(self):
+        port = free_ports(1)[0]
+
+        def hang_up(frame, writer):
+            writer.close()
+
+        async def scenario():
+            server = await _stub_endpoint(port, hang_up)
+            link = ControlLink("127.0.0.1", port, "load", "default")
+            async with server:
+                await link.connect(timeout=5.0)
+                await link.ready(timeout=5.0)
+                outcomes = []
+                for _ in range(2):  # the second call must not hang
+                    try:
+                        await asyncio.wait_for(link.request(codec.STATS), 5.0)
+                    except ConnectionError as exc:
+                        outcomes.append(str(exc))
+                await link.close()
+                return outcomes
+
+        outcomes = asyncio.run(scenario())
+        assert len(outcomes) == 2
+        assert "before its stats reply" in outcomes[0]
+
+
+class TestDialUntilDeadline:
+    def test_connect_waits_for_a_listener_that_binds_late(self):
+        port = free_ports(1)[0]
+
+        async def scenario():
+            link = ControlLink("127.0.0.1", port, "load", "default")
+            dial = asyncio.get_running_loop().create_task(link.connect(5.0))
+            await asyncio.sleep(0.2)
+            assert not dial.done()  # still retrying the refused connect
+            server = await _stub_endpoint(port, _congested)
+            async with server:
+                await dial
+                body = await link.ready(timeout=5.0)
+                await link.close()
+            return body
+
+        assert asyncio.run(scenario()) == {"process": 0}
+
+    def test_zero_deadline_is_one_attempt(self):
+        port = free_ports(1)[0]
+        link = ControlLink("127.0.0.1", port, "load", "default")
+        started = time.monotonic()
+        with pytest.raises(ConnectionRefusedError):
+            asyncio.run(link.connect(timeout=0.0))
+        assert time.monotonic() - started < 1.0
+
+
+class TestShardWorkerChecksTheRunId:
+    def test_mismatching_hello_is_rejected_like_a_nethost_does(self):
+        """`repro serve --shards --run-id X` documents "connections for
+        another run are rejected"; the worker used not to look."""
+        port = free_ports(1)[0]
+        worker = ShardWorker(
+            ShardWorkerConfig(
+                shard=0, n_shards=1, n_processes=2, port=port, run_id="mine"
+            )
+        )
+
+        async def scenario():
+            serving = asyncio.get_running_loop().create_task(worker.serve())
+            stranger = ControlLink("127.0.0.1", port, "load", "theirs")
+            await stranger.connect(timeout=5.0)
+            with pytest.raises(ConnectionError, match="wrong run id"):
+                await stranger.ready(timeout=5.0)
+            await stranger.close()
+            client = ClusterClient([port], run_id="mine")
+            await client.connect(timeout=5.0)
+            stats = await client.stats()
+            await client.bye()
+            await client.close()
+            await asyncio.wait_for(serving, 5.0)
+            return stats
+
+        (stats,) = asyncio.run(scenario())
+        assert stats["errors"] == [
+            "rejected connection for run 'theirs' (serving 'mine')"
+        ]
+
+
+class TestShardedLoadOperatorErrors:
+    def test_refused_fleet_names_the_shard_port_range(self, capsys):
+        """Two shards and four lane processes listen on *two* ports."""
+        port = free_ports(1)[0]
+        code = main(
+            [
+                "load",
+                "--shards",
+                "2",
+                "--processes",
+                "4",
+                "--port-base",
+                str(port),
+                "--quiesce-timeout",
+                "0.2",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.count("\n") == 1
+        assert "connection refused at 127.0.0.1:%d-%d " % (port, port + 1) in (
+            captured.err
+        )
+
+    def test_silent_fleet_times_out_in_one_line(self, capsys):
+        """An endpoint that accepts but never says READY used to escape
+        `repro load --shards` as an asyncio.TimeoutError traceback."""
+        port = free_ports(1)[0]
+
+        async def scenario():
+            async def mute(reader, writer):
+                await reader.read()  # swallow the HELLO, answer nothing
+                writer.close()
+
+            server = await asyncio.start_server(mute, "127.0.0.1", port)
+            async with server:
+                return await asyncio.get_running_loop().run_in_executor(
+                    None,
+                    main,
+                    [
+                        "load",
+                        "--shards",
+                        "1",
+                        "--port-base",
+                        str(port),
+                        "--quiesce-timeout",
+                        "0.3",
+                    ],
+                )
+
+        code = asyncio.run(scenario())
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "repro load: timed out waiting for the cluster" in captured.err
+        assert "Traceback" not in captured.err

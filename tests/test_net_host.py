@@ -9,7 +9,6 @@ from repro.faults import FaultPlan
 from repro.net import (
     AsyncTransport,
     NetHost,
-    TapTrace,
     WallClock,
     free_ports,
 )
@@ -18,6 +17,7 @@ from repro.net.host import event_from_wire, event_to_wire
 from repro.net.transport import packet_from_frame
 from repro.protocols import catalogue
 from repro.simulation.network import Packet
+from repro.simulation.trace import Trace
 
 
 class TestWallClock:
@@ -124,7 +124,7 @@ class TestPacketFraming:
 
 class TestEventWire:
     def test_event_round_trips_through_a_tap(self):
-        trace = TapTrace(2)
+        trace = Trace(2)
         message = Message(id="m1", sender=0, receiver=1)
         seen = []
         trace.attach_tap(lambda record, msg: seen.append((record, msg)))

@@ -89,6 +89,27 @@ class TestControlOverheadShape:
         overhead = result.stats.control_messages - 3 * 30
         assert overhead >= 0 and overhead % 2 == 0
 
+    def test_rendezvous_backoff_differs_between_processes(self):
+        """Two processes that refused each other must not draw the same
+        retry delays, or they wake together and collide again -- over
+        loopback TCP (no latency jitter) that livelock ran for tens of
+        seconds and made the sync-rdv net tests flaky."""
+
+        class Ctx:
+            def __init__(self, process_id):
+                self.process_id = process_id
+                self.delays = []
+
+            def schedule(self, delay, callback):
+                self.delays.append(delay)
+
+        contexts = [Ctx(0), Ctx(1)]
+        for ctx in contexts:
+            protocol = make_factory(SyncRendezvousProtocol)(ctx.process_id, 2)
+            for _ in range(5):
+                protocol._retry_later(ctx)
+        assert all(a != b for a, b in zip(contexts[0].delays, contexts[1].delays))
+
     def test_tagged_protocol_is_not_synchronous(self):
         """The converse: causal protocols do not produce only sync runs."""
         found_non_sync = False

@@ -19,12 +19,12 @@ import pytest
 from repro.faults import FaultPlan
 from repro.mc.mutations import mutation_factories
 from repro.net import run_cluster_sync
-from repro.net.cluster import LoadGenerator, free_ports
+from repro.net.cluster import LiveObserver, LoadGenerator, free_ports
 from repro.net.host import NetHost
-from repro.predicates.catalog import FIFO_ORDERING
+from repro.predicates.catalog import FIFO_ORDERING, LOGICALLY_SYNCHRONOUS
 from repro.protocols import catalogue
 from repro.protocols.reliable import make_reliable
-from repro.wal import delivery_order, read_log, replay_log
+from repro.wal import WalSink, delivery_order, read_log, replay_log
 
 # 1 virtual unit == 1ms so the ARQ's 30-unit RTO is 30ms (see
 # test_net_cluster.py -- same convention).
@@ -86,18 +86,68 @@ class TestTcpViolationReplay:
             record_dir=str(record_dir),
         )
 
-    def test_violating_assignment_survives_the_replay(self, tmp_path):
-        """`repro replay` of a flagged TCP run reports the *identical*
-        violating assignment the live observer latched -- the report
-        embeds repr(FirstViolation), so string equality pins predicate,
-        witnesses and time all at once."""
-        report = self._broken_run(tmp_path)
-        assert report.violation is not None
+    def _clean_run(self, record_dir):
+        """The correct protocol under the same spikes."""
+        entry = catalogue()["fifo"]
+        return run_cluster_sync(
+            entry.factory,
+            2,
+            protocol_name="fifo",
+            rate=300.0,
+            duration=0.6,
+            seed=3,
+            spec=FIFO_ORDERING,
+            spec_name="fifo",
+            faults=FaultPlan(spike_rate=0.3, spike_delay=20.0, seed=3),
+            time_scale=FAST,
+            run_id="t-rec-clean",
+            record_dir=str(record_dir),
+        ).violation
 
-        replayed = replay_log(str(tmp_path))  # spec resolves from META
-        assert replayed.meta["spec"] == "fifo"
-        assert replayed.violation is not None
-        assert repr(replayed.violation) == report.violation
+    def _crown3_run(self, record_dir):
+        """test_net_cluster's oracle-gap run (a 3-crown holding no
+        2-crown) through a bare observer, recorded the way `record_dir`
+        records; the capped live search must not be what flags it."""
+        import tests.test_net_cluster as cluster_cases
+
+        observer = LiveObserver(3, spec=LOGICALLY_SYNCHRONOUS)
+        recorder = WalSink(
+            str(record_dir),
+            meta={"processes": 3, "spec": "logically-synchronous"},
+        )
+        recorder.attach_trace(observer.trace)
+        cluster_cases.TestSyncOracleFallback()._feed(observer)
+        asyncio.run(observer.settle())
+        live = observer.final_check()
+        recorder.close()
+        assert observer.monitor.violation is None
+        assert observer.oracle_outcome is False
+        return live
+
+    @pytest.mark.parametrize("case", ["clean-fifo", "broken-fifo", "crown-3"])
+    def test_violating_assignment_survives_the_replay(self, case, tmp_path):
+        """`repro replay` reports the *identical* verdict the live
+        observer reached, because both judge through the one
+        `capped_monitor` policy: the same violating assignment for a
+        flagged TCP run (the report embeds repr(FirstViolation), so
+        string equality pins predicate, witnesses and time all at once),
+        none for a clean one, and the same oracle rejection -- flagged
+        by the oracle step, not the capped monitor -- for a run whose
+        only crown is longer than the live search looks."""
+        if case == "crown-3":
+            live = self._crown3_run(tmp_path)
+        elif case == "broken-fifo":
+            live = self._broken_run(tmp_path).violation
+        else:
+            live = self._clean_run(tmp_path)
+        assert (live is None) == (case == "clean-fifo")
+
+        found = replay_log(str(tmp_path)).violation  # spec resolves from META
+        rendered = found if found is None or isinstance(found, str) else repr(found)
+        assert rendered == live
+        assert isinstance(found, str) == (case == "crown-3")
+        if case == "crown-3":
+            assert "membership oracle rejected" in found
 
     def test_replay_needs_no_live_cluster(self, tmp_path):
         """The segment alone reproduces the verdict: no sockets, no
@@ -151,11 +201,11 @@ async def _offer(load, count):
         batches[message.sender] += codec.encode_frame(
             codec.INVOKE, codec.message_to_wire(message)
         )
-    for batch, (_, writer) in zip(batches, load._streams):
+    for batch, link in zip(batches, load.links):
         if batch:
-            writer.write(bytes(batch))
-    for _, writer in load._streams:
-        await writer.drain()
+            link.writer.write(bytes(batch))
+    for link in load.links:
+        await link.writer.drain()
 
 
 async def _two_phase_soak(base_dir, crash, recover_with_wal=True):
@@ -217,7 +267,7 @@ async def _two_phase_soak(base_dir, crash, recover_with_wal=True):
         load2.fast_forward(phase1_requested)
         await load2.connect()
         await _offer(load2, PHASE_MESSAGES)
-        await load2.drain_hosts()
+        await load2.drain()
         quiesce_timeout = 20.0 if (not crash or recover_with_wal) else 4.0
         quiesced2, _ = await load2.quiesce(timeout=quiesce_timeout)
         await load2.close()
