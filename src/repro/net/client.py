@@ -19,8 +19,9 @@ the live observer uses a bare :class:`ControlLink` for its attach (an
 observer stream carries no replies, so it reads the link's stream
 itself).
 
-:data:`PULLS` is the server half of the same table: the endpoints
-answer those request kinds from the named ``*_body()`` method.
+:data:`PULLS` is the server half of the same table:
+:mod:`repro.net.endpoint`, the accept side, answers those request kinds
+from the named ``*_body()`` method.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ __all__ = ["PULLS", "ClusterClient", "ControlLink", "quiesced"]
 
 #: Request kind -> the endpoint method whose return value is the reply
 #: body.  :meth:`ClusterClient.stats` / ``metrics`` / ``traces`` are the
-#: client half; ``NetHost._client_loop`` and the shard worker's ingress
-#: loop both answer from this table.
+#: client half; :class:`repro.net.endpoint.Endpoint` seeds every
+#: endpoint's request table from this one.
 PULLS = {
     codec.STATS: "stats_body",
     codec.METRICS: "metrics_body",

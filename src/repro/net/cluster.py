@@ -157,11 +157,6 @@ class LiveObserver:
         """Events received but still held by the merge gate."""
         return sum(len(queue) for queue in self._queues)
 
-    @property
-    def lag(self) -> int:
-        """Events seen on the wire but not yet merged (monitor lag)."""
-        return self.events_seen - self.events_merged
-
     async def connect(
         self,
         ports: Sequence[int],
@@ -689,7 +684,6 @@ async def run_cluster(
     quiesce_timeout: float = 30.0,
     run_id: Optional[str] = None,
     observability: bool = True,
-    observe: bool = False,
     wal_dir: Optional[str] = None,
     record_dir: Optional[str] = None,
     spec_name: Optional[str] = None,
@@ -727,11 +721,9 @@ async def run_cluster(
         )
         for process_id in range(n_processes)
     ]
-    # ``observe`` taps the merged event stream without a spec monitor --
-    # the recorder's baseline configuration for overhead benchmarks.
     observer = (
         LiveObserver(n_processes, spec=spec)
-        if spec is not None or observe or record_dir is not None
+        if spec is not None or record_dir is not None
         else None
     )
     if record_dir is not None:

@@ -29,15 +29,11 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.events import Message
 
-#: Wire protocol version this build *emits*.  Version 2 added the
+#: Wire protocol version this build speaks.  Version 2 added the
 #: optional ordering-key field on USER/INVOKE message bodies and the
-#: batch frame kinds the sharded runtime uses; bodies a version-1 peer
-#: produced are still decodable, so decoding accepts
-#: :data:`ACCEPTED_VERSIONS` while encoding always stamps the newest.
+#: batch frame kinds the sharded runtime uses; every endpoint of a run
+#: is the same build, so a frame of any other version is refused.
 WIRE_VERSION = 2
-
-#: Versions a frame may carry and still decode.
-ACCEPTED_VERSIONS = frozenset({1, 2})
 
 #: Upper bound on one frame's (version + kind + body) size.  Generous for
 #: protocol traffic (tags are tens of bytes) while still bounding the
@@ -68,28 +64,6 @@ USER_BATCH = 15  # shard runtime: one coalesced flush of user rows per peer
 INVOKE_BATCH = 16  # coordinator -> shard worker: {rows: [...]} invoke rows
 COLLECT = 17  # coordinator -> shard worker: per-key event rows for the oracle
 
-FRAME_KINDS = frozenset(
-    {
-        HELLO,
-        READY,
-        USER,
-        CONTROL,
-        INVOKE,
-        EVENT,
-        PROBE,
-        STATS,
-        DRAIN,
-        BYE,
-        TRACE,
-        METRICS,
-        HEARTBEAT,
-        BACKPRESSURE,
-        USER_BATCH,
-        INVOKE_BATCH,
-        COLLECT,
-    }
-)
-
 KIND_NAMES = {
     HELLO: "hello",
     READY: "ready",
@@ -110,6 +84,8 @@ KIND_NAMES = {
     COLLECT: "collect",
 }
 
+FRAME_KINDS = frozenset(KIND_NAMES)
+
 
 # -- errors ------------------------------------------------------------------
 
@@ -127,7 +103,7 @@ class FrameOversized(CodecError):
 
 
 class UnknownVersion(CodecError):
-    """The frame's version byte is not in :data:`ACCEPTED_VERSIONS`."""
+    """The frame's version byte is not :data:`WIRE_VERSION`."""
 
 
 class UnknownFrameKind(CodecError):
@@ -320,7 +296,7 @@ def encode_frame(kind: int, body: Optional[Dict[str, Any]] = None) -> bytes:
 
 
 def _decode_payload(kind: int, version: int, payload: bytes) -> Frame:
-    if version not in ACCEPTED_VERSIONS:
+    if version != WIRE_VERSION:
         raise UnknownVersion(
             "frame version %d is not supported (this build speaks %d)"
             % (version, WIRE_VERSION)

@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.events import Event, EventKind, Message
 from repro.net import codec
-from repro.net.client import PULLS
+from repro.net.endpoint import Endpoint
 from repro.net.resilience import (
     LINK_DOWN,
     LINK_UP,
@@ -42,7 +42,7 @@ from repro.net.transport import (
 )
 from repro.obs.bus import Bus
 from repro.obs.flight import DEFAULT_CAPACITY, FlightRecorder
-from repro.obs.metrics import Histogram, MetricsRecorder
+from repro.obs.metrics import Histogram, MetricsRecorder, MetricsRegistry
 from repro.obs.openmetrics import render_openmetrics
 from repro.obs.watchdog import Watchdog
 from repro.simulation.host import ProtocolHost
@@ -102,11 +102,11 @@ def event_from_wire(body: Dict[str, Any]) -> "tuple[float, int, Event, Message]"
 class NetProtocolHost(ProtocolHost):
     """A :class:`ProtocolHost` whose latency accounting is wall-clock.
 
-    The receiver never holds the sender's trace, so ``deliver`` cannot
+    The receiver never holds the sender's trace, so a delivery cannot
     look up the send/invoke records; instead the wall timestamps carried
     in the user frame (stashed by :meth:`NetHost._dispatch_packet`) feed
-    the same :class:`~repro.simulation.trace.SimulationStats` fields.
-    Latencies are therefore **real seconds**, not virtual units.
+    :attr:`delivery_latency` and :attr:`e2e_latency`.  Latencies are
+    therefore **real seconds**, not virtual units.
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
@@ -145,22 +145,7 @@ class NetProtocolHost(ProtocolHost):
             return sent, self.invoke_wall.get(mid, sent)
         return now, now
 
-    def deliver(self, message: Message) -> None:
-        """Execute ``x.r`` with wall-clock latency accounting."""
-        from repro.simulation.host import ProtocolError
-
-        if message.id not in self._received:
-            raise ProtocolError(
-                "protocol delivered %r before it was received" % message.id
-            )
-        if message.id in self._delivered:
-            raise ProtocolError("message %r delivered twice" % message.id)
-        self._delivered.add(message.id)
-        self.trace.record(self.sim.now, self.process_id, Event.deliver(message.id))
-        self.stats.deliveries += 1
-        delayed = self.sim.now > self._receive_time[message.id]
-        if delayed:
-            self.stats.delayed_deliveries += 1
+    def _account_latency(self, message: Message) -> None:
         now = time.time()
         sent = self.sent_wall.pop(message.id, None)
         if sent is None:
@@ -172,18 +157,6 @@ class NetProtocolHost(ProtocolHost):
         if invoked is None:
             invoked = self.invoke_wall.get(message.id, sent)
         self.e2e_latency.observe(now - invoked)
-        bus = self._bus
-        if bus is not None and bus.active:
-            bus.emit(
-                "host.deliver",
-                self.sim.now,
-                message_id=message.id,
-                process=self.process_id,
-                sender=message.sender,
-                delayed=delayed,
-            )
-        if self.delivery_listener is not None:
-            self.delivery_listener(message)
 
     @property
     def pending_local(self) -> int:
@@ -194,14 +167,15 @@ class NetProtocolHost(ProtocolHost):
         )
 
 
-class NetHost:
+class NetHost(Endpoint):
     """Serve one catalogue protocol instance over TCP.
 
-    Lifecycle: :meth:`start` (listen + dial + handshake) ->
-    ``await`` :meth:`ready` -> traffic (local :meth:`invoke` calls or
-    INVOKE frames from a load generator) -> :meth:`shutdown` (drain,
-    cancel timers, close).  :meth:`serve_forever` adds SIGINT/SIGTERM
-    handlers that trigger a graceful drain.
+    An :class:`~repro.net.endpoint.Endpoint` (handshake, load clients,
+    teardown and ``serve_forever`` live there) that also accepts ``peer``
+    and ``observer`` streams and dials its own peers.  Lifecycle:
+    :meth:`start` (listen + dial + handshake) -> ``await`` :meth:`ready`
+    -> traffic (local :meth:`invoke` calls or INVOKE frames from a load
+    generator) -> :meth:`shutdown` (drain, cancel timers, close).
     """
 
     def __init__(
@@ -224,29 +198,28 @@ class NetHost:
         resilience: Optional[ResilienceConfig] = None,
         listen_port: Optional[int] = None,
         incarnation: Optional[int] = None,
-        shard: Optional[int] = None,
     ) -> None:
         n_processes = len(ports)
         if not 0 <= process_id < n_processes:
             raise ValueError(
                 "process_id %d out of range for %d ports" % (process_id, n_processes)
             )
+        #: The server binds ``listen_port``: normally this host's own
+        #: ports[] entry; a fault proxy deployment overrides it so the
+        #: proxy owns the public port and forwards here (see
+        #: :mod:`repro.faults.proxy`).
+        super().__init__(
+            host,
+            listen_port if listen_port is not None else ports[process_id],
+            run_id,
+            {"process": process_id},
+        )
+        self._roles["peer"] = self._serve_peer
+        self._roles["observer"] = self._observer_loop
+        self._requests[codec.INVOKE] = self._handle_invoke
         self.process_id = process_id
         self.n_processes = n_processes
         self.ports = list(ports)
-        #: Where *this* host's server binds.  Normally its own ports[]
-        #: entry; a fault proxy deployment overrides it so the proxy
-        #: owns the public port and forwards here (see
-        #: :mod:`repro.faults.proxy`).
-        self.listen_port = (
-            listen_port if listen_port is not None else ports[process_id]
-        )
-        self.bind_host = host
-        self.run_id = run_id
-        #: Shard index when this host runs inside a sharded fleet
-        #: (:mod:`repro.net.shard`): stamped on STATS bodies and as an
-        #: OpenMetrics label so collectors can aggregate per shard.
-        self.shard = shard
         self.time_scale = time_scale
         self.dial_timeout = dial_timeout
         self.resilience = resilience if resilience is not None else ResilienceConfig()
@@ -291,23 +264,20 @@ class NetHost:
         if observability:
             self.flight = FlightRecorder(process_id, capacity=flight_capacity)
             self.flight.attach(self.bus)
-            self.metrics = MetricsRecorder(self.bus)
+            # STATS and METRICS read the same two wall-clock histograms;
+            # a recorder handed a registry that already holds them leaves
+            # them to their owner (no virtual-time samples mixed in).
+            registry = MetricsRegistry()
+            registry.register(self.host.delivery_latency)
+            registry.register(self.host.e2e_latency)
+            self.metrics = MetricsRecorder(self.bus, registry)
             self.watchdog = Watchdog(self.bus)
             self.transport._vc_for = self._vc_for_packet
-        self.draining = False
-        self.errors: List[str] = []
-        self._server: Optional[asyncio.base_events.Server] = None
+        #: Dialed peer streams (the accepted ones are the endpoint's).
         self._peer_writers: List[asyncio.StreamWriter] = []
-        #: Accepted inbound peer streams.  Tracked so :meth:`crash` can
-        #: close them like a SIGKILL would close the fds -- peers then
-        #: see EOF on their outbound links and know to re-dial.
-        self._accepted_writers: Set[asyncio.StreamWriter] = set()
-        self._client_writers: Set[asyncio.StreamWriter] = set()
+        #: Observer streams past their history replay: what the tap feeds.
         self._observer_writers: List[asyncio.StreamWriter] = []
         self._inbound_peers: Set[int] = set()
-        self._ready = asyncio.Event()
-        self._done = asyncio.Event()
-        self._tasks: Set[asyncio.Task] = set()
         self._unsubscribe_bridge: Optional[Callable[[], None]] = None
         self._invoked_count = 0
         #: Durable replay log (repro.wal).  Recovery runs *before* the
@@ -315,7 +285,8 @@ class NetHost:
         self.wal: Optional[Any] = None
         self.recovery: Optional[Any] = None
         self.crashed = False
-        self._recovered = False
+        #: Whether this host rebuilt state from an existing WAL.
+        self.recovered = False
         self._redialing: Set[int] = set()
         #: Session resumption state: this host's incarnation number (in
         #: every HELLO it sends) and the highest incarnation seen per
@@ -341,11 +312,6 @@ class NetHost:
         self.backpressure_transitions = 0
         if wal_dir is not None:
             self._init_wal(wal_dir, wal_meta, wal_sync_every)
-
-    @property
-    def recovered(self) -> bool:
-        """Whether this host rebuilt state from an existing WAL."""
-        return self._recovered
 
     # -- durability (repro.wal) ------------------------------------------------
 
@@ -375,7 +341,7 @@ class NetHost:
             self.recovery = replay_into_host(
                 self.host, existing.records, process_id=self.process_id
             )
-            self._recovered = True
+            self.recovered = True
             self._invoked_count = self.recovery.invokes
             for error in self.recovery.errors:
                 self.errors.append("wal recovery: %s" % error)
@@ -419,27 +385,19 @@ class NetHost:
         unbuffered, so only a power failure could tear the tail).  A new
         :class:`NetHost` pointed at the same ``wal_dir`` recovers.
         """
-        if self._done.is_set():
+        if self._stopping:
             return
         self.crashed = True
         await self._teardown()
 
     # -- lifecycle -----------------------------------------------------------
 
-    @property
-    def port(self) -> int:
-        """The port this host's server binds (the private port when a
-        fault proxy fronts the public one)."""
-        return self.listen_port
-
     async def start(self) -> None:
         """Listen, dial every peer, and complete the rendezvous."""
         loop = asyncio.get_running_loop()
         self.clock.start(loop)
         self.transport.bind_loop(loop)
-        self._server = await asyncio.start_server(
-            self._on_connection, self.bind_host, self.port
-        )
+        await super().start()
         self._spawn(self._dial_peers())
         self._spawn(self._resilience_loop())
         if self.n_processes == 1:
@@ -469,81 +427,27 @@ class NetHost:
         """Local drain condition (see :attr:`NetProtocolHost.pending_local`)."""
         return self.host.pending_local
 
-    async def drain(self, timeout: float = 10.0) -> bool:
-        """Stop accepting invokes; wait until local obligations settle."""
-        self.draining = True
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self.local_pending() == 0:
-                return True
-            await asyncio.sleep(0.02)
-        return False
-
-    async def shutdown(self) -> None:
-        """Cancel outstanding protocol timers and close every stream."""
-        if self._done.is_set():
-            return
+    def _close(self) -> None:
         for recorder in (self.flight, self.metrics, self.watchdog):
             if recorder is not None:
                 recorder.close()
         if self.wal is not None:
             self.wal.close()
-        await self._teardown()
 
     async def _teardown(self) -> None:
-        """What :meth:`crash` and :meth:`shutdown` share: stop the timers,
-        the server and the tasks, and close every stream (peers then see
-        EOF, exactly as they would if the process had gone)."""
-        self.draining = True
+        """What :meth:`crash` and :meth:`shutdown` share: stop the timers
+        and the dialed links too (peers then see EOF in both directions,
+        exactly as they would if the process had gone)."""
         self.clock.cancel_all()
         if self._unsubscribe_bridge is not None:
             self._unsubscribe_bridge()
             self._unsubscribe_bridge = None
-        if self._server is not None:
-            self._server.close()
-        for task in list(self._tasks):
-            task.cancel()
-        for writer in (
-            self._peer_writers
-            + list(self._accepted_writers)
-            + list(self._client_writers)
-            + self._observer_writers
-        ):
+        for writer in self._peer_writers:
             if not writer.is_closing():
                 writer.close()
-        if self._server is not None:
-            await self._server.wait_closed()
-        self._done.set()
-
-    async def serve_forever(self) -> None:
-        """Run until :meth:`shutdown` -- typically via a BYE frame or a
-        SIGINT/SIGTERM-triggered graceful drain."""
-        import signal
-
-        loop = asyncio.get_running_loop()
-
-        def _graceful() -> None:
-            self._spawn(self._drain_and_shutdown())
-
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, _graceful)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-        await self.start()
-        await self._done.wait()
-
-    async def _drain_and_shutdown(self) -> None:
-        await self.drain()
-        await self.shutdown()
+        await super()._teardown()
 
     # -- rendezvous ----------------------------------------------------------
-
-    def _spawn(self, coro) -> asyncio.Task:
-        task = asyncio.get_running_loop().create_task(coro)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-        return task
 
     async def _dial_peers(self) -> None:
         try:
@@ -803,14 +707,9 @@ class NetHost:
             codec.BACKPRESSURE,
             {"process": self.process_id, "state": state, "pending": pending},
         )
-        for writer in list(self._client_writers):
+        for writer in self._writers["load"]:
             if not writer.is_closing():
                 writer.write(frame)
-
-    @property
-    def congested(self) -> bool:
-        """Whether local pending work is above the high watermark."""
-        return self._congested
 
     def _check_ready(self) -> None:
         peers = self.n_processes - 1
@@ -820,7 +719,7 @@ class NetHost:
             and not self._ready.is_set()
         ):
             self._ready.set()
-            if self._recovered:
+            if self.recovered:
                 # The protocol already re-lived its history during WAL
                 # replay (on_start included); what it needs now is the
                 # restart hook -- the ARQ sublayer retransmits everything
@@ -834,68 +733,39 @@ class NetHost:
 
     # -- inbound connections ---------------------------------------------------
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    async def _serve_peer(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        hello: Dict[str, Any],
     ) -> None:
-        try:
-            hello = await codec.read_frame(reader)
-        except codec.CodecError as exc:
-            self.errors.append("handshake: %s" % exc)
-            writer.close()
-            return
-        if hello is None or hello.kind != codec.HELLO:
-            writer.close()
-            return
-        if hello.body.get("run") != self.run_id:
+        peer = int(hello.get("process", -1))
+        incarnation = int(hello.get("incarnation", 0))
+        known = self._peer_incarnations.get(peer)
+        if known is not None and incarnation < known:
+            # A stale duplicate HELLO -- a frame the peer's *dead*
+            # incarnation had in flight, or a delayed proxy replay.
+            # Rejecting it must not disturb the live link.
             self.errors.append(
-                "rejected connection for run %r (serving %r)"
-                % (hello.body.get("run"), self.run_id)
+                "rejected stale HELLO from peer %d "
+                "(incarnation %d < %d)" % (peer, incarnation, known)
             )
-            writer.close()
             return
-        role = hello.body.get("role")
-        if role == "peer":
-            peer = int(hello.body.get("process", -1))
-            incarnation = int(hello.body.get("incarnation", 0))
-            known = self._peer_incarnations.get(peer)
-            if known is not None and incarnation < known:
-                # A stale duplicate HELLO -- a frame the peer's *dead*
-                # incarnation had in flight, or a delayed proxy replay.
-                # Rejecting it must not disturb the live link.
-                self.errors.append(
-                    "rejected stale HELLO from peer %d "
-                    "(incarnation %d < %d)" % (peer, incarnation, known)
-                )
-                writer.close()
-                return
-            self._peer_incarnations[peer] = incarnation
-            self._inbound_peers.add(peer)
-            if (
-                self._ready.is_set()
-                and 0 <= peer < self.n_processes
-                and peer != self.process_id
-                and not self.transport.link_up(peer)
-                and peer not in self._redialing
-            ):
-                # A crashed peer came back and dialed us; our outbound
-                # stream died with its old incarnation, so dial back.
-                self._redialing.add(peer)
-                self._spawn(self._redial(peer))
-            self._check_ready()
-            self._accepted_writers.add(writer)
-            try:
-                await self._peer_loop(reader, writer)
-            finally:
-                self._accepted_writers.discard(writer)
-                if not writer.is_closing():
-                    writer.close()
-        elif role == "observer":
-            await self._observer_loop(reader, writer)
-        elif role == "load":
-            await self._client_loop(reader, writer)
-        else:
-            self.errors.append("unknown connection role %r" % (role,))
-            writer.close()
+        self._peer_incarnations[peer] = incarnation
+        self._inbound_peers.add(peer)
+        if (
+            self._ready.is_set()
+            and 0 <= peer < self.n_processes
+            and peer != self.process_id
+            and not self.transport.link_up(peer)
+            and peer not in self._redialing
+        ):
+            # A crashed peer came back and dialed us; our outbound
+            # stream died with its old incarnation, so dial back.
+            self._redialing.add(peer)
+            self._spawn(self._redial(peer))
+        self._check_ready()
+        await self._peer_loop(reader, writer)
 
     async def _peer_loop(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -951,11 +821,14 @@ class NetHost:
     # -- observers -------------------------------------------------------------
 
     async def _observer_loop(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        hello: Dict[str, Any],
     ) -> None:
         await self._ready.wait()
         self._attach_observer(writer)
-        writer.write(codec.encode_frame(codec.READY, {"process": self.process_id}))
+        writer.write(codec.encode_frame(codec.READY, self.ready_body))
         try:
             await writer.drain()
             while True:  # observers never send after HELLO; wait for EOF
@@ -1017,50 +890,6 @@ class NetHost:
 
     # -- load clients ----------------------------------------------------------
 
-    async def _client_loop(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        await self._ready.wait()
-        self._client_writers.add(writer)
-        writer.write(codec.encode_frame(codec.READY, {"process": self.process_id}))
-        drained_here = False
-        try:
-            await writer.drain()
-            while True:
-                frame = await codec.read_frame(reader)
-                if frame is None:
-                    return
-                if frame.kind == codec.INVOKE:
-                    self._handle_invoke(frame)
-                elif frame.kind in PULLS:
-                    body = getattr(self, PULLS[frame.kind])()
-                    writer.write(codec.encode_frame(frame.kind, body))
-                elif frame.kind == codec.DRAIN:
-                    self.draining = True
-                    drained_here = True
-                    writer.write(codec.encode_frame(codec.DRAIN, {}))
-                elif frame.kind == codec.BYE:
-                    drained_here = False  # terminal: shutdown owns the flag
-                    writer.write(codec.encode_frame(codec.BYE, {}))
-                    try:
-                        await writer.drain()
-                    except ConnectionError:
-                        pass
-                    self._spawn(self.shutdown())
-                    return
-        except (codec.CodecError, ConnectionError) as exc:
-            if not self._done.is_set():
-                self.errors.append("load stream: %s" % exc)
-        except asyncio.CancelledError:
-            pass
-        finally:
-            self._client_writers.discard(writer)
-            if drained_here and not self.crashed and not self._done.is_set():
-                # DRAIN is a per-run barrier, not a terminal state: once
-                # the drained load client goes away, a keep-serving host
-                # must take the next run's invokes and keep healing links.
-                self.draining = False
-
     def _handle_invoke(self, frame: "codec.Frame") -> None:
         message = codec.message_from_wire(frame.body)
         if message.sender != self.process_id:
@@ -1084,10 +913,6 @@ class NetHost:
         body: Dict[str, Any] = {
             "process": self.process_id,
             "invoked": self._invoked_count,
-        }
-        if self.shard is not None:
-            body["shard"] = self.shard
-        body.update({
             "user_messages": stats.user_messages,
             "control_messages": stats.control_messages,
             "control_bytes": stats.control_bytes,
@@ -1117,7 +942,7 @@ class NetHost:
             "heartbeats_sent": self.heartbeats_sent,
             "frames_queued": self.transport.pending_frames,
             "frames_shed": self.transport.user_shed + self.transport.control_shed,
-        })
+        }
         if self.watchdog is not None:
             protocols: List[Optional[object]] = [None] * self.n_processes
             protocols[self.process_id] = self.host.protocol
@@ -1174,19 +999,13 @@ class NetHost:
         """OpenMetrics exposition text (plus raw snapshot) for METRICS."""
         if self.metrics is not None:
             registry = self.metrics.registry
-            labels = {"process": str(self.process_id)}
-            if self.shard is not None:
-                labels["shard"] = str(self.shard)
-            text = render_openmetrics(registry, labels)
+            text = render_openmetrics(registry, {"process": str(self.process_id)})
             snapshot = registry.snapshot()
         else:
             text, snapshot = "", {}
-        body = {
+        return {
             "process": self.process_id,
             "wall": time.time(),
             "text": text,
             "snapshot": snapshot,
         }
-        if self.shard is not None:
-            body["shard"] = self.shard
-        return body

@@ -52,9 +52,6 @@ LINK_UP = "up"
 LINK_SUSPECT = "suspect"
 LINK_DOWN = "down"
 
-#: Ordered worst-first, for aggregating a host's links into one column.
-STATE_SEVERITY = {LINK_UP: 0, LINK_SUSPECT: 1, LINK_DOWN: 2}
-
 
 class PhiAccrualDetector:
     """Suspicion level for one monitored link.

@@ -1,8 +1,8 @@
 """``repro.net.shard``: a multi-core net runtime sharded by ordering key.
 
 The single-process net runtime (:mod:`repro.net.host`) tops out around
-1.4k msgs/s because every message pays the full per-frame codec and
-per-event monitor cost on one core.  This package partitions traffic by
+6.7k msgs/s because every message pays the full per-frame codec and
+per-event host cost on one core.  This package partitions traffic by
 **ordering key** (:attr:`repro.events.Message.effective_key`) onto
 worker *processes*:
 
@@ -12,7 +12,7 @@ worker *processes*:
   checkers and per-key latency stats (no state shared between keys:
   no cross-key head-of-line blocking);
 - :mod:`worker <repro.net.shard.worker>` -- one OS process per shard,
-  one asyncio loop, per-tick coalesced USER_BATCH frames, its own WAL
+  one asyncio loop, per-tick coalesced inline lane batches, its own WAL
   directory, flight recorder and shard-labelled metrics;
 - :mod:`coordinator <repro.net.shard.coordinator>` -- spawns the fleet,
   drives paced keyed load, merges per-shard stats, and runs the

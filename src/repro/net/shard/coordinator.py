@@ -211,7 +211,6 @@ class ShardCoordinator:
         run_id: str = "default",
         lane_kind: str = "fifo",
         wal_dir: Optional[str] = None,
-        collect_capacity: int = 200_000,
         stall_key: Optional[str] = None,
         stall_seconds: float = 0.0,
         seed: int = 11,
@@ -225,7 +224,6 @@ class ShardCoordinator:
         self.run_id = run_id
         self.lane_kind = lane_kind
         self.wal_dir = wal_dir
-        self.collect_capacity = collect_capacity
         self.stall_key = stall_key
         self.stall_seconds = stall_seconds
         self.router = ShardRouter(n_shards)
@@ -257,7 +255,6 @@ class ShardCoordinator:
             host=self.host,
             run_id=self.run_id,
             lane_kind=self.lane_kind,
-            collect_capacity=self.collect_capacity,
             wal_dir=self.wal_dir,
             stall_key=self.stall_key,
             stall_seconds=self.stall_seconds,
@@ -414,6 +411,8 @@ class ShardCoordinator:
             rate=rate,
             duration=duration,
         )
+        # A kept fleet's counters span its earlier runs; report this one.
+        baseline = await self.stats()
         loop = asyncio.get_running_loop()
         start = loop.time()
         report.offered = await self.run_load(rate, duration, keys)
@@ -423,10 +422,14 @@ class ShardCoordinator:
             report.errors.append("fleet did not drain within timeout")
         bodies = await self.stats()
         merged_latency = Histogram("shard.latency")
-        for body in bodies:
+        for before, body in zip(baseline, bodies):
             report.per_shard.append(body)
-            report.invoked += int(body.get("invoked", 0))
-            report.delivered += int(body.get("deliveries", 0))
+            report.invoked += int(body.get("invoked", 0)) - int(
+                before.get("invoked", 0)
+            )
+            report.delivered += int(body.get("deliveries", 0)) - int(
+                before.get("deliveries", 0)
+            )
             report.pending += int(body.get("pending", 0))
             report.violations.extend(body.get("violations") or [])
             report.errors.extend(body.get("errors") or [])

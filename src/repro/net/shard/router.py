@@ -61,12 +61,6 @@ class ShardRouter:
             self._memo[key] = shard
         return shard
 
-    def shard_for(
-        self, sender: int, receiver: int, explicit: Optional[str] = None
-    ) -> int:
-        """Routing by message attributes (effective-key policy applied)."""
-        return self.shard_of(key_for(sender, receiver, explicit))
-
     def spread(self, keys: Iterable[str]) -> Dict[int, List[str]]:
         """Group ``keys`` by their shard (deployment planning helper)."""
         result: Dict[int, List[str]] = {}

@@ -4,18 +4,19 @@ A worker is spawned per shard (``multiprocessing.Process``) and runs a
 single asyncio loop with two planes:
 
 ingress
-    a TCP server on ``port_base + shard`` speaking the runtime's frame
-    protocol to the coordinator: HELLO/READY rendezvous, then
-    :data:`~repro.net.codec.INVOKE_BATCH` rows in, and
-    STATS / METRICS / TRACE / DRAIN / COLLECT / BYE round trips;
+    an :class:`~repro.net.endpoint.Endpoint` on ``port_base + shard``
+    that accepts ``load`` clients only (the coordinator, ``repro top``):
+    the shared HELLO/READY rendezvous and STATS / METRICS / TRACE /
+    DRAIN / BYE service, plus :data:`~repro.net.codec.INVOKE_BATCH` rows
+    in and :data:`~repro.net.codec.COLLECT` pages out;
 
 lanes
-    one :class:`LaneEndpoint` per logical paper process, connected
-    pairwise over real loopback TCP *within* the worker.  The send path
+    one :class:`LaneEndpoint` per logical paper process.  The send path
     coalesces: rows accumulate per destination during a loop tick and
-    leave as one :data:`~repro.net.codec.USER_BATCH` frame per peer per
-    flush, which is what turns the per-frame codec cost (~8.5us) into a
-    per-row cost (~1us) and makes the 50x aggregate target reachable.
+    each flush hands one batch per (sender, receiver) pair straight to
+    the receiver -- the lanes share this loop, so a socket between them
+    would only re-pay the codec.  One shard moves ~226 000 rows/s this
+    way (``benchmarks/perf``, ``shard-fifo-1``).
 
 Every worker keeps its own observability: a per-key live checker
 (:mod:`repro.net.shard.lanes`), per-key stats, a
@@ -36,11 +37,11 @@ import asyncio
 import multiprocessing
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.net import codec
-from repro.net.client import PULLS
+from repro.net.endpoint import Endpoint
 from repro.net.shard.lanes import KeyStats, LaneViolation, lane_checker
 from repro.obs.bus import Bus
 from repro.obs.flight import FlightRecorder
@@ -52,6 +53,13 @@ __all__ = ["ShardWorker", "ShardWorkerConfig", "spawn_worker", "worker_main"]
 #: Rows per COLLECT page (bounds each reply frame well under the codec's
 #: 4 MiB frame cap).
 COLLECT_PAGE = 20_000
+
+#: Batch-lifecycle records the per-shard flight ring keeps.
+FLIGHT_CAPACITY = 512
+
+#: Delivered rows each shard keeps for the coordinator's end-of-run
+#: cross-key oracle.
+COLLECT_CAPACITY = 200_000
 
 
 @dataclass
@@ -66,23 +74,11 @@ class ShardWorkerConfig:
     run_id: str = "default"
     #: "fifo" | "causal" | "broken-fifo" (send-path batch reversal).
     lane_kind: str = "fifo"
-    #: Latency is sampled one-in-``latency_sample`` deliveries.
-    latency_sample: int = 4
-    #: Per-shard ring of delivered rows kept for the coordinator's
-    #: end-of-run cross-key oracle (0 disables collection).
-    collect_capacity: int = 200_000
     #: Per-shard WAL segment directory root (``<wal_dir>/shard<k>``).
     wal_dir: Optional[str] = None
-    flight_capacity: int = 512
     #: Defer deliveries of this key by ``stall_seconds`` (HOL probe).
     stall_key: Optional[str] = None
     stall_seconds: float = 0.0
-    #: Lane transport between a shard's co-located endpoints.  Inline
-    #: hands each flushed batch straight to the receiver (the endpoints
-    #: share one loop; a loopback socket would only re-pay the codec);
-    #: ``tcp`` runs real per-pair loopback connections -- same framing
-    #: as the wire, used by tests to exercise the USER_BATCH codec path.
-    lane_transport: str = "inline"
 
 
 class LaneEndpoint:
@@ -103,8 +99,6 @@ class LaneEndpoint:
         self.holdback: List[Tuple[int, list]] = []
         #: dst -> outbound rows buffered for the next flush.
         self.outbox: Dict[int, List[list]] = {}
-        #: dst -> writer of this endpoint's dialed lane connection.
-        self.writers: Dict[int, asyncio.StreamWriter] = {}
         #: (key, dst) -> next sequence number on that directed lane.
         self._seq: Dict[Tuple[str, int], int] = {}
         #: key -> this endpoint's causal clock for the key (causal mode).
@@ -158,37 +152,36 @@ class LaneEndpoint:
                 local[index] = count
 
 
-class ShardWorker:
+class ShardWorker(Endpoint):
     """The per-shard runtime (see module docstring)."""
 
     def __init__(self, config: ShardWorkerConfig) -> None:
+        super().__init__(
+            config.host,
+            config.port,
+            config.run_id,
+            {"shard": config.shard, "run": config.run_id},
+        )
+        self._ready.set()  # the lanes are in-process: nobody to wait for
+        self._requests[codec.INVOKE_BATCH] = self._on_invoke_batch
+        self._requests[codec.COLLECT] = self.collect_body
         self.config = config
         self.causal = config.lane_kind == "causal"
         self.endpoints = [
             LaneEndpoint(p, self) for p in range(config.n_processes)
         ]
-        self.key_stats = KeyStats(sample=config.latency_sample)
+        self.key_stats = KeyStats()
         self.invoked = 0
         self.delivered = 0
         self._batches = 0
         self.flushes = 0
-        self.frames_sent = 0
-        self.draining = False
-        self.errors: List[str] = []
         self.violations: List[LaneViolation] = []
-        self._collect: deque = deque(maxlen=max(1, config.collect_capacity))
+        self._collect: deque = deque(maxlen=COLLECT_CAPACITY)
         self._collect_dropped = 0
         self._stalled = 0
         self._flush_scheduled = False
-        self._lane_server: Optional[asyncio.base_events.Server] = None
-        self._ingress_server: Optional[asyncio.base_events.Server] = None
-        self._client_writers: List[asyncio.StreamWriter] = []
-        self._tasks: List[asyncio.Task] = []
-        self._done = asyncio.Event()
         self.bus = Bus()
-        self.flight = FlightRecorder(
-            config.shard, capacity=config.flight_capacity
-        )
+        self.flight = FlightRecorder(config.shard, capacity=FLIGHT_CAPACITY)
         self.flight.attach(self.bus)
         self.wal: Optional[Any] = None
         if config.wal_dir is not None:
@@ -211,10 +204,10 @@ class ShardWorker:
     def violation(self) -> Optional[str]:
         return self.violations[0].render() if self.violations else None
 
-    @property
-    def pending(self) -> int:
-        """Lane rows sent but not yet delivered (loopback TCP never
-        loses, so the difference is exactly in-flight plus held-back).
+    def local_pending(self) -> int:
+        """Lane rows sent but not yet delivered (the inline hand-off
+        never loses, so the difference is exactly buffered, stalled plus
+        held-back).
 
         Counted against lane rows rather than ingress rows because the
         causal mode fans each ingress row out to the key's whole
@@ -224,53 +217,6 @@ class ShardWorker:
         return sent - self.delivered
 
     # -- lane plane -----------------------------------------------------------
-
-    async def _start_lanes(self) -> None:
-        """Start the internal lane server and dial every directed pair."""
-        if self.config.lane_transport == "inline":
-            return
-        self._lane_server = await asyncio.start_server(
-            self._on_lane_connection, self.config.host, 0
-        )
-        port = self._lane_server.sockets[0].getsockname()[1]
-        for endpoint in self.endpoints:
-            for dst in range(self.config.n_processes):
-                if dst == endpoint.process_id:
-                    continue
-                reader, writer = await asyncio.open_connection(
-                    self.config.host, port
-                )
-                writer.write(
-                    codec.encode_frame(
-                        codec.HELLO,
-                        {"src": endpoint.process_id, "dst": dst, "role": "lane"},
-                    )
-                )
-                await writer.drain()
-                endpoint.writers[dst] = writer
-
-    async def _on_lane_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Receive side of one directed lane connection."""
-        try:
-            hello = await codec.read_frame(reader)
-            if hello is None or hello.kind != codec.HELLO:
-                writer.close()
-                return
-            src = int(hello.body["src"])
-            dst = int(hello.body["dst"])
-            while True:
-                frame = await codec.read_frame(reader)
-                if frame is None:
-                    return
-                if frame.kind == codec.USER_BATCH:
-                    self._deliver_batch(src, dst, frame.body.get("rows") or [])
-        except (codec.CodecError, ConnectionError, asyncio.CancelledError):
-            return
-        finally:
-            if not writer.is_closing():
-                writer.close()
 
     def _deliver_batch(self, src: int, dst: int, rows: List[list]) -> None:
         config = self.config
@@ -298,17 +244,15 @@ class ShardWorker:
         checker = endpoint.checker
         stats = self.key_stats
         collect = self._collect
-        collecting = self.config.collect_capacity > 0
         for row in rows:
             key = row[1]
             violation = checker.on_deliver(row[0], src, key, row[2])
             if violation is not None and len(self.violations) < 16:
                 self.violations.append(violation)
             stats.on_deliver(key, now - row[3])
-            if collecting:
-                if len(collect) == collect.maxlen:
-                    self._collect_dropped += 1
-                collect.append((row[0], src, dst, key, row[4], now))
+            if len(collect) == collect.maxlen:
+                self._collect_dropped += 1
+            collect.append((row[0], src, dst, key, row[4], now))
             endpoint.rows_delivered += 1
         self.delivered += len(rows)
 
@@ -347,10 +291,9 @@ class ShardWorker:
             self.violations.append(violation)
         endpoint.merge_clock(row[1], row[5])
         self.key_stats.on_deliver(row[1], now - row[3])
-        if self.config.collect_capacity > 0:
-            if len(self._collect) == self._collect.maxlen:
-                self._collect_dropped += 1
-            self._collect.append((row[0], src, dst, row[1], row[4], now))
+        if len(self._collect) == self._collect.maxlen:
+            self._collect_dropped += 1
+        self._collect.append((row[0], src, dst, row[1], row[4], now))
         endpoint.rows_delivered += 1
         self.delivered += 1
 
@@ -360,11 +303,10 @@ class ShardWorker:
             asyncio.get_running_loop().call_soon(self._flush_lanes)
 
     def _flush_lanes(self) -> None:
-        """One USER_BATCH frame per (src, dst) pair with buffered rows."""
+        """Hand each (src, dst) pair's buffered rows over as one batch."""
         self._flush_scheduled = False
         sent = time.time()
         reverse = self.config.lane_kind == "broken-fifo"
-        inline = self.config.lane_transport == "inline"
         for endpoint in self.endpoints:
             if not endpoint.outbox:
                 continue
@@ -374,23 +316,7 @@ class ShardWorker:
                     row[4] = sent
                 if reverse and len(rows) > 1:
                     rows.reverse()
-                if inline or dst == endpoint.process_id:
-                    self._deliver_batch(endpoint.process_id, dst, rows)
-                    continue
-                writer = endpoint.writers.get(dst)
-                if writer is None or writer.is_closing():
-                    self.errors.append(
-                        "lane %d->%d lost its connection"
-                        % (endpoint.process_id, dst)
-                    )
-                    continue
-                writer.write(
-                    codec.encode_frame(
-                        codec.USER_BATCH,
-                        {"src": endpoint.process_id, "dst": dst, "rows": rows},
-                    )
-                )
-                self.frames_sent += 1
+                self._deliver_batch(endpoint.process_id, dst, rows)
         self.flushes += 1
         if self.bus.active:
             # One lifecycle record per flush (not per row) keeps the
@@ -406,66 +332,8 @@ class ShardWorker:
 
     # -- ingress plane --------------------------------------------------------
 
-    async def serve(self) -> None:
-        """Start both planes and run until BYE."""
-        await self._start_lanes()
-        self._ingress_server = await asyncio.start_server(
-            self._on_ingress_connection, self.config.host, self.config.port
-        )
-        await self._done.wait()
-        await self.shutdown()
-
-    async def _on_ingress_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._client_writers.append(writer)
-        try:
-            hello = await codec.read_frame(reader)
-            if hello is None or hello.kind != codec.HELLO:
-                return
-            if hello.body.get("run") != self.config.run_id:
-                self.errors.append(
-                    "rejected connection for run %r (serving %r)"
-                    % (hello.body.get("run"), self.config.run_id)
-                )
-                writer.close()
-                return
-            writer.write(
-                codec.encode_frame(
-                    codec.READY,
-                    {"shard": self.config.shard, "run": self.config.run_id},
-                )
-            )
-            await writer.drain()
-            while True:
-                frame = await codec.read_frame(reader)
-                if frame is None:
-                    return
-                if frame.kind == codec.INVOKE_BATCH:
-                    self._on_invoke_batch(frame.body.get("rows") or [])
-                    continue
-                body: Dict[str, Any] = {}
-                if frame.kind in PULLS:
-                    body = getattr(self, PULLS[frame.kind])()
-                elif frame.kind == codec.COLLECT:
-                    body = self.collect_body(
-                        int(frame.body.get("offset", 0)),
-                        int(frame.body.get("limit", COLLECT_PAGE)),
-                    )
-                elif frame.kind == codec.DRAIN:
-                    self.draining = True
-                    self._flush_lanes()
-                elif frame.kind != codec.BYE:
-                    continue
-                writer.write(codec.encode_frame(frame.kind, body))
-                await writer.drain()
-                if frame.kind == codec.BYE:
-                    self._done.set()
-                    return
-        except (codec.CodecError, ConnectionError, asyncio.CancelledError):
-            return
-
-    def _on_invoke_batch(self, rows: List[list]) -> None:
+    def _on_invoke_batch(self, frame: "codec.Frame") -> None:
+        rows = frame.body.get("rows") or []
         if self.draining:
             self.errors.append(
                 "shard %d: %d rows after DRAIN dropped"
@@ -506,10 +374,9 @@ class ShardWorker:
             "wall": time.time(),
             "invoked": self.invoked,
             "deliveries": self.delivered,
-            "pending": self.pending,
+            "pending": self.local_pending(),
             "stalled": self._stalled,
             "flushes": self.flushes,
-            "frames_sent": self.frames_sent,
             "lane_kind": self.config.lane_kind,
             "latencies": latency.to_wire(),
             "per_process": [
@@ -538,13 +405,10 @@ class ShardWorker:
             "shard.lane.flushes", "coalesced per-tick lane flushes"
         ).inc(self.flushes)
         registry.counter(
-            "shard.lane.frames", "USER_BATCH frames written"
-        ).inc(self.frames_sent)
-        registry.counter(
             "shard.lane.violations", "per-key ordering violations latched"
         ).inc(len(self.violations))
         registry.gauge("shard.rows.pending", "accepted minus delivered").set(
-            self.pending
+            self.local_pending()
         )
         keys = registry.counter(
             "shard.keys.delivered", "deliveries per ordering key"
@@ -575,8 +439,13 @@ class ShardWorker:
             "flight": self.flight.to_wire(),
         }
 
-    def collect_body(self, offset: int, limit: int) -> Dict[str, Any]:
+    def collect_body(self, frame: "codec.Frame") -> Dict[str, Any]:
         """One page of the delivered-row ring for the cross-key oracle."""
+        try:
+            offset = int(frame.body.get("offset", 0))
+            limit = int(frame.body.get("limit", COLLECT_PAGE))
+        except (TypeError, ValueError) as exc:
+            raise codec.MalformedFrame("bad collect body: %s" % exc) from exc
         rows = list(self._collect)
         page = rows[offset : offset + max(1, limit)]
         return {
@@ -587,7 +456,13 @@ class ShardWorker:
             "rows": [list(row) for row in page],
         }
 
-    async def shutdown(self) -> None:
+    def _barrier_lifted(self) -> None:
+        # The delivered-row ring is one run's evidence for the cross-key
+        # oracle; the next run on a kept fleet starts an empty one.
+        self._collect.clear()
+        self._collect_dropped = 0
+
+    def _close(self) -> None:
         self._flush_lanes()
         self.flight.close()
         if self.wal is not None:
@@ -598,24 +473,13 @@ class ShardWorker:
                 final=True,
             )
             self.wal.close()
-        for endpoint in self.endpoints:
-            for writer in endpoint.writers.values():
-                if not writer.is_closing():
-                    writer.close()
-        for writer in self._client_writers:
-            if not writer.is_closing():
-                writer.close()
-        for server in (self._lane_server, self._ingress_server):
-            if server is not None:
-                server.close()
-                await server.wait_closed()
 
 
 def worker_main(config: ShardWorkerConfig) -> None:
-    """Child-process entry point: serve one shard until BYE."""
+    """Child-process entry point: serve one shard until BYE or SIGTERM."""
     try:
-        asyncio.run(ShardWorker(config).serve())
-    except KeyboardInterrupt:  # pragma: no cover - operator interrupt
+        asyncio.run(ShardWorker(config).serve_forever())
+    except KeyboardInterrupt:  # pragma: no cover - before the handlers are in
         pass
 
 

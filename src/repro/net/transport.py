@@ -183,10 +183,6 @@ class AsyncTransport(Transport):
     def disconnect(self, dst: int) -> None:
         self._writers.pop(dst, None)
 
-    def pending_for(self, dst: int) -> int:
-        """Frames queued for ``dst`` awaiting a reconnect flush."""
-        return len(self._pending.get(dst, ()))
-
     @property
     def pending_frames(self) -> int:
         """Total frames queued across all down links."""

@@ -328,6 +328,13 @@ class MetricsRegistry:
         """The histogram named ``name``, created on first use."""
         return self._get_or_create(Histogram, name, help)
 
+    def register(self, metric) -> None:
+        """Adopt a metric object its owner observes directly, so that
+        every surface reading the registry reads that one object."""
+        if metric.name in self._metrics:
+            raise ValueError("metric %r already registered" % metric.name)
+        self._metrics[metric.name] = metric
+
     def names(self) -> List[str]:
         """All registered metric names, sorted."""
         return sorted(self._metrics)
@@ -419,14 +426,21 @@ class MetricsRecorder:
     - ``net.backpressure.transitions`` (counter, labelled ``high`` /
       ``low``) and ``net.backpressure.pending`` (gauge, per-process: the
       pending depth at the last watermark crossing).
+
+    A registry that already holds ``latency.delivery`` when the recorder
+    is built has an owner feeding it and ``latency.end_to_end`` in its
+    own unit (:class:`~repro.net.host.NetHost` registers its wall-clock
+    histograms); the recorder then leaves both alone, so bus-time samples
+    never mix into them.  Per-message state is dropped when the message's
+    delivery is observed.
     """
 
     def __init__(self, bus: Bus, registry: Optional[MetricsRegistry] = None):
         self.registry = registry or MetricsRegistry()
+        self._owns_delivery_latency = self.registry.get("latency.delivery") is None
         self._invoke_time: Dict[str, float] = {}
         self._release_time: Dict[str, float] = {}
         self._receive_time: Dict[str, float] = {}
-        self._tag_bytes: Dict[str, int] = {}
         self._occupancy: Dict[int, int] = {}
         self._channel_send_high: Dict[Tuple[int, int], float] = {}
         self._unsubscribers = [
@@ -476,7 +490,6 @@ class MetricsRecorder:
         message_id = event.data["message_id"]
         tag_bytes = event.data["tag_bytes"]
         self._release_time[message_id] = event.time
-        self._tag_bytes[message_id] = tag_bytes
         registry = self.registry
         registry.counter("messages.user", "user messages released").inc()
         registry.counter("tag.bytes", "total tag bytes piggybacked").inc(tag_bytes)
@@ -527,21 +540,22 @@ class MetricsRecorder:
             registry.counter(
                 "messages.delayed", "deliveries after receive time"
             ).inc()
-        received_at = self._receive_time.get(message_id)
+        received_at = self._receive_time.pop(message_id, None)
         if received_at is not None:
             registry.histogram(
                 "latency.buffering", "receive -> deliver (delivery buffering)"
             ).observe(event.time - received_at)
-        released_at = self._release_time.get(message_id)
-        if released_at is not None:
-            registry.histogram(
-                "latency.delivery", "send -> deliver time"
-            ).observe(event.time - released_at)
-        invoked_at = self._invoke_time.get(message_id)
-        if invoked_at is not None:
-            registry.histogram(
-                "latency.end_to_end", "invoke -> deliver time"
-            ).observe(event.time - invoked_at)
+        released_at = self._release_time.pop(message_id, None)
+        invoked_at = self._invoke_time.pop(message_id, None)
+        if self._owns_delivery_latency:
+            if released_at is not None:
+                registry.histogram(
+                    "latency.delivery", "send -> deliver time"
+                ).observe(event.time - released_at)
+            if invoked_at is not None:
+                registry.histogram(
+                    "latency.end_to_end", "invoke -> deliver time"
+                ).observe(event.time - invoked_at)
         self._occupancy[process] = self._occupancy.get(process, 0) - 1
         occupancy = registry.gauge(
             "buffer.occupancy", "received but not yet delivered"

@@ -202,10 +202,7 @@ class ProtocolHost:
         delayed = self.sim.now > self._receive_time[message.id]
         if delayed:
             self.stats.delayed_deliveries += 1
-        send_time = self.trace.time_of(Event.send(message.id))
-        self.stats.delivery_latencies.append(self.sim.now - send_time)
-        invoke_time = self.trace.time_of(Event.invoke(message.id))
-        self.stats.end_to_end_latencies.append(self.sim.now - invoke_time)
+        self._account_latency(message)
         bus = self._bus
         if bus is not None and bus.active:
             bus.emit(
@@ -218,6 +215,19 @@ class ProtocolHost:
             )
         if self.delivery_listener is not None:
             self.delivery_listener(message)
+
+    def _account_latency(self, message: Message) -> None:
+        """Latency of one delivery, in virtual time from the shared trace.
+
+        The one part of :meth:`deliver` a runtime replaces: a TCP
+        receiver holds no send record, so
+        :class:`~repro.net.host.NetProtocolHost` accounts from the wall
+        stamps its frames carry instead.
+        """
+        send_time = self.trace.time_of(Event.send(message.id))
+        self.stats.delivery_latencies.append(self.sim.now - send_time)
+        invoke_time = self.trace.time_of(Event.invoke(message.id))
+        self.stats.end_to_end_latencies.append(self.sim.now - invoke_time)
 
     def send_control(self, dst: int, payload: Any) -> None:
         """Emit a control message and account its cost."""

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.events import Message
+from repro.net.host import NetProtocolHost
 from repro.protocols.base import Protocol
 from repro.simulation.host import ProtocolError, ProtocolHost
 from repro.simulation.network import FixedLatency, Network
@@ -26,14 +27,14 @@ class Rogue(Protocol):
         self.on_message_action(ctx, message, tag)
 
 
-def rig(n=2):
+def rig(n=2, host_class=ProtocolHost):
     sim = Simulator()
     network = Network(sim, n, latency=FixedLatency(1.0))
     trace = Trace(n)
     stats = SimulationStats()
     protocols = [Rogue() for _ in range(n)]
     hosts = [
-        ProtocolHost(sim, network, trace, stats, i, protocols[i])
+        host_class(sim, network, trace, stats, i, protocols[i])
         for i in range(n)
     ]
     return sim, hosts, protocols, trace, stats
@@ -73,14 +74,23 @@ class TestReleasePreconditions:
             hosts[0].invoke(M1)
 
 
+#: The simulator's host and the one the TCP runtime runs share one
+#: ``deliver``; only the latency accounting behind it differs.
+host_classes = pytest.mark.parametrize(
+    "host_class", [ProtocolHost, NetProtocolHost], ids=lambda cls: cls.__name__
+)
+
+
 class TestDeliverPreconditions:
-    def test_deliver_before_receive(self):
-        _, hosts, _, _, _ = rig()
+    @host_classes
+    def test_deliver_before_receive(self, host_class):
+        _, hosts, _, _, _ = rig(host_class=host_class)
         with pytest.raises(ProtocolError, match="before it was received"):
             hosts[1].deliver(M1)
 
-    def test_double_deliver(self):
-        sim, hosts, protocols, _, _ = rig()
+    @host_classes
+    def test_double_deliver(self, host_class):
+        sim, hosts, protocols, _, _ = rig(host_class=host_class)
 
         def double(ctx, message, tag):
             ctx.deliver(message)

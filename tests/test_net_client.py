@@ -161,7 +161,7 @@ class TestShardWorkerChecksTheRunId:
         )
 
         async def scenario():
-            serving = asyncio.get_running_loop().create_task(worker.serve())
+            serving = asyncio.get_running_loop().create_task(worker.serve_forever())
             stranger = ControlLink("127.0.0.1", port, "load", "theirs")
             await stranger.connect(timeout=5.0)
             with pytest.raises(ConnectionError, match="wrong run id"):

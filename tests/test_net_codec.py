@@ -200,6 +200,14 @@ class TestStrictDecodeErrors:
         with pytest.raises(codec.UnknownVersion, match="this build speaks"):
             codec.decode_frame(bytes(data))
 
+    def test_version_1_frames_are_no_longer_accepted(self):
+        data = bytearray(self._frame())
+        data[4] = 1
+        with pytest.raises(
+            codec.UnknownVersion, match=r"version 1 .*this build speaks 2"
+        ):
+            codec.decode_frame(bytes(data))
+
     def test_unknown_kind(self):
         data = bytearray(self._frame())
         data[5] = 200  # the kind byte

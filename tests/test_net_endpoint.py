@@ -1,0 +1,268 @@
+"""The accept side of the control protocol, once, over both endpoint kinds.
+
+A :class:`~repro.net.host.NetHost` and a shard worker are both
+:class:`~repro.net.endpoint.Endpoint` s, so who may connect and what a
+connection is owed is pinned here for the two of them together: the
+handshake's four refusals, a torn load stream, DRAIN as a per-run
+barrier, BYE, and the SIGTERM drain of a real worker process.
+"""
+
+import asyncio
+import contextlib
+import time
+
+import pytest
+
+from repro.events import Message
+from repro.net import NetHost, codec
+from repro.net.client import ControlLink
+from repro.net.cluster import free_ports
+from repro.net.shard import ShardWorker, ShardWorkerConfig
+from repro.net.shard.worker import spawn_worker
+from repro.protocols.registry import catalogue_entry
+from repro.wal import read_log
+from repro.wal import records as wal_records
+
+RUN = "mine"
+
+kinds = pytest.mark.parametrize("kind", ["host", "worker"])
+
+
+class Rig:
+    """One in-process endpoint of either kind on a free port."""
+
+    def __init__(self, kind):
+        self.kind = kind
+        self.port = free_ports(1)[0]
+        self._ids = 0
+        if kind == "host":
+            self.endpoint = NetHost(
+                catalogue_entry("fifo").factory, 0, [self.port], run_id=RUN
+            )
+        else:
+            self.endpoint = ShardWorker(
+                ShardWorkerConfig(
+                    shard=0, n_shards=1, n_processes=2, port=self.port, run_id=RUN
+                )
+            )
+
+    def link(self, role="load", run_id=RUN):
+        return ControlLink("127.0.0.1", self.port, role, run_id)
+
+    async def client(self):
+        link = self.link()
+        await link.connect(timeout=1.0)
+        await link.ready(timeout=1.0)
+        return link
+
+    def offer(self, link, count):
+        """Ask for ``count`` fresh messages over ``link``."""
+        ids = ["m%d" % n for n in range(self._ids, self._ids + count)]
+        self._ids += count
+        if self.kind == "host":
+            for message_id in ids:
+                link.send(
+                    codec.INVOKE, codec.message_to_wire(Message(message_id, 0, 0))
+                )
+        else:
+            link.send(
+                codec.INVOKE_BATCH,
+                {"rows": [[i, 0, 1, "k", time.time()] for i in ids]},
+            )
+
+    async def settled(self, link, deliveries):
+        """STATS once ``deliveries`` have happened (1 s at most)."""
+        deadline = time.monotonic() + 1.0
+        while True:
+            stats = await link.request(codec.STATS)
+            if stats["deliveries"] >= deliveries or time.monotonic() > deadline:
+                return stats
+            await asyncio.sleep(0.01)
+
+    async def eof(self, reader):
+        """The endpoint closes the stream within a second."""
+        assert await asyncio.wait_for(reader.read(), 1.0) == b""
+
+
+@contextlib.asynccontextmanager
+async def serving(kind):
+    rig = Rig(kind)
+    rig.serving = asyncio.get_running_loop().create_task(
+        rig.endpoint.serve_forever()
+    )
+    try:
+        while rig.endpoint._server is None:  # serve_forever is binding
+            await asyncio.sleep(0.005)
+        yield rig
+    finally:
+        await rig.endpoint.shutdown()
+        await asyncio.wait_for(rig.serving, 1.0)
+
+
+def bad_version(kind):
+    """A well-formed frame of ``kind`` from a build this one cannot read."""
+    data = bytearray(codec.encode_frame(kind, {}))
+    data[4] = codec.WIRE_VERSION + 1
+    return bytes(data)
+
+
+class TestHandshake:
+    @kinds
+    def test_first_frame_must_be_a_hello(self, kind):
+        async def scenario():
+            async with serving(kind) as rig:
+                reader, writer = await asyncio.open_connection("127.0.0.1", rig.port)
+                writer.write(codec.encode_frame(codec.STATS, {}))
+                await rig.eof(reader)
+                writer.close()
+                return rig.endpoint.errors
+
+        assert asyncio.run(scenario()) == []
+
+    @kinds
+    def test_malformed_first_frame_is_logged_and_closed(self, kind):
+        async def scenario():
+            async with serving(kind) as rig:
+                reader, writer = await asyncio.open_connection("127.0.0.1", rig.port)
+                writer.write(bad_version(codec.HELLO))
+                await rig.eof(reader)
+                writer.close()
+                return rig.endpoint.errors
+
+        (line,) = asyncio.run(scenario())
+        assert line.startswith("handshake: frame version 3 is not supported")
+
+    @kinds
+    def test_foreign_run_is_turned_away(self, kind):
+        async def scenario():
+            async with serving(kind) as rig:
+                stranger = rig.link(run_id="theirs")
+                await stranger.connect(timeout=1.0)
+                with pytest.raises(ConnectionError, match="wrong run id"):
+                    await stranger.ready(timeout=1.0)
+                await stranger.close()
+                return rig.endpoint.errors
+
+        assert asyncio.run(scenario()) == [
+            "rejected connection for run 'theirs' (serving 'mine')"
+        ]
+
+    @pytest.mark.parametrize(
+        "kind, role",
+        [("host", "bogus"), ("worker", "observer"), ("worker", "peer")],
+    )
+    def test_unknown_role_is_turned_away(self, kind, role):
+        """A worker has no peers and no observer tap: a `LiveObserver`
+        aimed at a fleet is refused, not left waiting for events."""
+
+        async def scenario():
+            async with serving(kind) as rig:
+                stranger = rig.link(role=role)
+                await stranger.connect(timeout=1.0)
+                await rig.eof(stranger.reader)
+                await stranger.close()
+                return rig.endpoint.errors
+
+        assert asyncio.run(scenario()) == ["unknown connection role %r" % role]
+
+
+class TestLoadStream:
+    @kinds
+    def test_codec_error_mid_stream_is_recorded(self, kind):
+        async def scenario():
+            async with serving(kind) as rig:
+                link = rig.link()
+                await link.connect(timeout=1.0)
+                assert (await codec.read_frame(link.reader)).kind == codec.READY
+                link.writer.write(bad_version(codec.STATS))
+                deadline = time.monotonic() + 1.0
+                while not rig.endpoint.errors and time.monotonic() < deadline:
+                    await asyncio.sleep(0.01)
+                await link.close()
+                return rig.endpoint.errors
+
+        (line,) = asyncio.run(scenario())
+        assert line.startswith("load stream: frame version 3 is not supported")
+
+    @kinds
+    def test_drain_is_a_barrier_for_one_run(self, kind):
+        """`--keep-serving`: the next run's invokes are taken once the
+        client that drained has gone (a worker used to drop them all)."""
+
+        async def scenario():
+            async with serving(kind) as rig:
+                first = await rig.client()
+                rig.offer(first, 5)
+                await first.request(codec.DRAIN)
+                rig.offer(first, 3)  # behind the barrier: dropped by contract
+                before = await rig.settled(first, 5)
+                await first.close()
+                deadline = time.monotonic() + 1.0
+                while rig.endpoint.draining and time.monotonic() < deadline:
+                    await asyncio.sleep(0.01)
+                second = await rig.client()
+                rig.offer(second, 7)
+                after = await rig.settled(second, 12)
+                await second.close()
+                return before, after
+
+        before, after = asyncio.run(scenario())
+        assert (before["invoked"], before["deliveries"]) == (5, 5)
+        assert (after["invoked"], after["deliveries"]) == (12, 12)
+        assert after["pending"] == 0
+
+    @kinds
+    def test_bye_is_acked_and_ends_serve_forever(self, kind):
+        async def scenario():
+            async with serving(kind) as rig:
+                link = await rig.client()
+                ack = await link.request(codec.BYE)
+                await asyncio.wait_for(rig.serving, 1.0)
+                await link.close()
+                return ack
+
+        assert asyncio.run(scenario()) == {}
+
+
+class TestWorkerProcess:
+    def test_sigterm_writes_the_final_checkpoint(self, tmp_path):
+        """`worker.terminate()` is the graceful drain `NetHost` always
+        had, so the shard's log ends with its totals."""
+        port = free_ports(1)[0]
+        process = spawn_worker(
+            ShardWorkerConfig(
+                shard=0,
+                n_shards=1,
+                n_processes=2,
+                port=port,
+                run_id=RUN,
+                wal_dir=str(tmp_path),
+            )
+        )
+
+        async def scenario():
+            link = ControlLink("127.0.0.1", port, "load", RUN)
+            await link.connect(timeout=5.0)
+            await link.ready(timeout=5.0)  # serving: the handlers are in
+            link.send(
+                codec.INVOKE_BATCH,
+                {"rows": [["m%d" % n, 0, 1, "k", time.time()] for n in range(4)]},
+            )
+            await link.request(codec.STATS)
+            process.terminate()
+            await link.close()
+
+        try:
+            asyncio.run(scenario())
+            process.join(timeout=5.0)
+            assert not process.is_alive() and process.exitcode == 0
+        finally:
+            if process.is_alive():
+                process.kill()
+        checkpoints = [
+            record.body
+            for record in read_log(str(tmp_path / "shard0")).records
+            if record.kind == wal_records.CHECKPOINT
+        ]
+        assert checkpoints[-1]["final"] is True
+        assert (checkpoints[-1]["invoked"], checkpoints[-1]["delivered"]) == (4, 4)

@@ -500,3 +500,53 @@ class TestNetHostLifecycle:
 
         first, second = asyncio.run(scenario())
         assert first == second == (123.0, 120.0)
+
+
+class TestNetHostLatencyMetrics:
+    def test_metrics_scrape_reads_the_histograms_stats_reads(self):
+        """A METRICS scrape of a real host used to carry no delivery
+        latency at all: the recorder only knows a release it saw on its
+        own bus, and the wall-clock histograms rode STATS alone."""
+
+        async def scenario():
+            ports = free_ports(2)
+            hosts = [
+                NetHost(_fifo_factory(), process_id, ports, run_id="latency")
+                for process_id in range(2)
+            ]
+            for host in hosts:
+                await host.start()
+            for host in hosts:
+                await host.ready()
+            for n in range(6):
+                hosts[0].invoke(Message(id="m%d" % n, sender=0, receiver=1))
+            # Self-addressed: released *and* delivered on one bus, so the
+            # recorder could observe it too -- in virtual units.
+            hosts[1].invoke(Message(id="self", sender=1, receiver=1))
+            for _ in range(400):
+                if hosts[1].stats.deliveries == 7:
+                    break
+                await asyncio.sleep(0.005)
+            receiver = hosts[1]
+            metrics = receiver.metrics_body()
+            snapshot, text = metrics["snapshot"], metrics["text"]
+            stats = receiver.stats_body()
+            registry = receiver.metrics.registry
+            same = (
+                registry.get("latency.delivery") is receiver.host.delivery_latency
+                and registry.get("latency.end_to_end") is receiver.host.e2e_latency
+            )
+            for host in hosts:
+                await host.shutdown()
+            return snapshot, text, stats, same
+
+        snapshot, text, stats, same = asyncio.run(scenario())
+        assert same
+        assert 'latency_delivery_count{process="1"} 7' in text
+        assert stats["deliveries"] == 7
+        for name, wire in (
+            ("latency.delivery", stats["latencies"]),
+            ("latency.end_to_end", stats["e2e_latencies"]),
+        ):
+            assert snapshot[name]["count"] == wire["count"] == 7
+            assert snapshot[name]["total"] == wire["total"]

@@ -110,6 +110,14 @@ class TestMetricsRegistry:
         with pytest.raises(ValueError, match="already registered as counter"):
             registry.gauge("x")
 
+    def test_register_adopts_the_owners_object(self):
+        registry = MetricsRegistry()
+        owned = Histogram("latency.delivery", "fed by its owner")
+        registry.register(owned)
+        assert registry.histogram("latency.delivery") is owned
+        with pytest.raises(ValueError, match="already registered"):
+            registry.register(Histogram("latency.delivery"))
+
     def test_to_json_round_trips(self):
         registry = MetricsRegistry()
         registry.counter("c").inc(3)
@@ -162,6 +170,33 @@ class TestMetricsRecorder:
         # breaking the API" contract of the tentpole.
         recorder, result = self._run(protocol_cls)
         assert recorder.as_simulation_stats() == result.stats
+
+    def test_per_message_state_is_retired_on_delivery(self):
+        # A soak run must not grow linearly with delivered messages.
+        recorder, result = self._run(FifoProtocol)
+        assert result.delivered_all
+        assert recorder._invoke_time == {}
+        assert recorder._release_time == {}
+        assert recorder._receive_time == {}
+        assert not hasattr(recorder, "_tag_bytes")
+        assert recorder.as_simulation_stats() == result.stats
+
+    def test_owner_fed_delivery_histograms_are_left_alone(self):
+        # What NetHost does with its wall-clock pair: bus-time samples
+        # must not land in histograms somebody else feeds in seconds.
+        registry = MetricsRegistry()
+        registry.register(Histogram("latency.delivery"))
+        registry.register(Histogram("latency.end_to_end"))
+        bus = Bus()
+        recorder = MetricsRecorder(bus, registry)
+        result = run_simulation(
+            make_factory(FifoProtocol), random_traffic(3, 20, seed=2), seed=2, bus=bus
+        )
+        assert registry.counter("messages.delivered").value == result.stats.deliveries
+        assert registry.histogram("latency.buffering").count == result.stats.deliveries
+        assert registry.histogram("latency.delivery").count == 0
+        assert registry.histogram("latency.end_to_end").count == 0
+        assert recorder._release_time == {}
 
     def test_phase_latencies_decompose_end_to_end(self):
         recorder, result = self._run(CausalRstProtocol)

@@ -15,6 +15,7 @@ paper's tagged/general split operationally:
    oracle, which sees exactly the violations per-key lanes cannot.
 """
 
+import asyncio
 import socket
 import zlib
 
@@ -30,6 +31,7 @@ from repro.net.shard import (
     CausalLaneChecker,
     FifoLaneChecker,
     KeyStats,
+    ShardCoordinator,
     ShardRouter,
     cross_key_oracle,
     key_for,
@@ -281,6 +283,31 @@ class TestShardedFleet:
         assert report.oracle["memberships"]["co"] is True
         assert {body["shard"] for body in report.per_shard} == {0, 1}
         assert report.per_key  # per-key stats came back
+
+    def test_kept_fleet_serves_consecutive_runs(self):
+        """`repro load --shards --keep-serving`, then another load: the
+        workers' DRAIN used to be terminal, so the second run lost every
+        row (`offered 1000 invoked 0`)."""
+        base = free_port_base(2)
+
+        async def scenario():
+            fleet = ShardCoordinator(2, 3, port_base=base)
+            await fleet.start()
+            try:
+                first = await fleet.run(800.0, 0.25, keys=6)
+                await fleet.client.close()  # --keep-serving: no BYE
+                again = ShardCoordinator(2, 3, port_base=base)
+                await again.connect()
+                fleet.client = again.client  # stop() says BYE over these
+                return first, await again.run(800.0, 0.25, keys=6)
+            finally:
+                await fleet.stop()
+
+        for report in asyncio.run(scenario()):
+            assert report.ok, report.render()
+            assert report.offered == report.invoked == report.delivered > 0
+            # The oracle judged this run's rows, not the fleet's history.
+            assert report.oracle["total"] == report.delivered
 
     def test_causal_fleet_fans_out_and_quiesces(self):
         report = run_sharded_sync(
