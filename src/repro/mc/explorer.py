@@ -134,6 +134,8 @@ class MCReport:
     verify_events: int = 0
     #: Anchored predicate searches the monitor ran.
     verify_searches: int = 0
+    #: Candidate bindings those searches tried (exact per exploration).
+    verify_candidates: int = 0
     violations: List[MCViolation] = field(default_factory=list)
 
     @property
@@ -173,8 +175,14 @@ class MCReport:
             % (self.transitions, self.replays),
             "pruned:            %d sleep-set, %d state-cache, %d depth-truncated"
             % (self.pruned_sleep, self.pruned_state, self.depth_truncations),
-            "verification:      %.3fs over %d events (%d predicate searches)"
-            % (self.verify_seconds, self.verify_events, self.verify_searches),
+            "verification:      %.3fs over %d events (%d predicate searches, "
+            "%d candidates)"
+            % (
+                self.verify_seconds,
+                self.verify_events,
+                self.verify_searches,
+                self.verify_candidates,
+            ),
         ]
         for violation in self.violations:
             lines.append("counterexample:    %s" % violation.describe())
@@ -206,6 +214,7 @@ class MCReport:
                 "seconds": self.verify_seconds,
                 "events": self.verify_events,
                 "searches": self.verify_searches,
+                "candidates": self.verify_candidates,
             },
             "exhaustive": self.exhaustive,
             "verified": self.verified,
@@ -315,6 +324,7 @@ class ModelChecker:
         report.distinct_complete_runs = len(self._run_signatures)
         report.verify_events = self._monitor.stats.events_checked
         report.verify_searches = self._monitor.stats.searches
+        report.verify_candidates = self._monitor.stats.candidates
         if self.minimize:
             for violation in report.violations:
                 violation.minimized = minimize_schedule(

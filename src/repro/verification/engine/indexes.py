@@ -30,25 +30,26 @@ class MessageIndex:
     append-only, undoing an addition is a tail ``pop`` per bucket.
     """
 
-    __slots__ = ("_all", "_by_id", "_buckets")
+    __slots__ = ("_all", "_position", "_buckets")
 
     def __init__(self) -> None:
         self._all: List[Message] = []
-        self._by_id: Dict[str, Message] = {}
+        # message id -> index in ``_all`` (its registration order)
+        self._position: Dict[str, int] = {}
         self._buckets: Dict[Tuple[str, object], List[Message]] = {}
 
     def __len__(self) -> int:
         return len(self._all)
 
     def __contains__(self, message_id: str) -> bool:
-        return message_id in self._by_id
+        return message_id in self._position
 
     def add(self, message: Message) -> None:
         """Register one message in every applicable bucket (idempotent)."""
-        if message.id in self._by_id:
+        if message.id in self._position:
             return
+        self._position[message.id] = len(self._all)
         self._all.append(message)
-        self._by_id[message.id] = message
         for attribute, value in self._keys_of(message):
             self._buckets.setdefault((attribute, value), []).append(message)
 
@@ -66,7 +67,14 @@ class MessageIndex:
 
     def message(self, message_id: str) -> Optional[Message]:
         """The registered message with this id, or ``None``."""
-        return self._by_id.get(message_id)
+        position = self._position.get(message_id)
+        return None if position is None else self._all[position]
+
+    def position(self, message: Message) -> int:
+        """Where a registered message stands in registration order: the
+        order every bucket enumerates in, so candidates drawn from
+        elsewhere are sorted on it to be tried in that same order."""
+        return self._position[message.id]
 
     def all_messages(self) -> List[Message]:
         """Every registered message, in registration order (not a copy)."""
@@ -86,7 +94,7 @@ class MessageIndex:
         """Forget every message added after ``mark`` returned ``token``."""
         while len(self._all) > token:
             message = self._all.pop()
-            del self._by_id[message.id]
+            del self._position[message.id]
             for key in self._keys_of(message):
                 bucket = self._buckets[key]
                 popped = bucket.pop()

@@ -6,9 +6,12 @@ delivery searches only the forbidden instances *using* that event (the
 anchored plans of :mod:`repro.verification.engine.plan`).  A new event is
 maximal when appended, so instance truths among older events never
 change: every newly-true forbidden instance mentions the new event, and
-the anchored ``O(n^{m-1})`` search is complete.  The first completing
-event is latched and reported exactly as the batch replay of
-``first_violation`` reports it.
+the anchored search is complete.  The same fact prunes it: the new event
+is never the left side of a conjunct, and the other variables' events
+lie in the causal cones of events already bound, so a step costs what is
+concurrent with the anchor, not the length of the trace (worst case
+still ``O(n^{m-1})``).  The first completing event is latched and
+reported exactly as the batch replay of ``first_violation`` reports it.
 
 ``push()``/``pop()`` snapshot the whole match state in O(1)/O(undone):
 the model checker's DFS carries one monitor along the search tree,
@@ -58,6 +61,9 @@ class MonitorStats:
     events_consumed: int = 0
     events_checked: int = 0
     searches: int = 0
+    #: Candidate messages the searches tried binding to a variable: the
+    #: engine's work, as a count that repeats exactly for a given trace.
+    candidates: int = 0
     violations: int = 0
 
 
@@ -87,8 +93,15 @@ class SpecMonitor:
         # Compiled member predicates per registered-message count.  The
         # member set is a pure function of the count (mirroring
         # ``Specification.members_for``), so entries stay valid across
-        # ``pop()`` with no invalidation.
+        # ``pop()`` with no invalidation.  It stops changing once the
+        # count reaches ``_members_settle`` (``None``: never, an uncapped
+        # family gains a member with every message).
         self._members: Dict[int, List[CompiledPredicate]] = {}
+        settle: Optional[int] = max((p.arity for p in self.spec.predicates), default=0)
+        if self.spec.families:
+            cap = self.spec.family_arity_cap
+            settle = None if cap is None else max(settle, cap)
+        self._members_settle = settle
 
     @property
     def violation(self) -> Optional[FirstViolation]:
@@ -160,12 +173,17 @@ class SpecMonitor:
         return None
 
     def _check(self, event: Event, message, time: float) -> Optional[FirstViolation]:
-        has_event = self._causality.has
-        before = self._causality.before
+        causality = self._causality
         for compiled in self._current_members():
             self.stats.searches += 1
             assignment = compiled.find_anchored(
-                message, event.kind, self._index, has_event, before
+                message,
+                event.kind,
+                self._index,
+                causality.has,
+                causality.before,
+                causality=causality,
+                stats=self.stats,
             )
             if assignment is not None:
                 return FirstViolation(
@@ -182,6 +200,8 @@ class SpecMonitor:
         """The compiled member predicates for the current message count
         (the same set ``Specification.members_for`` instantiates)."""
         count = len(self._index)
+        if self._members_settle is not None:
+            count = min(count, self._members_settle)
         members = self._members.get(count)
         if members is None:
             spec = self.spec

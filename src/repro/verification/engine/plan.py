@@ -12,6 +12,15 @@ exactly the assignments the brute-force enumeration of
 :mod:`repro.predicates.evaluation` finds, just through far fewer
 candidates.
 
+The anchored search of the incremental monitor gets two more filters of
+the same kind, both consequences of the anchor being the *newest* event
+of an :class:`~repro.verification.engine.causality.OnlineCausality`:
+anchors that would put the new event before something are skipped
+(:class:`Anchor`), and a variable joined by a conjunct to an
+already-bound event draws its candidates from that event's causal cone
+when the cone is smaller than the attribute bucket (:attr:`PlanStep.cones`).
+The unanchored batch search takes neither and stays the reference.
+
 Compilation is cached (:func:`compile_predicate` is memoized on the
 frozen :class:`~repro.predicates.ast.ForbiddenPredicate`), so the model
 checker pays it once per predicate per process lifetime.
@@ -21,10 +30,19 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from repro.events import Event, EventKind, Message
-from repro.predicates.ast import Conjunct, ForbiddenPredicate
+from repro.events import DELIVER, SEND, Event, EventKind, Message
+from repro.predicates.ast import Conjunct, EventTerm, ForbiddenPredicate
 from repro.predicates.guards import (
     ColorGuard,
     GroupGuard,
@@ -32,7 +50,11 @@ from repro.predicates.guards import (
     ProcessGuard,
     guards_satisfiable,
 )
+from repro.verification.engine.causality import OnlineCausality
 from repro.verification.engine.indexes import COLOR, GROUP, MessageIndex
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (monitor imports us)
+    from repro.verification.engine.monitor import MonitorStats
 
 Assignment = Dict[str, Message]
 HasEvent = Callable[[Event], bool]
@@ -43,6 +65,12 @@ Before = Callable[[Event, Event], bool]
 #   ("process", role, var, role')  -- ProcessGuard equality to a bound var
 #   ("group", var)                 -- GroupGuard equality to a bound var
 Narrower = Tuple
+
+#: A cone join ``(future, bound, kind)`` of a plan step: a conjunct ties
+#: the step's ``kind`` event to the already-bound term ``bound``, so the
+#: step's message has that event in ``bound``'s future cone
+#: (``bound ▷ w.kind``) or past cone (``w.kind ▷ bound``).
+ConeJoin = Tuple[bool, EventTerm, EventKind]
 
 
 @dataclass(frozen=True)
@@ -56,6 +84,21 @@ class PlanStep:
     guards: Tuple[Guard, ...]
     #: Conjuncts that become fully bound at this depth.
     conjuncts: Tuple[Conjunct, ...]
+    #: Causal cones of bound events that contain every passing candidate.
+    cones: Tuple[ConeJoin, ...]
+
+
+@dataclass(frozen=True)
+class Anchor:
+    """One way of pinning a new event ``(m, kind)`` into a predicate."""
+
+    variable: str
+    #: Pinning the *newest* event of a run here cannot complete an
+    #: instance: ``variable.kind`` is the left side of a conjunct and
+    #: nothing is after the newest event, or it is a send and the
+    #: predicate also uses the message's delivery, which cannot have
+    #: happened yet (``OnlineCausality.observe`` rejects that order).
+    dead: bool
 
 
 def _conjunct_holds(
@@ -120,6 +163,20 @@ def _narrower_for(
     return process_join or group_join
 
 
+def _cones_for(variable: str, conjuncts: Sequence[Conjunct]) -> Tuple[ConeJoin, ...]:
+    """The cone joins of a step: one per conjunct between ``variable`` and
+    a variable bound before it (every conjunct of a step but a self-loop)."""
+    joins: List[ConeJoin] = []
+    for conjunct in conjuncts:
+        if conjunct.is_self_loop:
+            continue
+        if conjunct.right.variable == variable:
+            joins.append((True, conjunct.left, conjunct.right.kind))
+        else:
+            joins.append((False, conjunct.right, conjunct.left.kind))
+    return tuple(joins)
+
+
 def _selectivity_order(
     predicate: ForbiddenPredicate, first: Optional[str] = None
 ) -> Tuple[str, ...]:
@@ -181,6 +238,7 @@ def _build_steps(
             narrower=_narrower_for(variable, order[:depth], predicate.guards),
             guards=tuple(guards_at[depth]),
             conjuncts=tuple(conjuncts_at[depth]),
+            cones=_cones_for(variable, conjuncts_at[depth]),
         )
         for depth, variable in enumerate(order)
     )
@@ -198,31 +256,59 @@ class CompiledPredicate:
     plan: Tuple[PlanStep, ...]
     #: Per variable, the plan that binds it first (anchored search).
     anchored_plans: Dict[str, Tuple[PlanStep, ...]]
-    #: Variables appearing in a conjunct term of each event kind: pinning
-    #: one of these to the newest message makes the search cover exactly
-    #: the instances *using* that event.
-    anchor_variables: Dict[EventKind, Tuple[str, ...]]
+    #: Per event kind, the variables with a conjunct term of that kind:
+    #: pinning each of them to the newest message makes the search cover
+    #: exactly the instances *using* that event.
+    anchors: Dict[EventKind, Tuple[Anchor, ...]]
 
     @property
     def name(self) -> str:
         return self.predicate.name or "anonymous"
 
     def _candidates(
-        self, step: PlanStep, assignment: Assignment, index: MessageIndex
+        self,
+        step: PlanStep,
+        assignment: Assignment,
+        index: MessageIndex,
+        causality: Optional[OnlineCausality],
     ) -> Sequence[Message]:
         narrower = step.narrower
         if narrower is None:
-            return index.all_messages()
-        if narrower[0] == "color":
-            return index.bucket(COLOR, narrower[1])
-        if narrower[0] == "process":
+            bucket = index.all_messages()
+        elif narrower[0] == "color":
+            bucket = index.bucket(COLOR, narrower[1])
+        elif narrower[0] == "process":
             _, role, other, other_role = narrower
-            return index.bucket(role, assignment[other].attribute(other_role))
-        _, other = narrower
-        group = assignment[other].group
-        if group is None:
-            return ()
-        return index.bucket(GROUP, group)
+            bucket = index.bucket(role, assignment[other].attribute(other_role))
+        else:
+            _, other = narrower
+            group = assignment[other].group
+            if group is None:
+                return ()
+            bucket = index.bucket(GROUP, group)
+        if causality is None or not step.cones:
+            return bucket
+        # The step's conjuncts confine every passing candidate to each of
+        # these cones as its guards confine it to the bucket: draw from
+        # whichever is smallest, in the bucket's (registration) order.  (A
+        # bound event that has not occurred has empty cones.)
+        smallest, chosen = len(bucket), None
+        for future, bound, kind in step.cones:
+            event = Event(assignment[bound.variable].id, bound.kind)
+            cone = (causality.future if future else causality.past)(event, kind)
+            size = sum(stop - start for _, start, stop in cone)
+            if size < smallest:
+                smallest, chosen = size, cone
+        if chosen is None:
+            return bucket
+        return sorted(
+            (
+                message
+                for chain, start, stop in chosen
+                for _, _, message in chain[start:stop]
+            ),
+            key=index.position,
+        )
 
     def _search(
         self,
@@ -232,13 +318,17 @@ class CompiledPredicate:
         index: MessageIndex,
         has_event: HasEvent,
         before: Before,
+        causality: Optional[OnlineCausality] = None,
+        stats: Optional["MonitorStats"] = None,
     ) -> Iterator[Assignment]:
         if depth == len(steps):
             yield dict(assignment)
             return
         step = steps[depth]
         distinct = self.predicate.distinct
-        for message in self._candidates(step, assignment, index):
+        for message in self._candidates(step, assignment, index, causality):
+            if stats is not None:
+                stats.candidates += 1
             if distinct and any(
                 bound.id == message.id for bound in assignment.values()
             ):
@@ -246,7 +336,14 @@ class CompiledPredicate:
             assignment[step.variable] = message
             if _step_checks_pass(step, assignment, has_event, before):
                 for complete in self._search(
-                    steps, assignment, depth + 1, index, has_event, before
+                    steps,
+                    assignment,
+                    depth + 1,
+                    index,
+                    has_event,
+                    before,
+                    causality,
+                    stats,
                 ):
                     yield complete
             del assignment[step.variable]
@@ -268,19 +365,31 @@ class CompiledPredicate:
         index: MessageIndex,
         has_event: HasEvent,
         before: Before,
+        causality: Optional[OnlineCausality] = None,
+        stats: Optional["MonitorStats"] = None,
     ) -> Optional[Assignment]:
         """A satisfying assignment using event ``(message, kind)``, or
         ``None``.  Each candidate anchor variable is pinned to ``message``
-        and only the remaining ``m - 1`` variables are searched."""
+        and only the remaining ``m - 1`` variables are searched.
+
+        With the ``causality`` that ``has_event``/``before`` answer from,
+        whose newest observation must be this event and whose messages
+        must all be in ``index``, dead anchors are skipped and candidates
+        come from causal cones: the same first assignment through fewer
+        candidates.  ``stats.candidates`` (when given) counts the
+        candidates tried either way.
+        """
         if self.never_satisfiable:
             return None
-        for variable in self.anchor_variables.get(kind, ()):
-            steps = self.anchored_plans[variable]
-            assignment: Assignment = {variable: message}
+        for anchor in self.anchors.get(kind, ()):
+            if anchor.dead and causality is not None:
+                continue
+            steps = self.anchored_plans[anchor.variable]
+            assignment: Assignment = {anchor.variable: message}
             if not _step_checks_pass(steps[0], assignment, has_event, before):
                 continue
             for complete in self._search(
-                steps, assignment, 1, index, has_event, before
+                steps, assignment, 1, index, has_event, before, causality, stats
             ):
                 return complete
         return None
@@ -292,29 +401,38 @@ def _plan_never_satisfiable(predicate: ForbiddenPredicate) -> bool:
     return not guards_satisfiable(predicate.guards)
 
 
+def _anchors(predicate: ForbiddenPredicate) -> Dict[EventKind, Tuple[Anchor, ...]]:
+    """Every (event kind, variable) a new event can be pinned to, in
+    order of first use, with what maximality already rules out."""
+    terms: List[EventTerm] = []
+    for conjunct in predicate.conjuncts:
+        for term in (conjunct.left, conjunct.right):
+            if term not in terms:
+                terms.append(term)
+    lefts = {conjunct.left for conjunct in predicate.conjuncts}
+    anchors: Dict[EventKind, List[Anchor]] = {}
+    for term in terms:
+        undelivered = term.kind is SEND and EventTerm(term.variable, DELIVER) in terms
+        anchors.setdefault(term.kind, []).append(
+            Anchor(variable=term.variable, dead=term in lefts or undelivered)
+        )
+    return {kind: tuple(rows) for kind, rows in anchors.items()}
+
+
 @functools.lru_cache(maxsize=None)
 def compile_predicate(predicate: ForbiddenPredicate) -> CompiledPredicate:
     """Compile (and cache) the evaluation plans of one predicate."""
-    anchor_variables: Dict[EventKind, List[str]] = {}
-    for conjunct in predicate.conjuncts:
-        for term in (conjunct.left, conjunct.right):
-            variables = anchor_variables.setdefault(term.kind, [])
-            if term.variable not in variables:
-                variables.append(term.variable)
-    anchored = {
-        variable: _build_steps(
-            predicate, _selectivity_order(predicate, first=variable)
-        )
-        for variables in anchor_variables.values()
-        for variable in variables
-    }
+    anchors = _anchors(predicate)
     return CompiledPredicate(
         predicate=predicate,
         never_satisfiable=_plan_never_satisfiable(predicate),
         plan=_build_steps(predicate, _selectivity_order(predicate)),
-        anchored_plans=anchored,
-        anchor_variables={
-            kind: tuple(variables)
-            for kind, variables in anchor_variables.items()
+        anchored_plans={
+            anchor.variable: _build_steps(
+                predicate, _selectivity_order(predicate, first=anchor.variable)
+            )
+            for rows in anchors.values()
+            for anchor in rows
         },
+        anchors=anchors,
     )

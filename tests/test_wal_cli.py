@@ -139,7 +139,7 @@ class TestCollectorErrorsAreOneLiners:
                 "--port-base",
                 str(port),
                 "--timeout",
-                "2",
+                "0.3",
             ]
         )
         captured = capsys.readouterr()
@@ -160,6 +160,8 @@ class TestCollectorErrorsAreOneLiners:
                 str(port),
                 "--interval",
                 "0.1",
+                "--timeout",
+                "0.3",
             ]
         )
         captured = capsys.readouterr()
