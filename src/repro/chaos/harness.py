@@ -343,8 +343,8 @@ def wal_cross_check(
     is the content-addressed message id, so a retransmitted or replayed
     copy of the same message cannot masquerade as a second delivery.
     """
-    from repro.wal import read_log
-    from repro.wal import records as rec
+    from repro.events import DELIVER, INVOKE
+    from repro.wal import content_id, read_log, resolve_events
 
     invoked: Dict[str, Tuple[str, int]] = {}
     delivers: Dict[int, Counter] = {p: Counter() for p in range(n_processes)}
@@ -352,29 +352,18 @@ def wal_cross_check(
         directory = os.path.join(wal_root, "p%d" % process)
         if not os.path.isdir(directory):
             continue
-        for record in read_log(directory).records:
-            if record.kind == rec.INPUT and record.body.get("op") == "invoke":
-                message = record.body.get("m", {})
-                cid = record.body.get("cid") or message.get("id", "?")
-                invoked[cid] = (
-                    message.get("id", cid),
-                    int(message.get("receiver", process)),
-                )
-            elif record.kind == rec.EVENT and record.body.get("k") == "deliver":
-                cid = record.body.get("cid") or record.body.get("m", {}).get(
-                    "id", "?"
-                )
-                delivers[process][cid] += 1
-    lost = sorted(
-        mid
+        records = read_log(directory).records
+        for _t, _p, event, message in resolve_events(records, verify=False):
+            if event.kind is INVOKE:  # in a version-2 log, the INPUT itself
+                invoked[content_id(message)] = (message.id, message.receiver)
+            elif event.kind is DELIVER:
+                delivers[process][content_id(message)] += 1
+    copies = [
+        (mid, delivers.get(receiver, Counter())[cid])
         for cid, (mid, receiver) in invoked.items()
-        if delivers.get(receiver, Counter())[cid] == 0
-    )
-    double = sorted(
-        mid
-        for cid, (mid, receiver) in invoked.items()
-        if delivers.get(receiver, Counter())[cid] > 1
-    )
+    ]
+    lost = sorted(mid for mid, count in copies if count == 0)
+    double = sorted(mid for mid, count in copies if count > 1)
     return len(invoked), lost, double
 
 

@@ -372,9 +372,6 @@ class NetHost(Endpoint):
         sink.attach_trace(self.trace)
         sink.attach_host(self.host)
         sink.attach_bus(self.bus)
-        if self.flight is not None:
-            flight = self.flight
-            sink.vc_for = lambda record: flight.vc_for(record.event.message_id)
         self.wal = sink
 
     async def crash(self) -> None:
@@ -779,7 +776,7 @@ class NetHost(Endpoint):
                     packet = packet_from_frame(frame)
                     if frame.kind == codec.USER:
                         self._note_remote_clock(packet, frame.body.get("vc"))
-                    self._dispatch_packet(packet)
+                    self._dispatch_packet(packet, frame.body.get("invoked"))
                 elif frame.kind == codec.HEARTBEAT and not frame.body.get("echo"):
                     # Echo back on the same socket: the dialer's watcher
                     # feeds its failure detector from these.
@@ -809,10 +806,20 @@ class NetHost(Endpoint):
             return  # a malformed stamp degrades causality, not delivery
         self.flight.observe_remote(packet.message.id, decoded)
 
-    def _dispatch_packet(self, packet: Packet) -> None:
-        if packet.is_user and packet.message is not None:
-            body_sent = packet.send_time  # wall time from the frame
-            self.host.sent_wall.setdefault(packet.message.id, body_sent)
+    def _dispatch_packet(
+        self, packet: Packet, invoked: Optional[float] = None
+    ) -> None:
+        message = packet.message
+        if (
+            packet.is_user
+            and message is not None
+            and message.id not in self.host._received
+        ):
+            # The sender's release and invoke wall times, from the first
+            # copy's frame (delivery pops them).
+            self.host.sent_wall.setdefault(message.id, packet.send_time)
+            if invoked is not None:
+                self.host.invoked_wall.setdefault(message.id, invoked)
         try:
             self.host._on_packet(packet)
         except Exception as exc:  # ProtocolError and protocol bugs

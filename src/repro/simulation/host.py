@@ -111,8 +111,10 @@ class ProtocolHost:
         self.delivery_listener: Optional[Any] = None
         # The WAL's redo-log hook (repro.wal.sink.WalSink.attach_host):
         # called with (process_id, "invoke", message) / (process_id,
-        # "packet", packet) before the input is processed, so the log
-        # holds every input in processing order even when handling raises.
+        # "packet", packet) -- "duplicate" for a user packet whose
+        # message was already received -- before the input is processed,
+        # so the log holds every input in processing order even when
+        # handling raises.
         self.input_listener: Optional[Any] = None
         # Crash state (driven by repro.faults.FaultInjector): while down,
         # the faulty transport blackholes arrivals and timers are inert.
@@ -280,12 +282,14 @@ class ProtocolHost:
     # Network-facing --------------------------------------------------------
 
     def _on_packet(self, packet: Packet) -> None:
+        message = packet.message
+        duplicate = packet.is_user and message.id in self._received
         if self.input_listener is not None:
-            self.input_listener(self.process_id, "packet", packet)
+            self.input_listener(
+                self.process_id, "duplicate" if duplicate else "packet", packet
+            )
         if packet.is_user:
-            message = packet.message
-            assert message is not None
-            if message.id in self._received:
+            if duplicate:
                 # A second copy (network duplication or a retransmission
                 # racing the original).  The receive event already happened;
                 # protocols that deduplicate get the copy via on_duplicate,

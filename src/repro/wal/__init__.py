@@ -27,6 +27,8 @@ from repro.wal.records import (
     content_id,
     decode_record,
     encode_record,
+    resolve_events,
+    resolve_inputs,
 )
 from repro.wal.recovery import RecoveryReport, rebuild_protocol, replay_into_host
 from repro.wal.replay import (
@@ -59,6 +61,8 @@ __all__ = [
     "content_id",
     "encode_record",
     "decode_record",
+    "resolve_events",
+    "resolve_inputs",
     "SegmentWriter",
     "WalLog",
     "read_segment",

@@ -17,24 +17,35 @@ torn final write is the expected crash artifact -- segment readers drop
 the torn tail instead of refusing to replay (see
 :mod:`repro.wal.segment`).
 
-Record kinds
-------------
+Record kinds (version 2: one record per fact, see DESIGN.md section 7)
+----------------------------------------------------------------------
 
 ``META``
     run metadata, written at the head of every segment (run id, process,
     protocol, format version) so a single segment file is self-describing.
-``EVENT``
-    one trace record (the paper's ``x.s*``/``x.s``/``x.r*``/``x.r``),
-    with the message inlined and content-addressed.
 ``INPUT``
-    one redo-log input: a user invoke or a packet arrival, in processing
-    order.  Deterministic protocols reconstruct their durable state by
-    replaying exactly these (:mod:`repro.wal.recovery`).
+    one redo-log input, in processing order (:mod:`repro.wal.recovery`
+    replays exactly these): ``op`` is ``invoke``, ``packet`` (a control
+    packet -- an ack is one -- or the first copy of a user packet) or
+    ``duplicate`` (a user packet whose message this process already
+    had).  An ``invoke`` *is* the paper's ``x.s*`` and a first-copy user
+    ``packet`` its ``x.r*``, at the input's ``t`` and ``p``.
+``EVENT``
+    one trace record: behind a host only the two events the protocol
+    controls (``send``, ``deliver``); a sink with no host attached has
+    no inputs to imply the other two and writes all four.
 ``FAULT`` / ``RETX`` / ``TIMER``
-    the fault-injection, retransmission, and timer-fire probe streams,
-    so a replayed run carries its recovery history.
+    the fault-injection, retransmission (``retx.send``, ``retx.dup``)
+    and timer-fire probe streams: a replayed run's recovery history.
 ``CHECKPOINT``
     a load-generator progress marker (resumable soak runs).
+
+The first record in a segment that mentions a message carries its wire
+form ``m`` and content id ``cid``, later ones ``cid`` alone; version 1
+(decoded, never written) inlined ``m`` everywhere, wrote all four EVENTs
+beside the inputs (which therefore imply nothing) and a ``retx.ack``
+RETX record per ack.  :func:`resolve_events` and :func:`resolve_inputs`
+read both.
 """
 
 from __future__ import annotations
@@ -43,7 +54,7 @@ import hashlib
 import json
 import struct
 import zlib
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, Optional, Set, Tuple
 
 from repro.events import Event, EventKind, Message
 from repro.net import codec
@@ -71,16 +82,17 @@ __all__ = [
     "decode_record",
     "meta_record",
     "event_record",
-    "event_from_record",
     "invoke_record",
     "packet_record",
-    "input_from_record",
+    "resolve_events",
+    "resolve_inputs",
     "probe_record",
     "checkpoint_record",
 ]
 
-#: On-disk format version; bump on any incompatible framing/body change.
-WAL_VERSION = 1
+#: On-disk format version written; bump on any incompatible framing/body
+#: change.  Version 1 is still decoded: stored logs are evidence.
+WAL_VERSION = 2
 
 #: Upper bound on one record's (version + kind + crc + body) size.
 MAX_RECORD_BYTES = 4 * 1024 * 1024
@@ -88,8 +100,8 @@ MAX_RECORD_BYTES = 4 * 1024 * 1024
 # -- record kinds -------------------------------------------------------------
 
 META = 1  # run/segment metadata (head of every segment)
-EVENT = 2  # one trace record: {t, p, k, m, cid[, vc]}
-INPUT = 3  # one redo input: invoke or packet arrival, processing order
+EVENT = 2  # one trace record: {t, p, k, [m,] cid}
+INPUT = 3  # one redo input: invoke, packet or duplicate, processing order
 FAULT = 4  # fault.* / crash / restart probe record
 RETX = 5  # retx.* probe record (ARQ recovery traffic)
 TIMER = 6  # a protocol timer fired
@@ -149,10 +161,11 @@ class WalRecord:
     The fixed-shape constructors below build their body straight to the
     on-disk ``text`` and leave ``body`` to be decoded from it on first
     use, so a constructed record's body is by construction what a reader
-    of the log will see.
+    of the log will see.  ``version`` is the format it was read in
+    (equality ignores it).
     """
 
-    __slots__ = ("kind", "text", "_body")
+    __slots__ = ("kind", "text", "_body", "version")
 
     def __init__(
         self,
@@ -160,10 +173,12 @@ class WalRecord:
         body: Optional[Dict[str, Any]] = None,
         *,
         text: Optional[str] = None,
+        version: int = WAL_VERSION,
     ):
         self.kind = kind
         self.text = text
         self._body = body
+        self.version = version
 
     @property
     def body(self) -> Dict[str, Any]:
@@ -186,36 +201,45 @@ class WalRecord:
 
 _canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-#: ``id(message) -> (its '["m",...],["cid","..."]' record text, message)``.
+#: ``id(message) -> (its content id, its '["m",...],["cid","..."]' record
+#: text, the '["cid","..."]' reference to it, message)``.
 #: Keyed on the object, not on ``Message.__eq__``: ``Message(payload=1)``
 #: and ``Message(payload=True)`` compare and hash equal yet encode
 #: differently, and the text is defined by the encoding.  The entry holds
 #: the message, so its ``id`` cannot be recycled while it is cached.
 _MESSAGE_CACHE_SIZE = 8192
-_message_cache: Dict[int, Tuple[str, Message]] = {}
+_message_cache: Dict[int, Tuple[str, str, str, Message]] = {}
 
 
 def _content_id_of(wire: Dict[str, Any]) -> str:
     return hashlib.sha256(_canonical_json(wire).encode("utf-8")).hexdigest()[:16]
 
 
-def _message_text(message: Message) -> str:
-    """The ``m`` and ``cid`` pairs of ``message``, encoded once.
-
-    One ``Message`` object is logged at up to three records per host
-    (invoke/send on the sender, packet/receive/deliver on the receiver);
-    all of them splice the same text.  Messages are frozen: one whose
-    payload is mutated after its first record keeps its first encoding.
-    """
+def _message_text(message: Message, seen: Optional[Set[str]]) -> str:
+    """How a record mentions ``message``: ``m`` + ``cid``, or -- when its
+    content id is in ``seen``, the ids the open segment holds a body for,
+    which it otherwise joins -- ``cid`` alone.  Encoded once per
+    ``Message`` object; messages are frozen, so one whose payload is
+    mutated after its first record keeps its first encoding."""
     entry = _message_cache.get(id(message))
     if entry is None:
         wire = codec.message_to_wire(message)
-        text = '["m",%s],["cid","%s"]' % (_dumps(wire), _content_id_of(wire))
+        cid = _content_id_of(wire)
+        ref = '["cid","%s"]' % cid
         if len(_message_cache) >= _MESSAGE_CACHE_SIZE:
             # Start over: only messages in flight are looked up again.
             _message_cache.clear()
-        entry = _message_cache[id(message)] = (text, message)
-    return entry[0]
+        entry = _message_cache[id(message)] = (
+            cid,
+            '["m",%s],%s' % (_dumps(wire), ref),
+            ref,
+            message,
+        )
+    if seen is not None:
+        if entry[0] in seen:
+            return entry[2]
+        seen.add(entry[0])
+    return entry[1]
 
 
 def content_id(message: Message) -> str:
@@ -271,9 +295,9 @@ def decode_record(buffer: bytes, offset: int = 0) -> Tuple[WalRecord, int]:
             % (size, offset, end - start)
         )
     version, kind, crc = _HEAD.unpack_from(buffer, start)
-    if version != WAL_VERSION:
+    if version not in (1, WAL_VERSION):
         raise UnknownWalVersion(
-            "WAL version %d (this reader speaks %d)" % (version, WAL_VERSION)
+            "WAL version %d (this reader speaks 1 and %d)" % (version, WAL_VERSION)
         )
     if kind not in RECORD_KINDS:
         raise WalCorrupt("unknown record kind %d at offset %d" % (kind, offset))
@@ -286,7 +310,7 @@ def decode_record(buffer: bytes, offset: int = 0) -> Tuple[WalRecord, int]:
         raise WalCorrupt("malformed body at offset %d: %s" % (offset, exc)) from exc
     if not isinstance(body, dict):
         raise WalCorrupt("record body at offset %d is not an object" % offset)
-    return WalRecord(kind=kind, body=body), start + size
+    return WalRecord(kind=kind, body=body, version=version), start + size
 
 
 # -- constructors / accessors -------------------------------------------------
@@ -300,66 +324,56 @@ def meta_record(fields: Dict[str, Any]) -> WalRecord:
 
 
 def event_record(
-    record: TraceRecord,
-    message: Message,
-    vc: Optional[Dict[int, int]] = None,
+    record: TraceRecord, message: Message, seen: Optional[Set[str]] = None
 ) -> WalRecord:
-    """One trace record as an EVENT body (message inline + content id)."""
+    """One trace record as an EVENT body (``seen``: :func:`_message_text`)."""
     return WalRecord(
         EVENT,
-        text='{"D":[["t",%s],["p",%s],["k","%s"],%s%s]}'
+        text='{"D":[["t",%s],["p",%s],["k","%s"],%s]}'
         % (
             _dumps(record.time),
             _dumps(record.process),
             _EVENT_KIND_TO_NAME[record.event.kind],
-            _message_text(message),
-            ',["vc",%s]' % _dumps(dict(vc)) if vc else "",
+            _message_text(message, seen),
         ),
     )
 
 
-def event_from_record(
-    body: Dict[str, Any], verify: bool = True
-) -> Tuple[float, int, Event, Message]:
-    """Strict inverse of :func:`event_record` (content id re-verified)."""
-    try:
-        kind = _NAME_TO_EVENT_KIND[body["k"]]
-        message = codec.message_from_wire(body["m"])
-        t, p = float(body["t"]), int(body["p"])
-    except (KeyError, TypeError, ValueError, codec.CodecError) as exc:
-        raise WalCorrupt("bad EVENT body %r: %s" % (body, exc)) from exc
-    if verify:
-        expected = body.get("cid")
-        if expected is not None and expected != content_id(message):
-            raise WalCorrupt(
-                "content id mismatch for message %r (stored %s)"
-                % (message.id, expected)
-            )
-    return t, p, Event(message.id, kind), message
-
-
-def invoke_record(t: float, process: int, message: Message) -> WalRecord:
+def invoke_record(
+    t: float, process: int, message: Message, seen: Optional[Set[str]] = None
+) -> WalRecord:
     """A redo input: the user invoked ``message`` at ``process``."""
     return WalRecord(
         INPUT,
         text='{"D":[["t",%s],["p",%s],["op","invoke"],%s]}'
-        % (_dumps(t), _dumps(process), _message_text(message)),
+        % (_dumps(t), _dumps(process), _message_text(message, seen)),
     )
 
 
-def packet_record(t: float, process: int, packet: Packet) -> WalRecord:
-    """A redo input: ``packet`` arrived at ``process``."""
+def packet_record(
+    t: float,
+    process: int,
+    packet: Packet,
+    op: str = "packet",
+    seen: Optional[Set[str]] = None,
+) -> WalRecord:
+    """A redo input: ``packet`` arrived at ``process`` (``op`` says
+    ``"duplicate"`` when its message already had)."""
     if packet.is_user and packet.message is not None:
-        tail = '%s,["tag",%s]' % (_message_text(packet.message), _dumps(packet.tag))
+        tail = '%s,["tag",%s]' % (
+            _message_text(packet.message, seen),
+            _dumps(packet.tag),
+        )
     else:
         tail = '["payload",%s]' % _dumps(packet.payload)
     return WalRecord(
         INPUT,
-        text='{"D":[["t",%s],["p",%s],["op","packet"],["src",%s],["dst",%s],'
+        text='{"D":[["t",%s],["p",%s],["op","%s"],["src",%s],["dst",%s],'
         '["kind",%s],["sent",%s],["uid",%s],["cs",%s],%s]}'
         % (
             _dumps(t),
             _dumps(process),
+            op,
             _dumps(packet.src),
             _dumps(packet.dst),
             _dumps(packet.kind),
@@ -371,39 +385,103 @@ def packet_record(t: float, process: int, packet: Packet) -> WalRecord:
     )
 
 
-def input_from_record(body: Dict[str, Any]) -> Tuple[str, float, int, Any]:
-    """Decode an INPUT body to ``(op, t, process, payload)``.
+# -- the resolver -------------------------------------------------------------
 
-    ``payload`` is the :class:`~repro.events.Message` for an invoke and
-    the reconstructed :class:`~repro.simulation.network.Packet` for an
-    arrival.
+#: The event a version-2 INPUT that mentions a message *is*, by ``op``
+#: (a ``duplicate`` is a re-arrival, not a second ``x.r*``).
+_IMPLIED = {"invoke": EventKind.INVOKE, "packet": EventKind.RECEIVE}
+
+
+def _resolved(
+    records: Iterable[WalRecord], verify: bool
+) -> Iterator[Tuple[WalRecord, Dict[str, Any], float, int, Optional[Message]]]:
+    """Every EVENT and INPUT record as ``(record, body, t, process,
+    message)``, ``message`` being the one it mentions, if any.
+
+    A body's ``m`` is decoded (and, with ``verify``, checked against its
+    ``cid``) where it stands; a ``cid`` alone is looked up among the
+    bodies read so far.  A segment repeats the body at its first
+    mention, so one segment's records resolve without the others.
     """
-    try:
-        op = body["op"]
-        t, process = float(body["t"]), int(body["p"])
-        if op == "invoke":
-            return op, t, process, codec.message_from_wire(body["m"])
-        if op != "packet":
+    bodies: Dict[Optional[str], Message] = {}
+    for record in records:
+        if record.kind != EVENT and record.kind != INPUT:
+            continue
+        body = record.body
+        wire, cid = body.get("m"), body.get("cid")
+        try:
+            t, process = float(body["t"]), int(body["p"])
+            if wire is not None:
+                message = bodies[cid] = codec.message_from_wire(wire)
+            else:
+                message = None if cid is None else bodies[cid]
+        except (KeyError, TypeError, ValueError, codec.CodecError) as exc:
+            raise WalCorrupt(
+                "bad %s body %r: %s" % (record.kind_name, body, exc)
+            ) from exc
+        if verify and wire is not None and cid not in (None, content_id(message)):
+            raise WalCorrupt(
+                "content id mismatch for message %r (stored %s)" % (message.id, cid)
+            )
+        yield record, body, t, process, message
+
+
+def resolve_events(
+    records: Iterable[WalRecord], verify: bool = True
+) -> Iterator[Tuple[float, int, Event, Message]]:
+    """The log's system events, ``(t, process, event, message)`` in order:
+    EVENT records as written and, where they stand, the events a
+    version-2 INPUT implies (version 1 wrote those as EVENTs too)."""
+    for record, body, t, process, message in _resolved(records, verify):
+        if record.kind == EVENT:
+            kind = _NAME_TO_EVENT_KIND.get(body.get("k"))
+            if kind is None or message is None:
+                raise WalCorrupt("bad EVENT body %r" % (body,))
+        else:
+            kind = _IMPLIED.get(body.get("op")) if record.version > 1 else None
+        if kind is not None and message is not None:
+            yield t, process, Event(message.id, kind), message
+
+
+def resolve_inputs(
+    records: Iterable[WalRecord], process_id: Optional[int] = None
+) -> Iterator[Tuple[str, float, int, Any]]:
+    """The redo inputs (of ``process_id``), ``(op, t, process, payload)``.
+
+    ``payload`` is the :class:`~repro.events.Message` of an ``invoke``
+    and the rebuilt :class:`~repro.simulation.network.Packet` of a
+    ``packet`` or ``duplicate``.  Version 1 logged a re-arrival as a
+    plain ``packet``; it is told apart here, so no consumer has to.
+    """
+    received: Set[Tuple[int, str]] = set()
+    for record, body, t, process, message in _resolved(records, False):
+        if record.kind != INPUT:
+            continue
+        op = body.get("op")
+        if op not in ("invoke", "packet", "duplicate"):
             raise WalCorrupt("unknown input op %r" % (op,))
-        message = None
-        if "m" in body:
-            message = codec.message_from_wire(body["m"])
-        packet = Packet(
-            src=int(body["src"]),
-            dst=int(body["dst"]),
-            kind=body["kind"],
-            message=message,
-            tag=body.get("tag"),
-            payload=body.get("payload"),
-            send_time=float(body.get("sent", 0.0)),
-            uid=int(body.get("uid", 0)),
-            channel_seq=int(body.get("cs", 0)),
-        )
-        return op, t, process, packet
-    except WalCorrupt:
-        raise
-    except (KeyError, TypeError, ValueError, codec.CodecError) as exc:
-        raise WalCorrupt("bad INPUT body %r: %s" % (body, exc)) from exc
+        try:
+            payload: Any = message if op == "invoke" else Packet(
+                src=int(body["src"]),
+                dst=int(body["dst"]),
+                kind=body["kind"],
+                message=message,
+                tag=body.get("tag"),
+                payload=body.get("payload"),
+                send_time=float(body.get("sent", 0.0)),
+                uid=int(body.get("uid", 0)),
+                channel_seq=int(body.get("cs", 0)),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise WalCorrupt("bad INPUT body %r: %s" % (body, exc)) from exc
+        if payload is None:
+            raise WalCorrupt("INPUT invoke body %r names no message" % (body,))
+        if record.version == 1 and op == "packet" and message is not None:
+            if (process, message.id) in received:
+                op = "duplicate"
+            received.add((process, message.id))
+        if process_id is None or process == process_id:
+            yield op, t, process, payload
 
 
 def probe_record(

@@ -27,8 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, List, Optional
 
-from repro.wal import records as rec
-from repro.wal.records import WalRecord, input_from_record
+from repro.wal.records import WalRecord, resolve_inputs
 
 __all__ = ["RecoveryReport", "replay_into_host", "rebuild_protocol"]
 
@@ -102,16 +101,6 @@ class RecoveryReport:
         return not self.errors
 
 
-def _iter_inputs(records: Iterable[WalRecord], process_id: Optional[int]):
-    for record in records:
-        if record.kind != rec.INPUT:
-            continue
-        op, t, process, payload = input_from_record(record.body)
-        if process_id is not None and process != process_id:
-            continue
-        yield op, t, process, payload
-
-
 def replay_into_host(
     host,
     records: Iterable[WalRecord],
@@ -141,7 +130,7 @@ def replay_into_host(
     try:
         if start:
             host.protocol.on_start(host.ctx)
-        for op, t, process, payload in _iter_inputs(records, process_id):
+        for op, t, _process, payload in resolve_inputs(records, process_id):
             clock.now = t
             report.inputs += 1
             try:
@@ -172,7 +161,7 @@ def rebuild_protocol(
     """A fresh protocol instance fast-forwarded through the logged inputs.
 
     Mirrors the host's feeding discipline exactly: first receipt of a
-    user message goes to ``on_user_message``, later copies to
+    user message goes to ``on_user_message``, a logged re-arrival to
     ``on_duplicate`` when the protocol accepts them (silently dropped
     otherwise -- the live host would have raised, and the run would not
     have produced further records).  The caller installs the returned
@@ -183,20 +172,16 @@ def rebuild_protocol(
     ctx = _NullContext(process_id, n_processes, clock)
     protocol = protocol_factory(process_id, n_processes)
     protocol.on_start(ctx)
-    received = set()
     accepts_duplicates = getattr(protocol, "accepts_duplicates", False)
-    for op, t, _process, payload in _iter_inputs(records, process_id):
+    for op, t, _process, payload in resolve_inputs(records, process_id):
         clock.now = t
         if op == "invoke":
             protocol.on_invoke(ctx, payload)
+        elif op == "duplicate":
+            if accepts_duplicates:
+                protocol.on_duplicate(ctx, payload.message, payload.tag)
         elif payload.is_user and payload.message is not None:
-            message = payload.message
-            if message.id in received:
-                if accepts_duplicates:
-                    protocol.on_duplicate(ctx, message, payload.tag)
-                continue
-            received.add(message.id)
-            protocol.on_user_message(ctx, message, payload.tag)
+            protocol.on_user_message(ctx, payload.message, payload.tag)
         else:
             protocol.on_control(ctx, payload.src, payload.payload)
     return protocol

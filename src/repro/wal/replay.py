@@ -3,7 +3,9 @@
 A recorded run replays three ways:
 
 - :func:`replay_log` rebuilds the :class:`~repro.simulation.trace.Trace`
-  from the EVENT stream and drives it through the incremental
+  from the log's event stream (:func:`~repro.wal.records.resolve_events`:
+  EVENT records plus the events its inputs imply) and drives it through
+  the incremental
   :class:`~repro.verification.engine.monitor.SpecMonitor` -- the same
   engine, the same verdict, the same violating assignment as the live
   run, bit for bit.
@@ -30,7 +32,7 @@ from repro.events import DELIVER, INVOKE, RECEIVE, SEND
 from repro.simulation.trace import Trace
 from repro.simulation.workloads import SendRequest, Workload
 from repro.wal import records as rec
-from repro.wal.records import WalCorrupt, WalRecord, event_from_record
+from repro.wal.records import WalCorrupt, WalRecord, resolve_events
 from repro.wal.segment import read_log
 
 __all__ = [
@@ -80,10 +82,7 @@ def _meta_of(records: List[WalRecord]) -> Dict[str, Any]:
 
 def _infer_processes(records: List[WalRecord]) -> int:
     highest = -1
-    for record in records:
-        if record.kind != rec.EVENT:
-            continue
-        _t, process, _event, message = event_from_record(record.body, verify=False)
+    for _t, process, _event, message in resolve_events(records, verify=False):
         highest = max(highest, process, message.sender, message.receiver)
     return highest + 1
 
@@ -91,17 +90,15 @@ def _infer_processes(records: List[WalRecord]) -> int:
 def trace_from_records(
     records: List[WalRecord], n_processes: int, verify: bool = True
 ) -> Trace:
-    """Rebuild the trace from the EVENT stream, content ids re-verified.
+    """Rebuild the trace from the event stream, content ids re-verified.
 
-    Record order in the log *is* trace order: every EVENT was appended by
-    the trace tap at record time, so replaying them through a fresh
-    :class:`Trace` reproduces the identical record sequence (and the
-    trace re-checks the event preconditions as it goes)."""
+    Record order in the log *is* trace order: every event was appended
+    at record time, by the trace tap or as the input that caused it, so
+    replaying them through a fresh :class:`Trace` reproduces the
+    identical record sequence (and the trace re-checks the event
+    preconditions as it goes)."""
     trace = Trace(n_processes)
-    for record in records:
-        if record.kind != rec.EVENT:
-            continue
-        t, process, event, message = event_from_record(record.body, verify=verify)
+    for t, process, event, message in resolve_events(records, verify):
         trace.register_message(message)
         trace.record(t, process, event)
     return trace
@@ -182,10 +179,7 @@ def workload_from_records(
         meta = _meta_of(records)
         n_processes = int(meta.get("processes") or _infer_processes(records))
     requests = []
-    for record in records:
-        if record.kind != rec.EVENT:
-            continue
-        _t, _process, event, message = event_from_record(record.body, verify=False)
+    for _t, _process, event, message in resolve_events(records, verify=False):
         if event.kind is not INVOKE:
             continue
         requests.append(
@@ -206,7 +200,7 @@ def workload_from_records(
 def mc_prefix_from_records(records: List[WalRecord]) -> List[Tuple]:
     """Project the recorded run onto explorer transition keys.
 
-    Walks the EVENT stream once: each invoke becomes
+    Walks the event stream once: each invoke becomes
     ``("invoke", sender, i)`` with ``i`` the global invoke index (the
     workload position :func:`workload_from_records` assigns), each send
     claims the next transmission slot on its ``(src, dst)`` channel, and
@@ -218,10 +212,7 @@ def mc_prefix_from_records(records: List[WalRecord]) -> List[Tuple]:
     invoke_index: Dict[str, int] = {}
     channel_next: Dict[Tuple[int, int], int] = {}
     seq_of: Dict[str, int] = {}
-    for record in records:
-        if record.kind != rec.EVENT:
-            continue
-        _t, process, event, message = event_from_record(record.body, verify=False)
+    for _t, process, event, message in resolve_events(records, verify=False):
         kind = event.kind
         if kind is INVOKE:
             index = len(invoke_index)

@@ -155,6 +155,7 @@ class SegmentWriter:
         )
         self._handle = None
         self._segment_bytes = 0
+        self._header_bytes = 0
         self._unsynced = 0
         self.records_written = 0
         self.syncs = 0
@@ -163,7 +164,15 @@ class SegmentWriter:
 
     # -- lifecycle ------------------------------------------------------------
 
-    def _open_segment(self) -> None:
+    def rotate(self) -> None:
+        """Close the current segment, if any, and open the next one now."""
+        if self.closed:  # every write after close() comes through here
+            raise RuntimeError("append() on a closed SegmentWriter")
+        if self._handle is not None:
+            self.sync()
+            self._handle.close()
+            self.segment_index += 1
+            self.rotations += 1
         path = os.path.join(self.directory, SEGMENT_NAME % self.segment_index)
         # Unbuffered: every append is visible to same-machine readers
         # immediately (the WAL-before-ack discipline crash recovery
@@ -175,25 +184,24 @@ class SegmentWriter:
             header = encode_record(self.header_factory(self.segment_index))
             self._handle.write(header)
             self._segment_bytes += len(header)
+        self._header_bytes = self._segment_bytes
 
-    def _rotate(self) -> None:
-        self.sync()
-        self._handle.close()
-        self._handle = None
-        self.segment_index += 1
-        self.rotations += 1
+    def rotates(self, size: int) -> bool:
+        """Whether writing ``size`` more bytes opens a new segment (an
+        oversize record stays in a segment that holds only its header)."""
+        return self._handle is None or (
+            self._segment_bytes + size > self.max_segment_bytes
+            and self._segment_bytes > self._header_bytes
+        )
 
     def append(self, record: WalRecord) -> None:
         """Append one record, rotating and sync-batching as configured."""
-        if self.closed:
-            raise RuntimeError("append() on a closed SegmentWriter")
-        encoded = encode_record(record)
-        if self._handle is not None and (
-            self._segment_bytes + len(encoded) > self.max_segment_bytes
-        ):
-            self._rotate()
-        if self._handle is None:
-            self._open_segment()
+        self.write(encode_record(record))
+
+    def write(self, encoded: bytes) -> None:
+        """Append one already-encoded record (one unbuffered ``write``)."""
+        if self.rotates(len(encoded)):
+            self.rotate()
         self._handle.write(encoded)
         self._segment_bytes += len(encoded)
         self.records_written += 1

@@ -3,26 +3,28 @@
 One sink owns one WAL directory.  It taps three producer surfaces and
 funnels everything into a single :class:`~repro.wal.segment.SegmentWriter`:
 
-- a :class:`~repro.simulation.trace.Trace` tap -- every trace record
-  becomes an EVENT record (the run object the SpecMonitor replays);
 - a :class:`~repro.simulation.host.ProtocolHost` ``input_listener`` --
   every invoke and packet arrival becomes an INPUT record in processing
   order (the redo log crash recovery replays);
+- a :class:`~repro.simulation.trace.Trace` tap -- a trace record becomes
+  an EVENT record, unless it is an invoke or a receive and a host is
+  attached: the host just logged the input that *is* that event
+  (:mod:`repro.wal.records`);
 - a :class:`~repro.obs.bus.Bus` subscription over the fault, retx and
   timer probes (the recovery history a replayed run carries along).
 
 Producers differ only in which taps they attach: the Simulator attaches
 all hosts plus the shared trace; a NetHost attaches its own host and
 trace (its WAL is a per-process segment directory); an observer-side
-recorder attaches nothing and calls :meth:`on_trace` directly from the
-merged live stream.
+recorder attaches the merged live trace and no host, so it writes all
+four events.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
-from repro.events import Message
+from repro.events import INVOKE, RECEIVE, Message
 from repro.simulation.trace import TraceRecord
 from repro.wal import records as rec
 from repro.wal.records import WalRecord
@@ -44,7 +46,6 @@ _PROBE_KINDS = {
     "crash": rec.FAULT,
     "restart": rec.FAULT,
     "retx.send": rec.RETX,
-    "retx.ack": rec.RETX,
     "retx.dup": rec.RETX,
     "timer.fire": rec.TIMER,
 }
@@ -66,9 +67,10 @@ class WalSink:
         self.directory = directory
         self.meta = dict(meta or {})
         self._clock = clock or (lambda: 0.0)
-        #: Optional vector-clock lookup (the NetHost points this at its
-        #: flight recorder) so EVENT records carry causal timestamps.
-        self.vc_for: Optional[Callable[[TraceRecord], Optional[Dict[int, int]]]] = None
+        #: Whether a host's inputs are logged here (and imply its invoke
+        #: and receive events); content ids the open segment has bodies for.
+        self._hosted = False
+        self._seen: Set[str] = set()
         self.writer = SegmentWriter(
             directory,
             max_segment_bytes=max_segment_bytes,
@@ -80,6 +82,7 @@ class WalSink:
         self.closed = False
 
     def _header(self, segment_index: int) -> WalRecord:
+        self._seen.clear()  # a fresh segment holds no bodies yet
         fields = dict(self.meta)
         fields["segment"] = segment_index
         return rec.meta_record(fields)
@@ -90,10 +93,23 @@ class WalSink:
 
     # -- taps -----------------------------------------------------------------
 
+    def _append(self, build: Callable[..., WalRecord], *args: Any) -> None:
+        """Append ``build(*args, seen)``, a record that mentions a message.
+        Body or reference depends on the segment it lands in, and that on
+        its size: one that would open a new segment is rebuilt once the
+        segment is open (its header emptied the set)."""
+        encoded = rec.encode_record(build(*args, self._seen))
+        if self.writer.rotates(len(encoded)):
+            self.writer.rotate()
+            encoded = rec.encode_record(build(*args, self._seen))
+        self.writer.write(encoded)
+
     def on_trace(self, record: TraceRecord, message: Message) -> None:
-        """Trace tap: one EVENT record per trace record."""
-        vc = self.vc_for(record) if self.vc_for is not None else None
-        self.writer.append(rec.event_record(record, message, vc=vc))
+        """Trace tap: one EVENT record per trace record no input implies."""
+        kind = record.event.kind
+        if self._hosted and (kind is INVOKE or kind is RECEIVE):
+            return
+        self._append(rec.event_record, record, message)
 
     def attach_trace(self, trace) -> None:
         """Mirror every future record of ``trace`` into the log."""
@@ -103,13 +119,15 @@ class WalSink:
         """Host tap: one INPUT record per invoke / packet arrival."""
         t = self._clock()
         if op == "invoke":
-            self.writer.append(rec.invoke_record(t, process, payload))
-        else:
-            self.writer.append(rec.packet_record(t, process, payload))
+            self._append(rec.invoke_record, t, process, payload)
+        else:  # "packet", or "duplicate" for a re-arrival
+            self._append(rec.packet_record, t, process, payload, op)
 
     def attach_host(self, host) -> None:
-        """Log ``host``'s inputs (its ``input_listener`` hook)."""
+        """Log ``host``'s inputs, which stand for its invoke and receive
+        events from here on."""
         host.input_listener = self.input_listener
+        self._hosted = True
 
     def _on_probe(self, event) -> None:
         kind = _PROBE_KINDS[event.probe]

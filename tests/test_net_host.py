@@ -550,3 +550,43 @@ class TestNetHostLatencyMetrics:
         ):
             assert snapshot[name]["count"] == wire["count"] == 7
             assert snapshot[name]["total"] == wire["total"]
+
+    def test_receiver_end_to_end_counts_the_senders_inhibition(self):
+        """Every USER frame carries the sender's invoke wall time, and
+        the receiver used to drop it: its end-to-end latency equalled its
+        delivery latency for every remote message.  Under ``sync-coord``
+        invoke -> release is a round trip to the coordinator, so the two
+        distributions must come apart at the receiver."""
+
+        async def scenario():
+            ports = free_ports(3)
+            factory = catalogue()["sync-coord"].factory
+            hosts = [
+                NetHost(factory, process_id, ports, run_id="e2e")
+                for process_id in range(3)
+            ]
+            for host in hosts:
+                await host.start()
+            for host in hosts:
+                await host.ready()
+            for n in range(8):
+                hosts[1].invoke(Message(id="m%d" % n, sender=1, receiver=2))
+            for _ in range(800):
+                if hosts[2].stats.deliveries == 8:
+                    break
+                await asyncio.sleep(0.005)
+            receiver = hosts[2].host
+            observed = (
+                receiver.delivery_latency.count,
+                receiver.delivery_latency.percentile(50),
+                receiver.e2e_latency.percentile(50),
+                dict(receiver.invoked_wall),
+            )
+            for host in hosts:
+                await host.shutdown()
+            return observed
+
+        count, delivery_p50, e2e_p50, leftover = asyncio.run(scenario())
+        assert count == 8
+        assert e2e_p50 > delivery_p50
+        assert leftover == {}  # popped at delivery, like sent_wall

@@ -6,8 +6,9 @@ angles:
 
 - differential: :func:`repro.net.codec.dumps_value` against the
   two-pass reference ``json.dumps(encode_value(v))`` it replaced;
-- golden: one record of every kind, as hex captured from the commit
-  before the one-pass encoder landed;
+- golden: one record of every kind, as hex.  The version-1 hex (captured
+  from the commit before the one-pass encoder landed) still *decodes* to
+  the same bodies; what the writer *emits* is pinned as version 2;
 - discipline: one unbuffered ``write`` per record and the ``sync_every``
   fsync cadence, observed from a second file handle.
 """
@@ -30,10 +31,12 @@ from repro.simulation.trace import TraceRecord
 from repro.wal import SegmentWriter, WalSink, read_log, read_segment
 from repro.wal.records import (
     CHECKPOINT,
+    EVENT,
     FAULT,
     RETX,
     WalRecord,
     checkpoint_record,
+    content_id,
     decode_record,
     encode_record,
     event_record,
@@ -159,10 +162,28 @@ def golden_records():
         "event": event_record(
             _trace_record(Event.send("m1"), time=2.5, process=0), _MESSAGE
         ),
-        "event_vc": event_record(
-            _trace_record(Event.deliver("mé2"), time=3, process=0),
-            _KEYED,
-            vc={0: 2, 2: 5},
+        # No writer stamps ``vc`` any more (none ever did on a live
+        # run); stored version-1 logs may hold it, so it stays decodable.
+        "event_vc": WalRecord(
+            EVENT,
+            {
+                "t": 3,
+                "p": 0,
+                "k": "deliver",
+                "m": codec.message_to_wire(_KEYED),
+                "cid": content_id(_KEYED),
+                "vc": {0: 2, 2: 5},
+            },
+        ),
+        # Version 2 only: a later mention in the same segment is the
+        # content id alone, and a re-arrival says so.
+        "event_ref": event_record(
+            _trace_record(Event.send("m1"), time=2.5, process=0),
+            _MESSAGE,
+            {content_id(_MESSAGE)},
+        ),
+        "duplicate_packet": packet_record(
+            3.5, 1, user, "duplicate", {content_id(_MESSAGE)}
         ),
         "invoke": invoke_record(2.0, 0, _MESSAGE),
         "user_packet": packet_record(3.0, 1, user),
@@ -174,9 +195,9 @@ def golden_records():
     }
 
 
-#: ``encode_record(...).hex()`` of :func:`golden_records` at the parent
-#: commit (json.dumps(encode_value(body)) per record, WAL_VERSION 1).
-GOLDEN_HEX = {
+#: ``encode_record(...).hex()`` of :func:`golden_records` when the writer
+#: spoke WAL_VERSION 1 (json.dumps(encode_value(body)) per record).
+GOLDEN_HEX_V1 = {
     "meta": (
         "0000005701014406a5607b2244223a5b5b2272756e222c227231225d2c5b2270726f6365"
         "7373222c305d2c5b2270726f746f636f6c222c226669666f225d2c5b227365676d656e74"
@@ -245,19 +266,58 @@ GOLDEN_HEX = {
 }
 
 
+#: What the writer emits now.  A record built with no seen-set has the
+#: body it always had, so its version-2 bytes are the version-1 bytes
+#: under a version-2 header (byte 4; the crc covers the body only)...
+GOLDEN_HEX = {
+    name: stored[:8] + "02" + stored[10:] for name, stored in GOLDEN_HEX_V1.items()
+}
+#: ...except META, whose body states the format, and the two records
+#: version 1 had no way to write.
+GOLDEN_HEX.update(
+    meta=(
+        "00000057020156b30a8e7b2244223a5b5b2272756e222c227231225d2c5b2270726f6365"
+        "7373222c305d2c5b2270726f746f636f6c222c226669666f225d2c5b227365676d656e74"
+        "222c335d2c5b22666f726d6174222c325d5d7d"
+    ),
+    event_ref=(
+        "00000047020281f8784c7b2244223a5b5b2274222c322e355d2c5b2270222c305d2c5b22"
+        "6b222c2273656e64225d2c5b22636964222c226661623635313635643665353764653722"
+        "5d5d7d"
+    ),
+    duplicate_packet=(
+        "000000cd0203900a72ec7b2244223a5b5b2274222c332e355d2c5b2270222c315d2c5b22"
+        "6f70222c226475706c6963617465225d2c5b22737263222c305d2c5b22647374222c315d"
+        "2c5b226b696e64222c2275736572225d2c5b2273656e74222c312e32355d2c5b22756964"
+        "222c31375d2c5b226373222c345d2c5b22636964222c2266616236353136356436653537"
+        "646537225d2c5b22746167222c7b2254223a5b227264617461222c342c7b2254223a5b7b"
+        "2254223a5b302c315d7d2c7b2254223a5b322c335d7d5d7d5d7d5d5d7d"
+    ),
+)
+
+
 class TestGoldenBytes:
     @pytest.mark.parametrize("name", sorted(golden_records()))
     def test_record_reproduces_the_parent_commits_bytes(self, name):
+        """The encode half: the writer's bytes, pinned as version 2."""
         assert encode_record(golden_records()[name]).hex() == GOLDEN_HEX[name]
 
     @pytest.mark.parametrize("name", sorted(golden_records()))
     def test_constructed_body_is_what_a_reader_sees(self, name):
+        """The decode half: both versions' bytes read as the same body."""
         record = golden_records()[name]
-        decoded, _ = decode_record(bytes.fromhex(GOLDEN_HEX[name]))
-        assert decoded == record
-        assert encode_record(WalRecord(record.kind, decoded.body)) == bytes.fromhex(
-            GOLDEN_HEX[name]
-        )
+        for version, stored in ((1, GOLDEN_HEX_V1.get(name)), (2, GOLDEN_HEX[name])):
+            if stored is None:
+                continue
+            decoded, _ = decode_record(bytes.fromhex(stored))
+            assert decoded.version == version
+            if name == "meta" and version == 1:
+                assert decoded.body.pop("format") == 1
+                decoded.body["format"] = 2
+            assert decoded == record
+            assert encode_record(
+                WalRecord(record.kind, decoded.body)
+            ) == bytes.fromhex(GOLDEN_HEX[name])
 
     def test_non_finite_floats_keep_their_spelling(self):
         record = checkpoint_record(
@@ -276,10 +336,9 @@ class TestGoldenBytes:
 _READ_BACK = """
 import sys
 from repro.wal import read_log
-from repro.wal.records import EVENT, event_from_record
+from repro.wal import resolve_events
 for record in reversed(read_log(sys.argv[1], strict=True).records):
-    if record.kind == EVENT:
-        message = event_from_record(record.body, verify=True)[3]
+    for _t, _p, _event, message in resolve_events([record], verify=True):
         print(type(message.payload).__name__, message.payload)
 """
 

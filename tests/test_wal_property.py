@@ -15,9 +15,17 @@ from hypothesis import given, strategies as st
 from repro.events import Event, Message
 from repro.simulation.network import Packet
 from repro.simulation.trace import TraceRecord
-from repro.wal import SegmentWriter, WalRecord, read_segment
+from repro.wal import (
+    SegmentWriter,
+    WalRecord,
+    WalSink,
+    read_segment,
+    resolve_events,
+    resolve_inputs,
+)
 from repro.wal.records import (
     CHECKPOINT,
+    EVENT,
     FAULT,
     RETX,
     TIMER,
@@ -25,9 +33,7 @@ from repro.wal.records import (
     content_id,
     decode_record,
     encode_record,
-    event_from_record,
     event_record,
-    input_from_record,
     invoke_record,
     packet_record,
     probe_record,
@@ -110,6 +116,15 @@ probe_data = st.dictionaries(
 )
 
 
+def _event(trace_record, message, vc=None):
+    """An EVENT record; with ``vc``, the shape only a stored version-1
+    log can hold (no writer stamps it, every reader tolerates it)."""
+    record = event_record(trace_record, message)
+    if vc:
+        return WalRecord(EVENT, dict(record.body, vc=dict(vc)))
+    return record
+
+
 @st.composite
 def wal_records(draw):
     """Any record a sink can produce, in proportion to how they occur."""
@@ -119,7 +134,7 @@ def wal_records(draw):
             [Event.invoke, Event.send, Event.receive, Event.deliver]
         ))
         message = draw(messages())
-        return event_record(
+        return _event(
             TraceRecord(
                 time=draw(times),
                 sequence=draw(st.integers(min_value=0, max_value=2**20)),
@@ -160,14 +175,14 @@ class TestEncodeDecodeRoundTrip:
 
     @given(messages(), times, processes, vector_clocks)
     def test_event_payload_survives_semantically(self, message, t, p, vc):
-        record = event_record(
+        record = _event(
             TraceRecord(time=t, sequence=0, process=p,
                         event=Event.deliver(message.id)),
             message,
             vc=vc,
         )
         decoded, _ = decode_record(encode_record(record))
-        rt, rp, event, rebuilt = event_from_record(decoded.body)
+        ((rt, rp, event, rebuilt),) = resolve_events([decoded])
         assert (rt, rp) == (t, p)
         assert event.message_id == message.id
         assert rebuilt == message
@@ -176,7 +191,7 @@ class TestEncodeDecodeRoundTrip:
     @given(st.one_of(user_packets(), control_packets()), times, processes)
     def test_packet_inputs_survive_semantically(self, packet, t, p):
         decoded, _ = decode_record(encode_record(packet_record(t, p, packet)))
-        op, rt, rp, rebuilt = input_from_record(decoded.body)
+        ((op, rt, rp, rebuilt),) = resolve_inputs([decoded])
         assert (op, rt, rp) == ("packet", t, p)
         assert rebuilt.kind == packet.kind
         assert rebuilt.message == packet.message
@@ -224,27 +239,47 @@ class TestTornFinalWrite:
         assert salvaged == records[: len(whole)]
 
     def test_every_single_byte_cut_of_one_log(self, tmp_path):
-        """Exhaustive sweep on one small log: no cut point crashes the
-        reader, salvage is monotone in the cut."""
-        writer = SegmentWriter(str(tmp_path), fsync=False)
-        sizes = []
-        for index in range(4):
-            record = WalRecord(kind=CHECKPOINT, body={"i": index})
-            writer.append(record)
-            sizes.append(len(encode_record(record)))
-        writer.close()
+        """Exhaustive sweep on one small version-2 log, references
+        included: no cut point crashes the reader, salvage is monotone
+        in the cut, and what is salvaged resolves -- a reference only
+        ever points backwards, so a clean prefix holds every body its
+        records name."""
+        sink = WalSink(str(tmp_path), fsync=False)
+        sink.attach_host(_NoHost())
+        message = Message(id="m1", sender=0, receiver=1, payload=("p", 2))
+        packet = Packet(src=0, dst=1, kind="user", message=message, tag=("t", 1))
+        sink.input_listener(0, "invoke", message)
+        sink.on_trace(TraceRecord(1.0, 1, 0, Event.send("m1")), message)
+        sink.input_listener(1, "packet", packet)
+        sink.input_listener(1, "duplicate", packet)
+        sink.on_trace(TraceRecord(2.0, 3, 1, Event.deliver("m1")), message)
+        sink.close()
         path = str(tmp_path / "wal-00000000.seg")
         with open(path, "rb") as handle:
             full = handle.read()
+        records, _ = read_segment(path, strict=True)
+        assert ["m" in r.body for r in records[1:]] == [True] + [False] * 4
+        sizes = [len(encode_record(record)) for record in records]
         assert len(full) == sum(sizes)
         boundaries = [sum(sizes[:k]) for k in range(len(sizes) + 1)]
+        # Events and inputs among the first k records: header, invoke,
+        # send, first copy (a receive), duplicate (no event), deliver.
+        events = [0, 0, 1, 2, 3, 3, 4]
+        inputs = [0, 0, 1, 1, 2, 3, 3]
         for cut in range(len(full) + 1):
             with open(path, "wb") as handle:
                 handle.write(full[:cut])
             salvaged, dropped = read_segment(path)
             whole = max(k for k, b in enumerate(boundaries) if b <= cut)
-            assert [r.body["i"] for r in salvaged] == list(range(whole))
+            assert salvaged == records[:whole]
             assert dropped == cut - boundaries[whole]
+            assert len(list(resolve_events(salvaged))) == events[whole]
+            assert len(list(resolve_inputs(salvaged))) == inputs[whole]
+
+
+class _NoHost:
+    """Something to attach: a sink that logs a host's inputs writes no
+    EVENT for the two events those inputs are."""
 
 
 def _prefix_sizes(sizes, cut):

@@ -31,13 +31,13 @@ from repro.wal.records import (
     WalError,
     WalTruncated,
     checkpoint_record,
-    event_from_record,
     event_record,
-    input_from_record,
     invoke_record,
     meta_record,
     packet_record,
     probe_record,
+    resolve_events,
+    resolve_inputs,
 )
 
 
@@ -117,10 +117,13 @@ class TestEventRecords:
         trace_record = TraceRecord(
             time=3.5, process=1, event=Event.deliver("m1"), sequence=7
         )
-        record = event_record(trace_record, message, vc={0: 2, 1: 5})
+        # No writer stamps ``vc`` (none did on a live run); a stored
+        # version-1 log may hold it and every reader tolerates it.
+        record = event_record(trace_record, message)
+        record = WalRecord(EVENT, dict(record.body, vc={0: 2, 1: 5}))
         assert record.kind == EVENT
         decoded, _ = decode_record(encode_record(record))
-        t, p, event, rebuilt = event_from_record(decoded.body)
+        ((t, p, event, rebuilt),) = resolve_events([decoded])
         assert (t, p) == (3.5, 1)
         assert event == Event.deliver("m1")
         assert rebuilt == message
@@ -136,9 +139,9 @@ class TestEventRecords:
         wire["receiver"] = 2
         body["m"] = wire
         with pytest.raises(WalCorrupt, match="content id"):
-            event_from_record(body)
+            list(resolve_events([WalRecord(EVENT, body)]))
         # verify=False trusts the stored bytes (replay fast path).
-        _, _, _, message = event_from_record(body, verify=False)
+        ((_, _, _, message),) = resolve_events([WalRecord(EVENT, body)], verify=False)
         assert message.receiver == 2
 
 
@@ -148,7 +151,7 @@ class TestInputRecords:
         record = invoke_record(2.0, 0, message)
         assert record.kind == INPUT
         decoded, _ = decode_record(encode_record(record))
-        op, t, process, payload = input_from_record(decoded.body)
+        ((op, t, process, payload),) = resolve_inputs([decoded])
         assert (op, t, process) == ("invoke", 2.0, 0)
         assert payload == message
 
@@ -164,7 +167,7 @@ class TestInputRecords:
             channel_seq=4,
         )
         decoded, _ = decode_record(encode_record(packet_record(3.0, 1, packet)))
-        op, t, process, rebuilt = input_from_record(decoded.body)
+        ((op, t, process, rebuilt),) = resolve_inputs([decoded])
         assert (op, t, process) == ("packet", 3.0, 1)
         assert rebuilt.is_user
         assert rebuilt.message == packet.message
@@ -177,14 +180,14 @@ class TestInputRecords:
             src=1, dst=0, kind="control", payload={"acks": [3], "win": (5,)}
         )
         decoded, _ = decode_record(encode_record(packet_record(0.5, 0, packet)))
-        op, _, _, rebuilt = input_from_record(decoded.body)
+        ((op, _, _, rebuilt),) = resolve_inputs([decoded])
         assert op == "packet"
         assert not rebuilt.is_user
         assert rebuilt.payload == {"acks": [3], "win": (5,)}
 
     def test_unknown_op_rejected(self):
         with pytest.raises(WalCorrupt, match="op"):
-            input_from_record({"op": "mystery", "t": 0.0, "p": 0})
+            list(resolve_inputs([WalRecord(INPUT, {"op": "mystery", "t": 0.0, "p": 0})]))
 
 
 class TestProbeAndCheckpointRecords:
