@@ -419,7 +419,10 @@ class LoadGenerator(ClusterClient):
     loop.  Message ``m<i>`` gets a seeded ``(sender, receiver != sender)``
     pair; INVOKE frames are batched per pacing tick so the generator
     sustains tens of thousands of messages per second without
-    per-message drains.
+    per-message drains.  Ids are run-scoped: :meth:`connect` reads how
+    many invokes the hosts have already taken and numbering continues
+    after them, so a second run against hosts kept serving never
+    re-offers an id they have seen.
     """
 
     def __init__(
@@ -442,10 +445,21 @@ class LoadGenerator(ClusterClient):
         #: (``None`` leaves keys implicit, i.e. per-channel).
         self.keys = keys
         self.requested = 0
+        #: Invokes the hosts had taken from earlier runs when this one
+        #: connected: where its ids start and what its report leaves out.
+        self._prior = 0
         #: Optional :class:`repro.wal.WalSink` for resumable soak runs:
         #: one CHECKPOINT per pacing tick, so an interrupted soak resumes
         #: from its last progress marker (:meth:`fast_forward`).
         self.wal = wal
+
+    async def connect(self, timeout: float = 20.0) -> None:
+        """Rendezvous, then number this run's messages after the invokes
+        the hosts already report.  What was fast-forwarded is a resumed
+        run's own earlier offer, not an earlier run's."""
+        await super().connect(timeout)
+        invoked = sum(int(s.get("invoked", 0)) for s in await self.stats())
+        self._prior = max(0, invoked - self.requested)
 
     def fast_forward(self, requested: int) -> None:
         """Re-draw the first ``requested`` messages so the seeded RNG
@@ -479,7 +493,7 @@ class LoadGenerator(ClusterClient):
         )
         key = "k%d" % self.rng.randrange(self.keys) if self.keys else None
         return Message(
-            id="m%d" % self.requested,
+            id="m%d" % (self._prior + self.requested),
             sender=sender,
             receiver=receiver,
             color=color,
@@ -565,8 +579,9 @@ class LoadGenerator(ClusterClient):
         observer: Optional[LiveObserver] = None,
     ) -> NetRunReport:
         """Reduce per-host STATS bodies (+ observer state) to a report."""
-        invoked = sum(s.get("invoked", 0) for s in stats)
-        delivered = sum(s.get("deliveries", 0) for s in stats)
+        # Host counters span a kept fleet's earlier runs; report this one.
+        invoked = sum(s.get("invoked", 0) for s in stats) - self._prior
+        delivered = sum(s.get("deliveries", 0) for s in stats) - self._prior
         latency = Histogram("latency.delivery")
         e2e = Histogram("latency.end_to_end")
         errors = list(self.errors)

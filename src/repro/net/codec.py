@@ -320,6 +320,37 @@ def _decode_payload(kind: int, version: int, payload: bytes) -> Frame:
     return Frame(kind=kind, body=body)
 
 
+def _frame_end(data: bytes, offset: int, max_frame_bytes: int) -> int:
+    """Where the frame whose length prefix sits at ``offset`` ends.
+
+    Validates the prefix against ``max_frame_bytes`` before any body
+    byte is looked at; :class:`FrameTruncated` when ``data`` stops short
+    of the prefix or of the end it advertises.
+    """
+    available = len(data) - offset
+    if available < _LENGTH.size:
+        raise FrameTruncated(
+            "need %d bytes for the length prefix, have %d"
+            % (_LENGTH.size, available)
+        )
+    (size,) = _LENGTH.unpack_from(data, offset)
+    if size > max_frame_bytes:
+        raise FrameOversized(
+            "frame advertises %d bytes, exceeding the %d-byte limit"
+            % (size, max_frame_bytes)
+        )
+    if size < _HEAD.size:
+        raise MalformedFrame(
+            "frame advertises %d bytes, smaller than its own header" % size
+        )
+    if available < _LENGTH.size + size:
+        raise FrameTruncated(
+            "frame advertises %d bytes but only %d are available"
+            % (size, available - _LENGTH.size)
+        )
+    return offset + _LENGTH.size + size
+
+
 def decode_frame(
     data: bytes, max_frame_bytes: int = MAX_FRAME_BYTES
 ) -> Tuple[Frame, int]:
@@ -334,27 +365,7 @@ def decode_frame(
     loudly instead of committing the reader to a multi-gigabyte
     allocation.
     """
-    if len(data) < _LENGTH.size:
-        raise FrameTruncated(
-            "need %d bytes for the length prefix, have %d"
-            % (_LENGTH.size, len(data))
-        )
-    (size,) = _LENGTH.unpack_from(data)
-    if size > max_frame_bytes:
-        raise FrameOversized(
-            "frame advertises %d bytes, exceeding the %d-byte limit"
-            % (size, max_frame_bytes)
-        )
-    if size < _HEAD.size:
-        raise MalformedFrame(
-            "frame advertises %d bytes, smaller than its own header" % size
-        )
-    end = _LENGTH.size + size
-    if len(data) < end:
-        raise FrameTruncated(
-            "frame advertises %d bytes but only %d are available"
-            % (size, len(data) - _LENGTH.size)
-        )
+    end = _frame_end(data, 0, max_frame_bytes)
     version, kind = _HEAD.unpack_from(data, _LENGTH.size)
     payload = data[_LENGTH.size + _HEAD.size : end]
     return _decode_payload(kind, version, payload), end
@@ -383,17 +394,25 @@ class FrameDecoder:
 
     def feed(self, data: bytes) -> List[Frame]:
         """Buffer ``data`` and return every now-complete frame."""
-        self._buffer.extend(data)
+        buffer = self._buffer
+        buffer.extend(data)
         frames: List[Frame] = []
-        while True:
-            try:
-                frame, consumed = decode_frame(
-                    bytes(self._buffer), max_frame_bytes=self.max_frame_bytes
+        offset = 0
+        try:
+            # By offset over the one buffer (a chunk holds many frames):
+            # each payload is copied once, the buffer trimmed once.
+            while offset < len(buffer):
+                end = _frame_end(buffer, offset, self.max_frame_bytes)
+                body = offset + _LENGTH.size
+                version, kind = _HEAD.unpack_from(buffer, body)
+                frames.append(
+                    _decode_payload(kind, version, buffer[body + _HEAD.size : end])
                 )
-            except FrameTruncated:
-                break
-            del self._buffer[:consumed]
-            frames.append(frame)
+                offset = end
+        except FrameTruncated:
+            pass  # the tail waits for more bytes
+        finally:
+            del buffer[:offset]
         return frames
 
     def eof(self) -> None:

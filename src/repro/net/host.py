@@ -69,6 +69,10 @@ BRIDGED_PROBES = (
     "net.backpressure",
 )
 
+#: Most bytes one peer-stream read takes, hence the most arrivals one
+#: batch (and one cumulative ack) can cover.
+_READ_CHUNK = 1 << 16
+
 _KIND_TO_WIRE = {
     EventKind.INVOKE: "invoke",
     EventKind.SEND: "send",
@@ -162,8 +166,12 @@ class NetProtocolHost(ProtocolHost):
     def pending_local(self) -> int:
         """Messages this process still owes work on: invoked-but-unsent
         plus received-but-undelivered (the graceful-drain condition)."""
-        return len(self._invoked - self._sent) + len(
-            self._received - self._delivered
+        # release/deliver enforce _sent <= _invoked, _delivered <= _received.
+        return (
+            len(self._invoked)
+            - len(self._sent)
+            + len(self._received)
+            - len(self._delivered)
         )
 
 
@@ -767,28 +775,44 @@ class NetHost(Endpoint):
     async def _peer_loop(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        # One wakeup = one batch: every frame a read returned is
+        # dispatched, then the protocol is told the batch is over, inside
+        # the same callback -- what it sends then (the ARQ's one ack for
+        # the lot) rides the transport flush the dispatches scheduled.
+        decoder = codec.FrameDecoder()
         try:
             while True:
-                frame = await codec.read_frame(reader)
-                if frame is None:
+                chunk = await reader.read(_READ_CHUNK)
+                if not chunk:
+                    decoder.eof()  # EOF inside a frame is a torn stream
                     return
-                if frame.kind in (codec.USER, codec.CONTROL):
-                    packet = packet_from_frame(frame)
-                    if frame.kind == codec.USER:
-                        self._note_remote_clock(packet, frame.body.get("vc"))
-                    self._dispatch_packet(packet, frame.body.get("invoked"))
-                elif frame.kind == codec.HEARTBEAT and not frame.body.get("echo"):
-                    # Echo back on the same socket: the dialer's watcher
-                    # feeds its failure detector from these.
-                    body = dict(frame.body)
-                    body["echo"] = True
-                    writer.write(codec.encode_frame(codec.HEARTBEAT, body))
-                # Anything else on a peer link is ignored (forward compat).
+                for frame in decoder.feed(chunk):
+                    self._on_peer_frame(frame, writer)
+                try:
+                    self.host.end_batch()
+                except Exception as exc:  # noqa: BLE001 - as in _dispatch_packet
+                    self.errors.append("dispatch: %s" % exc)
         except (codec.CodecError, ConnectionError) as exc:
             if not self._done.is_set():
                 self.errors.append("peer stream: %s" % exc)
         except asyncio.CancelledError:
             pass
+
+    def _on_peer_frame(
+        self, frame: "codec.Frame", writer: asyncio.StreamWriter
+    ) -> None:
+        if frame.kind in (codec.USER, codec.CONTROL):
+            packet = packet_from_frame(frame)
+            if frame.kind == codec.USER:
+                self._note_remote_clock(packet, frame.body.get("vc"))
+            self._dispatch_packet(packet, frame.body.get("invoked"))
+        elif frame.kind == codec.HEARTBEAT and not frame.body.get("echo"):
+            # Echo back on the same socket: the dialer's watcher
+            # feeds its failure detector from these.
+            body = dict(frame.body)
+            body["echo"] = True
+            writer.write(codec.encode_frame(codec.HEARTBEAT, body))
+        # Anything else on a peer link is ignored (forward compat).
 
     def _vc_for_packet(self, packet: Packet) -> Optional[Dict[int, int]]:
         """The flight recorder's causal stamp for an outbound user frame."""
@@ -821,7 +845,7 @@ class NetHost(Endpoint):
             if invoked is not None:
                 self.host.invoked_wall.setdefault(message.id, invoked)
         try:
-            self.host._on_packet(packet)
+            self.host._handle_packet(packet)  # _peer_loop ends the batch
         except Exception as exc:  # ProtocolError and protocol bugs
             self.errors.append("dispatch: %s" % exc)
 
@@ -856,7 +880,10 @@ class NetHost(Endpoint):
                 codec.encode_frame(codec.EVENT, event_to_wire(record, message))
             )
         self._observer_writers.append(writer)
-        if len(self._observer_writers) == 1:
+        if self._unsubscribe_bridge is None:
+            # Once per host, not once per first observer: the tap outlives
+            # an observer that leaves, and the next run's must not add a
+            # second one (every event would be framed twice).
             self.trace.attach_tap(self._tap_record)
             self._unsubscribe_bridge = self._subscribe_probe_bridge()
 

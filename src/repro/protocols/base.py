@@ -74,6 +74,19 @@ class Protocol:
             % type(self).__name__
         )
 
+    def on_batch_end(self, ctx: HostContext) -> None:
+        """Every input that arrived together has been handed over.
+
+        The host calls this after the last ``on_user_message`` /
+        ``on_control`` / ``on_duplicate`` of one batch of arrivals: a
+        batch is a single packet in the simulator, the model checker and
+        WAL replay, and everything one socket read returned on a
+        :class:`~repro.net.host.NetHost`.  A protocol whose reaction to
+        an arrival is a monotone fact (a cumulative acknowledgment) may
+        note the debt in the arrival hooks and pay it once here.  The
+        default does nothing; a sublayer forwards it to what it wraps.
+        """
+
     # -- crash-restart hooks (see repro.faults) -----------------------------
 
     def snapshot(self) -> Dict[str, Any]:

@@ -22,18 +22,23 @@ Wire format (all tuples, sized by
 ``("rack", n)``
     cumulative acknowledgment: every segment below ``n`` arrived.
     Acks are unsequenced and never retransmitted (they are refreshed
-    by duplicates instead).
+    by duplicates instead).  An arrival only records that its source
+    is *owed* one; the ack goes out when the host ends the batch
+    (:meth:`ReliableProtocol.on_batch_end`) and carries the frontier
+    as it stands then, so segments that arrived together share one.
 
 Crash-restart: sequence numbers, unacked segments, and reassembly
-buffers are durable (snapshotted); timers and their backoff state are
-volatile and rebuilt by :meth:`ReliableProtocol.on_restart`, which also
-retransmits everything still unacked.
+buffers are durable (snapshotted); timers, their backoff state and the
+owed-ack set are volatile and rebuilt by
+:meth:`ReliableProtocol.on_restart`, which also retransmits everything
+still unacked (an owed ack lost in a crash is a lost ack: the sender's
+retransmission is re-acked as a duplicate).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.events import Message
 from repro.protocols.base import Protocol
@@ -100,6 +105,7 @@ class ReliableProtocol(Protocol):
         "_rto_cur",
         "_retries",
         "_rng",
+        "_ack_owed",
     )
     # Sound because the receive side dedups by sequence number: in a
     # loss-free execution a retransmission is a byte-identical copy that
@@ -165,6 +171,7 @@ class ReliableProtocol(Protocol):
         self._rto_cur: Dict[int, float] = {}
         self._retries: Dict[int, int] = {}
         self._rng = random.Random(0)
+        self._ack_owed: Set[int] = set()  # sources to ack at the batch end
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -180,6 +187,7 @@ class ReliableProtocol(Protocol):
         self._rto_cur = {}
         self._retries = {}
         self._rng = random.Random(0xA9C1 ^ ctx.process_id)
+        self._ack_owed = set()
         self.inner.on_restart(_InnerContext(self, ctx))
         for dst in sorted(self._unacked):
             if self._unacked[dst]:
@@ -227,7 +235,7 @@ class ReliableProtocol(Protocol):
         """
         _, seq, _ = tag
         if seq < self._expected.get(message.sender, 0):
-            self._send_ack(ctx, message.sender)
+            self._ack_owed.add(message.sender)
 
     def on_control(self, ctx: HostContext, src: int, payload: Any) -> None:
         kind = payload[0]
@@ -237,6 +245,16 @@ class ReliableProtocol(Protocol):
             self._segment_arrived(ctx, src, payload[1], ("ctl", payload[2]))
         else:
             raise ValueError("unexpected reliable control payload %r" % (payload,))
+
+    def on_batch_end(self, ctx: HostContext) -> None:
+        """Pay the acks this batch ran up: one ``rack`` per owed source,
+        carrying the cumulative frontier as it stands now."""
+        self.inner.on_batch_end(_InnerContext(self, ctx))
+        owed = self._ack_owed
+        if owed:
+            for src in sorted(owed):
+                ctx.send_control(src, ("rack", self._expected.get(src, 0)))
+            owed.clear()
 
     def blocking_reason(self, message_id: str) -> Optional[str]:
         """ARQ-level holds first (reassembly gaps, unacked sends), then
@@ -394,10 +412,7 @@ class ReliableProtocol(Protocol):
         # re-ack an unchanged value, so it stays quiet (the sender's
         # timer retransmits the whole unacked window anyway).
         if expected > entry_expected or seq < entry_expected:
-            self._send_ack(ctx, src)
-
-    def _send_ack(self, ctx: HostContext, src: int) -> None:
-        ctx.send_control(src, ("rack", self._expected.get(src, 0)))
+            self._ack_owed.add(src)
 
 
 def make_reliable(

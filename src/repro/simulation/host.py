@@ -282,6 +282,20 @@ class ProtocolHost:
     # Network-facing --------------------------------------------------------
 
     def _on_packet(self, packet: Packet) -> None:
+        """One arrival on its own: a batch of one."""
+        self._handle_packet(packet)
+        self.end_batch()
+
+    def end_batch(self) -> None:
+        """Tell the protocol that every arrival of this batch has been
+        handed over (:meth:`Protocol.on_batch_end`).  A runtime that
+        reads several packets at once (:class:`~repro.net.host.NetHost`)
+        feeds them through :meth:`_handle_packet` and calls this once."""
+        hook = getattr(self.protocol, "on_batch_end", None)
+        if hook is not None:
+            hook(self.ctx)
+
+    def _handle_packet(self, packet: Packet) -> None:
         message = packet.message
         duplicate = packet.is_user and message.id in self._received
         if self.input_listener is not None:

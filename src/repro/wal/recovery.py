@@ -164,24 +164,29 @@ def rebuild_protocol(
     user message goes to ``on_user_message``, a logged re-arrival to
     ``on_duplicate`` when the protocol accepts them (silently dropped
     otherwise -- the live host would have raised, and the run would not
-    have produced further records).  The caller installs the returned
-    instance and then runs ``on_restart`` through the real context, the
-    same hook order as a snapshot restore.
+    have produced further records), and every arrival ends its own batch
+    as :meth:`ProtocolHost._on_packet` does.  The caller installs the
+    returned instance and then runs ``on_restart`` through the real
+    context, the same hook order as a snapshot restore.
     """
     clock = _ReplayClock()
     ctx = _NullContext(process_id, n_processes, clock)
     protocol = protocol_factory(process_id, n_processes)
     protocol.on_start(ctx)
     accepts_duplicates = getattr(protocol, "accepts_duplicates", False)
+    end_batch = getattr(protocol, "on_batch_end", None)
     for op, t, _process, payload in resolve_inputs(records, process_id):
         clock.now = t
         if op == "invoke":
             protocol.on_invoke(ctx, payload)
-        elif op == "duplicate":
+            continue
+        if op == "duplicate":
             if accepts_duplicates:
                 protocol.on_duplicate(ctx, payload.message, payload.tag)
         elif payload.is_user and payload.message is not None:
             protocol.on_user_message(ctx, payload.message, payload.tag)
         else:
             protocol.on_control(ctx, payload.src, payload.payload)
+        if end_batch is not None:
+            end_batch(ctx)  # every logged arrival is a batch of one
     return protocol

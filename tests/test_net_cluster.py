@@ -7,12 +7,15 @@ merged event stream.  Correct protocols must quiesce with zero
 violations; a deliberately broken one must be flagged live.
 """
 
+import asyncio
+
 import pytest
 
 from repro.events import Event, Message
 from repro.faults import FaultPlan
 from repro.mc.mutations import mutation_factories
-from repro.net import run_cluster_sync
+from repro.net import NetHost, run_cluster_sync
+from repro.net.cluster import LiveObserver, LoadGenerator, drive_run, free_ports
 from repro.predicates.catalog import FIFO_ORDERING
 from repro.protocols import catalogue
 
@@ -205,3 +208,49 @@ class TestSoakUnderLoss:
         # The plan really dropped frames and the ARQ really recovered.
         assert report.fault_counters.get("packets_dropped", 0) > 0
         assert report.retransmissions > 0
+
+
+class TestKeptFleet:
+    def test_second_load_against_kept_hosts_is_a_run_of_its_own(self):
+        """Hosts left serving (``repro load --keep-serving``) take a
+        second load: its ids continue after the first run's instead of
+        restarting at ``m1`` (every message used to be refused as
+        ``invoked twice``), its report counts its own messages, and its
+        observer is fed every event once (history, then the tap)."""
+        entry = catalogue()["fifo"]
+
+        async def one_run(ports, seed):
+            observer = LiveObserver(2, spec=entry.spec)
+            load = LoadGenerator(ports, run_id="t-kept", seed=seed)
+            try:
+                await observer.connect(ports, run_id="t-kept")
+                await load.connect()
+                report = await drive_run(load, observer, "fifo", 300.0, 0.3, 10.0)
+                return report, observer.events_seen
+            finally:
+                await load.close()
+                await observer.close()
+
+        async def scenario():
+            ports = free_ports(2)
+            hosts = [
+                NetHost(entry.factory, pid, ports, run_id="t-kept", time_scale=FAST)
+                for pid in range(2)
+            ]
+            try:
+                for host in hosts:
+                    await host.start()
+                await asyncio.gather(*(host.ready() for host in hosts))
+                runs = [await one_run(ports, seed) for seed in (0, 1)]
+                return runs, [list(host.errors) for host in hosts]
+            finally:
+                for host in hosts:
+                    await host.shutdown()
+
+        runs, host_errors = asyncio.run(scenario())
+        assert host_errors == [[], []]
+        for index, (report, events_seen) in enumerate(runs):
+            assert report.clean, report.render()
+            assert report.requested == report.invoked == report.delivered == 90
+            # A late observer is replayed the kept hosts' history first.
+            assert report.observer_events == events_seen == 4 * 90 * (index + 1)
