@@ -47,7 +47,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.plan import ChaosAction, ChaosPlan
 from repro.faults.proxy import FaultProxy
@@ -57,6 +57,7 @@ from repro.net.cluster import LiveObserver, LoadGenerator, free_ports
 from repro.net.host import NetHost
 from repro.net.resilience import LINK_UP, ReconnectPolicy, ResilienceConfig
 from repro.net.transport import DEFAULT_TIME_SCALE
+from repro.protocols.registry import CatalogueEntry, resolve
 
 __all__ = ["ChaosReport", "InlineHost", "ProcHost", "run_chaos", "run_chaos_sync"]
 
@@ -78,7 +79,7 @@ class InlineHost:
 
     def __init__(
         self,
-        factory: Callable[[int, int], object],
+        entry: CatalogueEntry,
         process_id: int,
         public_ports: Sequence[int],
         private_port: int,
@@ -88,7 +89,7 @@ class InlineHost:
         time_scale: float = DEFAULT_TIME_SCALE,
         wal_meta: Optional[Dict[str, Any]] = None,
     ) -> None:
-        self.factory = factory
+        self.entry = entry
         self.process_id = process_id
         self.public_ports = list(public_ports)
         self.private_port = private_port
@@ -103,7 +104,7 @@ class InlineHost:
 
     def _make(self) -> NetHost:
         return NetHost(
-            self.factory,
+            self.entry.factory,
             self.process_id,
             self.public_ports,
             run_id=self.run_id,
@@ -149,7 +150,7 @@ class ProcHost:
 
     def __init__(
         self,
-        protocol: str,
+        entry: CatalogueEntry,
         process_id: int,
         port_base: int,
         n_processes: int,
@@ -159,7 +160,7 @@ class ProcHost:
         time_scale: float = DEFAULT_TIME_SCALE,
         heartbeat_interval: float = 0.05,
     ) -> None:
-        self.protocol = protocol
+        self.entry = entry
         self.process_id = process_id
         self.port_base = port_base
         self.n_processes = n_processes
@@ -178,7 +179,7 @@ class ProcHost:
             "-m",
             "repro",
             "serve",
-            self.protocol,
+            self.entry.name,  # resolves to this entry in the child too
             "--processes",
             str(self.n_processes),
             "--process-id",
@@ -424,19 +425,12 @@ async def run_chaos(
     (inline hosts only; proc hosts take the heartbeat interval on their
     command line) -- the knob the backpressure benchmarks turn.
     """
-    from repro.mc.registry import resolve_protocol
-
-    factory = resolve_protocol(protocol)
-    if not protocol.startswith("reliable-"):
-        # Chaos severs real links: the channel assumption is gone, so
-        # the ARQ sublayer is not optional here.
-        from repro.protocols.reliable import make_reliable
-
-        factory = make_reliable(factory)
+    # Chaos severs real links: the channel assumption is gone, so the
+    # ARQ sublayer is not optional here.  Both handle flavours run this
+    # one entry: inline hosts its factory, `repro serve` its name.
+    entry = resolve(protocol).reliable()
     if spec == "auto":
-        from repro.mc.registry import default_spec_for
-
-        spec = default_spec_for(protocol)
+        spec = entry.spec
 
     if plan is None:
         plan = ChaosPlan.generate(
@@ -475,18 +469,10 @@ async def run_chaos(
     handles: List[Any] = []
     if proc:
         assert port_base is not None
-        # `repro serve` stacks the ARQ sublayer only when fault flags are
-        # given; chaos severs real links, so serve the catalogue's
-        # reliable- variant explicitly.
-        serve_protocol = (
-            protocol
-            if protocol.startswith("reliable-")
-            else "reliable-" + protocol
-        )
         for index in range(n_processes):
             handles.append(
                 ProcHost(
-                    serve_protocol,
+                    entry,
                     index,
                     port_base,
                     n_processes,
@@ -501,7 +487,7 @@ async def run_chaos(
         for index in range(n_processes):
             handles.append(
                 InlineHost(
-                    factory,
+                    entry,
                     index,
                     public,
                     private[index],

@@ -21,24 +21,13 @@ from typing import List, Optional
 
 from repro.core.api import protocol_for, simulate as run_simulate, verify
 from repro.core.classifier import classify, classify_specification
-from repro.predicates.catalog import CATALOG, catalog_by_name
-from repro.predicates.dsl import parse_predicate
-from repro.predicates.spec import Specification
+from repro.predicates.catalog import CATALOG, resolve_spec
 from repro.runs.diagram import render_user_run
 from repro.simulation import UniformLatency, random_traffic
 
 
-def _resolve_spec(text: str, distinct: bool) -> Specification:
-    """A catalogue name, or predicate DSL text."""
-    by_name = catalog_by_name()
-    if text in by_name:
-        return by_name[text].specification
-    predicate = parse_predicate(text, name="cli", distinct=distinct)
-    return Specification(name="cli", predicates=(predicate,))
-
-
 def _cmd_classify(args: argparse.Namespace) -> int:
-    specification = _resolve_spec(args.predicate, args.distinct)
+    specification = resolve_spec(args.predicate, args.distinct)
     if args.broadcast:
         from repro.broadcast import classify_broadcast
 
@@ -75,7 +64,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.core.report import explain
 
-    specification = _resolve_spec(args.predicate, args.distinct)
+    specification = resolve_spec(args.predicate, args.distinct)
     for predicate in specification.all_predicates(max_arity=4):
         print(explain(predicate))
         print()
@@ -103,7 +92,7 @@ def _ports(args: argparse.Namespace) -> List[int]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    specification = _resolve_spec(args.predicate, args.distinct)
+    specification = resolve_spec(args.predicate, args.distinct)
     color_every = args.color_every
     needs_colors = any(
         guard for p in specification.predicates for guard in p.guards
@@ -279,7 +268,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         )
     else:
         workload = named_workloads()[args.workload]()
-    spec = _resolve_spec(args.spec, distinct=True) if args.spec else None
+    spec = resolve_spec(args.spec, distinct=True) if args.spec else None
     report = check_protocol(
         args.protocol,
         workload,
@@ -355,18 +344,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-#: `repro serve --shards` / `repro load --shards` drive ordering-key
-#: lanes, not full protocol stacks; only protocols whose guarantee is a
-#: per-key lane discipline map onto the sharded runtime.
-_SHARD_LANE_KINDS = {
-    "fifo": "fifo",
-    "reliable-fifo": "fifo",
-    "causal": "causal",
-    "causal-rst": "causal",
-    "broken-fifo": "broken-fifo",
-}
-
-
 def _cmd_serve_sharded(args: argparse.Namespace) -> int:
     """`repro serve <protocol> --shards N`: host a shard worker fleet.
 
@@ -376,12 +353,21 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
     --keep-serving is passed.
     """
     from repro.net.shard import ShardCoordinator
+    from repro.protocols.registry import resolve
 
-    lane_kind = _SHARD_LANE_KINDS.get(args.protocol)
+    # Lanes are not protocol stacks: only an entry whose specification
+    # has a per-key lane checker maps onto the sharded runtime.
+    try:
+        entry = resolve(args.protocol)
+    except KeyError as exc:
+        print("repro serve: %s" % exc.args[0], file=sys.stderr)
+        return 2
+    lane_kind = entry.shard_lane
     if lane_kind is None:
         print(
-            "repro serve: protocol %r has no sharded lane mapping "
-            "(try: %s)" % (args.protocol, ", ".join(sorted(_SHARD_LANE_KINDS))),
+            "repro serve: protocol %r (%s class, specification %s) does not "
+            "map onto an ordering-key lane"
+            % (entry.name, entry.protocol_class, entry.spec.name),
             file=sys.stderr,
         )
         return 2
@@ -424,8 +410,8 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.mc.registry import resolve_protocol
     from repro.net import NetHost
+    from repro.protocols.registry import resolve
 
     if args.shards:
         return _cmd_serve_sharded(args)
@@ -435,7 +421,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    factory = resolve_protocol(args.protocol)
+    entry = resolve(args.protocol)
     drop_rate = args.drop_rate or (0.05 if args.soak else 0.0)
     faults = None
     if drop_rate or args.dup_rate or args.spike_rate:
@@ -448,20 +434,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             spike_delay=args.spike_delay,
             seed=args.fault_seed,
         )
-        if not args.no_reliable and not args.protocol.startswith("reliable-"):
+        if not args.no_reliable:
             # Same convention as `repro simulate`: a lossy transport
-            # breaks the channel assumption, so stack the ARQ sublayer
-            # unless the user explicitly wants to watch it fail.
-            from repro.protocols.reliable import make_reliable
-
-            factory = make_reliable(factory)
+            # breaks the channel assumption, so serve the reliable-
+            # variant unless the user explicitly wants to watch it fail.
+            entry = entry.reliable()
     resilience = None
     if args.heartbeat_interval is not None:
         from repro.net.resilience import ResilienceConfig
 
         resilience = ResilienceConfig(heartbeat_interval=args.heartbeat_interval)
     host = NetHost(
-        factory,
+        entry.factory,
         args.process_id,
         _ports(args),
         host=args.host,
@@ -575,11 +559,11 @@ def _cmd_load(args: argparse.Namespace) -> int:
     spec = None
     if not args.no_monitor:
         if args.spec is not None:
-            spec = _resolve_spec(args.spec, distinct=False)
+            spec = resolve_spec(args.spec, distinct=False)
         elif args.protocol is not None:
-            from repro.mc.registry import default_spec_for
+            from repro.protocols.registry import resolve
 
-            spec = default_spec_for(args.protocol)
+            spec = resolve(args.protocol).spec
 
     async def drive():
         # --record needs the merged event stream even without a spec to
@@ -702,7 +686,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     from repro.wal import WalError, delivery_order, replay_log
 
-    spec = _resolve_spec(args.spec, distinct=False) if args.spec else None
+    spec = resolve_spec(args.spec, distinct=False) if args.spec else None
     try:
         result = replay_log(args.directory, spec=spec)
     except FileNotFoundError as exc:
@@ -935,7 +919,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             port_base=args.port_base,
         )
     except KeyError as exc:
-        # resolve_protocol's miss message already lists the catalogue.
+        # resolve's miss message already lists the catalogue.
         print("repro chaos: %s" % (exc.args[0] if exc.args else exc),
               file=sys.stderr)
         return 2

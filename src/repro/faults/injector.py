@@ -36,11 +36,6 @@ class FaultSummary:
     crashes: int = 0
     restarts: int = 0
 
-    @property
-    def total_drops(self) -> int:
-        """All losses, whatever the cause."""
-        return self.packets_dropped + self.partition_drops + self.crash_drops
-
 
 class FaultInjector:
     """Drives the crash/restart events of a plan against the hosts."""
@@ -90,11 +85,6 @@ class FaultInjector:
         """Queue a user invoke that hit a crashed process; it is replayed
         when the process restarts (or lost forever if it never does)."""
         self._deferred.setdefault(process_id, []).append(thunk)
-
-    def is_down(self, process_id: int) -> bool:
-        """Whether ``process_id`` is currently crashed."""
-        host = self.hosts.get(process_id)
-        return host is not None and host.down
 
     def summary(self) -> FaultSummary:
         """The combined transport + injector fault counters."""

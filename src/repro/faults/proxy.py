@@ -160,10 +160,6 @@ class FaultProxy:
                 affected += 1
         return affected
 
-    @property
-    def live_connections(self) -> int:
-        return sum(1 for conn in self._conns if not conn.closed)
-
     def connections_from(self, src: int) -> int:
         """How many of the live connections came from ``src``."""
         return sum(

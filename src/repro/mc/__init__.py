@@ -9,7 +9,7 @@ space; this subsystem *exhausts* it (within a budget).  The pieces:
   own hosts/protocols driven by explicit transitions instead of latency;
 - :mod:`repro.mc.explorer` -- stateless DFS over schedules with
   sleep-set (DPOR-style) and state-signature pruning, early violation
-  cutoff via :func:`repro.verification.online.first_violation`, and a
+  cutoff via :func:`repro.verification.engine.monitor_trace`, and a
   machine-readable :class:`~repro.mc.explorer.MCReport`;
 - :mod:`repro.mc.counterexample` -- replayable
   :class:`~repro.mc.counterexample.Schedule` counterexamples with a

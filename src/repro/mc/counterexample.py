@@ -29,7 +29,7 @@ from repro.mc.world import (
 )
 from repro.predicates.spec import Specification
 from repro.simulation.workloads import Workload
-from repro.verification.online import FirstViolation, first_violation
+from repro.verification.engine import FirstViolation, monitor_trace
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def replay_schedule(
     )
     world.run_schedule(schedule.keys)
     violation = (
-        first_violation(world.trace, spec) if spec is not None else None
+        monitor_trace(world.trace, spec) if spec is not None else None
     )
     return ReplayOutcome(world=world, violation=violation)
 

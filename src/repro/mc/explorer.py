@@ -69,7 +69,7 @@ from repro.predicates.spec import Specification
 from repro.runs.user_run import UserRun
 from repro.simulation.workloads import Workload
 from repro.verification.engine import SpecMonitor
-from repro.verification.online import FirstViolation
+from repro.verification.engine import FirstViolation
 
 #: Default exploration budget of ``repro check``.
 DEFAULT_MAX_SCHEDULES = 2000

@@ -1,9 +1,10 @@
-"""Named protocol factories and default specifications for the checker.
+"""The checker's tiny workloads and its view of the protocol catalogue.
 
 Counterexample schedules serialize a protocol *name*; replay resolves it
-here, so a schedule file is self-contained (workload + name + keys).  The
-registry is the profiling catalogue plus the deliberately broken mutation
-variants of :mod:`repro.mc.mutations`.
+here, so a schedule file is self-contained (workload + name + keys).
+What a name means is :func:`repro.protocols.registry.resolve`'s
+business; the checker only adds the ARQ parameters that keep its
+transition tree finite.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from typing import Callable, Dict
 
 from repro.predicates.spec import Specification
+from repro.protocols.registry import resolvable_names, resolve
 from repro.simulation.workloads import SendRequest, Workload
 
 
@@ -75,59 +77,23 @@ def named_workloads() -> Dict[str, Callable[[], Workload]]:
     }
 
 
-def protocol_factories() -> Dict[str, Callable[[int, int], object]]:
-    """Every named factory the model checker can (re)instantiate.
-
-    Each base name also registers a ``reliable-`` variant: the same
-    protocol under the ARQ sublayer (:mod:`repro.protocols.reliable`),
-    with a small retry cap so the checker's transition tree stays finite
-    (every timer expiry is a transition the adversary may fire at will).
-    """
-    from repro.mc.mutations import mutation_factories
-    from repro.protocols.registry import cached_catalogue
-    from repro.protocols.reliable import make_reliable
-
-    registry = {name: entry.factory for name, entry in cached_catalogue().items()}
-    registry.update(mutation_factories())
-    for name, factory in list(registry.items()):
-        registry["reliable-" + name] = make_reliable(
-            factory, max_retries=1, retransmit_window=1, send_window=1
-        )
-    return registry
+#: The ARQ sublayer the checker runs ``reliable-`` names under: every
+#: timer expiry is a transition the adversary may fire at will, so the
+#: retry cap and the windows are what keep the transition tree finite.
+FINITE_TREE_ARQ = dict(max_retries=1, retransmit_window=1, send_window=1)
 
 
 def resolve_protocol(name: str) -> Callable[[int, int], object]:
-    """Look up a factory by name (helpful error on a miss)."""
-    registry = protocol_factories()
-    if name not in registry:
-        raise KeyError(
-            "unknown protocol %r; available: %s"
-            % (name, ", ".join(sorted(registry)))
-        )
-    return registry[name]
+    """The factory the checker (re)instantiates for a catalogue name
+    (:func:`repro.protocols.registry.resolve`; helpful error on a miss)."""
+    return resolve(name, **FINITE_TREE_ARQ).factory
+
+
+def protocol_factories() -> Dict[str, Callable[[int, int], object]]:
+    """Every named factory the model checker can (re)instantiate."""
+    return {name: resolve_protocol(name) for name in resolvable_names()}
 
 
 def default_spec_for(name: str) -> Specification:
-    """The specification a named protocol claims to implement.
-
-    Mutation variants are checked against the specification of the
-    protocol they break -- that is the point of seeding them.
-    """
-    from repro.predicates.catalog import CAUSAL_ORDERING, FIFO_ORDERING
-    from repro.protocols.registry import cached_catalogue
-
-    table = {name: entry.spec for name, entry in cached_catalogue().items()}
-    table.update(
-        {
-            "broken-fifo": FIFO_ORDERING,
-            "broken-causal-rst": CAUSAL_ORDERING,
-        }
-    )
-    # A reliable-wrapped protocol claims exactly what its inner one does:
-    # the ARQ sublayer restores the channel, it does not change the spec.
-    base = name[len("reliable-") :] if name.startswith("reliable-") else name
-    if base not in table:
-        raise KeyError(
-            "no default specification for %r; pass one explicitly" % (name,)
-        )
-    return table[base]
+    """The specification a named protocol claims to implement."""
+    return resolve(name).spec

@@ -86,7 +86,6 @@ class LiveObserver:
         self,
         n_processes: int,
         spec: Optional[Any] = None,
-        bus: Optional[Any] = None,
         reconnect: bool = False,
     ) -> None:
         self.n_processes = n_processes
@@ -96,11 +95,10 @@ class LiveObserver:
         if spec is not None:
             from repro.verification.engine import capped_monitor
 
-            self.monitor, self._oracle_check = capped_monitor(spec, bus=bus)
+            self.monitor, self._oracle_check = capped_monitor(spec)
         self._needs_oracle = self._oracle_check is not None
         self.oracle_outcome: Optional[bool] = None
         self._oracle_rejection: Optional[str] = None
-        self.bus = bus
         self.events_seen = 0
         self.events_merged = 0
         self.probe_counts: Dict[str, int] = {}
@@ -235,12 +233,6 @@ class LiveObserver:
     def _on_probe(self, body: Dict[str, Any]) -> None:
         probe = body.get("probe", "?")
         self.probe_counts[probe] = self.probe_counts.get(probe, 0) + 1
-        if self.bus is not None and self.bus.active and isinstance(probe, str):
-            data = codec.decode_value(body.get("data")) or {}
-            try:
-                self.bus.emit(probe, float(body.get("t", 0.0)), **data)
-            except (ValueError, TypeError) as exc:
-                self.errors.append("probe bridge: %s" % exc)
 
     def _merge(self) -> None:
         """Append every currently-appendable queue head (to fixpoint)."""

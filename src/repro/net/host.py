@@ -41,7 +41,7 @@ from repro.net.transport import (
     packet_from_frame,
 )
 from repro.obs.bus import Bus
-from repro.obs.flight import DEFAULT_CAPACITY, FlightRecorder
+from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import Histogram, MetricsRecorder, MetricsRegistry
 from repro.obs.openmetrics import render_openmetrics
 from repro.obs.watchdog import Watchdog
@@ -68,6 +68,9 @@ BRIDGED_PROBES = (
     "net.shed",
     "net.backpressure",
 )
+
+#: Seconds the rendezvous gets: each peer dial, and :meth:`NetHost.ready`.
+DIAL_TIMEOUT = 20.0
 
 #: Most bytes one peer-stream read takes, hence the most arrivals one
 #: batch (and one cumulative ack) can cover.
@@ -196,10 +199,7 @@ class NetHost(Endpoint):
         run_id: str = "default",
         faults: Optional[Any] = None,
         time_scale: float = DEFAULT_TIME_SCALE,
-        bus: Optional[Bus] = None,
-        dial_timeout: float = 20.0,
         observability: bool = True,
-        flight_capacity: int = DEFAULT_CAPACITY,
         wal_dir: Optional[str] = None,
         wal_meta: Optional[Dict[str, Any]] = None,
         wal_sync_every: int = 64,
@@ -229,9 +229,8 @@ class NetHost(Endpoint):
         self.n_processes = n_processes
         self.ports = list(ports)
         self.time_scale = time_scale
-        self.dial_timeout = dial_timeout
         self.resilience = resilience if resilience is not None else ResilienceConfig()
-        self.bus = bus if bus is not None else Bus()
+        self.bus = Bus()
         self.clock = WallClock(time_scale=time_scale)
         self.transport = AsyncTransport(
             process_id, queue_limit=self.resilience.queue_limit
@@ -262,15 +261,15 @@ class NetHost(Endpoint):
         self.transport._stamp = self.host.stamp
         #: The in-host observability plane (all opt-out via
         #: ``observability=False`` for overhead measurements): a flight
-        #: recorder taping the last ``flight_capacity`` probe events with
-        #: vector timestamps, a metrics recorder backing the METRICS
-        #: frame's OpenMetrics exposition, and the liveness watchdog
-        #: whose diagnoses ride the STATS reply.
+        #: recorder taping the latest probe events with vector
+        #: timestamps, a metrics recorder backing the METRICS frame's
+        #: OpenMetrics exposition, and the liveness watchdog whose
+        #: diagnoses ride the STATS reply.
         self.flight: Optional[FlightRecorder] = None
         self.metrics: Optional[MetricsRecorder] = None
         self.watchdog: Optional[Watchdog] = None
         if observability:
-            self.flight = FlightRecorder(process_id, capacity=flight_capacity)
+            self.flight = FlightRecorder(process_id)
             self.flight.attach(self.bus)
             # STATS and METRICS read the same two wall-clock histograms;
             # a recorder handed a registry that already holds them leaves
@@ -304,9 +303,7 @@ class NetHost(Endpoint):
         self._peer_incarnations: Dict[int, int] = {}
         #: Failure detection (phi-accrual over HEARTBEAT echoes on the
         #: dialed peer links) and reconnect supervision state.
-        self.monitor: Optional[LinkMonitor] = (
-            self.resilience.monitor() if self.resilience.heartbeats else None
-        )
+        self.monitor: LinkMonitor = self.resilience.monitor()
         self.heartbeats_sent = 0
         self.redials = 0
         self._redial_rng = random.Random(0x52D1 ^ process_id)
@@ -410,7 +407,7 @@ class NetHost(Endpoint):
 
     async def ready(self) -> None:
         """Wait until every peer link (both directions) is up."""
-        await asyncio.wait_for(self._ready.wait(), self.dial_timeout)
+        await asyncio.wait_for(self._ready.wait(), DIAL_TIMEOUT)
 
     def invoke(self, message: Message) -> None:
         """Application entry: the user requests a send at this process."""
@@ -470,7 +467,7 @@ class NetHost(Endpoint):
         self._check_ready()
 
     async def _dial(self, dst: int) -> None:
-        deadline = time.monotonic() + self.dial_timeout
+        deadline = time.monotonic() + DIAL_TIMEOUT
         while True:
             try:
                 await self._dial_once(dst)
@@ -505,8 +502,7 @@ class NetHost(Endpoint):
         ]
         self._peer_writers.append(writer)
         self._link_up_at[dst] = time.monotonic()
-        if self.monitor is not None:
-            self.monitor.watch(dst, time.monotonic())
+        self.monitor.watch(dst, time.monotonic())
         # Heartbeat echoes travel host-ward on a dialed link; parse them
         # (and detect the EOF that tears the link down).
         self._spawn(self._watch_peer_link(dst, reader, writer))
@@ -592,9 +588,8 @@ class NetHost(Endpoint):
         self._spawn(self._redial(dst))
 
     def _emit_link_probe(self, probe: str, peer: int, **data: Any) -> None:
-        bus = self.bus
-        if bus is not None and bus.active:
-            bus.emit(
+        if self.bus.active:
+            self.bus.emit(
                 probe, self.clock.now, process=self.process_id, peer=peer, **data
             )
 
@@ -609,7 +604,7 @@ class NetHost(Endpoint):
                 frame = await codec.read_frame(reader)
                 if frame is None:
                     break
-                if frame.kind == codec.HEARTBEAT and self.monitor is not None:
+                if frame.kind == codec.HEARTBEAT:
                     self.monitor.observe(dst, time.monotonic())
                 # Anything else host-ward on a dialed link is ignored.
         except asyncio.CancelledError:
@@ -623,10 +618,9 @@ class NetHost(Endpoint):
             self.transport.disconnect(dst)
         if not writer.is_closing():
             writer.close()
-        if self.monitor is not None:
-            transition = self.monitor.mark_down(dst)
-            if transition is not None:
-                self._emit_link_probe("link.down", dst, previous=transition[0])
+        transition = self.monitor.mark_down(dst)
+        if transition is not None:
+            self._emit_link_probe("link.down", dst, previous=transition[0])
         up_for = time.monotonic() - self._link_up_at.get(dst, 0.0)
         if up_for < 1.0:
             # Immediate flap: escalate the next supervisor's lead-in.
@@ -654,9 +648,8 @@ class NetHost(Endpoint):
                 # A draining host keeps heartbeating: settling pending
                 # obligations needs live, monitored links.
                 beat += 1
-                if self.monitor is not None:
-                    self._send_heartbeats(beat)
-                    self._evaluate_links()
+                self._send_heartbeats(beat)
+                self._evaluate_links()
                 self._check_backpressure()
         except asyncio.CancelledError:
             return
@@ -675,7 +668,6 @@ class NetHost(Endpoint):
             self.heartbeats_sent += 1
 
     def _evaluate_links(self) -> None:
-        assert self.monitor is not None
         for peer, old, new in self.monitor.evaluate(time.monotonic()):
             self._emit_link_probe("link." + new, peer, previous=old)
             if new == LINK_DOWN:
@@ -699,9 +691,8 @@ class NetHost(Endpoint):
         self._congested = congested
         self.backpressure_transitions += 1
         state = "high" if congested else "low"
-        bus = self.bus
-        if bus is not None and bus.active:
-            bus.emit(
+        if self.bus.active:
+            self.bus.emit(
                 "net.backpressure",
                 self.clock.now,
                 process=self.process_id,
@@ -729,9 +720,8 @@ class NetHost(Endpoint):
                 # replay (on_start included); what it needs now is the
                 # restart hook -- the ARQ sublayer retransmits everything
                 # unacked, exactly like a snapshot restore would.
-                bus = self.bus
-                if bus is not None and bus.active:
-                    bus.emit("restart", self.clock.now, process=self.process_id)
+                if self.bus.active:
+                    self.bus.emit("restart", self.clock.now, process=self.process_id)
                 self.host.protocol.on_restart(self.host.ctx)
             else:
                 self.host.start()  # the protocol's on_start, exactly once
@@ -967,9 +957,7 @@ class NetHost(Endpoint):
             "incarnation": self.incarnation,
             "links": {
                 str(peer): state
-                for peer, state in (
-                    self.monitor.states() if self.monitor is not None else {}
-                ).items()
+                for peer, state in self.monitor.states().items()
             },
             "congested": self._congested,
             "redials": self.redials,

@@ -52,6 +52,10 @@ LINK_UP = "up"
 LINK_SUSPECT = "suspect"
 LINK_DOWN = "down"
 
+#: Floor on a recorded heartbeat gap and on the estimated mean: two
+#: echoes read in one wakeup must not make ordinary silence suspicious.
+MIN_INTERVAL = 1e-3
+
 
 class PhiAccrualDetector:
     """Suspicion level for one monitored link.
@@ -79,14 +83,12 @@ class PhiAccrualDetector:
         self,
         expected_interval: float,
         window: int = 16,
-        min_interval: float = 1e-3,
     ) -> None:
         if expected_interval <= 0:
             raise ValueError("expected_interval must be positive")
         if window < 1:
             raise ValueError("window must hold at least one interval")
         self.expected_interval = expected_interval
-        self.min_interval = min_interval
         self._intervals: Deque[float] = deque(maxlen=window)
         self._last: Optional[float] = None
         self._epoch: Optional[float] = None
@@ -100,7 +102,7 @@ class PhiAccrualDetector:
     def observe(self, now: float) -> None:
         """Record a heartbeat (echo) arrival at wall time ``now``."""
         if self._last is not None:
-            self._intervals.append(max(now - self._last, self.min_interval))
+            self._intervals.append(max(now - self._last, MIN_INTERVAL))
         self._last = now
 
     @property
@@ -112,7 +114,7 @@ class PhiAccrualDetector:
         observed = sum(self._intervals) / len(self._intervals)
         # Never trust an estimate below the configured expectation: a
         # burst of fast echoes must not make ordinary silence suspicious.
-        return max(observed, self.expected_interval, self.min_interval)
+        return max(observed, self.expected_interval, MIN_INTERVAL)
 
     def phi(self, now: float) -> float:
         """The current suspicion level (0 when a heartbeat just landed)."""
@@ -139,14 +141,12 @@ class LinkMonitor:
         expected_interval: float,
         suspect_phi: float = 3.0,
         down_phi: float = 8.0,
-        window: int = 16,
     ) -> None:
         if down_phi < suspect_phi:
             raise ValueError("down_phi must be >= suspect_phi")
         self.expected_interval = expected_interval
         self.suspect_phi = suspect_phi
         self.down_phi = down_phi
-        self.window = window
         self._detectors: Dict[int, PhiAccrualDetector] = {}
         self._states: Dict[int, str] = {}
 
@@ -155,9 +155,7 @@ class LinkMonitor:
         ``up`` -- a just-established link gets a full silence budget."""
         detector = self._detectors.get(peer)
         if detector is None:
-            detector = PhiAccrualDetector(
-                self.expected_interval, window=self.window
-            )
+            detector = PhiAccrualDetector(self.expected_interval)
             self._detectors[peer] = detector
         detector.reset(now)
         self._states[peer] = LINK_UP
@@ -273,8 +271,6 @@ class ResilienceConfig:
     heartbeat_interval: float = 0.2
     suspect_phi: float = 3.0
     down_phi: float = 8.0
-    detector_window: int = 16
-    heartbeats: bool = True
     reconnect: ReconnectPolicy = field(default_factory=ReconnectPolicy)
     high_watermark: int = 4096
     low_watermark: int = 1024
@@ -299,5 +295,4 @@ class ResilienceConfig:
             self.heartbeat_interval,
             suspect_phi=self.suspect_phi,
             down_phi=self.down_phi,
-            window=self.detector_window,
         )

@@ -401,7 +401,6 @@ class ShardCoordinator:
         keys: int = 0,
         *,
         oracle: bool = True,
-        oracle_sample: int = ORACLE_SAMPLE,
     ) -> ShardRunReport:
         """Drive, drain, merge, judge -- one report for the whole run."""
         report = ShardRunReport(
@@ -411,7 +410,8 @@ class ShardCoordinator:
             rate=rate,
             duration=duration,
         )
-        # A kept fleet's counters span its earlier runs; report this one.
+        # A kept fleet's counters -- and its append-only error lines --
+        # span its earlier runs; report this one.
         baseline = await self.stats()
         loop = asyncio.get_running_loop()
         start = loop.time()
@@ -432,7 +432,9 @@ class ShardCoordinator:
             )
             report.pending += int(body.get("pending", 0))
             report.violations.extend(body.get("violations") or [])
-            report.errors.extend(body.get("errors") or [])
+            report.errors.extend(
+                (body.get("errors") or [])[len(before.get("errors") or []) :]
+            )
             wire = body.get("latencies")
             if wire:
                 merged_latency.merge(Histogram.from_wire(wire, "shard.latency"))
@@ -442,10 +444,7 @@ class ShardCoordinator:
             report.violation = report.violations[0]
         report.latencies = merged_latency
         if oracle:
-            rows = await self.collect(per_shard_limit=oracle_sample)
-            report.oracle = cross_key_oracle(
-                rows, self.n_processes, sample=oracle_sample
-            )
+            report.oracle = cross_key_oracle(await self.collect(), self.n_processes)
         return report
 
 

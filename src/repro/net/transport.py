@@ -118,10 +118,10 @@ class AsyncTransport(Transport):
     guarantee that an arrival never runs re-entrantly inside the send
     that caused it.
 
-    ``stamp`` supplies the ``(sent, invoked)`` wall timestamps embedded
-    in user frames; the host keeps them keyed by message id so a
-    retransmission carries its *original* release time and latency
-    accounting at the receiver stays honest.
+    ``_stamp`` (assigned by the host) supplies the ``(sent, invoked)``
+    wall timestamps embedded in user frames; the host keeps them keyed
+    by message id so a retransmission carries its *original* release
+    time and latency accounting at the receiver stays honest.
 
     A packet for a destination whose link is down is not discarded: it
     goes into a bounded per-peer queue (``queue_limit`` frames) that
@@ -132,17 +132,11 @@ class AsyncTransport(Transport):
     and emitted as ``net.shed`` probes.
     """
 
-    def __init__(
-        self,
-        process_id: int,
-        stamp: Optional[Callable[[Packet], "tuple[float, float]"]] = None,
-        queue_limit: int = 2048,
-        coalesce: bool = True,
-    ) -> None:
+    def __init__(self, process_id: int, queue_limit: int = 2048) -> None:
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         self.process_id = process_id
-        self._stamp = stamp
+        self._stamp: Optional[Callable[[Packet], "tuple[float, float]"]] = None
         #: Optional vector-clock supplier for user frames (the flight
         #: recorder's causal stamp; see :mod:`repro.obs.flight`).
         self._vc_for: Optional[Callable[[Packet], Optional[Dict[int, int]]]] = None
@@ -150,14 +144,13 @@ class AsyncTransport(Transport):
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self.frames_sent = 0
         self.bytes_sent = 0
-        #: Coalesce frame writes: frames for a live link are buffered in
+        #: Frame writes coalesce: frames for a live link are buffered in
         #: a per-peer outbox and written as *one* ``writer.write`` per
         #: peer per loop tick (scheduled with ``call_soon``, so the
         #: flush runs before the loop next blocks for IO).  All kinds go
         #: through the outbox, so per-connection FIFO order is exactly
         #: preserved; only the syscall count changes.  Requires a bound
         #: loop -- before :meth:`bind_loop` frames write through.
-        self.coalesce = coalesce
         self._outbox: Dict[int, list] = {}
         self._flush_scheduled = False
         self.flushes = 0
@@ -263,7 +256,7 @@ class AsyncTransport(Transport):
             self.unroutable += 1
             self._enqueue(network, packet.dst, kind, data)
             return None
-        if self.coalesce and self._loop is not None:
+        if self._loop is not None:
             self._outbox.setdefault(packet.dst, []).append((kind, data, network))
             self.frames_sent += 1
             self.bytes_sent += len(data)

@@ -19,7 +19,6 @@ from repro.obs.export import (
     probe_log_to_jsonl,
     spans_to_chrome_trace,
     write_chrome_trace,
-    write_probe_log,
 )
 from repro.obs.flight import FlightRecord, FlightRecorder
 from repro.obs.forensics import build_forensics, render_forensics
@@ -29,7 +28,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRecorder,
     MetricsRegistry,
-    stats_to_registry,
 )
 from repro.obs.openmetrics import parse_openmetrics, render_openmetrics
 from repro.obs.profile import (
@@ -53,7 +51,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricsRecorder",
-    "stats_to_registry",
     "PHASES",
     "Span",
     "Flow",
@@ -62,7 +59,6 @@ __all__ = [
     "spans_to_chrome_trace",
     "write_chrome_trace",
     "probe_log_to_jsonl",
-    "write_probe_log",
     "StuckMessage",
     "Watchdog",
     "FlightRecord",

@@ -141,13 +141,6 @@ def probe_log_to_jsonl(log: ProbeLog) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def write_probe_log(path: str, log: ProbeLog) -> str:
-    """Write a probe log to ``path`` as JSON Lines."""
-    with open(path, "w") as handle:
-        handle.write(probe_log_to_jsonl(log))
-    return path
-
-
 def _jsonable(value: Any) -> Any:
     """Coerce probe payload values into something JSON can carry."""
     if value is None or isinstance(value, (bool, int, float, str)):

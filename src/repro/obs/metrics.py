@@ -8,9 +8,8 @@ delivery buffering (``x.r* -> x.r``), tag bytes, control fan-out per
 channel, buffer occupancy per process, and per-channel reordering.
 
 The recorder *subsumes* :class:`~repro.simulation.trace.SimulationStats`:
-:meth:`MetricsRecorder.as_simulation_stats` reconstructs a bit-identical
-stats object purely from the probe stream, so the legacy aggregate API
-keeps working while richer metrics ride on the same events.
+its counters and latency histograms, fed purely from the probe stream,
+hold the same values the host counts directly.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import math
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.bus import Bus, ProbeEvent
-from repro.simulation.trace import SimulationStats, estimate_size
+from repro.simulation.trace import estimate_size
 
 
 class Counter:
@@ -114,10 +113,9 @@ class Histogram:
 
     kind = "histogram"
 
-    def __init__(self, name: str, help: str = "", sample_limit: int = SAMPLE_LIMIT):
+    def __init__(self, name: str, help: str = ""):
         self.name = name
         self.help = help
-        self.sample_limit = sample_limit
         self._values: List[float] = []
         self._count = 0
         self._total = 0.0
@@ -138,7 +136,7 @@ class Histogram:
         if self._max is None or value > self._max:
             self._max = value
         if self._exact:
-            if len(self._values) < self.sample_limit:
+            if len(self._values) < SAMPLE_LIMIT:
                 self._values.append(value)
                 return
             # Overflow: fold the exact head into buckets once, then
@@ -155,11 +153,6 @@ class Histogram:
         else:
             index = math.floor(math.log(value, 2.0) * BUCKETS_PER_OCTAVE)
             self._buckets[index] = self._buckets.get(index, 0) + count
-
-    @property
-    def exact(self) -> bool:
-        """Whether every observation is still individually retained."""
-        return self._exact
 
     @property
     def count(self) -> int:
@@ -228,7 +221,7 @@ class Histogram:
             self._min = other._min
         if other._max is not None and (self._max is None or other._max > self._max):
             self._max = other._max
-        if self._exact and other._exact and combined <= self.sample_limit:
+        if self._exact and other._exact and combined <= SAMPLE_LIMIT:
             self._values.extend(other._values)
             self._count = combined
             return
@@ -350,43 +343,6 @@ class MetricsRegistry:
     def to_json(self, indent: int = 2) -> str:
         """The snapshot serialized as JSON text."""
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-
-def stats_to_registry(
-    stats: SimulationStats, registry: Optional[MetricsRegistry] = None
-) -> MetricsRegistry:
-    """Export a legacy :class:`SimulationStats` into registry metrics.
-
-    Lets post-hoc aggregates from un-instrumented runs participate in the
-    same export/reporting surface as live-recorded metrics.
-    """
-    registry = registry or MetricsRegistry()
-    registry.counter("messages.user", "user messages released").inc(
-        stats.user_messages
-    )
-    registry.counter("net.control.messages", "control messages sent").inc(
-        stats.control_messages
-    )
-    registry.counter("net.control.bytes", "control payload bytes").inc(
-        stats.control_bytes
-    )
-    registry.counter("tag.bytes", "total tag bytes piggybacked").inc(
-        stats.tag_bytes_total
-    )
-    registry.gauge("tag.bytes.max", "largest single tag").set(stats.max_tag_bytes)
-    registry.counter("messages.delivered", "deliveries executed").inc(
-        stats.deliveries
-    )
-    registry.counter("messages.delayed", "deliveries after receive time").inc(
-        stats.delayed_deliveries
-    )
-    network = registry.histogram("latency.delivery", "send -> deliver time")
-    for value in stats.delivery_latencies:
-        network.observe(value)
-    e2e = registry.histogram("latency.end_to_end", "invoke -> deliver time")
-    for value in stats.end_to_end_latencies:
-        e2e.observe(value)
-    return registry
 
 
 class MetricsRecorder:
@@ -662,29 +618,3 @@ class MetricsRecorder:
             registry.gauge(
                 "net.goodput", "deliveries per user-layer packet sent"
             ).set(registry.counter("messages.delivered").value / attempts)
-
-    # Legacy surface -------------------------------------------------------
-
-    def as_simulation_stats(self) -> SimulationStats:
-        """Reconstruct the legacy stats object from the probe stream.
-
-        For an instrumented run this is bit-identical to the
-        :class:`SimulationStats` the host populated directly (the same
-        subtractions over the same virtual times), which is how the
-        registry subsumes the old API without breaking it.
-        """
-        registry = self.registry
-        delivery = registry.histogram("latency.delivery")
-        e2e = registry.histogram("latency.end_to_end")
-        tags = registry.histogram("tag.bytes.per_message")
-        return SimulationStats(
-            user_messages=int(registry.counter("messages.user").value),
-            control_messages=int(registry.counter("net.control.messages").value),
-            control_bytes=int(registry.counter("net.control.bytes").value),
-            tag_bytes_total=int(registry.counter("tag.bytes").value),
-            max_tag_bytes=int(tags.max),
-            deliveries=int(registry.counter("messages.delivered").value),
-            delayed_deliveries=int(registry.counter("messages.delayed").value),
-            delivery_latencies=delivery.values(),
-            end_to_end_latencies=e2e.values(),
-        )

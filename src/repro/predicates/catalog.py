@@ -10,7 +10,7 @@ be consumed without importing the classifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.predicates.ast import Conjunct, ForbiddenPredicate, deliver_of, send_of
 from repro.predicates.guards import ColorGuard, ProcessGuard
@@ -481,5 +481,15 @@ def catalog_by_name() -> Dict[str, CatalogEntry]:
     return {entry.name: entry for entry in CATALOG}
 
 
-def catalog_names() -> List[str]:
-    return [entry.name for entry in CATALOG]
+def resolve_spec(text: str, distinct: bool = False, name: str = "cli") -> Specification:
+    """The specification a user or a log's META record wrote down: a
+    catalogue entry's name, a catalogued specification's own name (the
+    two differ for a couple of aliases), or predicate DSL text (parsed
+    into a one-predicate specification called ``name``)."""
+    for entry in CATALOG:
+        if text in (entry.name, entry.specification.name):
+            return entry.specification
+    from repro.predicates.dsl import parse_predicate
+
+    predicate = parse_predicate(text, name=name, distinct=distinct)
+    return Specification(name=name, predicates=(predicate,))

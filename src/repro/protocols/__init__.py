@@ -33,6 +33,7 @@ from repro.protocols.registry import (
     cached_catalogue,
     catalogue,
     catalogue_entry,
+    resolve,
 )
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "cached_catalogue",
     "catalogue",
     "catalogue_entry",
+    "resolve",
     "TaglessProtocol",
     "FifoProtocol",
     "CausalRstProtocol",

@@ -11,14 +11,21 @@ Each entry ties together the three things the paper associates with a
 protocol: a factory for instances, the protocol *class* it belongs to
 (tagless / tagged / general, §5), and the ordering specification it
 implements.
+
+:func:`resolve` is the one place a protocol *name* is given meaning: a
+catalogue name, its ``reliable-`` variant (the same protocol under the
+ARQ sublayer, same specification) or a ``broken-*`` mutation seed (held
+to the specification of the protocol it breaks).  ``repro serve``,
+``load`` and ``chaos``, the shard fleet, WAL replay and the model
+checker all ask here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.protocols.base import Protocol, make_factory
 
@@ -27,6 +34,22 @@ from repro.protocols.base import Protocol, make_factory
 TAGLESS = "tagless"
 TAGGED = "tagged"
 GENERAL = "general"
+
+#: ``reliable-<name>`` is ``<name>`` under :mod:`repro.protocols.reliable`.
+RELIABLE_PREFIX = "reliable-"
+
+#: The ordering-key lanes of :mod:`repro.net.shard.lanes`, by the name
+#: of the specification each one checks per key in O(1).
+_SHARD_LANE_KINDS = {"fifo": "fifo", "causal-ordering": "causal"}
+
+#: The mutation seeds of :mod:`repro.mc.mutations`: the catalogue
+#: protocol each one breaks (it keeps that protocol's class and is held
+#: to its specification -- that is the point of seeding it) and the
+#: shard lane that implements the same breakage, if one does.
+_MUTATIONS = {
+    "broken-fifo": ("fifo", "broken-fifo"),
+    "broken-causal-rst": ("causal-rst", None),
+}
 
 
 @dataclass(frozen=True)
@@ -38,12 +61,21 @@ class CatalogueEntry:
     protocol_class: str
     spec: "object"  # repro.predicates.spec.Specification
     uses_control_messages: bool  # general protocols pay in control traffic
+    #: Kind of the shard lane that checks :attr:`spec` per ordering key
+    #: (``repro serve --shards``); ``None`` when no lane can.
+    shard_lane: Optional[str] = None
 
     def reliable_factory(self, **arq_params) -> Callable[[int, int], Protocol]:
         """This protocol under the ARQ sublayer (for lossy transports)."""
         from repro.protocols.reliable import make_reliable
 
         return make_reliable(self.factory, **arq_params)
+
+    def reliable(self) -> "CatalogueEntry":
+        """This entry's ``reliable-`` variant (itself if it is one)."""
+        if self.name.startswith(RELIABLE_PREFIX):
+            return self
+        return resolve(RELIABLE_PREFIX + self.name)
 
 
 def catalogue() -> Dict[str, CatalogueEntry]:
@@ -100,6 +132,7 @@ def catalogue() -> Dict[str, CatalogueEntry]:
             protocol_class=protocol_class,
             spec=spec,
             uses_control_messages=uses_control,
+            shard_lane=_SHARD_LANE_KINDS.get(spec.name),
         )
         for name, factory, protocol_class, spec, uses_control in rows
     }
@@ -126,3 +159,48 @@ def catalogue_entry(name: str) -> CatalogueEntry:
             % (name, ", ".join(sorted(entries)))
         )
     return entries[name]
+
+
+def resolvable_names() -> List[str]:
+    """Every name :func:`resolve` understands, sorted."""
+    base = list(cached_catalogue()) + list(_MUTATIONS)
+    return sorted(base + [RELIABLE_PREFIX + name for name in base])
+
+
+@lru_cache(maxsize=None)
+def resolve(name: str, **arq_params: Any) -> CatalogueEntry:
+    """What a protocol name means: how to build it, and what it claims.
+
+    A ``reliable-`` name is its base entry under the ARQ sublayer --
+    default parameters unless ``arq_params`` says otherwise (the model
+    checker's finite-tree caps) -- with the same specification: the
+    sublayer restores the channel, it does not change the claim.  Its
+    acks are control packets.
+    """
+    reliable = name.startswith(RELIABLE_PREFIX)
+    base = name[len(RELIABLE_PREFIX) :] if reliable else name
+    if base in _MUTATIONS:
+        from repro.mc.mutations import mutation_factories
+
+        breaks, lane = _MUTATIONS[base]
+        entry = replace(
+            catalogue_entry(breaks),
+            name=base,
+            factory=mutation_factories()[base],
+            shard_lane=lane,
+        )
+    elif base in cached_catalogue():
+        entry = cached_catalogue()[base]
+    else:
+        raise KeyError(
+            "unknown protocol %r; available: %s"
+            % (name, ", ".join(resolvable_names()))
+        )
+    if reliable:
+        entry = replace(
+            entry,
+            name=name,
+            factory=entry.reliable_factory(**arq_params),
+            uses_control_messages=True,
+        )
+    return entry

@@ -67,7 +67,6 @@ def compare_protocols(
     workloads: Sequence[Workload],
     seed: int = 0,
     latency: Optional[LatencyModel] = None,
-    with_metrics: bool = True,
 ) -> List[ProtocolRow]:
     """Run each ``(name, factory, spec)`` over all ``workloads``."""
     latency = latency or UniformLatency(low=1.0, high=40.0)
@@ -89,8 +88,7 @@ def compare_protocols(
             user_messages += result.stats.user_messages
             send_latency += result.stats.mean_delivery_latency
             e2e_latency += result.stats.mean_end_to_end_latency
-            if with_metrics:
-                concurrency += run_metrics(result.user_run).concurrency_ratio
+            concurrency += run_metrics(result.user_run).concurrency_ratio
         rows.append(
             ProtocolRow(
                 name=name,
@@ -104,9 +102,7 @@ def compare_protocols(
                 delayed_deliveries_per_run=delayed / runs,
                 mean_send_latency=send_latency / runs,
                 mean_end_to_end_latency=e2e_latency / runs,
-                mean_concurrency_ratio=(
-                    concurrency / runs if with_metrics else 0.0
-                ),
+                mean_concurrency_ratio=concurrency / runs,
             )
         )
     return rows

@@ -123,7 +123,7 @@ def monitor_trace(
     spec: Union[Specification, ForbiddenPredicate],
     bus: Optional[object] = None,
 ) -> Optional[FirstViolation]:
-    """Check a whole trace with a fresh monitor; the engine-backed
-    equivalent of :func:`repro.verification.online.first_violation`."""
+    """Check a whole trace with a fresh monitor: the earliest event
+    whose execution completed a forbidden instance, or ``None``."""
     monitor = SpecMonitor(spec, bus=bus)
     return monitor.advance(trace)

@@ -252,7 +252,7 @@ FAMILY_ARITY_CAP = 2
 
 
 def capped_monitor(
-    spec: Union[Specification, ForbiddenPredicate], bus: Optional[object] = None
+    spec: Union[Specification, ForbiddenPredicate],
 ) -> Tuple[SpecMonitor, Optional[Callable[[object], Optional[str]]]]:
     """The verdict policy for a whole run: ``(monitor, oracle_check)``.
 
@@ -273,7 +273,7 @@ def capped_monitor(
         and getattr(spec, "oracle", None) is not None
         and (cap is None or cap > FAMILY_ARITY_CAP)
     ):
-        return SpecMonitor(spec, bus=bus), None
+        return SpecMonitor(spec), None
 
     def oracle_check(trace) -> Optional[str]:
         if not trace.record_count or spec.admits(
@@ -283,4 +283,4 @@ def capped_monitor(
         return "membership oracle rejected the run (spec %s)" % spec.name
 
     capped = dataclasses.replace(spec, family_arity_cap=FAMILY_ARITY_CAP)
-    return SpecMonitor(capped, bus=bus), oracle_check
+    return SpecMonitor(capped), oracle_check

@@ -37,7 +37,6 @@ from repro.wal.replay import (
     explore_from_log,
     mc_prefix_from_records,
     replay_log,
-    resolve_spec_name,
     trace_from_records,
     workload_from_records,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "ReplayResult",
     "trace_from_records",
     "replay_log",
-    "resolve_spec_name",
     "delivery_order",
     "workload_from_records",
     "mc_prefix_from_records",

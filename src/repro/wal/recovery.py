@@ -16,10 +16,10 @@ Two replay shapes:
   and timers suppressed.  The host's own bookkeeping (trace, dedup sets,
   receive times, stats) rebuilds alongside the protocol -- this is what
   a restarted :class:`~repro.net.host.NetHost` uses.
-- :func:`rebuild_protocol` replays into a *fresh protocol instance*
-  behind a null context, mirroring the host's dedup semantics.  The sim
-  fault injector uses it to give crash events honest durability
-  semantics (the WAL, not a crash-instant snapshot, is the authority).
+- :func:`rebuild_protocol` does the same into a throwaway host around a
+  *fresh protocol instance* and keeps only the instance.  The sim fault
+  injector uses it to give crash events honest durability semantics
+  (the WAL, not a crash-instant snapshot, is the authority).
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, List, Optional
 
+from repro.simulation.host import ProtocolHost
+from repro.simulation.network import Network
+from repro.simulation.trace import SimulationStats, Trace
 from repro.wal.records import WalRecord, resolve_inputs
 
 __all__ = ["RecoveryReport", "replay_into_host", "rebuild_protocol"]
@@ -51,39 +54,12 @@ class _NullTransport:
         pass
 
 
-class _NullContext:
-    """A :class:`~repro.simulation.host.HostContext` stand-in whose
-    services all no-op: state rebuilds inside the protocol, nothing
-    leaves it."""
+class _ScratchHost(ProtocolHost):
+    """The host :func:`rebuild_protocol` throws away.  Its trace holds
+    one process's events only, so a delivery has no send record to
+    measure a latency from -- and nobody reads its statistics."""
 
-    def __init__(self, process_id: int, n_processes: int, clock: _ReplayClock):
-        self.process_id = process_id
-        self.n_processes = n_processes
-        self._clock = clock
-
-    @property
-    def now(self) -> float:
-        return self._clock.now
-
-    def release(self, message, tag=None) -> None:
-        pass
-
-    def deliver(self, message) -> None:
-        pass
-
-    def send_control(self, dst, payload) -> None:
-        pass
-
-    def retransmit(self, message, tag=None) -> None:
-        pass
-
-    def retransmit_control(self, dst, payload) -> None:
-        pass
-
-    def schedule(self, delay, action) -> None:
-        pass
-
-    def emit(self, probe, **data) -> None:
+    def _account_latency(self, message) -> None:
         pass
 
 
@@ -106,15 +82,14 @@ def replay_into_host(
     records: Iterable[WalRecord],
     *,
     process_id: Optional[int] = None,
-    start: bool = True,
 ) -> RecoveryReport:
     """Replay logged inputs through a live host, side effects suppressed.
 
     The host's clock and its network's transport are swapped for replay
     stand-ins (and restored on exit), so the protocol re-executes every
     invoke and arrival without transmitting anything or arming a timer.
-    With ``start=True`` the protocol's ``on_start`` hook runs first, as
-    it did at the original boot.  Per-input exceptions are collected in
+    The protocol's ``on_start`` hook runs first, as it did at the
+    original boot.  Per-input exceptions are collected in
     the report, not raised: a half-recovered host is still better than a
     fresh one.
     """
@@ -128,8 +103,7 @@ def replay_into_host(
     network.transport = _NullTransport()
     report = RecoveryReport()
     try:
-        if start:
-            host.protocol.on_start(host.ctx)
+        host.protocol.on_start(host.ctx)
         for op, t, _process, payload in resolve_inputs(records, process_id):
             clock.now = t
             report.inputs += 1
@@ -160,33 +134,22 @@ def rebuild_protocol(
 ) -> Any:
     """A fresh protocol instance fast-forwarded through the logged inputs.
 
-    Mirrors the host's feeding discipline exactly: first receipt of a
-    user message goes to ``on_user_message``, a logged re-arrival to
-    ``on_duplicate`` when the protocol accepts them (silently dropped
-    otherwise -- the live host would have raised, and the run would not
-    have produced further records), and every arrival ends its own batch
-    as :meth:`ProtocolHost._on_packet` does.  The caller installs the
-    returned instance and then runs ``on_restart`` through the real
-    context, the same hook order as a snapshot restore.
+    The instance sits in a scratch :class:`ProtocolHost` (own trace and
+    statistics, a network that transmits nothing) that
+    :func:`replay_into_host` drives, so it is fed by the host's own
+    discipline -- first copy, duplicate, end of batch -- and not by a
+    copy of it.  The caller installs the returned instance and then runs
+    ``on_restart`` through the real context, the same hook order as a
+    snapshot restore.
     """
-    clock = _ReplayClock()
-    ctx = _NullContext(process_id, n_processes, clock)
-    protocol = protocol_factory(process_id, n_processes)
-    protocol.on_start(ctx)
-    accepts_duplicates = getattr(protocol, "accepts_duplicates", False)
-    end_batch = getattr(protocol, "on_batch_end", None)
-    for op, t, _process, payload in resolve_inputs(records, process_id):
-        clock.now = t
-        if op == "invoke":
-            protocol.on_invoke(ctx, payload)
-            continue
-        if op == "duplicate":
-            if accepts_duplicates:
-                protocol.on_duplicate(ctx, payload.message, payload.tag)
-        elif payload.is_user and payload.message is not None:
-            protocol.on_user_message(ctx, payload.message, payload.tag)
-        else:
-            protocol.on_control(ctx, payload.src, payload.payload)
-        if end_batch is not None:
-            end_batch(ctx)  # every logged arrival is a batch of one
-    return protocol
+    clock: Any = _ReplayClock()  # duck-types Simulator
+    host = _ScratchHost(
+        clock,
+        Network(clock, n_processes, transport=_NullTransport()),
+        Trace(n_processes),
+        SimulationStats(),
+        process_id,
+        protocol_factory(process_id, n_processes),
+    )
+    replay_into_host(host, records, process_id=process_id)
+    return host.protocol

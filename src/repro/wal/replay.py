@@ -37,7 +37,6 @@ from repro.wal.segment import read_log
 
 __all__ = [
     "ReplayResult",
-    "resolve_spec_name",
     "trace_from_records",
     "replay_log",
     "delivery_order",
@@ -45,32 +44,6 @@ __all__ = [
     "mc_prefix_from_records",
     "explore_from_log",
 ]
-
-
-def resolve_spec_name(text: str):
-    """A recorded ``meta["spec"]`` back to a live Specification.
-
-    Tries the predicate catalogue by entry name, then by the entry's own
-    specification name (they differ for a couple of aliases), then falls
-    back to parsing the text as predicate DSL.  Returns ``None`` when
-    nothing matches -- replay then runs unmonitored rather than failing.
-    """
-    from repro.predicates.catalog import catalog_by_name
-
-    by_name = catalog_by_name()
-    if text in by_name:
-        return by_name[text].specification
-    for entry in by_name.values():
-        if entry.specification.name == text:
-            return entry.specification
-    try:
-        from repro.predicates.dsl import parse_predicate
-        from repro.predicates.spec import Specification
-
-        predicate = parse_predicate(text, name="recorded", distinct=False)
-        return Specification(name="recorded", predicates=(predicate,))
-    except Exception:
-        return None
 
 
 def _meta_of(records: List[WalRecord]) -> Dict[str, Any]:
@@ -136,7 +109,12 @@ def replay_log(directory: str, spec=None) -> ReplayResult:
     trace = trace_from_records(log.records, n_processes)
     violation = None
     if spec is None and meta.get("spec"):
-        spec = resolve_spec_name(str(meta["spec"]))
+        from repro.predicates.catalog import resolve_spec
+
+        try:
+            spec = resolve_spec(str(meta["spec"]), name="recorded")
+        except ValueError:
+            spec = None  # an unreadable name replays unmonitored
     if spec is not None:
         # The live observer's policy over the same records, so the
         # verdict matches the live one -- including which step (monitor
@@ -252,10 +230,9 @@ def explore_from_log(directory: str, spec=None, **options):
         raise ValueError(
             "the log's META record names no protocol; cannot re-explore"
         )
-    from repro.protocols.registry import cached_catalogue
+    from repro.protocols.registry import resolve
 
-    entry = cached_catalogue().get(protocol)
-    if entry is not None and entry.uses_control_messages:
+    if resolve(protocol).uses_control_messages:
         raise ValueError(
             "protocol %r sends control packets; the trace cannot fix "
             "their channel slots, so prefix-seeded exploration is only "

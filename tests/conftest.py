@@ -76,3 +76,28 @@ def sync_run() -> UserRun:
             2: [Event.deliver("m2")],
         },
     )
+
+
+@pytest.fixture
+def assert_registry_matches_stats():
+    """The recorder's registry, fed only probe events, holds what the
+    host counted directly: same counts, same latencies in the same order."""
+
+    def check(registry, stats) -> None:
+        counters = {
+            "messages.user": stats.user_messages,
+            "net.control.messages": stats.control_messages,
+            "net.control.bytes": stats.control_bytes,
+            "tag.bytes": stats.tag_bytes_total,
+            "messages.delivered": stats.deliveries,
+            "messages.delayed": stats.delayed_deliveries,
+        }
+        for name, expected in counters.items():
+            assert registry.counter(name).value == expected, name
+        assert registry.histogram("tag.bytes.per_message").max == stats.max_tag_bytes
+        delivery = registry.histogram("latency.delivery")
+        assert delivery.values() == stats.delivery_latencies
+        e2e = registry.histogram("latency.end_to_end")
+        assert e2e.values() == stats.end_to_end_latencies
+
+    return check

@@ -29,6 +29,6 @@ class TestApiDocs:
             "check_conformance",
             "classify_broadcast",
             "run_snapshot_experiment",
-            "first_violation",
+            "monitor_trace",
         ):
             assert "`%s`" % symbol in text, symbol

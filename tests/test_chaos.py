@@ -14,8 +14,11 @@ from repro.chaos import (
     run_chaos_sync,
     wal_cross_check,
 )
+from repro.chaos.harness import InlineHost, ProcHost, fast_resilience
 from repro.events import Message
 from repro.net import codec
+from repro.protocols.registry import resolve
+from repro.protocols.reliable import ReliableProtocol
 from repro.wal import EVENT, SegmentWriter, content_id
 from repro.wal.records import WalRecord, invoke_record
 
@@ -214,6 +217,26 @@ class TestChaosReport:
         body = self._report().to_json()
         assert body["ok"] is True
         json.dumps(body)  # must be wire-clean
+
+
+class TestHandlesRunOneCatalogueEntry:
+    @pytest.mark.parametrize("protocol", ("fifo", "reliable-fifo", "sync-rdv"))
+    def test_inline_and_proc_hosts_resolve_the_same_entry(self, protocol):
+        """The entry an inline host builds from is the one the name on a
+        proc host's `repro serve` command line resolves to in the child:
+        same ARQ defaults, same specification, however `protocol` was
+        spelt."""
+        entry = resolve(protocol).reliable()
+        inline = InlineHost(
+            entry, 0, [9400, 9401], 9402, "wal", "run", fast_resilience()
+        )
+        command = ProcHost(entry, 0, 9400, 2, 9402, "wal", "run")._command()
+        served = resolve(command[command.index("serve") + 1])
+        assert served is inline.entry
+        built = served.factory(0, 2)
+        assert isinstance(built, ReliableProtocol)
+        assert not isinstance(built.inner, ReliableProtocol)
+        assert (built.max_retries, built.send_window) == (30, None)
 
 
 class TestLiveChaos:

@@ -25,7 +25,6 @@ MODULES = [
     "repro.simulation",
     "repro.simulation.persistence",
     "repro.verification",
-    "repro.verification.online",
     "repro.broadcast",
     "repro.apps",
     "repro.obs",

@@ -187,15 +187,13 @@ class TestMonitorEquivalence:
     def test_unknown_message_id_raises_descriptive_error(self):
         """A trace record whose message was never registered names the
         record and the missing id instead of a bare ``KeyError``."""
-        from repro.verification.online import first_violation
-
         trace = Trace(2)
         message = Message(id="m1", sender=0, receiver=1)
         trace.register_message(message)
         trace.record(0.0, 0, Event.send("m1"))
         del trace._messages["m1"]  # simulate a corrupted/partial trace
         with pytest.raises(ValueError, match="m1.*not.*registered"):
-            first_violation(trace, CAUSAL_ORDERING)
+            monitor_trace(trace, CAUSAL_ORDERING)
 
 
 class TestOnlineCausality:

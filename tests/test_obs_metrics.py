@@ -11,12 +11,10 @@ from repro.obs import (
     Histogram,
     MetricsRecorder,
     MetricsRegistry,
-    stats_to_registry,
 )
 from repro.protocols import CausalRstProtocol, FifoProtocol
 from repro.protocols.base import make_factory
 from repro.simulation import UniformLatency, random_traffic, run_simulation
-from repro.simulation.trace import SimulationStats
 
 
 class TestCounter:
@@ -127,28 +125,6 @@ class TestMetricsRegistry:
         assert parsed["h"]["count"] == 1
 
 
-class TestStatsToRegistry:
-    def test_exports_legacy_aggregates(self):
-        stats = SimulationStats(
-            user_messages=4,
-            control_messages=2,
-            control_bytes=16,
-            tag_bytes_total=40,
-            max_tag_bytes=12,
-            deliveries=4,
-            delayed_deliveries=1,
-            delivery_latencies=[1.0, 3.0],
-            end_to_end_latencies=[2.0, 4.0],
-        )
-        registry = stats_to_registry(stats)
-        snapshot = registry.snapshot()
-        assert snapshot["messages.user"]["value"] == 4
-        assert snapshot["net.control.bytes"]["value"] == 16
-        assert snapshot["tag.bytes.max"]["max"] == 12
-        assert snapshot["latency.delivery"]["count"] == 2
-        assert snapshot["latency.end_to_end"]["mean"] == 3.0
-
-
 class TestMetricsRecorder:
     def _run(self, protocol_cls, seed=5):
         bus = Bus()
@@ -163,15 +139,18 @@ class TestMetricsRecorder:
         return recorder, result
 
     @pytest.mark.parametrize("protocol_cls", [FifoProtocol, CausalRstProtocol])
-    def test_subsumes_simulation_stats(self, protocol_cls):
-        # The recorder, fed only probe events, reconstructs the exact
-        # stats object the host populated directly: same counts, same
-        # latencies in the same order.  This is the "subsume without
-        # breaking the API" contract of the tentpole.
+    def test_subsumes_simulation_stats(
+        self, protocol_cls, assert_registry_matches_stats
+    ):
+        # The recorder, fed only probe events, holds exactly what the
+        # host populated directly: same counts, same latencies in the
+        # same order.
         recorder, result = self._run(protocol_cls)
-        assert recorder.as_simulation_stats() == result.stats
+        assert_registry_matches_stats(recorder.registry, result.stats)
 
-    def test_per_message_state_is_retired_on_delivery(self):
+    def test_per_message_state_is_retired_on_delivery(
+        self, assert_registry_matches_stats
+    ):
         # A soak run must not grow linearly with delivered messages.
         recorder, result = self._run(FifoProtocol)
         assert result.delivered_all
@@ -179,7 +158,7 @@ class TestMetricsRecorder:
         assert recorder._release_time == {}
         assert recorder._receive_time == {}
         assert not hasattr(recorder, "_tag_bytes")
-        assert recorder.as_simulation_stats() == result.stats
+        assert_registry_matches_stats(recorder.registry, result.stats)
 
     def test_owner_fed_delivery_histograms_are_left_alone(self):
         # What NetHost does with its wall-clock pair: bus-time samples

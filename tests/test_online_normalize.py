@@ -9,7 +9,7 @@ from repro.protocols import CausalRstProtocol, TaglessProtocol
 from repro.protocols.base import make_factory
 from repro.simulation import UniformLatency, random_traffic, run_simulation
 from repro.verification import check_simulation
-from repro.verification.online import first_violation
+from repro.verification.engine import monitor_trace
 
 ADVERSARIAL = UniformLatency(low=1.0, high=60.0)
 
@@ -29,7 +29,7 @@ class TestFirstViolation:
 
     def test_agrees_with_posthoc_checker(self):
         result = self._violating_trace()
-        hit = first_violation(result.trace, CAUSAL_ORDERING)
+        hit = monitor_trace(result.trace, CAUSAL_ORDERING)
         assert hit is not None
         assert hit.predicate_name == "causal-B2"
         assert set(hit.assignment) == {"x", "y"}
@@ -41,7 +41,7 @@ class TestFirstViolation:
             seed=1,
             latency=ADVERSARIAL,
         )
-        assert first_violation(result.trace, CAUSAL_ORDERING) is None
+        assert monitor_trace(result.trace, CAUSAL_ORDERING) is None
 
     def test_reported_event_is_the_earliest_completion(self):
         """Truncating the trace just before the reported event must leave
@@ -50,7 +50,7 @@ class TestFirstViolation:
         from repro.verification import check_run
 
         result = self._violating_trace()
-        hit = first_violation(result.trace, CAUSAL_ORDERING)
+        hit = monitor_trace(result.trace, CAUSAL_ORDERING)
 
         def replay(up_to_sequence):
             partial = Trace(result.trace.n_processes)
@@ -71,11 +71,11 @@ class TestFirstViolation:
 
     def test_bare_predicate_accepted(self):
         result = self._violating_trace()
-        assert first_violation(result.trace, CAUSAL_B2) is not None
+        assert monitor_trace(result.trace, CAUSAL_B2) is not None
 
     def test_repr_readable(self):
         result = self._violating_trace()
-        hit = first_violation(result.trace, CAUSAL_ORDERING)
+        hit = monitor_trace(result.trace, CAUSAL_ORDERING)
         assert "fires causal-B2" in repr(hit)
 
 

@@ -15,7 +15,7 @@ from repro.protocols.base import make_factory
 from repro.simulation import ScriptedLatency, Workload, run_simulation
 from repro.simulation.workloads import SendRequest
 from repro.verification import check_simulation
-from repro.verification.online import first_violation
+from repro.verification.engine import monitor_trace
 
 
 def two_message_channel() -> Workload:
@@ -80,7 +80,7 @@ class TestFigure2Scenario:
             two_message_channel(),
             latency=ScriptedLatency([10.0, 1.0]),
         )
-        hit = first_violation(result.trace, FIFO)
+        hit = monitor_trace(result.trace, FIFO)
         assert hit is not None
         # The violation completes when the *slow* m1 finally lands after m2.
         assert hit.event == Event.deliver("m1")

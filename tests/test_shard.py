@@ -22,6 +22,7 @@ import zlib
 import pytest
 
 from repro.events import Event, Message
+from repro.net.client import ControlLink
 from repro.net.collector import (
     HostPull,
     aggregate_shard_rows,
@@ -39,6 +40,7 @@ from repro.net.shard import (
     run_sharded_sync,
     shard_for_key,
 )
+from repro.net.shard.worker import ShardWorker, ShardWorkerConfig
 from repro.predicates.catalog import FIFO_ORDERING
 from repro.verification import KeyedSpecMonitor
 
@@ -308,6 +310,45 @@ class TestShardedFleet:
             assert report.offered == report.invoked == report.delivered > 0
             # The oracle judged this run's rows, not the fleet's history.
             assert report.oracle["total"] == report.delivered
+
+    def test_worker_errors_are_reported_by_the_run_they_happened_in(self):
+        """Worker error lines are append-only for the life of the fleet;
+        one foreign HELLO used to fail every later run's ``report.ok``."""
+        base = free_port_base(1)
+        worker = ShardWorker(
+            ShardWorkerConfig(shard=0, n_shards=1, n_processes=3, port=base)
+        )
+        fleet = ShardCoordinator(1, 3, port_base=base)
+        load = fleet.run_load
+
+        async def load_with_a_stranger(*args, **kwargs):
+            stranger = ControlLink("127.0.0.1", base, "load", "someone-elses")
+            await stranger.connect(timeout=5.0)
+            with pytest.raises(ConnectionError):
+                await stranger.ready(timeout=5.0)
+            await stranger.close()
+            return await load(*args, **kwargs)
+
+        async def scenario():
+            serving = asyncio.get_running_loop().create_task(worker.serve_forever())
+            await fleet.connect()
+            fleet.run_load = load_with_a_stranger
+            first = await fleet.run(400.0, 0.1, oracle=False)
+            await fleet.client.close()  # --keep-serving: no BYE
+            again = ShardCoordinator(1, 3, port_base=base)
+            await again.connect()
+            second = await again.run(400.0, 0.1, oracle=False)
+            await again.stop()
+            await asyncio.wait_for(serving, 5.0)
+            return first, second
+
+        first, second = asyncio.run(scenario())
+        assert first.errors == [
+            "rejected connection for run 'someone-elses' (serving 'default')"
+        ]
+        assert not first.ok
+        assert second.ok, second.render()
+        assert second.delivered == second.offered > 0
 
     def test_causal_fleet_fans_out_and_quiesces(self):
         report = run_sharded_sync(
