@@ -388,7 +388,9 @@ class MetricsRecorder:
     own unit (:class:`~repro.net.host.NetHost` registers its wall-clock
     histograms); the recorder then leaves both alone, so bus-time samples
     never mix into them.  Per-message state is dropped when the message's
-    delivery is observed.
+    delivery is observed -- or, under such an owner, at release: the
+    delivery then happens on another host's bus, so the invoke stamp is
+    consumed by ``latency.inhibition`` and no release stamp is kept.
     """
 
     def __init__(self, bus: Bus, registry: Optional[MetricsRegistry] = None):
@@ -445,7 +447,6 @@ class MetricsRecorder:
     def _on_release(self, event: ProbeEvent) -> None:
         message_id = event.data["message_id"]
         tag_bytes = event.data["tag_bytes"]
-        self._release_time[message_id] = event.time
         registry = self.registry
         registry.counter("messages.user", "user messages released").inc()
         registry.counter("tag.bytes", "total tag bytes piggybacked").inc(tag_bytes)
@@ -455,7 +456,13 @@ class MetricsRecorder:
         registry.gauge("tag.bytes.max", "largest single tag").set(
             max(registry.gauge("tag.bytes.max").max_seen, tag_bytes)
         )
-        invoked_at = self._invoke_time.get(message_id)
+        if self._owns_delivery_latency:
+            self._release_time[message_id] = event.time
+            invoked_at = self._invoke_time.get(message_id)
+        else:
+            # The deliver probe fires on the receiver's bus, not this one:
+            # nothing would ever come back for the stamps.
+            invoked_at = self._invoke_time.pop(message_id, None)
         if invoked_at is not None:
             registry.histogram(
                 "latency.inhibition", "invoke -> send (send inhibition)"

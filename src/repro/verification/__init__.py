@@ -12,10 +12,8 @@ from repro.verification.harness import (
     check_conformance,
 )
 from repro.verification.compare import ProtocolRow, compare_protocols
-from repro.verification.keyed import KeyedSpecMonitor
 
 __all__ = [
-    "KeyedSpecMonitor",
     "CheckResult",
     "Violation",
     "check_run",

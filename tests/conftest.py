@@ -17,7 +17,19 @@ settings.register_profile(
 settings.load_profile("repro")
 
 from repro.events import Event, Message
+from repro.predicates.ast import ForbiddenPredicate
+from repro.predicates.guards import KeyGuard
 from repro.runs.user_run import UserRun
+
+
+def scoped_to_key(predicate, name):
+    """The per-key form: same conjuncts, plus ``key(x) = key(y)``."""
+    return ForbiddenPredicate.build(
+        list(predicate.conjuncts),
+        guards=list(predicate.guards) + [KeyGuard("x", "y", equal=True)],
+        name=name,
+        distinct=predicate.distinct,
+    )
 
 
 @pytest.fixture

@@ -16,8 +16,9 @@ from repro.faults import FaultPlan
 from repro.mc.mutations import mutation_factories
 from repro.net import NetHost, run_cluster_sync
 from repro.net.cluster import LiveObserver, LoadGenerator, drive_run, free_ports
-from repro.predicates.catalog import FIFO_ORDERING
-from repro.protocols import catalogue
+from repro.predicates.catalog import CAUSAL_B2, CAUSAL_ORDERING, FIFO, FIFO_ORDERING
+from repro.protocols import GeneratedTaggedProtocol, catalogue
+from repro.protocols.base import make_factory
 
 # Fast wall mapping for tests: 1 virtual unit == 1ms, so the ARQ's
 # 30-unit RTO is 30ms and soak runs converge quickly.
@@ -61,6 +62,37 @@ class TestCatalogueOverLoopbackTcp:
         assert report.p99_ms >= report.p50_ms > 0
         assert "msg/s" in report.render()
         assert report.clean
+
+
+class TestSynthesizedProtocolOverLoopbackTcp:
+    """The constructive side of Theorem 3.2 on real sockets: the tag (the
+    causal past as plain tuples) crosses the wire codec and the WAL, and
+    the engine search keeps up with the offered load."""
+
+    @pytest.mark.parametrize(
+        "predicate, spec",
+        [(FIFO, FIFO_ORDERING), (CAUSAL_B2, CAUSAL_ORDERING)],
+        ids=["fifo", "causal-B2"],
+    )
+    def test_generated_protocol_implements_its_spec_live(
+        self, predicate, spec, tmp_path
+    ):
+        report = run_cluster_sync(
+            make_factory(GeneratedTaggedProtocol, [predicate]),
+            3,
+            protocol_name="generated-%s" % predicate.name,
+            rate=300.0,
+            duration=0.5,
+            seed=0,
+            spec=spec,
+            time_scale=FAST,
+            wal_dir=str(tmp_path),
+            run_id="t-generated-%s" % predicate.name,
+        )
+        assert report.quiesced, report.render()
+        assert report.violation is None, report.render()
+        assert not report.errors, report.render()
+        assert report.delivered == report.invoked == report.requested == 150
 
 
 class TestLiveViolationDetection:
@@ -254,3 +286,43 @@ class TestKeptFleet:
             assert report.requested == report.invoked == report.delivered == 90
             # A late observer is replayed the kept hosts' history first.
             assert report.observer_events == events_seen == 4 * 90 * (index + 1)
+
+    def test_sender_recorder_keeps_no_per_message_stamps(self):
+        """The deliver probe fires on the *receiver's* bus, so a sender's
+        recorder must not wait for it: the invoke stamp is consumed at
+        release (both maps used to hold one entry per message for ever)."""
+        entry = catalogue()["fifo"]
+
+        async def scenario():
+            ports = free_ports(3)
+            hosts = [
+                NetHost(entry.factory, pid, ports, run_id="t-stamps", time_scale=FAST)
+                for pid in range(3)
+            ]
+            load = LoadGenerator(ports, run_id="t-stamps", seed=5)
+            try:
+                for host in hosts:
+                    await host.start()
+                await asyncio.gather(*(host.ready() for host in hosts))
+                await load.connect()
+                report = await drive_run(load, None, "fifo", 300.0, 0.4, 10.0)
+                return report, [
+                    (
+                        len(host.metrics._invoke_time),
+                        len(host.metrics._release_time),
+                        host.metrics.registry.histogram("latency.inhibition").count,
+                        host.stats.user_messages,
+                    )
+                    for host in hosts
+                ]
+            finally:
+                await load.close()
+                for host in hosts:
+                    await host.shutdown()
+
+        report, per_host = asyncio.run(scenario())
+        assert report.quiesced and report.delivered == report.invoked == 120
+        assert sum(released for _, _, _, released in per_host) == 120
+        for invoke_stamps, release_stamps, inhibition_samples, released in per_host:
+            assert invoke_stamps == release_stamps == 0
+            assert inhibition_samples == released > 0

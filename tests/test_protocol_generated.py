@@ -1,5 +1,9 @@
 """The generated tagged protocol: one engine, many order-1 specifications."""
 
+import importlib.util
+import json
+import os
+
 import pytest
 
 from repro.predicates import parse_predicate
@@ -211,3 +215,37 @@ class TestGeneratedProperties:
         )
         assert result.delivered_all
         assert result.stats.delayed_deliveries == 0
+
+
+# -- parity with the implementation this one replaced ---------------------------
+
+
+def _load_recorder():
+    path = os.path.join(
+        os.path.dirname(__file__), "data", "generated_golden", "record.py"
+    )
+    spec = importlib.util.spec_from_file_location("generated_golden_record", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+RECORDER = _load_recorder()
+with open(RECORDER.GOLDEN) as _handle:
+    GOLDEN = json.load(_handle)
+
+
+class TestSameRunsAsThePrivateSearch:
+    """``data/generated_golden/golden.json`` was recorded at the last
+    commit where this protocol kept its own poset and its own three-valued
+    backtracking search; the engine-backed rule makes the same decisions."""
+
+    def test_every_recorded_case_is_still_a_case(self):
+        assert sorted(GOLDEN) == sorted(RECORDER.CASES)
+
+    @pytest.mark.parametrize("case", RECORDER.CASES)
+    def test_timed_trace_matches_the_parent_commit(self, case):
+        """Every ``(time, process, kind, message)`` row, hence the
+        delivery order, and the delivered / delayed counts -- for the
+        exact rule and the causal fallback alike."""
+        assert RECORDER.digest(case) == GOLDEN[case]

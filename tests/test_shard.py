@@ -7,8 +7,8 @@ paper's tagged/general split operationally:
    key string (CRC-32), so a lane lives on one worker forever;
 2. **lanes** -- the O(1) per-key checkers (fifo seq contiguity, causal
    vector-clock acceptance) are verdict-equivalent to the exact
-   :class:`SpecMonitor` scoped per key
-   (:class:`~repro.verification.keyed.KeyedSpecMonitor`);
+   :class:`SpecMonitor` over the spec scoped per key (a same-key
+   :class:`~repro.predicates.guards.KeyGuard`);
 3. **fleet** -- real multi-process runs quiesce clean for correct lane
    kinds, flag a deliberately broken sender live, keep stalled keys
    from blocking other keys, and hand the merged run to the cross-key
@@ -41,8 +41,10 @@ from repro.net.shard import (
     shard_for_key,
 )
 from repro.net.shard.worker import ShardWorker, ShardWorkerConfig
-from repro.predicates.catalog import FIFO_ORDERING
-from repro.verification import KeyedSpecMonitor
+from repro.predicates.catalog import FIFO
+from repro.simulation.trace import Trace
+from repro.verification.engine import monitor_trace
+from tests.conftest import scoped_to_key
 
 
 def free_port_base(count):
@@ -162,7 +164,23 @@ class TestCausalLane:
 
 
 class TestVerdictEquivalence:
-    """The O(1) fifo checker agrees with the exact per-key monitor."""
+    """The O(1) fifo checker agrees with the exact monitor scoped per key:
+    ``SpecMonitor`` over FIFO with a same-key ``KeyGuard``."""
+
+    @staticmethod
+    def _exact(sends, deliveries):
+        """The scoped monitor's verdict on p0->p1 messages given as
+        ``(message_id, key)`` pairs in send order and in delivery order."""
+        trace = Trace(2)
+        for first, second, at, pairs in (
+            (Event.invoke, Event.send, 0, sends),
+            (Event.receive, Event.deliver, 1, deliveries),
+        ):
+            for message_id, key in pairs:
+                trace.register_message(Message(message_id, 0, 1, ordering_key=key))
+                trace.record(float(len(trace)), at, first(message_id))
+                trace.record(float(len(trace)), at, second(message_id))
+        return monitor_trace(trace, scoped_to_key(FIFO, "fifo-per-key"))
 
     def _both(self, deliveries):
         """Run the same keyed stream through both checkers.
@@ -171,21 +189,17 @@ class TestVerdictEquivalence:
         on key "k"; sends happen in seq order, deliveries in list order.
         """
         fast = FifoLaneChecker()
-        exact = KeyedSpecMonitor(FIFO_ORDERING, 2)
-        in_seq = sorted(deliveries, key=lambda pair: pair[1])
-        for when, (message_id, seq) in enumerate(in_seq):
-            exact.observe_send(
-                float(when), Message(message_id, 0, 1, ordering_key="k")
-            )
         fast_verdict = None
-        for when, (message_id, seq) in enumerate(deliveries):
+        for message_id, seq in deliveries:
             found = fast.on_deliver(message_id, 0, "k", seq)
             if found is not None and fast_verdict is None:
                 fast_verdict = found
-            exact.observe_deliver(
-                10.0 + when, Message(message_id, 0, 1, ordering_key="k")
-            )
-        return fast_verdict, exact.violation
+        in_seq = sorted(deliveries, key=lambda pair: pair[1])
+        exact = self._exact(
+            [(message_id, "k") for message_id, _ in in_seq],
+            [(message_id, "k") for message_id, _ in deliveries],
+        )
+        return fast_verdict, exact
 
     def test_clean_stream_clean_on_both(self):
         fast, exact = self._both([("m0", 0), ("m1", 1), ("m2", 2)])
@@ -196,20 +210,21 @@ class TestVerdictEquivalence:
         assert fast is not None
         assert exact is not None
 
-    def test_keys_isolated_in_exact_monitor(self):
-        monitor = KeyedSpecMonitor(FIFO_ORDERING, 2)
-        # k1 inverted, k2 clean -- the violation must latch on k1 only.
-        for key, first, second in (("k1", "a", "b"), ("k2", "c", "d")):
-            monitor.observe_send(1.0, Message(first, 0, 1, ordering_key=key))
-            monitor.observe_send(2.0, Message(second, 0, 1, ordering_key=key))
-        monitor.observe_deliver(3.0, Message("b", 0, 1, ordering_key="k1"))
-        monitor.observe_deliver(4.0, Message("a", 0, 1, ordering_key="k1"))
-        monitor.observe_deliver(5.0, Message("c", 0, 1, ordering_key="k2"))
-        monitor.observe_deliver(6.0, Message("d", 0, 1, ordering_key="k2"))
-        assert monitor.violation_for("k1") is not None
-        assert monitor.violation_for("k2") is None
-        assert monitor.keys() == ["k1", "k2"]
-        assert monitor.events_checked() > 0
+    def test_inversion_binds_only_its_own_key(self):
+        # k1 inverted, k2 clean -- the instance is made of k1 messages.
+        sends = [("a", "k1"), ("b", "k1"), ("c", "k2"), ("d", "k2")]
+        delivered = [("c", "k2"), ("b", "k1"), ("d", "k2"), ("a", "k1")]
+        violation = self._exact(sends, delivered)
+        assert violation is not None
+        assert violation.event == Event.deliver("a")
+        assert violation.assignment == {"x": "a", "y": "b"}
+
+    def test_cross_key_inversion_admitted(self):
+        # Same channel, different keys: no lane orders a against b.
+        sends = [("a", "k1"), ("b", "k2")]
+        delivered = [("b", "k2"), ("a", "k1")]
+        assert self._exact(sends, delivered) is None
+        assert self._exact([("a", "k"), ("b", "k")], [("b", "k"), ("a", "k")])
 
 
 class TestKeyStats:

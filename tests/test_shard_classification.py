@@ -20,16 +20,7 @@ from repro.predicates.ast import Conjunct, ForbiddenPredicate, deliver_of, send_
 from repro.predicates.catalog import CAUSAL_B2, FIFO, crown
 from repro.predicates.guards import KeyGuard, ProcessGuard
 from repro.predicates.spec import Specification
-
-
-def scoped_to_key(predicate, name):
-    """The per-key form: same conjuncts, plus ``key(x) = key(y)``."""
-    return ForbiddenPredicate.build(
-        list(predicate.conjuncts),
-        guards=list(predicate.guards) + [KeyGuard("x", "y", equal=True)],
-        name=name,
-        distinct=predicate.distinct,
-    )
+from tests.conftest import scoped_to_key
 
 
 def cross_key_crown(name="cross-key-crown"):
