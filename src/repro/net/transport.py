@@ -249,8 +249,8 @@ class AsyncTransport(Transport):
             handler = network.handler_for(packet.dst)
             self._loop.call_soon(handler, packet)
             return None
-        kind, body = self._frame_for(packet)
-        data = codec.encode_frame(kind, body)
+        kind, head, sections = self._frame_for(packet)
+        data = codec.encode_frame(kind, head, sections)
         writer = self._writers.get(packet.dst)
         if writer is None or writer.is_closing():
             self.unroutable += 1
@@ -294,38 +294,32 @@ class AsyncTransport(Transport):
 
     # -- framing -------------------------------------------------------------
 
-    def _frame_for(self, packet: Packet) -> "tuple[int, dict]":
+    def _frame_for(self, packet: Packet) -> "tuple[int, dict, tuple]":
+        """``(kind, head, sections)`` for :func:`codec.encode_frame`: the
+        codec spells the message and the tag or payload into sections."""
         sent, invoked = (
             self._stamp(packet) if self._stamp is not None else (time.time(),) * 2
         )
         if packet.is_user:
             message = packet.message
             assert message is not None
-            body = codec.message_to_wire(message)
-            body.update(
-                src=packet.src,
-                dst=packet.dst,
-                tag=codec.encode_value(packet.tag),
-                sent=sent,
-                invoked=invoked,
-            )
+            head = {"src": packet.src, "dst": packet.dst, "sent": sent, "invoked": invoked}
             if self._vc_for is not None:
                 vc = self._vc_for(packet)
                 if vc:
-                    body["vc"] = {
+                    head["vc"] = {
                         str(process): count for process, count in sorted(vc.items())
                     }
-            return codec.USER, body
-        return codec.CONTROL, {
-            "src": packet.src,
-            "dst": packet.dst,
-            "payload": codec.encode_value(packet.payload),
-            "sent": sent,
-        }
+            return codec.USER, head, (message, packet.tag)
+        head = {"src": packet.src, "dst": packet.dst, "sent": sent}
+        return codec.CONTROL, head, (None, packet.payload)
 
 
 def packet_from_frame(frame: "codec.Frame") -> Packet:
-    """Rebuild a :class:`~repro.simulation.network.Packet` from a frame."""
+    """Rebuild a :class:`~repro.simulation.network.Packet` from a frame.
+
+    The packet keeps the text its tag or payload arrived as
+    (``wire_text``), for the receiver's log."""
     body = frame.body
     try:
         if frame.kind == codec.USER:
@@ -336,6 +330,7 @@ def packet_from_frame(frame: "codec.Frame") -> Packet:
                 message=codec.message_from_wire(body),
                 tag=codec.decode_value(body.get("tag")),
                 send_time=body.get("sent", 0.0),
+                wire_text=frame.value_text,
             )
         if frame.kind == codec.CONTROL:
             return Packet(
@@ -344,6 +339,7 @@ def packet_from_frame(frame: "codec.Frame") -> Packet:
                 kind="control",
                 payload=codec.decode_value(body.get("payload")),
                 send_time=body.get("sent", 0.0),
+                wire_text=frame.value_text,
             )
     except KeyError as exc:
         raise codec.MalformedFrame(

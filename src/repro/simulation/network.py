@@ -152,6 +152,11 @@ class Packet:
     # a schedule-stable identity (unlike ``uid``, it does not shift when
     # unrelated channels commute), used by the model checker.
     channel_seq: int = 0
+    # The tag's (user) or payload's (control) text as it came off a wire
+    # (:attr:`repro.net.codec.Frame.value_text`), so the receiver's log
+    # splices it instead of spelling the decoded value again.  A
+    # simulated packet has none.
+    wire_text: Optional[str] = field(default=None, compare=False, repr=False)
 
     @property
     def is_user(self) -> bool:

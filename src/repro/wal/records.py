@@ -50,7 +50,6 @@ read both.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
 import zlib
@@ -119,7 +118,9 @@ KIND_NAMES = {
     CHECKPOINT: "CHECKPOINT",
 }
 
-_dumps = codec.dumps_value
+#: Record heads (times, process indices, sequence numbers) are scalars,
+#: spelled without a walk; a body's values go through the generic writer.
+_field = codec.scalar_text
 
 _LENGTH = struct.Struct("!I")
 _HEAD = struct.Struct("!BBI")  # version, kind, crc32(body)
@@ -199,47 +200,17 @@ class WalRecord:
         return "WalRecord(kind=%r, body=%r)" % (self.kind, self.body)
 
 
-_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-#: ``id(message) -> (its content id, its '["m",...],["cid","..."]' record
-#: text, the '["cid","..."]' reference to it, message)``.
-#: Keyed on the object, not on ``Message.__eq__``: ``Message(payload=1)``
-#: and ``Message(payload=True)`` compare and hash equal yet encode
-#: differently, and the text is defined by the encoding.  The entry holds
-#: the message, so its ``id`` cannot be recycled while it is cached.
-_MESSAGE_CACHE_SIZE = 8192
-_message_cache: Dict[int, Tuple[str, str, str, Message]] = {}
-
-
-def _content_id_of(wire: Dict[str, Any]) -> str:
-    return hashlib.sha256(_canonical_json(wire).encode("utf-8")).hexdigest()[:16]
-
-
 def _message_text(message: Message, seen: Optional[Set[str]]) -> str:
     """How a record mentions ``message``: ``m`` + ``cid``, or -- when its
     content id is in ``seen``, the ids the open segment holds a body for,
-    which it otherwise joins -- ``cid`` alone.  Encoded once per
-    ``Message`` object; messages are frozen, so one whose payload is
-    mutated after its first record keeps its first encoding."""
-    entry = _message_cache.get(id(message))
-    if entry is None:
-        wire = codec.message_to_wire(message)
-        cid = _content_id_of(wire)
-        ref = '["cid","%s"]' % cid
-        if len(_message_cache) >= _MESSAGE_CACHE_SIZE:
-            # Start over: only messages in flight are looked up again.
-            _message_cache.clear()
-        entry = _message_cache[id(message)] = (
-            cid,
-            '["m",%s],%s' % (_dumps(wire), ref),
-            ref,
-            message,
-        )
+    which it otherwise joins -- ``cid`` alone.  The texts are the codec's
+    (:func:`repro.net.codec.message_texts`), spelled once per object."""
+    cid, _canonical, body, _message = codec.message_texts(message)
     if seen is not None:
-        if entry[0] in seen:
-            return entry[2]
-        seen.add(entry[0])
-    return entry[1]
+        if cid in seen:
+            return '["cid","%s"]' % cid
+        seen.add(cid)
+    return '["m",%s],["cid","%s"]' % (body, cid)
 
 
 def content_id(message: Message) -> str:
@@ -250,7 +221,7 @@ def content_id(message: Message) -> str:
     same id in every process, every run, and every replay -- the WAL's
     cross-host join key.
     """
-    return _content_id_of(codec.message_to_wire(message))
+    return codec.spell_message(message).cid
 
 
 # -- framing ------------------------------------------------------------------
@@ -263,7 +234,7 @@ def encode_record(record: WalRecord) -> bytes:
     # No sort_keys: record bodies are built with deterministic insertion
     # order, so the bytes are already reproducible; only content_id needs
     # the fully canonical (sorted) form.
-    text = record.text if record.text is not None else _dumps(record.body)
+    text = record.text if record.text is not None else codec.dumps_value(record.body)
     body = text.encode("utf-8")
     size = _HEAD.size + len(body)
     if size > MAX_RECORD_BYTES:
@@ -331,8 +302,8 @@ def event_record(
         EVENT,
         text='{"D":[["t",%s],["p",%s],["k","%s"],%s]}'
         % (
-            _dumps(record.time),
-            _dumps(record.process),
+            _field(record.time),
+            _field(record.process),
             _EVENT_KIND_TO_NAME[record.event.kind],
             _message_text(message, seen),
         ),
@@ -346,7 +317,7 @@ def invoke_record(
     return WalRecord(
         INPUT,
         text='{"D":[["t",%s],["p",%s],["op","invoke"],%s]}'
-        % (_dumps(t), _dumps(process), _message_text(message, seen)),
+        % (_field(t), _field(process), _message_text(message, seen)),
     )
 
 
@@ -358,28 +329,32 @@ def packet_record(
     seen: Optional[Set[str]] = None,
 ) -> WalRecord:
     """A redo input: ``packet`` arrived at ``process`` (``op`` says
-    ``"duplicate"`` when its message already had)."""
+    ``"duplicate"`` when its message already had).  The tag or payload
+    is the text the packet came off the wire as, if it did: the sender
+    spelled it with this writer, and decoding it validated it."""
+    value = packet.wire_text
     if packet.is_user and packet.message is not None:
-        tail = '%s,["tag",%s]' % (
-            _message_text(packet.message, seen),
-            _dumps(packet.tag),
-        )
+        if value is None:
+            value = codec.dumps_value(packet.tag)
+        tail = '%s,["tag",%s]' % (_message_text(packet.message, seen), value)
     else:
-        tail = '["payload",%s]' % _dumps(packet.payload)
+        if value is None:
+            value = codec.dumps_value(packet.payload)
+        tail = '["payload",%s]' % value
     return WalRecord(
         INPUT,
         text='{"D":[["t",%s],["p",%s],["op","%s"],["src",%s],["dst",%s],'
         '["kind",%s],["sent",%s],["uid",%s],["cs",%s],%s]}'
         % (
-            _dumps(t),
-            _dumps(process),
+            _field(t),
+            _field(process),
             op,
-            _dumps(packet.src),
-            _dumps(packet.dst),
-            _dumps(packet.kind),
-            _dumps(packet.send_time),
-            _dumps(packet.uid),
-            _dumps(packet.channel_seq),
+            _field(packet.src),
+            _field(packet.dst),
+            _field(packet.kind),
+            _field(packet.send_time),
+            _field(packet.uid),
+            _field(packet.channel_seq),
             tail,
         ),
     )
@@ -491,15 +466,15 @@ def probe_record(
     if kind not in (FAULT, RETX, TIMER):
         raise WalError("probe records must be FAULT, RETX or TIMER")
     try:
-        data_text = _dumps(dict(data))
+        data_text = codec.dumps_value(dict(data))
     except codec.CodecError:
         # Probe payloads are free-form; degrade to repr rather than
         # lose the record.
-        data_text = _dumps({key: repr(value) for key, value in data.items()})
+        data_text = codec.dumps_value({key: repr(value) for key, value in data.items()})
     return WalRecord(
         kind,
         text='{"D":[["t",%s],["p",%s],["probe",%s],["data",%s]]}'
-        % (_dumps(t), _dumps(process), _dumps(probe), data_text),
+        % (_field(t), _field(process), _field(probe), data_text),
     )
 
 

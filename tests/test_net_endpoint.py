@@ -130,7 +130,9 @@ class TestHandshake:
                 return rig.endpoint.errors
 
         (line,) = asyncio.run(scenario())
-        assert line.startswith("handshake: frame version 3 is not supported")
+        assert line.startswith(
+            "handshake: frame version %d is not supported" % (codec.WIRE_VERSION + 1)
+        )
 
     @kinds
     def test_foreign_run_is_turned_away(self, kind):
@@ -182,7 +184,9 @@ class TestLoadStream:
                 return rig.endpoint.errors
 
         (line,) = asyncio.run(scenario())
-        assert line.startswith("load stream: frame version 3 is not supported")
+        assert line.startswith(
+            "load stream: frame version %d is not supported" % (codec.WIRE_VERSION + 1)
+        )
 
     @kinds
     def test_drain_is_a_barrier_for_one_run(self, kind):

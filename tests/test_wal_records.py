@@ -2,6 +2,7 @@
 
 import os
 import struct
+import zlib
 
 import pytest
 
@@ -100,6 +101,18 @@ class TestFraming:
     def test_implausible_size_is_corrupt_not_crash(self):
         with pytest.raises(WalCorrupt, match="size"):
             decode_record(struct.pack("!I", 2**31) + b"\x00" * 64)
+
+    @pytest.mark.parametrize(
+        "value", ['{"D":[[{"L":[1]},2]]}', '{"S":[{"L":[1]}]}']
+    )
+    def test_an_unhashable_member_is_corrupt_not_a_type_error(self, value):
+        """A dict key or set member that decodes to a list: a well-framed,
+        well-checksummed body the value encoding cannot hold."""
+        body = ('{"D":[["t",1.0],["x",%s]]}' % value).encode()
+        head = struct.pack("!BBI", WAL_VERSION, CHECKPOINT, zlib.crc32(body))
+        record = struct.pack("!I", len(head) + len(body)) + head + body
+        with pytest.raises(WalCorrupt, match="unhashable"):
+            decode_record(record)
 
     def test_consecutive_records_share_a_buffer(self):
         a = WalRecord(kind=META, body={"i": 1})
