@@ -8,7 +8,8 @@ hosts
     processes via ``repro serve``);
 
 observer
-    :class:`LiveObserver` taps every host's trace stream (EVENT frames),
+    :class:`LiveObserver` taps every host's trace stream (RECORDS
+    chunks of WAL ``EVENT`` records, read by ``repro replay``'s resolver),
     merges the per-host streams into one causally-consistent
     :class:`~repro.simulation.trace.Trace`, and feeds it to the
     incremental :class:`~repro.verification.engine.SpecMonitor` --
@@ -30,7 +31,7 @@ keeps one FIFO queue per host and only appends a queue's *head*, holding
 receive/deliver events until their send has been appended.  Head-blocking
 preserves per-location order (what vector-clock causality needs) and can
 never deadlock: a blocking chain would have to run backwards through
-real time.
+real time.  A chunk that does not resolve by itself ends its stream.
 """
 
 from __future__ import annotations
@@ -38,17 +39,18 @@ from __future__ import annotations
 import asyncio
 import socket
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.events import Event, EventKind, Message
 from repro.net import codec
 from repro.net.client import ClusterClient, ControlLink
-from repro.net.host import NetHost, event_from_wire
+from repro.net.host import _READ_CHUNK, NetHost
 from repro.net.transport import DEFAULT_TIME_SCALE
 from repro.obs.metrics import Histogram
 from repro.simulation.trace import Trace
+from repro.wal import records as wal_records
 
 
 def free_ports(n: int, host: str = "127.0.0.1") -> List[int]:
@@ -101,11 +103,10 @@ class LiveObserver:
         self._oracle_rejection: Optional[str] = None
         self.events_seen = 0
         self.events_merged = 0
-        self.probe_counts: Dict[str, int] = {}
+        self.probe_counts: Dict[str, int] = Counter()
         self.errors: List[str] = []
         #: Per-host FIFOs of not-yet-appended (time, process, event, message).
         self._queues: List[deque] = [deque() for _ in range(n_processes)]
-        self._sends_appended: set = set()
         self._links: List[ControlLink] = []
         self._readers: List[asyncio.Task] = []
         #: Re-attach to a host whose stream dies (it replays its full
@@ -195,19 +196,20 @@ class LiveObserver:
         link = self._links[index]
         while True:
             reader = link.reader
+            decoder = codec.FrameDecoder()
             try:
                 while True:
-                    frame = await codec.read_frame(reader)
-                    if frame is None:
+                    data = await reader.read(_READ_CHUNK)
+                    if not data:
+                        decoder.eof()  # EOF inside a frame is a torn stream
                         break
-                    if frame.kind == codec.EVENT:
-                        self.events_seen += 1
-                        self._queues[index].append(event_from_wire(frame.body))
-                        self._merge()
-                    elif frame.kind == codec.PROBE:
-                        self._on_probe(frame.body)
-                    # READY and anything else: ignored (forward compat).
-            except (codec.CodecError, ConnectionError) as exc:
+                    for frame in decoder.feed(data):
+                        if frame.kind == codec.RECORDS:
+                            self._on_chunk(index, frame.body)
+                        elif frame.kind == codec.PROBE:
+                            self.probe_counts[frame.body.get("probe", "?")] += 1
+                        # READY and anything else: ignored (forward compat).
+            except (codec.CodecError, wal_records.WalError, ConnectionError) as exc:
                 if not self.reconnect:
                     self.errors.append("observer stream %d: %s" % (index, exc))
             except asyncio.CancelledError:
@@ -230,9 +232,20 @@ class LiveObserver:
                 return
             self.reconnects += 1
 
-    def _on_probe(self, body: Dict[str, Any]) -> None:
-        probe = body.get("probe", "?")
-        self.probe_counts[probe] = self.probe_counts.get(probe, 0) + 1
+    def _on_chunk(self, index: int, data: bytes) -> None:
+        """Queue a RECORDS chunk's events, all or none, and merge once."""
+        records, offset = [], 0
+        while offset < len(data):
+            record, offset = wal_records.decode_record(data, offset)
+            if record.kind != wal_records.EVENT:
+                raise wal_records.WalCorrupt(
+                    "a %s record in an observer chunk" % record.kind_name
+                )
+            records.append(record)
+        events = list(wal_records.resolve_events(records, verify=True))
+        self.events_seen += len(events)
+        self._queues[index].extend(events)
+        self._merge()
 
     def _merge(self) -> None:
         """Append every currently-appendable queue head (to fixpoint)."""
@@ -249,7 +262,7 @@ class LiveObserver:
     def _appendable(self, item: Tuple[float, int, Event, Message]) -> bool:
         _, _, event, _ = item
         if event.kind in (EventKind.RECEIVE, EventKind.DELIVER):
-            return event.message_id in self._sends_appended
+            return self.trace.has_event(Event.send(event.message_id))
         return True
 
     def _append(self, item: Tuple[float, int, Event, Message]) -> None:
@@ -258,8 +271,6 @@ class LiveObserver:
             return  # replay after a reconnect; already merged
         self.trace.register_message(message)
         self.trace.record(event_time, process, event)
-        if event.kind is EventKind.SEND:
-            self._sends_appended.add(event.message_id)
         self.events_merged += 1
 
 

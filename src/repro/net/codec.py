@@ -25,7 +25,8 @@ and the last section the tag's or payload's :func:`dumps_value` text.
 The sender splices texts it already has and the receiver keeps the
 last one (:attr:`Frame.value_text`), so a packet is spelled once per
 hop.  This module is the one place a value gets spelled: the WAL's
-record bodies and content ids come from the same writers.
+record bodies and content ids come from the same writers, and a RECORDS
+frame (the observer tap) carries WAL ``EVENT`` records framed as on disk.
 
 Decoding is strict: anything malformed raises a descriptive
 :class:`CodecError` subclass instead of silently degrading, because a
@@ -46,12 +47,13 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.events import Message
 
-#: Wire protocol version this build speaks.  Version 3 gave USER and
-#: CONTROL frames their sectioned body; version 2 added the optional
-#: ordering-key field on USER/INVOKE message bodies and the batch frame
-#: kinds the sharded runtime uses.  Every endpoint of a run is the same
-#: build, so a frame of any other version is refused.
-WIRE_VERSION = 3
+#: Wire protocol version this build speaks.  Version 4 replaced the EVENT
+#: frame with RECORDS; version 3 gave USER and CONTROL frames their
+#: sectioned body; version 2 added the optional ordering-key field on
+#: USER/INVOKE message bodies and the batch frame kinds the sharded
+#: runtime uses.  Every endpoint of a run is the same build, so a frame of
+#: any other version is refused.
+WIRE_VERSION = 4
 
 #: Upper bound on one frame's (version + kind + body) size.  Generous for
 #: protocol traffic (tags are tens of bytes) while still bounding the
@@ -69,7 +71,7 @@ READY = 2  # host -> client: rendezvous complete, traffic may start
 USER = 3  # a released user message: src/dst/message/tag/timestamps
 CONTROL = 4  # a protocol control message: src/dst/payload
 INVOKE = 5  # load generator -> host: please invoke this message
-EVENT = 6  # host -> observer: one trace record (live monitoring tap)
+# 6 was EVENT, one JSON trace record per frame (retired in version 4)
 PROBE = 7  # host -> observer: one bridged obs probe
 STATS = 8  # stats request (empty body) and reply (counters + latencies)
 DRAIN = 9  # load generator -> host: no further invokes are coming
@@ -81,6 +83,7 @@ BACKPRESSURE = 14  # host -> load client: {process, state: "high"|"low"}
 USER_BATCH = 15  # shard runtime: one coalesced flush of user rows per peer
 INVOKE_BATCH = 16  # coordinator -> shard worker: {rows: [...]} invoke rows
 COLLECT = 17  # coordinator -> shard worker: per-key event rows for the oracle
+RECORDS = 18  # host -> observer: a chunk of WAL EVENT records (live monitoring tap)
 
 KIND_NAMES = {
     HELLO: "hello",
@@ -88,7 +91,6 @@ KIND_NAMES = {
     USER: "user",
     CONTROL: "control",
     INVOKE: "invoke",
-    EVENT: "event",
     PROBE: "probe",
     STATS: "stats",
     DRAIN: "drain",
@@ -100,6 +102,7 @@ KIND_NAMES = {
     USER_BATCH: "user_batch",
     INVOKE_BATCH: "invoke_batch",
     COLLECT: "collect",
+    RECORDS: "records",
 }
 
 FRAME_KINDS = frozenset(KIND_NAMES)
@@ -461,10 +464,11 @@ class Frame:
 
     A USER or CONTROL frame's body is flat -- its head, a USER frame's
     message fields, and ``tag`` / ``payload`` as :func:`encode_value`
-    trees -- and ``value_text`` is that last section as received."""
+    trees -- and ``value_text`` is that last section as received.  A
+    RECORDS frame's body is its record bytes."""
 
     kind: int
-    body: Dict[str, Any]
+    body: Any
     value_text: Optional[str] = None
 
     @property
@@ -511,12 +515,13 @@ def _packet_payload(
 
 def encode_frame(
     kind: int,
-    body: Optional[Dict[str, Any]] = None,
+    body: Any = None,
     packet: Optional[Tuple[Optional[Message], Any]] = None,
 ) -> bytes:
     """Serialize one frame (length prefix included).
 
-    A USER or CONTROL frame's ``body`` is its head, and ``packet`` the
+    A RECORDS frame's ``body`` is bytes, written as they are.  A USER or
+    CONTROL frame's ``body`` is its head, and ``packet`` the
     ``(message, tag)`` or ``(None, payload)`` pair its sections spell
     (module docstring).  Without ``packet`` a flat body (see
     :class:`Frame`) is split into the same sections: a second path that
@@ -528,6 +533,8 @@ def encode_frame(
         raise UnknownFrameKind("cannot encode unknown frame kind %r" % (kind,))
     if kind in _VALUE_FIELDS:
         payload = _packet_payload(kind, body or {}, packet)
+    elif kind == RECORDS:
+        payload = bytes(body)
     else:
         payload = _frame_json(body or {}).encode("utf-8")
     size = _HEAD.size + len(payload)
@@ -604,6 +611,8 @@ def _decode_payload(kind: int, version: int, payload: bytes) -> Frame:
         )
     if kind in _VALUE_FIELDS:
         return _decode_packet(kind, payload)
+    if kind == RECORDS:
+        return Frame(kind=kind, body=bytes(payload))
     try:
         body = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -36,7 +36,7 @@ from repro.net import codec
 from repro.net.client import ClusterClient
 from repro.obs.bus import Bus
 from repro.obs.export import spans_to_chrome_trace
-from repro.obs.flight import FlightRecorder
+from repro.obs.flight import LIFECYCLE_KINDS, FlightRecorder
 from repro.obs.metrics import Histogram
 from repro.obs.spans import SpanTracer
 
@@ -51,12 +51,7 @@ __all__ = [
 
 #: Flight-record kind -> the host probe it was taped from (the stitcher
 #: re-emits these onto a fresh bus so SpanTracer rebuilds the spans).
-_KIND_TO_PROBE = {
-    "invoke": "host.invoke",
-    "send": "host.release",
-    "receive": "host.receive",
-    "deliver": "host.deliver",
-}
+_KIND_TO_PROBE = {kind: probe for probe, kind in LIFECYCLE_KINDS.items()}
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ from __future__ import annotations
 import asyncio
 import random
 import time
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.events import Event, EventKind, Message
+from repro.events import Message
 from repro.net import codec
 from repro.net.endpoint import Endpoint
 from repro.net.resilience import (
@@ -48,6 +48,7 @@ from repro.obs.watchdog import Watchdog
 from repro.simulation.host import ProtocolHost
 from repro.simulation.network import Network, Packet
 from repro.simulation.trace import SimulationStats, Trace, TraceRecord
+from repro.wal import records as wal_records
 
 #: Bus probes bridged to observers (kept narrow: the fault/recovery
 #: stream an operator actually watches; the firehose stays local).
@@ -76,34 +77,27 @@ DIAL_TIMEOUT = 20.0
 #: batch (and one cumulative ack) can cover.
 _READ_CHUNK = 1 << 16
 
-_KIND_TO_WIRE = {
-    EventKind.INVOKE: "invoke",
-    EventKind.SEND: "send",
-    EventKind.RECEIVE: "receive",
-    EventKind.DELIVER: "deliver",
-}
-_WIRE_TO_KIND = {name: kind for kind, name in _KIND_TO_WIRE.items()}
+#: Most record bytes one RECORDS frame holds (less its version and kind).
+_CHUNK_BYTES = codec.MAX_FRAME_BYTES - 2
 
 
-def event_to_wire(record: TraceRecord, message: Message) -> Dict[str, Any]:
-    """One trace record as an EVENT frame body (message attrs inline, so
-    the observer can reconstruct the trace with no side lookups)."""
-    return {
-        "t": record.time,
-        "p": record.process,
-        "k": _KIND_TO_WIRE[record.event.kind],
-        "m": codec.message_to_wire(message),
-    }
+def record_frames(tapped: Iterable[Tuple[TraceRecord, Message]]) -> Iterator[bytes]:
+    """Trace records as the WAL's ``EVENT`` records, in RECORDS frames.
 
-
-def event_from_wire(body: Dict[str, Any]) -> "tuple[float, int, Event, Message]":
-    """Strict inverse of :func:`event_to_wire`."""
-    try:
-        kind = _WIRE_TO_KIND[body["k"]]
-        message = codec.message_from_wire(body["m"])
-        return float(body["t"]), int(body["p"]), Event(message.id, kind), message
-    except (KeyError, TypeError, ValueError) as exc:
-        raise codec.MalformedFrame("bad event body %r: %s" % (body, exc)) from exc
+    A chunk is to the observer stream what a segment is to the log: a
+    message's body rides its first mention in it, so each chunk resolves
+    by itself (a record that would overflow one is rebuilt for the next)."""
+    encode, build = wal_records.encode_record, wal_records.event_record
+    data, seen = bytearray(), set()
+    for record, message in tapped:
+        encoded = encode(build(record, message, seen))
+        if data and len(data) + len(encoded) > _CHUNK_BYTES:
+            yield codec.encode_frame(codec.RECORDS, data)
+            data, seen = bytearray(), set()
+            encoded = encode(build(record, message, seen))
+        data += encoded
+    if data:
+        yield codec.encode_frame(codec.RECORDS, data)
 
 
 class NetProtocolHost(ProtocolHost):
@@ -284,8 +278,10 @@ class NetHost(Endpoint):
         self._peer_writers: List[asyncio.StreamWriter] = []
         #: Observer streams past their history replay: what the tap feeds.
         self._observer_writers: List[asyncio.StreamWriter] = []
+        self._tapped: List[Tuple[TraceRecord, Message]] = []
         self._inbound_peers: Set[int] = set()
-        self._unsubscribe_bridge: Optional[Callable[[], None]] = None
+        #: Unsubscribers of the probe bridge to observers, once one came.
+        self._bridge: List[Callable[[], None]] = []
         self._invoked_count = 0
         #: Durable replay log (repro.wal).  Recovery runs *before* the
         #: sink attaches, so replayed inputs are not logged twice.
@@ -338,7 +334,6 @@ class NetHost(Endpoint):
         import os
 
         from repro.wal import WalSink, read_log, replay_into_host
-        from repro.wal import records as _wal_records
 
         directory = os.path.join(wal_dir, "p%d" % self.process_id)
         existing = read_log(directory)
@@ -354,7 +349,7 @@ class NetHost(Endpoint):
             # records, so the successor outranks every HELLO the dead
             # incarnation may still have in flight.
             for record in existing.records:
-                if record.kind == _wal_records.META:
+                if record.kind == wal_records.META:
                     prior = record.body.get("incarnation")
                     if prior is not None:
                         self.incarnation = max(
@@ -430,6 +425,7 @@ class NetHost(Endpoint):
         return self.host.pending_local
 
     def _close(self) -> None:
+        self._flush_tap()
         for recorder in (self.flight, self.metrics, self.watchdog):
             if recorder is not None:
                 recorder.close()
@@ -441,9 +437,9 @@ class NetHost(Endpoint):
         and the dialed links too (peers then see EOF in both directions,
         exactly as they would if the process had gone)."""
         self.clock.cancel_all()
-        if self._unsubscribe_bridge is not None:
-            self._unsubscribe_bridge()
-            self._unsubscribe_bridge = None
+        for unsubscribe in self._bridge:
+            unsubscribe()
+        self._bridge = []
         for writer in self._peer_writers:
             if not writer.is_closing():
                 writer.close()
@@ -862,55 +858,51 @@ class NetHost(Endpoint):
                 self._observer_writers.remove(writer)
 
     def _attach_observer(self, writer: asyncio.StreamWriter) -> None:
-        # Replay history so late observers see the full stream, then tap.
-        for record in self.trace.records():
-            message = self.trace.message(record.event.message_id)
-            assert message is not None
-            writer.write(
-                codec.encode_frame(codec.EVENT, event_to_wire(record, message))
-            )
+        # What the tap holds is already in the trace the newcomer is sent.
+        self._flush_tap()
+        trace = self.trace
+        history = [(r, trace.message(r.event.message_id)) for r in trace.records()]
+        for frame in record_frames(history):
+            writer.write(frame)
         self._observer_writers.append(writer)
-        if self._unsubscribe_bridge is None:
+        if not self._bridge:
             # Once per host, not once per first observer: the tap outlives
             # an observer that leaves, and the next run's must not add a
             # second one (every event would be framed twice).
             self.trace.attach_tap(self._tap_record)
-            self._unsubscribe_bridge = self._subscribe_probe_bridge()
+            self._bridge = [
+                self.bus.subscribe(probe, self._forward_probe)
+                for probe in BRIDGED_PROBES
+            ]
 
     def _tap_record(self, record: TraceRecord, message: Message) -> None:
-        frame = codec.encode_frame(codec.EVENT, event_to_wire(record, message))
+        if not self._tapped:
+            # One frame per loop tick, like the transport's outboxes.
+            asyncio.get_running_loop().call_soon(self._flush_tap)
+        self._tapped.append((record, message))
+
+    def _flush_tap(self) -> None:
+        tapped, self._tapped = self._tapped, []
+        for frame in record_frames(tapped):
+            self._write_observers(frame)
+
+    def _write_observers(self, frame: bytes) -> None:
         for writer in self._observer_writers:
             if not writer.is_closing():
                 writer.write(frame)
 
-    def _subscribe_probe_bridge(self) -> Callable[[], None]:
-        """Bridge the fault/recovery probe stream to observers."""
-        unsubscribers = []
-
-        def forward(event) -> None:
-            frame = codec.encode_frame(
-                codec.PROBE,
-                {
-                    "probe": event.probe,
-                    "t": event.time,
-                    "process": self.process_id,
-                    "data": codec.encode_value(
-                        {k: v for k, v in event.data.items()}
-                    ),
-                },
-            )
-            for writer in self._observer_writers:
-                if not writer.is_closing():
-                    writer.write(frame)
-
-        for probe in BRIDGED_PROBES:
-            unsubscribers.append(self.bus.subscribe(probe, forward))
-
-        def unsubscribe_all() -> None:
-            for unsubscribe in unsubscribers:
-                unsubscribe()
-
-        return unsubscribe_all
+    def _forward_probe(self, event) -> None:
+        """Bridge one fault/recovery probe to the observers."""
+        frame = codec.encode_frame(
+            codec.PROBE,
+            {
+                "probe": event.probe,
+                "t": event.time,
+                "process": self.process_id,
+                "data": codec.encode_value(dict(event.data)),
+            },
+        )
+        self._write_observers(frame)
 
     # -- load clients ----------------------------------------------------------
 
@@ -933,6 +925,7 @@ class NetHost(Endpoint):
 
     def stats_body(self) -> Dict[str, Any]:
         """The host's counters and latency histograms as a STATS body."""
+        self._flush_tap()  # a run settles on STATS, then asks the observer
         stats = self.stats
         body: Dict[str, Any] = {
             "process": self.process_id,

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.events import Event, EventKind
-from repro.obs.flight import FlightRecorder
+from repro.obs.flight import LIFECYCLE_KINDS, FlightRecorder
 
 __all__ = [
     "WINDOW_LIMIT",
@@ -46,15 +46,6 @@ WINDOW_SECONDS = 0.5
 #: Ceiling on flight-window records embedded in one report (per run, not
 #: per host) -- forensics artifacts must stay readable, not exhaustive.
 WINDOW_LIMIT = 200
-
-_LIFECYCLE_ORDER = ("invoke", "send", "receive", "deliver")
-
-_EVENT_TO_FLIGHT = {
-    EventKind.INVOKE: "invoke",
-    EventKind.SEND: "send",
-    EventKind.RECEIVE: "receive",
-    EventKind.DELIVER: "deliver",
-}
 
 
 def _event_label(event: Event) -> str:
@@ -80,7 +71,7 @@ def _causal_path(
                 {
                     "event": _event_label(event),
                     "message_id": message_id,
-                    "kind": "send" if event.kind is EventKind.SEND else "deliver",
+                    "kind": event.kind.name.lower(),
                     "process": location,
                     "vc": _vc_wire(clock),
                     "_sort": (sum(clock.values()), location, own),
@@ -101,8 +92,8 @@ def _causal_path(
                     }
                 )
             elif a["process"] == b["process"] and causality.before(
-                Event(a["message_id"], _KIND[a["kind"]]),
-                Event(b["message_id"], _KIND[b["kind"]]),
+                Event(a["message_id"], EventKind[a["kind"].upper()]),
+                Event(b["message_id"], EventKind[b["kind"].upper()]),
             ):
                 edges.append(
                     {
@@ -112,9 +103,6 @@ def _causal_path(
                     }
                 )
     return nodes, edges
-
-
-_KIND = {"send": EventKind.SEND, "deliver": EventKind.DELIVER}
 
 
 def _out_of_order_pairs(
@@ -169,7 +157,7 @@ def _timeline(
     wanted = set(message_ids)
     rows: List[Dict[str, Any]] = []
     for process, record in _flight_records(dumps):
-        if record.kind in _LIFECYCLE_ORDER and record.message_id in wanted:
+        if record.kind in LIFECYCLE_KINDS.values() and record.message_id in wanted:
             rows.append(
                 {
                     "message_id": record.message_id,
@@ -238,7 +226,7 @@ def build_forensics(
     for row in timeline:
         if (
             row["message_id"] == violation.event.message_id
-            and row["kind"] == _EVENT_TO_FLIGHT[violation.event.kind]
+            and row["kind"] == violation.event.kind.name.lower()  # a flight kind
         ):
             violation_wall = row["wall"]
     if violation_wall is None and timeline:

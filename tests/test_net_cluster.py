@@ -14,11 +14,14 @@ import pytest
 from repro.events import Event, Message
 from repro.faults import FaultPlan
 from repro.mc.mutations import mutation_factories
-from repro.net import NetHost, run_cluster_sync
+from repro.net import NetHost, codec, run_cluster_sync
 from repro.net.cluster import LiveObserver, LoadGenerator, drive_run, free_ports
+from repro.net.host import record_frames
 from repro.predicates.catalog import CAUSAL_B2, CAUSAL_ORDERING, FIFO, FIFO_ORDERING
 from repro.protocols import GeneratedTaggedProtocol, catalogue
 from repro.protocols.base import make_factory
+from repro.simulation.trace import TraceRecord
+from repro.wal import records as wal_records
 
 # Fast wall mapping for tests: 1 virtual unit == 1ms, so the ARQ's
 # 30-unit RTO is 30ms and soak runs converge quickly.
@@ -215,6 +218,165 @@ class TestSyncOracleFallback:
             observer._merge()
         assert observer.final_check() is None
         assert observer.oracle_outcome is True
+
+
+KINDS = ("invoke", "send", "receive", "deliver")
+
+
+def _record(message, kind, t=1.0):
+    """One trace record of ``message`` at its sender."""
+    event = getattr(Event, kind)(message.id)
+    return TraceRecord(time=t, sequence=0, process=message.sender, event=event)
+
+
+def _event_bytes(message, kind, seen=None):
+    return wal_records.encode_record(
+        wal_records.event_record(_record(message, kind), message, seen)
+    )
+
+
+def _chunk_frames(*groups):
+    """RECORDS frames as a host's tap writes them, one per group of
+    ``(message, kind)`` steps at the sender."""
+    return [
+        frame
+        for group in groups
+        for frame in record_frames((_record(m, kind), m) for m, kind in group)
+    ]
+
+
+async def _observe(observer, data):
+    """Attach ``observer`` to a stand-in host that answers the HELLO
+    with ``data`` and closes; returns once the stream has ended."""
+
+    async def serve(reader, writer):
+        await codec.read_frame(reader)
+        writer.write(data)
+        await writer.drain()
+        writer.close()
+
+    server = await asyncio.start_server(serve, "127.0.0.1", 0)
+    try:
+        await observer.connect([server.sockets[0].getsockname()[1]], run_id="t-obs")
+        await asyncio.wait_for(asyncio.gather(*observer._readers), 5.0)
+    finally:
+        await observer.close()
+        server.close()
+        await server.wait_closed()
+
+
+class TestObserverChunks:
+    """The observer's side of the RECORDS stream, fed bytes directly."""
+
+    M0, M1, M2 = (Message(id="m%d" % n, sender=0, receiver=0) for n in range(3))
+
+    def test_merge_and_monitor_step_once_per_chunk(self):
+        observer = LiveObserver(1, spec=FIFO_ORDERING)
+        calls = {"merge": 0, "advance": 0}
+        merge, advance = observer._merge, observer.monitor.advance
+
+        def counted(name, function):
+            def call(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return call
+
+        observer._merge = counted("merge", merge)
+        observer.monitor.advance = counted("advance", advance)
+        messages = (self.M0, self.M1, self.M2)
+        frames = _chunk_frames(*([(m, kind) for kind in KINDS] for m in messages))
+        assert len(frames) == 3
+        asyncio.run(_observe(observer, b"".join(frames)))
+        assert observer.errors == []
+        assert observer.events_seen == observer.events_merged == 12
+        assert calls == {"merge": 3, "advance": 3}
+
+    def _bad_chunk(self, case):
+        good = _event_bytes(self.M1, "invoke") + _event_bytes(self.M1, "send")
+        if case == "bad-crc":
+            data = bytearray(good)
+            data[-2] ^= 0x01  # a body byte of the last record
+            return bytes(data)
+        if case == "truncated":
+            return good + _event_bytes(self.M1, "receive")[:-3]
+        if case == "input-record":
+            return good + wal_records.encode_record(
+                wal_records.invoke_record(1.0, 0, self.M2)
+            )
+        if case == "cid-without-body":
+            # M2's body rode the previous chunk: a chunk resolves alone.
+            cid = codec.message_texts(self.M2).cid
+            return good + _event_bytes(self.M2, "send", seen={cid})
+        assert case == "malformed-body"
+        return good + wal_records.encode_record(
+            wal_records.WalRecord(
+                wal_records.EVENT,
+                {"t": 1.0, "p": 0, "k": "warp", "m": codec.message_to_wire(self.M1)},
+            )
+        )
+
+    @pytest.mark.parametrize(
+        "case, reason",
+        [
+            ("bad-crc", "crc mismatch"),
+            ("truncated", "truncated"),
+            ("input-record", "INPUT record in an observer chunk"),
+            ("cid-without-body", "bad EVENT body"),
+            ("malformed-body", "bad EVENT body"),
+        ],
+    )
+    def test_malformed_chunk_ends_the_stream_and_merges_nothing(self, case, reason):
+        first = _chunk_frames([(self.M0, k) for k in KINDS] + [(self.M2, "invoke")])
+        bad = codec.encode_frame(codec.RECORDS, self._bad_chunk(case))
+        after = _chunk_frames([(self.M1, "invoke")])
+        observer = LiveObserver(1)
+        asyncio.run(_observe(observer, b"".join(first) + bad + b"".join(after)))
+        # The chunk before merged; nothing of the bad one or after it did.
+        assert observer.events_merged == observer.trace.record_count == 5
+        assert len(observer.errors) == 1
+        assert observer.errors[0].startswith("observer stream 0: ")
+        assert reason in observer.errors[0]
+
+    def test_late_observer_takes_history_beyond_one_frame(self):
+        """A trace spelling more than one frame's worth of records (80
+        messages with 64 KiB payloads: over 5 MiB of bodies) replays to
+        a late observer in several frames, each event merged once."""
+        count = 80
+
+        async def scenario():
+            ports = free_ports(1)
+            host = NetHost(
+                catalogue()["fifo"].factory,
+                0,
+                ports,
+                run_id="t-obs-big",
+                observability=False,
+            )
+            await host.start()
+            await host.ready()
+            for n in range(count):
+                message = Message(
+                    id="m%d" % n, sender=0, receiver=0, payload=("%05d" % n) * 13107
+                )
+                host.trace.register_message(message)
+                for kind in KINDS:
+                    host.trace.record(float(n), 0, getattr(Event, kind)(message.id))
+            observer = LiveObserver(1)
+            try:
+                await observer.connect(ports, run_id="t-obs-big")
+                for _ in range(500):
+                    if observer.events_merged >= 4 * count or observer.errors:
+                        break
+                    await asyncio.sleep(0.01)
+            finally:
+                await observer.close()
+                await host.shutdown()
+            return observer, host.errors
+
+        observer, host_errors = asyncio.run(scenario())
+        assert observer.errors == host_errors == []
+        assert observer.events_seen == observer.events_merged == 4 * count
 
 
 class TestSoakUnderLoss:

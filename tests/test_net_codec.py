@@ -5,15 +5,17 @@ import struct
 
 import pytest
 
-from repro.events import Message
+from repro.events import Event, Message
 from repro.net import codec
+from repro.simulation.trace import TraceRecord
+from repro.wal import records as wal_records
 
 
 def _sample_bodies():
     """One representative body per frame kind."""
-    message = codec.message_to_wire(
-        Message(id="m1", sender=0, receiver=1, color="red", payload=(1, "a"))
-    )
+    sample = Message(id="m1", sender=0, receiver=1, color="red", payload=(1, "a"))
+    message = codec.message_to_wire(sample)
+    deliver = TraceRecord(time=3.0, sequence=0, process=1, event=Event.deliver("m1"))
     return {
         codec.HELLO: {"process": 2, "role": "peer", "run": "r1"},
         codec.READY: {"process": 2},
@@ -28,7 +30,6 @@ def _sample_bodies():
             "sent": 2.0,
         },
         codec.INVOKE: message,
-        codec.EVENT: {"t": 3.0, "p": 1, "k": "deliver", "m": message},
         codec.PROBE: {
             "probe": "fault.drop",
             "t": 4.0,
@@ -78,6 +79,9 @@ def _sample_bodies():
             "rows": [["m1", 0, 1, "k3", 0], ["m2", 1, 0, "k5", 0]],
         },
         codec.COLLECT: {"shard": 0, "rows": [], "done": True},
+        codec.RECORDS: wal_records.encode_record(
+            wal_records.event_record(deliver, sample)
+        ),
     }
 
 

@@ -13,11 +13,10 @@ from repro.net import (
     free_ports,
 )
 from repro.net import codec
-from repro.net.host import event_from_wire, event_to_wire
 from repro.net.transport import packet_from_frame
 from repro.protocols import catalogue
 from repro.simulation.network import Packet
-from repro.simulation.trace import Trace
+from repro.wal import records as wal_records
 
 
 class TestWallClock:
@@ -123,26 +122,138 @@ class TestPacketFraming:
             packet_from_frame(frame)
 
 
-class TestEventWire:
-    def test_event_round_trips_through_a_tap(self):
-        trace = Trace(2)
-        message = Message(id="m1", sender=0, receiver=1)
-        seen = []
-        trace.attach_tap(lambda record, msg: seen.append((record, msg)))
+def _script(trace, first, last):
+    """Messages ``m<first>..m<last-1>``, each with its four events, at 0."""
+    for n in range(first, last):
+        message = Message(id="m%d" % n, sender=0, receiver=0, payload=n)
         trace.register_message(message)
-        trace.record(2.5, 1, Event.deliver("m1"))
-        assert len(seen) == 1
-        record, tapped = seen[0]
-        time, process, event, rebuilt = event_from_wire(
-            event_to_wire(record, tapped)
-        )
-        assert (time, process) == (2.5, 1)
-        assert event == Event.deliver("m1")
-        assert rebuilt == message
+        for kind in ("invoke", "send", "receive", "deliver"):
+            trace.record(float(n), 0, getattr(Event, kind)(message.id))
 
-    def test_malformed_event_body_rejected(self):
-        with pytest.raises(codec.MalformedFrame, match="bad event body"):
-            event_from_wire({"t": 1.0, "k": "warp", "p": 0, "m": {}})
+
+def _resolved(chunks):
+    """``resolve_events`` over each RECORDS chunk by itself, checking
+    that a message's body rides its first mention in the chunk only."""
+    resolved = []
+    for chunk in chunks:
+        records, offset, mentioned = [], 0, set()
+        while offset < len(chunk):
+            record, offset = wal_records.decode_record(chunk, offset)
+            records.append(record)
+            assert ("m" in record.body) == (record.body["cid"] not in mentioned)
+            mentioned.add(record.body["cid"])
+        resolved.extend(wal_records.resolve_events(records, verify=True))
+    return resolved
+
+
+def _trace_events(trace):
+    return [
+        (r.time, r.process, r.event, trace.message(r.event.message_id))
+        for r in trace.records()
+    ]
+
+
+class _Stream:
+    """An observer's stream writer, kept in memory."""
+
+    def __init__(self):
+        self.data = b""
+
+    def write(self, data):
+        self.data += data
+
+    def is_closing(self):
+        return False
+
+    def chunks(self):
+        frames = codec.FrameDecoder().feed(self.data)
+        return [frame.body for frame in frames if frame.kind == codec.RECORDS]
+
+
+class TestObserverTap:
+    def test_each_observer_resolves_the_trace_from_its_chunks(self):
+        """The host taps its trace as the WAL's own EVENT records: a
+        scripted trace, with a second observer attaching mid-run, comes
+        out of ``resolve_events`` over each observer's RECORDS chunks as
+        exactly the trace's records, and every chunk resolves alone."""
+
+        async def attach(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(
+                codec.encode_frame(
+                    codec.HELLO, {"process": -1, "role": "observer", "run": "tap"}
+                )
+            )
+            chunks = []
+            while True:  # the history comes before READY
+                frame = await asyncio.wait_for(codec.read_frame(reader), 5.0)
+                if frame.kind == codec.READY:
+                    return reader, writer, chunks
+                chunks.append(frame.body)
+
+        async def scenario():
+            ports = free_ports(1)
+            host = NetHost(_fifo_factory(), 0, ports, run_id="tap")
+            await host.start()
+            await host.ready()
+            early = await attach(ports[0])
+            _script(host.trace, 1, 4)
+            await asyncio.sleep(0.02)  # the tap's tick flush
+            late = await attach(ports[0])
+            _script(host.trace, 4, 7)
+            await asyncio.sleep(0.02)
+            expected = _trace_events(host.trace)
+            await host.shutdown()
+            streams = []
+            for reader, writer, chunks in (early, late):
+                while True:
+                    frame = await asyncio.wait_for(codec.read_frame(reader), 5.0)
+                    if frame is None:
+                        break
+                    if frame.kind == codec.RECORDS:
+                        chunks.append(frame.body)
+                writer.close()
+                streams.append(chunks)
+            return expected, streams
+
+        expected, streams = asyncio.run(scenario())
+        assert len(expected) == 24
+        assert [_resolved(chunks) for chunks in streams] == [expected, expected]
+        assert len(streams[1]) >= 2  # history, then the tap
+
+    def test_an_observer_attaching_mid_tick_gets_each_record_once(self):
+        """Records tapped in the loop tick an observer attaches in are in
+        the history it is sent, so the tap must not send them again."""
+
+        async def scenario():
+            host = NetHost(_fifo_factory(), 0, free_ports(1), run_id="tick")
+            early, late = _Stream(), _Stream()
+            host._attach_observer(early)
+            _script(host.trace, 1, 3)  # still in the tap when `late` comes
+            host._attach_observer(late)
+            _script(host.trace, 3, 5)
+            await asyncio.sleep(0)  # the tick's flush
+            return _trace_events(host.trace), early.chunks(), late.chunks()
+
+        expected, early, late = asyncio.run(scenario())
+        assert _resolved(early) == _resolved(late) == expected
+        assert len(expected) == 16
+
+    def test_a_stats_reply_never_overtakes_the_events_it_counts(self):
+        """A run settles on STATS and then reads the observer's verdict,
+        so the tap is flushed before a STATS body is built, not at the
+        end of the tick (a reply could otherwise get there first)."""
+
+        async def scenario():
+            host = NetHost(_fifo_factory(), 0, free_ports(1), run_id="stats")
+            stream = _Stream()
+            host._attach_observer(stream)
+            _script(host.trace, 1, 3)
+            host.stats_body()  # in the same tick
+            return _trace_events(host.trace), stream.chunks()
+
+        expected, chunks = asyncio.run(scenario())
+        assert _resolved(chunks) == expected
 
 
 def _fifo_factory():

@@ -18,6 +18,7 @@ import pytest
 
 from repro.faults import FaultPlan
 from repro.mc.mutations import mutation_factories
+from repro.net import cluster as cluster_module
 from repro.net import run_cluster_sync
 from repro.net.cluster import LiveObserver, LoadGenerator, free_ports
 from repro.net.host import NetHost
@@ -67,6 +68,10 @@ class TestTcpRecordReplaySweep:
         assert len(delivery_order(replayed.trace)) == report.delivered
         # Identical verdict through the same incremental monitor.
         assert replayed.violation is None
+
+
+def _events(trace):
+    return [(record.time, record.process, record.event) for record in trace.records()]
 
 
 class TestTcpViolationReplay:
@@ -125,7 +130,9 @@ class TestTcpViolationReplay:
         return live
 
     @pytest.mark.parametrize("case", ["clean-fifo", "broken-fifo", "crown-3"])
-    def test_violating_assignment_survives_the_replay(self, case, tmp_path):
+    def test_violating_assignment_survives_the_replay(
+        self, case, tmp_path, monkeypatch
+    ):
         """`repro replay` reports the *identical* verdict the live
         observer reached, because both judge through the one
         `capped_monitor` policy: the same violating assignment for a
@@ -133,7 +140,17 @@ class TestTcpViolationReplay:
         string equality pins predicate, witnesses and time all at once),
         none for a clean one, and the same oracle rejection -- flagged
         by the oracle step, not the capped monitor -- for a run whose
-        only crown is longer than the live search looks."""
+        only crown is longer than the live search looks.  On a TCP run
+        the observer's merged trace is the replayed one, record for
+        record."""
+        observers = []
+
+        class KeptObserver(LiveObserver):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                observers.append(self)
+
+        monkeypatch.setattr(cluster_module, "LiveObserver", KeptObserver)
         if case == "crown-3":
             live = self._crown3_run(tmp_path)
         elif case == "broken-fifo":
@@ -142,7 +159,12 @@ class TestTcpViolationReplay:
             live = self._clean_run(tmp_path)
         assert (live is None) == (case == "clean-fifo")
 
-        found = replay_log(str(tmp_path)).violation  # spec resolves from META
+        replayed = replay_log(str(tmp_path))  # spec resolves from META
+        if case != "crown-3":
+            (observer,) = observers
+            assert _events(observer.trace) == _events(replayed.trace)
+            assert len(_events(replayed.trace)) == observer.events_merged > 0
+        found = replayed.violation
         rendered = found if found is None or isinstance(found, str) else repr(found)
         assert rendered == live
         assert isinstance(found, str) == (case == "crown-3")
