@@ -49,7 +49,8 @@ def _run_tier(plan_for):
         elapsed += time.perf_counter() - started
         assert result.delivered_all, result.undelivered
         retransmissions += result.stats.retransmissions
-        dropped += result.stats.packets_dropped
+        if result.fault_summary is not None:  # None on the clean tier
+            dropped += result.fault_summary.packets_dropped
         goodputs.append(result.stats.goodput)
         latencies.append(result.stats.mean_delivery_latency)
     runs = len(list(SEEDS))

@@ -79,7 +79,7 @@ def crash_and_recover() -> None:
         "P1 crashed at t=5, restarted at t=60: %d packet(s) blackholed, "
         "%d retransmission(s), all %d messages delivered in order"
         % (
-            result.stats.crash_drops,
+            result.fault_summary.crash_drops,
             result.stats.retransmissions,
             result.stats.deliveries,
         )

@@ -194,8 +194,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print("trace:             %s (open in https://ui.perfetto.dev)"
               % args.trace_out)
     if recorder is not None:
+        import json
+
+        # The hosts' registry and the recorder's share no name.
+        metrics = result.stats.registry.snapshot()
+        metrics.update(recorder.registry.snapshot())
         with open(args.metrics_out, "w") as handle:
-            handle.write(recorder.registry.to_json())
+            handle.write(json.dumps(metrics, indent=2, sort_keys=True))
         print("metrics:           %s" % args.metrics_out)
     if not result.delivered_all:
         if watchdog is None:

@@ -109,7 +109,6 @@ class FaultInjector:
         self.transport.mark_down(process_id)
         if self._wal is None:
             self._snapshots[process_id] = host.protocol.snapshot()
-        host.stats.crashes += 1
         self.crashes += 1
         bus = self._bus
         if bus is not None and bus.active:
@@ -137,7 +136,6 @@ class FaultInjector:
             )
         else:
             host.protocol.restore(self._snapshots.pop(process_id))
-        host.stats.restarts += 1
         self.restarts += 1
         bus = self._bus
         if bus is not None and bus.active:

@@ -66,8 +66,8 @@ class FaultyTransport(Transport):
     one, or two times) and exposes the inner transport's ``latency`` /
     ``fifo_channels`` so the :class:`~repro.simulation.network.Network`
     facade keeps working.  Per-fault counters feed the run's
-    :class:`~repro.simulation.trace.SimulationStats` and the
-    ``fault.*`` probes.
+    :class:`~repro.faults.injector.FaultSummary`; the ``fault.*`` probes
+    carry the same events to the bus.
     """
 
     def __init__(self, plan: FaultPlan, inner: Transport):

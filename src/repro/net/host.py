@@ -42,7 +42,7 @@ from repro.net.transport import (
 )
 from repro.obs.bus import Bus
 from repro.obs.flight import FlightRecorder
-from repro.obs.metrics import Histogram, MetricsRecorder, MetricsRegistry
+from repro.obs.metrics import MetricsRecorder
 from repro.obs.openmetrics import render_openmetrics
 from repro.obs.watchdog import Watchdog
 from repro.simulation.host import ProtocolHost
@@ -106,8 +106,9 @@ class NetProtocolHost(ProtocolHost):
     The receiver never holds the sender's trace, so a delivery cannot
     look up the send/invoke records; instead the wall timestamps carried
     in the user frame (stashed by :meth:`NetHost._dispatch_packet`) feed
-    :attr:`delivery_latency` and :attr:`e2e_latency`.  Latencies are
-    therefore **real seconds**, not virtual units.
+    the stats registry's :attr:`delivery_latency` and :attr:`e2e_latency`
+    histograms.  Latencies are therefore **real seconds**, not virtual
+    units.
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
@@ -119,15 +120,6 @@ class NetProtocolHost(ProtocolHost):
         #: local stamps for outbound frames (retransmissions reuse them).
         self.release_wall: Dict[str, float] = {}
         self.invoke_wall: Dict[str, float] = {}
-        #: Wall-clock latency distributions.  Memory-bounded histograms,
-        #: not the SimulationStats sample lists: a soak run must not grow
-        #: linearly with delivered messages.
-        self.delivery_latency = Histogram(
-            "latency.delivery", "send -> deliver wall seconds"
-        )
-        self.e2e_latency = Histogram(
-            "latency.end_to_end", "invoke -> deliver wall seconds"
-        )
 
     def invoke(self, message: Message) -> None:
         self.invoke_wall.setdefault(message.id, time.time())
@@ -256,22 +248,16 @@ class NetHost(Endpoint):
         #: The in-host observability plane (all opt-out via
         #: ``observability=False`` for overhead measurements): a flight
         #: recorder taping the latest probe events with vector
-        #: timestamps, a metrics recorder backing the METRICS frame's
-        #: OpenMetrics exposition, and the liveness watchdog whose
-        #: diagnoses ride the STATS reply.
+        #: timestamps, a metrics recorder adding the bus-only metrics to
+        #: the stats registry the METRICS frame exposes, and the liveness
+        #: watchdog whose diagnoses ride the STATS reply.
         self.flight: Optional[FlightRecorder] = None
         self.metrics: Optional[MetricsRecorder] = None
         self.watchdog: Optional[Watchdog] = None
         if observability:
             self.flight = FlightRecorder(process_id)
             self.flight.attach(self.bus)
-            # STATS and METRICS read the same two wall-clock histograms;
-            # a recorder handed a registry that already holds them leaves
-            # them to their owner (no virtual-time samples mixed in).
-            registry = MetricsRegistry()
-            registry.register(self.host.delivery_latency)
-            registry.register(self.host.e2e_latency)
-            self.metrics = MetricsRecorder(self.bus, registry)
+            self.metrics = MetricsRecorder(self.bus, self.stats.registry)
             self.watchdog = Watchdog(self.bus)
             self.transport._vc_for = self._vc_for_packet
         #: Dialed peer streams (the accepted ones are the endpoint's).
@@ -1012,15 +998,10 @@ class NetHost(Endpoint):
 
     def metrics_body(self) -> Dict[str, Any]:
         """OpenMetrics exposition text (plus raw snapshot) for METRICS."""
-        if self.metrics is not None:
-            registry = self.metrics.registry
-            text = render_openmetrics(registry, {"process": str(self.process_id)})
-            snapshot = registry.snapshot()
-        else:
-            text, snapshot = "", {}
+        registry = self.stats.registry
         return {
             "process": self.process_id,
             "wall": time.time(),
-            "text": text,
-            "snapshot": snapshot,
+            "text": render_openmetrics(registry, {"process": str(self.process_id)}),
+            "snapshot": registry.snapshot(),
         }

@@ -2,9 +2,9 @@
 
 The layer the ROADMAP's production ambitions need: typed probe points
 emitted from the simulator, network, protocol hosts and the verification
-harness (:mod:`repro.obs.bus`); a metrics registry of the paper's cost
-dimensions that subsumes ``SimulationStats`` (:mod:`repro.obs.metrics`);
-a span-based causal tracer with Chrome trace-event export so a run opens
+harness (:mod:`repro.obs.bus`); the metrics registry a host writes its
+costs into, which ``SimulationStats`` reads, and a recorder adding what
+only the probe stream shows (:mod:`repro.obs.metrics`); a span-based causal tracer with Chrome trace-event export so a run opens
 in Perfetto (:mod:`repro.obs.spans`, :mod:`repro.obs.export`); a
 liveness watchdog naming what blocks each stuck message
 (:mod:`repro.obs.watchdog`); and a per-phase protocol profiler behind

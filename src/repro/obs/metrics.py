@@ -1,15 +1,30 @@
 """Metrics registry: counters, gauges and histograms over probe events.
 
-The registry is a flat namespace of named metrics; the
-:class:`MetricsRecorder` subscribes a registry to an instrumentation bus
-and maintains the protocol-cost metrics the paper's analysis cares about:
-inhibition time (``x.s* -> x.s``), network transit (``x.s -> x.r*``),
-delivery buffering (``x.r* -> x.r``), tag bytes, control fan-out per
-channel, buffer occupancy per process, and per-channel reordering.
+The registry is a flat namespace of named metrics, and each name has one
+writer.  A :class:`~repro.simulation.host.ProtocolHost` writes what it
+does itself into its :class:`~repro.simulation.trace.SimulationStats`
+registry; the :class:`MetricsRecorder` writes what only the probe stream
+shows:
 
-The recorder *subsumes* :class:`~repro.simulation.trace.SimulationStats`:
-its counters and latency histograms, fed purely from the probe stream,
-hold the same values the host counts directly.
+===================  =====================================================
+writer               names
+===================  =====================================================
+``ProtocolHost``     ``messages.user``, ``messages.delivered``,
+                     ``messages.delayed``, ``tag.bytes``,
+                     ``tag.bytes.per_message``, ``net.control.messages``,
+                     ``net.control.bytes``, ``latency.delivery``,
+                     ``latency.end_to_end``, ``retx.messages``,
+                     ``retx.dups``
+``MetricsRecorder``  ``latency.inhibition``, ``latency.network``,
+                     ``latency.buffering``, ``messages.invoked``,
+                     ``messages.inhibited``, ``buffer.occupancy``,
+                     ``channel.reordered``, ``fault.*``, ``retx.acks``,
+                     ``link.*``, ``net.shed.frames``,
+                     ``net.backpressure.*``
+===================  =====================================================
+
+The two sets are disjoint, so a :class:`~repro.net.host.NetHost` runs its
+recorder on its stats registry and one exposition carries both.
 """
 
 from __future__ import annotations
@@ -19,7 +34,6 @@ import math
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.bus import Bus, ProbeEvent
-from repro.simulation.trace import estimate_size
 
 
 class Counter:
@@ -321,13 +335,6 @@ class MetricsRegistry:
         """The histogram named ``name``, created on first use."""
         return self._get_or_create(Histogram, name, help)
 
-    def register(self, metric) -> None:
-        """Adopt a metric object its owner observes directly, so that
-        every surface reading the registry reads that one object."""
-        if metric.name in self._metrics:
-            raise ValueError("metric %r already registered" % metric.name)
-        self._metrics[metric.name] = metric
-
     def names(self) -> List[str]:
         """All registered metric names, sorted."""
         return sorted(self._metrics)
@@ -346,20 +353,20 @@ class MetricsRegistry:
 
 
 class MetricsRecorder:
-    """Subscribes a registry to a bus and maintains protocol-cost metrics.
+    """Subscribes a registry to a bus and keeps the metrics only a bus sees.
 
-    Metrics maintained (names are part of the observability contract):
+    What a host does itself -- releases, tags, deliveries, control
+    messages, retransmissions, delivery latency -- the host counts (see
+    the module table).  The recorder keeps what takes two probes or
+    another component to see (names are part of the observability
+    contract):
 
-    - ``messages.invoked`` / ``messages.user`` / ``messages.delivered`` /
-      ``messages.delayed`` (counters),
-    - ``messages.inhibited`` -- invokes the protocol did not release
-      synchronously,
-    - ``latency.inhibition`` / ``latency.network`` / ``latency.buffering`` /
-      ``latency.delivery`` / ``latency.end_to_end`` (histograms),
-    - ``tag.bytes`` (counter) and ``tag.bytes.per_message`` (histogram) and
-      ``tag.bytes.max`` (gauge),
-    - ``net.control.messages`` / ``net.control.bytes`` (counters, with a
-      per-channel ``pSRC->pDST`` label breakdown -- the control fan-out),
+    - ``messages.invoked`` (counter) and ``messages.inhibited`` -- invokes
+      the protocol did not release synchronously,
+    - ``latency.inhibition`` / ``latency.network`` / ``latency.buffering``
+      (histograms: ``x.s* -> x.s``, ``x.s -> x.r*``, ``x.r* -> x.r``; the
+      network phase needs the ``sent`` stamp a receive probe carries when
+      the receiver's trace holds the send),
     - ``buffer.occupancy`` (gauge; received-not-yet-delivered, global and
       per ``pN`` label),
     - ``channel.reordered`` (counter, per-channel: arrivals overtaken by a
@@ -368,11 +375,7 @@ class MetricsRecorder:
       ``scripted`` / ``crash``), ``fault.dups``, ``fault.partition_drops``
       (per-channel labels), ``fault.spikes``, ``fault.crashes`` /
       ``fault.restarts`` (per-process labels),
-    - ``retx.messages`` (counter, labelled ``user`` / ``control``) /
-      ``retx.acks`` / ``retx.dups`` -- the ARQ sublayer's recovery work,
-    - ``net.goodput`` (gauge: deliveries per packet the user layer paid
-      for, ``delivered / (released + retransmitted)``; 1.0 on a clean
-      network, sinking as recovery work grows),
+    - ``retx.acks`` -- acknowledgments the ARQ sublayer processed,
     - ``link.transitions`` (counter, labelled by the new detector state
       ``up`` / ``suspect`` / ``down``), ``link.redials`` / ``link.giveups``
       (counters, per-process labels) -- the failure detector and the
@@ -383,21 +386,13 @@ class MetricsRecorder:
       ``low``) and ``net.backpressure.pending`` (gauge, per-process: the
       pending depth at the last watermark crossing).
 
-    A registry that already holds ``latency.delivery`` when the recorder
-    is built has an owner feeding it and ``latency.end_to_end`` in its
-    own unit (:class:`~repro.net.host.NetHost` registers its wall-clock
-    histograms); the recorder then leaves both alone, so bus-time samples
-    never mix into them.  Per-message state is dropped when the message's
-    delivery is observed -- or, under such an owner, at release: the
-    delivery then happens on another host's bus, so the invoke stamp is
-    consumed by ``latency.inhibition`` and no release stamp is kept.
+    Per-message state is dropped as soon as it is used: the invoke stamp
+    at release, the receive stamp at delivery.
     """
 
     def __init__(self, bus: Bus, registry: Optional[MetricsRegistry] = None):
         self.registry = registry or MetricsRegistry()
-        self._owns_delivery_latency = self.registry.get("latency.delivery") is None
         self._invoke_time: Dict[str, float] = {}
-        self._release_time: Dict[str, float] = {}
         self._receive_time: Dict[str, float] = {}
         self._occupancy: Dict[int, int] = {}
         self._channel_send_high: Dict[Tuple[int, int], float] = {}
@@ -407,16 +402,13 @@ class MetricsRecorder:
             bus.subscribe("host.release", self._on_release),
             bus.subscribe("host.receive", self._on_receive),
             bus.subscribe("host.deliver", self._on_deliver),
-            bus.subscribe("net.control", self._on_control),
             bus.subscribe("fault.drop", self._on_fault_drop),
             bus.subscribe("fault.dup", self._on_fault_dup),
             bus.subscribe("fault.partition", self._on_fault_partition),
             bus.subscribe("fault.spike", self._on_fault_spike),
             bus.subscribe("crash", self._on_crash),
             bus.subscribe("restart", self._on_restart),
-            bus.subscribe("retx.send", self._on_retx_send),
             bus.subscribe("retx.ack", self._on_retx_ack),
-            bus.subscribe("retx.dup", self._on_retx_dup),
             bus.subscribe("link.up", self._on_link_transition),
             bus.subscribe("link.suspect", self._on_link_transition),
             bus.subscribe("link.down", self._on_link_transition),
@@ -445,26 +437,9 @@ class MetricsRecorder:
         ).inc()
 
     def _on_release(self, event: ProbeEvent) -> None:
-        message_id = event.data["message_id"]
-        tag_bytes = event.data["tag_bytes"]
-        registry = self.registry
-        registry.counter("messages.user", "user messages released").inc()
-        registry.counter("tag.bytes", "total tag bytes piggybacked").inc(tag_bytes)
-        registry.histogram("tag.bytes.per_message", "tag size distribution").observe(
-            tag_bytes
-        )
-        registry.gauge("tag.bytes.max", "largest single tag").set(
-            max(registry.gauge("tag.bytes.max").max_seen, tag_bytes)
-        )
-        if self._owns_delivery_latency:
-            self._release_time[message_id] = event.time
-            invoked_at = self._invoke_time.get(message_id)
-        else:
-            # The deliver probe fires on the receiver's bus, not this one:
-            # nothing would ever come back for the stamps.
-            invoked_at = self._invoke_time.pop(message_id, None)
+        invoked_at = self._invoke_time.pop(event.data["message_id"], None)
         if invoked_at is not None:
-            registry.histogram(
+            self.registry.histogram(
                 "latency.inhibition", "invoke -> send (send inhibition)"
             ).observe(event.time - invoked_at)
 
@@ -474,7 +449,7 @@ class MetricsRecorder:
         sender = event.data["sender"]
         self._receive_time[message_id] = event.time
         registry = self.registry
-        released_at = self._release_time.get(message_id)
+        released_at = event.data.get("sent")
         if released_at is not None:
             registry.histogram(
                 "latency.network", "send -> receive (transit)"
@@ -498,46 +473,17 @@ class MetricsRecorder:
         message_id = event.data["message_id"]
         process = event.data["process"]
         registry = self.registry
-        registry.counter("messages.delivered", "deliveries executed").inc()
-        if event.data.get("delayed"):
-            registry.counter(
-                "messages.delayed", "deliveries after receive time"
-            ).inc()
         received_at = self._receive_time.pop(message_id, None)
         if received_at is not None:
             registry.histogram(
                 "latency.buffering", "receive -> deliver (delivery buffering)"
             ).observe(event.time - received_at)
-        released_at = self._release_time.pop(message_id, None)
-        invoked_at = self._invoke_time.pop(message_id, None)
-        if self._owns_delivery_latency:
-            if released_at is not None:
-                registry.histogram(
-                    "latency.delivery", "send -> deliver time"
-                ).observe(event.time - released_at)
-            if invoked_at is not None:
-                registry.histogram(
-                    "latency.end_to_end", "invoke -> deliver time"
-                ).observe(event.time - invoked_at)
         self._occupancy[process] = self._occupancy.get(process, 0) - 1
         occupancy = registry.gauge(
             "buffer.occupancy", "received but not yet delivered"
         )
         occupancy.add(-1)
         occupancy.set(self._occupancy[process], label="p%d" % process)
-        self._update_goodput()
-
-    def _on_control(self, event: ProbeEvent) -> None:
-        src = event.data["src"]
-        dst = event.data["dst"]
-        label = "p%d->p%d" % (src, dst)
-        payload_bytes = estimate_size(event.data.get("payload"))
-        self.registry.counter("net.control.messages", "control messages sent").inc(
-            label=label
-        )
-        self.registry.counter("net.control.bytes", "control payload bytes").inc(
-            payload_bytes, label=label
-        )
 
     # Fault and recovery probes --------------------------------------------
 
@@ -566,12 +512,6 @@ class MetricsRecorder:
         self.registry.counter("fault.restarts", "process restart events").inc(
             label="p%d" % event.data["process"]
         )
-
-    def _on_retx_send(self, event: ProbeEvent) -> None:
-        self.registry.counter("retx.messages", "retransmissions sent").inc(
-            label=event.data.get("kind") or "user"
-        )
-        self._update_goodput()
 
     def _on_retx_ack(self, event: ProbeEvent) -> None:
         self.registry.counter("retx.acks", "cumulative acks observed").inc()
@@ -609,19 +549,3 @@ class MetricsRecorder:
         self.registry.gauge(
             "net.backpressure.pending", "pending depth at the last crossing"
         ).set(event.data.get("pending", 0), label="p%d" % event.data["process"])
-
-    def _on_retx_dup(self, event: ProbeEvent) -> None:
-        self.registry.counter(
-            "retx.dups", "duplicate arrivals absorbed by dedup"
-        ).inc()
-
-    def _update_goodput(self) -> None:
-        registry = self.registry
-        attempts = (
-            registry.counter("messages.user").value
-            + registry.counter("retx.messages").value
-        )
-        if attempts:
-            registry.gauge(
-                "net.goodput", "deliveries per user-layer packet sent"
-            ).set(registry.counter("messages.delivered").value / attempts)

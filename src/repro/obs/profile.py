@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.obs.bus import Bus
-from repro.obs.metrics import MetricsRecorder, MetricsRegistry
+from repro.obs.metrics import MetricsRecorder
 from repro.obs.watchdog import Watchdog
 from repro.simulation.network import LatencyModel
 from repro.simulation.runner import run_simulation
@@ -96,7 +96,7 @@ def profile_protocol(
 ) -> ProtocolProfile:
     """Run one instrumented simulation and reduce it to a profile."""
     bus = Bus()
-    recorder = MetricsRecorder(bus, MetricsRegistry())
+    recorder = MetricsRecorder(bus)
     watchdog = Watchdog(bus)
     result = run_simulation(
         factory,
@@ -106,31 +106,27 @@ def profile_protocol(
         fifo_channels=fifo_channels,
         bus=bus,
     )
-    registry = recorder.registry
-    inhibition = registry.histogram("latency.inhibition")
-    network = registry.histogram("latency.network")
-    buffering = registry.histogram("latency.buffering")
-    e2e = registry.histogram("latency.end_to_end")
-    user_messages = registry.counter("messages.user").value
-    tag_bytes = registry.counter("tag.bytes").value
+    stats = result.stats
+    phases = recorder.registry
+    inhibition = phases.histogram("latency.inhibition")
+    network = phases.histogram("latency.network")
+    buffering = phases.histogram("latency.buffering")
     return ProtocolProfile(
         name=name,
-        messages=int(registry.counter("messages.invoked").value),
-        delivered=int(registry.counter("messages.delivered").value),
+        messages=int(phases.counter("messages.invoked").value),
+        delivered=stats.deliveries,
         undelivered=len(watchdog.stuck(protocols=result.protocols)),
         inhibition_mean=inhibition.mean,
         inhibition_total=inhibition.total,
         network_mean=network.mean,
         buffering_mean=buffering.mean,
         buffering_total=buffering.total,
-        end_to_end_mean=e2e.mean,
-        end_to_end_p95=e2e.percentile(95),
-        control_messages=int(registry.counter("net.control.messages").value),
-        control_bytes=int(registry.counter("net.control.bytes").value),
-        tag_bytes_per_message=(
-            tag_bytes / user_messages if user_messages else 0.0
-        ),
-        reordered_arrivals=int(registry.counter("channel.reordered").value),
+        end_to_end_mean=stats.mean_end_to_end_latency,
+        end_to_end_p95=stats.registry.histogram("latency.end_to_end").percentile(95),
+        control_messages=stats.control_messages,
+        control_bytes=stats.control_bytes,
+        tag_bytes_per_message=stats.mean_tag_bytes,
+        reordered_arrivals=int(phases.counter("channel.reordered").value),
     )
 
 

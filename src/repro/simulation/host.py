@@ -8,7 +8,7 @@ host enforces the event preconditions and records everything.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional, Set
+from typing import TYPE_CHECKING, Any, Dict, Optional, Set, Tuple
 
 from repro.events import Event, Message
 from repro.simulation.network import Network, Packet
@@ -17,6 +17,7 @@ from repro.simulation.trace import SimulationStats, Trace, estimate_size
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs depends on us)
     from repro.obs.bus import Bus
+    from repro.obs.metrics import Counter
 
 
 class ProtocolError(RuntimeError):
@@ -102,6 +103,34 @@ class ProtocolHost:
         self.n_processes = network.n_processes
         self.protocol = protocol
         self.ctx = HostContext(self)
+        # The host is the one writer of its costs: each metric is fetched
+        # from the stats registry once, here.  Control messages and
+        # absorbed duplicates are costs many runs never pay, so their
+        # counters appear with the first one (see send_control).
+        registry = stats.registry
+        self._user_count = registry.counter("messages.user", "user messages released")
+        self._tag_total = registry.counter("tag.bytes", "total tag bytes piggybacked")
+        self._tag_sizes = registry.histogram(
+            "tag.bytes.per_message", "tag size distribution"
+        )
+        self._delivery_count = registry.counter(
+            "messages.delivered", "deliveries executed"
+        )
+        self._delayed_count = registry.counter(
+            "messages.delayed", "deliveries after receive time"
+        )
+        self._retx_count = registry.counter("retx.messages", "retransmissions sent")
+        self._dup_count: Optional[Counter] = None
+        #: destination -> (channel label, control message and byte counters).
+        self._control: Dict[int, Tuple[str, Counter, Counter]] = {}
+        #: Latency distributions: virtual time here, wall seconds on a
+        #: :class:`~repro.net.host.NetProtocolHost`.
+        self.delivery_latency = registry.histogram(
+            "latency.delivery", "send -> deliver time"
+        )
+        self.e2e_latency = registry.histogram(
+            "latency.end_to_end", "invoke -> deliver time"
+        )
         self._invoked: Set[str] = set()
         self._sent: Set[str] = set()
         self._received: Set[str] = set()
@@ -175,9 +204,9 @@ class ProtocolHost:
         self._sent.add(message.id)
         self.trace.record(self.sim.now, self.process_id, Event.send(message.id))
         tag_bytes = estimate_size(tag)
-        self.stats.user_messages += 1
-        self.stats.tag_bytes_total += tag_bytes
-        self.stats.max_tag_bytes = max(self.stats.max_tag_bytes, tag_bytes)
+        self._user_count.inc()
+        self._tag_total.inc(tag_bytes)
+        self._tag_sizes.observe(tag_bytes)
         bus = self._bus
         if bus is not None and bus.active:
             bus.emit(
@@ -200,10 +229,10 @@ class ProtocolHost:
             raise ProtocolError("message %r delivered twice" % message.id)
         self._delivered.add(message.id)
         self.trace.record(self.sim.now, self.process_id, Event.deliver(message.id))
-        self.stats.deliveries += 1
+        self._delivery_count.inc()
         delayed = self.sim.now > self._receive_time[message.id]
         if delayed:
-            self.stats.delayed_deliveries += 1
+            self._delayed_count.inc()
         self._account_latency(message)
         bus = self._bus
         if bus is not None and bus.active:
@@ -226,15 +255,23 @@ class ProtocolHost:
         :class:`~repro.net.host.NetProtocolHost` accounts from the wall
         stamps its frames carry instead.
         """
-        send_time = self.trace.time_of(Event.send(message.id))
-        self.stats.delivery_latencies.append(self.sim.now - send_time)
-        invoke_time = self.trace.time_of(Event.invoke(message.id))
-        self.stats.end_to_end_latencies.append(self.sim.now - invoke_time)
+        now, trace = self.sim.now, self.trace
+        self.delivery_latency.observe(now - trace.time_of(Event.send(message.id)))
+        self.e2e_latency.observe(now - trace.time_of(Event.invoke(message.id)))
 
     def send_control(self, dst: int, payload: Any) -> None:
         """Emit a control message and account its cost."""
-        self.stats.control_messages += 1
-        self.stats.control_bytes += estimate_size(payload)
+        channel = self._control.get(dst)
+        if channel is None:
+            registry = self.stats.registry
+            channel = self._control[dst] = (
+                "p%d->p%d" % (self.process_id, dst),
+                registry.counter("net.control.messages", "control messages sent"),
+                registry.counter("net.control.bytes", "control payload bytes"),
+            )
+        label, messages, size = channel
+        messages.inc(label=label)
+        size.inc(estimate_size(payload), label=label)
         self.network.send_control(self.process_id, dst, payload)
 
     def retransmit_user(self, message: Message, tag: Any) -> None:
@@ -243,7 +280,7 @@ class ProtocolHost:
             raise ProtocolError(
                 "protocol retransmitted %r before it was released" % message.id
             )
-        self.stats.retransmissions += 1
+        self._retx_count.inc(label="user")
         self.emit_probe(
             "retx.send",
             message_id=message.id,
@@ -254,7 +291,7 @@ class ProtocolHost:
 
     def retransmit_control(self, dst: int, payload: Any) -> None:
         """Re-send a control message, accounted as retransmission too."""
-        self.stats.retransmissions += 1
+        self._retx_count.inc(label="control")
         self.emit_probe(
             "retx.send", message_id=None, receiver=dst, kind="control"
         )
@@ -309,7 +346,11 @@ class ProtocolHost:
                 # protocols that deduplicate get the copy via on_duplicate,
                 # anything else sees it as the bug it would be.
                 if getattr(self.protocol, "accepts_duplicates", False):
-                    self.stats.duplicate_receives += 1
+                    if self._dup_count is None:
+                        self._dup_count = self.stats.registry.counter(
+                            "retx.dups", "duplicate arrivals absorbed by dedup"
+                        )
+                    self._dup_count.inc()
                     self.emit_probe(
                         "retx.dup", message_id=message.id, sender=message.sender
                     )
@@ -324,12 +365,19 @@ class ProtocolHost:
             )
             bus = self._bus
             if bus is not None and bus.active:
+                # The send's time rides along when this trace holds it: the
+                # simulator's shared trace always does, a TCP receiver's
+                # only for a message it sent itself.
+                send, sent = Event.send(message.id), {}
+                if self.trace.has_event(send):
+                    sent["sent"] = self.trace.time_of(send)
                 bus.emit(
                     "host.receive",
                     self.sim.now,
                     message_id=message.id,
                     process=self.process_id,
                     sender=message.sender,
+                    **sent,
                 )
             self.protocol.on_user_message(self.ctx, message, packet.tag)
         else:

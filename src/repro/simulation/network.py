@@ -237,9 +237,6 @@ class Network:
         self._handlers: Dict[int, Callable[[Packet], None]] = {}
         self._uid = itertools.count()
         self._channel_seq: Dict[Tuple[int, int], "itertools.count"] = {}
-        self.packets_sent = 0
-        self.user_packets = 0
-        self.control_packets = 0
 
     @property
     def latency(self) -> Optional[LatencyModel]:
@@ -283,11 +280,6 @@ class Network:
         if counter is None:
             counter = self._channel_seq[channel] = itertools.count()
         packet.channel_seq = next(counter)
-        self.packets_sent += 1
-        if packet.is_user:
-            self.user_packets += 1
-        else:
-            self.control_packets += 1
         arrival = self.transport.transmit(self, packet)
         bus = self._bus
         if bus is not None and bus.active:

@@ -79,21 +79,19 @@ class SimulationResult:
             "wall seconds:      %.3f" % self.wall_seconds,
             "user msgs/sec:     %.0f" % self.user_messages_per_second,
         ]
-        if self.fault_plan is not None:
-            faults = self.fault_summary
+        faults = self.fault_summary
+        if faults is not None:
             lines += [
-                "packets dropped:   %d" % self.stats.packets_dropped,
-                "packets duped:     %d" % self.stats.packets_duplicated,
-                "partition drops:   %d" % self.stats.partition_drops,
-                "crash drops:       %d" % self.stats.crash_drops,
-                "crash/restart:     %d/%d"
-                % (self.stats.crashes, self.stats.restarts),
+                "packets dropped:   %d" % faults.packets_dropped,
+                "packets duped:     %d" % faults.packets_duplicated,
+                "partition drops:   %d" % faults.partition_drops,
+                "crash drops:       %d" % faults.crash_drops,
+                "delay spikes:      %d" % faults.spikes,
+                "crash/restart:     %d/%d" % (faults.crashes, faults.restarts),
                 "retransmissions:   %d" % self.stats.retransmissions,
                 "duplicate recvs:   %d" % self.stats.duplicate_receives,
                 "goodput:           %.3f" % self.stats.goodput,
             ]
-            if faults is not None and faults.spikes:
-                lines.append("delay spikes:      %d" % faults.spikes)
         return "\n".join(lines)
 
 
@@ -230,10 +228,6 @@ def run_simulation(
     dropped_messages: List[str] = []
     if injector is not None:
         fault_summary = injector.summary()
-        stats.packets_dropped = transport.packets_dropped
-        stats.packets_duplicated = transport.packets_duplicated
-        stats.partition_drops = transport.partition_drops
-        stats.crash_drops = transport.crash_drops
         seen = set()
         for message_id in transport.dropped_user:
             if message_id not in seen:

@@ -8,8 +8,7 @@ recording order.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.events import DELIVER, INVOKE, RECEIVE, SEND, Event, Message
@@ -59,17 +58,6 @@ def estimate_size(obj: Any) -> int:
     return 8
 
 
-def _percentile(values: List[float], p: float) -> float:
-    """Nearest-rank percentile; 0 on an empty list."""
-    if not values:
-        return 0.0
-    if not 0 <= p <= 100:
-        raise ValueError("percentile must be in [0, 100], got %r" % p)
-    ordered = sorted(values)
-    rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-    return ordered[rank - 1]
-
-
 @dataclass(frozen=True)
 class TraceRecord:
     """One recorded system event."""
@@ -80,28 +68,51 @@ class TraceRecord:
     event: Event
 
 
-@dataclass
-class SimulationStats:
-    """Aggregate protocol costs measured during a run."""
+def _count(name: str, doc: str) -> property:
+    """A read-only integer view of the registry counter ``name``."""
+    return property(lambda stats: int(stats._read(name)), doc=doc)
 
-    user_messages: int = 0
-    control_messages: int = 0
-    control_bytes: int = 0
-    tag_bytes_total: int = 0
-    max_tag_bytes: int = 0
-    deliveries: int = 0
-    delayed_deliveries: int = 0  # deliveries not executed at receive time
-    delivery_latencies: List[float] = field(default_factory=list)  # send -> deliver
-    end_to_end_latencies: List[float] = field(default_factory=list)  # invoke -> deliver
-    # Fault/recovery accounting (repro.faults + repro.protocols.reliable).
-    retransmissions: int = 0  # packets re-sent by an ARQ sublayer
-    duplicate_receives: int = 0  # repeat arrivals routed to on_duplicate
-    packets_dropped: int = 0  # random/scripted drops
-    packets_duplicated: int = 0  # random/scripted duplications
-    partition_drops: int = 0  # drops caused by a partition window
-    crash_drops: int = 0  # packets blackholed at a crashed process
-    crashes: int = 0
-    restarts: int = 0
+
+class SimulationStats:
+    """Aggregate protocol costs measured during a run.
+
+    A read view over :attr:`registry`, which the run's
+    :class:`~repro.simulation.host.ProtocolHost` instances write; nothing
+    here is stored twice.  Latencies live in the registry's
+    memory-bounded histograms: means and maxima are exact, while
+    :meth:`delivery_latency_percentile` (the p95 a summary prints) is
+    nearest-rank exact up to :data:`~repro.obs.metrics.SAMPLE_LIMIT`
+    (4096) deliveries and bucket-approximate past them.  Fault counts are
+    not host facts; they
+    are :attr:`~repro.simulation.runner.SimulationResult.fault_summary`.
+    """
+
+    user_messages = _count("messages.user", "User messages released.")
+    control_messages = _count("net.control.messages", "Control messages sent.")
+    control_bytes = _count("net.control.bytes", "Control payload bytes sent.")
+    tag_bytes_total = _count("tag.bytes", "Tag bytes piggybacked.")
+    deliveries = _count("messages.delivered", "Deliveries executed.")
+    delayed_deliveries = _count(
+        "messages.delayed", "Deliveries not executed at receive time."
+    )
+    retransmissions = _count("retx.messages", "Packets re-sent by an ARQ sublayer.")
+    duplicate_receives = _count(
+        "retx.dups", "Repeat arrivals routed to ``on_duplicate``."
+    )
+
+    def __init__(self) -> None:
+        from repro.obs.metrics import MetricsRegistry  # obs imports this module
+
+        self.registry = MetricsRegistry()
+
+    def _read(self, name: str, field: str = "value") -> float:
+        """``field`` of the metric ``name``; 0 while no host has written it."""
+        metric = self.registry.get(name)
+        return getattr(metric, field) if metric is not None else 0.0
+
+    @property
+    def max_tag_bytes(self) -> int:
+        return int(self._read("tag.bytes.per_message", "max"))
 
     @property
     def mean_tag_bytes(self) -> float:
@@ -109,25 +120,22 @@ class SimulationStats:
 
     @property
     def mean_delivery_latency(self) -> float:
-        if not self.delivery_latencies:
-            return 0.0
-        return sum(self.delivery_latencies) / len(self.delivery_latencies)
+        return self._read("latency.delivery", "mean")
 
     @property
     def max_delivery_latency(self) -> float:
-        return max(self.delivery_latencies) if self.delivery_latencies else 0.0
+        return self._read("latency.delivery", "max")
 
     def delivery_latency_percentile(self, p: float) -> float:
         """The nearest-rank ``p``-th percentile of send->deliver latency."""
-        return _percentile(self.delivery_latencies, p)
+        histogram = self.registry.get("latency.delivery")
+        return histogram.percentile(p) if histogram is not None else 0.0
 
     @property
     def mean_end_to_end_latency(self) -> float:
         """Invoke-to-delivery time: includes send inhibition, which is
         where the logically synchronous protocols pay."""
-        if not self.end_to_end_latencies:
-            return 0.0
-        return sum(self.end_to_end_latencies) / len(self.end_to_end_latencies)
+        return self._read("latency.end_to_end", "mean")
 
     def control_per_user_message(self) -> float:
         """Control messages per user message sent."""

@@ -118,9 +118,44 @@ class TestSimulateCommand:
         metrics = json.loads(metrics_path.read_text())
         assert metrics["messages.delivered"]["value"] == 12
         assert "latency.end_to_end" in metrics
+        # The hosts' names and the recorder's, in one object: what the
+        # export always carried, less the two gauges that copied a count.
+        assert set(metrics) == {
+            "buffer.occupancy",
+            "channel.reordered",
+            "latency.buffering",
+            "latency.delivery",
+            "latency.end_to_end",
+            "latency.inhibition",
+            "latency.network",
+            "messages.delayed",
+            "messages.delivered",
+            "messages.invoked",
+            "messages.user",
+            "retx.messages",
+            "tag.bytes",
+            "tag.bytes.per_message",
+        }
+
+
+PROFILE_TABLE = """\
+protocol    msgs  inhibit  network  buffer  invoke->r  p95     ctrl  ctrlB  tagB/msg  reordered  stuck
+----------  ----  -------  -------  ------  ---------  ------  ----  -----  --------  ---------  -----
+tagless     20    0.00     20.14    0.00    20.14      36.16   0     0      1.0       5          0
+fifo        20    0.00     20.14    3.03    23.17      36.16   0     0      8.0       5          0
+causal-rst  20    0.00     20.14    3.03    23.17      36.16   0     0      168.0     5          0
+sync-coord  20    439.57   18.96    0.00    458.52     961.57  48    576    1.0       0          0
+"""
 
 
 class TestProfileCommand:
+    def test_table_text_is_pinned(self, capsys):
+        """Host facts come from the stats view, phases from the recorder;
+        the table reads as it did when the recorder counted both."""
+        assert main(["profile", "--messages", "20", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith(PROFILE_TABLE)
+
     def test_default_breakdown(self, capsys):
         assert main(["profile", "--messages", "20", "--seed", "1"]) == 0
         out = capsys.readouterr().out

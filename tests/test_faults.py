@@ -81,7 +81,7 @@ class TestScriptedFaults:
             faults=plan,
         )
         assert result.delivered_all
-        assert result.stats.packets_dropped == 1
+        assert result.fault_summary.packets_dropped == 1
         assert result.stats.retransmissions >= 1
         assert result.dropped_messages  # m1 lost a copy on the way
 
@@ -94,7 +94,7 @@ class TestScriptedFaults:
             faults=plan,
         )
         assert result.delivered_all
-        assert result.stats.packets_duplicated == 1
+        assert result.fault_summary.packets_duplicated == 1
         assert result.stats.duplicate_receives == 1
         # Each message was still delivered exactly once.
         assert result.stats.deliveries == 3
@@ -123,7 +123,7 @@ class TestPartitions:
             faults=plan,
         )
         assert result.delivered_all
-        assert result.stats.partition_drops > 0
+        assert result.fault_summary.partition_drops > 0
         assert result.stats.retransmissions >= 1
 
     def test_permanent_partition_never_delivers(self):
@@ -137,7 +137,7 @@ class TestPartitions:
             faults=plan,
         )
         assert not result.delivered_all
-        assert result.stats.partition_drops > 0
+        assert result.fault_summary.partition_drops > 0
 
 
 class TestCrashRestart:
@@ -150,9 +150,9 @@ class TestCrashRestart:
             faults=plan,
         )
         assert result.delivered_all
-        assert result.stats.crashes == 1
-        assert result.stats.restarts == 1
-        assert result.stats.crash_drops >= 1
+        assert result.fault_summary.crashes == 1
+        assert result.fault_summary.restarts == 1
+        assert result.fault_summary.crash_drops >= 1
         summary = result.fault_summary
         assert summary.crashes == 1 and summary.restarts == 1
 
@@ -165,8 +165,8 @@ class TestCrashRestart:
             faults=plan,
         )
         assert not result.delivered_all
-        assert result.stats.crashes == 1
-        assert result.stats.restarts == 0
+        assert result.fault_summary.crashes == 1
+        assert result.fault_summary.restarts == 0
 
     def test_summary_mentions_fault_counters(self):
         plan = FaultPlan(script={(0, 1, 0): "drop"})

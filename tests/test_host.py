@@ -110,7 +110,7 @@ class TestAccounting:
         assert trace.undelivered_messages() == []
         assert stats.user_messages == 1
         assert stats.deliveries == 1
-        assert stats.delivery_latencies == [1.0]
+        assert stats.registry.histogram("latency.delivery").values() == [1.0]
         assert stats.delayed_deliveries == 0
 
     def test_tag_bytes_counted(self):

@@ -663,6 +663,43 @@ class TestNetHostLatencyMetrics:
             assert snapshot[name]["count"] == wire["count"] == 7
             assert snapshot[name]["total"] == wire["total"]
 
+    def test_metrics_without_the_observability_plane_carry_host_counters(self):
+        """The host writes its counters whether or not a recorder runs,
+        so METRICS is no longer empty text with the plane off."""
+
+        async def scenario():
+            ports = free_ports(2)
+            hosts = [
+                NetHost(
+                    _fifo_factory(),
+                    process_id,
+                    ports,
+                    run_id="bare-metrics",
+                    observability=False,
+                )
+                for process_id in range(2)
+            ]
+            for host in hosts:
+                await host.start()
+            for host in hosts:
+                await host.ready()
+            for n in range(3):
+                hosts[0].invoke(Message(id="m%d" % n, sender=0, receiver=1))
+            for _ in range(400):
+                if hosts[1].stats.deliveries == 3:
+                    break
+                await asyncio.sleep(0.005)
+            bodies = [host.metrics_body() for host in hosts]
+            for host in hosts:
+                await host.shutdown()
+            return bodies
+
+        sender, receiver = asyncio.run(scenario())
+        assert 'messages_user{process="0"} 3' in sender["text"]
+        assert 'messages_delivered{process="1"} 3' in receiver["text"]
+        assert receiver["snapshot"]["latency.delivery"]["count"] == 3
+        assert "messages.invoked" not in sender["snapshot"]  # a recorder's name
+
     def test_receiver_end_to_end_counts_the_senders_inhibition(self):
         """Every USER frame carries the sender's invoke wall time, and
         the receiver used to drop it: its end-to-end latency equalled its

@@ -36,7 +36,7 @@ def _run(protocol_cls, bus):
 
 
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))
-def test_fully_observed_run_is_bit_identical(name, assert_registry_matches_stats):
+def test_fully_observed_run_is_bit_identical(name):
     protocol_cls = PROTOCOLS[name]
     plain = _run(protocol_cls, bus=None)
 
@@ -48,14 +48,16 @@ def test_fully_observed_run_is_bit_identical(name, assert_registry_matches_stats
     watchdog = Watchdog(bus)
     observed = _run(protocol_cls, bus=bus)
 
-    assert observed.stats == plain.stats
+    assert observed.stats.registry.snapshot() == plain.stats.registry.snapshot()
     assert observed.trace.records() == plain.trace.records()
     assert observed.trace.messages() == plain.trace.messages()
     assert observed.delivered_all == plain.delivered_all
 
     # And the consumers really saw the run.
     assert len(log) > 0
-    assert_registry_matches_stats(recorder.registry, plain.stats)
+    assert recorder.registry.histogram("latency.buffering").count == (
+        plain.stats.deliveries
+    )
     assert len(tracer.spans()) == 3 * plain.stats.deliveries
     assert watchdog.stuck() == []
 
@@ -64,4 +66,4 @@ def test_two_observed_runs_agree_with_each_other():
     first = _run(FifoProtocol, bus=Bus())
     second = _run(FifoProtocol, bus=Bus())
     assert first.trace.records() == second.trace.records()
-    assert first.stats == second.stats
+    assert first.stats.registry.snapshot() == second.stats.registry.snapshot()

@@ -1,9 +1,13 @@
 """Tests for the metrics registry and the probe-driven recorder."""
 
+import asyncio
 import json
 
 import pytest
 
+from repro.events import Message
+from repro.faults import FaultPlan
+from repro.net import NetHost, free_ports
 from repro.obs import (
     Bus,
     Counter,
@@ -14,6 +18,7 @@ from repro.obs import (
 )
 from repro.protocols import CausalRstProtocol, FifoProtocol
 from repro.protocols.base import make_factory
+from repro.protocols.registry import catalogue_entry
 from repro.simulation import UniformLatency, random_traffic, run_simulation
 
 
@@ -108,14 +113,6 @@ class TestMetricsRegistry:
         with pytest.raises(ValueError, match="already registered as counter"):
             registry.gauge("x")
 
-    def test_register_adopts_the_owners_object(self):
-        registry = MetricsRegistry()
-        owned = Histogram("latency.delivery", "fed by its owner")
-        registry.register(owned)
-        assert registry.histogram("latency.delivery") is owned
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register(Histogram("latency.delivery"))
-
     def test_to_json_round_trips(self):
         registry = MetricsRegistry()
         registry.counter("c").inc(3)
@@ -138,53 +135,23 @@ class TestMetricsRecorder:
         )
         return recorder, result
 
-    @pytest.mark.parametrize("protocol_cls", [FifoProtocol, CausalRstProtocol])
-    def test_subsumes_simulation_stats(
-        self, protocol_cls, assert_registry_matches_stats
-    ):
-        # The recorder, fed only probe events, holds exactly what the
-        # host populated directly: same counts, same latencies in the
-        # same order.
-        recorder, result = self._run(protocol_cls)
-        assert_registry_matches_stats(recorder.registry, result.stats)
-
-    def test_per_message_state_is_retired_on_delivery(
-        self, assert_registry_matches_stats
-    ):
+    def test_per_message_state_is_retired_on_delivery(self):
         # A soak run must not grow linearly with delivered messages.
         recorder, result = self._run(FifoProtocol)
         assert result.delivered_all
         assert recorder._invoke_time == {}
-        assert recorder._release_time == {}
         assert recorder._receive_time == {}
         assert not hasattr(recorder, "_tag_bytes")
-        assert_registry_matches_stats(recorder.registry, result.stats)
-
-    def test_owner_fed_delivery_histograms_are_left_alone(self):
-        # What NetHost does with its wall-clock pair: bus-time samples
-        # must not land in histograms somebody else feeds in seconds.
-        registry = MetricsRegistry()
-        registry.register(Histogram("latency.delivery"))
-        registry.register(Histogram("latency.end_to_end"))
-        bus = Bus()
-        recorder = MetricsRecorder(bus, registry)
-        result = run_simulation(
-            make_factory(FifoProtocol), random_traffic(3, 20, seed=2), seed=2, bus=bus
-        )
-        assert registry.counter("messages.delivered").value == result.stats.deliveries
-        assert registry.histogram("latency.buffering").count == result.stats.deliveries
-        assert registry.histogram("latency.delivery").count == 0
-        assert registry.histogram("latency.end_to_end").count == 0
-        assert recorder._release_time == {}
 
     def test_phase_latencies_decompose_end_to_end(self):
+        # The phases come from the recorder, end to end from the host.
         recorder, result = self._run(CausalRstProtocol)
         registry = recorder.registry
         inhibition = registry.histogram("latency.inhibition")
         network = registry.histogram("latency.network")
         buffering = registry.histogram("latency.buffering")
-        e2e = registry.histogram("latency.end_to_end")
-        assert e2e.count == result.stats.deliveries
+        e2e = result.stats.registry.histogram("latency.end_to_end")
+        assert e2e.count == network.count == result.stats.deliveries
         # invoke->deliver == (invoke->send) + (send->receive) + (receive->deliver)
         assert e2e.total == pytest.approx(
             inhibition.total + network.total + buffering.total
@@ -203,3 +170,64 @@ class TestMetricsRecorder:
         assert bus.active
         recorder.close()
         assert not bus.active
+
+
+class TestOneWriterPerName:
+    """A host writes its own facts into its stats registry and the
+    recorder writes what only the bus shows: no name has two writers."""
+
+    def test_simulation(self):
+        bus = Bus()
+        recorder = MetricsRecorder(bus)
+        result = run_simulation(
+            catalogue_entry("sync-coord").reliable_factory(),
+            random_traffic(3, 12, seed=1),
+            seed=1,
+            faults=FaultPlan(drop_rate=0.2, dup_rate=0.1, seed=1),
+            bus=bus,
+        )
+        host_names = set(result.stats.registry.names())
+        recorder_names = set(recorder.registry.names())
+        assert {"net.control.messages", "retx.messages", "retx.dups"} <= host_names
+        assert {"latency.network", "fault.drops", "retx.acks"} <= recorder_names
+        assert host_names.isdisjoint(recorder_names)
+
+    def test_net_host_pair(self):
+        # Each recorder listens on a host's bus but writes a registry of
+        # its own, so the two writers' names can be told apart.
+        async def scenario():
+            ports = free_ports(2)
+            factory = catalogue_entry("fifo").factory
+            hosts = [
+                NetHost(factory, pid, ports, run_id="writers", observability=False)
+                for pid in range(2)
+            ]
+            recorders = [MetricsRecorder(host.bus) for host in hosts]
+            try:
+                for host in hosts:
+                    await host.start()
+                for host in hosts:
+                    await host.ready()
+                for n in range(4):
+                    hosts[0].invoke(Message(id="m%d" % n, sender=0, receiver=1))
+                for _ in range(400):
+                    if hosts[1].stats.deliveries == 4:
+                        break
+                    await asyncio.sleep(0.005)
+            finally:
+                for host in hosts:
+                    await host.shutdown()
+            return [
+                (set(host.stats.registry.names()), set(recorder.registry.names()))
+                for host, recorder in zip(hosts, recorders)
+            ]
+
+        (sender_host, sender_bus), (receiver_host, receiver_bus) = asyncio.run(
+            scenario()
+        )
+        assert {"messages.user", "latency.inhibition"} <= sender_host | sender_bus
+        assert {"messages.delivered", "latency.buffering"} <= (
+            receiver_host | receiver_bus
+        )
+        assert sender_host.isdisjoint(sender_bus)
+        assert receiver_host.isdisjoint(receiver_bus)

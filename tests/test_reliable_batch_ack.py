@@ -9,7 +9,6 @@ one socket read on a :class:`NetHost`, where the saving is.
 """
 
 import asyncio
-import dataclasses
 import hashlib
 import json
 import os
@@ -39,6 +38,20 @@ with open(
 ) as _handle:
     GOLDEN = json.load(_handle)
 
+#: The pinned counters: the stats view's counts, then the fault layer's.
+STATS_COUNTERS = (
+    "user_messages",
+    "control_messages",
+    "control_bytes",
+    "tag_bytes_total",
+    "max_tag_bytes",
+    "deliveries",
+    "delayed_deliveries",
+    "retransmissions",
+    "duplicate_receives",
+)
+FAULT_COUNTERS = ("packets_dropped", "packets_duplicated")
+
 
 def _simulate(name, seed):
     result = run_simulation(
@@ -51,15 +64,14 @@ def _simulate(name, seed):
         (repr(r.time), r.process, r.event.kind.name, r.event.message_id)
         for r in result.trace.records()
     ]
+    counters = {name: getattr(result.stats, name) for name in STATS_COUNTERS}
+    for name in FAULT_COUNTERS:
+        counters[name] = getattr(result.fault_summary, name)
     return {
         "delivery_order": " ".join(
             "%d:%s" % pair for pair in delivery_order(result.trace)
         ),
-        "counters": {
-            field.name: getattr(result.stats, field.name)
-            for field in dataclasses.fields(result.stats)
-            if field.type == "int" and getattr(result.stats, field.name)
-        },
+        "counters": {name: value for name, value in counters.items() if value},
         "rows": len(rows),
         "rows_sha256": hashlib.sha256(json.dumps(rows).encode()).hexdigest(),
     }

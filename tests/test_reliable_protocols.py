@@ -59,7 +59,8 @@ def test_reliable_wrapper_preserves_spec_under_loss(name, factory, spec, seed):
     assert result.delivered_all, result.undelivered
     assert result.first_violation is None, result.first_violation
     # The network really was hostile -- otherwise this proves nothing.
-    assert result.stats.packets_dropped + result.stats.packets_duplicated > 0
+    faults = result.fault_summary
+    assert faults.packets_dropped + faults.packets_duplicated > 0
 
 
 def test_unwrapped_fifo_loses_messages_on_the_same_network():
@@ -79,8 +80,8 @@ def test_unwrapped_fifo_loses_messages_on_the_same_network():
         )
         # FIFO sends no control traffic, so every drop hits a user
         # message and (without retransmission) loses it for good.
-        assert result.delivered_all == (result.stats.packets_dropped == 0)
-        if result.stats.packets_dropped:
+        assert result.delivered_all == (result.fault_summary.packets_dropped == 0)
+        if result.fault_summary.packets_dropped:
             lossy_runs += 1
             assert result.dropped_messages
     assert lossy_runs >= 3  # the coins really did bite most seeds

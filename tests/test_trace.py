@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.events import Event, Message
+from repro.events import Event, EventKind, Message
+from repro.obs.metrics import SAMPLE_LIMIT
+from repro.protocols import TaglessProtocol
+from repro.protocols.base import make_factory
+from repro.simulation import random_traffic, run_simulation
 from repro.simulation.trace import SimulationStats, Trace, estimate_size
 
 
@@ -147,22 +151,46 @@ class TestSimulationStats:
         assert stats.control_per_user_message() == 0.0
 
     def test_aggregation(self):
-        stats = SimulationStats(
-            user_messages=4,
-            control_messages=8,
-            tag_bytes_total=40,
-            delivery_latencies=[1.0, 3.0],
-        )
+        stats = SimulationStats()
+        registry = stats.registry
+        registry.counter("messages.user").inc(4)
+        registry.counter("net.control.messages").inc(8)
+        registry.counter("tag.bytes").inc(40)
+        for latency in (1.0, 3.0):
+            registry.histogram("latency.delivery").observe(latency)
+        assert stats.user_messages == 4 and type(stats.user_messages) is int
         assert stats.mean_tag_bytes == 10.0
         assert stats.mean_delivery_latency == 2.0
         assert stats.max_delivery_latency == 3.0
         assert stats.control_per_user_message() == 2.0
 
     def test_delivery_latency_percentile(self):
-        stats = SimulationStats(delivery_latencies=list(range(1, 101)))
+        stats = SimulationStats()
+        for latency in range(1, 101):
+            stats.registry.histogram("latency.delivery").observe(latency)
         assert stats.delivery_latency_percentile(50) == 50
         assert stats.delivery_latency_percentile(95) == 95
         assert stats.delivery_latency_percentile(100) == 100
         assert SimulationStats().delivery_latency_percentile(95) == 0.0
         with pytest.raises(ValueError, match="percentile"):
             stats.delivery_latency_percentile(101)
+
+    def test_long_run_keeps_bounded_samples_and_exact_moments(self):
+        deliveries = SAMPLE_LIMIT + 500
+        result = run_simulation(
+            make_factory(TaglessProtocol),
+            random_traffic(2, deliveries, seed=3),
+            seed=3,
+        )
+        stats = result.stats
+        latencies = [
+            record.time
+            - result.trace.time_of(Event.send(record.event.message_id))
+            for record in result.trace.records()
+            if record.event.kind is EventKind.DELIVER
+        ]
+        assert stats.deliveries == len(latencies) == deliveries
+        histogram = stats.registry.histogram("latency.delivery")
+        assert len(histogram.values()) <= SAMPLE_LIMIT
+        assert stats.max_delivery_latency == max(latencies)
+        assert stats.mean_delivery_latency == sum(latencies) / deliveries

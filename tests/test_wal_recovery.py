@@ -64,7 +64,8 @@ class TestRedoLogRestartMatchesSnapshotRestart:
         finally:
             sink.close()
 
-        assert wal_run.stats.crashes == 1 and wal_run.stats.restarts == 1
+        faults = wal_run.fault_summary
+        assert faults.crashes == 1 and faults.restarts == 1
         assert wal_run.delivered_all, wal_run.undelivered
         assert delivery_order(wal_run.trace) == delivery_order(
             snapshot_run.trace
@@ -88,7 +89,8 @@ class TestRedoLogRestartMatchesSnapshotRestart:
             )
         finally:
             sink.close()
-        assert result.stats.crashes == 1 and result.stats.restarts == 1
+        faults = result.fault_summary
+        assert faults.crashes == 1 and faults.restarts == 1
         assert result.delivered_all, result.undelivered
 
     def test_crash_without_wal_keeps_snapshot_semantics(self):
@@ -98,7 +100,8 @@ class TestRedoLogRestartMatchesSnapshotRestart:
         factory = make_reliable(entry.factory)
         workload = random_traffic(3, 16, seed=5)
         result = _run(factory, workload, 5, faults=_crash_plan())
-        assert result.stats.crashes == 1 and result.stats.restarts == 1
+        faults = result.fault_summary
+        assert faults.crashes == 1 and faults.restarts == 1
         assert result.delivered_all
 
 
@@ -187,7 +190,7 @@ class TestRecordedFaultHistory:
             )
         finally:
             sink.close()
-        assert result.stats.packets_dropped > 0
+        assert result.fault_summary.packets_dropped > 0
         records = read_log(str(tmp_path)).records
         kinds = {record.kind for record in records}
         assert rec.FAULT in kinds, "drops were not recorded"
