@@ -48,10 +48,10 @@ def bare_protocol_loses() -> None:
         faults=FaultPlan(drop_rate=0.2, seed=5),
     )
     assert not result.delivered_all
-    watchdog = Watchdog.from_trace(result.trace)
+    watchdog = Watchdog()
     for message_id in result.dropped_messages:
         watchdog.note_drop(message_id)
-    print(watchdog.render(protocols=result.protocols))
+    print(watchdog.render(result.trace, protocols=result.protocols))
     print()
 
 

@@ -124,19 +124,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         from repro.protocols.reliable import make_reliable
 
         factory = make_reliable(protocol_for(specification))
-    bus = tracer = recorder = watchdog = None
+    from repro.obs import Watchdog
+
+    bus = tracer = recorder = None
     # Fault runs always get a bus: the watchdog needs the fault.drop /
     # retx.send stream to attribute stuck messages to network loss.
     instrument = args.trace_out or args.metrics_out or faults is not None
     if instrument:
-        from repro.obs import Bus, MetricsRecorder, SpanTracer, Watchdog
+        from repro.obs import Bus, MetricsRecorder, SpanTracer
 
         bus = Bus()
-        watchdog = Watchdog(bus)
         if args.trace_out:
             tracer = SpanTracer(bus)
         if args.metrics_out:
             recorder = MetricsRecorder(bus)
+    watchdog = Watchdog(bus)
     wal_sink = None
     if args.record:
         from repro.wal import WalSink
@@ -203,11 +205,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             handle.write(json.dumps(metrics, indent=2, sort_keys=True))
         print("metrics:           %s" % args.metrics_out)
     if not result.delivered_all:
-        if watchdog is None:
-            from repro.obs import Watchdog
-
-            watchdog = Watchdog.from_trace(result.trace)
-        print(watchdog.render(protocols=result.protocols))
+        print(watchdog.render(result.trace, protocols=result.protocols))
     if args.diagram:
         print()
         print(render_user_run(result.user_run))

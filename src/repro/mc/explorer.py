@@ -404,9 +404,7 @@ class ModelChecker:
             )
             from repro.obs.watchdog import Watchdog
 
-            stuck = Watchdog.from_trace(world.trace).stuck(
-                protocols=world.protocols()
-            )
+            stuck = Watchdog().stuck(world.trace, protocols=world.protocols())
             report.violations.append(
                 MCViolation(
                     schedule=schedule,

@@ -144,11 +144,13 @@ class LiveObserver:
         return self.violation
 
     async def settle(self, timeout: float = 2.0) -> None:
-        """Let the tail of the event stream reach the merge."""
+        """Let the events still queued at the merge gate through it.
+
+        A replayed duplicate is never merged and never queued, so it
+        does not count (after a reconnect ``events_seen`` outgrows
+        ``events_merged`` for good)."""
         deadline = time.monotonic() + timeout
-        while (
-            self.events_merged < self.events_seen or self.pending_merge
-        ) and time.monotonic() < deadline:
+        while self.pending_merge and time.monotonic() < deadline:
             await asyncio.sleep(0.02)
 
     @property

@@ -248,9 +248,10 @@ class NetHost(Endpoint):
         #: The in-host observability plane (all opt-out via
         #: ``observability=False`` for overhead measurements): a flight
         #: recorder taping the latest probe events with vector
-        #: timestamps, a metrics recorder adding the bus-only metrics to
-        #: the stats registry the METRICS frame exposes, and the liveness
-        #: watchdog whose diagnoses ride the STATS reply.
+        #: timestamps, a metrics recorder adding the fault, link and
+        #: backpressure metrics to the stats registry the METRICS frame
+        #: exposes, and the liveness watchdog whose diagnoses of the
+        #: host's trace ride the STATS reply.
         self.flight: Optional[FlightRecorder] = None
         self.metrics: Optional[MetricsRecorder] = None
         self.watchdog: Optional[Watchdog] = None
@@ -268,7 +269,6 @@ class NetHost(Endpoint):
         self._inbound_peers: Set[int] = set()
         #: Unsubscribers of the probe bridge to observers, once one came.
         self._bridge: List[Callable[[], None]] = []
-        self._invoked_count = 0
         #: Durable replay log (repro.wal).  Recovery runs *before* the
         #: sink attaches, so replayed inputs are not logged twice.
         self.wal: Optional[Any] = None
@@ -328,7 +328,6 @@ class NetHost(Endpoint):
                 self.host, existing.records, process_id=self.process_id
             )
             self.recovered = True
-            self._invoked_count = self.recovery.invokes
             for error in self.recovery.errors:
                 self.errors.append("wal recovery: %s" % error)
             # Session resumption: each incarnation stamps its META
@@ -396,7 +395,6 @@ class NetHost(Endpoint):
             raise RuntimeError(
                 "host %d is draining; no further invokes" % self.process_id
             )
-        self._invoked_count += 1
         self.host.invoke(message)
         # Rising edge checked inline (the periodic loop would lag a
         # burst); the falling edge is the resilience loop's job.
@@ -915,7 +913,7 @@ class NetHost(Endpoint):
         stats = self.stats
         body: Dict[str, Any] = {
             "process": self.process_id,
-            "invoked": self._invoked_count,
+            "invoked": stats.invocations,
             "user_messages": stats.user_messages,
             "control_messages": stats.control_messages,
             "control_bytes": stats.control_bytes,
@@ -947,15 +945,15 @@ class NetHost(Endpoint):
         if self.watchdog is not None:
             protocols: List[Optional[object]] = [None] * self.n_processes
             protocols[self.process_id] = self.host.protocol
-            # Only locally-diagnosable phases: this host's bus never sees
-            # the remote deliver, so every delivered message would read
-            # "in-flight" to its sender forever.  Inhibited (invoked but
-            # never released here) and buffered (received but never
+            # Only locally-diagnosable phases: this host's trace never
+            # holds the remote deliver, so every delivered message would
+            # read "in-flight" to its sender forever.  Inhibited (invoked
+            # but never released here) and buffered (received but never
             # delivered here) are authoritative local knowledge;
             # global in-flight detection is the load generator's quiesce.
             stuck = [
                 entry
-                for entry in self.watchdog.stuck(protocols=protocols)
+                for entry in self.watchdog.stuck(self.trace, protocols)
                 if entry.phase != "in-flight"
             ]
             body["stuck_total"] = len(stuck)

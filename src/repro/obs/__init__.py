@@ -3,14 +3,19 @@
 The layer the ROADMAP's production ambitions need: typed probe points
 emitted from the simulator, network, protocol hosts and the verification
 harness (:mod:`repro.obs.bus`); the metrics registry a host writes its
-costs into, which ``SimulationStats`` reads, and a recorder adding what
-only the probe stream shows (:mod:`repro.obs.metrics`); a span-based causal tracer with Chrome trace-event export so a run opens
-in Perfetto (:mod:`repro.obs.spans`, :mod:`repro.obs.export`); a
-liveness watchdog naming what blocks each stuck message
-(:mod:`repro.obs.watchdog`); and a per-phase protocol profiler behind
-``repro profile`` (:mod:`repro.obs.profile`).  Everything is opt-in:
-with no bus attached the simulation path is unchanged and its schedule
-bit-identical.
+costs and its messages' phases into, which ``SimulationStats`` reads,
+and a recorder adding what other components report on the bus
+(:mod:`repro.obs.metrics`); a span-based causal tracer with Chrome
+trace-event export so a run opens in Perfetto (:mod:`repro.obs.spans`,
+:mod:`repro.obs.export`); a liveness watchdog reading a host's trace to
+name what blocks each stuck message (:mod:`repro.obs.watchdog`); and a
+per-phase protocol profiler behind ``repro profile``
+(:mod:`repro.obs.profile`), which needs no bus at all.  The bus is
+opt-in: with none attached the simulation path is unchanged and its
+schedule bit-identical.
+
+A host's :class:`~repro.simulation.trace.Trace` is the one record of
+each message's four events; no observer keeps its own copy.
 """
 
 from repro.obs.bus import PROBES, Bus, ProbeEvent, ProbeLog

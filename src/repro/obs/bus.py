@@ -24,8 +24,7 @@ probe            payload fields
 ``host.invoke``  ``message_id``, ``process``, ``receiver``
 ``host.inhibit`` ``message_id``, ``process``
 ``host.release`` ``message_id``, ``process``, ``receiver``, ``tag_bytes``
-``host.receive`` ``message_id``, ``process``, ``sender``, ``sent`` (the
-                 send's time, when the receiver's trace holds the send)
+``host.receive`` ``message_id``, ``process``, ``sender``
 ``host.deliver`` ``message_id``, ``process``, ``sender``, ``delayed``
 ``verify.check`` ``spec``, ``protocol``, ``workload``, ``safe``, ``live``,
                  ``violations``

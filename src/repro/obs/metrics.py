@@ -2,25 +2,25 @@
 
 The registry is a flat namespace of named metrics, and each name has one
 writer.  A :class:`~repro.simulation.host.ProtocolHost` writes what it
-does itself into its :class:`~repro.simulation.trace.SimulationStats`
-registry; the :class:`MetricsRecorder` writes what only the probe stream
-shows:
+does itself, and every phase of a message's life it can read off its
+trace, into its :class:`~repro.simulation.trace.SimulationStats`
+registry; the :class:`MetricsRecorder` writes what other components
+report on the bus:
 
 ===================  =====================================================
 writer               names
 ===================  =====================================================
-``ProtocolHost``     ``messages.user``, ``messages.delivered``,
+``ProtocolHost``     ``messages.invoked``, ``messages.inhibited``,
+                     ``messages.user``, ``messages.delivered``,
                      ``messages.delayed``, ``tag.bytes``,
                      ``tag.bytes.per_message``, ``net.control.messages``,
-                     ``net.control.bytes``, ``latency.delivery``,
-                     ``latency.end_to_end``, ``retx.messages``,
-                     ``retx.dups``
-``MetricsRecorder``  ``latency.inhibition``, ``latency.network``,
-                     ``latency.buffering``, ``messages.invoked``,
-                     ``messages.inhibited``, ``buffer.occupancy``,
-                     ``channel.reordered``, ``fault.*``, ``retx.acks``,
-                     ``link.*``, ``net.shed.frames``,
-                     ``net.backpressure.*``
+                     ``net.control.bytes``, ``latency.inhibition``,
+                     ``latency.network``, ``latency.buffering``,
+                     ``latency.delivery``, ``latency.end_to_end``,
+                     ``buffer.occupancy``, ``channel.reordered``,
+                     ``retx.messages``, ``retx.dups``
+``MetricsRecorder``  ``fault.*``, ``retx.acks``, ``link.*``,
+                     ``net.shed.frames``, ``net.backpressure.*``
 ===================  =====================================================
 
 The two sets are disjoint, so a :class:`~repro.net.host.NetHost` runs its
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.obs.bus import Bus, ProbeEvent
 
@@ -355,22 +355,12 @@ class MetricsRegistry:
 class MetricsRecorder:
     """Subscribes a registry to a bus and keeps the metrics only a bus sees.
 
-    What a host does itself -- releases, tags, deliveries, control
-    messages, retransmissions, delivery latency -- the host counts (see
-    the module table).  The recorder keeps what takes two probes or
-    another component to see (names are part of the observability
-    contract):
+    A message's life -- its four events, the three phases between them,
+    buffer occupancy, channel reordering -- is the host's to count, from
+    its own trace (see the module table); the recorder subscribes to no
+    ``host.*`` probe.  It keeps what other components report (names are
+    part of the observability contract):
 
-    - ``messages.invoked`` (counter) and ``messages.inhibited`` -- invokes
-      the protocol did not release synchronously,
-    - ``latency.inhibition`` / ``latency.network`` / ``latency.buffering``
-      (histograms: ``x.s* -> x.s``, ``x.s -> x.r*``, ``x.r* -> x.r``; the
-      network phase needs the ``sent`` stamp a receive probe carries when
-      the receiver's trace holds the send),
-    - ``buffer.occupancy`` (gauge; received-not-yet-delivered, global and
-      per ``pN`` label),
-    - ``channel.reordered`` (counter, per-channel: arrivals overtaken by a
-      later-sent packet on the same channel),
     - ``fault.drops`` (counter, labelled by drop reason: ``random`` /
       ``scripted`` / ``crash``), ``fault.dups``, ``fault.partition_drops``
       (per-channel labels), ``fault.spikes``, ``fault.crashes`` /
@@ -386,22 +376,12 @@ class MetricsRecorder:
       ``low``) and ``net.backpressure.pending`` (gauge, per-process: the
       pending depth at the last watermark crossing).
 
-    Per-message state is dropped as soon as it is used: the invoke stamp
-    at release, the receive stamp at delivery.
+    It holds no per-message state.
     """
 
     def __init__(self, bus: Bus, registry: Optional[MetricsRegistry] = None):
         self.registry = registry or MetricsRegistry()
-        self._invoke_time: Dict[str, float] = {}
-        self._receive_time: Dict[str, float] = {}
-        self._occupancy: Dict[int, int] = {}
-        self._channel_send_high: Dict[Tuple[int, int], float] = {}
         self._unsubscribers = [
-            bus.subscribe("host.invoke", self._on_invoke),
-            bus.subscribe("host.inhibit", self._on_inhibit),
-            bus.subscribe("host.release", self._on_release),
-            bus.subscribe("host.receive", self._on_receive),
-            bus.subscribe("host.deliver", self._on_deliver),
             bus.subscribe("fault.drop", self._on_fault_drop),
             bus.subscribe("fault.dup", self._on_fault_dup),
             bus.subscribe("fault.partition", self._on_fault_partition),
@@ -425,67 +405,6 @@ class MetricsRecorder:
         self._unsubscribers = []
 
     # Probe handlers -------------------------------------------------------
-
-    def _on_invoke(self, event: ProbeEvent) -> None:
-        message_id = event.data["message_id"]
-        self._invoke_time[message_id] = event.time
-        self.registry.counter("messages.invoked", "send requests (x.s*)").inc()
-
-    def _on_inhibit(self, event: ProbeEvent) -> None:
-        self.registry.counter(
-            "messages.inhibited", "invokes not released synchronously"
-        ).inc()
-
-    def _on_release(self, event: ProbeEvent) -> None:
-        invoked_at = self._invoke_time.pop(event.data["message_id"], None)
-        if invoked_at is not None:
-            self.registry.histogram(
-                "latency.inhibition", "invoke -> send (send inhibition)"
-            ).observe(event.time - invoked_at)
-
-    def _on_receive(self, event: ProbeEvent) -> None:
-        message_id = event.data["message_id"]
-        process = event.data["process"]
-        sender = event.data["sender"]
-        self._receive_time[message_id] = event.time
-        registry = self.registry
-        released_at = event.data.get("sent")
-        if released_at is not None:
-            registry.histogram(
-                "latency.network", "send -> receive (transit)"
-            ).observe(event.time - released_at)
-            channel = (sender, process)
-            high = self._channel_send_high.get(channel)
-            if high is not None and released_at < high:
-                registry.counter(
-                    "channel.reordered", "arrivals overtaken on their channel"
-                ).inc(label="p%d->p%d" % channel)
-            if high is None or released_at > high:
-                self._channel_send_high[channel] = released_at
-        self._occupancy[process] = self._occupancy.get(process, 0) + 1
-        occupancy = registry.gauge(
-            "buffer.occupancy", "received but not yet delivered"
-        )
-        occupancy.add(1)
-        occupancy.set(self._occupancy[process], label="p%d" % process)
-
-    def _on_deliver(self, event: ProbeEvent) -> None:
-        message_id = event.data["message_id"]
-        process = event.data["process"]
-        registry = self.registry
-        received_at = self._receive_time.pop(message_id, None)
-        if received_at is not None:
-            registry.histogram(
-                "latency.buffering", "receive -> deliver (delivery buffering)"
-            ).observe(event.time - received_at)
-        self._occupancy[process] = self._occupancy.get(process, 0) - 1
-        occupancy = registry.gauge(
-            "buffer.occupancy", "received but not yet delivered"
-        )
-        occupancy.add(-1)
-        occupancy.set(self._occupancy[process], label="p%d" % process)
-
-    # Fault and recovery probes --------------------------------------------
 
     def _on_fault_drop(self, event: ProbeEvent) -> None:
         self.registry.counter(

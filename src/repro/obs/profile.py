@@ -1,8 +1,8 @@
 """Protocol profiling: where does each protocol pay for its ordering?
 
-Runs a workload under several protocols with the instrumentation bus
-attached and breaks each message's end-to-end latency into the paper's
-three phases -- send inhibition (``x.s* -> x.s``), network transit
+Runs a workload under several protocols and, from the metrics each
+run's hosts write, breaks each message's end-to-end latency into the
+paper's three phases -- send inhibition (``x.s* -> x.s``), network transit
 (``x.s -> x.r*``), and delivery buffering (``x.r* -> x.r``) -- alongside
 the wire overheads (control messages/bytes, tag bytes).  Backs the
 ``repro profile`` CLI subcommand.
@@ -13,9 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.obs.bus import Bus
-from repro.obs.metrics import MetricsRecorder
-from repro.obs.watchdog import Watchdog
 from repro.simulation.network import LatencyModel
 from repro.simulation.runner import run_simulation
 from repro.simulation.workloads import Workload
@@ -94,39 +91,31 @@ def profile_protocol(
     latency: Optional[LatencyModel] = None,
     fifo_channels: bool = False,
 ) -> ProtocolProfile:
-    """Run one instrumented simulation and reduce it to a profile."""
-    bus = Bus()
-    recorder = MetricsRecorder(bus)
-    watchdog = Watchdog(bus)
+    """Run one simulation and reduce its hosts' registry to a profile."""
     result = run_simulation(
-        factory,
-        workload,
-        seed=seed,
-        latency=latency,
-        fifo_channels=fifo_channels,
-        bus=bus,
+        factory, workload, seed=seed, latency=latency, fifo_channels=fifo_channels
     )
     stats = result.stats
-    phases = recorder.registry
-    inhibition = phases.histogram("latency.inhibition")
-    network = phases.histogram("latency.network")
-    buffering = phases.histogram("latency.buffering")
+    registry = stats.registry
+    inhibition = registry.histogram("latency.inhibition")
+    network = registry.histogram("latency.network")
+    buffering = registry.histogram("latency.buffering")
     return ProtocolProfile(
         name=name,
-        messages=int(phases.counter("messages.invoked").value),
+        messages=int(registry.counter("messages.invoked").value),
         delivered=stats.deliveries,
-        undelivered=len(watchdog.stuck(protocols=result.protocols)),
+        undelivered=len(result.undelivered),
         inhibition_mean=inhibition.mean,
         inhibition_total=inhibition.total,
         network_mean=network.mean,
         buffering_mean=buffering.mean,
         buffering_total=buffering.total,
         end_to_end_mean=stats.mean_end_to_end_latency,
-        end_to_end_p95=stats.registry.histogram("latency.end_to_end").percentile(95),
+        end_to_end_p95=registry.histogram("latency.end_to_end").percentile(95),
         control_messages=stats.control_messages,
         control_bytes=stats.control_bytes,
         tag_bytes_per_message=stats.mean_tag_bytes,
-        reordered_arrivals=int(phases.counter("channel.reordered").value),
+        reordered_arrivals=int(registry.counter("channel.reordered").value),
     )
 
 

@@ -2,7 +2,8 @@
 
 The paper's liveness obligation is that every invoked message is
 eventually delivered.  When a run drains with undelivered messages, the
-watchdog names the blocking layer from the message's lifecycle state:
+watchdog names the blocking layer from the last of the message's events
+the trace holds:
 
 - invoked but never released  -> send inhibited at the sender;
 - released but never received -> in flight: lost to a network fault
@@ -18,8 +19,9 @@ and only an undropped message falls through to the protocol's own
 account.  When the run's protocol instances are available their
 :meth:`~repro.protocols.base.Protocol.blocking_reason` hook refines the
 generic reason with protocol state ("waiting for seq 3 from P0", ...).
-The watchdog can follow a live bus or replay a finished
-:class:`~repro.simulation.trace.Trace`.
+The watchdog reads a :class:`~repro.simulation.trace.Trace` (the host's
+own record of each message's life, finished or still growing); the bus
+feeds loss attribution.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.events import DELIVER, INVOKE, RECEIVE, SEND
+from repro.events import DELIVER, INVOKE, RECEIVE, SEND, EventKind
 from repro.obs.bus import Bus, ProbeEvent
-from repro.simulation.trace import Trace
+from repro.simulation.trace import Trace, TraceRecord
 
 
 @dataclass(frozen=True)
@@ -54,81 +56,22 @@ class StuckMessage:
 
 
 class Watchdog:
-    """Tracks per-message lifecycle state and reports stuck messages."""
+    """Diagnoses the stuck messages of a trace.
+
+    The phases come from the trace; the bus, when given, feeds only the
+    loss attribution (drops and retransmissions).
+    """
 
     def __init__(self, bus: Optional[Bus] = None):
-        self._invoked: Dict[str, float] = {}
-        self._sender: Dict[str, int] = {}
-        self._receiver: Dict[str, int] = {}
-        self._released: Dict[str, float] = {}
-        self._received: Dict[str, float] = {}
-        #: Where the receive happened -- lets a *receiver-side* watchdog
-        #: (one net host's bus, which never sees the peer's invoke)
-        #: still report messages buffered locally.
-        self._receive_process: Dict[str, int] = {}
-        self._delivered: Dict[str, float] = {}
         self._dropped: Dict[str, float] = {}
         self._retransmits: Dict[str, int] = {}
         self._unsubscribers = []
         if bus is not None:
             self._unsubscribers = [
-                bus.subscribe("host.invoke", self._on_invoke),
-                bus.subscribe("host.release", self._on_release),
-                bus.subscribe("host.receive", self._on_receive),
-                bus.subscribe("host.deliver", self._on_deliver),
                 bus.subscribe("fault.drop", self._on_drop),
                 bus.subscribe("fault.partition", self._on_drop),
                 bus.subscribe("retx.send", self._on_retransmit),
             ]
-
-    @classmethod
-    def from_trace(cls, trace: Trace) -> "Watchdog":
-        """Replay a finished trace into a watchdog (no bus required)."""
-        watchdog = cls()
-        messages = {message.id: message for message in trace.messages()}
-        for record in trace.records():
-            message = messages[record.event.message_id]
-            kind = record.event.kind
-            if kind is INVOKE:
-                watchdog._note_invoke(
-                    record.time, message.id, message.sender, message.receiver
-                )
-            elif kind is SEND:
-                watchdog._released[message.id] = record.time
-            elif kind is RECEIVE:
-                watchdog._received[message.id] = record.time
-            elif kind is DELIVER:
-                watchdog._delivered[message.id] = record.time
-        return watchdog
-
-    # State transitions ----------------------------------------------------
-
-    def _note_invoke(
-        self, time: float, message_id: str, sender: int, receiver: int
-    ) -> None:
-        self._invoked[message_id] = time
-        self._sender[message_id] = sender
-        self._receiver[message_id] = receiver
-
-    def _on_invoke(self, event: ProbeEvent) -> None:
-        self._note_invoke(
-            event.time,
-            event.data["message_id"],
-            event.data["process"],
-            event.data["receiver"],
-        )
-
-    def _on_release(self, event: ProbeEvent) -> None:
-        self._released[event.data["message_id"]] = event.time
-
-    def _on_receive(self, event: ProbeEvent) -> None:
-        self._received[event.data["message_id"]] = event.time
-        process = event.data.get("process")
-        if process is not None:
-            self._receive_process[event.data["message_id"]] = process
-
-    def _on_deliver(self, event: ProbeEvent) -> None:
-        self._delivered[event.data["message_id"]] = event.time
 
     def _on_drop(self, event: ProbeEvent) -> None:
         message_id = event.data.get("message_id")
@@ -160,26 +103,34 @@ class Watchdog:
     # Reporting ------------------------------------------------------------
 
     def stuck(
-        self, protocols: Optional[Sequence[object]] = None
+        self, trace: Trace, protocols: Optional[Sequence[object]] = None
     ) -> List[StuckMessage]:
-        """Every invoked-but-undelivered message with its diagnosis.
+        """Every undelivered message of ``trace`` with its diagnosis.
 
-        ``protocols`` is the per-process protocol list of the run, used to
-        refine reasons via :meth:`Protocol.blocking_reason`.
+        Invoked messages come first; then the ones the trace only saw
+        arrive (a TCP host's trace holds no peer's invoke).  ``protocols``
+        is the per-process protocol list of the run, used to refine
+        reasons via :meth:`Protocol.blocking_reason`.
         """
+        life: Dict[str, Dict[EventKind, TraceRecord]] = {}
+        for record in trace.records():
+            life.setdefault(record.event.message_id, {})[record.event.kind] = record
         reports = []
-        for message_id in sorted(self._invoked):
-            if message_id in self._delivered:
+        order = sorted(life, key=lambda mid: (INVOKE not in life[mid], mid))
+        for message_id in order:
+            events = life[message_id]
+            if DELIVER in events:
                 continue
-            sender = self._sender[message_id]
-            receiver = self._receiver[message_id]
-            if message_id not in self._released:
-                phase, process = "inhibited", sender
-                since = self._invoked[message_id]
+            if RECEIVE in events:
+                phase, record = "buffered", events[RECEIVE]
+                reason = "protocol never delivered after receive"
+            elif INVOKE not in events:
+                continue
+            elif SEND not in events:
+                phase, record = "inhibited", events[INVOKE]
                 reason = "protocol never released the send"
-            elif message_id not in self._received:
-                phase, process = "in-flight", sender
-                since = self._released[message_id]
+            else:
+                phase, record = "in-flight", events[SEND]
                 lost = message_id in self._dropped
                 attempts = self._retransmits.get(message_id, 0)
                 if lost and attempts:
@@ -193,12 +144,10 @@ class Watchdog:
                         % self._dropped[message_id]
                     )
                 else:
-                    reason = "released but never arrived at P%d" % receiver
-            else:
-                phase, process = "buffered", receiver
-                since = self._received[message_id]
-                reason = "protocol never delivered after receive"
-            detail = self._protocol_reason(protocols, process, message_id)
+                    reason = "released but never arrived at P%d" % (
+                        trace.message(message_id).receiver
+                    )
+            detail = self._protocol_reason(protocols, record.process, message_id)
             if detail:
                 # Network loss outranks the protocol's own account -- the
                 # sender's ARQ state is appended, not substituted, so the
@@ -212,29 +161,8 @@ class Watchdog:
                 StuckMessage(
                     message_id=message_id,
                     phase=phase,
-                    process=process,
-                    since=since,
-                    reason=reason,
-                )
-            )
-        # Receiver-side view: a message this watchdog saw arrive but whose
-        # invoke happened on a bus it is not subscribed to (each net host
-        # has its own).  In the simulator one watchdog sees every process,
-        # so this loop adds nothing there.
-        for message_id in sorted(self._received):
-            if message_id in self._invoked or message_id in self._delivered:
-                continue
-            process = self._receive_process.get(message_id, -1)
-            reason = (
-                self._protocol_reason(protocols, process, message_id)
-                or "protocol never delivered after receive"
-            )
-            reports.append(
-                StuckMessage(
-                    message_id=message_id,
-                    phase="buffered",
-                    process=process,
-                    since=self._received[message_id],
+                    process=record.process,
+                    since=record.time,
                     reason=reason,
                 )
             )
@@ -251,9 +179,11 @@ class Watchdog:
             return None
         return hook(message_id)
 
-    def render(self, protocols: Optional[Sequence[object]] = None) -> str:
+    def render(
+        self, trace: Trace, protocols: Optional[Sequence[object]] = None
+    ) -> str:
         """A human-readable stuck-message report (empty string when live)."""
-        reports = self.stuck(protocols=protocols)
+        reports = self.stuck(trace, protocols=protocols)
         if not reports:
             return ""
         lines = ["%d message(s) stuck:" % len(reports)]

@@ -24,6 +24,20 @@ class ProtocolError(RuntimeError):
     """A protocol violated an event precondition (a bug in the protocol)."""
 
 
+#: The metrics a host creates with their first observation, so a run
+#: that never inhibits (or never reorders) has no such name: kind, help.
+_LAZY_METRICS = {
+    "messages.invoked": ("counter", "send requests (x.s*)"),
+    "messages.inhibited": ("counter", "invokes not released synchronously"),
+    "latency.inhibition": ("histogram", "invoke -> send (send inhibition)"),
+    "latency.network": ("histogram", "send -> receive (transit)"),
+    "latency.buffering": ("histogram", "receive -> deliver (delivery buffering)"),
+    "buffer.occupancy": ("gauge", "received but not yet delivered"),
+    "channel.reordered": ("counter", "arrivals overtaken on their channel"),
+    "retx.dups": ("counter", "duplicate arrivals absorbed by dedup"),
+}
+
+
 class HostContext:
     """The services a protocol may use, scoped to one process."""
 
@@ -103,10 +117,11 @@ class ProtocolHost:
         self.n_processes = network.n_processes
         self.protocol = protocol
         self.ctx = HostContext(self)
-        # The host is the one writer of its costs: each metric is fetched
-        # from the stats registry once, here.  Control messages and
-        # absorbed duplicates are costs many runs never pay, so their
-        # counters appear with the first one (see send_control).
+        # The host is the one writer of its costs and of every phase of a
+        # message's life it can read off its trace: each metric is
+        # fetched from the stats registry once, here or (for the
+        # _LAZY_METRICS and the per-channel control counters) with its
+        # first observation.
         registry = stats.registry
         self._user_count = registry.counter("messages.user", "user messages released")
         self._tag_total = registry.counter("tag.bytes", "total tag bytes piggybacked")
@@ -120,7 +135,11 @@ class ProtocolHost:
             "messages.delayed", "deliveries after receive time"
         )
         self._retx_count = registry.counter("retx.messages", "retransmissions sent")
-        self._dup_count: Optional[Counter] = None
+        self._lazy: Dict[str, Any] = {}
+        #: source -> latest send time among its arrivals here, which an
+        #: earlier-sent arrival on that channel counts as overtaken.
+        self._send_high: Dict[int, float] = {}
+        self._label = "p%d" % process_id
         #: destination -> (channel label, control message and byte counters).
         self._control: Dict[int, Tuple[str, Counter, Counter]] = {}
         #: Latency distributions: virtual time here, wall seconds on a
@@ -134,7 +153,6 @@ class ProtocolHost:
         self._invoked: Set[str] = set()
         self._sent: Set[str] = set()
         self._received: Set[str] = set()
-        self._receive_time: Dict[str, float] = {}
         self._delivered: Set[str] = set()
         # Reactive applications (repro.apps) observe deliveries.
         self.delivery_listener: Optional[Any] = None
@@ -172,6 +190,7 @@ class ProtocolHost:
         self.trace.register_message(message)
         self._invoked.add(message.id)
         self.trace.record(self.sim.now, self.process_id, Event.invoke(message.id))
+        self._metric("messages.invoked").inc()
         bus = self._bus
         if bus is not None and bus.active:
             bus.emit(
@@ -182,14 +201,16 @@ class ProtocolHost:
                 receiver=message.receiver,
             )
         self.protocol.on_invoke(self.ctx, message)
-        if message.id not in self._sent and bus is not None and bus.active:
+        if message.id not in self._sent:
             # The protocol returned without releasing: the send is inhibited.
-            bus.emit(
-                "host.inhibit",
-                self.sim.now,
-                message_id=message.id,
-                process=self.process_id,
-            )
+            self._metric("messages.inhibited").inc()
+            if bus is not None and bus.active:
+                bus.emit(
+                    "host.inhibit",
+                    self.sim.now,
+                    message_id=message.id,
+                    process=self.process_id,
+                )
 
     # Protocol-facing -----------------------------------------------------------
 
@@ -202,7 +223,11 @@ class ProtocolHost:
         if message.id in self._sent:
             raise ProtocolError("message %r released twice" % message.id)
         self._sent.add(message.id)
-        self.trace.record(self.sim.now, self.process_id, Event.send(message.id))
+        now, trace = self.sim.now, self.trace
+        trace.record(now, self.process_id, Event.send(message.id))
+        self._metric("latency.inhibition").observe(
+            now - trace.time_of(Event.invoke(message.id))
+        )
         tag_bytes = estimate_size(tag)
         self._user_count.inc()
         self._tag_total.inc(tag_bytes)
@@ -228,11 +253,15 @@ class ProtocolHost:
         if message.id in self._delivered:
             raise ProtocolError("message %r delivered twice" % message.id)
         self._delivered.add(message.id)
-        self.trace.record(self.sim.now, self.process_id, Event.deliver(message.id))
+        now, trace = self.sim.now, self.trace
+        trace.record(now, self.process_id, Event.deliver(message.id))
         self._delivery_count.inc()
-        delayed = self.sim.now > self._receive_time[message.id]
+        received = trace.time_of(Event.receive(message.id))
+        delayed = now > received
         if delayed:
             self._delayed_count.inc()
+        self._metric("latency.buffering").observe(now - received)
+        self._account_occupancy(-1)
         self._account_latency(message)
         bus = self._bus
         if bus is not None and bus.active:
@@ -258,6 +287,39 @@ class ProtocolHost:
         now, trace = self.sim.now, self.trace
         self.delivery_latency.observe(now - trace.time_of(Event.send(message.id)))
         self.e2e_latency.observe(now - trace.time_of(Event.invoke(message.id)))
+
+    def _metric(self, name: str) -> Any:
+        """The :data:`_LAZY_METRICS` entry ``name``, created on first use."""
+        metric = self._lazy.get(name)
+        if metric is None:
+            kind, help = _LAZY_METRICS[name]
+            metric = getattr(self.stats.registry, kind)(name, help)
+            self._lazy[name] = metric
+        return metric
+
+    def _account_occupancy(self, delta: int) -> None:
+        """Shift the received-not-yet-delivered gauge: the run's total by
+        ``delta``, this process's label to what its sets now say."""
+        occupancy = self._metric("buffer.occupancy")
+        occupancy.add(delta)
+        occupancy.set(len(self._received) - len(self._delivered), label=self._label)
+
+    def _account_arrival(self, message: Message, now: float) -> None:
+        """Transit time and channel reordering of a first arrival, when
+        the trace holds the send: the simulator's shared trace always
+        does, a TCP receiver's only for a message it sent itself."""
+        send = Event.send(message.id)
+        if self.trace.has_event(send):
+            sent = self.trace.time_of(send)
+            self._metric("latency.network").observe(now - sent)
+            high = self._send_high.get(message.sender)
+            if high is not None and sent < high:
+                self._metric("channel.reordered").inc(
+                    label="p%d->p%d" % (message.sender, self.process_id)
+                )
+            if high is None or sent > high:
+                self._send_high[message.sender] = sent
+        self._account_occupancy(1)
 
     def send_control(self, dst: int, payload: Any) -> None:
         """Emit a control message and account its cost."""
@@ -346,11 +408,7 @@ class ProtocolHost:
                 # protocols that deduplicate get the copy via on_duplicate,
                 # anything else sees it as the bug it would be.
                 if getattr(self.protocol, "accepts_duplicates", False):
-                    if self._dup_count is None:
-                        self._dup_count = self.stats.registry.counter(
-                            "retx.dups", "duplicate arrivals absorbed by dedup"
-                        )
-                    self._dup_count.inc()
+                    self._metric("retx.dups").inc()
                     self.emit_probe(
                         "retx.dup", message_id=message.id, sender=message.sender
                     )
@@ -359,25 +417,17 @@ class ProtocolHost:
                 raise ProtocolError("message %r received twice" % message.id)
             self.trace.register_message(message)
             self._received.add(message.id)
-            self._receive_time[message.id] = self.sim.now
-            self.trace.record(
-                self.sim.now, self.process_id, Event.receive(message.id)
-            )
+            now = self.sim.now
+            self.trace.record(now, self.process_id, Event.receive(message.id))
+            self._account_arrival(message, now)
             bus = self._bus
             if bus is not None and bus.active:
-                # The send's time rides along when this trace holds it: the
-                # simulator's shared trace always does, a TCP receiver's
-                # only for a message it sent itself.
-                send, sent = Event.send(message.id), {}
-                if self.trace.has_event(send):
-                    sent["sent"] = self.trace.time_of(send)
                 bus.emit(
                     "host.receive",
-                    self.sim.now,
+                    now,
                     message_id=message.id,
                     process=self.process_id,
                     sender=message.sender,
-                    **sent,
                 )
             self.protocol.on_user_message(self.ctx, message, packet.tag)
         else:

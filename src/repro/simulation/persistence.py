@@ -13,41 +13,19 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, IO, Union
 
-from repro.events import Event, Message
+from repro.events import Event
 from repro.events.events import kind_from_symbol
+from repro.net.codec import message_from_wire, message_to_wire
 from repro.runs.user_run import UserRun
 from repro.simulation.trace import Trace
 from repro.simulation.workloads import SendRequest, Workload
-
-
-def message_to_dict(message: Message) -> Dict[str, Any]:
-    payload: Dict[str, Any] = {
-        "id": message.id,
-        "sender": message.sender,
-        "receiver": message.receiver,
-    }
-    if message.color is not None:
-        payload["color"] = message.color
-    if message.group is not None:
-        payload["group"] = message.group
-    return payload
-
-
-def message_from_dict(payload: Dict[str, Any]) -> Message:
-    return Message(
-        id=payload["id"],
-        sender=payload["sender"],
-        receiver=payload["receiver"],
-        color=payload.get("color"),
-        group=payload.get("group"),
-    )
 
 
 def trace_to_dict(trace: Trace) -> Dict[str, Any]:
     return {
         "format": "repro-trace-v1",
         "n_processes": trace.n_processes,
-        "messages": [message_to_dict(m) for m in trace.messages()],
+        "messages": [message_to_wire(m) for m in trace.messages()],
         "records": [
             {
                 "time": record.time,
@@ -64,7 +42,7 @@ def trace_from_dict(payload: Dict[str, Any]) -> Trace:
         raise ValueError("not a repro trace: format=%r" % payload.get("format"))
     trace = Trace(payload["n_processes"])
     for message_payload in payload["messages"]:
-        trace.register_message(message_from_dict(message_payload))
+        trace.register_message(message_from_wire(message_payload))
     for record in payload["records"]:
         message_id, symbol = record["event"]
         trace.record(
@@ -194,7 +172,7 @@ def user_run_to_dict(run: UserRun) -> Dict[str, Any]:
     """Serialize a user-view run (messages, events, generating order)."""
     return {
         "format": "repro-user-run-v1",
-        "messages": [message_to_dict(m) for m in run.messages()],
+        "messages": [message_to_wire(m) for m in run.messages()],
         "events": [[e.message_id, e.kind.symbol] for e in run.events()],
         "relations": [
             [[a.message_id, a.kind.symbol], [b.message_id, b.kind.symbol]]
@@ -208,7 +186,7 @@ def user_run_from_dict(payload: Dict[str, Any]) -> UserRun:
         raise ValueError("not a repro user run: format=%r" % payload.get("format"))
     run = UserRun()
     for message_payload in payload["messages"]:
-        run.add_message(message_from_dict(message_payload), with_events=False)
+        run.add_message(message_from_wire(message_payload), with_events=False)
     for message_id, symbol in payload["events"]:
         run.add_event(Event(message_id, kind_from_symbol(symbol)))
     for (a_id, a_symbol), (b_id, b_symbol) in payload["relations"]:

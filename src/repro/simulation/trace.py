@@ -87,6 +87,7 @@ class SimulationStats:
     are :attr:`~repro.simulation.runner.SimulationResult.fault_summary`.
     """
 
+    invocations = _count("messages.invoked", "Send requests accepted (x.s*).")
     user_messages = _count("messages.user", "User messages released.")
     control_messages = _count("net.control.messages", "Control messages sent.")
     control_bytes = _count("net.control.bytes", "Control payload bytes sent.")

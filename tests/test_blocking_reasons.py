@@ -96,10 +96,9 @@ def test_sync_rendezvous_names_the_phase():
 
 def test_watchdog_integrates_protocol_reasons():
     world = overtaken_world("causal-rst", pair())
-    watchdog = Watchdog.from_trace(world.trace)
     stuck = {
         entry.message_id: entry
-        for entry in watchdog.stuck(protocols=world.protocols())
+        for entry in Watchdog().stuck(world.trace, protocols=world.protocols())
     }
     assert stuck["m2"].phase == "buffered"
     assert "buffered awaiting" in stuck["m2"].reason

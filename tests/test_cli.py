@@ -137,6 +137,37 @@ class TestSimulateCommand:
             "tag.bytes.per_message",
         }
 
+    def test_metrics_out_under_faults_is_pinned(self, tmp_path, capsys):
+        """The hosts write every lifecycle metric the recorder used to
+        rebuild from probes: same names, same values as when it did."""
+        import json
+        import os
+
+        metrics_path = tmp_path / "m.json"
+        code = main(
+            [
+                "simulate",
+                "x.s < y.s & y.r < x.r",
+                "--messages",
+                "12",
+                "--seed",
+                "4",
+                "--drop-rate",
+                "0.2",
+                "--fault-seed",
+                "3",
+                "--metrics-out",
+                str(metrics_path),
+            ]
+        )
+        capsys.readouterr()
+        assert code == 0
+        golden = os.path.join(
+            os.path.dirname(__file__), "data", "simulate_metrics_golden.json"
+        )
+        with open(golden) as handle:
+            assert json.loads(metrics_path.read_text()) == json.load(handle)
+
 
 PROFILE_TABLE = """\
 protocol    msgs  inhibit  network  buffer  invoke->r  p95     ctrl  ctrlB  tagB/msg  reordered  stuck

@@ -224,10 +224,10 @@ class TestWatchdogLossAttribution:
             faults=plan,
         )
         assert not result.delivered_all
-        watchdog = Watchdog.from_trace(result.trace)
+        watchdog = Watchdog()
         for message_id in result.dropped_messages:
             watchdog.note_drop(message_id)
-        stuck = watchdog.stuck(protocols=result.protocols)
+        stuck = watchdog.stuck(result.trace, protocols=result.protocols)
         lost = [s for s in stuck if s.message_id == result.dropped_messages[0]]
         assert lost and lost[0].phase == "in-flight"
         assert "lost in network" in lost[0].reason
@@ -247,7 +247,7 @@ class TestWatchdogLossAttribution:
             bus=bus,
         )
         assert not result.delivered_all
-        stuck = watchdog.stuck(protocols=result.protocols)
+        stuck = watchdog.stuck(result.trace, protocols=result.protocols)
         assert len(stuck) == 1
         assert "lost in network" in stuck[0].reason
         assert "awaiting retransmit" in stuck[0].reason
@@ -264,10 +264,13 @@ class TestWatchdogLossAttribution:
             latency=FixedLatency(1.0),
             faults=plan,
         )
-        watchdog = Watchdog.from_trace(result.trace)
+        watchdog = Watchdog()
         for message_id in result.dropped_messages:
             watchdog.note_drop(message_id)
-        stuck = {s.message_id: s for s in watchdog.stuck(protocols=result.protocols)}
+        stuck = {
+            s.message_id: s
+            for s in watchdog.stuck(result.trace, protocols=result.protocols)
+        }
         buffered = [
             s
             for s in stuck.values()

@@ -8,6 +8,7 @@ violations; a deliberately broken one must be flagged live.
 """
 
 import asyncio
+import time
 
 import pytest
 
@@ -292,6 +293,19 @@ class TestObserverChunks:
         assert observer.events_seen == observer.events_merged == 12
         assert calls == {"merge": 3, "advance": 3}
 
+    def test_a_replayed_chunk_does_not_hold_up_settle(self):
+        """A host an observer re-attaches to replays its whole history:
+        the merge skips the copies, and settle must not wait for them."""
+        observer = LiveObserver(1)
+        (frame,) = _chunk_frames([(self.M0, kind) for kind in KINDS])
+        (decoded,) = codec.FrameDecoder().feed(frame)
+        observer._on_chunk(0, decoded.body)
+        observer._on_chunk(0, decoded.body)
+        assert (observer.events_seen, observer.events_merged) == (8, 4)
+        started = time.monotonic()
+        asyncio.run(observer.settle(1.0))
+        assert time.monotonic() - started < 0.1
+
     def _bad_chunk(self, case):
         good = _event_bytes(self.M1, "invoke") + _event_bytes(self.M1, "send")
         if case == "bad-crc":
@@ -451,8 +465,8 @@ class TestKeptFleet:
 
     def test_sender_recorder_keeps_no_per_message_stamps(self):
         """The deliver probe fires on the *receiver's* bus, so a sender's
-        recorder must not wait for it: the invoke stamp is consumed at
-        release (both maps used to hold one entry per message for ever)."""
+        recorder must not wait for it.  It no longer stamps anything: the
+        host reads the invoke time off its own trace at release."""
         entry = catalogue()["fifo"]
 
         async def scenario():
@@ -470,8 +484,8 @@ class TestKeptFleet:
                 report = await drive_run(load, None, "fifo", 300.0, 0.4, 10.0)
                 return report, [
                     (
-                        len(host.metrics._invoke_time),
-                        host.metrics.registry.histogram("latency.inhibition").count,
+                        set(vars(host.metrics)),
+                        host.stats.registry.histogram("latency.inhibition").count,
                         host.stats.user_messages,
                     )
                     for host in hosts
@@ -484,6 +498,6 @@ class TestKeptFleet:
         report, per_host = asyncio.run(scenario())
         assert report.quiesced and report.delivered == report.invoked == 120
         assert sum(released for _, _, released in per_host) == 120
-        for invoke_stamps, inhibition_samples, released in per_host:
-            assert invoke_stamps == 0
+        for recorder_state, inhibition_samples, released in per_host:
+            assert recorder_state == {"registry", "_unsubscribers"}
             assert inhibition_samples == released > 0

@@ -13,6 +13,7 @@ from repro.net import (
     free_ports,
 )
 from repro.net import codec
+from repro.net.client import ControlLink
 from repro.net.transport import packet_from_frame
 from repro.protocols import catalogue
 from repro.simulation.network import Packet
@@ -698,7 +699,37 @@ class TestNetHostLatencyMetrics:
         assert 'messages_user{process="0"} 3' in sender["text"]
         assert 'messages_delivered{process="1"} 3' in receiver["text"]
         assert receiver["snapshot"]["latency.delivery"]["count"] == 3
-        assert "messages.invoked" not in sender["snapshot"]  # a recorder's name
+        # The phases are the host's to write, recorder or not.
+        assert sender["snapshot"]["latency.inhibition"]["count"] == 3
+        assert receiver["snapshot"]["latency.buffering"]["count"] == 3
+
+    def test_stats_invoked_counts_accepted_invokes(self):
+        """STATS ``invoked`` is the host's ``messages.invoked`` counter,
+        so an INVOKE refused as "invoked twice" is not counted."""
+
+        async def scenario():
+            port = free_ports(1)[0]
+            host = NetHost(_fifo_factory(), 0, [port], run_id="twice")
+            serving = asyncio.get_running_loop().create_task(host.serve_forever())
+            try:
+                while host._server is None:  # serve_forever is binding
+                    await asyncio.sleep(0.005)
+                link = ControlLink("127.0.0.1", port, "load", "twice")
+                await link.connect(timeout=1.0)
+                await link.ready(timeout=1.0)
+                body = codec.message_to_wire(Message(id="m1", sender=0, receiver=0))
+                link.send(codec.INVOKE, body)
+                link.send(codec.INVOKE, body)
+                stats = await link.request(codec.STATS)
+                await link.close()
+            finally:
+                await host.shutdown()
+                await asyncio.wait_for(serving, 1.0)
+            return stats
+
+        stats = asyncio.run(scenario())
+        assert stats["invoked"] == 1
+        assert [e for e in stats["errors"] if "invoked twice" in e]
 
     def test_receiver_end_to_end_counts_the_senders_inhibition(self):
         """Every USER frame carries the sender's invoke wall time, and

@@ -2,16 +2,19 @@
 
 import io
 import json
+import os
 
 import pytest
+
+from repro.events import Event, Message
+from repro.runs.user_run import UserRun
+from repro.simulation.trace import Trace
 
 from repro.protocols import CausalRstProtocol
 from repro.protocols.base import make_factory
 from repro.simulation import UniformLatency, random_traffic, run_simulation
 from repro.simulation.persistence import (
     load_trace,
-    message_from_dict,
-    message_to_dict,
     save_trace,
     trace_from_dict,
     trace_to_dict,
@@ -20,6 +23,10 @@ from repro.simulation.persistence import (
 )
 from repro.verification import check_run
 from repro.predicates.catalog import CAUSAL_ORDERING
+
+#: A trace and its user run as ``save_trace`` / ``user_run_to_dict``
+#: wrote them when a message was spelled without payload or key.
+_DATA = os.path.join(os.path.dirname(__file__), "data", "persistence_v1")
 
 
 @pytest.fixture
@@ -33,17 +40,40 @@ def recorded():
 
 
 class TestMessageCodec:
-    def test_round_trip_with_attributes(self):
-        from repro.events import Message
+    """A saved message is the codec's spelling of it, so nothing a
+    message carries is dropped on the way to disk."""
 
-        message = Message(id="m1", sender=0, receiver=2, color="red", group="b1")
-        assert message_from_dict(message_to_dict(message)) == message
+    MESSAGE = Message(
+        id="m1",
+        sender=0,
+        receiver=2,
+        color="red",
+        group="b1",
+        payload={"text": "hi", "n": [1, 2.5]},
+        ordering_key="k7",
+    )
 
-    def test_optional_fields_omitted(self):
-        from repro.events import Message
+    def test_round_trip_with_attributes(self, tmp_path):
+        trace = Trace(3)
+        trace.register_message(self.MESSAGE)
+        trace.record(0.0, 0, Event.invoke("m1"))
+        path = str(tmp_path / "trace.json")
+        save_trace(trace, path)
+        assert load_trace(path).message("m1") == self.MESSAGE
 
-        payload = message_to_dict(Message(id="m1", sender=0, receiver=1))
-        assert "color" not in payload and "group" not in payload
+    def test_user_run_keeps_the_whole_message(self):
+        run = UserRun()
+        run.add_message(self.MESSAGE)
+        payload = json.loads(json.dumps(user_run_to_dict(run)))
+        assert user_run_from_dict(payload).messages() == [self.MESSAGE]
+
+    def test_files_written_before_the_codec_spelling_still_load(self):
+        trace = load_trace(os.path.join(_DATA, "trace.json"))
+        assert trace.message("m2") == Message(id="m2", sender=1, receiver=0, color="red")
+        assert len(trace) == 16 and trace.to_user_run().is_complete()
+        with open(os.path.join(_DATA, "user_run.json")) as handle:
+            run = user_run_from_dict(json.load(handle))
+        assert run == trace.to_user_run()
 
 
 class TestTraceCodec:
