@@ -19,7 +19,7 @@ A USER or CONTROL frame (a packet) has a sectioned body instead::
     +--------------------------+------+---------+---------------------+
 
 ``head`` is a small JSON object (``src``, ``dst``, ``sent``, and on a
-USER frame ``invoked`` and the flight recorder's ``vc``); ``message`` is
+USER frame ``invoked``); ``message`` is
 the message's canonical text (:func:`message_texts`, empty on CONTROL)
 and the last section the tag's or payload's :func:`dumps_value` text.
 The sender splices texts it already has and the receiver keeps the

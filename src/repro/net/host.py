@@ -47,7 +47,7 @@ from repro.obs.openmetrics import render_openmetrics
 from repro.obs.watchdog import Watchdog
 from repro.simulation.host import ProtocolHost
 from repro.simulation.network import Network, Packet
-from repro.simulation.trace import SimulationStats, Trace, TraceRecord
+from repro.simulation.trace import RECEIVED, SimulationStats, Trace, TraceRecord
 from repro.wal import records as wal_records
 
 #: Bus probes bridged to observers (kept narrow: the fault/recovery
@@ -155,13 +155,7 @@ class NetProtocolHost(ProtocolHost):
     def pending_local(self) -> int:
         """Messages this process still owes work on: invoked-but-unsent
         plus received-but-undelivered (the graceful-drain condition)."""
-        # release/deliver enforce _sent <= _invoked, _delivered <= _received.
-        return (
-            len(self._invoked)
-            - len(self._sent)
-            + len(self._received)
-            - len(self._delivered)
-        )
+        return self._unsent + self._buffered
 
 
 class NetHost(Endpoint):
@@ -247,8 +241,8 @@ class NetHost(Endpoint):
         self.transport._stamp = self.host.stamp
         #: The in-host observability plane (all opt-out via
         #: ``observability=False`` for overhead measurements): a flight
-        #: recorder taping the latest probe events with vector
-        #: timestamps, a metrics recorder adding the fault, link and
+        #: recorder taping the latest probe events with wall and virtual
+        #: times, a metrics recorder adding the fault, link and
         #: backpressure metrics to the stats registry the METRICS frame
         #: exposes, and the liveness watchdog whose diagnoses of the
         #: host's trace ride the STATS reply.
@@ -260,7 +254,6 @@ class NetHost(Endpoint):
             self.flight.attach(self.bus)
             self.metrics = MetricsRecorder(self.bus, self.stats.registry)
             self.watchdog = Watchdog(self.bus)
-            self.transport._vc_for = self._vc_for_packet
         #: Dialed peer streams (the accepted ones are the endpoint's).
         self._peer_writers: List[asyncio.StreamWriter] = []
         #: Observer streams past their history replay: what the tap feeds.
@@ -772,10 +765,7 @@ class NetHost(Endpoint):
         self, frame: "codec.Frame", writer: asyncio.StreamWriter
     ) -> None:
         if frame.kind in (codec.USER, codec.CONTROL):
-            packet = packet_from_frame(frame)
-            if frame.kind == codec.USER:
-                self._note_remote_clock(packet, frame.body.get("vc"))
-            self._dispatch_packet(packet, frame.body.get("invoked"))
+            self._dispatch_packet(packet_from_frame(frame), frame.body.get("invoked"))
         elif frame.kind == codec.HEARTBEAT and not frame.body.get("echo"):
             # Echo back on the same socket: the dialer's watcher
             # feeds its failure detector from these.
@@ -784,22 +774,6 @@ class NetHost(Endpoint):
             writer.write(codec.encode_frame(codec.HEARTBEAT, body))
         # Anything else on a peer link is ignored (forward compat).
 
-    def _vc_for_packet(self, packet: Packet) -> Optional[Dict[int, int]]:
-        """The flight recorder's causal stamp for an outbound user frame."""
-        if self.flight is None or not packet.is_user or packet.message is None:
-            return None
-        return self.flight.vc_for(packet.message.id)
-
-    def _note_remote_clock(self, packet: Packet, vc: Any) -> None:
-        """Stash the sender's vector clock from an inbound USER frame."""
-        if self.flight is None or packet.message is None or not vc:
-            return
-        try:
-            decoded = {int(process): int(count) for process, count in vc.items()}
-        except (AttributeError, TypeError, ValueError):
-            return  # a malformed stamp degrades causality, not delivery
-        self.flight.observe_remote(packet.message.id, decoded)
-
     def _dispatch_packet(
         self, packet: Packet, invoked: Optional[float] = None
     ) -> None:
@@ -807,7 +781,7 @@ class NetHost(Endpoint):
         if (
             packet.is_user
             and message is not None
-            and message.id not in self.host._received
+            and self.trace.row(message.id)[RECEIVED] is None
         ):
             # The sender's release and invoke wall times, from the first
             # copy's frame (delivery pops them).

@@ -137,9 +137,6 @@ class AsyncTransport(Transport):
             raise ValueError("queue_limit must be >= 1")
         self.process_id = process_id
         self._stamp: Optional[Callable[[Packet], "tuple[float, float]"]] = None
-        #: Optional vector-clock supplier for user frames (the flight
-        #: recorder's causal stamp; see :mod:`repro.obs.flight`).
-        self._vc_for: Optional[Callable[[Packet], Optional[Dict[int, int]]]] = None
         self._writers: Dict[int, asyncio.StreamWriter] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self.frames_sent = 0
@@ -304,12 +301,6 @@ class AsyncTransport(Transport):
             message = packet.message
             assert message is not None
             head = {"src": packet.src, "dst": packet.dst, "sent": sent, "invoked": invoked}
-            if self._vc_for is not None:
-                vc = self._vc_for(packet)
-                if vc:
-                    head["vc"] = {
-                        str(process): count for process, count in sorted(vc.items())
-                    }
             return codec.USER, head, (message, packet.tag)
         head = {"src": packet.src, "dst": packet.dst, "sent": sent}
         return codec.CONTROL, head, (None, packet.payload)

@@ -3,14 +3,12 @@
 Every :class:`~repro.net.host.NetHost` keeps a :class:`FlightRecorder`
 taping the last :data:`DEFAULT_CAPACITY` probe events -- message
 lifecycle records (invoke/send/receive/deliver) plus the fault/recovery
-stream -- each stamped with the wall clock, the host's virtual clock, a
-monotone sequence number and the recorder's **vector timestamp**.  The
-vector clock advances exactly like the verification engine's
-:class:`~repro.verification.engine.causality.OnlineCausality`: the local
-component ticks on every user event executed here (send, deliver) and a
-delivery joins the sender's clock, carried over the wire on the USER
-frame (see :meth:`vc_for`).  Records are therefore causally comparable
-*across* hosts even though each ring is purely local.
+stream -- each stamped with the wall clock, the host's virtual clock and
+a monotone sequence number.  The recorder keeps no causal order of its
+own: the verification engine's
+:class:`~repro.verification.engine.causality.OnlineCausality` is the one
+owner of the vector timestamps, and :mod:`repro.obs.forensics` takes
+them from the monitor.
 
 The ring is deterministically serializable (:meth:`to_wire`): a
 collector pulls it over a TRACE frame, a violation dumps the surrounding
@@ -76,33 +74,32 @@ def _jsonable(value: Any) -> Any:
 
 @dataclass(frozen=True)
 class FlightRecord:
-    """One taped event: wall + virtual time, kind, payload, vector clock."""
+    """One taped event: wall + virtual time, kind, payload."""
 
     seq: int
     wall: float
     time: float  # the host's virtual clock at the probe
     kind: str  # "invoke"/"send"/"receive"/"deliver" or a probe name
     data: Dict[str, Any] = field(default_factory=dict)
-    vc: Dict[int, int] = field(default_factory=dict)
 
     @property
     def message_id(self) -> Optional[str]:
         return self.data.get("message_id")
 
     def to_wire(self) -> Dict[str, Any]:
-        """A JSON-safe encoding (vector-clock keys become strings)."""
+        """A JSON-safe encoding."""
         return {
             "seq": self.seq,
             "wall": self.wall,
             "t": self.time,
             "kind": self.kind,
             "data": _jsonable(self.data),
-            "vc": {str(process): count for process, count in sorted(self.vc.items())},
         }
 
     @classmethod
     def from_wire(cls, body: Dict[str, Any]) -> "FlightRecord":
-        """Strict inverse of :meth:`to_wire`."""
+        """Strict inverse of :meth:`to_wire` (an older dump's ``vc`` key
+        is ignored)."""
         try:
             return cls(
                 seq=int(body["seq"]),
@@ -110,24 +107,16 @@ class FlightRecord:
                 time=float(body["t"]),
                 kind=str(body["kind"]),
                 data=dict(body.get("data") or {}),
-                vc={
-                    int(process): int(count)
-                    for process, count in (body.get("vc") or {}).items()
-                },
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError("bad flight record %r: %s" % (body, exc)) from exc
 
 
 class FlightRecorder:
-    """A bounded, causally-stamped ring buffer over a host's probe bus.
+    """A bounded ring buffer over a host's probe bus.
 
     Attach with :meth:`attach`; the recorder subscribes to the lifecycle
-    probes and :data:`CONTEXT_PROBES`.  The host feeds cross-host
-    causality in two places: :meth:`vc_for` supplies the vector clock a
-    USER frame piggybacks (keyed by message id so retransmissions carry
-    the *original* send's clock), and :meth:`observe_remote` stashes the
-    clock arriving on an inbound frame so the eventual delivery joins it.
+    probes and :data:`CONTEXT_PROBES`.
     """
 
     def __init__(
@@ -143,12 +132,6 @@ class FlightRecorder:
         self._wall = wall
         self._ring: "deque[FlightRecord]" = deque(maxlen=capacity)
         self._seq = 0
-        #: This host's running vector clock (process -> user-event count).
-        self._clock: Dict[int, int] = {}
-        #: message id -> clock piggybacked on its (first) release.
-        self._release_vc: Dict[str, Dict[int, int]] = {}
-        #: message id -> sender clock stashed from an inbound USER frame.
-        self._remote_vc: Dict[str, Dict[int, int]] = {}
         self._unsubscribers: List[Callable[[], None]] = []
 
     # -- wiring ---------------------------------------------------------------
@@ -166,50 +149,13 @@ class FlightRecorder:
             unsubscribe()
         self._unsubscribers = []
 
-    # -- cross-host causality -------------------------------------------------
-
-    def vc_for(self, message_id: str) -> Optional[Dict[int, int]]:
-        """The clock to piggyback on an outbound USER frame.
-
-        Stamped at release time, so a retransmission repeats the original
-        send's causal position (mirroring the wall-time stamp reuse).
-        """
-        return self._release_vc.get(message_id)
-
-    def observe_remote(self, message_id: str, vc: Dict[int, int]) -> None:
-        """Stash the sender clock carried on an inbound USER frame."""
-        self._remote_vc.setdefault(message_id, dict(vc))
-
     # -- probe handlers -------------------------------------------------------
 
     def _on_lifecycle(self, event: ProbeEvent) -> None:
-        kind = LIFECYCLE_KINDS[event.probe]
-        message_id = event.data.get("message_id")
-        if kind == "send":
-            self._tick()
-            if message_id is not None:
-                self._release_vc.setdefault(message_id, dict(self._clock))
-        elif kind == "deliver":
-            if message_id is not None:
-                remote = self._remote_vc.pop(message_id, None)
-                if remote is None:
-                    # Self-addressed messages loop back without a frame.
-                    remote = self._release_vc.get(message_id)
-                if remote is not None:
-                    self._join(remote)
-            self._tick()
-        self._append(kind, event)
+        self._append(LIFECYCLE_KINDS[event.probe], event)
 
     def _on_context(self, event: ProbeEvent) -> None:
         self._append(event.probe, event)
-
-    def _tick(self) -> None:
-        self._clock[self.process_id] = self._clock.get(self.process_id, 0) + 1
-
-    def _join(self, other: Dict[int, int]) -> None:
-        for process, count in other.items():
-            if self._clock.get(process, 0) < count:
-                self._clock[process] = count
 
     def _append(self, kind: str, event: ProbeEvent) -> None:
         self._ring.append(
@@ -219,7 +165,6 @@ class FlightRecorder:
                 time=event.time,
                 kind=kind,
                 data=dict(event.data),
-                vc=dict(self._clock),
             )
         )
         self._seq += 1
@@ -239,21 +184,9 @@ class FlightRecorder:
         """Records lost to ring overwrite."""
         return self._seq - len(self._ring)
 
-    @property
-    def clock(self) -> Dict[int, int]:
-        """The host's current vector clock (a copy)."""
-        return dict(self._clock)
-
     def records(self) -> List[FlightRecord]:
         """The retained records, oldest first."""
         return list(self._ring)
-
-    def window(
-        self, around_wall: float, before: float = 1.0, after: float = 1.0
-    ) -> List[FlightRecord]:
-        """The retained records within ``[around-before, around+after]``."""
-        lo, hi = around_wall - before, around_wall + after
-        return [record for record in self._ring if lo <= record.wall <= hi]
 
     def to_wire(self) -> Dict[str, Any]:
         """The whole ring as a deterministic JSON-safe dump."""
@@ -262,7 +195,6 @@ class FlightRecorder:
             "capacity": self.capacity,
             "recorded": self._seq,
             "dropped": self.dropped,
-            "clock": {str(p): c for p, c in sorted(self._clock.items())},
             "records": [record.to_wire() for record in self._ring],
         }
 

@@ -16,7 +16,8 @@ reconstructs the *story* an operator needs:
   deliveries ``y ▷ x``);
 - the **wall-clock timeline** -- when flight-recorder dumps (TRACE
   frames, :mod:`repro.obs.flight`) are available, each assigned
-  message's invoke/send/receive/deliver with real timestamps per host;
+  message's invoke/send/receive/deliver with real timestamps per host
+  (the causal order is the causal path's, not the recorders');
 - the surrounding **flight window** -- every recorded probe event within
   :data:`WINDOW_SECONDS` of the violation across all hosts, so faults,
   retransmissions and inhibits near the violation are in the report.
@@ -52,10 +53,6 @@ def _event_label(event: Event) -> str:
     return repr(event)  # the paper's "m1.s" / "m1.r" notation
 
 
-def _vc_wire(vc: Dict[int, int]) -> Dict[str, int]:
-    return {str(process): count for process, count in sorted(vc.items())}
-
-
 def _causal_path(
     causality: Any, message_ids: Sequence[str]
 ) -> "tuple[List[Dict[str, Any]], List[Dict[str, Any]]]":
@@ -73,7 +70,7 @@ def _causal_path(
                     "message_id": message_id,
                     "kind": event.kind.name.lower(),
                     "process": location,
-                    "vc": _vc_wire(clock),
+                    "vc": {str(p): c for p, c in sorted(clock.items())},
                     "_sort": (sum(clock.values()), location, own),
                 }
             )
@@ -165,7 +162,6 @@ def _timeline(
                     "process": process,
                     "wall": record.wall,
                     "t": record.time,
-                    "vc": _vc_wire(record.vc),
                 }
             )
     rows.sort(key=lambda row: (row["wall"], row["message_id"], row["kind"]))

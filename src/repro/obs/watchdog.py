@@ -19,9 +19,10 @@ and only an undropped message falls through to the protocol's own
 account.  When the run's protocol instances are available their
 :meth:`~repro.protocols.base.Protocol.blocking_reason` hook refines the
 generic reason with protocol state ("waiting for seq 3 from P0", ...).
-The watchdog reads a :class:`~repro.simulation.trace.Trace` (the host's
-own record of each message's life, finished or still growing); the bus
-feeds loss attribution.
+The watchdog reads each message's row of a
+:class:`~repro.simulation.trace.Trace` (the host's own record of its
+life, finished or still growing) and keeps no copy of it; the bus feeds
+loss attribution.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.events import DELIVER, INVOKE, RECEIVE, SEND, EventKind
 from repro.obs.bus import Bus, ProbeEvent
-from repro.simulation.trace import Trace, TraceRecord
+from repro.simulation.trace import INVOKED, Trace
 
 
 @dataclass(frozen=True)
@@ -112,25 +112,24 @@ class Watchdog:
         is the per-process protocol list of the run, used to refine
         reasons via :meth:`Protocol.blocking_reason`.
         """
-        life: Dict[str, Dict[EventKind, TraceRecord]] = {}
-        for record in trace.records():
-            life.setdefault(record.event.message_id, {})[record.event.kind] = record
         reports = []
-        order = sorted(life, key=lambda mid: (INVOKE not in life[mid], mid))
-        for message_id in order:
-            events = life[message_id]
-            if DELIVER in events:
+        messages = trace.messages()  # by id; a stable sort keeps that
+        messages.sort(key=lambda message: trace.row(message.id)[INVOKED] is None)
+        for message in messages:
+            message_id = message.id
+            invoked, sent, received, delivered = trace.row(message_id)
+            if delivered is not None:
                 continue
-            if RECEIVE in events:
-                phase, record = "buffered", events[RECEIVE]
+            if received is not None:
+                phase, record = "buffered", received
                 reason = "protocol never delivered after receive"
-            elif INVOKE not in events:
+            elif invoked is None:
                 continue
-            elif SEND not in events:
-                phase, record = "inhibited", events[INVOKE]
+            elif sent is None:
+                phase, record = "inhibited", invoked
                 reason = "protocol never released the send"
             else:
-                phase, record = "in-flight", events[SEND]
+                phase, record = "in-flight", sent
                 lost = message_id in self._dropped
                 attempts = self._retransmits.get(message_id, 0)
                 if lost and attempts:
@@ -144,9 +143,7 @@ class Watchdog:
                         % self._dropped[message_id]
                     )
                 else:
-                    reason = "released but never arrived at P%d" % (
-                        trace.message(message_id).receiver
-                    )
+                    reason = "released but never arrived at P%d" % message.receiver
             detail = self._protocol_reason(protocols, record.process, message_id)
             if detail:
                 # Network loss outranks the protocol's own account -- the

@@ -105,6 +105,13 @@ class SyncRendezvousProtocol(Protocol):
 
         ctx.schedule(delay, wake)
 
+    def on_restart(self, ctx: HostContext) -> None:
+        # The backoff timer was volatile (no snapshot or redo log holds
+        # it), so a process restarted while backing off retries now.
+        if self._phase == BACKOFF:
+            self._phase = IDLE
+            self._try_request(ctx)
+
     # -- control handling ----------------------------------------------------
 
     def on_control(self, ctx: HostContext, src: int, payload: Any) -> None:

@@ -8,12 +8,13 @@ host enforces the event preconditions and records everything.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.events import Event, Message
 from repro.simulation.network import Network, Packet
 from repro.simulation.sim import Simulator
-from repro.simulation.trace import SimulationStats, Trace, estimate_size
+from repro.simulation.trace import DELIVERED, INVOKED, RECEIVED, SENT
+from repro.simulation.trace import SimulationStats, Trace, TraceRecord, estimate_size
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs depends on us)
     from repro.obs.bus import Bus
@@ -150,10 +151,10 @@ class ProtocolHost:
         self.e2e_latency = registry.histogram(
             "latency.end_to_end", "invoke -> deliver time"
         )
-        self._invoked: Set[str] = set()
-        self._sent: Set[str] = set()
-        self._received: Set[str] = set()
-        self._delivered: Set[str] = set()
+        #: This process's invoked-but-unsent and received-but-undelivered
+        #: message counts; which messages they are, the trace's rows say.
+        self._unsent = 0
+        self._buffered = 0
         # Reactive applications (repro.apps) observe deliveries.
         self.delivery_listener: Optional[Any] = None
         # The WAL's redo-log hook (repro.wal.sink.WalSink.attach_host):
@@ -183,13 +184,14 @@ class ProtocolHost:
                 "message %r invoked at process %d but its sender is %d"
                 % (message.id, self.process_id, message.sender)
             )
-        if message.id in self._invoked:
+        trace = self.trace
+        if self._here(trace.row(message.id)[INVOKED]):
             raise ProtocolError("message %r invoked twice" % message.id)
         if self.input_listener is not None:
             self.input_listener(self.process_id, "invoke", message)
-        self.trace.register_message(message)
-        self._invoked.add(message.id)
-        self.trace.record(self.sim.now, self.process_id, Event.invoke(message.id))
+        trace.register_message(message)
+        trace.record(self.sim.now, self.process_id, Event.invoke(message.id))
+        self._unsent += 1
         self._metric("messages.invoked").inc()
         bus = self._bus
         if bus is not None and bus.active:
@@ -201,7 +203,7 @@ class ProtocolHost:
                 receiver=message.receiver,
             )
         self.protocol.on_invoke(self.ctx, message)
-        if message.id not in self._sent:
+        if not self._here(trace.row(message.id)[SENT]):
             # The protocol returned without releasing: the send is inhibited.
             self._metric("messages.inhibited").inc()
             if bus is not None and bus.active:
@@ -216,18 +218,18 @@ class ProtocolHost:
 
     def release(self, message: Message, tag: Any) -> None:
         """Execute ``x.s``: validate, record, and transmit."""
-        if message.id not in self._invoked:
+        now, trace = self.sim.now, self.trace
+        row = trace.row(message.id)
+        invoked = row[INVOKED]
+        if not self._here(invoked):
             raise ProtocolError(
                 "protocol released %r before it was invoked" % message.id
             )
-        if message.id in self._sent:
+        if self._here(row[SENT]):
             raise ProtocolError("message %r released twice" % message.id)
-        self._sent.add(message.id)
-        now, trace = self.sim.now, self.trace
         trace.record(now, self.process_id, Event.send(message.id))
-        self._metric("latency.inhibition").observe(
-            now - trace.time_of(Event.invoke(message.id))
-        )
+        self._unsent -= 1
+        self._metric("latency.inhibition").observe(now - invoked.time)
         tag_bytes = estimate_size(tag)
         self._user_count.inc()
         self._tag_total.inc(tag_bytes)
@@ -246,17 +248,18 @@ class ProtocolHost:
 
     def deliver(self, message: Message) -> None:
         """Execute ``x.r``: validate, record, account latency."""
-        if message.id not in self._received:
+        now, trace = self.sim.now, self.trace
+        row = trace.row(message.id)
+        if not self._here(row[RECEIVED]):
             raise ProtocolError(
                 "protocol delivered %r before it was received" % message.id
             )
-        if message.id in self._delivered:
+        if self._here(row[DELIVERED]):
             raise ProtocolError("message %r delivered twice" % message.id)
-        self._delivered.add(message.id)
-        now, trace = self.sim.now, self.trace
         trace.record(now, self.process_id, Event.deliver(message.id))
+        self._buffered -= 1
         self._delivery_count.inc()
-        received = trace.time_of(Event.receive(message.id))
+        received = row[RECEIVED].time
         delayed = now > received
         if delayed:
             self._delayed_count.inc()
@@ -284,9 +287,14 @@ class ProtocolHost:
         :class:`~repro.net.host.NetProtocolHost` accounts from the wall
         stamps its frames carry instead.
         """
-        now, trace = self.sim.now, self.trace
-        self.delivery_latency.observe(now - trace.time_of(Event.send(message.id)))
-        self.e2e_latency.observe(now - trace.time_of(Event.invoke(message.id)))
+        now, row = self.sim.now, self.trace.row(message.id)
+        self.delivery_latency.observe(now - row[SENT].time)
+        self.e2e_latency.observe(now - row[INVOKED].time)
+
+    def _here(self, record: Optional[TraceRecord]) -> bool:
+        """Whether ``record`` exists and happened at this process (the
+        simulator's hosts share one trace; a NetHost's is its own)."""
+        return record is not None and record.process == self.process_id
 
     def _metric(self, name: str) -> Any:
         """The :data:`_LAZY_METRICS` entry ``name``, created on first use."""
@@ -299,18 +307,18 @@ class ProtocolHost:
 
     def _account_occupancy(self, delta: int) -> None:
         """Shift the received-not-yet-delivered gauge: the run's total by
-        ``delta``, this process's label to what its sets now say."""
+        ``delta``, this process's label to its own buffered count."""
         occupancy = self._metric("buffer.occupancy")
         occupancy.add(delta)
-        occupancy.set(len(self._received) - len(self._delivered), label=self._label)
+        occupancy.set(self._buffered, label=self._label)
 
     def _account_arrival(self, message: Message, now: float) -> None:
         """Transit time and channel reordering of a first arrival, when
         the trace holds the send: the simulator's shared trace always
         does, a TCP receiver's only for a message it sent itself."""
-        send = Event.send(message.id)
-        if self.trace.has_event(send):
-            sent = self.trace.time_of(send)
+        send = self.trace.row(message.id)[SENT]
+        if send is not None:
+            sent = send.time
             self._metric("latency.network").observe(now - sent)
             high = self._send_high.get(message.sender)
             if high is not None and sent < high:
@@ -338,7 +346,7 @@ class ProtocolHost:
 
     def retransmit_user(self, message: Message, tag: Any) -> None:
         """Re-send an already-released user message (ARQ recovery)."""
-        if message.id not in self._sent:
+        if not self._here(self.trace.row(message.id)[SENT]):
             raise ProtocolError(
                 "protocol retransmitted %r before it was released" % message.id
             )
@@ -396,7 +404,9 @@ class ProtocolHost:
 
     def _handle_packet(self, packet: Packet) -> None:
         message = packet.message
-        duplicate = packet.is_user and message.id in self._received
+        duplicate = packet.is_user and self._here(
+            self.trace.row(message.id)[RECEIVED]
+        )
         if self.input_listener is not None:
             self.input_listener(
                 self.process_id, "duplicate" if duplicate else "packet", packet
@@ -416,9 +426,9 @@ class ProtocolHost:
                     return
                 raise ProtocolError("message %r received twice" % message.id)
             self.trace.register_message(message)
-            self._received.add(message.id)
             now = self.sim.now
             self.trace.record(now, self.process_id, Event.receive(message.id))
+            self._buffered += 1
             self._account_arrival(message, now)
             bus = self._bus
             if bus is not None and bus.active:

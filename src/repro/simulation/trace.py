@@ -3,15 +3,18 @@
 Every system event (invoke/send/receive/deliver) is recorded with its
 virtual time and a global sequence number; the trace converts losslessly
 to a :class:`~repro.runs.SystemRun` whose per-process sequences follow
-recording order.
+recording order.  It is also the one store of each message's life: a
+row of its four records (:meth:`Trace.row`) that the host's event
+preconditions and the liveness watchdog read instead of keeping their
+own copies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.events import DELIVER, INVOKE, RECEIVE, SEND, Event, Message
+from repro.events import Event, EventKind, Message
 from repro.runs.system_run import SystemRun
 from repro.runs.user_run import UserRun
 
@@ -66,6 +69,14 @@ class TraceRecord:
     sequence: int
     process: int
     event: Event
+
+
+#: The slot of each event kind in a message's row (:meth:`Trace.row`):
+#: its ``EventKind.value``, so a row lists the events in their order.
+INVOKED, SENT, RECEIVED, DELIVERED = (kind.value for kind in EventKind)
+
+#: The row of a message with no record yet.
+_NO_ROW: Sequence[Optional[TraceRecord]] = (None,) * len(EventKind)
 
 
 def _count(name: str, doc: str) -> property:
@@ -160,7 +171,8 @@ class Trace:
         self.n_processes = n_processes
         self._records: List[TraceRecord] = []
         self._messages: Dict[str, Message] = {}
-        self._times: Dict[Event, float] = {}
+        #: message id -> its records, one slot per event kind.
+        self._rows: Dict[str, List[Optional[TraceRecord]]] = {}
         self._sequence = 0
         self._taps: List[Any] = []
 
@@ -183,18 +195,22 @@ class Trace:
 
     def record(self, time: float, process: int, event: Event) -> None:
         """Append the execution of ``event`` at ``process``."""
-        if event.message_id not in self._messages:
+        message_id = event.message_id
+        if message_id not in self._messages:
             raise ValueError("event %r for unregistered message" % (event,))
-        if event in self._times:
+        row = self._rows.get(message_id)
+        if row is None:
+            row = self._rows[message_id] = list(_NO_ROW)
+        slot = event.kind.value
+        if row[slot] is not None:
             raise ValueError("event %r recorded twice" % (event,))
-        self._records.append(
-            TraceRecord(time=time, sequence=self._sequence, process=process, event=event)
+        record = row[slot] = TraceRecord(
+            time=time, sequence=self._sequence, process=process, event=event
         )
-        self._times[event] = time
+        self._records.append(record)
         self._sequence += 1
         if self._taps:
-            record = self._records[-1]
-            message = self._messages[event.message_id]
+            message = self._messages[message_id]
             for tap in self._taps:
                 tap(record, message)
 
@@ -222,13 +238,24 @@ class Trace:
         """The registered message with this id, or ``None``."""
         return self._messages.get(message_id)
 
+    def row(self, message_id: str) -> Sequence[Optional[TraceRecord]]:
+        """The records of a message's life, indexed by
+        :data:`INVOKED`, :data:`SENT`, :data:`RECEIVED` and
+        :data:`DELIVERED`; ``None`` where the event has not happened.
+        The row is the trace's own: read it, never change it."""
+        return self._rows.get(message_id, _NO_ROW)
+
     def has_event(self, event: Event) -> bool:
         """Whether ``event`` was recorded."""
-        return event in self._times
+        return self.row(event.message_id)[event.kind.value] is not None
 
     def time_of(self, event: Event) -> float:
-        """The virtual time at which ``event`` executed."""
-        return self._times[event]
+        """The virtual time at which ``event`` executed (``KeyError`` if
+        it has not)."""
+        record = self.row(event.message_id)[event.kind.value]
+        if record is None:
+            raise KeyError(event)
+        return record.time
 
     def __len__(self) -> int:
         return len(self._records)
@@ -248,10 +275,8 @@ class Trace:
 
     def undelivered_messages(self) -> List[str]:
         """Invoked messages that never reached delivery (liveness check)."""
-        stuck = []
-        for message_id in sorted(self._messages):
-            invoked = Event.invoke(message_id) in self._times
-            delivered = Event.deliver(message_id) in self._times
-            if invoked and not delivered:
-                stuck.append(message_id)
-        return stuck
+        return sorted(
+            message_id
+            for message_id, row in self._rows.items()
+            if row[INVOKED] is not None and row[DELIVERED] is None
+        )

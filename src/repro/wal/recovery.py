@@ -13,9 +13,10 @@ Two replay shapes:
 
 - :func:`replay_into_host` pushes the inputs back through a live
   :class:`~repro.simulation.host.ProtocolHost` with outbound transport
-  and timers suppressed.  The host's own bookkeeping (trace, dedup sets,
-  receive times, stats) rebuilds alongside the protocol -- this is what
-  a restarted :class:`~repro.net.host.NetHost` uses.
+  and timers suppressed.  The host's own bookkeeping (its trace, which
+  answers the dedup test and holds receive times, and its stats)
+  rebuilds alongside the protocol -- this is what a restarted
+  :class:`~repro.net.host.NetHost` uses.
 - :func:`rebuild_protocol` does the same into a throwaway host around a
   *fresh protocol instance* and keeps only the instance.  The sim fault
   injector uses it to give crash events honest durability semantics

@@ -5,6 +5,12 @@ named methods and module functions of the program from outside.  A
 target a refactor renamed or removed is only *listed* there (its time
 falls into the residual), so this test makes a missing one a failure.
 The harness file is imported read-only; nothing in it is changed.
+
+Two targets are missing on purpose: ``NetHost._vc_for_packet`` and
+``NetHost._note_remote_clock`` stamped and read the flight recorder's
+vector clock on USER frames.  They were deleted along with that clock
+(the monitor owns causal order), not renamed, so their work is gone
+rather than moved into the residual.
 """
 
 import importlib.util
@@ -38,7 +44,10 @@ def test_every_wrap_target_exists_and_is_restored():
     tracer = _tracer()
     tracer.install()
     try:
-        assert tracer.missing == []
+        assert tracer.missing == [
+            "NetHost._vc_for_packet",
+            "NetHost._note_remote_clock",
+        ]
         assert codec.encode_frame is not before[OWNERS.index(codec)]["encode_frame"]
     finally:
         tracer.remove()

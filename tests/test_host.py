@@ -102,6 +102,43 @@ class TestDeliverPreconditions:
             sim.run()
 
 
+class TestSharedTrace:
+    """The simulator's hosts share one trace, so a host's preconditions
+    hold only for the events its own process executed."""
+
+    def test_a_receive_elsewhere_is_no_receive_here(self):
+        sim, hosts, protocols, _, _ = rig()
+        m2 = Message(id="m2", sender=1, receiver=0)
+        protocols[0].on_message_action = lambda ctx, m, tag: None  # holds m2
+        hosts[1].invoke(m2)
+        sim.run()
+        with pytest.raises(ProtocolError) as raised:
+            hosts[1].ctx.deliver(m2)
+        assert str(raised.value) == "protocol delivered 'm2' before it was received"
+
+    def test_a_release_elsewhere_is_no_release_here(self):
+        sim, hosts, _, _, _ = rig()
+        hosts[0].invoke(M1)
+        sim.run()
+        with pytest.raises(ProtocolError) as raised:
+            hosts[1].ctx.retransmit(M1)
+        assert str(raised.value) == "protocol retransmitted 'm1' before it was released"
+
+    def test_pending_counts_are_per_process(self):
+        sim, hosts, protocols, _, _ = rig(host_class=NetProtocolHost)
+        protocols[0].on_invoke_action = lambda ctx, m: None  # inhibits m1
+        m2 = Message(id="m2", sender=1, receiver=0)
+        protocols[0].on_message_action = lambda ctx, m, tag: None  # holds m2
+        hosts[0].invoke(M1)
+        hosts[1].invoke(m2)
+        sim.run()
+        assert [host.pending_local for host in hosts] == [2, 0]
+        hosts[0].ctx.release(M1)
+        hosts[0].ctx.deliver(m2)
+        sim.run()
+        assert [host.pending_local for host in hosts] == [0, 0]
+
+
 class TestAccounting:
     def test_full_transfer_recorded(self):
         sim, hosts, _, trace, stats = rig()

@@ -49,7 +49,6 @@ def _sample_bodies():
                 "capacity": 8,
                 "recorded": 1,
                 "dropped": 0,
-                "clock": {"1": 1},
                 "records": [
                     {
                         "seq": 0,
@@ -57,7 +56,6 @@ def _sample_bodies():
                         "t": 11.5,
                         "kind": "send",
                         "data": {"message_id": "m1", "process": 1},
-                        "vc": {"1": 1},
                     }
                 ],
             },

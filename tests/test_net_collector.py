@@ -48,7 +48,6 @@ def _trace_body(process, records):
             "capacity": 4096,
             "recorded": len(records),
             "dropped": 0,
-            "clock": {},
             "records": [record.to_wire() for record in records],
         },
     }
@@ -57,18 +56,16 @@ def _trace_body(process, records):
 def _sender_records(mid, wall, receiver=1):
     data = {"message_id": mid, "process": 0, "receiver": receiver}
     return [
-        FlightRecord(0, wall, 0.0, "invoke", dict(data), {0: 1}),
-        FlightRecord(1, wall + 0.001, 0.001, "send", dict(data, tag_bytes=0), {0: 1}),
+        FlightRecord(0, wall, 0.0, "invoke", dict(data)),
+        FlightRecord(1, wall + 0.001, 0.001, "send", dict(data, tag_bytes=0)),
     ]
 
 
 def _receiver_records(mid, wall, process=1):
     data = {"message_id": mid, "process": process, "sender": 0}
     return [
-        FlightRecord(0, wall, 0.010, "receive", dict(data), {}),
-        FlightRecord(
-            1, wall + 0.001, 0.011, "deliver", dict(data, delayed=False), {0: 1, 1: 1}
-        ),
+        FlightRecord(0, wall, 0.010, "receive", dict(data)),
+        FlightRecord(1, wall + 0.001, 0.011, "deliver", dict(data, delayed=False)),
     ]
 
 
@@ -128,7 +125,7 @@ class TestStitch:
 
     def test_context_records_are_skipped(self):
         records = _sender_records("m1", 1000.0) + [
-            FlightRecord(2, 1000.002, 0.002, "fault.drop", {"message_id": "m1"}, {})
+            FlightRecord(2, 1000.002, 0.002, "fault.drop", {"message_id": "m1"})
         ]
         trace = stitch_flight_dumps([_trace_body(0, records)], 1)
         spans = [e for e in trace["traceEvents"] if e.get("ph") == "X"]

@@ -615,6 +615,47 @@ class TestNetHostLifecycle:
         assert first == second == (123.0, 120.0)
 
 
+class TestUserFrameHead:
+    def test_a_user_head_is_its_endpoints_and_wall_stamps(self):
+        """No vector clock rides a USER frame: the monitor owns causal
+        order, so the head is the two endpoints and the two wall stamps."""
+
+        async def scenario():
+            ports = free_ports(2)
+            hosts = [
+                NetHost(_fifo_factory(), process_id, ports, run_id="head")
+                for process_id in range(2)
+            ]
+            heads = []
+            frame_for = hosts[0].transport._frame_for
+
+            def spy(packet):
+                kind, head, sections = frame_for(packet)
+                if kind == codec.USER:
+                    heads.append(set(head))
+                return kind, head, sections
+
+            hosts[0].transport._frame_for = spy
+            for host in hosts:
+                await host.start()
+            for host in hosts:
+                await host.ready()
+            for n in range(3):
+                hosts[0].invoke(Message(id="m%d" % n, sender=0, receiver=1))
+            for _ in range(400):
+                if hosts[1].stats.deliveries == 3:
+                    break
+                await asyncio.sleep(0.005)
+            delivered = hosts[1].stats.deliveries
+            for host in hosts:
+                await host.shutdown()
+            return heads, delivered
+
+        heads, delivered = asyncio.run(scenario())
+        assert delivered == 3
+        assert heads == [{"src", "dst", "sent", "invoked"}] * 3
+
+
 class TestNetHostLatencyMetrics:
     def test_metrics_scrape_reads_the_histograms_stats_reads(self):
         """A METRICS scrape of a real host used to carry no delivery

@@ -84,6 +84,9 @@ class TestLiveForensics:
         }
         assert "deliver" in kinds
         assert forensics["flight_window"]
+        # Causal order is the monitor's (the causal path), not the tape's.
+        assert not [row for row in forensics["timeline"] if "vc" in row]
+        assert not [row for row in forensics["flight_window"] if "vc" in row]
 
     def test_report_is_json_and_renderable(self, broken_fifo_report):
         forensics = broken_fifo_report.forensics

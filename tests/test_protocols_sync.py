@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.events import Message
 from repro.predicates.catalog import CAUSAL_ORDERING, LOGICALLY_SYNCHRONOUS
 from repro.protocols import (
     CausalRstProtocol,
@@ -9,6 +10,7 @@ from repro.protocols import (
     SyncRendezvousProtocol,
 )
 from repro.protocols.base import make_factory
+from repro.protocols.sync_rendezvous import NACK, REQ
 from repro.runs.limit_sets import is_logically_synchronous, sync_numbering
 from repro.simulation import (
     UniformLatency,
@@ -17,7 +19,12 @@ from repro.simulation import (
     random_traffic,
     run_simulation,
 )
+from repro.simulation.host import ProtocolHost
+from repro.simulation.network import Network, Packet
+from repro.simulation.sim import Simulator
+from repro.simulation.trace import SimulationStats, Trace
 from repro.verification import check_simulation
+from repro.wal import WalSink, read_log, rebuild_protocol
 
 ADVERSARIAL = UniformLatency(low=1.0, high=60.0)
 
@@ -70,6 +77,23 @@ class TestSynchrony:
         assert result.delivered_all
 
 
+class _Ctx:
+    """What a rendezvous process needs of a host: its id, the control
+    messages it sends and the delays of the timers it arms (which never
+    fire here)."""
+
+    def __init__(self, process_id=0):
+        self.process_id = process_id
+        self.controls = []
+        self.delays = []
+
+    def send_control(self, dst, payload):
+        self.controls.append((dst, payload))
+
+    def schedule(self, delay, action):
+        self.delays.append(delay)
+
+
 class TestControlOverheadShape:
     def test_coordinator_three_control_messages_per_transfer(self):
         workload = random_traffic(4, 30, seed=5)
@@ -95,15 +119,7 @@ class TestControlOverheadShape:
         loopback TCP (no latency jitter) that livelock ran for tens of
         seconds and made the sync-rdv net tests flaky."""
 
-        class Ctx:
-            def __init__(self, process_id):
-                self.process_id = process_id
-                self.delays = []
-
-            def schedule(self, delay, callback):
-                self.delays.append(delay)
-
-        contexts = [Ctx(0), Ctx(1)]
+        contexts = [_Ctx(0), _Ctx(1)]
         for ctx in contexts:
             protocol = make_factory(SyncRendezvousProtocol)(ctx.process_id, 2)
             for _ in range(5):
@@ -124,6 +140,44 @@ class TestControlOverheadShape:
                 found_non_sync = True
                 break
         assert found_non_sync
+
+
+class TestRestartDuringBackoff:
+    """The NACK backoff timer is volatile: neither a snapshot nor the redo
+    log holds it, so a process restarted while backing off must retry
+    from ``on_restart`` or its outbox head is never requested again."""
+
+    def test_snapshot_restart_sends_the_request(self):
+        protocol = SyncRendezvousProtocol()
+        ctx = _Ctx()
+        protocol.on_invoke(ctx, Message(id="m1", sender=0, receiver=1))
+        protocol.on_control(ctx, 1, (NACK,))
+        assert ctx.controls == [(1, (REQ,))]
+        assert protocol.blocking_reason("m1").endswith("will retry")
+        restarted = SyncRendezvousProtocol()
+        restarted.restore(protocol.snapshot())
+        ctx = _Ctx()
+        restarted.on_restart(ctx)
+        assert ctx.controls == [(1, (REQ,))]
+        assert restarted.blocking_reason("m1") == "REQ sent to P1, awaiting ACK/NACK"
+
+    def test_a_log_ending_after_a_nack_rebuilds_into_a_request(self, tmp_path):
+        factory = make_factory(SyncRendezvousProtocol)
+        sim = Simulator()
+        network = Network(sim, 2)
+        network.attach(1, lambda packet: None)  # P1 answers by hand below
+        host = ProtocolHost(sim, network, Trace(2), SimulationStats(), 0, factory(0, 2))
+        sink = WalSink(str(tmp_path), fsync=False)
+        sink.attach_trace(host.trace)
+        sink.attach_host(host)
+        host.start()
+        host.invoke(Message(id="m1", sender=0, receiver=1))
+        host._on_packet(Packet(src=1, dst=0, kind="control", payload=(NACK,)))
+        sink.close()
+        rebuilt = rebuild_protocol(factory, 0, 2, read_log(str(tmp_path)).records)
+        ctx = _Ctx()
+        rebuilt.on_restart(ctx)
+        assert ctx.controls == [(1, (REQ,))]
 
 
 class TestStress:

@@ -236,7 +236,7 @@ class TestLiveBatches:
                     receiver.recovered,
                     recovered_owed,
                     receiver.stats,
-                    set(receiver.host._delivered),
+                    {mid for _, mid in delivery_order(receiver.trace)},
                     [error for host in hosts for error in host.errors],
                 )
             finally:

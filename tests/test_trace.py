@@ -141,6 +141,22 @@ class TestTrace:
         trace.register_message(M1)
         trace.record(4.2, 0, Event.invoke("m1"))
         assert trace.time_of(Event.invoke("m1")) == 4.2
+        with pytest.raises(KeyError):
+            trace.time_of(Event.send("m1"))
+        with pytest.raises(KeyError):
+            trace.time_of(Event.send("ghost"))
+
+    def test_row_holds_a_messages_records_by_kind(self):
+        trace = Trace(2)
+        trace.register_message(M1)
+        assert list(trace.row("m1")) == [None] * 4
+        trace.record(0.0, 0, Event.invoke("m1"))
+        trace.record(1.0, 1, Event.receive("m1"))
+        invoked, sent, received, delivered = trace.row("m1")
+        assert invoked == trace.records()[0] and received == trace.records()[1]
+        assert sent is None and delivered is None
+        assert (invoked.process, received.process, received.time) == (0, 1, 1.0)
+        assert list(trace.row("ghost")) == [None] * 4
 
 
 class TestSimulationStats:

@@ -298,7 +298,7 @@ async def _two_phase_soak(base_dir, crash, recover_with_wal=True):
         for process_id, host in hosts.items():
             protocol = host.host.protocol
             state[process_id] = {
-                "delivered": set(host.host._delivered),
+                "delivered": {mid for _, mid in delivery_order(host.trace)},
                 "next_seq": dict(protocol._next_seq),
                 "expected": dict(protocol._expected),
                 "unacked": {
