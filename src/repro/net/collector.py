@@ -49,8 +49,8 @@ __all__ = [
     "stitch_flight_dumps",
 ]
 
-#: Flight-record kind -> the host probe it was taped from (the stitcher
-#: re-emits these onto a fresh bus so SpanTracer rebuilds the spans).
+#: Flight-record kind -> its host probe (the stitcher re-emits these onto
+#: a fresh bus so SpanTracer rebuilds the spans).
 _KIND_TO_PROBE = {kind: probe for probe, kind in LIFECYCLE_KINDS.items()}
 
 

@@ -241,17 +241,15 @@ class NetHost(Endpoint):
         self.transport._stamp = self.host.stamp
         #: The in-host observability plane (all opt-out via
         #: ``observability=False`` for overhead measurements): a flight
-        #: recorder taping the latest probe events with wall and virtual
-        #: times, a metrics recorder adding the fault, link and
-        #: backpressure metrics to the stats registry the METRICS frame
-        #: exposes, and the liveness watchdog whose diagnoses of the
-        #: host's trace ride the STATS reply.
+        #: recorder whose dump is the tail of the host's trace merged
+        #: with the fault/recovery probes it tapes, a metrics recorder
+        #: adding the fault, link and backpressure metrics to the stats
+        #: registry the METRICS frame exposes, and the liveness watchdog
+        #: whose diagnoses of the host's trace ride the STATS reply.
         self.flight: Optional[FlightRecorder] = None
         self.metrics: Optional[MetricsRecorder] = None
         self.watchdog: Optional[Watchdog] = None
         if observability:
-            self.flight = FlightRecorder(process_id)
-            self.flight.attach(self.bus)
             self.metrics = MetricsRecorder(self.bus, self.stats.registry)
             self.watchdog = Watchdog(self.bus)
         #: Dialed peer streams (the accepted ones are the endpoint's).
@@ -292,6 +290,12 @@ class NetHost(Endpoint):
         self.backpressure_transitions = 0
         if wal_dir is not None:
             self._init_wal(wal_dir, wal_meta, wal_sync_every)
+        if observability:
+            # Built after recovery: a replayed record's time is in the
+            # dead incarnation's clock, so the window starts where
+            # recovery ended.
+            self.flight = FlightRecorder(process_id, trace=self.trace, clock=self.clock)
+            self.flight.attach(self.bus)
 
     # -- durability (repro.wal) ------------------------------------------------
 
@@ -955,18 +959,19 @@ class NetHost(Endpoint):
     def trace_body(self) -> Dict[str, Any]:
         """The flight-recorder dump plus the clock fix a collector needs.
 
-        ``wall``/``virtual`` are sampled at reply build time; together
-        with the request/response times at the collector they bound this
-        host's clock offset (see :func:`repro.net.collector.estimate_offset`).
+        ``wall``/``virtual`` are sampled at reply build time from the
+        clock that stamps every record of the dump; together with the
+        request/response times at the collector they bound this host's
+        clock offset (see :func:`repro.net.collector.estimate_offset`).
         """
-        body: Dict[str, Any] = {
+        now = self.clock.now
+        return {
             "process": self.process_id,
-            "wall": time.time(),
-            "virtual": self.clock.now,
+            "wall": self.clock.wall_at(now),
+            "virtual": now,
             "time_scale": self.time_scale,
             "flight": self.flight.to_wire() if self.flight is not None else None,
         }
-        return body
 
     def metrics_body(self) -> Dict[str, Any]:
         """OpenMetrics exposition text (plus raw snapshot) for METRICS."""

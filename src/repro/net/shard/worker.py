@@ -19,10 +19,11 @@ lanes
     way (``benchmarks/perf``, ``shard-fifo-1``).
 
 Every worker keeps its own observability: a per-key live checker
-(:mod:`repro.net.shard.lanes`), per-key stats, a
-:class:`~repro.obs.flight.FlightRecorder` taping batch lifecycle, an
-optional per-shard WAL directory (``<wal_dir>/shard<k>``), and an
-OpenMetrics registry whose series carry a ``shard`` label.
+(:mod:`repro.net.shard.lanes`), per-key stats, an optional per-shard
+WAL directory (``<wal_dir>/shard<k>``), and an OpenMetrics registry
+whose series carry a ``shard`` label.  Its TRACE dump has the shape of
+a host's, from a :class:`~repro.obs.flight.FlightRecorder` that stays
+empty: a worker keeps no trace and emits no fault/recovery probe.
 
 Fault injection for CI: lane kind ``broken-fifo`` reverses each flushed
 batch on the send path, so the receiver's FIFO checker latches a real
@@ -43,7 +44,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.net import codec
 from repro.net.endpoint import Endpoint
 from repro.net.shard.lanes import KeyStats, LaneViolation, lane_checker
-from repro.obs.bus import Bus
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.openmetrics import render_openmetrics
@@ -54,7 +54,7 @@ __all__ = ["ShardWorker", "ShardWorkerConfig", "spawn_worker", "worker_main"]
 #: 4 MiB frame cap).
 COLLECT_PAGE = 20_000
 
-#: Batch-lifecycle records the per-shard flight ring keeps.
+#: The ``capacity`` a shard's TRACE dump reports.
 FLIGHT_CAPACITY = 512
 
 #: Delivered rows each shard keeps for the coordinator's end-of-run
@@ -180,9 +180,7 @@ class ShardWorker(Endpoint):
         self._collect_dropped = 0
         self._stalled = 0
         self._flush_scheduled = False
-        self.bus = Bus()
         self.flight = FlightRecorder(config.shard, capacity=FLIGHT_CAPACITY)
-        self.flight.attach(self.bus)
         self.wal: Optional[Any] = None
         if config.wal_dir is not None:
             import os
@@ -318,17 +316,6 @@ class ShardWorker(Endpoint):
                     rows.reverse()
                 self._deliver_batch(endpoint.process_id, dst, rows)
         self.flushes += 1
-        if self.bus.active:
-            # One lifecycle record per flush (not per row) keeps the
-            # flight tape O(1) on the hot path.
-            self.bus.emit(
-                "host.release",
-                sent,
-                message_id="flush-%d" % self.flushes,
-                process=self.config.shard,
-                receiver=-1,
-                tag_bytes=0,
-            )
 
     # -- ingress plane --------------------------------------------------------
 
@@ -350,14 +337,6 @@ class ShardWorker(Endpoint):
             # checkpoint() fsyncs; every 64 ingress batches bounds loss
             # without putting a disk flush on every tick.
             self.wal.checkpoint(invoked=self.invoked, shard=self.config.shard)
-        if self.bus.active:
-            self.bus.emit(
-                "host.invoke",
-                time.time(),
-                message_id="batch-%d" % self.invoked,
-                process=self.config.shard,
-                receiver=-1,
-            )
 
     # -- report bodies --------------------------------------------------------
 
@@ -464,7 +443,6 @@ class ShardWorker(Endpoint):
 
     def _close(self) -> None:
         self._flush_lanes()
-        self.flight.close()
         if self.wal is not None:
             self.wal.checkpoint(
                 invoked=self.invoked,
