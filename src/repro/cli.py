@@ -710,8 +710,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     for key in ("run", "protocol", "spec", "seed", "processes"):
         if key in meta:
             print("%-18s %s" % (key + ":", meta[key]))
-    if spec is None and not meta.get("spec"):
-        print("verification:      skipped (no spec recorded; pass --spec)")
+    if result.unmonitored is not None:
+        print("verification:      skipped (%s)" % result.unmonitored)
     elif result.violation is None:
         print("verification:      OK (monitor found no violation)")
     elif isinstance(result.violation, str):
@@ -744,10 +744,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             "events": result.trace.record_count,
             "deliveries": [[process, mid] for process, mid in deliveries],
             "violation": verdict,
+            "skipped": result.unmonitored,
         }
         with open(args.json, "w") as handle:
             json.dump(body, handle, indent=1)
         print("json:              %s" % args.json)
+    if result.unmonitored is not None and meta.get("spec"):
+        return 2  # told to judge by a spec it cannot read
     if args.explore:
         from repro.mc import DEFAULT_MAX_DEPTH, DEFAULT_MAX_SCHEDULES
         from repro.wal import explore_from_log

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.events import Event, EventKind
+from repro.events import DELIVER, SEND, Event, EventKind
 from repro.obs.flight import LIFECYCLE_KINDS, FlightRecorder
 
 __all__ = [
@@ -59,16 +59,16 @@ def _causal_path(
     """(nodes, edges) of the assignment's user events in causal order."""
     nodes = []
     for message_id in message_ids:
-        for event in (Event.send(message_id), Event.deliver(message_id)):
-            info = causality.info(event)
+        for kind in (SEND, DELIVER):
+            info = causality.info_of(message_id, kind)
             if info is None:
                 continue
             location, own, clock = info
             nodes.append(
                 {
-                    "event": _event_label(event),
+                    "event": "%s.%s" % (message_id, kind.symbol),
                     "message_id": message_id,
-                    "kind": event.kind.name.lower(),
+                    "kind": kind.name.lower(),
                     "process": location,
                     "vc": {str(p): c for p, c in sorted(clock.items())},
                     "_sort": (sum(clock.values()), location, own),
@@ -88,9 +88,11 @@ def _causal_path(
                         "why": "send -> deliver of %s" % a["message_id"],
                     }
                 )
-            elif a["process"] == b["process"] and causality.before(
-                Event(a["message_id"], EventKind[a["kind"].upper()]),
-                Event(b["message_id"], EventKind[b["kind"].upper()]),
+            elif a["process"] == b["process"] and causality.ordered(
+                a["message_id"],
+                EventKind[a["kind"].upper()],
+                b["message_id"],
+                EventKind[b["kind"].upper()],
             ):
                 edges.append(
                     {
@@ -111,9 +113,9 @@ def _out_of_order_pairs(
     for i, x in enumerate(ordered):
         for y in ordered[i + 1 :]:
             for first, second in ((x, y), (y, x)):
-                sends = causality.before(Event.send(first), Event.send(second))
-                delivers_inverted = causality.before(
-                    Event.deliver(second), Event.deliver(first)
+                sends = causality.ordered(first, SEND, second, SEND)
+                delivers_inverted = causality.ordered(
+                    second, DELIVER, first, DELIVER
                 )
                 if sends and delivers_inverted:
                     pairs.append(

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
+from repro.events import Event, EventKind
 from repro.predicates.ast import ForbiddenPredicate
 from repro.predicates.spec import Specification
 from repro.runs.user_run import UserRun
@@ -39,6 +40,7 @@ from repro.verification.engine.monitor import (
 from repro.verification.engine.plan import (
     Assignment,
     CompiledPredicate,
+    Ordered,
     compile_predicate,
 )
 
@@ -86,7 +88,18 @@ def batch_find_assignment(
         return None
     if index is None:
         index = index_for_run(run)
-    return compiled.find(index, run.has_event, run.before)
+    return compiled.find(index, _ordered_in(run))
+
+
+def _ordered_in(run: UserRun) -> Ordered:
+    """The batch reference's ``ordered``: asked of the run's events."""
+    has_event, before = run.has_event, run.before
+
+    def ordered(a_id: str, a_kind: EventKind, b_id: str, b_kind: EventKind) -> bool:
+        a, b = Event(a_id, a_kind), Event(b_id, b_kind)
+        return has_event(a) and has_event(b) and before(a, b)
+
+    return ordered
 
 
 def batch_run_admitted(

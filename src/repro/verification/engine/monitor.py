@@ -180,8 +180,7 @@ class SpecMonitor:
                 message,
                 event.kind,
                 self._index,
-                causality.has,
-                causality.before,
+                causality.ordered,
                 causality=causality,
                 stats=self.stats,
             )

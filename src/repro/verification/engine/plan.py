@@ -41,7 +41,7 @@ from typing import (
     Tuple,
 )
 
-from repro.events import DELIVER, SEND, Event, EventKind, Message
+from repro.events import DELIVER, SEND, EventKind, Message
 from repro.predicates.ast import Conjunct, EventTerm, ForbiddenPredicate
 from repro.predicates.guards import (
     ColorGuard,
@@ -57,8 +57,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (monitor imports us)
     from repro.verification.engine.monitor import MonitorStats
 
 Assignment = Dict[str, Message]
-HasEvent = Callable[[Event], bool]
-Before = Callable[[Event, Event], bool]
+#: ``ordered(a_id, a_kind, b_id, b_kind)``: both events happened and
+#: ``a ▷ b`` (:meth:`OnlineCausality.ordered`'s signature).
+Ordered = Callable[[str, EventKind, str, EventKind], bool]
 
 # Narrower shapes (attribute lookups that bound a variable's candidates):
 #   ("color", constant)            -- ColorGuard equality with a constant
@@ -102,26 +103,22 @@ class Anchor:
 
 
 def _conjunct_holds(
-    conjunct: Conjunct,
-    assignment: Assignment,
-    has_event: HasEvent,
-    before: Before,
+    conjunct: Conjunct, assignment: Assignment, ordered: Ordered
 ) -> bool:
-    left = Event(assignment[conjunct.left.variable].id, conjunct.left.kind)
-    right = Event(assignment[conjunct.right.variable].id, conjunct.right.kind)
-    if not (has_event(left) and has_event(right)):
-        return False
-    return before(left, right)
+    left, right = conjunct.left, conjunct.right
+    return ordered(
+        assignment[left.variable].id,
+        left.kind,
+        assignment[right.variable].id,
+        right.kind,
+    )
 
 
 def _step_checks_pass(
-    step: PlanStep,
-    assignment: Assignment,
-    has_event: HasEvent,
-    before: Before,
+    step: PlanStep, assignment: Assignment, ordered: Ordered
 ) -> bool:
     return all(guard.holds(assignment) for guard in step.guards) and all(
-        _conjunct_holds(conjunct, assignment, has_event, before)
+        _conjunct_holds(conjunct, assignment, ordered)
         for conjunct in step.conjuncts
     )
 
@@ -294,8 +291,9 @@ class CompiledPredicate:
         # bound event that has not occurred has empty cones.)
         smallest, chosen = len(bucket), None
         for future, bound, kind in step.cones:
-            event = Event(assignment[bound.variable].id, bound.kind)
-            cone = (causality.future if future else causality.past)(event, kind)
+            cone = (causality.future_of if future else causality.past_of)(
+                assignment[bound.variable].id, bound.kind, kind
+            )
             size = sum(stop - start for _, start, stop in cone)
             if size < smallest:
                 smallest, chosen = size, cone
@@ -316,8 +314,7 @@ class CompiledPredicate:
         assignment: Assignment,
         depth: int,
         index: MessageIndex,
-        has_event: HasEvent,
-        before: Before,
+        ordered: Ordered,
         causality: Optional[OnlineCausality] = None,
         stats: Optional["MonitorStats"] = None,
     ) -> Iterator[Assignment]:
@@ -334,27 +331,18 @@ class CompiledPredicate:
             ):
                 continue
             assignment[step.variable] = message
-            if _step_checks_pass(step, assignment, has_event, before):
+            if _step_checks_pass(step, assignment, ordered):
                 for complete in self._search(
-                    steps,
-                    assignment,
-                    depth + 1,
-                    index,
-                    has_event,
-                    before,
-                    causality,
-                    stats,
+                    steps, assignment, depth + 1, index, ordered, causality, stats
                 ):
                     yield complete
             del assignment[step.variable]
 
-    def find(
-        self, index: MessageIndex, has_event: HasEvent, before: Before
-    ) -> Optional[Assignment]:
+    def find(self, index: MessageIndex, ordered: Ordered) -> Optional[Assignment]:
         """The first satisfying assignment, or ``None``."""
         if self.never_satisfiable:
             return None
-        for assignment in self._search(self.plan, {}, 0, index, has_event, before):
+        for assignment in self._search(self.plan, {}, 0, index, ordered):
             return assignment
         return None
 
@@ -363,8 +351,7 @@ class CompiledPredicate:
         message: Message,
         kind: EventKind,
         index: MessageIndex,
-        has_event: HasEvent,
-        before: Before,
+        ordered: Ordered,
         causality: Optional[OnlineCausality] = None,
         stats: Optional["MonitorStats"] = None,
     ) -> Optional[Assignment]:
@@ -372,7 +359,7 @@ class CompiledPredicate:
         ``None``.  Each candidate anchor variable is pinned to ``message``
         and only the remaining ``m - 1`` variables are searched.
 
-        With the ``causality`` that ``has_event``/``before`` answer from,
+        With the ``causality`` that ``ordered`` answers from,
         whose newest observation must be this event and whose messages
         must all be in ``index``, dead anchors are skipped and candidates
         come from causal cones: the same first assignment through fewer
@@ -386,10 +373,10 @@ class CompiledPredicate:
                 continue
             steps = self.anchored_plans[anchor.variable]
             assignment: Assignment = {anchor.variable: message}
-            if not _step_checks_pass(steps[0], assignment, has_event, before):
+            if not _step_checks_pass(steps[0], assignment, ordered):
                 continue
             for complete in self._search(
-                steps, assignment, 1, index, has_event, before, causality, stats
+                steps, assignment, 1, index, ordered, causality, stats
             ):
                 return complete
         return None

@@ -86,10 +86,14 @@ class ReplayResult:
     violation: Optional[Any] = None
     tail_dropped: int = 0
     segments: int = 0
+    #: Why the run was not monitored, or ``None`` when it was: no spec
+    #: was given or recorded, or the recorded one does not resolve.
+    unmonitored: Optional[str] = None
 
     @property
     def clean(self) -> bool:
-        return self.violation is None
+        """Monitored, and no violation found."""
+        return self.unmonitored is None and self.violation is None
 
 
 def replay_log(directory: str, spec=None) -> ReplayResult:
@@ -99,7 +103,8 @@ def replay_log(directory: str, spec=None) -> ReplayResult:
     record (the ``spec`` field names a catalog entry); pass a
     :class:`~repro.predicates.Specification` to override.  Returns the
     rebuilt trace plus the monitor's verdict -- identical to the live
-    run's, because both consumed the same records in the same order.
+    run's, because both consumed the same records in the same order --
+    or, when there is no spec to judge by, ``unmonitored`` saying why.
     """
     log = read_log(directory)
     if not log.segments:
@@ -108,13 +113,18 @@ def replay_log(directory: str, spec=None) -> ReplayResult:
     n_processes = int(meta.get("processes") or _infer_processes(log.records))
     trace = trace_from_records(log.records, n_processes)
     violation = None
+    unmonitored = None
     if spec is None and meta.get("spec"):
         from repro.predicates.catalog import resolve_spec
 
         try:
             spec = resolve_spec(str(meta["spec"]), name="recorded")
         except ValueError:
-            spec = None  # an unreadable name replays unmonitored
+            unmonitored = "recorded spec %r does not resolve; pass --spec" % (
+                meta["spec"],
+            )
+    elif spec is None:
+        unmonitored = "no spec recorded; pass --spec"
     if spec is not None:
         # The live observer's policy over the same records, so the
         # verdict matches the live one -- including which step (monitor
@@ -131,6 +141,7 @@ def replay_log(directory: str, spec=None) -> ReplayResult:
         violation=violation,
         tail_dropped=log.tail_dropped,
         segments=len(log.segments),
+        unmonitored=unmonitored,
     )
 
 

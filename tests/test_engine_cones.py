@@ -216,8 +216,7 @@ def _both_searches(trace, predicates):
                     message,
                     event.kind,
                     index,
-                    causality.has,
-                    causality.before,
+                    causality.ordered,
                     causality=held,
                     stats=stats,
                 )
@@ -291,8 +290,7 @@ class TestFilteredSearchIsTheSearch:
                     message,
                     DELIVER,
                     index,
-                    causality.has,
-                    causality.before,
+                    causality.ordered,
                     causality=causality,
                     stats=stats,
                 )

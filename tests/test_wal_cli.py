@@ -12,7 +12,11 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.mc.mutations import mutation_factories
 from repro.net.cluster import free_ports
+from repro.predicates.catalog import FIFO_ORDERING
+from repro.simulation import UniformLatency, random_traffic, run_simulation
+from repro.wal import WalSink, replay_log
 
 
 class TestSimulateRecordReplayRoundTrip:
@@ -94,6 +98,55 @@ class TestSimulateRecordReplayRoundTrip:
         captured = capsys.readouterr()
         assert code == 2
         assert "repro replay:" in captured.err
+
+
+class TestUnresolvedRecordedSpec:
+    """A log whose META names a spec that does not resolve is not
+    judged: the replay says so and why, and the CLI exits 2 instead of
+    reporting OK for a run it never monitored."""
+
+    REASON = "recorded spec 'fifo-typo' does not resolve; pass --spec"
+
+    def _record(self, directory):
+        # The seeded broken-fifo run of test_wal_replay, which violates
+        # fifo, recorded under a misspelt spec name.
+        sink = WalSink(
+            str(directory),
+            meta={"protocol": "broken-fifo", "spec": "fifo-typo"},
+            fsync=False,
+        )
+        try:
+            run_simulation(
+                mutation_factories()["broken-fifo"],
+                random_traffic(3, 16, seed=4),
+                seed=4,
+                latency=UniformLatency(low=1.0, high=30.0),
+                wal=sink,
+            )
+        finally:
+            sink.close()
+
+    def test_replay_result_says_it_was_not_monitored(self, tmp_path):
+        self._record(tmp_path)
+        result = replay_log(str(tmp_path))
+        assert result.unmonitored == self.REASON
+        assert result.violation is None and not result.clean
+        judged = replay_log(str(tmp_path), spec=FIFO_ORDERING)
+        assert judged.unmonitored is None and judged.violation is not None
+
+    def test_cli_skips_with_the_reason_and_exits_two(self, tmp_path, capsys):
+        self._record(tmp_path)
+        artifact = tmp_path / "replay.json"
+        code = main(["replay", str(tmp_path), "--json", str(artifact)])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "verification:      skipped (%s)" % self.REASON in out
+        assert "verification:      OK" not in out
+        body = json.loads(artifact.read_text())
+        assert body["skipped"] == self.REASON and body["violation"] is None
+
+        assert main(["replay", str(tmp_path), "--spec", "fifo"]) == 1
+        assert "VIOLATION fifo" in capsys.readouterr().out
 
 
 class TestReplayExplore:
