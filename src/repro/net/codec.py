@@ -217,11 +217,22 @@ _SCALAR_TEXTS: Dict[type, Callable[[Any], str]] = {
     float: _float_text,
 }
 
+_INT = frozenset({int})
+
+
+def _items_text(value: Any) -> str:
+    """A list's or tuple's items, comma-separated; a row of exact ints
+    (a vector clock, a matrix row) is spelled in one join, not per item."""
+    if _INT.issuperset(map(type, value)):
+        return ",".join(map(int.__repr__, value))
+    return ",".join(map(dumps_value, value))
+
+
 #: Exact type -> its :func:`dumps_value` text, in subclass-resolution order.
 _TEXTS: Dict[type, Callable[[Any], str]] = {
     **_SCALAR_TEXTS,
-    tuple: lambda value: '{"T":[%s]}' % ",".join(map(dumps_value, value)),
-    list: lambda value: '{"L":[%s]}' % ",".join(map(dumps_value, value)),
+    tuple: lambda value: '{"T":[%s]}' % _items_text(value),
+    list: lambda value: '{"L":[%s]}' % _items_text(value),
     set: lambda value: '{"S":[%s]}'
     % ",".join(map(dumps_value, sorted(value, key=repr))),
     frozenset: lambda value: '{"F":[%s]}'

@@ -87,14 +87,14 @@ def record_frames(tapped: Iterable[Tuple[TraceRecord, Message]]) -> Iterator[byt
     A chunk is to the observer stream what a segment is to the log: a
     message's body rides its first mention in it, so each chunk resolves
     by itself (a record that would overflow one is rebuilt for the next)."""
-    encode, build = wal_records.encode_record, wal_records.event_record
+    frame, spell = wal_records.frame_text, wal_records.event_text
     data, seen = bytearray(), set()
     for record, message in tapped:
-        encoded = encode(build(record, message, seen))
+        encoded = frame(wal_records.EVENT, spell(record, message, seen))
         if data and len(data) + len(encoded) > _CHUNK_BYTES:
             yield codec.encode_frame(codec.RECORDS, data)
             data, seen = bytearray(), set()
-            encoded = encode(build(record, message, seen))
+            encoded = frame(wal_records.EVENT, spell(record, message, seen))
         data += encoded
     if data:
         yield codec.encode_frame(codec.RECORDS, data)

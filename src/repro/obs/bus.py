@@ -5,9 +5,11 @@ Every instrumented component (:class:`~repro.simulation.sim.Simulator`,
 :class:`~repro.simulation.host.ProtocolHost`, the verification harness)
 accepts an optional bus and emits :class:`ProbeEvent` records at the probe
 points below.  With no bus attached (the default) the instrumented code
-performs a single ``is None`` check per probe site; with a bus attached
-but no subscribers, :meth:`Bus.emit` is never even called because call
-sites also consult the :attr:`Bus.active` flag.  Subscribers only
+performs a single ``is None`` check per probe site; with a bus attached,
+:meth:`Bus.emit` is only called for a probe somebody subscribes to,
+because call sites also look the probe up in :attr:`Bus.observed`
+(sites that emit rarely may consult the coarser :attr:`Bus.active`
+flag instead).  Subscribers only
 *observe* -- they cannot reschedule events or consume randomness -- so
 attaching a bus never perturbs the deterministic schedule.
 
@@ -97,7 +99,7 @@ local pending work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping
 
 #: The stable probe-point names (see the module docstring for payloads).
 PROBES = frozenset(
@@ -157,22 +159,35 @@ Handler = Callable[[ProbeEvent], None]
 class Bus:
     """Dispatches probe events to subscribers; inert while none exist.
 
-    Call sites are expected to guard emissions with
-    ``if bus is not None and bus.active:`` so that the disabled and the
-    attached-but-unobserved configurations cost one or two attribute
-    loads per probe site -- nothing is allocated and no handler list is
-    consulted.
+    :attr:`observed` is the set of probe names somebody listens to, so a
+    call site guards each emission with
+    ``if bus is not None and "host.deliver" in bus.observed:`` -- a probe
+    nobody subscribes to costs one set lookup: no clock read, no payload
+    built, no :meth:`emit` call.
     """
 
     def __init__(self) -> None:
         self._handlers: Dict[str, List[Handler]] = {}
         self._wildcard: List[Handler] = []
-        #: ``True`` iff at least one subscriber is attached (kept as a plain
-        #: attribute so hot paths can read it without a method call).
+        #: The probe names with a subscriber (every one of :data:`PROBES`
+        #: while a :meth:`subscribe_all` handler is attached).
+        self.observed: FrozenSet[str] = frozenset()
+        #: ``True`` iff at least one subscriber is attached.
         self.active = False
+        #: ``True`` iff a :meth:`subscribe_all` handler is attached: a site
+        #: whose probe name is not fixed passes an unknown one on to
+        #: :meth:`emit`, which then rejects it.
+        self.observes_all = False
 
-    def _refresh_active(self) -> None:
-        self.active = bool(self._wildcard) or any(self._handlers.values())
+    def _refresh(self) -> None:
+        self.observes_all = bool(self._wildcard)
+        if self.observes_all:
+            self.observed = PROBES
+        else:
+            self.observed = frozenset(
+                probe for probe, handlers in self._handlers.items() if handlers
+            )
+        self.active = bool(self.observed)
 
     def subscribe(self, probe: str, handler: Handler) -> Callable[[], None]:
         """Attach ``handler`` to one probe point; returns an unsubscriber."""
@@ -181,40 +196,40 @@ class Bus:
                 "unknown probe %r; expected one of %s" % (probe, sorted(PROBES))
             )
         self._handlers.setdefault(probe, []).append(handler)
-        self.active = True
+        self._refresh()
 
         def unsubscribe() -> None:
             handlers = self._handlers.get(probe, [])
             if handler in handlers:
                 handlers.remove(handler)
-            self._refresh_active()
+            self._refresh()
 
         return unsubscribe
 
     def subscribe_all(self, handler: Handler) -> Callable[[], None]:
         """Attach ``handler`` to every probe point; returns an unsubscriber."""
         self._wildcard.append(handler)
-        self.active = True
+        self._refresh()
 
         def unsubscribe() -> None:
             if handler in self._wildcard:
                 self._wildcard.remove(handler)
-            self._refresh_active()
+            self._refresh()
 
         return unsubscribe
 
     def emit(self, probe: str, time: float, **data: Any) -> None:
-        """Deliver a probe event to its subscribers (no-op when inactive)."""
-        if not self.active:
+        """Deliver a probe event to its subscribers (no-op when nobody
+        observes ``probe``; an unknown name raises only when a
+        :meth:`subscribe_all` handler would have seen it)."""
+        if probe not in self.observed:
+            if self.observes_all:
+                raise ValueError(
+                    "unknown probe %r; expected one of %s" % (probe, sorted(PROBES))
+                )
             return
-        handlers = self._handlers.get(probe)
-        if not handlers and not self._wildcard:
-            return
-        if probe not in PROBES:
-            raise ValueError(
-                "unknown probe %r; expected one of %s" % (probe, sorted(PROBES))
-            )
         event = ProbeEvent(probe=probe, time=time, data=data)
+        handlers = self._handlers.get(probe)
         if handlers:
             for handler in list(handlers):
                 handler(event)

@@ -194,7 +194,7 @@ class ProtocolHost:
         self._unsent += 1
         self._metric("messages.invoked").inc()
         bus = self._bus
-        if bus is not None and bus.active:
+        if bus is not None and "host.invoke" in bus.observed:
             bus.emit(
                 "host.invoke",
                 self.sim.now,
@@ -206,7 +206,7 @@ class ProtocolHost:
         if not self._here(trace.row(message.id)[SENT]):
             # The protocol returned without releasing: the send is inhibited.
             self._metric("messages.inhibited").inc()
-            if bus is not None and bus.active:
+            if bus is not None and "host.inhibit" in bus.observed:
                 bus.emit(
                     "host.inhibit",
                     self.sim.now,
@@ -235,10 +235,10 @@ class ProtocolHost:
         self._tag_total.inc(tag_bytes)
         self._tag_sizes.observe(tag_bytes)
         bus = self._bus
-        if bus is not None and bus.active:
+        if bus is not None and "host.release" in bus.observed:
             bus.emit(
                 "host.release",
-                self.sim.now,
+                now,
                 message_id=message.id,
                 process=self.process_id,
                 receiver=message.receiver,
@@ -267,10 +267,10 @@ class ProtocolHost:
         self._account_occupancy(-1)
         self._account_latency(message)
         bus = self._bus
-        if bus is not None and bus.active:
+        if bus is not None and "host.deliver" in bus.observed:
             bus.emit(
                 "host.deliver",
-                self.sim.now,
+                now,
                 message_id=message.id,
                 process=self.process_id,
                 sender=message.sender,
@@ -383,7 +383,7 @@ class ProtocolHost:
     def emit_probe(self, probe: str, **data: Any) -> None:
         """Emit a protocol-level probe with time and process filled in."""
         bus = self._bus
-        if bus is not None and bus.active:
+        if bus is not None and (probe in bus.observed or bus.observes_all):
             bus.emit(probe, self.sim.now, process=self.process_id, **data)
 
     # Network-facing --------------------------------------------------------
@@ -431,7 +431,7 @@ class ProtocolHost:
             self._buffered += 1
             self._account_arrival(message, now)
             bus = self._bus
-            if bus is not None and bus.active:
+            if bus is not None and "host.receive" in bus.observed:
                 bus.emit(
                     "host.receive",
                     now,

@@ -282,30 +282,33 @@ class Network:
         packet.channel_seq = next(counter)
         arrival = self.transport.transmit(self, packet)
         bus = self._bus
-        if bus is not None and bus.active:
-            delay = None if arrival is None else arrival - self.sim.now
-            if packet.is_user:
+        if bus is None:
+            return
+        if packet.is_user:
+            if "net.send" in bus.observed:
                 message = packet.message
+                now = self.sim.now
                 bus.emit(
                     "net.send",
-                    self.sim.now,
+                    now,
                     src=packet.src,
                     dst=packet.dst,
                     message_id=message.id if message is not None else None,
                     tag=packet.tag,
-                    delay=delay,
+                    delay=None if arrival is None else arrival - now,
                     arrival=arrival,
                 )
-            else:
-                bus.emit(
-                    "net.control",
-                    self.sim.now,
-                    src=packet.src,
-                    dst=packet.dst,
-                    payload=packet.payload,
-                    delay=delay,
-                    arrival=arrival,
-                )
+        elif "net.control" in bus.observed:
+            now = self.sim.now
+            bus.emit(
+                "net.control",
+                now,
+                src=packet.src,
+                dst=packet.dst,
+                payload=packet.payload,
+                delay=None if arrival is None else arrival - now,
+                arrival=arrival,
+            )
 
     def send_user(
         self, src: int, dst: int, message: Message, tag: Any = None

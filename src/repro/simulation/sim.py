@@ -60,7 +60,7 @@ class Simulator:
             time, sequence, action = heapq.heappop(self._queue)
             self._now = time
             self._executed += 1
-            if bus is not None and bus.active:
+            if bus is not None and "sim.step" in bus.observed:
                 bus.emit(
                     "sim.step", time, sequence=sequence, pending=len(self._queue)
                 )

@@ -23,6 +23,17 @@ def _items_size(obj: Any) -> int:
     return 8 + sum(map(estimate_size, obj))
 
 
+_NUMBERS = frozenset({int, float})
+
+
+def _row_size(obj: Any) -> int:
+    """A list's or tuple's size; a row of exact ints and floats (a
+    vector clock, a matrix row) is priced in one step, not per item."""
+    if _NUMBERS.issuperset(map(type, obj)):
+        return 8 + 8 * len(obj)
+    return _items_size(obj)
+
+
 #: Exact type -> its size, in subclass-resolution order (``bool`` before
 #: ``int``): a subclass takes the entry of the first base it has here.
 _SIZES = {
@@ -32,8 +43,8 @@ _SIZES = {
     float: lambda obj: 8,
     str: len,
     bytes: len,
-    tuple: _items_size,
-    list: _items_size,
+    tuple: _row_size,
+    list: _row_size,
     set: _items_size,
     frozenset: _items_size,
     dict: lambda obj: _items_size(obj.keys()) + sum(map(estimate_size, obj.values())),

@@ -77,12 +77,16 @@ __all__ = [
     "UnknownWalVersion",
     "WalRecord",
     "content_id",
+    "frame_text",
     "encode_record",
     "decode_record",
     "meta_record",
     "event_record",
+    "event_text",
     "invoke_record",
+    "invoke_text",
     "packet_record",
+    "packet_text",
     "resolve_events",
     "resolve_inputs",
     "probe_record",
@@ -120,10 +124,15 @@ KIND_NAMES = {
 
 #: Record heads (times, process indices, sequence numbers) are scalars,
 #: spelled without a walk; a body's values go through the generic writer.
+#: The text builders below pass an exact ``int`` or finite ``float`` head
+#: field to ``%s`` as it is -- its own ``__repr__``, the spelling ``json``
+#: gives it (``t - t`` is NaN for a non-finite float) -- and anything
+#: else through this.
 _field = codec.scalar_text
 
 _LENGTH = struct.Struct("!I")
 _HEAD = struct.Struct("!BBI")  # version, kind, crc32(body)
+_FRAME = struct.Struct("!IBBI")  # the two above as one pack
 
 _EVENT_KIND_TO_NAME = {
     EventKind.INVOKE: "invoke",
@@ -247,6 +256,17 @@ def _parse_body(text: str) -> Dict[str, Any]:
     return codec.decode_value(value)
 
 
+def frame_text(kind: int, text: str) -> bytes:
+    """One record's bytes: the body ``text`` in utf-8 behind its length,
+    version, kind and crc -- the one framing every writer goes through.
+    Raises :class:`WalError` past :data:`MAX_RECORD_BYTES`."""
+    body = text.encode("utf-8")
+    size = _HEAD.size + len(body)
+    if size > MAX_RECORD_BYTES:
+        raise WalError("record of %d bytes exceeds the 4 MiB bound" % size)
+    return _FRAME.pack(size, WAL_VERSION, kind, zlib.crc32(body)) + body
+
+
 def encode_record(record: WalRecord) -> bytes:
     """Serialize one record with length prefix, version, kind and crc."""
     if record.kind not in RECORD_KINDS:
@@ -255,12 +275,7 @@ def encode_record(record: WalRecord) -> bytes:
     # order, so the bytes are already reproducible; only content_id needs
     # the fully canonical (sorted) form.
     text = record.text if record.text is not None else codec.dumps_value(record.body)
-    body = text.encode("utf-8")
-    size = _HEAD.size + len(body)
-    if size > MAX_RECORD_BYTES:
-        raise WalError("record of %d bytes exceeds the 4 MiB bound" % size)
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    return _LENGTH.pack(size) + _HEAD.pack(WAL_VERSION, record.kind, crc) + body
+    return frame_text(record.kind, text)
 
 
 def decode_record(buffer: bytes, offset: int = 0) -> Tuple[WalRecord, int]:
@@ -314,19 +329,42 @@ def meta_record(fields: Dict[str, Any]) -> WalRecord:
     return WalRecord(kind=META, body=body)
 
 
+def event_text(
+    record: TraceRecord, message: Message, seen: Optional[Set[str]] = None
+) -> str:
+    """One trace record's EVENT body text (``seen``: :func:`_message_text`)."""
+    t, p = record.time, record.process
+    if type(t) is not float or t - t:
+        t = _field(t)
+    if type(p) is not int:
+        p = _field(p)
+    return '{"D":[["t",%s],["p",%s],["k","%s"],%s]}' % (
+        t,
+        p,
+        _EVENT_KIND_TO_NAME[record.event.kind],
+        _message_text(message, seen),
+    )
+
+
 def event_record(
     record: TraceRecord, message: Message, seen: Optional[Set[str]] = None
 ) -> WalRecord:
-    """One trace record as an EVENT body (``seen``: :func:`_message_text`)."""
-    return WalRecord(
-        EVENT,
-        text='{"D":[["t",%s],["p",%s],["k","%s"],%s]}'
-        % (
-            _field(record.time),
-            _field(record.process),
-            _EVENT_KIND_TO_NAME[record.event.kind],
-            _message_text(message, seen),
-        ),
+    """One trace record as an EVENT record (:func:`event_text`)."""
+    return WalRecord(EVENT, text=event_text(record, message, seen))
+
+
+def invoke_text(
+    t: float, process: int, message: Message, seen: Optional[Set[str]] = None
+) -> str:
+    """The INPUT body text of ``message``'s invoke at ``process``."""
+    if type(t) is not float or t - t:
+        t = _field(t)
+    if type(process) is not int:
+        process = _field(process)
+    return '{"D":[["t",%s],["p",%s],["op","invoke"],%s]}' % (
+        t,
+        process,
+        _message_text(message, seen),
     )
 
 
@@ -334,10 +372,46 @@ def invoke_record(
     t: float, process: int, message: Message, seen: Optional[Set[str]] = None
 ) -> WalRecord:
     """A redo input: the user invoked ``message`` at ``process``."""
-    return WalRecord(
-        INPUT,
-        text='{"D":[["t",%s],["p",%s],["op","invoke"],%s]}'
-        % (_field(t), _field(process), _message_text(message, seen)),
+    return WalRecord(INPUT, text=invoke_text(t, process, message, seen))
+
+
+def packet_text(
+    t: float,
+    process: int,
+    packet: Packet,
+    op: str = "packet",
+    seen: Optional[Set[str]] = None,
+) -> str:
+    """The INPUT body text of ``packet``'s arrival at ``process``.  The
+    tag or payload is the text the packet came off the wire as, if it
+    did: the sender spelled it with this writer, and decoding it
+    validated it."""
+    value = packet.wire_text
+    if packet.is_user and packet.message is not None:
+        if value is None:
+            value = codec.dumps_value(packet.tag)
+        tail = '%s,["tag",%s]' % (_message_text(packet.message, seen), value)
+    else:
+        if value is None:
+            value = codec.dumps_value(packet.payload)
+        tail = '["payload",%s]' % value
+    sent, src, dst, uid, cs = (
+        packet.send_time,
+        packet.src,
+        packet.dst,
+        packet.uid,
+        packet.channel_seq,
+    )
+    if type(t) is not float or t - t:
+        t = _field(t)
+    if type(sent) is not float or sent - sent:
+        sent = _field(sent)
+    if not (type(process) is type(src) is type(dst) is type(uid) is type(cs) is int):
+        process, src, dst, uid, cs = map(_field, (process, src, dst, uid, cs))
+    return (
+        '{"D":[["t",%s],["p",%s],["op","%s"],["src",%s],["dst",%s],'
+        '["kind",%s],["sent",%s],["uid",%s],["cs",%s],%s]}'
+        % (t, process, op, src, dst, _field(packet.kind), sent, uid, cs, tail)
     )
 
 
@@ -349,35 +423,8 @@ def packet_record(
     seen: Optional[Set[str]] = None,
 ) -> WalRecord:
     """A redo input: ``packet`` arrived at ``process`` (``op`` says
-    ``"duplicate"`` when its message already had).  The tag or payload
-    is the text the packet came off the wire as, if it did: the sender
-    spelled it with this writer, and decoding it validated it."""
-    value = packet.wire_text
-    if packet.is_user and packet.message is not None:
-        if value is None:
-            value = codec.dumps_value(packet.tag)
-        tail = '%s,["tag",%s]' % (_message_text(packet.message, seen), value)
-    else:
-        if value is None:
-            value = codec.dumps_value(packet.payload)
-        tail = '["payload",%s]' % value
-    return WalRecord(
-        INPUT,
-        text='{"D":[["t",%s],["p",%s],["op","%s"],["src",%s],["dst",%s],'
-        '["kind",%s],["sent",%s],["uid",%s],["cs",%s],%s]}'
-        % (
-            _field(t),
-            _field(process),
-            op,
-            _field(packet.src),
-            _field(packet.dst),
-            _field(packet.kind),
-            _field(packet.send_time),
-            _field(packet.uid),
-            _field(packet.channel_seq),
-            tail,
-        ),
-    )
+    ``"duplicate"`` when its message already had; :func:`packet_text`)."""
+    return WalRecord(INPUT, text=packet_text(t, process, packet, op, seen))
 
 
 # -- the resolver -------------------------------------------------------------

@@ -196,12 +196,14 @@ class SegmentWriter:
 
     def append(self, record: WalRecord) -> None:
         """Append one record, rotating and sync-batching as configured."""
-        self.write(encode_record(record))
-
-    def write(self, encoded: bytes) -> None:
-        """Append one already-encoded record (one unbuffered ``write``)."""
+        encoded = encode_record(record)
         if self.rotates(len(encoded)):
             self.rotate()
+        self.put(encoded)
+
+    def put(self, encoded: bytes) -> None:
+        """Append one already-encoded record to the open segment (one
+        unbuffered ``write``): the caller asked :meth:`rotates` first."""
         self._handle.write(encoded)
         self._segment_bytes += len(encoded)
         self.records_written += 1

@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Set
 from repro.events import INVOKE, RECEIVE, Message
 from repro.simulation.trace import TraceRecord
 from repro.wal import records as rec
-from repro.wal.records import WalRecord
+from repro.wal.records import WalError, WalRecord, frame_text
 from repro.wal.segment import (
     DEFAULT_MAX_SEGMENT_BYTES,
     DEFAULT_SYNC_EVERY,
@@ -93,23 +93,31 @@ class WalSink:
 
     # -- taps -----------------------------------------------------------------
 
-    def _append(self, build: Callable[..., WalRecord], *args: Any) -> None:
-        """Append ``build(*args, seen)``, a record that mentions a message.
-        Body or reference depends on the segment it lands in, and that on
-        its size: one that would open a new segment is rebuilt once the
-        segment is open (its header emptied the set)."""
-        encoded = rec.encode_record(build(*args, self._seen))
-        if self.writer.rotates(len(encoded)):
-            self.writer.rotate()
-            encoded = rec.encode_record(build(*args, self._seen))
-        self.writer.write(encoded)
+    def _append(self, kind: int, spell: Callable[..., str], *args: Any) -> None:
+        """Append the ``kind`` record whose body is ``spell(*args, seen)``,
+        a record that mentions a message.  Body or reference depends on
+        the segment it lands in, and that on its size: one that would
+        open a new segment is spelled again once the segment is open
+        (its header emptied the set)."""
+        writer = self.writer
+        try:
+            encoded = frame_text(kind, spell(*args, self._seen))
+            if writer.rotates(len(encoded)):
+                writer.rotate()
+                encoded = frame_text(kind, spell(*args, self._seen))
+        except WalError:
+            # Too big to write: its message joined the set, but no body
+            # did, so later mentions must carry theirs again.
+            self._seen.clear()
+            raise
+        writer.put(encoded)
 
     def on_trace(self, record: TraceRecord, message: Message) -> None:
         """Trace tap: one EVENT record per trace record no input implies."""
         kind = record.event.kind
         if self._hosted and (kind is INVOKE or kind is RECEIVE):
             return
-        self._append(rec.event_record, record, message)
+        self._append(rec.EVENT, rec.event_text, record, message)
 
     def attach_trace(self, trace) -> None:
         """Mirror every future record of ``trace`` into the log."""
@@ -119,9 +127,9 @@ class WalSink:
         """Host tap: one INPUT record per invoke / packet arrival."""
         t = self._clock()
         if op == "invoke":
-            self._append(rec.invoke_record, t, process, payload)
+            self._append(rec.INPUT, rec.invoke_text, t, process, payload)
         else:  # "packet", or "duplicate" for a re-arrival
-            self._append(rec.packet_record, t, process, payload, op)
+            self._append(rec.INPUT, rec.packet_text, t, process, payload, op)
 
     def attach_host(self, host) -> None:
         """Log ``host``'s inputs, which stand for its invoke and receive
