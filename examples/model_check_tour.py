@@ -17,11 +17,11 @@ import io
 
 from repro.mc import (
     check_protocol,
-    default_spec_for,
     pair_workload,
     replay_schedule,
     triangle_workload,
 )
+from repro.protocols.registry import resolve
 from repro.simulation.persistence import load_schedule, save_schedule
 
 
@@ -69,7 +69,7 @@ def catch_broken() -> None:
     save_schedule(minimized, buffer)
     buffer.seek(0)
     reloaded = load_schedule(buffer)
-    outcome = replay_schedule(reloaded, spec=default_spec_for(reloaded.protocol))
+    outcome = replay_schedule(reloaded, spec=resolve(reloaded.protocol).spec)
     assert outcome.violation is not None
     assert outcome.violation.predicate_name == violation.first.predicate_name
     print("replayed %d-step schedule -> %s" % (len(reloaded), outcome.violation))

@@ -126,16 +126,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         factory = make_reliable(protocol_for(specification))
     from repro.obs import Watchdog
 
-    bus = tracer = recorder = None
+    bus = recorder = None
     # Fault runs always get a bus: the watchdog needs the fault.drop /
     # retx.send stream to attribute stuck messages to network loss.
-    instrument = args.trace_out or args.metrics_out or faults is not None
-    if instrument:
-        from repro.obs import Bus, MetricsRecorder, SpanTracer
+    if args.metrics_out or faults is not None:
+        from repro.obs import Bus, MetricsRecorder
 
         bus = Bus()
-        if args.trace_out:
-            tracer = SpanTracer(bus)
         if args.metrics_out:
             recorder = MetricsRecorder(bus)
     watchdog = Watchdog(bus)
@@ -174,24 +171,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(result.summary())
     outcome = verify(result, specification)
     print("verification:      %s" % outcome.summary())
-    if bus is not None:
-        bus.emit(
-            "verify.check",
-            0.0,
-            spec=specification.name,
-            protocol=result.protocol_name,
-            workload=workload.name,
-            safe=outcome.safe,
-            live=outcome.live,
-            violations=len(outcome.violations),
-        )
-    if tracer is not None:
-        from repro.obs import write_chrome_trace
+    if args.trace_out:
+        from repro.obs import SpanTracer, write_chrome_trace
 
-        end = max((record.time for record in result.trace.records()), default=0.0)
-        tracer.finish(end)
         write_chrome_trace(
-            args.trace_out, tracer, n_processes=workload.n_processes
+            args.trace_out,
+            SpanTracer(result.trace),
+            n_processes=workload.n_processes,
         )
         print("trace:             %s (open in https://ui.perfetto.dev)"
               % args.trace_out)
@@ -213,14 +199,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs import (
-        DEFAULT_PROFILE_PROTOCOLS,
-        catalog_protocols,
-        profile_protocols,
-        render_profiles,
-    )
+    from repro.obs import DEFAULT_PROFILE_PROTOCOLS, profile_protocols, render_profiles
+    from repro.protocols.registry import cached_catalogue
 
-    available = catalog_protocols()
+    available = {name: entry.factory for name, entry in cached_catalogue().items()}
     names = args.protocols or list(DEFAULT_PROFILE_PROTOCOLS)
     unknown = [name for name in names if name not in available]
     if unknown:
@@ -252,15 +234,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
         DEFAULT_MAX_SCHEDULES,
         check_protocol,
         named_workloads,
-        protocol_factories,
     )
+    from repro.protocols.registry import resolvable_names
     from repro.simulation.persistence import save_schedule
 
-    factories = protocol_factories()
-    if args.protocol not in factories:
+    names = resolvable_names()
+    if args.protocol not in names:
         raise SystemExit(
             "unknown protocol %r; available: %s"
-            % (args.protocol, ", ".join(sorted(factories)))
+            % (args.protocol, ", ".join(names))
         )
     if args.workload == "random":
         workload = random_traffic(
@@ -1412,12 +1394,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stamped TRACE round trips per host (tightens clock offsets)",
     )
     p_trace.add_argument("--timeout", type=float, default=20.0)
-    p_trace.add_argument(
-        "--once",
-        action="store_true",
-        help="collect exactly once and exit (the default; kept explicit "
-        "for scripting)",
-    )
     p_trace.add_argument(
         "--out",
         metavar="FILE",

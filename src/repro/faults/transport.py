@@ -17,13 +17,10 @@ never perturbs the latency stream of the inner transport.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable, List, Optional, Set
+from typing import Callable, List, Set
 
 from repro.faults.plan import FaultPlan
 from repro.simulation.network import Network, Packet, Transport
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.bus import Bus
 
 
 class _GuardedNetwork:
@@ -109,7 +106,7 @@ class FaultyTransport(Transport):
 
     # Transport --------------------------------------------------------------
 
-    def transmit(self, network: Network, packet: Packet) -> Optional[float]:
+    def transmit(self, network: Network, packet: Packet) -> None:
         """Decide the packet's fate, then hand survivors to the inner
         transport (through the arrival guard)."""
         plan = self.plan
@@ -118,7 +115,7 @@ class FaultyTransport(Transport):
             self.partition_drops += 1
             self._note_user_loss(packet)
             self._emit(network, "fault.partition", packet)
-            return None
+            return
         guarded = _GuardedNetwork(network, self)
         action = plan.scripted_action(packet.src, packet.dst, packet.channel_seq)
         reason = "scripted"
@@ -142,19 +139,17 @@ class FaultyTransport(Transport):
                     plan.spike_delay,
                     lambda: self.inner.transmit(guarded, packet),
                 )
-                return None
+                return
         if action == "drop":
             self.packets_dropped += 1
             self._note_user_loss(packet)
             self._emit(network, "fault.drop", packet, reason=reason)
-            return None
+            return
         if action == "dup":
             self.packets_duplicated += 1
             self._emit(network, "fault.dup", packet)
-            arrival = self.inner.transmit(guarded, packet)
             self.inner.transmit(guarded, packet)
-            return arrival
-        return self.inner.transmit(guarded, packet)
+        self.inner.transmit(guarded, packet)
 
     # Internals --------------------------------------------------------------
 

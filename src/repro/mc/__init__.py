@@ -16,12 +16,9 @@ space; this subsystem *exhausts* it (within a budget).  The pieces:
   delta-debugging minimizer;
 - :mod:`repro.mc.mutations` -- deliberately broken protocol variants the
   checker must catch (the checker's own regression suite);
-- :mod:`repro.mc.registry` -- named factories and default specs, shared
-  by the ``repro check`` CLI and schedule (de)serialization.
-
-Exploration emits ``mc.schedule`` / ``mc.prune`` / ``mc.violation``
-probes on an optional :class:`repro.obs.Bus`, so the observability layer
-covers model checking like any other workload.
+- :mod:`repro.mc.registry` -- the checker's tiny named workloads and
+  :func:`~repro.mc.registry.resolve_protocol`, which resolves a
+  catalogue name under the ARQ bounds that keep the tree finite.
 
 >>> from repro.mc import check_protocol
 >>> from repro.simulation import Workload, SendRequest
@@ -61,11 +58,9 @@ from repro.mc.mutations import (
     mutation_factories,
 )
 from repro.mc.registry import (
-    default_spec_for,
     flush_pair_workload,
     named_workloads,
     pair_workload,
-    protocol_factories,
     resolve_protocol,
     triangle_workload,
     triple_workload,
@@ -102,9 +97,7 @@ __all__ = [
     "BrokenFifoProtocol",
     "BrokenCausalRstProtocol",
     "mutation_factories",
-    "protocol_factories",
     "resolve_protocol",
-    "default_spec_for",
     "named_workloads",
     "pair_workload",
     "triple_workload",

@@ -51,21 +51,17 @@ from typing import (
     Union,
 )
 
-from repro.mc.counterexample import (
-    Schedule,
-    minimize_schedule,
-    replay_schedule,
-)
-from repro.mc.registry import default_spec_for, resolve_protocol
+from repro.mc.counterexample import Schedule, minimize_schedule
+from repro.mc.registry import resolve_protocol
 from repro.mc.world import (
     ControlledWorld,
     ProtocolFactory,
     TransitionKey,
     transitions_dependent,
 )
-from repro.obs.bus import Bus
 from repro.predicates.ast import ForbiddenPredicate
 from repro.predicates.spec import Specification
+from repro.protocols.registry import resolve
 from repro.runs.user_run import UserRun
 from repro.simulation.workloads import Workload
 from repro.verification.engine import SpecMonitor
@@ -254,7 +250,6 @@ class ModelChecker:
         use_state_cache: bool = True,
         minimize: bool = True,
         collect_runs: bool = False,
-        bus: Optional[Bus] = None,
         prefix: Optional[Sequence[TransitionKey]] = None,
     ):
         self.factory = protocol_factory
@@ -276,7 +271,6 @@ class ModelChecker:
         self.use_state_cache = use_state_cache
         self.minimize = minimize
         self.collect_runs = collect_runs
-        self.bus = bus
         #: A fixed schedule stem (e.g. a recorded production run): the
         #: DFS replays it verbatim and explores only its continuations.
         #: The stem itself is checked too -- a violation *inside* the
@@ -314,7 +308,7 @@ class ModelChecker:
         self._run_signatures.clear()
         # One monitor for the whole search tree: pushed/popped along the
         # DFS so each node only verifies its new trace suffix.
-        self._monitor = SpecMonitor(self.spec, bus=self.bus)
+        self._monitor = SpecMonitor(self.spec)
         try:
             self._explore(list(self.prefix), frozenset())
         except _BudgetExhausted:
@@ -348,18 +342,10 @@ class ModelChecker:
         report.transitions += len(prefix)
         return world
 
-    def _leaf(self, depth: int, outcome: str) -> None:
+    def _leaf(self) -> None:
         report = self._report
         assert report is not None
         report.schedules_explored += 1
-        if self.bus is not None and self.bus.active:
-            self.bus.emit(
-                "mc.schedule",
-                float(depth),
-                index=report.schedules_explored,
-                depth=depth,
-                outcome=outcome,
-            )
         if (
             self.max_schedules is not None
             and report.schedules_explored >= self.max_schedules
@@ -412,15 +398,7 @@ class ModelChecker:
                     stuck=[entry.describe() for entry in stuck],
                 )
             )
-            if self.bus is not None and self.bus.active:
-                self.bus.emit(
-                    "mc.violation",
-                    float(len(prefix)),
-                    predicate=violation.predicate_name,
-                    assignment=dict(violation.assignment),
-                    depth=len(prefix),
-                )
-            self._leaf(len(prefix), "violation")
+            self._leaf()
             if len(report.violations) >= self.max_violations:
                 raise _EnoughViolations()
             return
@@ -430,37 +408,23 @@ class ModelChecker:
             self._run_signatures.add(run.canonical_form())
             if self.collect_runs:
                 self.complete_runs.add(run)
-            self._leaf(len(prefix), "complete")
+            self._leaf()
             return
         if len(prefix) >= self.max_depth:
             report.depth_truncations += 1
-            self._leaf(len(prefix), "truncated")
+            self._leaf()
             return
         if self.use_state_cache:
             signature = world.signature()
             earlier = self._visited.get(signature)
             if earlier is not None and any(s <= sleep for s in earlier):
                 report.pruned_state += 1
-                if self.bus is not None and self.bus.active:
-                    self.bus.emit(
-                        "mc.prune",
-                        float(len(prefix)),
-                        reason="state",
-                        depth=len(prefix),
-                    )
                 return
             self._visited.setdefault(signature, []).append(sleep)
         asleep: Set[TransitionKey] = set(sleep)
         for key in enabled:
             if self.use_sleep_sets and key in asleep:
                 report.pruned_sleep += 1
-                if self.bus is not None and self.bus.active:
-                    self.bus.emit(
-                        "mc.prune",
-                        float(len(prefix)),
-                        reason="sleep",
-                        depth=len(prefix),
-                    )
                 continue
             child_sleep = frozenset(
                 s for s in asleep if not transitions_dependent(s, key)
@@ -485,7 +449,7 @@ def check_protocol(
         factory = resolve_protocol(protocol)
         options.setdefault("protocol_name", protocol)
         if spec is None:
-            spec = default_spec_for(protocol)
+            spec = resolve(protocol).spec
     else:
         factory = protocol
     if spec is None:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
-from repro.predicates.spec import Specification
-from repro.protocols.registry import resolvable_names, resolve
+from repro.protocols.registry import resolve
 from repro.simulation.workloads import SendRequest, Workload
 
 
@@ -87,13 +86,3 @@ def resolve_protocol(name: str) -> Callable[[int, int], object]:
     """The factory the checker (re)instantiates for a catalogue name
     (:func:`repro.protocols.registry.resolve`; helpful error on a miss)."""
     return resolve(name, **FINITE_TREE_ARQ).factory
-
-
-def protocol_factories() -> Dict[str, Callable[[int, int], object]]:
-    """Every named factory the model checker can (re)instantiate."""
-    return {name: resolve_protocol(name) for name in resolvable_names()}
-
-
-def default_spec_for(name: str) -> Specification:
-    """The specification a named protocol claims to implement."""
-    return resolve(name).spec

@@ -139,16 +139,14 @@ class ControlledTransport(Transport):
         # n-th copy of a given packet is always copy n).
         self._dup_counts: Dict[TransitionKey, int] = {}
 
-    def transmit(self, network: Network, packet: Packet) -> Optional[float]:
+    def transmit(self, network: Network, packet: Packet) -> None:
         """Park the packet under its delivery key; arrival is external."""
         key = ("deliver", packet.src, packet.dst, packet.channel_seq)
         if key in self.pending:
             # Only a FaultyTransport duplicating at transmit time re-parks
             # the same channel slot; treat it as a copy.
-            self.pending[self._copy_key(key)] = packet
-            return None
+            key = self._copy_key(key)
         self.pending[key] = packet
-        return None
 
     def _copy_key(self, base: TransitionKey) -> TransitionKey:
         count = self._dup_counts.get(base, 0) + 1

@@ -32,13 +32,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.events import Event, EventKind, Message
 from repro.net import codec
 from repro.net.client import ClusterClient
-from repro.obs.bus import Bus
 from repro.obs.export import spans_to_chrome_trace
-from repro.obs.flight import LIFECYCLE_KINDS, FlightRecorder
+from repro.obs.flight import LIFECYCLE_KINDS, FlightRecord, FlightRecorder
 from repro.obs.metrics import Histogram
 from repro.obs.spans import SpanTracer
+from repro.simulation.trace import Trace
 
 __all__ = [
     "ClusterCollector",
@@ -48,11 +49,6 @@ __all__ = [
     "render_top",
     "stitch_flight_dumps",
 ]
-
-#: Flight-record kind -> its host probe (the stitcher re-emits these onto
-#: a fresh bus so SpanTracer rebuilds the spans).
-_KIND_TO_PROBE = {kind: probe for probe, kind in LIFECYCLE_KINDS.items()}
-
 
 @dataclass(frozen=True)
 class OffsetSample:
@@ -137,13 +133,15 @@ def stitch_flight_dumps(
     ``dumps`` are TRACE frame bodies; ``offsets`` maps process id to its
     estimated clock offset (host minus collector, seconds), which is
     *subtracted* from every record's wall stamp so all hosts land on the
-    collector's timeline.  The merged lifecycle records replay through a
-    fresh :class:`~repro.obs.spans.SpanTracer`, so the stitched trace
-    carries the same span tree and cross-process flow arrows a simulated
-    run exports -- timestamps in microseconds of corrected wall time.
+    collector's timeline.  The lifecycle records, in corrected wall
+    order, become one :class:`~repro.simulation.trace.Trace` whose
+    :class:`~repro.obs.spans.SpanTracer` gives the stitched trace the
+    same span tree and cross-process flow arrows a simulated run exports
+    -- timestamps in microseconds of corrected wall time.  A buffer span
+    keeps the ``delayed`` verdict its host took on its own clock.
     """
     offsets = offsets or {}
-    rows: List[Tuple[float, int, str, Dict[str, Any]]] = []
+    rows: List[Tuple[float, FlightRecord]] = []
     for dump in dumps:
         flight = (dump or {}).get("flight")
         if not flight:
@@ -151,23 +149,26 @@ def stitch_flight_dumps(
         process = int(flight.get("process", dump.get("process", -1)))
         correction = offsets.get(process, 0.0)
         for record in FlightRecorder.records_from_wire(flight):
-            probe = _KIND_TO_PROBE.get(record.kind)
-            if probe is None:
-                continue  # context probes don't become spans
-            rows.append((record.wall - correction, process, probe, record.data))
-    bus = Bus()
-    tracer = SpanTracer(bus)
-    if not rows:
-        tracer.finish(0.0)
-        return spans_to_chrome_trace(tracer, n_processes, time_scale=1e6)
+            if record.kind in LIFECYCLE_KINDS:  # context probes don't become spans
+                rows.append((record.wall - correction, record))
     rows.sort(key=lambda row: row[0])
-    base = rows[0][0]
-    last = 0.0
-    for corrected, _, probe, data in rows:
-        last = corrected - base
-        bus.emit(probe, last, **data)
-    tracer.finish(last)
-    tracer.close()
+    base = rows[0][0] if rows else 0.0
+    trace = Trace(n_processes)
+    delayed: Dict[str, Any] = {}
+    for corrected, record in rows:
+        data = record.data
+        message_id, process = data["message_id"], data["process"]
+        event = Event(message_id, EventKind(LIFECYCLE_KINDS.index(record.kind)))
+        if event.kind in (EventKind.INVOKE, EventKind.SEND):
+            trace.register_message(Message(message_id, process, data["receiver"]))
+        else:
+            trace.register_message(Message(message_id, data["sender"], process))
+        trace.record(corrected - base, process, event)
+        if event.kind is EventKind.DELIVER:
+            delayed[message_id] = data.get("delayed")
+    tracer = SpanTracer(trace)
+    for message_id, verdict in delayed.items():
+        tracer.spans_of(message_id)["buffer"].args["delayed"] = verdict
     return spans_to_chrome_trace(tracer, n_processes, time_scale=1e6)
 
 

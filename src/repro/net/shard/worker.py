@@ -21,9 +21,9 @@ lanes
 Every worker keeps its own observability: a per-key live checker
 (:mod:`repro.net.shard.lanes`), per-key stats, an optional per-shard
 WAL directory (``<wal_dir>/shard<k>``), and an OpenMetrics registry
-whose series carry a ``shard`` label.  Its TRACE dump has the shape of
-a host's, from a :class:`~repro.obs.flight.FlightRecorder` that stays
-empty: a worker keeps no trace and emits no fault/recovery probe.
+whose series carry a ``shard`` label.  Its TRACE reply has the shape of
+a host's with ``"flight": None``, as an ``observability=False`` host
+answers: a worker keeps no trace and emits no fault/recovery probe.
 
 Fault injection for CI: lane kind ``broken-fifo`` reverses each flushed
 batch on the send path, so the receiver's FIFO checker latches a real
@@ -44,7 +44,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.net import codec
 from repro.net.endpoint import Endpoint
 from repro.net.shard.lanes import KeyStats, LaneViolation, lane_checker
-from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.openmetrics import render_openmetrics
 
@@ -53,9 +52,6 @@ __all__ = ["ShardWorker", "ShardWorkerConfig", "spawn_worker", "worker_main"]
 #: Rows per COLLECT page (bounds each reply frame well under the codec's
 #: 4 MiB frame cap).
 COLLECT_PAGE = 20_000
-
-#: The ``capacity`` a shard's TRACE dump reports.
-FLIGHT_CAPACITY = 512
 
 #: Delivered rows each shard keeps for the coordinator's end-of-run
 #: cross-key oracle.
@@ -180,7 +176,6 @@ class ShardWorker(Endpoint):
         self._collect_dropped = 0
         self._stalled = 0
         self._flush_scheduled = False
-        self.flight = FlightRecorder(config.shard, capacity=FLIGHT_CAPACITY)
         self.wal: Optional[Any] = None
         if config.wal_dir is not None:
             import os
@@ -415,7 +410,7 @@ class ShardWorker(Endpoint):
             "wall": time.time(),
             "virtual": 0.0,
             "time_scale": 1.0,
-            "flight": self.flight.to_wire(),
+            "flight": None,
         }
 
     def collect_body(self, frame: "codec.Frame") -> Dict[str, Any]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, Optional, Set, Tuple
 
 from repro.net import codec
 from repro.simulation.network import Network, Packet, Transport
@@ -237,7 +237,7 @@ class AsyncTransport(Transport):
 
     # -- Transport -----------------------------------------------------------
 
-    def transmit(self, network: Network, packet: Packet) -> Optional[float]:
+    def transmit(self, network: Network, packet: Packet) -> None:
         """Frame the packet and write it to the destination's stream."""
         if packet.dst == self.process_id:
             # Local loopback: dispatch on the next loop tick.
@@ -245,14 +245,14 @@ class AsyncTransport(Transport):
                 raise RuntimeError("AsyncTransport used before bind_loop()")
             handler = network.handler_for(packet.dst)
             self._loop.call_soon(handler, packet)
-            return None
+            return
         kind, head, sections = self._frame_for(packet)
         data = codec.encode_frame(kind, head, sections)
         writer = self._writers.get(packet.dst)
         if writer is None or writer.is_closing():
             self.unroutable += 1
             self._enqueue(network, packet.dst, kind, data)
-            return None
+            return
         if self._loop is not None:
             self._outbox.setdefault(packet.dst, []).append((kind, data, network))
             self.frames_sent += 1
@@ -260,11 +260,10 @@ class AsyncTransport(Transport):
             if not self._flush_scheduled:
                 self._flush_scheduled = True
                 self._loop.call_soon(self.flush_outboxes)
-            return None
+            return
         writer.write(data)
         self.frames_sent += 1
         self.bytes_sent += len(data)
-        return None
 
     def flush_outboxes(self) -> None:
         """Write every peer's coalesced outbox (one write per peer).

@@ -1,27 +1,27 @@
 """Observability: instrumentation bus, metrics, causal spans, profiling.
 
 The layer the ROADMAP's production ambitions need: typed probe points
-emitted from the simulator, network, protocol hosts and the verification
-harness (:mod:`repro.obs.bus`); the metrics registry a host writes its
-costs and its messages' phases into, which ``SimulationStats`` reads,
-and a recorder adding what other components report on the bus
-(:mod:`repro.obs.metrics`); a span-based causal tracer with Chrome
-trace-event export so a run opens in Perfetto (:mod:`repro.obs.spans`,
-:mod:`repro.obs.export`); a liveness watchdog reading a host's trace to
-name what blocks each stuck message (:mod:`repro.obs.watchdog`); and a
-per-phase protocol profiler behind ``repro profile``
-(:mod:`repro.obs.profile`), which needs no bus at all.  The bus is
-opt-in: with none attached the simulation path is unchanged and its
-schedule bit-identical.
+for the facts a trace does not hold -- faults, retransmissions, timers,
+link states, backpressure -- emitted by the protocol hosts, the fault
+layer and the cluster runtime (:mod:`repro.obs.bus`); the metrics
+registry a host writes its costs and its messages' phases into, which
+``SimulationStats`` reads, and a recorder adding what other components
+report on the bus (:mod:`repro.obs.metrics`); a span-based causal
+tracer reading a trace, with Chrome trace-event export so a run opens
+in Perfetto (:mod:`repro.obs.spans`, :mod:`repro.obs.export`); a
+liveness watchdog reading a host's trace to name what blocks each stuck
+message (:mod:`repro.obs.watchdog`); and a per-phase protocol profiler
+behind ``repro profile`` (:mod:`repro.obs.profile`), which needs no bus
+at all.  The bus is opt-in: with none attached the simulation path is
+unchanged and its schedule bit-identical.
 
 A host's :class:`~repro.simulation.trace.Trace` is the one record of
 each message's four events; no observer keeps its own copy.
 """
 
-from repro.obs.bus import PROBES, Bus, ProbeEvent, ProbeLog
+from repro.obs.bus import PROBES, Bus, ProbeEvent
 from repro.obs.export import (
     TIME_SCALE,
-    probe_log_to_jsonl,
     spans_to_chrome_trace,
     write_chrome_trace,
 )
@@ -38,7 +38,6 @@ from repro.obs.openmetrics import parse_openmetrics, render_openmetrics
 from repro.obs.profile import (
     DEFAULT_PROFILE_PROTOCOLS,
     ProtocolProfile,
-    catalog_protocols,
     profile_protocol,
     profile_protocols,
     render_profiles,
@@ -50,7 +49,6 @@ __all__ = [
     "PROBES",
     "Bus",
     "ProbeEvent",
-    "ProbeLog",
     "Counter",
     "Gauge",
     "Histogram",
@@ -63,7 +61,6 @@ __all__ = [
     "TIME_SCALE",
     "spans_to_chrome_trace",
     "write_chrome_trace",
-    "probe_log_to_jsonl",
     "StuckMessage",
     "Watchdog",
     "FlightRecord",
@@ -74,7 +71,6 @@ __all__ = [
     "render_openmetrics",
     "ProtocolProfile",
     "DEFAULT_PROFILE_PROTOCOLS",
-    "catalog_protocols",
     "profile_protocol",
     "profile_protocols",
     "render_profiles",

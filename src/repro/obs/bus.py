@@ -1,73 +1,59 @@
 """The instrumentation bus: typed probe points, zero overhead when off.
 
-Every instrumented component (:class:`~repro.simulation.sim.Simulator`,
-:class:`~repro.simulation.network.Network`,
-:class:`~repro.simulation.host.ProtocolHost`, the verification harness)
-accepts an optional bus and emits :class:`ProbeEvent` records at the probe
-points below.  With no bus attached (the default) the instrumented code
-performs a single ``is None`` check per probe site; with a bus attached,
-:meth:`Bus.emit` is only called for a probe somebody subscribes to,
-because call sites also look the probe up in :attr:`Bus.observed`
-(sites that emit rarely may consult the coarser :attr:`Bus.active`
-flag instead).  Subscribers only
+The bus carries the facts a run's trace does not hold: faults, crashes,
+retransmissions, timer firings, link-state changes, shedding and
+backpressure, and the one lifecycle fact a trace cannot show (a send
+the protocol inhibited).  A message's four events themselves live in
+the host's :class:`~repro.simulation.trace.Trace`, which metrics, spans,
+the watchdog and the flight recorder read directly.
+
+:class:`~repro.simulation.host.ProtocolHost`, the fault layer and the
+:class:`~repro.net.host.NetHost` runtime accept an optional bus and
+emit :class:`ProbeEvent` records at the probe points below.  With no
+bus attached (the default) a site performs a single ``is None`` check;
+with a bus attached, a site first looks its probe up in
+:attr:`Bus.observed`, so a probe nobody subscribes to costs one set
+lookup and :meth:`Bus.emit` is never called for it (sites that emit
+rarely may consult the coarser :attr:`Bus.active` flag instead).
+Subscribers only
 *observe* -- they cannot reschedule events or consume randomness -- so
 attaching a bus never perturbs the deterministic schedule.
 
-Probe points (a stable, documented contract -- tools may rely on these
-names and their payload fields):
+:data:`PROBES` is exactly what some component subscribes to (the WAL
+sink, :class:`~repro.obs.metrics.MetricsRecorder`,
+:class:`~repro.obs.watchdog.Watchdog`, the flight recorder's context
+stream and the cluster observer bridge); a new probe point lands with
+its first subscriber.  The names and payload fields are a stable,
+documented contract:
 
-===============  ============================================================
-probe            payload fields
-===============  ============================================================
-``sim.step``     ``sequence``, ``pending``
-``net.send``     ``src``, ``dst``, ``message_id``, ``tag``, ``delay``,
-                 ``arrival``
-``net.control``  ``src``, ``dst``, ``payload``, ``delay``, ``arrival``
-``host.invoke``  ``message_id``, ``process``, ``receiver``
-``host.inhibit`` ``message_id``, ``process``
-``host.release`` ``message_id``, ``process``, ``receiver``, ``tag_bytes``
-``host.receive`` ``message_id``, ``process``, ``sender``
-``host.deliver`` ``message_id``, ``process``, ``sender``, ``delayed``
-``verify.check`` ``spec``, ``protocol``, ``workload``, ``safe``, ``live``,
-                 ``violations``
-``verify.step``  ``event``, ``sequence``, ``messages``
-``verify.match`` ``event``, ``predicate``, ``assignment``
-``mc.schedule``  ``index``, ``depth``, ``outcome``
-``mc.prune``     ``reason``, ``depth``
-``mc.violation`` ``predicate``, ``assignment``, ``depth``
-``fault.drop``   ``src``, ``dst``, ``kind``, ``message_id``, ``reason``
-``fault.dup``    ``src``, ``dst``, ``kind``, ``message_id``
-``fault.partition`` ``src``, ``dst``, ``kind``, ``message_id``
-``fault.spike``  ``src``, ``dst``, ``kind``, ``message_id``, ``extra_delay``
-``crash``        ``process``
-``restart``      ``process``
-``retx.send``    ``process``, ``message_id``, ``receiver``, ``kind``
-``retx.ack``     ``process``, ``peer``, ``cumulative``
-``retx.dup``     ``process``, ``message_id``, ``sender``
-``retx.resume``  ``peer``, ``unacked``
-``timer.fire``   ``process``
-``link.up``      ``process``, ``peer``, ``previous``
-``link.suspect`` ``process``, ``peer``, ``previous``
-``link.down``    ``process``, ``peer``, ``previous``
-``link.redial``  ``process``, ``peer``, ``attempts``
-``link.giveup``  ``process``, ``peer``, ``attempts``
-``net.shed``     ``dst``, ``kind``, ``queued`` (or ``flushed`` on restore)
-``net.backpressure`` ``process``, ``state``, ``pending``
-===============  ============================================================
+====================  =======================================================
+probe                 payload fields
+====================  =======================================================
+``host.inhibit``      ``message_id``, ``process``
+``fault.drop``        ``src``, ``dst``, ``kind``, ``message_id``, ``reason``
+``fault.dup``         ``src``, ``dst``, ``kind``, ``message_id``
+``fault.partition``   ``src``, ``dst``, ``kind``, ``message_id``
+``fault.spike``       ``src``, ``dst``, ``kind``, ``message_id``,
+                      ``extra_delay``
+``crash``             ``process``
+``restart``           ``process``
+``retx.send``         ``process``, ``message_id``, ``receiver``, ``kind``
+``retx.ack``          ``process``, ``peer``, ``cumulative``
+``retx.dup``          ``process``, ``message_id``, ``sender``
+``retx.resume``       ``peer``, ``unacked``
+``timer.fire``        ``process``
+``link.up``           ``process``, ``peer``, ``previous``
+``link.suspect``      ``process``, ``peer``, ``previous``
+``link.down``         ``process``, ``peer``, ``previous``
+``link.redial``       ``process``, ``peer``, ``attempts``
+``link.giveup``       ``process``, ``peer``, ``attempts``
+``net.shed``          ``dst``, ``kind``, ``queued`` (or ``flushed`` on
+                      restore)
+``net.backpressure``  ``process``, ``state``, ``pending``
+====================  =======================================================
 
-The ``mc.*`` probes are emitted by the model checker's explorer
-(:mod:`repro.mc.explorer`): one ``mc.schedule`` per explored maximal
-schedule (``outcome`` is ``"complete"``, ``"violation"`` or
-``"truncated"``), one ``mc.prune`` per skipped subtree (``reason`` is
-``"sleep"`` or ``"state"``), one ``mc.violation`` per counterexample.
-
-The ``verify.step``/``verify.match`` probes are emitted by the
-incremental verification engine
-(:class:`repro.verification.engine.SpecMonitor`): one ``verify.step``
-per user event the monitor checks (``sequence`` is the trace record's
-sequence number, ``messages`` the registered-message count at that
-point), one ``verify.match`` when an event completes a forbidden
-instance.
+``host.inhibit`` is emitted when a protocol returns from ``on_invoke``
+without releasing the message.
 
 The ``fault.*``/``crash``/``restart`` probes come from the fault
 injection layer (:mod:`repro.faults`): ``fault.drop`` carries a
@@ -104,20 +90,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Mapping
 #: The stable probe-point names (see the module docstring for payloads).
 PROBES = frozenset(
     {
-        "sim.step",
-        "net.send",
-        "net.control",
-        "host.invoke",
         "host.inhibit",
-        "host.release",
-        "host.receive",
-        "host.deliver",
-        "verify.check",
-        "verify.step",
-        "verify.match",
-        "mc.schedule",
-        "mc.prune",
-        "mc.violation",
         "fault.drop",
         "fault.dup",
         "fault.partition",
@@ -161,32 +134,22 @@ class Bus:
 
     :attr:`observed` is the set of probe names somebody listens to, so a
     call site guards each emission with
-    ``if bus is not None and "host.deliver" in bus.observed:`` -- a probe
+    ``if bus is not None and "timer.fire" in bus.observed:`` -- a probe
     nobody subscribes to costs one set lookup: no clock read, no payload
     built, no :meth:`emit` call.
     """
 
     def __init__(self) -> None:
         self._handlers: Dict[str, List[Handler]] = {}
-        self._wildcard: List[Handler] = []
-        #: The probe names with a subscriber (every one of :data:`PROBES`
-        #: while a :meth:`subscribe_all` handler is attached).
+        #: The probe names with a subscriber.
         self.observed: FrozenSet[str] = frozenset()
         #: ``True`` iff at least one subscriber is attached.
         self.active = False
-        #: ``True`` iff a :meth:`subscribe_all` handler is attached: a site
-        #: whose probe name is not fixed passes an unknown one on to
-        #: :meth:`emit`, which then rejects it.
-        self.observes_all = False
 
     def _refresh(self) -> None:
-        self.observes_all = bool(self._wildcard)
-        if self.observes_all:
-            self.observed = PROBES
-        else:
-            self.observed = frozenset(
-                probe for probe, handlers in self._handlers.items() if handlers
-            )
+        self.observed = frozenset(
+            probe for probe, handlers in self._handlers.items() if handlers
+        )
         self.active = bool(self.observed)
 
     def subscribe(self, probe: str, handler: Handler) -> Callable[[], None]:
@@ -206,55 +169,11 @@ class Bus:
 
         return unsubscribe
 
-    def subscribe_all(self, handler: Handler) -> Callable[[], None]:
-        """Attach ``handler`` to every probe point; returns an unsubscriber."""
-        self._wildcard.append(handler)
-        self._refresh()
-
-        def unsubscribe() -> None:
-            if handler in self._wildcard:
-                self._wildcard.remove(handler)
-            self._refresh()
-
-        return unsubscribe
-
     def emit(self, probe: str, time: float, **data: Any) -> None:
-        """Deliver a probe event to its subscribers (no-op when nobody
-        observes ``probe``; an unknown name raises only when a
-        :meth:`subscribe_all` handler would have seen it)."""
+        """Deliver a probe event to its subscribers (a no-op for a name
+        nobody observes, known or not)."""
         if probe not in self.observed:
-            if self.observes_all:
-                raise ValueError(
-                    "unknown probe %r; expected one of %s" % (probe, sorted(PROBES))
-                )
             return
         event = ProbeEvent(probe=probe, time=time, data=data)
-        handlers = self._handlers.get(probe)
-        if handlers:
-            for handler in list(handlers):
-                handler(event)
-        for handler in list(self._wildcard):
+        for handler in list(self._handlers[probe]):
             handler(event)
-
-
-class ProbeLog:
-    """A subscriber that records every probe event, in emission order."""
-
-    def __init__(self, bus: Bus):
-        self._events: List[ProbeEvent] = []
-        self._unsubscribe = bus.subscribe_all(self._events.append)
-
-    def events(self) -> List[ProbeEvent]:
-        """All recorded events, oldest first."""
-        return list(self._events)
-
-    def events_for(self, probe: str) -> List[ProbeEvent]:
-        """The recorded events of one probe point."""
-        return [event for event in self._events if event.probe == probe]
-
-    def close(self) -> None:
-        """Stop recording (detach from the bus)."""
-        self._unsubscribe()
-
-    def __len__(self) -> int:
-        return len(self._events)

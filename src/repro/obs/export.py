@@ -1,4 +1,4 @@
-"""Exporters: Chrome trace-event JSON (Perfetto) and JSONL probe logs.
+"""Exporter: Chrome trace-event JSON (Perfetto).
 
 The Chrome trace-event format (the JSON flavour Perfetto and
 ``chrome://tracing`` load directly) gets one track per process, one
@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-from repro.obs.bus import ProbeLog
 from repro.obs.spans import SpanTracer
 
 #: Microseconds of trace time per unit of virtual time.
@@ -127,26 +126,3 @@ def write_chrome_trace(
     with open(path, "w") as handle:
         json.dump(document, handle, indent=1)
     return path
-
-
-def probe_log_to_jsonl(log: ProbeLog) -> str:
-    """Serialize a probe log as JSON Lines text (one event per line)."""
-    lines = []
-    for event in log.events():
-        record = {"probe": event.probe, "time": event.time}
-        record.update(
-            {key: _jsonable(value) for key, value in sorted(event.data.items())}
-        )
-        lines.append(json.dumps(record, sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _jsonable(value: Any) -> Any:
-    """Coerce probe payload values into something JSON can carry."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in value.items()}
-    return repr(value)

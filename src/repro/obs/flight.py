@@ -46,18 +46,10 @@ __all__ = [
 #: records are read from the host's trace.
 DEFAULT_CAPACITY = 4096
 
-#: The host probe of each lifecycle record kind, and the kind's name.
-#: Lifecycle kinds map onto the paper's event kinds; every context
-#: record keeps its probe name.
-LIFECYCLE_KINDS = {
-    "host.invoke": "invoke",
-    "host.release": "send",
-    "host.receive": "receive",
-    "host.deliver": "deliver",
-}
-
-#: Record kind by :class:`~repro.events.EventKind` value.
-_KIND_OF_EVENT = tuple(LIFECYCLE_KINDS.values())
+#: The lifecycle record kinds, indexed by :class:`~repro.events.EventKind`
+#: value: the paper's four events.  Every context record keeps its probe
+#: name as its kind.
+LIFECYCLE_KINDS = ("invoke", "send", "receive", "deliver")
 
 #: Non-lifecycle probes worth keeping in the ring (the fault/recovery
 #: stream an operator replays when diagnosing a violation window).
@@ -135,10 +127,10 @@ class FlightRecorder:
     :class:`~repro.net.transport.WallClock` whose ``wall_at`` stamps every
     record; without a clock a context record is stamped when it is taped.
     :meth:`attach` subscribes to :data:`CONTEXT_PROBES` only.  The merged
-    stream is what a recorder taping every lifecycle probe would have
-    held: the same records in the same order, with the same ``seq``,
-    ``recorded`` and ``dropped``, except that a ``send`` record carries no
-    ``tag_bytes`` (the host's ``tag.bytes.per_message`` histogram does).
+    stream puts every context record after the lifecycle records the
+    trace held when it was taped, which is the order the host executed
+    them in; a ``send`` record carries no ``tag_bytes`` (the host's
+    ``tag.bytes.per_message`` histogram does).
     """
 
     def __init__(
@@ -265,7 +257,7 @@ class FlightRecorder:
             seq=seq,
             wall=self._wall_at(record.time),
             time=record.time,
-            kind=_KIND_OF_EVENT[event.kind.value],
+            kind=LIFECYCLE_KINDS[event.kind.value],
             data=data,
         )
 

@@ -156,7 +156,7 @@ def _timeline(
     wanted = set(message_ids)
     rows: List[Dict[str, Any]] = []
     for process, record in _flight_records(dumps):
-        if record.kind in LIFECYCLE_KINDS.values() and record.message_id in wanted:
+        if record.kind in LIFECYCLE_KINDS and record.message_id in wanted:
             rows.append(
                 {
                     "message_id": record.message_id,

@@ -17,15 +17,6 @@ from repro.simulation.network import LatencyModel
 from repro.simulation.runner import run_simulation
 from repro.simulation.workloads import Workload
 
-
-def catalog_protocols() -> "dict[str, Callable[[int, int], object]]":
-    """The named protocol factories available for profiling (a view of
-    the single :func:`repro.protocols.catalogue` registry)."""
-    from repro.protocols.registry import cached_catalogue
-
-    return {name: entry.factory for name, entry in cached_catalogue().items()}
-
-
 #: The default comparison set of ``repro profile``.
 DEFAULT_PROFILE_PROTOCOLS = ("tagless", "fifo", "causal-rst", "sync-coord")
 

@@ -12,8 +12,12 @@ three spans with causal parent links:
 
 The tracer also records one *flow* per message (send at the sender to
 receive at the receiver), which the Chrome exporter turns into the
-causal arrows Perfetto draws between tracks.  Phases a run never
-completed are closed at :meth:`SpanTracer.finish` time and marked
+causal arrows Perfetto draws between tracks.  Everything is read off a
+:class:`~repro.simulation.trace.Trace` in one pass over its records, in
+their order: a phase opens at the latest of its message's events
+recorded before it, so a trace stitched from skewed clocks (a receive
+recorded before its send) still yields a span per record.  Phases the
+run never completed are closed at the latest record's time and marked
 ``incomplete``.
 """
 
@@ -22,9 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.obs.bus import Bus, ProbeEvent
+from repro.events import EventKind
+from repro.simulation.trace import DELIVERED, INVOKED, RECEIVED, SENT, Trace
 
-#: Lifecycle phases, in causal order.
+#: Lifecycle phases, in causal order: a record of kind ``k`` closes
+#: phase ``PHASES[k.value - 1]``.
 PHASES = ("inhibit", "transit", "buffer")
 
 
@@ -62,161 +68,87 @@ class Flow:
 
 
 class SpanTracer:
-    """Builds the causal span tree of a run from host probe events."""
+    """The causal span tree of a run, built from its trace.
 
-    def __init__(self, bus: Bus):
+    The phases the trace never completed close at the latest record's
+    time: a message invoked but never sent gets an ``incomplete`` inhibit
+    span, one received but never delivered an ``incomplete`` buffer span.
+    """
+
+    def __init__(self, trace: Trace):
         self._spans: List[Span] = []
         self._flows: List[Flow] = []
-        self._next_id = 1
-        # Per-message lifecycle state.
-        self._invoke: Dict[str, ProbeEvent] = {}
-        self._release: Dict[str, ProbeEvent] = {}
-        self._receive: Dict[str, ProbeEvent] = {}
-        self._span_of: Dict[str, Dict[str, int]] = {}  # message -> phase -> id
-        self._finished = False
-        self._unsubscribers = [
-            bus.subscribe("host.invoke", self._on_invoke),
-            bus.subscribe("host.release", self._on_release),
-            bus.subscribe("host.receive", self._on_receive),
-            bus.subscribe("host.deliver", self._on_deliver),
-        ]
+        self._span_of: Dict[str, Dict[str, Span]] = {}
+        records = trace.records()
+        for record in records:
+            kind = record.event.kind
+            if kind is EventKind.INVOKE:
+                continue
+            message_id = record.event.message_id
+            opened = trace.row(message_id)[kind.value - 1]
+            if opened is None or opened.sequence > record.sequence:
+                opened = record
+            track, args = record.process, {}
+            if kind is EventKind.RECEIVE:
+                track = trace.message(message_id).sender
+                self._flows.append(
+                    Flow(
+                        flow_id=len(self._flows) + 1,
+                        message_id=message_id,
+                        src=track,
+                        dst=record.process,
+                        send_time=opened.time,
+                        receive_time=record.time,
+                    )
+                )
+            elif kind is EventKind.DELIVER:
+                args["delayed"] = record.time > opened.time
+            phase = kind.value - 1
+            self._add(message_id, phase, track, opened.time, record.time, args)
+        end = max((record.time for record in records), default=0.0)
+        rows = [(message.id, trace.row(message.id)) for message in trace.messages()]
+        for phase, first, last in ((0, INVOKED, SENT), (2, RECEIVED, DELIVERED)):
+            for message_id, row in rows:
+                opened = row[first]
+                if opened is not None and row[last] is None:
+                    self._add(
+                        message_id,
+                        phase,
+                        opened.process,
+                        opened.time,
+                        end,
+                        incomplete=True,
+                    )
 
-    def _new_span(
+    def _add(
         self,
-        name: str,
-        category: str,
+        message_id: str,
+        phase: int,
         track: int,
         start: float,
         end: float,
-        parent_id: Optional[int],
-        message_id: str,
+        args: Optional[Dict[str, Any]] = None,
         incomplete: bool = False,
-        **args: Any,
-    ) -> Span:
+    ) -> None:
+        """Open span ``PHASES[phase]`` of ``message_id``, parented by the
+        message's span of the phase before it, if any."""
+        spans = self._span_of.setdefault(message_id, {})
+        parent = spans.get(PHASES[phase - 1]) if phase else None
+        category = PHASES[phase]
         span = Span(
-            span_id=self._next_id,
-            name=name,
+            span_id=len(self._spans) + 1,
+            name="%s %s" % (message_id, category),
             category=category,
             track=track,
             start=start,
             end=end,
-            parent_id=parent_id,
+            parent_id=parent.span_id if parent is not None else None,
             message_id=message_id,
             incomplete=incomplete,
-            args=args,
+            args=args or {},
         )
-        self._next_id += 1
         self._spans.append(span)
-        self._span_of.setdefault(message_id, {})[category] = span.span_id
-        return span
-
-    # Probe handlers -------------------------------------------------------
-
-    def _on_invoke(self, event: ProbeEvent) -> None:
-        self._invoke[event.data["message_id"]] = event
-
-    def _on_release(self, event: ProbeEvent) -> None:
-        message_id = event.data["message_id"]
-        self._release[message_id] = event
-        invoke = self._invoke.get(message_id)
-        start = invoke.time if invoke is not None else event.time
-        self._new_span(
-            name="%s inhibit" % message_id,
-            category="inhibit",
-            track=event.data["process"],
-            start=start,
-            end=event.time,
-            parent_id=None,
-            message_id=message_id,
-            tag_bytes=event.data.get("tag_bytes"),
-        )
-
-    def _on_receive(self, event: ProbeEvent) -> None:
-        message_id = event.data["message_id"]
-        self._receive[message_id] = event
-        release = self._release.get(message_id)
-        sender = event.data["sender"]
-        start = release.time if release is not None else event.time
-        parent = self._span_of.get(message_id, {}).get("inhibit")
-        self._new_span(
-            name="%s transit" % message_id,
-            category="transit",
-            track=sender,
-            start=start,
-            end=event.time,
-            parent_id=parent,
-            message_id=message_id,
-        )
-        self._flows.append(
-            Flow(
-                flow_id=len(self._flows) + 1,
-                message_id=message_id,
-                src=sender,
-                dst=event.data["process"],
-                send_time=start,
-                receive_time=event.time,
-            )
-        )
-
-    def _on_deliver(self, event: ProbeEvent) -> None:
-        message_id = event.data["message_id"]
-        receive = self._receive.get(message_id)
-        start = receive.time if receive is not None else event.time
-        parent = self._span_of.get(message_id, {}).get("transit")
-        self._new_span(
-            name="%s buffer" % message_id,
-            category="buffer",
-            track=event.data["process"],
-            start=start,
-            end=event.time,
-            parent_id=parent,
-            message_id=message_id,
-            delayed=event.data.get("delayed"),
-        )
-
-    # Lifecycle ------------------------------------------------------------
-
-    def finish(self, now: float) -> None:
-        """Close the spans of unfinished lifecycles at time ``now``.
-
-        A message invoked but never released gets an ``incomplete``
-        inhibit span; one received but never delivered an ``incomplete``
-        buffer span.  Idempotent.
-        """
-        if self._finished:
-            return
-        self._finished = True
-        for message_id, invoke in sorted(self._invoke.items()):
-            if message_id not in self._release:
-                self._new_span(
-                    name="%s inhibit" % message_id,
-                    category="inhibit",
-                    track=invoke.data["process"],
-                    start=invoke.time,
-                    end=max(now, invoke.time),
-                    parent_id=None,
-                    message_id=message_id,
-                    incomplete=True,
-                )
-        for message_id, receive in sorted(self._receive.items()):
-            spans = self._span_of.get(message_id, {})
-            if "buffer" not in spans:
-                self._new_span(
-                    name="%s buffer" % message_id,
-                    category="buffer",
-                    track=receive.data["process"],
-                    start=receive.time,
-                    end=max(now, receive.time),
-                    parent_id=spans.get("transit"),
-                    message_id=message_id,
-                    incomplete=True,
-                )
-
-    def close(self) -> None:
-        """Detach from the bus (recorded spans remain queryable)."""
-        for unsubscribe in self._unsubscribers:
-            unsubscribe()
-        self._unsubscribers = []
+        spans[category] = span
 
     # Queries --------------------------------------------------------------
 
@@ -226,9 +158,7 @@ class SpanTracer:
 
     def spans_of(self, message_id: str) -> Dict[str, Span]:
         """The spans of one message, keyed by phase."""
-        ids = self._span_of.get(message_id, {})
-        by_id = {span.span_id: span for span in self._spans}
-        return {phase: by_id[span_id] for phase, span_id in ids.items()}
+        return dict(self._span_of.get(message_id, {}))
 
     def flows(self) -> List[Flow]:
         """All send->receive flows, in receive order."""

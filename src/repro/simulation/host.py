@@ -193,19 +193,11 @@ class ProtocolHost:
         trace.record(self.sim.now, self.process_id, Event.invoke(message.id))
         self._unsent += 1
         self._metric("messages.invoked").inc()
-        bus = self._bus
-        if bus is not None and "host.invoke" in bus.observed:
-            bus.emit(
-                "host.invoke",
-                self.sim.now,
-                message_id=message.id,
-                process=self.process_id,
-                receiver=message.receiver,
-            )
         self.protocol.on_invoke(self.ctx, message)
         if not self._here(trace.row(message.id)[SENT]):
             # The protocol returned without releasing: the send is inhibited.
             self._metric("messages.inhibited").inc()
+            bus = self._bus
             if bus is not None and "host.inhibit" in bus.observed:
                 bus.emit(
                     "host.inhibit",
@@ -234,16 +226,6 @@ class ProtocolHost:
         self._user_count.inc()
         self._tag_total.inc(tag_bytes)
         self._tag_sizes.observe(tag_bytes)
-        bus = self._bus
-        if bus is not None and "host.release" in bus.observed:
-            bus.emit(
-                "host.release",
-                now,
-                message_id=message.id,
-                process=self.process_id,
-                receiver=message.receiver,
-                tag_bytes=tag_bytes,
-            )
         self.network.send_user(self.process_id, message.receiver, message, tag)
 
     def deliver(self, message: Message) -> None:
@@ -260,22 +242,11 @@ class ProtocolHost:
         self._buffered -= 1
         self._delivery_count.inc()
         received = row[RECEIVED].time
-        delayed = now > received
-        if delayed:
+        if now > received:
             self._delayed_count.inc()
         self._metric("latency.buffering").observe(now - received)
         self._account_occupancy(-1)
         self._account_latency(message)
-        bus = self._bus
-        if bus is not None and "host.deliver" in bus.observed:
-            bus.emit(
-                "host.deliver",
-                now,
-                message_id=message.id,
-                process=self.process_id,
-                sender=message.sender,
-                delayed=delayed,
-            )
         if self.delivery_listener is not None:
             self.delivery_listener(message)
 
@@ -383,7 +354,7 @@ class ProtocolHost:
     def emit_probe(self, probe: str, **data: Any) -> None:
         """Emit a protocol-level probe with time and process filled in."""
         bus = self._bus
-        if bus is not None and (probe in bus.observed or bus.observes_all):
+        if bus is not None and probe in bus.observed:
             bus.emit(probe, self.sim.now, process=self.process_id, **data)
 
     # Network-facing --------------------------------------------------------
@@ -430,15 +401,6 @@ class ProtocolHost:
             self.trace.record(now, self.process_id, Event.receive(message.id))
             self._buffered += 1
             self._account_arrival(message, now)
-            bus = self._bus
-            if bus is not None and "host.receive" in bus.observed:
-                bus.emit(
-                    "host.receive",
-                    now,
-                    message_id=message.id,
-                    process=self.process_id,
-                    sender=message.sender,
-                )
             self.protocol.on_user_message(self.ctx, message, packet.tag)
         else:
             self.protocol.on_control(self.ctx, packet.src, packet.payload)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.events import Message
 from repro.simulation.sim import Simulator
@@ -176,9 +176,9 @@ class Transport:
     schedule.
     """
 
-    def transmit(self, network: "Network", packet: Packet) -> Optional[float]:
-        """Route ``packet``; return its arrival time (``None`` if the
-        arrival is decided later by an external scheduler)."""
+    def transmit(self, network: "Network", packet: Packet) -> None:
+        """Route ``packet``: schedule its arrival, park it for an external
+        scheduler, or drop it."""
         raise NotImplementedError
 
 
@@ -196,7 +196,7 @@ class LatencyTransport(Transport):
         self._rng = random.Random(seed)
         self._last_arrival: Dict[Tuple[int, int], float] = {}
 
-    def transmit(self, network: "Network", packet: Packet) -> Optional[float]:
+    def transmit(self, network: "Network", packet: Packet) -> None:
         """Draw the packet's delay and schedule the handler call."""
         sim = network.sim
         delay = self.latency.sample(self._rng, packet.src, packet.dst)
@@ -207,7 +207,6 @@ class LatencyTransport(Transport):
             self._last_arrival[channel] = arrival
         handler = network.handler_for(packet.dst)
         sim.schedule(arrival - sim.now, lambda: handler(packet))
-        return arrival
 
 
 class Network:
@@ -280,35 +279,7 @@ class Network:
         if counter is None:
             counter = self._channel_seq[channel] = itertools.count()
         packet.channel_seq = next(counter)
-        arrival = self.transport.transmit(self, packet)
-        bus = self._bus
-        if bus is None:
-            return
-        if packet.is_user:
-            if "net.send" in bus.observed:
-                message = packet.message
-                now = self.sim.now
-                bus.emit(
-                    "net.send",
-                    now,
-                    src=packet.src,
-                    dst=packet.dst,
-                    message_id=message.id if message is not None else None,
-                    tag=packet.tag,
-                    delay=None if arrival is None else arrival - now,
-                    arrival=arrival,
-                )
-        elif "net.control" in bus.observed:
-            now = self.sim.now
-            bus.emit(
-                "net.control",
-                now,
-                src=packet.src,
-                dst=packet.dst,
-                payload=packet.payload,
-                delay=None if arrival is None else arrival - now,
-                arrival=arrival,
-            )
+        self.transport.transmit(self, packet)
 
     def send_user(
         self, src: int, dst: int, message: Message, tag: Any = None

@@ -112,16 +112,15 @@ def run_simulation(
     The network seed controls latencies; the workload's own seed already
     fixed the request script, so (factory, workload, seed) determines the
     run completely.  An optional instrumentation ``bus``
-    (:class:`repro.obs.Bus`) receives probe events from the simulator,
-    network and hosts; subscribers only observe, so the schedule -- and
-    every statistic -- is identical with or without one.
+    (:class:`repro.obs.Bus`) receives the hosts' and the fault layer's
+    probe events; subscribers only observe, so the schedule -- and every
+    statistic -- is identical with or without one.
 
     With a ``spec`` (a :class:`~repro.predicates.spec.Specification` or
     single predicate), the recorded trace is checked by an incremental
     :class:`~repro.verification.engine.SpecMonitor` -- each event is
     inspected once, in execution order -- and the earliest completing
-    event lands in :attr:`SimulationResult.first_violation`
-    (``verify.step``/``verify.match`` probes go to ``bus``).
+    event lands in :attr:`SimulationResult.first_violation`.
 
     With ``faults`` (a :class:`repro.faults.FaultPlan`), the latency
     transport is wrapped in a :class:`repro.faults.FaultyTransport` and a
@@ -140,7 +139,7 @@ def run_simulation(
     import time as _time
 
     wall_start = _time.perf_counter()
-    sim = Simulator(bus=bus)
+    sim = Simulator()
     latency_model = latency or UniformLatency(low=1.0, high=10.0)
     latency_model.reset()
     from repro.simulation.network import LatencyTransport
@@ -222,7 +221,7 @@ def run_simulation(
     if spec is not None:
         from repro.verification.engine import SpecMonitor
 
-        violation = SpecMonitor(spec, bus=bus).advance(trace)
+        violation = SpecMonitor(spec).advance(trace)
 
     fault_summary = None
     dropped_messages: List[str] = []

@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs depends on us)
-    from repro.obs.bus import Bus
+from typing import Callable, List, Optional, Tuple
 
 Action = Callable[[], None]
 
@@ -16,17 +13,13 @@ class Simulator:
 
     Ties in time are broken by scheduling order (a monotonically increasing
     sequence number), so a run is a pure function of the scheduled actions.
-    An optional instrumentation ``bus`` receives a ``sim.step`` probe per
-    dispatched event; subscribers only observe, so attaching one never
-    changes the schedule.
     """
 
-    def __init__(self, bus: "Optional[Bus]" = None) -> None:
+    def __init__(self) -> None:
         self._queue: List[Tuple[float, int, Action]] = []
         self._now = 0.0
         self._sequence = 0
         self._executed = 0
-        self._bus = bus
 
     @property
     def now(self) -> float:
@@ -53,17 +46,11 @@ class Simulator:
         Returns the number of events executed by this call.
         """
         executed_before = self._executed
-        bus = self._bus
         while self._queue:
             if max_events is not None and self._executed - executed_before >= max_events:
                 break
-            time, sequence, action = heapq.heappop(self._queue)
-            self._now = time
+            self._now, _, action = heapq.heappop(self._queue)
             self._executed += 1
-            if bus is not None and "sim.step" in bus.observed:
-                bus.emit(
-                    "sim.step", time, sequence=sequence, pending=len(self._queue)
-                )
             action()
         return self._executed - executed_before
 

@@ -132,11 +132,8 @@ def spec_admits(
 
 
 def monitor_trace(
-    trace,
-    spec: Union[Specification, ForbiddenPredicate],
-    bus: Optional[object] = None,
+    trace, spec: Union[Specification, ForbiddenPredicate]
 ) -> Optional[FirstViolation]:
     """Check a whole trace with a fresh monitor: the earliest event
     whose execution completed a forbidden instance, or ``None``."""
-    monitor = SpecMonitor(spec, bus=bus)
-    return monitor.advance(trace)
+    return SpecMonitor(spec).advance(trace)

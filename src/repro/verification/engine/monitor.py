@@ -22,7 +22,7 @@ instead of re-checking the full trace prefix at every node.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.events import DELIVER, SEND, Event
@@ -74,17 +74,12 @@ MonitorFrame = Tuple[int, int, int, Optional[FirstViolation]]
 class SpecMonitor:
     """Stateful first-violation detection over an append-only trace."""
 
-    def __init__(
-        self,
-        spec: Union[Specification, ForbiddenPredicate],
-        bus: Optional[object] = None,
-    ):
+    def __init__(self, spec: Union[Specification, ForbiddenPredicate]):
         self.spec = (
             spec
             if isinstance(spec, Specification)
             else Specification(name=spec.name or "anonymous", predicates=(spec,))
         )
-        self.bus = bus
         self.stats = MonitorStats()
         self._index = MessageIndex()
         self._causality = OnlineCausality()
@@ -132,7 +127,6 @@ class SpecMonitor:
         """
         if self._violation is not None:
             return self._violation
-        bus = self.bus
         for record in trace.records_since(self._consumed):
             self._consumed += 1
             self.stats.events_consumed += 1
@@ -149,26 +143,10 @@ class SpecMonitor:
                 self._index.add(message)
             self._causality.observe(event, message)
             self.stats.events_checked += 1
-            if bus is not None and bus.active:
-                bus.emit(
-                    "verify.step",
-                    record.time,
-                    event=repr(event),
-                    sequence=record.sequence,
-                    messages=len(self._index),
-                )
             violation = self._check(event, message, record.time)
             if violation is not None:
                 self._violation = violation
                 self.stats.violations += 1
-                if bus is not None and bus.active:
-                    bus.emit(
-                        "verify.match",
-                        record.time,
-                        event=repr(event),
-                        predicate=violation.predicate_name,
-                        assignment=dict(violation.assignment),
-                    )
                 return violation
         return None
 

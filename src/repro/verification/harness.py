@@ -13,10 +13,7 @@ both obligations, along with the costs that betray the protocol's class
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs depends on us)
-    from repro.obs.bus import Bus
+from typing import Callable, List, Optional, Sequence, Union
 
 from repro.predicates.ast import ForbiddenPredicate
 from repro.predicates.spec import Specification
@@ -101,13 +98,8 @@ def check_conformance(
     workloads: Optional[Callable[[int], List[Workload]]] = None,
     latencies: Optional[Sequence[LatencyModel]] = None,
     max_failures: int = 10,
-    bus: "Optional[Bus]" = None,
 ) -> ConformanceReport:
-    """Sweep the protocol and tally safety/liveness against ``spec``.
-
-    An optional instrumentation ``bus`` is threaded into every simulation
-    and receives one ``verify.check`` probe per checked run.
-    """
+    """Sweep the protocol and tally safety/liveness against ``spec``."""
     specification = (
         spec
         if isinstance(spec, Specification)
@@ -120,20 +112,9 @@ def check_conformance(
         for workload in make_workloads(seed):
             for latency in latency_models:
                 result = run_simulation(
-                    protocol_factory, workload, seed=seed, latency=latency, bus=bus
+                    protocol_factory, workload, seed=seed, latency=latency
                 )
                 outcome = check_simulation(result, specification)
-                if bus is not None and bus.active:
-                    bus.emit(
-                        "verify.check",
-                        0.0,
-                        spec=specification.name,
-                        protocol=result.protocol_name,
-                        workload=workload.name,
-                        safe=outcome.safe,
-                        live=outcome.live,
-                        violations=len(outcome.violations),
-                    )
                 report.runs += 1
                 report.safe_runs += outcome.safe
                 report.live_runs += outcome.live

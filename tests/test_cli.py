@@ -252,12 +252,13 @@ class TestCheckCommand:
         assert report["violations"][0]["predicate"] == "fifo"
         assert report["violations"][0]["minimized"] is not None
 
-        from repro.mc import default_spec_for, replay_schedule
+        from repro.mc import replay_schedule
+        from repro.protocols.registry import resolve
         from repro.simulation.persistence import load_schedule
 
         schedule = load_schedule(str(cex_path))
         outcome = replay_schedule(
-            schedule, spec=default_spec_for(schedule.protocol)
+            schedule, spec=resolve(schedule.protocol).spec
         )
         assert outcome.violation is not None
         assert outcome.violation.predicate_name == "fifo"

@@ -9,7 +9,6 @@ import pytest
 from repro.mc import (
     Schedule,
     check_protocol,
-    default_spec_for,
     minimize_schedule,
     pair_workload,
     replay_schedule,
@@ -17,6 +16,7 @@ from repro.mc import (
     triangle_workload,
     violation_oracle,
 )
+from repro.protocols.registry import resolve
 from repro.simulation.persistence import (
     load_schedule,
     save_schedule,
@@ -52,7 +52,7 @@ def test_schedule_dict_round_trip_preserves_keys_exactly():
 
 def test_save_load_replay_reproduces_trace_and_violation():
     schedule = broken_fifo_counterexample()
-    spec = default_spec_for(schedule.protocol)
+    spec = resolve(schedule.protocol).spec
     original = replay_schedule(schedule, spec=spec)
 
     buffer = io.StringIO()
@@ -103,7 +103,7 @@ def test_replay_is_strict_about_enabledness():
 def test_replay_uses_registry_when_no_factory_given():
     schedule = broken_fifo_counterexample()
     outcome = replay_schedule(
-        schedule, spec=default_spec_for(schedule.protocol)
+        schedule, spec=resolve(schedule.protocol).spec
     )
     assert outcome.violation is not None
 
@@ -113,7 +113,7 @@ def test_replay_uses_registry_when_no_factory_given():
 
 def test_minimized_schedule_still_violates_same_oracle():
     schedule = broken_fifo_counterexample()
-    spec = default_spec_for(schedule.protocol)
+    spec = resolve(schedule.protocol).spec
     minimized = minimize_schedule(schedule, spec)
     base = replay_schedule(schedule, spec=spec)
     small = replay_schedule(minimized, spec=spec)
@@ -124,7 +124,7 @@ def test_minimized_schedule_still_violates_same_oracle():
 
 def test_minimized_schedule_is_one_minimal():
     schedule = broken_fifo_counterexample()
-    spec = default_spec_for(schedule.protocol)
+    spec = resolve(schedule.protocol).spec
     minimized = minimize_schedule(schedule, spec)
     oracle = violation_oracle(replay_schedule(schedule, spec=spec).violation)
     factory = resolve_protocol(schedule.protocol)
@@ -149,7 +149,7 @@ def test_minimized_schedule_is_one_minimal():
 
 def test_minimization_is_deterministic():
     schedule = broken_fifo_counterexample()
-    spec = default_spec_for(schedule.protocol)
+    spec = resolve(schedule.protocol).spec
     assert minimize_schedule(schedule, spec) == minimize_schedule(
         schedule, spec
     )
@@ -173,4 +173,4 @@ def test_minimizer_rejects_clean_schedule():
         protocol="fifo", workload=pair_workload(), keys=tuple(keys)
     )
     with pytest.raises(ValueError):
-        minimize_schedule(clean, default_spec_for("fifo"))
+        minimize_schedule(clean, resolve("fifo").spec)

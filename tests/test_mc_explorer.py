@@ -1,4 +1,4 @@
-"""The model checker: bounded proofs, seeded-bug detection, pruning, probes."""
+"""The model checker: bounded proofs, seeded-bug detection, pruning, reports."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from repro.mc import (
     transitions_dependent,
     triangle_workload,
 )
-from repro.obs import Bus
 from repro.predicates.catalog import FIFO_ORDERING
 from repro.simulation.workloads import SendRequest, Workload
 
@@ -161,28 +160,13 @@ def test_pruning_does_not_mask_the_bug():
 # -- observability ----------------------------------------------------------
 
 
-def test_probes_emitted_during_exploration():
-    bus = Bus()
-    seen = {"mc.schedule": [], "mc.prune": [], "mc.violation": []}
-    for name in seen:
-        bus.subscribe(name, lambda event, name=name: seen[name].append(event))
-    check_protocol("broken-fifo", pair_workload(), bus=bus, minimize=False)
-    assert seen["mc.schedule"], "every explored schedule emits mc.schedule"
-    assert seen["mc.violation"], "the counterexample emits mc.violation"
-    assert seen["mc.schedule"][0].data["outcome"] in (
-        "complete",
-        "violation",
-        "truncated",
-    )
-    violation = seen["mc.violation"][0]
-    assert violation.data["predicate"] == "fifo"
+def test_report_counts_schedules_prunes_and_the_violation():
+    report = check_protocol("broken-fifo", pair_workload(), minimize=False)
+    assert report.schedules_explored > 0
+    assert report.violations[0].first.predicate_name == "fifo"
 
-    bus2 = Bus()
-    prunes = []
-    bus2.subscribe("mc.prune", prunes.append)
-    check_protocol("tagless", three_sender_workload(), bus=bus2, minimize=False)
-    assert prunes, "independent transitions must produce sleep-set prunes"
-    assert {event.data["reason"] for event in prunes} <= {"sleep", "state"}
+    report = check_protocol("tagless", three_sender_workload(), minimize=False)
+    assert report.pruned_sleep > 0, "independent transitions must be slept on"
 
 
 def test_violation_carries_stuck_diagnoses_field():

@@ -11,9 +11,9 @@ from repro.mc import (
     triple_workload,
     violation_oracle,
 )
-from repro.mc.registry import default_spec_for
 from repro.mc.world import ControlledWorld
 from repro.mc.registry import resolve_protocol
+from repro.protocols.registry import resolve
 from repro.simulation.persistence import schedule_from_dict, schedule_to_dict
 
 
@@ -98,13 +98,13 @@ class TestUnprotectedCounterexample:
         assert report.violations
         violation = report.violations[0]
         minimized = violation.minimized or minimize_schedule(
-            violation.schedule, default_spec_for("broken-fifo")
+            violation.schedule, resolve("broken-fifo").spec
         )
         assert minimized.fault_budget == 1
         assert len(minimized) <= len(violation.schedule)
 
         # Replay reproduces the identical violation...
-        outcome = replay_schedule(minimized, spec=default_spec_for("broken-fifo"))
+        outcome = replay_schedule(minimized, spec=resolve("broken-fifo").spec)
         assert outcome.violation is not None
         assert violation_oracle(outcome.violation) == violation_oracle(
             violation.first
@@ -114,7 +114,7 @@ class TestUnprotectedCounterexample:
         restored = schedule_from_dict(schedule_to_dict(minimized))
         assert restored.fault_budget == minimized.fault_budget
         assert restored.keys == minimized.keys
-        replayed = replay_schedule(restored, spec=default_spec_for("broken-fifo"))
+        replayed = replay_schedule(restored, spec=resolve("broken-fifo").spec)
         assert replayed.violation is not None
         assert violation_oracle(replayed.violation) == violation_oracle(
             violation.first

@@ -1,5 +1,10 @@
 """Collector tests: clock-offset estimation, trace stitching, repro top."""
 
+import json
+import os
+
+import pytest
+
 from repro.net.collector import (
     HostPull,
     OffsetSample,
@@ -130,6 +135,70 @@ class TestStitch:
         trace = stitch_flight_dumps([_trace_body(0, records)], 1)
         spans = [e for e in trace["traceEvents"] if e.get("ph") == "X"]
         assert {s["name"] for s in spans} == {"m1 inhibit"}
+
+
+def _golden_cases():
+    """Stitcher inputs whose traces were pinned before the stitcher read
+    a :class:`~repro.simulation.trace.Trace`: name -> (dumps, processes,
+    offsets)."""
+    skewed = [
+        _trace_body(0, _sender_records("m1", 1000.000)),
+        _trace_body(1, _receiver_records("m1", 1000.010 - 5.0)),
+    ]
+    return {
+        "cross_process": (
+            [
+                _trace_body(0, _sender_records("m1", 1000.000)),
+                _trace_body(1, _receiver_records("m1", 1000.010)),
+            ],
+            2,
+            None,
+        ),
+        "skewed": (skewed, 2, None),
+        "skew_corrected": (skewed, 2, {1: -5.0}),
+        "incomplete": (
+            [
+                _trace_body(
+                    0,
+                    _sender_records("m1", 1000.000)
+                    + _sender_records("m2", 1000.002)[:1],
+                ),
+                _trace_body(
+                    1,
+                    _receiver_records("m1", 1000.010)
+                    + _receiver_records("m3", 1000.012)[:1],
+                ),
+            ],
+            2,
+            None,
+        ),
+        "context": (
+            [
+                _trace_body(
+                    0,
+                    _sender_records("m1", 1000.0)
+                    + [
+                        FlightRecord(
+                            2, 1000.002, 0.002, "fault.drop", {"message_id": "m1"}
+                        )
+                    ],
+                )
+            ],
+            1,
+            None,
+        ),
+        "empty": ([], 2, None),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_golden_cases()))
+def test_stitched_trace_matches_its_golden(name):
+    dumps, processes, offsets = _golden_cases()[name]
+    path = os.path.join(os.path.dirname(__file__), "data", "stitch_trace_golden.json")
+    with open(path) as handle:
+        golden = json.load(handle)[name]
+    stitched = stitch_flight_dumps(dumps, processes, offsets=offsets)
+    assert json.loads(json.dumps(stitched)) == golden
 
 
 def _pull(process, deliveries, invoked=None, offset=0.0, stuck=0):

@@ -1,53 +1,53 @@
-"""Tests for the instrumentation bus and probe log."""
+"""Tests for the instrumentation bus and its probe contract."""
 
 import pytest
 
-from repro.obs import PROBES, Bus, ProbeEvent, ProbeLog
+from repro.net.host import BRIDGED_PROBES
+from repro.obs import PROBES, Bus, MetricsRecorder, ProbeEvent, Watchdog
+from repro.obs.flight import CONTEXT_PROBES
+from repro.wal.sink import _PROBE_KINDS
 
 
 class TestBus:
     def test_starts_inactive(self):
         bus = Bus()
         assert not bus.active
-        bus.emit("host.invoke", 0.0, message_id="m1")  # swallowed, no error
+        bus.emit("timer.fire", 0.0, process=0)  # swallowed, no error
 
     def test_subscribe_and_emit(self):
         bus = Bus()
         seen = []
-        bus.subscribe("host.release", seen.append)
+        bus.subscribe("retx.send", seen.append)
         assert bus.active
-        bus.emit("host.release", 1.5, message_id="m1", process=0, tag_bytes=8)
-        bus.emit("host.deliver", 2.0, message_id="m1")  # different probe
+        bus.emit("retx.send", 1.5, message_id="m1", process=0, kind="user")
+        bus.emit("timer.fire", 2.0, process=0)  # different probe
         assert len(seen) == 1
         event = seen[0]
         assert isinstance(event, ProbeEvent)
-        assert event.probe == "host.release"
+        assert event.probe == "retx.send"
         assert event.time == 1.5
-        assert event.field_value("tag_bytes") == 8
+        assert event.field_value("kind") == "user"
         assert event.field_value("missing", 42) == 42
 
     def test_subscribe_unknown_probe_rejected(self):
         bus = Bus()
         with pytest.raises(ValueError, match="unknown probe"):
             bus.subscribe("host.teleport", lambda event: None)
-
-    def test_emit_unknown_probe_rejected_when_active(self):
-        bus = Bus()
-        bus.subscribe_all(lambda event: None)
         with pytest.raises(ValueError, match="unknown probe"):
-            bus.emit("host.teleport", 0.0)
+            bus.subscribe("host.deliver", lambda event: None)  # retired
 
-    def test_wildcard_sees_everything(self):
+    def test_emit_of_a_name_nobody_observes_is_a_no_op(self):
         bus = Bus()
         seen = []
-        bus.subscribe_all(seen.append)
-        bus.emit("sim.step", 0.0, sequence=0, pending=1)
-        bus.emit("net.send", 0.0, src=0, dst=1)
-        assert [event.probe for event in seen] == ["sim.step", "net.send"]
+        bus.subscribe("timer.fire", seen.append)
+        bus.emit("host.teleport", 0.0)  # unknown
+        bus.emit("host.deliver", 0.0, message_id="m1")  # retired
+        bus.emit("fault.drop", 0.0, message_id="m1")  # known, unobserved
+        assert seen == []
 
     def test_unsubscribe_restores_inactive(self):
         bus = Bus()
-        unsubscribe = bus.subscribe("sim.step", lambda event: None)
+        unsubscribe = bus.subscribe("timer.fire", lambda event: None)
         assert bus.active
         unsubscribe()
         assert not bus.active
@@ -55,20 +55,7 @@ class TestBus:
 
     def test_probe_set_is_the_documented_contract(self):
         assert PROBES == {
-            "sim.step",
-            "net.send",
-            "net.control",
-            "host.invoke",
             "host.inhibit",
-            "host.release",
-            "host.receive",
-            "host.deliver",
-            "verify.check",
-            "verify.step",
-            "verify.match",
-            "mc.schedule",
-            "mc.prune",
-            "mc.violation",
             "fault.drop",
             "fault.dup",
             "fault.partition",
@@ -89,27 +76,18 @@ class TestBus:
             "net.backpressure",
         }
 
-
-class TestProbeLog:
-    def test_records_in_emission_order(self):
+    def test_every_probe_has_a_subscriber(self):
+        """The bus carries only what something reads: the WAL sink, the
+        metrics recorder, the watchdog, the flight recorder's context
+        stream and the cluster observer bridge subscribe to all of
+        :data:`PROBES` between them, and to nothing else."""
         bus = Bus()
-        log = ProbeLog(bus)
-        bus.emit("host.invoke", 0.0, message_id="m1")
-        bus.emit("host.release", 0.5, message_id="m1")
-        assert len(log) == 2
-        assert [event.probe for event in log.events()] == [
-            "host.invoke",
-            "host.release",
-        ]
-        assert [event.probe for event in log.events_for("host.release")] == [
-            "host.release"
-        ]
-
-    def test_close_stops_recording(self):
-        bus = Bus()
-        log = ProbeLog(bus)
-        bus.emit("host.invoke", 0.0, message_id="m1")
-        log.close()
-        bus.emit("host.invoke", 1.0, message_id="m2")
-        assert len(log) == 1
-        assert not bus.active
+        MetricsRecorder(bus)
+        Watchdog(bus)
+        subscribed = (
+            bus.observed
+            | set(_PROBE_KINDS)
+            | set(CONTEXT_PROBES)
+            | set(BRIDGED_PROBES)
+        )
+        assert subscribed == PROBES

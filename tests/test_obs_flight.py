@@ -2,7 +2,8 @@
 
 On a host the recorder tapes only context probes; its lifecycle records
 are the tail of the host's trace, so every dump is checked against the
-trace and against what a recorder taping every lifecycle probe kept.
+trace and against a tape of the host's trace records and context probes
+in the order the host executed them.
 """
 
 import asyncio
@@ -210,13 +211,22 @@ async def _until(condition, timeout=20.0):
         await asyncio.sleep(0.005)
 
 
-class _EveryProbe:
-    """What a recorder taping every lifecycle probe as well kept."""
+class _Tape:
+    """A host's lifecycle records and context probes, in the order the
+    host executed them: ``(kind, None)`` from a trace tap beside
+    ``(probe, payload)`` from the context subscriptions."""
 
-    def __init__(self, bus):
+    def __init__(self, host):
         self.events = []
-        for probe in list(LIFECYCLE_KINDS) + list(CONTEXT_PROBES):
-            bus.subscribe(probe, self.events.append)
+        host.trace.attach_tap(
+            lambda record, message: self.events.append(
+                (LIFECYCLE_KINDS[record.event.kind.value], None)
+            )
+        )
+        for probe in CONTEXT_PROBES:
+            host.bus.subscribe(
+                probe, lambda event: self.events.append((event.probe, event.data))
+            )
 
 
 async def _ring_traffic(hosts, rounds, per_round):
@@ -238,8 +248,8 @@ async def _ring_traffic(hosts, rounds, per_round):
 
 
 def _run_three(run_id, faults, rounds=3, per_round=12):
-    """A 3-host reliable-fifo run; per host: (host, every-probe tape,
-    16-record recorder)."""
+    """A 3-host reliable-fifo run; per host: (host, its tape, 16-record
+    recorder)."""
 
     async def scenario():
         ports = free_ports(3)
@@ -251,7 +261,7 @@ def _run_three(run_id, faults, rounds=3, per_round=12):
                     host.process_id, capacity=16, trace=host.trace, clock=host.clock
                 )
                 small.attach(host.bus)
-                taps.append((host, _EveryProbe(host.bus), small))
+                taps.append((host, _Tape(host), small))
                 await host.start()
             await asyncio.gather(*(host.ready() for host in hosts))
             await _ring_traffic(hosts, rounds, per_round)
@@ -282,18 +292,16 @@ class TestLiveHosts:
             assert host.errors == []
             records = FlightRecorder.records_from_wire(body["flight"])
             trace_records = host.trace.records()
-            # Nothing slid out: the dump is every record, in probe order.
+            # Nothing slid out: the dump is every record, in host order.
             assert body["flight"]["recorded"] == len(records) == len(tape.events)
             assert body["flight"]["dropped"] == 0
             assert [r.seq for r in records] == list(range(len(records)))
-            lifecycle = [r for r in records if r.kind in LIFECYCLE_KINDS.values()]
+            lifecycle = [r for r in records if r.kind in LIFECYCLE_KINDS]
             assert len(lifecycle) == len(trace_records)
-            for record, event in zip(records, tape.events):
-                assert record.kind == LIFECYCLE_KINDS.get(event.probe, event.probe)
-                expected = dict(event.data)
-                if record.kind == "send":
-                    assert expected.pop("tag_bytes") >= 0  # the one field lost
-                assert record.data == expected
+            for record, (kind, payload) in zip(records, tape.events):
+                assert record.kind == kind
+                if payload is not None:
+                    assert record.data == payload
                 assert record.wall == host.clock.wall_at(record.time)
             for record, traced in zip(lifecycle, trace_records):
                 message = host.trace.message(traced.event.message_id)
@@ -322,7 +330,7 @@ class TestLiveHosts:
     def test_a_fault_free_run_leaves_the_ring_empty(self):
         for host, tape, _, body, _ in _run_three("t-flight-clean", None, rounds=1):
             assert host.errors == []
-            assert not [e for e in tape.events if e.probe in CONTEXT_PROBES]
+            assert not [kind for kind, payload in tape.events if payload is not None]
             assert len(host.flight._ring) == 0
             assert body["flight"]["recorded"] == len(host.trace) > 0
 
@@ -370,7 +378,7 @@ class TestLiveHosts:
 
         recovered, replayed, records = asyncio.run(scenario())
         assert recovered and replayed == (10, 0)
-        lifecycle = [r for r in records if r.kind in LIFECYCLE_KINDS.values()]
+        lifecycle = [r for r in records if r.kind in LIFECYCLE_KINDS]
         assert [(r.kind, r.message_id) for r in lifecycle] == [
             ("receive", "w5"), ("deliver", "w5"),
         ]

@@ -3,11 +3,11 @@
 from repro.obs import (
     DEFAULT_PROFILE_PROTOCOLS,
     ProtocolProfile,
-    catalog_protocols,
     profile_protocol,
     profile_protocols,
     render_profiles,
 )
+from repro.protocols.registry import cached_catalogue
 from repro.simulation import UniformLatency, random_traffic
 
 WORKLOAD = random_traffic(4, 30, seed=2, color_every=6)
@@ -15,9 +15,9 @@ LATENCY = UniformLatency(low=1.0, high=40.0)
 
 
 def _profiles(names):
-    catalog = catalog_protocols()
+    catalog = cached_catalogue()
     return profile_protocols(
-        [(name, catalog[name]) for name in names],
+        [(name, catalog[name].factory) for name in names],
         WORKLOAD,
         seed=2,
         latency=LATENCY,
@@ -26,7 +26,7 @@ def _profiles(names):
 
 class TestCatalog:
     def test_defaults_are_in_the_catalog(self):
-        catalog = catalog_protocols()
+        catalog = cached_catalogue()
         assert set(DEFAULT_PROFILE_PROTOCOLS) <= set(catalog)
         assert len(catalog) >= 8
 
@@ -61,9 +61,9 @@ class TestProfileProtocol:
         assert coordinator.control_messages > 0
 
     def test_all_messages_accounted(self):
-        catalog = catalog_protocols()
+        factory = cached_catalogue()["fifo"].factory
         profile = profile_protocol(
-            "fifo", catalog["fifo"], WORKLOAD, seed=2, latency=LATENCY
+            "fifo", factory, WORKLOAD, seed=2, latency=LATENCY
         )
         assert profile.messages == len(WORKLOAD.requests)
         assert profile.delivered == profile.messages

@@ -1,33 +1,27 @@
 """Tests for the causal span tracer and the Chrome trace exporter."""
 
 import json
+import os
 
-from repro.obs import (
-    PHASES,
-    Bus,
-    ProbeLog,
-    SpanTracer,
-    probe_log_to_jsonl,
-    spans_to_chrome_trace,
-    write_chrome_trace,
-)
+from repro.cli import main
+from repro.events import Event, Message
+from repro.obs import PHASES, SpanTracer, spans_to_chrome_trace, write_chrome_trace
 from repro.protocols import FifoProtocol
 from repro.protocols.base import make_factory
-from repro.simulation import UniformLatency, random_traffic, run_simulation
+from repro.simulation import Trace, UniformLatency, random_traffic, run_simulation
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def _traced_run(messages=20, seed=7):
-    bus = Bus()
-    tracer = SpanTracer(bus)
     workload = random_traffic(3, messages, seed=seed)
     result = run_simulation(
         make_factory(FifoProtocol),
         workload,
         seed=seed,
         latency=UniformLatency(low=1.0, high=40.0),
-        bus=bus,
     )
-    return tracer, result
+    return SpanTracer(result.trace), result
 
 
 class TestSpanTracer:
@@ -76,19 +70,33 @@ class TestSpanTracer:
         assert all(a.start <= b.start for a, b in zip(spans, spans[1:]))
 
     def test_finish_marks_incomplete_lifecycles(self):
-        bus = Bus()
-        tracer = SpanTracer(bus)
-        bus.emit("host.invoke", 0.0, message_id="m1", process=0, receiver=1)
-        bus.emit("host.receive", 3.0, message_id="m2", process=1, sender=0)
-        tracer.finish(10.0)
-        tracer.finish(99.0)  # idempotent: no duplicate spans
+        trace = Trace(2)
+        trace.register_message(Message("m1", 0, 1))
+        trace.register_message(Message("m2", 0, 1))
+        trace.register_message(Message("m3", 0, 1))
+        trace.record(0.0, 0, Event.invoke("m1"))
+        trace.record(1.0, 0, Event.invoke("m3"))
+        trace.record(3.0, 1, Event.receive("m2"))
+        trace.record(10.0, 0, Event.send("m3"))
+        tracer = SpanTracer(trace)
+        # The latest record (m3's send) closes the open phases.
         inhibit = tracer.spans_of("m1")["inhibit"]
         assert inhibit.incomplete
         assert (inhibit.start, inhibit.end) == (0.0, 10.0)
         buffer = tracer.spans_of("m2")["buffer"]
         assert buffer.incomplete
         assert (buffer.start, buffer.end) == (3.0, 10.0)
-        assert len(tracer.spans()) == 3  # m2 also got a transit span
+        assert not tracer.spans_of("m3")["inhibit"].incomplete
+        assert len(tracer.spans()) == 4  # m2 also got a transit span
+
+    def test_simulate_trace_out_matches_its_golden(self, tmp_path, capsys):
+        path = tmp_path / "trace.json"
+        argv = ["simulate", "fifo", "--messages", "40", "--seed", "1"]
+        assert main(argv + ["--trace-out", str(path)]) == 0
+        capsys.readouterr()
+        with open(os.path.join(DATA, "simulate_fifo_trace_golden.json")) as handle:
+            golden = json.load(handle)
+        assert json.loads(path.read_text()) == golden
 
 
 class TestChromeExport:
@@ -127,30 +135,10 @@ class TestChromeExport:
             assert start["ts"] <= finish["ts"]
 
     def test_forced_empty_tracks(self):
-        bus = Bus()
-        tracer = SpanTracer(bus)
-        document = spans_to_chrome_trace(tracer, n_processes=2)
+        document = spans_to_chrome_trace(SpanTracer(Trace(2)), n_processes=2)
         names = [
             event["args"]["name"]
             for event in document["traceEvents"]
             if event["ph"] == "M" and event["name"] == "thread_name"
         ]
         assert names == ["P0", "P1"]
-
-
-class TestProbeLogExport:
-    def test_jsonl_round_trips(self):
-        bus = Bus()
-        log = ProbeLog(bus)
-        bus.emit("host.invoke", 0.5, message_id="m1", process=0, receiver=1)
-        bus.emit("net.control", 1.0, src=0, dst=1, payload=(1, 2))
-        text = probe_log_to_jsonl(log)
-        lines = [json.loads(line) for line in text.strip().splitlines()]
-        assert lines[0]["probe"] == "host.invoke"
-        assert lines[0]["message_id"] == "m1"
-        assert lines[1]["payload"] == [1, 2]
-
-    def test_empty_log(self):
-        bus = Bus()
-        log = ProbeLog(bus)
-        assert probe_log_to_jsonl(log) == ""
