@@ -83,14 +83,6 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     return 0
 
 
-def _ports(args: argparse.Namespace) -> List[int]:
-    """Where the cluster's endpoints listen.  A sharded fleet exposes
-    one ingress per *shard* (its stats carry a "shard" field, which
-    `repro top` uses to pick the sharded view), else one per process."""
-    endpoints = getattr(args, "shards", 0) or args.processes
-    return [args.port_base + index for index in range(endpoints)]
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     specification = resolve_spec(args.predicate, args.distinct)
     color_every = args.color_every
@@ -334,11 +326,18 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
 
     Spawns one lane-worker OS process per shard (shard k's ingress on
     port-base + k) and waits for them; each worker exits on BYE, which
-    `repro load --shards` sends at the end of a run unless
-    --keep-serving is passed.
+    `repro load` sends at the end of a run unless --keep-serving is
+    passed.
     """
     from repro.net.shard import ShardCoordinator
     from repro.protocols.registry import resolve
+
+    if args.wal:
+        print(
+            "repro serve: --wal is for hosts; a shard worker keeps no log",
+            file=sys.stderr,
+        )
+        return 2
 
     # Lanes are not protocol stacks: only an entry whose specification
     # has a per-key lane checker maps onto the sharded runtime.
@@ -363,7 +362,6 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
         port_base=args.port_base,
         run_id=args.run_id,
         lane_kind=lane_kind,
-        wal_dir=args.wal,  # worker namespaces <wal>/shard<k>
     )
     fleet.spawn()
     workers = fleet.processes
@@ -432,7 +430,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     host = NetHost(
         entry.factory,
         args.process_id,
-        _ports(args),
+        [args.port_base + index for index in range(args.processes)],
         host=args.host,
         run_id=args.run_id,
         faults=faults,
@@ -491,56 +489,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 1 if host.errors else 0
 
 
-def _cmd_load_sharded(args: argparse.Namespace) -> int:
-    """`repro load --shards N`: drive keyed load at a running shard fleet."""
-    from repro.net.shard import ShardCoordinator
-
-    coordinator = ShardCoordinator(
-        args.shards,
-        args.processes,
-        host=args.host,
-        port_base=args.port_base,
-        run_id=args.run_id,
-        seed=args.seed,
-    )
-
-    async def drive() -> int:
-        await coordinator.connect(timeout=args.quiesce_timeout)
-        metrics_text = None
-        try:
-            report = await coordinator.run(
-                args.rate,
-                args.duration,
-                keys=args.keys,
-                oracle=not args.no_monitor,
-            )
-            if args.metrics_out:
-                metrics_text = await coordinator.metrics()
-        finally:
-            if args.keep_serving:
-                await coordinator.client.close()
-            else:
-                await coordinator.stop()
-        print(report.render(), flush=True)
-        if metrics_text is not None:
-            with open(args.metrics_out, "w") as handle:
-                handle.write(metrics_text)
-            print("metrics: %s" % args.metrics_out, flush=True)
-        return 0 if report.ok else 1
-
-    code = _run_cluster_client(args, drive())
-    return 1 if code is None else code
-
-
 def _cmd_load(args: argparse.Namespace) -> int:
     import json
 
     from repro.net import codec
+    from repro.net.client import exposition
     from repro.net.cluster import LiveObserver, LoadGenerator, drive_run
+    from repro.net.shard.coordinator import ShardRunReport, drive_fleet
 
-    if args.shards:
-        return _cmd_load_sharded(args)
-    ports = _ports(args)
     spec = None
     if not args.no_monitor:
         if args.spec is not None:
@@ -551,84 +507,85 @@ def _cmd_load(args: argparse.Namespace) -> int:
             spec = resolve(args.protocol).spec
 
     async def drive():
-        # --record needs the merged event stream even without a spec to
-        # monitor, so the observer attaches either way.
-        observer = (
-            LiveObserver(args.processes, spec=spec)
-            if spec is not None or args.record
-            else None
-        )
-        soak_wal = None
-        if args.record or args.wal:
-            spec_name = args.spec or getattr(spec, "name", None)
-            wal_meta = {
-                "run": args.run_id,
-                "processes": args.processes,
-                "seed": args.seed,
-            }
-            if args.protocol:
-                wal_meta["protocol"] = args.protocol
-            if spec_name:
-                wal_meta["spec"] = spec_name
-            if args.record:
-                observer.record(args.record, wal_meta)
-            if args.wal:
-                from repro.wal import WalSink
-
-                soak_wal = WalSink(args.wal, meta=dict(wal_meta, role="load"))
         load = LoadGenerator(
-            ports,
+            [args.port_base],
             host=args.host,
             run_id=args.run_id,
             seed=args.seed,
             color_rate=args.color_rate,
-            wal=soak_wal,
+            keys=args.keys or None,
         )
-        duration = args.duration
-        if soak_wal is not None:
-            resume = load.last_checkpoint()
-            if resume is not None:
-                if resume.get("seed") not in (None, args.seed):
-                    raise SystemExit(
-                        "soak WAL %s was written with seed %s; rerun with "
-                        "the same seed to resume it" % (args.wal, resume["seed"])
-                    )
-                load.fast_forward(int(resume.get("requested", 0)))
-                duration = max(0.0, duration - float(resume.get("elapsed", 0.0)))
-                print(
-                    "resuming soak: %d message(s) already offered, "
-                    "%.1fs remaining" % (load.requested, duration),
-                    flush=True,
-                )
+        observer = None
         try:
-            if observer is not None:
-                await observer.connect(ports, host=args.host, run_id=args.run_id)
-            await load.connect()
-            report = await drive_run(
-                load,
-                observer,
-                args.protocol or "protocol",
-                args.rate,
-                duration,
-                args.quiesce_timeout,
-            )
-            # Pull observability artifacts while the hosts still serve
-            # (a BYE tears the flight recorders down with the process).
+            await load.connect(timeout=args.quiesce_timeout)
+            duration = args.duration
+            wal_meta = {
+                "run": args.run_id,
+                "processes": load.n_processes,
+                "seed": args.seed,
+            }
+            if args.protocol:
+                wal_meta["protocol"] = args.protocol
+            spec_name = args.spec or getattr(spec, "name", None)
+            if spec_name:
+                wal_meta["spec"] = spec_name
+            if args.wal:
+                from repro.wal import WalSink
+
+                load.wal = WalSink(args.wal, meta=dict(wal_meta, role="load"))
+                resume = load.last_checkpoint()
+                if resume is not None:
+                    if resume.get("seed") not in (None, args.seed):
+                        raise SystemExit(
+                            "soak WAL %s was written with seed %s; rerun with "
+                            "the same seed to resume it" % (args.wal, resume["seed"])
+                        )
+                    load.fast_forward(int(resume.get("requested", 0)))
+                    duration = max(0.0, duration - float(resume.get("elapsed", 0.0)))
+                    print(
+                        "resuming soak: %d message(s) already offered, "
+                        "%.1fs remaining" % (load.requested, duration),
+                        flush=True,
+                    )
+            if load.shards:
+                # A fleet keeps no trace to observe: its lanes check each
+                # key live and the cross-key oracle judges the merged rows.
+                report = await drive_fleet(
+                    load, args.rate, duration, oracle=not args.no_monitor
+                )
+            else:
+                # --record needs the merged event stream even without a
+                # spec to monitor, so the observer attaches either way.
+                if spec is not None or args.record:
+                    observer = LiveObserver(load.n_processes, spec=spec)
+                    if args.record:
+                        observer.record(args.record, wal_meta)
+                    await observer.connect(
+                        load.ports, host=args.host, run_id=args.run_id
+                    )
+                report = await drive_run(
+                    load,
+                    observer,
+                    args.protocol or "protocol",
+                    args.rate,
+                    duration,
+                    args.quiesce_timeout,
+                )
+            # Pull observability artifacts while the endpoints still
+            # serve (a BYE tears the flight recorders down with them).
             if args.trace_out or args.metrics_out:
                 from repro.net.collector import stitch_flight_dumps
 
                 try:
                     if args.trace_out:
-                        dumps = await load.traces()
-                        trace = stitch_flight_dumps(dumps, args.processes)
+                        trace = stitch_flight_dumps(
+                            await load.traces(), load.n_processes
+                        )
                         with open(args.trace_out, "w") as handle:
                             json.dump(trace, handle)
                     if args.metrics_out:
-                        bodies = await load.metrics()
                         with open(args.metrics_out, "w") as handle:
-                            handle.write(
-                                "".join(b.get("text", "") for b in bodies)
-                            )
+                            handle.write(exposition(await load.metrics()))
                 except (ConnectionError, codec.CodecError) as exc:
                     report.errors.append("artifact pull: %s" % exc)
             if not args.keep_serving:
@@ -638,14 +595,15 @@ def _cmd_load(args: argparse.Namespace) -> int:
             await load.close()
             if observer is not None:
                 await observer.close()
-            if soak_wal is not None:
-                soak_wal.close()
+            if load.wal is not None:
+                load.wal.close()
 
     report = _run_cluster_client(args, drive())
     if report is None:
         return 1
     print(report.render(), flush=True)
-    if args.record:
+    fleet = isinstance(report, ShardRunReport)
+    if args.record and not fleet:
         print("recorded: %s (replay with `repro replay`)" % args.record,
               flush=True)
     if args.trace_out:
@@ -653,6 +611,8 @@ def _cmd_load(args: argparse.Namespace) -> int:
               flush=True)
     if args.metrics_out:
         print("metrics: %s" % args.metrics_out, flush=True)
+    if fleet:
+        return 0 if report.ok else 1
     if report.forensics is not None:
         from repro.obs.forensics import render_forensics
 
@@ -770,8 +730,7 @@ def _run_cluster_client(args: argparse.Namespace, coroutine):
     try:
         return asyncio.run(coroutine)
     except (OSError, asyncio.TimeoutError, codec.CodecError) as exc:
-        ports = _ports(args)
-        where = "%s:%d-%d" % (args.host, ports[0], ports[-1])
+        where = "%s:%d" % (args.host, args.port_base)
         if isinstance(exc, codec.UnknownVersion):
             why = "%s (is the cluster at %s running an older build?)" % (exc, where)
         elif isinstance(exc, codec.CodecError):
@@ -789,10 +748,12 @@ def _run_cluster_client(args: argparse.Namespace, coroutine):
 def _cmd_trace(args: argparse.Namespace) -> int:
     import json
 
+    from repro.net.client import exposition
     from repro.net.collector import ClusterCollector, stitch_flight_dumps
 
+    collector = ClusterCollector([args.port_base], host=args.host, run_id=args.run_id)
+
     async def pull():
-        collector = ClusterCollector(_ports(args), host=args.host, run_id=args.run_id)
         try:
             await collector.connect(timeout=args.timeout)
             return await collector.pull(rounds=args.rounds)
@@ -821,7 +782,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 best_rtt * 1000.0,
             )
         )
-    trace = stitch_flight_dumps(dumps, args.processes, offsets=offsets)
+    trace = stitch_flight_dumps(dumps, collector.n_processes, offsets=offsets)
     out = args.out or "trace-%s.json" % args.run_id
     with open(out, "w") as handle:
         json.dump(trace, handle)
@@ -831,11 +792,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
     if args.metrics_out:
         with open(args.metrics_out, "w") as handle:
-            handle.write(
-                "".join(
-                    (pull.metrics_body or {}).get("text", "") for pull in pulls
-                )
-            )
+            handle.write(exposition([pull.metrics_body or {} for pull in pulls]))
         print("metrics: %s" % args.metrics_out)
     return 0
 
@@ -847,7 +804,9 @@ def _cmd_top(args: argparse.Namespace) -> int:
     from repro.net.collector import ClusterCollector, render_top
 
     async def watch() -> int:
-        collector = ClusterCollector(_ports(args), host=args.host, run_id=args.run_id)
+        collector = ClusterCollector(
+            [args.port_base], host=args.host, run_id=args.run_id
+        )
         await collector.connect(timeout=args.timeout)
         previous = None
         previous_at = None
@@ -930,7 +889,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 #: The option groups several verbs share, declared once: where a
 #: cluster's endpoints are (serve, load, trace, top) and how the network
-#: under a protocol misbehaves (simulate, serve).
+#: under a protocol misbehaves (simulate, serve).  Only `serve` takes
+#: --processes: a client dials --port-base and learns the rest from READY.
 _SHARED_OPTIONS = {
     "--processes": dict(type=int, default=3),
     "--port-base": dict(type=int, default=9400),
@@ -942,7 +902,9 @@ _SHARED_OPTIONS = {
     "--fault-seed": dict(type=int, default=0),
     "--no-reliable": dict(action="store_true"),
 }
-_ENDPOINT = ("--processes", "--port-base", "--host", "--run-id")
+_ENDPOINT = ("--port-base", "--host", "--run-id")
+#: What --port-base is to a client verb.
+_LEARNED = "the first endpoint's port; its READY reply names the others"
 
 
 def _shared(parser: argparse.ArgumentParser, *flags: str, **helps: str) -> None:
@@ -1168,11 +1130,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="host a sharded ordering-key lane fleet instead: N worker "
         "OS processes (shard k's ingress on port-base + k), each "
-        "running every lane process for its keys; drive it with "
-        "`repro load --shards N`",
+        "running every lane process for its keys; `repro load` drives "
+        "it like hosts",
     )
     _shared(
         p_serve,
+        "--processes",
         *_ENDPOINT,
         processes="total cluster size",
         port_base="process i listens on port-base + i",
@@ -1224,7 +1187,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="durable write-ahead log: appends every input before the "
         "protocol sees it, and recovers state from the log segments "
-        "on restart (crash durability for this process)",
+        "on restart (crash durability for this process; not with "
+        "--shards)",
     )
     p_serve.add_argument(
         "--listen-port",
@@ -1244,8 +1208,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_load = sub.add_parser(
         "load",
-        help="drive open-loop traffic at running `repro serve` processes, "
-        "with live spec monitoring",
+        help="drive open-loop traffic at running `repro serve` hosts, with "
+        "live spec monitoring, or at a `repro serve --shards` fleet",
     )
     p_load.add_argument(
         "--protocol",
@@ -1258,7 +1222,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="monitor this specification instead (catalogue name or DSL)",
     )
-    _shared(p_load, *_ENDPOINT)
+    _shared(p_load, *_ENDPOINT, port_base=_LEARNED)
     p_load.add_argument(
         "--rate", type=float, default=1000.0, help="offered user msgs/sec"
     )
@@ -1267,21 +1231,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_load.add_argument("--seed", type=int, default=0)
     p_load.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="drive a `repro serve --shards N` fleet instead: keyed "
-        "rows routed by ordering key, per-key live lane checking, "
-        "end-of-run cross-key membership oracle",
-    )
-    p_load.add_argument(
         "--keys",
         type=int,
         default=0,
         metavar="K",
-        help="with --shards: draw ordering keys from a pool of K "
-        "(default 0: one key per sender/receiver pair)",
+        help="draw ordering keys from a pool of K (default 0: each "
+        "message's channel is its key); a fleet routes by them",
     )
     p_load.add_argument(
         "--color-rate", type=float, default=0.0,
@@ -1294,7 +1249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument(
         "--no-monitor",
         action="store_true",
-        help="skip the live observer (peak-throughput measurements)",
+        help="skip the live observer, or a fleet's cross-key oracle "
+        "(peak-throughput measurements)",
     )
     p_load.add_argument(
         "--keep-serving",
@@ -1386,7 +1342,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="pull every host's flight recorder and stitch one Perfetto "
         "trace with estimated clock offsets",
     )
-    _shared(p_trace, *_ENDPOINT)
+    _shared(p_trace, *_ENDPOINT, port_base=_LEARNED)
     p_trace.add_argument(
         "--rounds",
         type=int,
@@ -1410,19 +1366,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_top = sub.add_parser(
         "top",
-        help="live per-host view: throughput, latency percentiles, "
-        "retransmissions, stuck messages, clock offsets",
+        help="live per-host view (per lane process for a shard fleet): "
+        "throughput, latency percentiles, retransmissions, stuck messages, "
+        "clock offsets",
     )
-    _shared(p_top, "--processes")
-    p_top.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="watch a sharded fleet: dial N shard ingress ports and "
-        "render the per-lane-process aggregation with a shards column",
-    )
-    _shared(p_top, *_ENDPOINT[1:])
+    _shared(p_top, *_ENDPOINT, port_base=_LEARNED)
     p_top.add_argument(
         "--interval", type=float, default=2.0, help="seconds between polls"
     )

@@ -17,6 +17,12 @@ from typing import Any, Dict, Optional
 MessageId = str
 
 
+def channel_key(sender: int, receiver: int) -> str:
+    """The ordering key of an unkeyed message: its channel, spelled
+    ``"p<sender>-p<receiver>"`` (see :attr:`Message.effective_key`)."""
+    return "p%d-p%d" % (sender, receiver)
+
+
 @dataclass(frozen=True)
 class Message:
     """A user-level message with ordering-relevant attributes.
@@ -76,7 +82,7 @@ class Message:
         """
         if self.ordering_key is not None:
             return self.ordering_key
-        return "p%d-p%d" % (self.sender, self.receiver)
+        return channel_key(self.sender, self.receiver)
 
     def attribute(self, name: str) -> Any:
         """Look up a guard attribute by name.

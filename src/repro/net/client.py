@@ -13,8 +13,11 @@ single answer to "what if a ``BACKPRESSURE`` frame arrives before my
 reply": pushed frames update the link's pause flag, every other frame
 is a reply, and :meth:`ControlLink.reply` refuses a reply of the wrong
 kind instead of handing it to the wrong caller.  :class:`ClusterClient`
-holds one link per endpoint port; the load generator, the collector,
-the shard coordinator and the chaos poller are all built on it, and
+holds one link per endpoint port; READY states the endpoint's layout (a
+host ``{process, processes}``, a shard worker ``{shard, shards,
+processes}``), so given the first port alone it dials the rest.  The
+load generator, the collector, the shard coordinator and the chaos
+poller are all built on it, and
 the live observer uses a bare :class:`ControlLink` for its attach (an
 observer stream carries no replies, so it reads the link's stream
 itself).
@@ -32,7 +35,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.net import codec
 
-__all__ = ["PULLS", "ClusterClient", "ControlLink", "quiesced"]
+__all__ = ["PULLS", "ClusterClient", "ControlLink", "exposition", "quiesced"]
 
 #: Request kind -> the endpoint method whose return value is the reply
 #: body.  :meth:`ClusterClient.stats` / ``metrics`` / ``traces`` are the
@@ -52,6 +55,14 @@ def quiesced(stats: Sequence[Dict[str, Any]]) -> bool:
     delivered = sum(s.get("deliveries", 0) for s in stats)
     pending = sum(s.get("pending", 0) for s in stats)
     return delivered >= invoked and pending == 0
+
+
+def exposition(bodies: Sequence[Dict[str, Any]]) -> str:
+    """METRICS bodies as one OpenMetrics exposition: each endpoint's
+    series carry its own process or shard label, so the texts
+    concatenate once their ``# EOF`` markers give way to one."""
+    eof = "# EOF\n"
+    return "".join(body.get("text", "").replace(eof, "") for body in bodies) + eof
 
 
 class ControlLink:
@@ -161,7 +172,11 @@ class ControlLink:
 
 
 class ClusterClient:
-    """One ``load``-role :class:`ControlLink` per endpoint port."""
+    """One ``load``-role :class:`ControlLink` per endpoint port.
+
+    ``ports`` lists every endpoint, or is the first one alone: then
+    :meth:`connect` dials the rest on the ports above it, as many as the
+    first endpoint's READY says the cluster has."""
 
     def __init__(
         self,
@@ -173,10 +188,18 @@ class ClusterClient:
         self.host = host
         self.run_id = run_id
         self.links = [ControlLink(host, port, "load", run_id) for port in self.ports]
+        #: The first endpoint's READY body, once connected.
+        self.layout: Dict[str, Any] = {}
 
     @property
     def n_processes(self) -> int:
-        return len(self.ports)
+        """Paper processes in the cluster (a fleet's lane processes)."""
+        return self.layout.get("processes", len(self.ports))
+
+    @property
+    def shards(self) -> Optional[int]:
+        """How many shard workers the endpoints are, or ``None`` for hosts."""
+        return self.layout.get("shards")
 
     @property
     def errors(self) -> List[str]:
@@ -193,12 +216,22 @@ class ClusterClient:
         return sum(link.backpressure_signals for link in self.links)
 
     async def connect(self, timeout: float = 20.0) -> None:
-        """Dial every endpoint, then wait for each READY; a failed
-        rendezvous leaves no half-open link behind."""
+        """Dial the first endpoint and read its layout, then dial the
+        others and wait for each READY; a failed rendezvous leaves no
+        half-open link behind."""
         try:
-            for link in self.links:
+            first = self.links[0]
+            await first.connect(timeout)
+            self.layout = await first.ready(timeout)
+            size = self.shards or self.n_processes
+            if len(self.ports) == 1 and size > 1:
+                self.ports += [self.ports[0] + index for index in range(1, size)]
+                self.links += [
+                    ControlLink(self.host, port, "load", self.run_id)
+                    for port in self.ports[1:]
+                ]
+            for link in self.links[1:]:
                 await link.connect(timeout)
-            for link in self.links:
                 await link.ready(timeout)
         except BaseException:
             await self.close()

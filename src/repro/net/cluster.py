@@ -16,11 +16,12 @@ observer
     ordering violations are flagged *while the system runs*;
 
 load generator
-    :class:`LoadGenerator` drives open-loop traffic (INVOKE frames at a
-    target rate), drains, waits for the cluster to quiesce, and reduces
-    the hosts' STATS replies to a :class:`NetRunReport` with throughput
-    and p50/p99 delivery latency.  :func:`drive_run` is the one arc
-    (load -> drain -> quiesce -> settle -> verdict -> report) both
+    :class:`LoadGenerator` drives open-loop traffic at a target rate, one
+    INVOKE_BATCH frame per endpoint per pacing tick, to hosts or to a
+    shard fleet (:mod:`repro.net.shard`) alike.  :func:`drive_run` is the
+    arc over hosts (load -> drain -> quiesce -> settle -> verdict ->
+    report, reducing the hosts' STATS replies to a :class:`NetRunReport`
+    with throughput and p50/p99 delivery latency) that both
     :func:`run_cluster` and ``repro load`` follow.
 
 The stream merge is the subtle part: host ``p``'s stream carries exactly
@@ -44,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.events import Event, EventKind, Message
+from repro.events.message import channel_key
 from repro.net import codec
 from repro.net.client import ClusterClient, ControlLink
 from repro.net.host import _READ_CHUNK, NetHost
@@ -278,6 +280,19 @@ class LiveObserver:
 
 # -- the load generator -------------------------------------------------------
 
+#: Most invoke rows one INVOKE_BATCH frame carries: about 1 MB, well
+#: under the codec's frame cap, even for a paused host's backlog.
+BATCH_ROWS = 20_000
+
+
+def _write_rows(writer: asyncio.StreamWriter, rows: List[list]) -> None:
+    for start in range(0, len(rows), BATCH_ROWS):
+        writer.write(
+            codec.encode_frame(
+                codec.INVOKE_BATCH, {"rows": rows[start : start + BATCH_ROWS]}
+            )
+        )
+
 
 class Pacer:
     """Absolute-deadline schedule for open-loop pacing.
@@ -417,17 +432,19 @@ class NetRunReport:
 
 
 class LoadGenerator(ClusterClient):
-    """Open-loop traffic over one connection per host.
+    """Open-loop traffic over one connection per endpoint.
 
     A :class:`~repro.net.client.ClusterClient` (rendezvous, STATS /
-    TRACE / METRICS pulls, DRAIN, quiesce, BYE) plus the paced INVOKE
-    loop.  Message ``m<i>`` gets a seeded ``(sender, receiver != sender)``
-    pair; INVOKE frames are batched per pacing tick so the generator
-    sustains tens of thousands of messages per second without
-    per-message drains.  Ids are run-scoped: :meth:`connect` reads how
-    many invokes the hosts have already taken and numbering continues
-    after them, so a second run against hosts kept serving never
-    re-offers an id they have seen.
+    TRACE / METRICS pulls, DRAIN, quiesce, BYE) plus the paced invoke
+    loop.  Message ``m<i>`` is drawn as a compact row (see
+    :func:`~repro.net.codec.invoke_rows`) with a seeded ``(sender,
+    receiver != sender)`` pair; each pacing tick writes one INVOKE_BATCH
+    frame per endpoint, to the sender's host or, when READY said the
+    endpoints are shard workers, to the shard of the row's ordering key.
+    Ids are run-scoped: :meth:`connect` reads how many invokes the
+    endpoints have already taken and numbering continues after them, so
+    a second run against a cluster kept serving never re-offers an id it
+    has seen.
     """
 
     def __init__(
@@ -437,7 +454,6 @@ class LoadGenerator(ClusterClient):
         run_id: str = "default",
         seed: int = 0,
         color_rate: float = 0.0,
-        wal: Optional[Any] = None,
         keys: Optional[int] = None,
     ) -> None:
         import random
@@ -453,42 +469,54 @@ class LoadGenerator(ClusterClient):
         #: Invokes the hosts had taken from earlier runs when this one
         #: connected: where its ids start and what its report leaves out.
         self._prior = 0
+        self._taken = 0
         #: Optional :class:`repro.wal.WalSink` for resumable soak runs:
         #: one CHECKPOINT per pacing tick, so an interrupted soak resumes
         #: from its last progress marker (:meth:`fast_forward`).
-        self.wal = wal
+        self.wal: Optional[Any] = None
+        #: Row -> the index of the endpoint it is written to.
+        self._route: Callable[[list], int] = lambda row: row[1]
 
     async def connect(self, timeout: float = 20.0) -> None:
         """Rendezvous, then number this run's messages after the invokes
-        the hosts already report.  What was fast-forwarded is a resumed
-        run's own earlier offer, not an earlier run's."""
+        the endpoints already report."""
         await super().connect(timeout)
-        invoked = sum(int(s.get("invoked", 0)) for s in await self.stats())
-        self._prior = max(0, invoked - self.requested)
+        if self.shards:
+            # Imported here: the shard package drives load through this one.
+            from repro.net.shard.router import ShardRouter
+
+            shard_of = ShardRouter(self.shards).shard_of
+            self._route = lambda row: shard_of(
+                channel_key(row[1], row[2]) if row[3] is None else row[3]
+            )
+        self._taken = sum(int(s.get("invoked", 0)) for s in await self.stats())
+        self._prior = max(0, self._taken - self.requested)
 
     def fast_forward(self, requested: int) -> None:
-        """Re-draw the first ``requested`` messages so the seeded RNG
-        stream continues exactly where an interrupted run left off."""
+        """Re-draw the first ``requested`` messages (after :meth:`connect`)
+        so the seeded RNG stream continues exactly where an interrupted
+        run left off; what they were is this run's own earlier offer."""
         while self.requested < requested:
-            self._next_message()
+            self._next_row(0.0)
+        self._prior = max(0, self._taken - self.requested)
 
     def last_checkpoint(self) -> Optional[Dict[str, Any]]:
         """The newest CHECKPOINT in the attached WAL, if any."""
-        if self.wal is None:
-            return None
-        from repro.wal import records as _rec
-
         newest = None
         for record in self.wal.reload().records:
-            if record.kind == _rec.CHECKPOINT:
+            if record.kind == wal_records.CHECKPOINT:
                 newest = dict(record.body)
         return newest
 
-    def _next_message(self) -> Message:
+    def _next_row(self, offered: float) -> list:
+        """The next message as ``[id, sender, receiver, key, offered,
+        color]``.  One uniform variate picks the ordered pair and the key
+        together (``randrange`` costs about ten ``random`` calls)."""
         self.requested += 1
         n = self.n_processes
-        sender = self.rng.randrange(n)
-        receiver = self.rng.randrange(n - 1) if n > 1 else 0
+        pairs = n * (n - 1) or 1
+        choice = int(self.rng.random() * pairs * (self.keys or 1))
+        sender, receiver = divmod(choice % pairs, n - 1 or 1)
         if n > 1 and receiver >= sender:
             receiver += 1
         color = (
@@ -496,14 +524,9 @@ class LoadGenerator(ClusterClient):
             if self.color_rate and self.rng.random() < self.color_rate
             else None
         )
-        key = "k%d" % self.rng.randrange(self.keys) if self.keys else None
-        return Message(
-            id="m%d" % (self._prior + self.requested),
-            sender=sender,
-            receiver=receiver,
-            color=color,
-            ordering_key=key,
-        )
+        key = "k%d" % (choice // pairs) if self.keys else None
+        message_id = "m%d" % (self._prior + self.requested)
+        return [message_id, sender, receiver, key, offered, color]
 
     async def run(
         self, rate: float, duration: float, closed_loop: bool = False
@@ -522,32 +545,25 @@ class LoadGenerator(ClusterClient):
         loop = asyncio.get_running_loop()
         pacer = Pacer(rate, duration)
         start = loop.time()
+        route = self._route
         sent = 0
-        batches: List[bytearray] = [bytearray() for _ in self.ports]
-        #: Frames withheld from paused hosts (closed-loop mode).
-        held: List[bytearray] = [bytearray() for _ in self.ports]
+        #: Rows drawn and not yet written, per endpoint: one tick's, or
+        #: more while a paused host's wait (closed-loop mode).
+        unsent: List[List[list]] = [[] for _ in self.links]
         writers = [link.writer for link in self.links]
         async for tick in pacer.schedule():
             due = pacer.due(tick)
-            for batch in batches:
-                del batch[:]
+            offered = time.time()
             while sent < due:
-                message = self._next_message()
-                batches[message.sender] += codec.encode_frame(
-                    codec.INVOKE, codec.message_to_wire(message)
-                )
+                row = self._next_row(offered)
+                unsent[route(row)].append(row)
                 sent += 1
-            for index, (batch, writer) in enumerate(zip(batches, writers)):
+            for index, writer in enumerate(writers):
                 if writer.is_closing():
                     continue  # a crashed host; chaos runs tolerate this
-                if closed_loop and self.links[index].paused:
-                    held[index] += batch
-                    continue
-                if held[index]:
-                    writer.write(bytes(held[index]))
-                    del held[index][:]
-                if batch:
-                    writer.write(bytes(batch))
+                if unsent[index] and not (closed_loop and self.links[index].paused):
+                    _write_rows(writer, unsent[index])
+                    unsent[index] = []
             if self.wal is not None:
                 self.wal.checkpoint(
                     requested=self.requested,
@@ -557,9 +573,8 @@ class LoadGenerator(ClusterClient):
         # Release anything still held: the run is over, the hosts drain
         # at their own pace (withholding forever would lose messages).
         for index, writer in enumerate(writers):
-            if held[index] and not writer.is_closing():
-                writer.write(bytes(held[index]))
-                del held[index][:]
+            if unsent[index] and not writer.is_closing():
+                _write_rows(writer, unsent[index])
         for writer in writers:
             if not writer.is_closing():
                 await writer.drain()

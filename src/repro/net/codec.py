@@ -47,13 +47,15 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.events import Message
 
-#: Wire protocol version this build speaks.  Version 4 replaced the EVENT
-#: frame with RECORDS; version 3 gave USER and CONTROL frames their
-#: sectioned body; version 2 added the optional ordering-key field on
-#: USER/INVOKE message bodies and the batch frame kinds the sharded
-#: runtime uses.  Every endpoint of a run is the same build, so a frame of
-#: any other version is refused.
-WIRE_VERSION = 4
+#: Wire protocol version this build speaks.  Version 5 retired INVOKE (a
+#: load client offers every message as an INVOKE_BATCH row, to hosts and
+#: shard workers alike) and made READY state the endpoint's layout;
+#: version 4 replaced the EVENT frame with RECORDS; version 3 gave USER
+#: and CONTROL frames their sectioned body; version 2 added the optional
+#: ordering-key field on USER message bodies and the batch frame kinds
+#: the sharded runtime uses.  Every endpoint of a run is the same build,
+#: so a frame of any other version is refused.
+WIRE_VERSION = 5
 
 #: Upper bound on one frame's (version + kind + body) size.  Generous for
 #: protocol traffic (tags are tens of bytes) while still bounding the
@@ -67,10 +69,10 @@ _HEAD = struct.Struct("!BB")  # version, kind
 # -- frame kinds -------------------------------------------------------------
 
 HELLO = 1  # connection handshake: {process, role, run}
-READY = 2  # host -> client: rendezvous complete, traffic may start
+READY = 2  # endpoint -> client: rendezvous complete, and the layout
 USER = 3  # a released user message: src/dst/message/tag/timestamps
 CONTROL = 4  # a protocol control message: src/dst/payload
-INVOKE = 5  # load generator -> host: please invoke this message
+# 5 was INVOKE, one message per frame (retired in version 5)
 # 6 was EVENT, one JSON trace record per frame (retired in version 4)
 PROBE = 7  # host -> observer: one bridged obs probe
 STATS = 8  # stats request (empty body) and reply (counters + latencies)
@@ -81,7 +83,7 @@ METRICS = 12  # metrics pull: request (empty) and OpenMetrics reply
 HEARTBEAT = 13  # liveness probe on peer links: {process, nonce[, echo]}
 BACKPRESSURE = 14  # host -> load client: {process, state: "high"|"low"}
 USER_BATCH = 15  # shard runtime: one coalesced flush of user rows per peer
-INVOKE_BATCH = 16  # coordinator -> shard worker: {rows: [...]} invoke rows
+INVOKE_BATCH = 16  # load generator -> endpoint: {rows: [...]} invoke rows
 COLLECT = 17  # coordinator -> shard worker: per-key event rows for the oracle
 RECORDS = 18  # host -> observer: a chunk of WAL EVENT records (live monitoring tap)
 
@@ -90,7 +92,6 @@ KIND_NAMES = {
     READY: "ready",
     USER: "user",
     CONTROL: "control",
-    INVOKE: "invoke",
     PROBE: "probe",
     STATS: "stats",
     DRAIN: "drain",
@@ -383,6 +384,40 @@ def message_from_wire(body: Dict[str, Any]) -> Message:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedFrame("bad message fields %r: %s" % (body, exc)) from exc
+
+
+def invoke_rows(body: Dict[str, Any], processes: int) -> List[list]:
+    """An INVOKE_BATCH body's rows, each checked before any is used.
+
+    A row is ``[id, sender, receiver, key, offered, color]``: ``key`` is
+    the explicit ordering key or ``None`` (the channel), ``offered`` the
+    generator's wall time and ``color`` a string or ``None``.  A row of
+    another shape, or naming a process outside ``range(processes)``,
+    raises :class:`MalformedFrame` for the whole frame, so an endpoint
+    takes all of a batch or none of it."""
+    rows = body.get("rows")
+    if type(rows) is not list:
+        raise MalformedFrame("invoke batch without a rows list: %r" % (rows,))
+    for row in rows:
+        try:
+            message_id, sender, receiver, key, offered, color = row
+        except (TypeError, ValueError):
+            sender = None  # fails the first test below
+        if not (
+            type(sender) is int
+            and type(receiver) is int
+            and 0 <= sender < processes
+            and 0 <= receiver < processes
+            and type(message_id) is str
+            and (key is None or type(key) is str)
+            and type(offered) in (int, float)
+            and (color is None or type(color) is str)
+        ):
+            raise MalformedFrame(
+                "invoke row %r is not [id, sender, receiver, key, offered, "
+                "color] over processes 0..%d" % (row, processes - 1)
+            )
+    return rows
 
 
 # -- the texts of a message --------------------------------------------------

@@ -218,13 +218,7 @@ def render_top_sharded(
     process with a shards column, instead of one row per worker."""
     rows = aggregate_shard_rows(pulls)
     prior_rows = aggregate_shard_rows(previous or ())
-    n_shards = len(
-        {
-            (pull.stats_body or {}).get("shard")
-            for pull in pulls
-            if "shard" in (pull.stats_body or {})
-        }
-    )
+    n_shards = len(pulls)  # one pull per worker the first READY named
     header = "P   invoked  delivered   msg/s  shards"
     lines = [header]
     totals = {"invoked": 0, "delivered": 0, "rate": 0.0}

@@ -47,7 +47,14 @@ from repro.obs.openmetrics import render_openmetrics
 from repro.obs.watchdog import Watchdog
 from repro.simulation.host import ProtocolHost
 from repro.simulation.network import Network, Packet
-from repro.simulation.trace import RECEIVED, SimulationStats, Trace, TraceRecord
+from repro.simulation.trace import (
+    INVOKED,
+    RECEIVED,
+    SENT,
+    SimulationStats,
+    Trace,
+    TraceRecord,
+)
 from repro.wal import records as wal_records
 
 #: Bus probes bridged to observers (kept narrow: the fault/recovery
@@ -117,39 +124,42 @@ class NetProtocolHost(ProtocolHost):
         #: populated from inbound frames at receive time.
         self.sent_wall: Dict[str, float] = {}
         self.invoked_wall: Dict[str, float] = {}
-        #: local stamps for outbound frames (retransmissions reuse them).
-        self.release_wall: Dict[str, float] = {}
-        self.invoke_wall: Dict[str, float] = {}
+        #: The first record stamped by this incarnation's wall clock (set
+        #: when it starts): those before it, which WAL recovery replayed,
+        #: are in the dead incarnation's clock.
+        self.live_from: float = float("inf")
 
-    def invoke(self, message: Message) -> None:
-        self.invoke_wall.setdefault(message.id, time.time())
-        super().invoke(message)
-
-    def release(self, message: Message, tag: Any) -> None:
-        self.release_wall.setdefault(message.id, time.time())
-        super().release(message, tag)
+    def _wall(self, record: Optional[TraceRecord], default: float) -> float:
+        """The wall time of one of this host's own records, ``default``
+        for a missing, a replayed or another process's one."""
+        if record is None or record.process != self.process_id:
+            return default
+        if record.sequence < self.live_from:
+            return default
+        return self.sim.wall_at(record.time)
 
     def stamp(self, packet: Packet) -> "tuple[float, float]":
-        """(sent, invoked) wall times for an outbound packet's frame."""
+        """(sent, invoked) wall times for an outbound packet's frame: its
+        send and invoke records', so a retransmission reuses them."""
         now = time.time()
         if packet.is_user and packet.message is not None:
-            mid = packet.message.id
-            sent = self.release_wall.get(mid, now)
-            return sent, self.invoke_wall.get(mid, sent)
+            row = self.trace.row(packet.message.id)
+            sent = self._wall(row[SENT], now)
+            return sent, self._wall(row[INVOKED], sent)
         return now, now
 
     def _account_latency(self, message: Message) -> None:
         now = time.time()
         sent = self.sent_wall.pop(message.id, None)
+        invoked = self.invoked_wall.pop(message.id, None)
         if sent is None:
             # Self-addressed messages loop back without a frame; their
-            # stamps are the local ones.
-            sent = self.release_wall.get(message.id, now)
+            # stamps are the local records'.
+            row = self.trace.row(message.id)
+            sent = self._wall(row[SENT], now)
+            invoked = self._wall(row[INVOKED], sent)
         self.delivery_latency.observe(now - sent)
-        invoked = self.invoked_wall.pop(message.id, None)
-        if invoked is None:
-            invoked = self.invoke_wall.get(message.id, sent)
-        self.e2e_latency.observe(now - invoked)
+        self.e2e_latency.observe(now - (sent if invoked is None else invoked))
 
     @property
     def pending_local(self) -> int:
@@ -165,8 +175,8 @@ class NetHost(Endpoint):
     teardown and ``serve_forever`` live there) that also accepts ``peer``
     and ``observer`` streams and dials its own peers.  Lifecycle:
     :meth:`start` (listen + dial + handshake) -> ``await`` :meth:`ready`
-    -> traffic (local :meth:`invoke` calls or INVOKE frames from a load
-    generator) -> :meth:`shutdown` (drain, cancel timers, close).
+    -> traffic (local :meth:`invoke` calls or INVOKE_BATCH rows from a
+    load generator) -> :meth:`shutdown` (drain, cancel timers, close).
     """
 
     def __init__(
@@ -200,11 +210,11 @@ class NetHost(Endpoint):
             host,
             listen_port if listen_port is not None else ports[process_id],
             run_id,
-            {"process": process_id},
+            {"process": process_id, "processes": n_processes},
         )
         self._roles["peer"] = self._serve_peer
         self._roles["observer"] = self._observer_loop
-        self._requests[codec.INVOKE] = self._handle_invoke
+        self._requests[codec.INVOKE_BATCH] = self._handle_invoke
         self.process_id = process_id
         self.n_processes = n_processes
         self.ports = list(ports)
@@ -375,6 +385,7 @@ class NetHost(Endpoint):
         """Listen, dial every peer, and complete the rendezvous."""
         loop = asyncio.get_running_loop()
         self.clock.start(loop)
+        self.host.live_from = self.trace.record_count
         self.transport.bind_loop(loop)
         await super().start()
         self._spawn(self._dial_peers())
@@ -869,19 +880,22 @@ class NetHost(Endpoint):
     # -- load clients ----------------------------------------------------------
 
     def _handle_invoke(self, frame: "codec.Frame") -> None:
-        message = codec.message_from_wire(frame.body)
-        if message.sender != self.process_id:
-            self.errors.append(
-                "invoke for sender %d routed to host %d"
-                % (message.sender, self.process_id)
-            )
-            return
+        rows = codec.invoke_rows(frame.body, self.n_processes)
         if self.draining:
             return  # late invokes after DRAIN are dropped by contract
-        try:
-            self.invoke(message)
-        except Exception as exc:  # noqa: BLE001
-            self.errors.append("invoke %s: %s" % (message.id, exc))
+        for message_id, sender, receiver, key, _, color in rows:
+            if sender != self.process_id:
+                self.errors.append(
+                    "invoke for sender %d routed to host %d"
+                    % (sender, self.process_id)
+                )
+                continue
+            try:
+                self.invoke(
+                    Message(message_id, sender, receiver, color, ordering_key=key)
+                )
+            except Exception as exc:  # noqa: BLE001
+                self.errors.append("invoke %s: %s" % (message_id, exc))
 
     # -- stats -----------------------------------------------------------------
 

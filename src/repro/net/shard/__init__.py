@@ -12,11 +12,12 @@ worker *processes*:
   checkers and per-key latency stats (no state shared between keys:
   no cross-key head-of-line blocking);
 - :mod:`worker <repro.net.shard.worker>` -- one OS process per shard,
-  one asyncio loop, per-tick coalesced inline lane batches, its own WAL
-  directory, flight recorder and shard-labelled metrics;
+  one asyncio loop, per-tick coalesced inline lane batches and
+  shard-labelled metrics;
 - :mod:`coordinator <repro.net.shard.coordinator>` -- spawns the fleet,
-  drives paced keyed load, merges per-shard stats, and runs the
-  end-of-run **cross-key membership oracle** for the specs that
+  drives paced keyed load through the one
+  :class:`~repro.net.cluster.LoadGenerator`, merges per-shard stats, and
+  runs the end-of-run **cross-key membership oracle** for the specs that
   escalate to GENERAL across keys (cross-key causality, crown-freedom).
 
 The split mirrors the paper's classification: per-key scoped fifo and
@@ -42,7 +43,7 @@ from repro.net.shard.lanes import (
     LaneViolation,
     lane_checker,
 )
-from repro.net.shard.router import ShardRouter, key_for, shard_for_key
+from repro.net.shard.router import ShardRouter, shard_for_key
 from repro.net.shard.worker import (
     ShardWorker,
     ShardWorkerConfig,
@@ -61,7 +62,6 @@ __all__ = [
     "ShardWorker",
     "ShardWorkerConfig",
     "cross_key_oracle",
-    "key_for",
     "lane_checker",
     "run_sharded",
     "run_sharded_sync",

@@ -3,14 +3,14 @@
 The coordinator owns the fleet view of a sharded run:
 
 1. **spawn/connect** -- start ``n_shards`` :mod:`worker
-   <repro.net.shard.worker>` processes (or dial an already-running
-   fleet, the ``repro serve --shards`` case) and rendezvous through a
-   :class:`~repro.net.client.ClusterClient`, one link per shard ingress;
-2. **drive** -- generate compact invoke rows, route each by its ordering
-   key through :class:`~repro.net.shard.router.ShardRouter`, and ship
-   one :data:`~repro.net.codec.INVOKE_BATCH` frame per shard per pacing
-   tick.  Pacing uses absolute deadlines (:class:`~repro.net.cluster.Pacer`)
-   so scheduling slop never compounds into rate drift;
+   <repro.net.shard.worker>` processes and rendezvous through a
+   :class:`~repro.net.cluster.LoadGenerator`, one link per shard ingress
+   (``repro load`` dials an already-running ``repro serve --shards``
+   fleet the same way, learning its layout from READY);
+2. **drive** -- the generator draws compact invoke rows, routes each by
+   its ordering key through :class:`~repro.net.shard.router.ShardRouter`,
+   and ships one :data:`~repro.net.codec.INVOKE_BATCH` frame per shard
+   per pacing tick, exactly as it drives a cluster of hosts;
 3. **merge** -- pull STATS/METRICS from every shard and fold them into
    one fleet report (per-shard rows, per-key rows, merged histograms);
 4. **judge** -- after DRAIN, page the shards' delivered-row rings back
@@ -30,16 +30,13 @@ end-of-run verdict carries the same semantics as the offline theory.
 from __future__ import annotations
 
 import asyncio
-import random
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.events import Event, Message
 from repro.net import codec
 from repro.net.client import ClusterClient
-from repro.net.cluster import Pacer
-from repro.net.shard.router import ShardRouter, key_for
+from repro.net.cluster import LoadGenerator
 from repro.net.shard.worker import (
     COLLECT_PAGE,
     ShardWorkerConfig,
@@ -50,7 +47,9 @@ from repro.obs.metrics import Histogram
 __all__ = [
     "ShardCoordinator",
     "ShardRunReport",
+    "collect",
     "cross_key_oracle",
+    "drive_fleet",
     "run_sharded",
     "run_sharded_sync",
 ]
@@ -198,6 +197,80 @@ def cross_key_oracle(
     }
 
 
+async def collect(
+    client: ClusterClient, per_shard_limit: int = ORACLE_SAMPLE
+) -> List[Tuple[str, int, int, str, float, float]]:
+    """Page back delivered rows from every shard's collect ring."""
+    rows: List[Tuple[str, int, int, str, float, float]] = []
+    for link in client.links:
+        offset = 0
+        while offset < per_shard_limit:
+            limit = min(COLLECT_PAGE, per_shard_limit - offset)
+            body = await link.request(
+                codec.COLLECT, {"offset": offset, "limit": limit}
+            )
+            page = body.get("rows") or []
+            rows.extend(tuple(row[:6]) for row in page)
+            offset += len(page)
+            if offset >= int(body.get("total", 0)) or not page:
+                break
+    return rows
+
+
+async def drive_fleet(
+    load: LoadGenerator, rate: float, duration: float, *, oracle: bool = True
+) -> ShardRunReport:
+    """Drive, drain, merge, judge -- one report for one run of the fleet
+    ``load`` is connected to.  ``duration <= 0`` offers nothing."""
+    report = ShardRunReport(
+        n_shards=load.shards or 0,
+        n_processes=load.n_processes,
+        keys=load.keys or 0,
+        rate=rate,
+        duration=duration,
+    )
+    # A kept fleet's counters -- and its append-only error lines --
+    # span its earlier runs; report this one.
+    baseline = await load.stats()
+    loop = asyncio.get_running_loop()
+    start = loop.time()
+    requested = load.requested
+    if duration > 0:
+        await load.run(rate, duration)
+    report.offered = load.requested - requested
+    await load.drain()
+    drained, bodies = await load.quiesce(10.0, poll=0.05)
+    report.elapsed = loop.time() - start
+    if not drained:
+        report.errors.append("fleet did not drain within timeout")
+    merged_latency = Histogram("shard.latency")
+    for before, body in zip(baseline, bodies):
+        report.per_shard.append(body)
+        report.invoked += int(body.get("invoked", 0)) - int(
+            before.get("invoked", 0)
+        )
+        report.delivered += int(body.get("deliveries", 0)) - int(
+            before.get("deliveries", 0)
+        )
+        report.pending += int(body.get("pending", 0))
+        report.violations.extend(body.get("violations") or [])
+        report.errors.extend(
+            (body.get("errors") or [])[len(before.get("errors") or []) :]
+        )
+        wire = body.get("latencies")
+        if wire:
+            merged_latency.merge(Histogram.from_wire(wire, "shard.latency"))
+        for key, row in (body.get("per_key") or {}).items():
+            report.per_key[key] = row
+    report.errors.extend(load.errors)
+    if report.violations:
+        report.violation = report.violations[0]
+    report.latencies = merged_latency
+    if oracle:
+        report.oracle = cross_key_oracle(await collect(load), load.n_processes)
+    return report
+
+
 class ShardCoordinator:
     """Fleet controller for ``n_shards`` lane workers (see module doc)."""
 
@@ -210,68 +283,42 @@ class ShardCoordinator:
         port_base: int = DEFAULT_PORT_BASE,
         run_id: str = "default",
         lane_kind: str = "fifo",
-        wal_dir: Optional[str] = None,
         stall_key: Optional[str] = None,
         stall_seconds: float = 0.0,
         seed: int = 11,
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1, got %d" % n_shards)
-        self.n_shards = n_shards
-        self.n_processes = n_processes
-        self.host = host
-        self.port_base = port_base
-        self.run_id = run_id
-        self.lane_kind = lane_kind
-        self.wal_dir = wal_dir
-        self.stall_key = stall_key
-        self.stall_seconds = stall_seconds
-        self.router = ShardRouter(n_shards)
-        self.rng = random.Random(seed)
-        self.client = ClusterClient(
-            [port_base + shard for shard in range(n_shards)], host, run_id
+        #: What each worker is spawned with (shard k on ``port_base + k``).
+        self.configs = [
+            ShardWorkerConfig(
+                shard=shard,
+                n_shards=n_shards,
+                n_processes=n_processes,
+                port=port_base + shard,
+                host=host,
+                run_id=run_id,
+                lane_kind=lane_kind,
+                stall_key=stall_key,
+                stall_seconds=stall_seconds,
+            )
+            for shard in range(n_shards)
+        ]
+        self.client = LoadGenerator(
+            [config.port for config in self.configs], host, run_id, seed
         )
         self.processes: List[Any] = []
-        self._next_id = 0
-        #: All ordered sender/receiver pairs, so load generation draws
-        #: one uniform variate per row instead of three randrange calls
-        #: (randrange is ~10x the cost of random() on the hot path).
-        self._pairs = [
-            (s, r)
-            for s in range(n_processes)
-            for r in range(n_processes)
-            if s != r
-        ] or [(0, 0)]
-        self._key_names: List[str] = []
 
     # -- lifecycle ------------------------------------------------------------
 
-    def worker_config(self, shard: int) -> ShardWorkerConfig:
-        return ShardWorkerConfig(
-            shard=shard,
-            n_shards=self.n_shards,
-            n_processes=self.n_processes,
-            port=self.port_base + shard,
-            host=self.host,
-            run_id=self.run_id,
-            lane_kind=self.lane_kind,
-            wal_dir=self.wal_dir,
-            stall_key=self.stall_key,
-            stall_seconds=self.stall_seconds,
-        )
-
     def spawn(self) -> None:
         """Start the worker fleet as OS processes."""
-        for shard in range(self.n_shards):
-            self.processes.append(spawn_worker(self.worker_config(shard)))
-
-    async def connect(self, timeout: float = 10.0) -> None:
-        """Rendezvous with every shard (spawned here or externally)."""
-        await self.client.connect(timeout)
+        self.processes = [spawn_worker(config) for config in self.configs]
 
     async def start(self, timeout: float = 10.0) -> None:
+        """Spawn the fleet and rendezvous with every shard."""
         self.spawn()
-        await self.connect(timeout=timeout)
+        await self.client.connect(timeout)
 
     async def stop(self) -> None:
         """BYE every shard, close links, reap spawned processes."""
@@ -284,116 +331,6 @@ class ShardCoordinator:
                 process.join(timeout=1.0)
         self.processes = []
 
-    # -- load -----------------------------------------------------------------
-
-    def _generate_tick(
-        self, count: int, keys: int, batches: Dict[int, List[list]]
-    ) -> None:
-        """Append ``count`` fresh invoke rows to the per-shard batches."""
-        now = time.time()
-        uniform = self.rng.random
-        pairs = self._pairs
-        n_pairs = len(pairs)
-        shard_of = self.router.shard_of
-        if keys and len(self._key_names) != keys:
-            self._key_names = ["k%d" % k for k in range(keys)]
-        key_names = self._key_names
-        span = n_pairs * keys if keys else n_pairs
-        next_id = self._next_id
-        for _ in range(count):
-            choice = int(uniform() * span)
-            sender, receiver = pairs[choice % n_pairs]
-            key = (
-                key_names[choice // n_pairs]
-                if keys
-                else key_for(sender, receiver)
-            )
-            message_id = "m%d" % next_id
-            next_id += 1
-            batches.setdefault(shard_of(key), []).append(
-                [message_id, sender, receiver, key, now]
-            )
-        self._next_id = next_id
-
-    async def run_load(
-        self, rate: float, duration: float, keys: int = 0
-    ) -> int:
-        """Drive paced keyed load at the fleet; returns rows offered.
-
-        One INVOKE_BATCH frame per shard per pacing tick, on the
-        :meth:`Pacer.schedule <repro.net.cluster.Pacer.schedule>`
-        absolute-deadline schedule.
-        """
-        pacer = Pacer(rate, duration)
-        links = self.client.links
-        emitted = 0
-        async for tick in pacer.schedule():
-            due = pacer.due(tick)
-            if due > emitted:
-                batches: Dict[int, List[list]] = {}
-                self._generate_tick(due - emitted, keys, batches)
-                emitted = due
-                for shard, rows in batches.items():
-                    links[shard].send(codec.INVOKE_BATCH, {"rows": rows})
-                await asyncio.gather(
-                    *(links[shard].writer.drain() for shard in batches)
-                )
-        return emitted
-
-    # -- merge ----------------------------------------------------------------
-
-    async def stats(self) -> List[Dict[str, Any]]:
-        return await self.client.stats()
-
-    async def metrics(self) -> str:
-        """Concatenated OpenMetrics exposition of every shard.
-
-        Each shard's series already carry its ``shard`` label, so the
-        concatenation is well-formed for a scraper (distinct label sets,
-        shared metric families).
-        """
-        chunks = []
-        for body in await self.client.metrics():
-            text = body.get("text", "")
-            # Strip per-shard EOF markers; a single one terminates the
-            # merged exposition.
-            if text.endswith("# EOF\n"):
-                text = text[: -len("# EOF\n")]
-            chunks.append(text)
-        return "".join(chunks) + "# EOF\n"
-
-    async def drain(self, timeout: float = 10.0) -> bool:
-        """Flush every shard and wait until nothing is in flight."""
-        await self.client.drain()
-        drained, _ = await self.client.quiesce(timeout, poll=0.05)
-        return drained
-
-    async def collect(
-        self, per_shard_limit: int = ORACLE_SAMPLE
-    ) -> List[Tuple[str, int, int, str, float, float]]:
-        """Page back delivered rows from every shard's collect ring."""
-        rows: List[Tuple[str, int, int, str, float, float]] = []
-        for link in self.client.links:
-            fetched = 0
-            offset = 0
-            while fetched < per_shard_limit:
-                limit = min(COLLECT_PAGE, per_shard_limit - fetched)
-                body = await link.request(
-                    codec.COLLECT, {"offset": offset, "limit": limit}
-                )
-                page = body.get("rows") or []
-                for row in page:
-                    rows.append(
-                        (row[0], row[1], row[2], row[3], row[4], row[5])
-                    )
-                fetched += len(page)
-                offset += len(page)
-                if offset >= int(body.get("total", 0)) or not page:
-                    break
-        return rows
-
-    # -- the whole arc --------------------------------------------------------
-
     async def run(
         self,
         rate: float,
@@ -402,50 +339,10 @@ class ShardCoordinator:
         *,
         oracle: bool = True,
     ) -> ShardRunReport:
-        """Drive, drain, merge, judge -- one report for the whole run."""
-        report = ShardRunReport(
-            n_shards=self.n_shards,
-            n_processes=self.n_processes,
-            keys=keys,
-            rate=rate,
-            duration=duration,
-        )
-        # A kept fleet's counters -- and its append-only error lines --
-        # span its earlier runs; report this one.
-        baseline = await self.stats()
-        loop = asyncio.get_running_loop()
-        start = loop.time()
-        report.offered = await self.run_load(rate, duration, keys)
-        drained = await self.drain()
-        report.elapsed = loop.time() - start
-        if not drained:
-            report.errors.append("fleet did not drain within timeout")
-        bodies = await self.stats()
-        merged_latency = Histogram("shard.latency")
-        for before, body in zip(baseline, bodies):
-            report.per_shard.append(body)
-            report.invoked += int(body.get("invoked", 0)) - int(
-                before.get("invoked", 0)
-            )
-            report.delivered += int(body.get("deliveries", 0)) - int(
-                before.get("deliveries", 0)
-            )
-            report.pending += int(body.get("pending", 0))
-            report.violations.extend(body.get("violations") or [])
-            report.errors.extend(
-                (body.get("errors") or [])[len(before.get("errors") or []) :]
-            )
-            wire = body.get("latencies")
-            if wire:
-                merged_latency.merge(Histogram.from_wire(wire, "shard.latency"))
-            for key, row in (body.get("per_key") or {}).items():
-                report.per_key[key] = row
-        if report.violations:
-            report.violation = report.violations[0]
-        report.latencies = merged_latency
-        if oracle:
-            report.oracle = cross_key_oracle(await self.collect(), self.n_processes)
-        return report
+        """One run over ``keys`` ordering keys (``0``: each channel is a
+        key), as :func:`drive_fleet` drives it."""
+        self.client.keys = keys or None
+        return await drive_fleet(self.client, rate, duration, oracle=oracle)
 
 
 async def run_sharded(
@@ -456,7 +353,6 @@ async def run_sharded(
     n_processes: int = 4,
     keys: int = 0,
     lane_kind: str = "fifo",
-    wal_dir: Optional[str] = None,
     port_base: int = DEFAULT_PORT_BASE,
     stall_key: Optional[str] = None,
     stall_seconds: float = 0.0,
@@ -469,7 +365,6 @@ async def run_sharded(
         n_processes,
         port_base=port_base,
         lane_kind=lane_kind,
-        wal_dir=wal_dir,
         stall_key=stall_key,
         stall_seconds=stall_seconds,
         seed=seed,

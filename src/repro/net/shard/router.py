@@ -10,22 +10,9 @@ and uniform enough for the small shard counts this runtime targets.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterable, List, Optional
+from typing import Dict
 
-__all__ = ["ShardRouter", "key_for", "shard_for_key"]
-
-
-def key_for(sender: int, receiver: int, explicit: Optional[str] = None) -> str:
-    """A message's effective ordering key.
-
-    Mirrors :attr:`repro.events.Message.effective_key`: an explicit key
-    wins, otherwise the channel (sender-destination pair) is the key --
-    so unkeyed traffic shards by channel and per-key ordering coincides
-    with per-channel FIFO.
-    """
-    if explicit is not None:
-        return explicit
-    return "p%d-p%d" % (sender, receiver)
+__all__ = ["ShardRouter", "shard_for_key"]
 
 
 def shard_for_key(key: str, n_shards: int) -> int:
@@ -60,10 +47,3 @@ class ShardRouter:
             shard = shard_for_key(key, self.n_shards)
             self._memo[key] = shard
         return shard
-
-    def spread(self, keys: Iterable[str]) -> Dict[int, List[str]]:
-        """Group ``keys`` by their shard (deployment planning helper)."""
-        result: Dict[int, List[str]] = {}
-        for key in keys:
-            result.setdefault(self.shard_of(key), []).append(key)
-        return result

@@ -5,10 +5,12 @@ single asyncio loop with two planes:
 
 ingress
     an :class:`~repro.net.endpoint.Endpoint` on ``port_base + shard``
-    that accepts ``load`` clients only (the coordinator, ``repro top``):
-    the shared HELLO/READY rendezvous and STATS / METRICS / TRACE /
-    DRAIN / BYE service, plus :data:`~repro.net.codec.INVOKE_BATCH` rows
-    in and :data:`~repro.net.codec.COLLECT` pages out;
+    that accepts ``load`` clients only (the coordinator's
+    :class:`~repro.net.cluster.LoadGenerator`, ``repro top``): the shared
+    HELLO/READY rendezvous, whose READY states the shard and the fleet's
+    layout, and STATS / METRICS / TRACE / DRAIN / BYE service, plus
+    :data:`~repro.net.codec.INVOKE_BATCH` rows in and
+    :data:`~repro.net.codec.COLLECT` pages out;
 
 lanes
     one :class:`LaneEndpoint` per logical paper process.  The send path
@@ -19,15 +21,15 @@ lanes
     way (``benchmarks/perf``, ``shard-fifo-1``).
 
 Every worker keeps its own observability: a per-key live checker
-(:mod:`repro.net.shard.lanes`), per-key stats, an optional per-shard
-WAL directory (``<wal_dir>/shard<k>``), and an OpenMetrics registry
-whose series carry a ``shard`` label.  Its TRACE reply has the shape of
+(:mod:`repro.net.shard.lanes`), per-key stats, and an OpenMetrics
+registry whose series carry a ``shard`` label.  It keeps no log, so a
+worker that dies is not recovered.  Its TRACE reply has the shape of
 a host's with ``"flight": None``, as an ``observability=False`` host
 answers: a worker keeps no trace and emits no fault/recovery probe.
 
 Fault injection for CI: lane kind ``broken-fifo`` reverses each flushed
 batch on the send path, so the receiver's FIFO checker latches a real
-violation and ``repro load --shards`` exits non-zero.  ``stall_key``
+violation and ``repro load`` exits non-zero.  ``stall_key``
 defers one key's deliveries by ``stall_seconds`` without touching any
 other lane -- the head-of-line-independence probe.
 """
@@ -41,6 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.events.message import channel_key
 from repro.net import codec
 from repro.net.endpoint import Endpoint
 from repro.net.shard.lanes import KeyStats, LaneViolation, lane_checker
@@ -70,8 +73,6 @@ class ShardWorkerConfig:
     run_id: str = "default"
     #: "fifo" | "causal" | "broken-fifo" (send-path batch reversal).
     lane_kind: str = "fifo"
-    #: Per-shard WAL segment directory root (``<wal_dir>/shard<k>``).
-    wal_dir: Optional[str] = None
     #: Defer deliveries of this key by ``stall_seconds`` (HOL probe).
     stall_key: Optional[str] = None
     stall_seconds: float = 0.0
@@ -103,7 +104,8 @@ class LaneEndpoint:
         self.rows_delivered = 0
 
     def submit(self, row: list) -> None:
-        """Queue one invoke row ``[id, sender, receiver, key, invoked]``.
+        """Queue one invoke row ``[id, sender, receiver, key, offered,
+        color]`` (:func:`~repro.net.codec.invoke_rows`), its key filled in.
 
         In causal mode the row's receiver is ignored and the send fans
         out to every other process: causal ordering is a *broadcast*
@@ -156,7 +158,11 @@ class ShardWorker(Endpoint):
             config.host,
             config.port,
             config.run_id,
-            {"shard": config.shard, "run": config.run_id},
+            {
+                "shard": config.shard,
+                "shards": config.n_shards,
+                "processes": config.n_processes,
+            },
         )
         self._ready.set()  # the lanes are in-process: nobody to wait for
         self._requests[codec.INVOKE_BATCH] = self._on_invoke_batch
@@ -169,29 +175,12 @@ class ShardWorker(Endpoint):
         self.key_stats = KeyStats()
         self.invoked = 0
         self.delivered = 0
-        self._batches = 0
         self.flushes = 0
         self.violations: List[LaneViolation] = []
         self._collect: deque = deque(maxlen=COLLECT_CAPACITY)
         self._collect_dropped = 0
         self._stalled = 0
         self._flush_scheduled = False
-        self.wal: Optional[Any] = None
-        if config.wal_dir is not None:
-            import os
-
-            from repro.wal import WalSink
-
-            self.wal = WalSink(
-                os.path.join(config.wal_dir, "shard%d" % config.shard),
-                meta={
-                    "run": config.run_id,
-                    "shard": config.shard,
-                    "shards": config.n_shards,
-                    "processes": config.n_processes,
-                    "lane_kind": config.lane_kind,
-                },
-            )
 
     @property
     def violation(self) -> Optional[str]:
@@ -315,7 +304,7 @@ class ShardWorker(Endpoint):
     # -- ingress plane --------------------------------------------------------
 
     def _on_invoke_batch(self, frame: "codec.Frame") -> None:
-        rows = frame.body.get("rows") or []
+        rows = codec.invoke_rows(frame.body, self.config.n_processes)
         if self.draining:
             self.errors.append(
                 "shard %d: %d rows after DRAIN dropped"
@@ -324,14 +313,11 @@ class ShardWorker(Endpoint):
             return
         endpoints = self.endpoints
         for row in rows:
+            if row[3] is None:
+                row[3] = channel_key(row[1], row[2])
             endpoints[row[1]].submit(row)
         self.invoked += len(rows)
         self._schedule_flush()
-        self._batches += 1
-        if self.wal is not None and self._batches % 64 == 0:
-            # checkpoint() fsyncs; every 64 ingress batches bounds loss
-            # without putting a disk flush on every tick.
-            self.wal.checkpoint(invoked=self.invoked, shard=self.config.shard)
 
     # -- report bodies --------------------------------------------------------
 
@@ -438,14 +424,6 @@ class ShardWorker(Endpoint):
 
     def _close(self) -> None:
         self._flush_lanes()
-        if self.wal is not None:
-            self.wal.checkpoint(
-                invoked=self.invoked,
-                delivered=self.delivered,
-                shard=self.config.shard,
-                final=True,
-            )
-            self.wal.close()
 
 
 def worker_main(config: ShardWorkerConfig) -> None:

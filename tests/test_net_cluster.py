@@ -9,6 +9,7 @@ violations; a deliberately broken one must be flagged live.
 
 import asyncio
 import time
+from collections import Counter
 
 import pytest
 
@@ -16,8 +17,9 @@ from repro.events import Event, Message
 from repro.faults import FaultPlan
 from repro.mc.mutations import mutation_factories
 from repro.net import NetHost, codec, run_cluster_sync
-from repro.net.cluster import LiveObserver, LoadGenerator, drive_run, free_ports
+from repro.net.cluster import LiveObserver, LoadGenerator, Pacer, drive_run, free_ports
 from repro.net.host import record_frames
+from repro.net.shard import ShardWorker, ShardWorkerConfig
 from repro.predicates.catalog import CAUSAL_B2, CAUSAL_ORDERING, FIFO, FIFO_ORDERING
 from repro.protocols import GeneratedTaggedProtocol, catalogue
 from repro.protocols.base import make_factory
@@ -501,3 +503,90 @@ class TestKeptFleet:
         for recorder_state, inhibition_samples, released in per_host:
             assert recorder_state == {"registry", "_unsubscribers"}
             assert inhibition_samples == released > 0
+
+
+class TestOneLoadDriver:
+    """Hosts and a shard fleet are driven alike: each pacing tick writes
+    one INVOKE_BATCH frame to each endpoint, and nothing else."""
+
+    RATE, DURATION = 10_000.0, 0.2  # 40 ticks of 50 rows: no tick skips one
+
+    @classmethod
+    async def _drive(cls, ports):
+        load = LoadGenerator(ports, run_id="t-one", seed=3, keys=8)
+        await load.connect()
+        written = [Counter() for _ in load.links]
+        for index, link in enumerate(load.links):
+            write = link.writer.write
+
+            def sniff(data, index=index, write=write):
+                for frame in codec.FrameDecoder().feed(data):
+                    written[index][frame.kind] += 1
+                write(data)
+
+            link.writer.write = sniff
+        try:
+            await load.run(cls.RATE, cls.DURATION)
+        finally:
+            for link in load.links:
+                del link.writer.write
+        await load.drain()
+        quiesced, stats = await load.quiesce(timeout=10.0, poll=0.02)
+        await load.close()
+        return load, written, quiesced, stats
+
+    def _check(self, load, written, quiesced, stats):
+        ticks = Pacer(self.RATE, self.DURATION).ticks
+        assert written == [Counter({codec.INVOKE_BATCH: ticks})] * 2
+        assert quiesced
+        assert sum(body["invoked"] for body in stats) == load.requested == 2000
+
+    def test_hosts(self):
+        async def scenario():
+            ports = free_ports(2)
+            hosts = [
+                NetHost(catalogue()["fifo"].factory, pid, ports, run_id="t-one")
+                for pid in range(2)
+            ]
+            try:
+                for host in hosts:
+                    await host.start()
+                await asyncio.gather(*(host.ready() for host in hosts))
+                return await self._drive(ports)
+            finally:
+                for host in hosts:
+                    await host.shutdown()
+
+        load, *result = asyncio.run(scenario())
+        assert load.shards is None and load.n_processes == 2
+        self._check(load, *result)
+
+    def test_shard_fleet(self):
+        async def scenario():
+            ports = free_ports(2)
+            workers = [
+                ShardWorker(
+                    ShardWorkerConfig(
+                        shard=shard,
+                        n_shards=2,
+                        n_processes=4,
+                        port=port,
+                        run_id="t-one",
+                    )
+                )
+                for shard, port in enumerate(ports)
+            ]
+            serving = [
+                asyncio.get_running_loop().create_task(worker.serve_forever())
+                for worker in workers
+            ]
+            try:
+                return await self._drive(ports)
+            finally:
+                for worker in workers:
+                    await worker.shutdown()
+                await asyncio.gather(*serving)
+
+        load, *result = asyncio.run(scenario())
+        assert load.shards == 2 and load.n_processes == 4
+        self._check(load, *result)

@@ -18,7 +18,7 @@ def _sample_bodies():
     deliver = TraceRecord(time=3.0, sequence=0, process=1, event=Event.deliver("m1"))
     return {
         codec.HELLO: {"process": 2, "role": "peer", "run": "r1"},
-        codec.READY: {"process": 2},
+        codec.READY: {"process": 2, "processes": 3},
         codec.USER: dict(
             message, src=0, dst=1, tag=codec.encode_value((3, 4)), sent=1.5,
             invoked=1.0,
@@ -29,7 +29,6 @@ def _sample_bodies():
             "payload": codec.encode_value({"acks": [1, 2]}),
             "sent": 2.0,
         },
-        codec.INVOKE: message,
         codec.PROBE: {
             "probe": "fault.drop",
             "t": 4.0,
@@ -74,7 +73,7 @@ def _sample_bodies():
             "rows": [["m1", 0, 1, "k3", 0, 1700000000.0, 1700000000.1]],
         },
         codec.INVOKE_BATCH: {
-            "rows": [["m1", 0, 1, "k3", 0], ["m2", 1, 0, "k5", 0]],
+            "rows": [["m1", 0, 1, "k3", 0.5, None], ["m2", 1, 0, None, 0.5, "red"]],
         },
         codec.COLLECT: {"shard": 0, "rows": [], "done": True},
         codec.RECORDS: wal_records.encode_record(

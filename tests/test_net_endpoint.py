@@ -3,8 +3,9 @@
 A :class:`~repro.net.host.NetHost` and a shard worker are both
 :class:`~repro.net.endpoint.Endpoint` s, so who may connect and what a
 connection is owed is pinned here for the two of them together: the
-handshake's four refusals, a torn load stream, DRAIN as a per-run
-barrier, BYE, and the SIGTERM drain of a real worker process.
+handshake's four refusals, a torn load stream, the INVOKE_BATCH rows
+both take, DRAIN as a per-run barrier, BYE, and the SIGTERM drain of a
+real worker process.
 """
 
 import asyncio
@@ -13,15 +14,12 @@ import time
 
 import pytest
 
-from repro.events import Message
 from repro.net import NetHost, codec
 from repro.net.client import ControlLink
 from repro.net.cluster import free_ports
 from repro.net.shard import ShardWorker, ShardWorkerConfig
 from repro.net.shard.worker import spawn_worker
 from repro.protocols.registry import catalogue_entry
-from repro.wal import read_log
-from repro.wal import records as wal_records
 
 RUN = "mine"
 
@@ -55,20 +53,17 @@ class Rig:
         await link.ready(timeout=1.0)
         return link
 
-    def offer(self, link, count):
-        """Ask for ``count`` fresh messages over ``link``."""
+    def rows(self, count):
+        """``count`` fresh invoke rows from process 0 (to itself on a
+        host, which is a cluster of one here)."""
         ids = ["m%d" % n for n in range(self._ids, self._ids + count)]
         self._ids += count
-        if self.kind == "host":
-            for message_id in ids:
-                link.send(
-                    codec.INVOKE, codec.message_to_wire(Message(message_id, 0, 0))
-                )
-        else:
-            link.send(
-                codec.INVOKE_BATCH,
-                {"rows": [[i, 0, 1, "k", time.time()] for i in ids]},
-            )
+        receiver = 0 if self.kind == "host" else 1
+        return [[i, 0, receiver, "k", time.time(), None] for i in ids]
+
+    def offer(self, link, count):
+        """Ask for ``count`` fresh messages over ``link``."""
+        link.send(codec.INVOKE_BATCH, {"rows": self.rows(count)})
 
     async def settled(self, link, deliveries):
         """STATS once ``deliveries`` have happened (1 s at most)."""
@@ -189,6 +184,42 @@ class TestLoadStream:
         )
 
     @kinds
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["mx", 7, 0, None, 0.0, None],  # a sender past the cluster
+            ["mx", 0, 9, None, 0.0, None],  # a receiver past it
+            ["mx", -1, 0, None, 0.0, None],
+            ["mx", 0, 0, None, 0.0],  # no color field
+            ["mx", 0, 0, ["k"], 0.0, None],  # an unhashable key
+        ],
+    )
+    def test_a_bad_row_refuses_its_whole_batch(self, kind, bad):
+        """A row is checked before any row of its batch is taken: the
+        batch's valid rows are not stranded as invoked-but-pending, the
+        load stream says why it ended, and the endpoint goes on serving."""
+
+        async def scenario():
+            async with serving(kind) as rig:
+                first = await rig.client()
+                rows = rig.rows(3)
+                rows[1] = bad
+                first.send(codec.INVOKE_BATCH, {"rows": rows})
+                with pytest.raises(ConnectionError, match="before its stats reply"):
+                    await first.request(codec.STATS)
+                await first.close()
+                second = await rig.client()
+                rig.offer(second, 2)
+                after = await rig.settled(second, 2)
+                await second.close()
+                return after
+
+        after = asyncio.run(scenario())
+        assert (after["invoked"], after["deliveries"], after["pending"]) == (2, 2, 0)
+        (line,) = after["errors"]
+        assert line.startswith("load stream: invoke row %r" % (bad,))
+
+    @kinds
     def test_drain_is_a_barrier_for_one_run(self, kind):
         """`--keep-serving`: the next run's invokes are taken once the
         client that drained has gone (a worker used to drop them all)."""
@@ -229,18 +260,13 @@ class TestLoadStream:
 
 
 class TestWorkerProcess:
-    def test_sigterm_writes_the_final_checkpoint(self, tmp_path):
+    def test_sigterm_is_a_graceful_drain(self):
         """`worker.terminate()` is the graceful drain `NetHost` always
-        had, so the shard's log ends with its totals."""
+        had: the worker exits 0 after the rows it accepted."""
         port = free_ports(1)[0]
         process = spawn_worker(
             ShardWorkerConfig(
-                shard=0,
-                n_shards=1,
-                n_processes=2,
-                port=port,
-                run_id=RUN,
-                wal_dir=str(tmp_path),
+                shard=0, n_shards=1, n_processes=2, port=port, run_id=RUN
             )
         )
 
@@ -250,23 +276,18 @@ class TestWorkerProcess:
             await link.ready(timeout=5.0)  # serving: the handlers are in
             link.send(
                 codec.INVOKE_BATCH,
-                {"rows": [["m%d" % n, 0, 1, "k", time.time()] for n in range(4)]},
+                {"rows": [["m%d" % n, 0, 1, "k", time.time(), None] for n in range(4)]},
             )
-            await link.request(codec.STATS)
+            stats = await link.request(codec.STATS)
             process.terminate()
             await link.close()
+            return stats
 
         try:
-            asyncio.run(scenario())
+            stats = asyncio.run(scenario())
             process.join(timeout=5.0)
             assert not process.is_alive() and process.exitcode == 0
         finally:
             if process.is_alive():
                 process.kill()
-        checkpoints = [
-            record.body
-            for record in read_log(str(tmp_path / "shard0")).records
-            if record.kind == wal_records.CHECKPOINT
-        ]
-        assert checkpoints[-1]["final"] is True
-        assert (checkpoints[-1]["invoked"], checkpoints[-1]["delivered"]) == (4, 4)
+        assert stats["invoked"] == 4

@@ -1,6 +1,7 @@
 """Net-host runtime tests: wall clock, framing adapters, shutdown."""
 
 import asyncio
+import time
 
 import pytest
 
@@ -598,21 +599,85 @@ class TestNetHostLifecycle:
         assert not draining  # the drain barrier did not outlive its run
 
     def test_retransmission_reuses_original_stamp(self):
+        """A frame's wall stamps are its message's send and invoke
+        records', so every copy carries the first one's."""
+
         async def scenario():
             ports = free_ports(1)
             host = NetHost(_fifo_factory(), 0, ports, run_id="stamp")
             await host.start()
             message = Message(id="m1", sender=0, receiver=1)
-            host.host.release_wall["m1"] = 123.0
-            host.host.invoke_wall["m1"] = 120.0
+            host.trace.register_message(message)
+            host.trace.record(1.0, 0, Event.invoke("m1"))
+            host.trace.record(2.0, 0, Event.send("m1"))
             packet = Packet(src=0, dst=1, kind="user", message=message)
             first = host.host.stamp(packet)
+            await asyncio.sleep(0.01)
             second = host.host.stamp(packet)  # the "retransmission"
+            expected = (host.clock.wall_at(2.0), host.clock.wall_at(1.0))
             await host.shutdown()
-            return first, second
+            return first, second, expected
 
-        first, second = asyncio.run(scenario())
-        assert first == second == (123.0, 120.0)
+        first, second, expected = asyncio.run(scenario())
+        assert first == second == expected
+
+    def test_a_replayed_send_is_stamped_now(self, tmp_path):
+        """WAL recovery replays records in the dead incarnation's clock,
+        so a frame for a replayed send is stamped with the time it
+        leaves, not with that clock's reading mapped onto the new one."""
+
+        async def scenario():
+            ports = free_ports(2)  # peer 1 never comes: m1 stays unacked
+            first = NetHost(_fifo_factory(), 0, ports, wal_dir=str(tmp_path))
+            await first.start()
+            await asyncio.sleep(0.05)  # a send time the restart cannot reach
+            first.invoke(Message(id="m1", sender=0, receiver=1))
+            await first.crash()
+            again = NetHost(_fifo_factory(), 0, ports, wal_dir=str(tmp_path))
+            await again.start()
+            message = again.trace.message("m1")
+            packet = Packet(src=0, dst=1, kind="user", message=message)
+            before = time.time()
+            stamps = again.host.stamp(packet)
+            after = time.time()
+            await again.shutdown()
+            return again.recovered, before, stamps, after
+
+        recovered, before, (sent, invoked), after = asyncio.run(scenario())
+        assert recovered
+        assert before <= invoked <= sent <= after
+
+    def test_a_finished_run_keeps_no_stamp_per_message(self):
+        """The sender's stamps are read off its trace, so once every
+        message is delivered no host keeps a per-message stamp entry (it
+        used to keep two for ever)."""
+
+        async def scenario():
+            ports = free_ports(2)
+            hosts = [NetHost(_fifo_factory(), p, ports, run_id="bounded") for p in (0, 1)]
+            for host in hosts:
+                await host.start()
+            for host in hosts:
+                await host.ready()
+            for n in range(20):
+                hosts[n % 2].invoke(Message("m%d" % n, n % 2, (n + n // 2) % 2))
+            for _ in range(400):
+                if sum(host.stats.deliveries for host in hosts) == 20:
+                    break
+                await asyncio.sleep(0.005)
+            held = {
+                (host.process_id, name)
+                for host in hosts
+                for name, value in vars(host.host).items()
+                if isinstance(value, dict) and "m0" in value
+            }
+            for host in hosts:
+                await host.shutdown()
+            return sum(host.stats.deliveries for host in hosts), held
+
+        delivered, held = asyncio.run(scenario())
+        assert delivered == 20
+        assert held == set()
 
 
 class TestUserFrameHead:
@@ -746,7 +811,7 @@ class TestNetHostLatencyMetrics:
 
     def test_stats_invoked_counts_accepted_invokes(self):
         """STATS ``invoked`` is the host's ``messages.invoked`` counter,
-        so an INVOKE refused as "invoked twice" is not counted."""
+        so an invoke row refused as "invoked twice" is not counted."""
 
         async def scenario():
             port = free_ports(1)[0]
@@ -758,9 +823,9 @@ class TestNetHostLatencyMetrics:
                 link = ControlLink("127.0.0.1", port, "load", "twice")
                 await link.connect(timeout=1.0)
                 await link.ready(timeout=1.0)
-                body = codec.message_to_wire(Message(id="m1", sender=0, receiver=0))
-                link.send(codec.INVOKE, body)
-                link.send(codec.INVOKE, body)
+                row = ["m1", 0, 0, None, 0.0, None]
+                link.send(codec.INVOKE_BATCH, {"rows": [row]})
+                link.send(codec.INVOKE_BATCH, {"rows": [row]})
                 stats = await link.request(codec.STATS)
                 await link.close()
             finally:

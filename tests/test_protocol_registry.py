@@ -123,3 +123,12 @@ class TestShardedServeRefusals:
         assert main(["serve", "causal", "--shards", "2"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unknown protocol 'causal'" in err
+
+    def test_a_wal_is_refused_because_a_worker_keeps_no_log(self, capsys, tmp_path):
+        """A shard worker has no recovery, so `--wal` would promise what
+        the fleet does not do: it is refused before anything is spawned."""
+        code = main(["serve", "fifo", "--shards", "2", "--wal", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.count("\n") == 1 and "--wal" in captured.err
+        assert captured.out == "" and list(tmp_path.iterdir()) == []

@@ -16,12 +16,18 @@ paper's tagged/general split operationally:
 """
 
 import asyncio
+import os
+import re
 import socket
+import subprocess
+import sys
 import zlib
 
 import pytest
 
+from repro.cli import main
 from repro.events import Event, Message
+from repro.events.message import channel_key
 from repro.net.client import ControlLink
 from repro.net.collector import (
     HostPull,
@@ -35,16 +41,18 @@ from repro.net.shard import (
     ShardCoordinator,
     ShardRouter,
     cross_key_oracle,
-    key_for,
     lane_checker,
     run_sharded_sync,
     shard_for_key,
 )
+from repro.net.shard.coordinator import collect
 from repro.net.shard.worker import ShardWorker, ShardWorkerConfig
 from repro.predicates.catalog import CAUSAL_B2, FIFO
 from repro.simulation.trace import Trace
 from repro.verification.engine import monitor_trace
 from tests.conftest import scoped_to_key
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def free_port_base(count):
@@ -72,8 +80,8 @@ def merged_trace(rows, n_processes):
     point-to-point fleet run as one trace.
 
     A flush stamps all its rows with one ``sent`` time, so tied sends go
-    in invoke order (the coordinator numbers ids ``m<N>`` as it invokes
-    them) and tied deliveries in the order each shard delivered them (the
+    in invoke order (the load generator numbers ids ``m<N>`` as it
+    offers them) and tied deliveries in the order each shard delivered them (the
     order ``collect`` returns).  A lane that reorders rows within a flush
     therefore shows in the trace instead of being absorbed by it."""
     trace = Trace(n_processes)
@@ -104,18 +112,16 @@ class TestRouting:
         assert first == again == fresh
 
     def test_default_key_is_the_channel(self):
-        assert key_for(0, 2) == "p0-p2"
-        assert key_for(0, 2, explicit="orders") == "orders"
+        assert channel_key(0, 2) == "p0-p2"
         message = Message("m1", 0, 2)
-        assert key_for(0, 2) == message.effective_key
+        assert channel_key(0, 2) == message.effective_key
         keyed = Message("m2", 0, 2, ordering_key="orders")
         assert keyed.effective_key == "orders"
 
     def test_keys_spread_over_shards(self):
         router = ShardRouter(8)
-        spread = router.spread("k%d" % k for k in range(256))
-        assert len(spread) == 8  # every shard gets some keys
-        assert sum(len(keys) for keys in spread.values()) == 256
+        shards = [router.shard_of("k%d" % k) for k in range(256)]
+        assert set(shards) == set(range(8))  # every shard gets some keys
 
     def test_shard_count_validated(self):
         with pytest.raises(ValueError):
@@ -319,7 +325,7 @@ class TestShardedFleet:
             await fleet.start()
             try:
                 report = await fleet.run(800.0, 0.5, keys=6)
-                return report, await fleet.collect(per_shard_limit=10_000)
+                return report, await collect(fleet.client, per_shard_limit=10_000)
             finally:
                 await fleet.stop()
 
@@ -338,7 +344,7 @@ class TestShardedFleet:
         assert monitor_trace(merged_trace(rows, 3), per_key) is None
 
     def test_kept_fleet_serves_consecutive_runs(self):
-        """`repro load --shards --keep-serving`, then another load: the
+        """`repro load --keep-serving` against a fleet, then another load: the
         workers' DRAIN used to be terminal, so the second run lost every
         row (`offered 1000 invoked 0`)."""
         base = free_port_base(2)
@@ -350,7 +356,7 @@ class TestShardedFleet:
                 first = await fleet.run(800.0, 0.25, keys=6)
                 await fleet.client.close()  # --keep-serving: no BYE
                 again = ShardCoordinator(2, 3, port_base=base)
-                await again.connect()
+                await again.client.connect()
                 fleet.client = again.client  # stop() says BYE over these
                 return first, await again.run(800.0, 0.25, keys=6)
             finally:
@@ -362,6 +368,34 @@ class TestShardedFleet:
             # The oracle judged this run's rows, not the fleet's history.
             assert report.oracle["total"] == report.delivered
 
+    def test_repro_load_learns_the_fleet_from_ready(self, capsys):
+        """One `repro load` command line drives hosts or a fleet: it
+        dials --port-base and the first READY names the fleet's shards."""
+        base = free_port_base(2)
+        serve = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "fifo", "--shards", "2"]
+            + ["--processes", "4", "--port-base", str(base), "--run-id", "learn"],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            stdout=subprocess.DEVNULL,
+        )
+        try:
+            code = main(
+                ["load", "--port-base", str(base), "--run-id", "learn"]
+                + ["--keys", "8", "--rate", "1000", "--duration", "0.4"]
+                + ["--quiesce-timeout", "20"]
+            )
+            served = serve.wait(timeout=20.0)  # the load's BYE ends the fleet
+        finally:
+            if serve.poll() is None:
+                serve.kill()
+                serve.wait()
+        out = capsys.readouterr().out
+        assert code == 0 and served == 0, out
+        assert "2 shards, 4 processes, 8 keys" in out
+        line = next(line for line in out.splitlines() if "offered" in line)
+        offered, invoked, delivered, pending = map(int, re.findall(r"\d+", line))
+        assert offered == invoked == delivered == 400 and pending == 0
+
     def test_worker_errors_are_reported_by_the_run_they_happened_in(self):
         """Worker error lines are append-only for the life of the fleet;
         one foreign HELLO used to fail every later run's ``report.ok``."""
@@ -370,7 +404,7 @@ class TestShardedFleet:
             ShardWorkerConfig(shard=0, n_shards=1, n_processes=3, port=base)
         )
         fleet = ShardCoordinator(1, 3, port_base=base)
-        load = fleet.run_load
+        load = fleet.client.run
 
         async def load_with_a_stranger(*args, **kwargs):
             stranger = ControlLink("127.0.0.1", base, "load", "someone-elses")
@@ -382,12 +416,12 @@ class TestShardedFleet:
 
         async def scenario():
             serving = asyncio.get_running_loop().create_task(worker.serve_forever())
-            await fleet.connect()
-            fleet.run_load = load_with_a_stranger
+            await fleet.client.connect()
+            fleet.client.run = load_with_a_stranger
             first = await fleet.run(400.0, 0.1, oracle=False)
             await fleet.client.close()  # --keep-serving: no BYE
             again = ShardCoordinator(1, 3, port_base=base)
-            await again.connect()
+            await again.client.connect()
             second = await again.run(400.0, 0.1, oracle=False)
             await again.stop()
             await asyncio.wait_for(serving, 5.0)

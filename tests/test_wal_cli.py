@@ -187,8 +187,6 @@ class TestCollectorErrorsAreOneLiners:
         code = main(
             [
                 "trace",
-                "--processes",
-                "2",
                 "--port-base",
                 str(port),
                 "--timeout",
@@ -207,8 +205,6 @@ class TestCollectorErrorsAreOneLiners:
         code = main(
             [
                 "top",
-                "--processes",
-                "2",
                 "--port-base",
                 str(port),
                 "--interval",
@@ -248,8 +244,6 @@ class TestCollectorErrorsAreOneLiners:
                     main,
                     [
                         "trace",
-                        "--processes",
-                        "1",
                         "--port-base",
                         str(port),
                         "--timeout",

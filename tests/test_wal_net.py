@@ -217,15 +217,13 @@ async def _offer(load, count):
     the control comparison needs identical workloads)."""
     from repro.net import codec
 
-    batches = [bytearray() for _ in load.ports]
+    batches = [[] for _ in load.links]
     for _ in range(count):
-        message = load._next_message()
-        batches[message.sender] += codec.encode_frame(
-            codec.INVOKE, codec.message_to_wire(message)
-        )
-    for batch, link in zip(batches, load.links):
-        if batch:
-            link.writer.write(bytes(batch))
+        row = load._next_row(0.0)
+        batches[row[1]].append(row)
+    for rows, link in zip(batches, load.links):
+        if rows:
+            link.send(codec.INVOKE_BATCH, {"rows": rows})
     for link in load.links:
         await link.writer.drain()
 
