@@ -321,139 +321,115 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_sharded(args: argparse.Namespace) -> int:
-    """`repro serve <protocol> --shards N`: host a shard worker fleet.
-
-    Spawns one lane-worker OS process per shard (shard k's ingress on
-    port-base + k) and waits for them; each worker exits on BYE, which
-    `repro load` sends at the end of a run unless --keep-serving is
-    passed.
-    """
-    from repro.net.shard import ShardCoordinator
-    from repro.protocols.registry import resolve
-
-    if args.wal:
-        print(
-            "repro serve: --wal is for hosts; a shard worker keeps no log",
-            file=sys.stderr,
-        )
-        return 2
-
-    # Lanes are not protocol stacks: only an entry whose specification
-    # has a per-key lane checker maps onto the sharded runtime.
-    try:
-        entry = resolve(args.protocol)
-    except KeyError as exc:
-        print("repro serve: %s" % exc.args[0], file=sys.stderr)
-        return 2
-    lane_kind = entry.shard_lane
-    if lane_kind is None:
-        print(
-            "repro serve: protocol %r (%s class, specification %s) does not "
-            "map onto an ordering-key lane"
-            % (entry.name, entry.protocol_class, entry.spec.name),
-            file=sys.stderr,
-        )
-        return 2
-    fleet = ShardCoordinator(
-        args.shards,
-        args.processes,
-        host=args.host,
-        port_base=args.port_base,
-        run_id=args.run_id,
-        lane_kind=lane_kind,
-    )
-    fleet.spawn()
-    workers = fleet.processes
-    print(
-        "serving %d %s shard(s) x %d lane processes on %s:%d-%d (run %s)"
-        % (
-            args.shards,
-            lane_kind,
-            args.processes,
-            args.host,
-            args.port_base,
-            args.port_base + args.shards - 1,
-            args.run_id,
-        ),
-        flush=True,
-    )
-    exit_code = 0
-    try:
-        for worker in workers:
-            worker.join()
-            if worker.exitcode:
-                exit_code = 1
-    except KeyboardInterrupt:  # pragma: no cover - operator interrupt
-        for worker in workers:
-            worker.terminate()
-    return exit_code
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
+    """`repro serve <protocol>`: host one protocol process, or with
+    --shards N a fleet of N lane-worker OS processes (shard k's ingress
+    on port-base + k), which exits on the BYE `repro load` sends unless
+    it passed --keep-serving."""
     import asyncio
 
     from repro.net import NetHost
     from repro.protocols.registry import resolve
 
-    if args.shards:
-        return _cmd_serve_sharded(args)
-    if args.process_id is None:
-        print(
-            "repro serve: --process-id is required (unless --shards)",
-            file=sys.stderr,
-        )
+    # Lanes are not protocol stacks: only an entry whose specification
+    # has a per-key lane checker maps onto the sharded runtime.
+    refusal = None
+    try:
+        entry = resolve(args.protocol)
+    except KeyError as exc:
+        refusal = exc.args[0]
+    else:
+        if args.shards and args.wal:
+            refusal = "--wal is for hosts; a shard worker keeps no log"
+        elif args.shards and entry.shard_lane is None:
+            refusal = (
+                "protocol %r (%s class, specification %s) does not map onto "
+                "an ordering-key lane"
+                % (entry.name, entry.protocol_class, entry.spec.name)
+            )
+        elif not args.shards and args.process_id is None:
+            refusal = "--process-id is required (unless --shards)"
+    if refusal is not None:
+        print("repro serve: %s" % refusal, file=sys.stderr)
         return 2
-    entry = resolve(args.protocol)
-    drop_rate = args.drop_rate or (0.05 if args.soak else 0.0)
-    faults = None
-    if drop_rate or args.dup_rate or args.spike_rate:
-        from repro.faults import FaultPlan
+    if args.shards:
+        from repro.net.shard import ShardCoordinator
 
-        faults = FaultPlan(
-            drop_rate=drop_rate,
-            dup_rate=args.dup_rate,
-            spike_rate=args.spike_rate,
-            spike_delay=args.spike_delay,
-            seed=args.fault_seed,
-        )
-        if not args.no_reliable:
-            # Same convention as `repro simulate`: a lossy transport
-            # breaks the channel assumption, so serve the reliable-
-            # variant unless the user explicitly wants to watch it fail.
-            entry = entry.reliable()
-    resilience = None
-    if args.heartbeat_interval is not None:
-        from repro.net.resilience import ResilienceConfig
-
-        resilience = ResilienceConfig(heartbeat_interval=args.heartbeat_interval)
-    host = NetHost(
-        entry.factory,
-        args.process_id,
-        [args.port_base + index for index in range(args.processes)],
-        host=args.host,
-        run_id=args.run_id,
-        faults=faults,
-        time_scale=args.time_scale,
-        wal_dir=args.wal,
-        wal_meta={"protocol": args.protocol} if args.wal else None,
-        resilience=resilience,
-        listen_port=args.listen_port,
-    )
-    print(
-        "serving %s as process %d of %d on %s:%d (run %s)%s%s"
-        % (
-            args.protocol,
-            args.process_id,
+        fleet = ShardCoordinator(
+            args.shards,
             args.processes,
-            args.host,
-            host.listen_port,
-            args.run_id,
-            " with faults" if faults is not None else "",
-            " [recovered from WAL]" if host.recovered else "",
-        ),
+            host=args.host,
+            port_base=args.port_base,
+            run_id=args.run_id,
+            lane_kind=entry.shard_lane,
+        )
+        fleet.spawn()
+        # A causal lane ignores a row's receiver: it broadcasts the row
+        # to every other lane process of its key.
+        lanes = entry.shard_lane
+        if lanes == "causal":
+            lanes = "causal broadcast"
+        who = "%d shard(s) of per-key %s lanes x %d processes" % (
+            args.shards,
+            lanes,
+            args.processes,
+        )
+        where = "%d-%d" % (args.port_base, args.port_base + args.shards - 1)
+        notes = ""
+    else:
+        drop_rate = args.drop_rate or (0.05 if args.soak else 0.0)
+        faults = None
+        if drop_rate or args.dup_rate or args.spike_rate:
+            from repro.faults import FaultPlan
+
+            faults = FaultPlan(
+                drop_rate=drop_rate,
+                dup_rate=args.dup_rate,
+                spike_rate=args.spike_rate,
+                spike_delay=args.spike_delay,
+                seed=args.fault_seed,
+            )
+            if not args.no_reliable:
+                # Same convention as `repro simulate`: a lossy transport
+                # breaks the channel assumption, so serve the reliable-
+                # variant unless the user explicitly wants to watch it fail.
+                entry = entry.reliable()
+        resilience = None
+        if args.heartbeat_interval is not None:
+            from repro.net.resilience import ResilienceConfig
+
+            resilience = ResilienceConfig(heartbeat_interval=args.heartbeat_interval)
+        host = NetHost(
+            entry.factory,
+            args.process_id,
+            [args.port_base + index for index in range(args.processes)],
+            host=args.host,
+            run_id=args.run_id,
+            faults=faults,
+            time_scale=args.time_scale,
+            wal_dir=args.wal,
+            wal_meta={"protocol": args.protocol} if args.wal else None,
+            resilience=resilience,
+            listen_port=args.listen_port,
+        )
+        who = "process %d of %d" % (args.process_id, args.processes)
+        where = "%d" % host.listen_port
+        notes = (" with faults" if faults is not None else "") + (
+            " [recovered from WAL]" if host.recovered else ""
+        )
+    print(
+        "serving %s as %s on %s:%s (run %s)%s"
+        % (args.protocol, who, args.host, where, args.run_id, notes),
         flush=True,
     )
+    if args.shards:
+        try:
+            for worker in fleet.processes:
+                worker.join()
+        except KeyboardInterrupt:  # pragma: no cover - operator interrupt
+            for worker in fleet.processes:
+                worker.terminate()
+        return 1 if any(worker.exitcode for worker in fleet.processes) else 0
     asyncio.run(host.serve_forever())
     stats = host.stats_body()
     print(
@@ -495,7 +471,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
     from repro.net import codec
     from repro.net.client import exposition
     from repro.net.cluster import LiveObserver, LoadGenerator, drive_run
-    from repro.net.shard.coordinator import ShardRunReport, drive_fleet
 
     spec = None
     if not args.no_monitor:
@@ -547,30 +522,26 @@ def _cmd_load(args: argparse.Namespace) -> int:
                         "%.1fs remaining" % (load.requested, duration),
                         flush=True,
                     )
-            if load.shards:
-                # A fleet keeps no trace to observe: its lanes check each
-                # key live and the cross-key oracle judges the merged rows.
-                report = await drive_fleet(
-                    load, args.rate, duration, oracle=not args.no_monitor
+            # --record needs the merged event stream even without a spec
+            # to monitor, so the observer attaches either way -- to hosts:
+            # a fleet keeps no trace, its lanes check each key live and
+            # the cross-key oracle judges the merged rows.
+            if (spec is not None or args.record) and not load.shards:
+                observer = LiveObserver(load.n_processes, spec=spec)
+                if args.record:
+                    observer.record(args.record, wal_meta)
+                await observer.connect(
+                    load.ports, host=args.host, run_id=args.run_id
                 )
-            else:
-                # --record needs the merged event stream even without a
-                # spec to monitor, so the observer attaches either way.
-                if spec is not None or args.record:
-                    observer = LiveObserver(load.n_processes, spec=spec)
-                    if args.record:
-                        observer.record(args.record, wal_meta)
-                    await observer.connect(
-                        load.ports, host=args.host, run_id=args.run_id
-                    )
-                report = await drive_run(
-                    load,
-                    observer,
-                    args.protocol or "protocol",
-                    args.rate,
-                    duration,
-                    args.quiesce_timeout,
-                )
+            report = await drive_run(
+                load,
+                observer,
+                args.protocol or "protocol",
+                args.rate,
+                duration,
+                args.quiesce_timeout,
+                oracle=not args.no_monitor,
+            )
             # Pull observability artifacts while the endpoints still
             # serve (a BYE tears the flight recorders down with them).
             if args.trace_out or args.metrics_out:
@@ -602,8 +573,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
     if report is None:
         return 1
     print(report.render(), flush=True)
-    fleet = isinstance(report, ShardRunReport)
-    if args.record and not fleet:
+    if args.record and not report.shards:
         print("recorded: %s (replay with `repro replay`)" % args.record,
               flush=True)
     if args.trace_out:
@@ -611,8 +581,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
               flush=True)
     if args.metrics_out:
         print("metrics: %s" % args.metrics_out, flush=True)
-    if fleet:
-        return 0 if report.ok else 1
     if report.forensics is not None:
         from repro.obs.forensics import render_forensics
 
@@ -621,9 +589,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
         with open(forensics_out, "w") as handle:
             json.dump(report.forensics, handle, indent=1)
         print("forensics: %s" % forensics_out, flush=True)
-    if args.soak:
-        return 0 if report.clean else 1
-    return 0 if report.violation is None else 1
+    return 0 if report.ok else 1
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -1258,12 +1224,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="leave the serve processes running (default sends BYE)",
     )
     p_load.add_argument(
-        "--soak",
-        action="store_true",
-        help="strict exit status: fail unless zero violations, zero "
-        "errors, and full quiescence",
-    )
-    p_load.add_argument(
         "--trace-out",
         metavar="FILE",
         default=None,
@@ -1293,7 +1253,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="checkpoint load progress to a WAL directory; rerunning "
-        "with the same directory and seed resumes an interrupted soak",
+        "with the same directory and seed resumes an interrupted run",
     )
     p_load.set_defaults(func=_cmd_load)
 
@@ -1366,7 +1326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_top = sub.add_parser(
         "top",
-        help="live per-host view (per lane process for a shard fleet): "
+        help="live view, one row per host or shard worker: "
         "throughput, latency percentiles, retransmissions, stuck messages, "
         "clock offsets",
     )

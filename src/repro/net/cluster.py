@@ -19,10 +19,11 @@ load generator
     :class:`LoadGenerator` drives open-loop traffic at a target rate, one
     INVOKE_BATCH frame per endpoint per pacing tick, to hosts or to a
     shard fleet (:mod:`repro.net.shard`) alike.  :func:`drive_run` is the
-    arc over hosts (load -> drain -> quiesce -> settle -> verdict ->
-    report, reducing the hosts' STATS replies to a :class:`NetRunReport`
-    with throughput and p50/p99 delivery latency) that both
-    :func:`run_cluster` and ``repro load`` follow.
+    one arc of a run over either (load -> drain -> quiesce -> settle ->
+    verdict -> report, reducing the endpoints' STATS replies to a
+    :class:`NetRunReport` with throughput and p50/p99 delivery latency)
+    that :func:`run_cluster`, :func:`repro.net.shard.run_sharded` and
+    ``repro load`` follow.
 
 The stream merge is the subtle part: host ``p``'s stream carries exactly
 the events located at ``p`` (sends at the sender, deliveries at the
@@ -349,25 +350,30 @@ class Pacer:
 
 @dataclass
 class NetRunReport:
-    """What one networked run measured (the ``repro load`` output)."""
+    """What one run of a cluster, hosts or a shard fleet, measured.
+
+    The ``repro load`` output.  Counters are this run's: a kept
+    cluster's earlier runs are left out."""
 
     protocol: str
     n_processes: int
-    requested: int  # messages the generator produced
-    invoked: int  # accepted by hosts (late ones after DRAIN are dropped)
-    delivered: int
+    offered: int  # messages the generator produced
+    invoked: int  # accepted by the endpoints (late ones after DRAIN are dropped)
+    delivered: int  # a causal lane delivers each row at every other process
+    pending: int  # work the endpoints still held when the run ended
     load_seconds: float  # the open-loop phase
-    total_seconds: float  # including quiesce
-    offered_per_sec: float
-    delivered_per_sec: float
-    p50_ms: float
-    p99_ms: float
+    elapsed: float  # including DRAIN and quiesce
     quiesced: bool
-    #: invoke -> deliver percentiles; unlike p50/p99 (send -> deliver)
-    #: these include time a protocol *inhibits* the send (e.g. the sync
-    #: coordinator's grant wait), so they expose control-traffic cost.
-    e2e_p50_ms: float = 0.0
-    e2e_p99_ms: float = 0.0
+    #: The endpoints' merged delivery histograms: send -> deliver at a
+    #: host, invoke -> deliver at a shard lane.
+    latencies: Histogram
+    #: invoke -> deliver at a host; unlike ``latencies`` this includes
+    #: time a protocol *inhibits* the send (e.g. the sync coordinator's
+    #: grant wait), so it exposes control-traffic cost.
+    e2e_latencies: Histogram
+    #: What READY said: shard workers (and the key pool driven), or hosts.
+    shards: Optional[int] = None
+    keys: Optional[int] = None
     violation: Optional[str] = None
     errors: List[str] = field(default_factory=list)
     host_stats: List[Dict[str, Any]] = field(default_factory=list)
@@ -376,29 +382,54 @@ class NetRunReport:
     duplicate_receives: int = 0
     observer_events: int = 0
     #: Structured violation forensics (see :mod:`repro.obs.forensics`),
-    #: populated by :func:`run_cluster` / ``repro load`` on violation.
+    #: populated by :func:`drive_run` when the observer finds a violation.
     forensics: Optional[Dict[str, Any]] = None
     #: Resilience-layer counters summed over hosts (plus the generator's
     #: own backpressure signal count).
     redials: int = 0
     frames_shed: int = 0
     backpressure_signals: int = 0
+    #: A fleet's cross-key membership verdict
+    #: (:func:`repro.net.shard.cross_key_oracle`).
+    oracle: Optional[Dict[str, Any]] = None
+
+    @property
+    def ok(self) -> bool:
+        """Quiesced, no violation and no error line: ``repro load``'s
+        exit status."""
+        return self.quiesced and self.violation is None and not self.errors
 
     def render(self) -> str:
+        layout = "%d processes" % self.n_processes
+        if self.shards:
+            layout += ", %d shards, %s keys" % (self.shards, self.keys or "per-channel")
         lines = [
-            "net run: %s over %d processes" % (self.protocol, self.n_processes),
-            "  messages    %d requested, %d invoked, %d delivered"
-            % (self.requested, self.invoked, self.delivered),
-            "  load phase  %.2fs (offered %.0f msg/s)"
-            % (self.load_seconds, self.offered_per_sec),
-            "  throughput  %.0f delivered msg/s over %.2fs total"
-            % (self.delivered_per_sec, self.total_seconds),
-            "  latency     p50 %.2f ms, p99 %.2f ms (send -> deliver)"
-            % (self.p50_ms, self.p99_ms),
-            "  end to end  p50 %.2f ms, p99 %.2f ms (invoke -> deliver)"
-            % (self.e2e_p50_ms, self.e2e_p99_ms),
-            "  quiesced    %s" % ("yes" if self.quiesced else "NO (timeout)"),
+            "net run: %s over %s" % (self.protocol, layout),
+            "  messages    %d offered, %d invoked, %d delivered, %d pending"
+            % (self.offered, self.invoked, self.delivered, self.pending),
+            "  throughput  %.0f delivered msg/s over %.2fs (load phase %.2fs)"
+            % (
+                self.delivered / self.elapsed if self.elapsed else 0.0,
+                self.elapsed,
+                self.load_seconds,
+            ),
+            "  latency     p50 %.2f ms, p99 %.2f ms"
+            % (
+                self.latencies.percentile(50) * 1000.0,
+                self.latencies.percentile(99) * 1000.0,
+            ),
         ]
+        if self.e2e_latencies.count:
+            lines.append(
+                "  end to end  p50 %.2f ms, p99 %.2f ms (invoke -> deliver)"
+                % (
+                    self.e2e_latencies.percentile(50) * 1000.0,
+                    self.e2e_latencies.percentile(99) * 1000.0,
+                )
+            )
+        lines.append(
+            "  quiesced    %s" % ("yes" if self.quiesced else "NO (timeout)")
+        )
         if self.fault_counters:
             lines.append(
                 "  faults      "
@@ -418,6 +449,16 @@ class NetRunReport:
             )
         if self.observer_events:
             lines.append("  observer    %d events merged" % self.observer_events)
+        if self.oracle is not None:
+            verdicts = sorted(self.oracle["memberships"].items())
+            lines.append(
+                "  cross-key   %d sampled of %d: %s"
+                % (
+                    self.oracle["sampled"],
+                    self.oracle["total"],
+                    ", ".join("%s=%s" % verdict for verdict in verdicts) or "n/a",
+                )
+            )
         lines.append(
             "  violations  %s" % (self.violation if self.violation else "none")
         )
@@ -425,10 +466,9 @@ class NetRunReport:
             lines.append("  error       %s" % error)
         return "\n".join(lines)
 
-    @property
-    def clean(self) -> bool:
-        """Zero violations, zero errors, fully quiesced -- soak criteria."""
-        return self.quiesced and self.violation is None and not self.errors
+
+#: Fault-injection counters a host's STATS carries when it has a plan.
+_FAULT_COUNTERS = ("packets_dropped", "packets_duplicated", "partition_drops", "spikes")
 
 
 class LoadGenerator(ClusterClient):
@@ -466,8 +506,8 @@ class LoadGenerator(ClusterClient):
         #: (``None`` leaves keys implicit, i.e. per-channel).
         self.keys = keys
         self.requested = 0
-        #: Invokes the hosts had taken from earlier runs when this one
-        #: connected: where its ids start and what its report leaves out.
+        #: Invokes the endpoints had taken from earlier runs when this one
+        #: connected: where its ids start.
         self._prior = 0
         self._taken = 0
         #: Optional :class:`repro.wal.WalSink` for resumable soak runs:
@@ -592,40 +632,33 @@ class LoadGenerator(ClusterClient):
     def report(
         self,
         protocol: str,
+        offered: int,
+        baseline: List[Dict[str, Any]],
         stats: List[Dict[str, Any]],
         load_seconds: float,
-        total_seconds: float,
+        elapsed: float,
         quiesced: bool,
         observer: Optional[LiveObserver] = None,
     ) -> NetRunReport:
-        """Reduce per-host STATS bodies (+ observer state) to a report."""
-        # Host counters span a kept fleet's earlier runs; report this one.
-        invoked = sum(s.get("invoked", 0) for s in stats) - self._prior
-        delivered = sum(s.get("deliveries", 0) for s in stats) - self._prior
+        """Reduce the endpoints' STATS bodies against the ones read when
+        the run started (+ observer state) to a report of this run."""
+        pairs = list(zip(baseline, stats))
+
+        def grown(key: str) -> int:
+            return sum(int(s.get(key, 0)) - int(b.get(key, 0)) for b, s in pairs)
+
         latency = Histogram("latency.delivery")
         e2e = Histogram("latency.end_to_end")
         errors = list(self.errors)
-        fault_counters: Dict[str, int] = {}
-        retx = dups = redials = shed = 0
-        for s in stats:
-            redials += s.get("redials", 0)
-            shed += s.get("frames_shed", 0)
+        violation = None
+        for before, s in pairs:
             if isinstance(s.get("latencies"), dict):
                 latency.merge(Histogram.from_wire(s["latencies"]))
             if isinstance(s.get("e2e_latencies"), dict):
                 e2e.merge(Histogram.from_wire(s["e2e_latencies"]))
-            errors.extend(s.get("errors", []))
-            retx += s.get("retransmissions", 0)
-            dups += s.get("duplicate_receives", 0)
-            for key in (
-                "packets_dropped",
-                "packets_duplicated",
-                "partition_drops",
-                "spikes",
-            ):
-                if key in s:
-                    fault_counters[key] = fault_counters.get(key, 0) + s[key]
-        violation = None
+            # Error lines are append-only for an endpoint's life.
+            errors.extend(s.get("errors", [])[len(before.get("errors", [])) :])
+            violation = violation or s.get("violation")  # a lane checker's
         observer_events = 0
         if observer is not None:
             errors.extend(observer.errors)
@@ -636,27 +669,30 @@ class LoadGenerator(ClusterClient):
         return NetRunReport(
             protocol=protocol,
             n_processes=self.n_processes,
-            requested=self.requested,
-            invoked=invoked,
-            delivered=delivered,
+            offered=offered,
+            invoked=grown("invoked"),
+            delivered=grown("deliveries"),
+            pending=sum(int(s.get("pending", 0)) for s in stats),
             load_seconds=load_seconds,
-            total_seconds=total_seconds,
-            offered_per_sec=self.requested / load_seconds if load_seconds else 0.0,
-            delivered_per_sec=delivered / total_seconds if total_seconds else 0.0,
-            p50_ms=latency.percentile(50) * 1000.0,
-            p99_ms=latency.percentile(99) * 1000.0,
+            elapsed=elapsed,
             quiesced=quiesced,
-            e2e_p50_ms=e2e.percentile(50) * 1000.0,
-            e2e_p99_ms=e2e.percentile(99) * 1000.0,
+            latencies=latency,
+            e2e_latencies=e2e,
+            shards=self.shards,
+            keys=self.keys,
             violation=violation,
             errors=errors,
             host_stats=stats,
-            fault_counters=fault_counters,
-            retransmissions=retx,
-            duplicate_receives=dups,
+            fault_counters={
+                key: grown(key)
+                for key in _FAULT_COUNTERS
+                if any(key in s for s in stats)
+            },
+            retransmissions=grown("retransmissions"),
+            duplicate_receives=grown("duplicate_receives"),
             observer_events=observer_events,
-            redials=redials,
-            frames_shed=shed,
+            redials=grown("redials"),
+            frames_shed=grown("frames_shed"),
             backpressure_signals=self.backpressure_signals,
         )
 
@@ -671,28 +707,44 @@ async def drive_run(
     rate: float,
     duration: float,
     quiesce_timeout: float = 30.0,
+    *,
+    oracle: bool = True,
 ) -> NetRunReport:
-    """The arc of one run over connected roles: offer load, DRAIN,
-    quiesce, let the observer settle, close its verdict, reduce to a
-    report -- and pull forensics if the verdict is a violation.
+    """The arc of one run over connected roles, hosts or a shard fleet.
+
+    Offer load, DRAIN, quiesce, let the observer settle, close its
+    verdict, reduce to a report -- then pull forensics if the observer
+    found a violation, or, over shard workers and with ``oracle``, page
+    back the delivered rows and judge them with the cross-key oracle.
 
     ``duration <= 0`` skips the load phase (a resumed soak that had
     already offered everything)."""
+    # A kept cluster's counters -- and its error lines -- span its
+    # earlier runs; the report is of this one.
+    baseline = await load.stats()
+    requested = load.requested
     started = time.monotonic()
     load_seconds = await load.run(rate, duration) if duration > 0 else 0.0
     await load.drain()
-    quiesced, stats = await load.quiesce(timeout=quiesce_timeout)
+    quiesced, stats = await load.quiesce(timeout=quiesce_timeout, poll=0.05)
     if observer is not None:
         await observer.settle()
         observer.final_check()
     report = load.report(
         protocol_name,
+        load.requested - requested,
+        baseline,
         stats,
         load_seconds,
         time.monotonic() - started,
         quiesced,
         observer=observer,
     )
+    if load.shards and oracle:
+        # Imported here: the shard package drives load through this module.
+        from repro.net.shard.coordinator import collect, cross_key_oracle
+
+        report.oracle = cross_key_oracle(await collect(load), load.n_processes)
     if observer is not None and observer.violation is not None:
         from repro.obs.forensics import build_forensics
 

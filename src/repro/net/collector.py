@@ -12,8 +12,9 @@ The observability plane is pull-only: a collector is a
     receive at the receiver).
 
 ``repro top``
-    polls STATS + METRICS and renders a live per-host table
-    (throughput, latency percentiles, retransmissions, stuck messages).
+    polls STATS + METRICS and renders a live table, one row per host or
+    shard worker (throughput, latency percentiles, retransmissions,
+    stuck messages).
 
 forensics
     ``repro load`` pulls TRACE dumps when the live monitor latches a
@@ -175,101 +176,6 @@ def stitch_flight_dumps(
 # -- the live view ------------------------------------------------------------
 
 
-def aggregate_shard_rows(
-    pulls: Sequence[HostPull],
-) -> Dict[int, Dict[str, Any]]:
-    """Fold shard pulls into one row per *logical* process.
-
-    Each shard worker reports the same logical process set (its
-    ``per_process`` list covers every endpoint it hosts), so rendering
-    one row per pull would print N near-duplicate rows whose ``process``
-    column is really a shard id.  This collapses them: counters sum per
-    logical process, and each row remembers which shards contributed
-    traffic to it (the ``shards`` column of the sharded top view).
-    """
-    rows: Dict[int, Dict[str, Any]] = {}
-    for pull in pulls:
-        stats = pull.stats_body or {}
-        if "shard" not in stats:
-            continue
-        shard = stats["shard"]
-        for entry in stats.get("per_process") or ():
-            process = int(entry.get("process", -1))
-            row = rows.setdefault(
-                process,
-                {"invoked": 0, "delivered": 0, "shards": set()},
-            )
-            invoked = int(entry.get("invoked", 0))
-            delivered = int(entry.get("deliveries", 0))
-            row["invoked"] += invoked
-            row["delivered"] += delivered
-            if invoked or delivered:
-                row["shards"].add(shard)
-    return rows
-
-
-def render_top_sharded(
-    pulls: Sequence[HostPull],
-    previous: Optional[Sequence[HostPull]] = None,
-    dt: Optional[float] = None,
-    violation: Optional[str] = None,
-) -> str:
-    """The ``repro top`` table for a sharded fleet: one row per logical
-    process with a shards column, instead of one row per worker."""
-    rows = aggregate_shard_rows(pulls)
-    prior_rows = aggregate_shard_rows(previous or ())
-    n_shards = len(pulls)  # one pull per worker the first READY named
-    header = "P   invoked  delivered   msg/s  shards"
-    lines = [header]
-    totals = {"invoked": 0, "delivered": 0, "rate": 0.0}
-    for process in sorted(rows):
-        row = rows[process]
-        rate = 0.0
-        before = prior_rows.get(process)
-        if before is not None and dt:
-            rate = max(0.0, (row["delivered"] - before["delivered"]) / dt)
-        totals["invoked"] += row["invoked"]
-        totals["delivered"] += row["delivered"]
-        totals["rate"] += rate
-        lines.append(
-            "%-3d %7d %10d %7.0f %4d/%d"
-            % (
-                process,
-                row["invoked"],
-                row["delivered"],
-                rate,
-                len(row["shards"]),
-                n_shards,
-            )
-        )
-    merged = Histogram("top.latency")
-    pending = 0
-    first_violation = violation
-    for pull in pulls:
-        stats = pull.stats_body or {}
-        pending += int(stats.get("pending", 0))
-        wire = stats.get("latencies")
-        if isinstance(wire, dict):
-            merged.merge(Histogram.from_wire(wire))
-        if first_violation is None and stats.get("violation"):
-            first_violation = stats["violation"]
-    lines.append(
-        "sum %7d %10d %7.0f   %d shards  pending=%d  p50=%.2fms  p99=%.2fms"
-        % (
-            totals["invoked"],
-            totals["delivered"],
-            totals["rate"],
-            n_shards,
-            pending,
-            merged.percentile(50) * 1000.0,
-            merged.percentile(99) * 1000.0,
-        )
-    )
-    if first_violation:
-        lines.append("VIOLATION: %s" % first_violation)
-    return "\n".join(lines)
-
-
 def render_top(
     pulls: Sequence[HostPull],
     previous: Optional[Sequence[HostPull]] = None,
@@ -278,14 +184,13 @@ def render_top(
 ) -> str:
     """A ``repro top`` table from one collection round.
 
+    One row per endpoint -- a host, or a shard worker with its lanes --
+    showing what its STATS body has, then the sum row and the first
+    violation (``violation``, else the first a lane checker latched).
+
     ``previous``/``dt`` (the prior round and the seconds between them)
-    turn absolute delivery counters into a rate column.  Pulls from a
-    sharded fleet (stats bodies carrying a ``shard`` field) are
-    collapsed to one row per logical process via
-    :func:`render_top_sharded`.
+    turn absolute delivery counters into a rate column.
     """
-    if any("shard" in (pull.stats_body or {}) for pull in pulls):
-        return render_top_sharded(pulls, previous, dt, violation)
     prior = {pull.process: pull for pull in previous or ()}
     header = (
         "P   invoked  delivered   msg/s   p50 ms   p99 ms   retx  dups"
@@ -314,6 +219,7 @@ def render_top(
         totals["delivered"] += delivered
         totals["rate"] += rate
         totals["stuck"] += stuck
+        violation = violation or stats.get("violation")
         # The failure detector's verdict per peer link: "up" when every
         # link is healthy, otherwise the peers that are not ("2:down").
         links = stats.get("links") or {}

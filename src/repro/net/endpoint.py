@@ -194,6 +194,12 @@ class Endpoint:
                 await handler(reader, writer, hello.body)
             finally:
                 writers.discard(writer)
+        except asyncio.CancelledError:
+            # The stream protocol's done-callback reads the task's
+            # exception, so a connection that teardown cancelled ends
+            # normally instead of logging the cancellation.
+            if not self._stopping:
+                raise
         finally:
             writer.close()
 

@@ -15,10 +15,11 @@ worker *processes*:
   one asyncio loop, per-tick coalesced inline lane batches and
   shard-labelled metrics;
 - :mod:`coordinator <repro.net.shard.coordinator>` -- spawns the fleet,
-  drives paced keyed load through the one
-  :class:`~repro.net.cluster.LoadGenerator`, merges per-shard stats, and
-  runs the end-of-run **cross-key membership oracle** for the specs that
-  escalate to GENERAL across keys (cross-key causality, crown-freedom).
+  runs it through :func:`~repro.net.cluster.drive_run` (the one arc and
+  :class:`~repro.net.cluster.NetRunReport` of every cluster run), and
+  owns the end-of-run **cross-key membership oracle** that arc calls for
+  the specs that escalate to GENERAL across keys (cross-key causality,
+  crown-freedom).
 
 The split mirrors the paper's classification: per-key scoped fifo and
 causal specs keep order-1 resolved cycles (TAGGED -- checkable locally
@@ -31,7 +32,6 @@ behind that table.
 
 from repro.net.shard.coordinator import (
     ShardCoordinator,
-    ShardRunReport,
     cross_key_oracle,
     run_sharded,
     run_sharded_sync,
@@ -58,7 +58,6 @@ __all__ = [
     "LaneViolation",
     "ShardCoordinator",
     "ShardRouter",
-    "ShardRunReport",
     "ShardWorker",
     "ShardWorkerConfig",
     "cross_key_oracle",

@@ -1,4 +1,4 @@
-"""The shard coordinator: spawn, drive, merge, and finally *judge*.
+"""The shard coordinator: spawn, drive, reduce, and finally *judge*.
 
 The coordinator owns the fleet view of a sharded run:
 
@@ -11,12 +11,13 @@ The coordinator owns the fleet view of a sharded run:
    its ordering key through :class:`~repro.net.shard.router.ShardRouter`,
    and ships one :data:`~repro.net.codec.INVOKE_BATCH` frame per shard
    per pacing tick, exactly as it drives a cluster of hosts;
-3. **merge** -- pull STATS/METRICS from every shard and fold them into
-   one fleet report (per-shard rows, per-key rows, merged histograms);
-4. **judge** -- after DRAIN, page the shards' delivered-row rings back
-   over COLLECT frames and run the *cross-key membership oracle* on a
-   merged sample: per-key lanes can check fifo/causal scoped to a key
-   live and O(1), but any spec that escalates to GENERAL across keys
+3. **reduce and judge** -- :func:`~repro.net.cluster.drive_run`, the
+   arc every cluster run follows, folds the shards' STATS into one
+   :class:`~repro.net.cluster.NetRunReport` and, after DRAIN, pages the
+   shards' delivered-row rings back over COLLECT frames (:func:`collect`)
+   to run the *cross-key membership oracle* (:func:`cross_key_oracle`)
+   on a merged sample: per-key lanes can check fifo/causal scoped to a
+   key live and O(1), but any spec that escalates to GENERAL across keys
    (cross-key causality, logical synchrony / crown-freedom) is only
    decidable on the merged run -- exactly the paper's split between
    tagged protocols and general protocols that need global knowledge.
@@ -30,26 +31,22 @@ end-of-run verdict carries the same semantics as the offline theory.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.events import Event, Message
 from repro.net import codec
 from repro.net.client import ClusterClient
-from repro.net.cluster import LoadGenerator
+from repro.net.cluster import LoadGenerator, NetRunReport, drive_run
 from repro.net.shard.worker import (
     COLLECT_PAGE,
     ShardWorkerConfig,
     spawn_worker,
 )
-from repro.obs.metrics import Histogram
 
 __all__ = [
     "ShardCoordinator",
-    "ShardRunReport",
     "collect",
     "cross_key_oracle",
-    "drive_fleet",
     "run_sharded",
     "run_sharded_sync",
 ]
@@ -61,80 +58,6 @@ DEFAULT_PORT_BASE = 7850
 #: checks are O(n^2) happens-before queries (~15us each), so 400
 #: messages keep the end-of-run verdict under ~2s of judge time.
 ORACLE_SAMPLE = 400
-
-
-@dataclass
-class ShardRunReport:
-    """The merged outcome of one sharded load run."""
-
-    n_shards: int
-    n_processes: int
-    keys: int
-    rate: float
-    duration: float
-    offered: int = 0
-    invoked: int = 0
-    delivered: int = 0
-    pending: int = 0
-    elapsed: float = 0.0
-    violation: Optional[str] = None
-    violations: List[str] = field(default_factory=list)
-    errors: List[str] = field(default_factory=list)
-    per_shard: List[Dict[str, Any]] = field(default_factory=list)
-    per_key: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    latencies: Optional[Histogram] = None
-    #: Cross-key membership verdict (see :func:`cross_key_oracle`).
-    oracle: Optional[Dict[str, Any]] = None
-
-    @property
-    def ok(self) -> bool:
-        """Clean run: no lane violation, no worker error, fully drained."""
-        return (
-            self.violation is None and not self.errors and self.pending == 0
-        )
-
-    @property
-    def rate_achieved(self) -> float:
-        """Aggregate delivered msgs/s over the driven window."""
-        if self.elapsed <= 0:
-            return 0.0
-        return self.delivered / self.elapsed
-
-    def render(self) -> str:
-        lines = [
-            "sharded run: %d shards, %d processes, %d keys"
-            % (self.n_shards, self.n_processes, self.keys),
-            "  offered %d  invoked %d  delivered %d  pending %d"
-            % (self.offered, self.invoked, self.delivered, self.pending),
-            "  %.0f msgs/s aggregate over %.2fs"
-            % (self.rate_achieved, self.elapsed),
-        ]
-        if self.latencies is not None and self.latencies.count:
-            lines.append(
-                "  latency p50 %.2fms  p99 %.2fms"
-                % (
-                    self.latencies.percentile(50) * 1000.0,
-                    self.latencies.percentile(99) * 1000.0,
-                )
-            )
-        if self.oracle is not None:
-            lines.append(
-                "  cross-key oracle (%d sampled of %d): %s"
-                % (
-                    self.oracle.get("sampled", 0),
-                    self.oracle.get("total", 0),
-                    ", ".join(
-                        "%s=%s" % (name, self.oracle["memberships"][name])
-                        for name in sorted(self.oracle.get("memberships", {}))
-                    )
-                    or "n/a",
-                )
-            )
-        for rendered in self.violations[:5]:
-            lines.append("  VIOLATION %s" % rendered)
-        for error in self.errors[:5]:
-            lines.append("  ERROR %s" % error)
-        return "\n".join(lines)
 
 
 def cross_key_oracle(
@@ -217,60 +140,6 @@ async def collect(
     return rows
 
 
-async def drive_fleet(
-    load: LoadGenerator, rate: float, duration: float, *, oracle: bool = True
-) -> ShardRunReport:
-    """Drive, drain, merge, judge -- one report for one run of the fleet
-    ``load`` is connected to.  ``duration <= 0`` offers nothing."""
-    report = ShardRunReport(
-        n_shards=load.shards or 0,
-        n_processes=load.n_processes,
-        keys=load.keys or 0,
-        rate=rate,
-        duration=duration,
-    )
-    # A kept fleet's counters -- and its append-only error lines --
-    # span its earlier runs; report this one.
-    baseline = await load.stats()
-    loop = asyncio.get_running_loop()
-    start = loop.time()
-    requested = load.requested
-    if duration > 0:
-        await load.run(rate, duration)
-    report.offered = load.requested - requested
-    await load.drain()
-    drained, bodies = await load.quiesce(10.0, poll=0.05)
-    report.elapsed = loop.time() - start
-    if not drained:
-        report.errors.append("fleet did not drain within timeout")
-    merged_latency = Histogram("shard.latency")
-    for before, body in zip(baseline, bodies):
-        report.per_shard.append(body)
-        report.invoked += int(body.get("invoked", 0)) - int(
-            before.get("invoked", 0)
-        )
-        report.delivered += int(body.get("deliveries", 0)) - int(
-            before.get("deliveries", 0)
-        )
-        report.pending += int(body.get("pending", 0))
-        report.violations.extend(body.get("violations") or [])
-        report.errors.extend(
-            (body.get("errors") or [])[len(before.get("errors") or []) :]
-        )
-        wire = body.get("latencies")
-        if wire:
-            merged_latency.merge(Histogram.from_wire(wire, "shard.latency"))
-        for key, row in (body.get("per_key") or {}).items():
-            report.per_key[key] = row
-    report.errors.extend(load.errors)
-    if report.violations:
-        report.violation = report.violations[0]
-    report.latencies = merged_latency
-    if oracle:
-        report.oracle = cross_key_oracle(await collect(load), load.n_processes)
-    return report
-
-
 class ShardCoordinator:
     """Fleet controller for ``n_shards`` lane workers (see module doc)."""
 
@@ -338,11 +207,18 @@ class ShardCoordinator:
         keys: int = 0,
         *,
         oracle: bool = True,
-    ) -> ShardRunReport:
+    ) -> NetRunReport:
         """One run over ``keys`` ordering keys (``0``: each channel is a
-        key), as :func:`drive_fleet` drives it."""
+        key), as :func:`~repro.net.cluster.drive_run` drives any cluster."""
         self.client.keys = keys or None
-        return await drive_fleet(self.client, rate, duration, oracle=oracle)
+        return await drive_run(
+            self.client,
+            None,
+            self.configs[0].lane_kind,
+            rate,
+            duration,
+            oracle=oracle,
+        )
 
 
 async def run_sharded(
@@ -358,7 +234,7 @@ async def run_sharded(
     stall_seconds: float = 0.0,
     oracle: bool = True,
     seed: int = 11,
-) -> ShardRunReport:
+) -> NetRunReport:
     """Spawn a fleet, run one load arc, tear the fleet down."""
     coordinator = ShardCoordinator(
         n_shards,
@@ -376,6 +252,6 @@ async def run_sharded(
         await coordinator.stop()
 
 
-def run_sharded_sync(*args: Any, **kwargs: Any) -> ShardRunReport:
+def run_sharded_sync(*args: Any, **kwargs: Any) -> NetRunReport:
     """Synchronous wrapper over :func:`run_sharded` (CLI/tests)."""
     return asyncio.run(run_sharded(*args, **kwargs))

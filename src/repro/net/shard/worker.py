@@ -339,17 +339,8 @@ class ShardWorker(Endpoint):
             "flushes": self.flushes,
             "lane_kind": self.config.lane_kind,
             "latencies": latency.to_wire(),
-            "per_process": [
-                {
-                    "process": endpoint.process_id,
-                    "invoked": endpoint.rows_sent,
-                    "deliveries": endpoint.rows_delivered,
-                }
-                for endpoint in self.endpoints
-            ],
             "per_key": self.key_stats.to_wire(),
             "violation": self.violation,
-            "violations": [v.render() for v in self.violations[:5]],
             "errors": list(self.errors),
         }
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import socket
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -20,6 +22,26 @@ from repro.events import Event, Message
 from repro.predicates.ast import ForbiddenPredicate
 from repro.predicates.guards import KeyGuard
 from repro.runs.user_run import UserRun
+
+
+def free_port_base(count):
+    """A base port with ``count`` contiguous free ports above it (a
+    client given one port dials ``port_base + k`` for the rest, so the
+    run needs adjacent ports, which ``free_ports`` does not guarantee)."""
+    for base in range(7950, 9300, 16):
+        sockets = []
+        try:
+            for index in range(count):
+                sock = socket.socket()
+                sock.bind(("127.0.0.1", base + index))
+                sockets.append(sock)
+            return base
+        except OSError:
+            continue
+        finally:
+            for sock in sockets:
+                sock.close()
+    raise RuntimeError("no contiguous port range free")
 
 
 def scoped_to_key(predicate, name):

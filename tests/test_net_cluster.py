@@ -16,8 +16,18 @@ import pytest
 from repro.events import Event, Message
 from repro.faults import FaultPlan
 from repro.mc.mutations import mutation_factories
+from repro.cli import main
 from repro.net import NetHost, codec, run_cluster_sync
-from repro.net.cluster import LiveObserver, LoadGenerator, Pacer, drive_run, free_ports
+from repro.net.client import ControlLink
+from repro.net.cluster import (
+    LiveObserver,
+    LoadGenerator,
+    NetRunReport,
+    Pacer,
+    drive_run,
+    free_ports,
+    run_cluster,
+)
 from repro.net.host import record_frames
 from repro.net.shard import ShardWorker, ShardWorkerConfig
 from repro.predicates.catalog import CAUSAL_B2, CAUSAL_ORDERING, FIFO, FIFO_ORDERING
@@ -25,6 +35,7 @@ from repro.protocols import GeneratedTaggedProtocol, catalogue
 from repro.protocols.base import make_factory
 from repro.simulation.trace import TraceRecord
 from repro.wal import records as wal_records
+from tests.conftest import free_port_base
 
 # Fast wall mapping for tests: 1 virtual unit == 1ms, so the ARQ's
 # 30-unit RTO is 30ms and soak runs converge quickly.
@@ -57,17 +68,17 @@ class TestCatalogueOverLoopbackTcp:
         assert report.quiesced, report.render()
         assert report.violation is None, report.render()
         assert not report.errors, report.render()
-        assert report.invoked == report.requested
+        assert report.invoked == report.offered
         assert report.delivered >= report.invoked
         # The observer really merged the full four-event stream.
         assert report.observer_events >= 4 * report.invoked
 
     def test_report_carries_throughput_and_latency(self):
         report = _run("fifo", 0)
-        assert report.delivered_per_sec > 0
-        assert report.p99_ms >= report.p50_ms > 0
+        assert report.delivered / report.elapsed > 0
+        assert report.latencies.percentile(99) >= report.latencies.percentile(50) > 0
         assert "msg/s" in report.render()
-        assert report.clean
+        assert report.ok
 
 
 class TestSynthesizedProtocolOverLoopbackTcp:
@@ -98,7 +109,7 @@ class TestSynthesizedProtocolOverLoopbackTcp:
         assert report.quiesced, report.render()
         assert report.violation is None, report.render()
         assert not report.errors, report.render()
-        assert report.delivered == report.invoked == report.requested == 150
+        assert report.delivered == report.invoked == report.offered == 150
 
 
 class TestLiveViolationDetection:
@@ -119,7 +130,7 @@ class TestLiveViolationDetection:
             run_id="t-broken",
         )
         assert report.violation is not None
-        assert not report.clean
+        assert not report.ok
 
     def test_correct_fifo_survives_the_same_spikes(self):
         report = _run(
@@ -413,8 +424,8 @@ class TestSoakUnderLoss:
             quiesce_timeout=60.0,
             run_id="t-soak",
         )
-        assert report.clean, report.render()
-        assert report.delivered == report.invoked == report.requested
+        assert report.ok, report.render()
+        assert report.delivered == report.invoked == report.offered
         # The plan really dropped frames and the ARQ really recovered.
         assert report.fault_counters.get("packets_dropped", 0) > 0
         assert report.retransmissions > 0
@@ -460,8 +471,8 @@ class TestKeptFleet:
         runs, host_errors = asyncio.run(scenario())
         assert host_errors == [[], []]
         for index, (report, events_seen) in enumerate(runs):
-            assert report.clean, report.render()
-            assert report.requested == report.invoked == report.delivered == 90
+            assert report.ok, report.render()
+            assert report.offered == report.invoked == report.delivered == 90
             # A late observer is replayed the kept hosts' history first.
             assert report.observer_events == events_seen == 4 * 90 * (index + 1)
 
@@ -590,3 +601,185 @@ class TestOneLoadDriver:
         load, *result = asyncio.run(scenario())
         assert load.shards == 2 and load.n_processes == 4
         self._check(load, *result)
+
+
+async def _serving_hosts(ports, run_id):
+    hosts = [
+        NetHost(catalogue()["fifo"].factory, pid, ports, run_id=run_id)
+        for pid in range(len(ports))
+    ]
+    for host in hosts:
+        await host.start()
+    await asyncio.gather(*(host.ready() for host in hosts))
+    return hosts
+
+
+def _serving_workers(ports, run_id, lane_kind="fifo"):
+    workers = [
+        ShardWorker(
+            ShardWorkerConfig(
+                shard=shard,
+                n_shards=len(ports),
+                n_processes=3,
+                port=port,
+                run_id=run_id,
+                lane_kind=lane_kind,
+            )
+        )
+        for shard, port in enumerate(ports)
+    ]
+    loop = asyncio.get_running_loop()
+    return workers, [loop.create_task(worker.serve_forever()) for worker in workers]
+
+
+class TestOneRunArc:
+    """`drive_run` is the arc of a run over hosts and shard workers alike,
+    and its report counts this run alone."""
+
+    @staticmethod
+    async def _runs(ports, run_id, count=1, between=None, **load_options):
+        reports = []
+        for _ in range(count):
+            if reports and between is not None:
+                await between()
+            load = LoadGenerator(ports, run_id=run_id, **load_options)
+            await load.connect()
+            try:
+                reports.append(await drive_run(load, None, "fifo", 200.0, 0.5))
+            finally:
+                await load.close()
+        return reports
+
+    def _check(self, report):
+        assert isinstance(report, NetRunReport)
+        assert report.ok, report.render()
+        assert report.offered == report.invoked == report.delivered == 100
+        assert report.pending == 0 and report.errors == []
+
+    def test_hosts(self):
+        async def scenario():
+            ports = free_ports(2)
+            hosts = await _serving_hosts(ports, "t-arc")
+            try:
+                return await self._runs(ports, "t-arc")
+            finally:
+                for host in hosts:
+                    await host.shutdown()
+
+        (report,) = asyncio.run(scenario())
+        self._check(report)
+        assert report.shards is None and report.oracle is None
+
+    def test_shard_fleet(self):
+        async def scenario():
+            ports = free_ports(2)
+            workers, serving = _serving_workers(ports, "t-arc")
+            try:
+                return await self._runs(ports, "t-arc", keys=4)
+            finally:
+                for worker in workers:
+                    await worker.shutdown()
+                await asyncio.gather(*serving)
+
+        (report,) = asyncio.run(scenario())
+        self._check(report)
+        assert report.shards == 2 and report.oracle["total"] == 100
+
+    def test_a_stranger_between_runs_is_no_later_runs_error(self):
+        """A host's error lines are append-only: one refused HELLO used to
+        fail every later run a kept cluster served."""
+
+        async def stranger(port):
+            link = ControlLink("127.0.0.1", port, "load", "someone-else")
+            await link.connect(timeout=5.0)
+            with pytest.raises(ConnectionError):
+                await link.ready(timeout=5.0)
+            await link.close()
+
+        async def scenario():
+            ports = free_ports(2)
+            hosts = await _serving_hosts(ports, "kept")
+            try:
+                reports = await self._runs(
+                    ports, "kept", 2, between=lambda: stranger(ports[0])
+                )
+                return reports, hosts[0].errors
+            finally:
+                for host in hosts:
+                    await host.shutdown()
+
+        (first, second), errors = asyncio.run(scenario())
+        assert errors == ["rejected connection for run 'someone-else' (serving 'kept')"]
+        self._check(first)
+        self._check(second)
+
+    def test_a_kept_causal_fleet_counts_this_runs_deliveries(self):
+        """A causal lane delivers each row at every other process, so a
+        run's deliveries are not its invokes: both come from STATS."""
+
+        async def scenario():
+            ports = free_ports(1)
+            workers, serving = _serving_workers(ports, "t-causal", "causal")
+            try:
+                return await self._runs(ports, "t-causal", 2, keys=4)
+            finally:
+                for worker in workers:
+                    await worker.shutdown()
+                await asyncio.gather(*serving)
+
+        for report in asyncio.run(scenario()):
+            assert report.ok, report.render()
+            assert report.offered == report.invoked == 100
+            assert report.delivered == 2 * 100
+
+    def test_teardown_logs_nothing_to_the_loop(self):
+        """Teardown cancels the accepted streams' tasks; the stream
+        protocol's done-callback used to log each as an error."""
+        logged = []
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda loop, context: logged.append(context))
+            report = await run_cluster(
+                catalogue()["fifo"].factory, 3, rate=200.0, duration=0.5
+            )
+            await asyncio.sleep(0.1)  # let the done-callbacks run
+            return report
+
+        assert asyncio.run(scenario()).ok
+        assert logged == []
+
+
+class TestLoadExitStatus:
+    def test_an_error_line_fails_the_run_without_a_flag(self, capsys):
+        """`repro load` exits 0 iff the report is ok: an error line an
+        endpoint logged during the run fails it as a violation would."""
+        base = free_port_base(2)
+
+        async def scenario():
+            hosts = await _serving_hosts([base, base + 1], "t-exit")
+            stats_body = hosts[0].stats_body
+            pulls = Counter()
+
+            def failing_stats_body():
+                pulls["stats"] += 1
+                if pulls["stats"] == 3:  # after connect's and the arc's baseline
+                    hosts[0].errors.append("disk full")
+                return stats_body()
+
+            hosts[0].stats_body = failing_stats_body
+            try:
+                return await asyncio.get_running_loop().run_in_executor(
+                    None,
+                    main,
+                    ["load", "--port-base", str(base), "--run-id", "t-exit"]
+                    + ["--rate", "200", "--duration", "0.3", "--keep-serving"],
+                )
+            finally:
+                for host in hosts:
+                    await host.shutdown()
+
+        code = asyncio.run(scenario())
+        out = capsys.readouterr().out
+        assert "error       disk full" in out
+        assert code == 1

@@ -72,7 +72,7 @@ class TestLiveCluster:
             wal_dir=str(tmp_path),
             run_id="t-probe-guard",
         )
-        assert report.clean, report.render()
+        assert report.ok, report.render()
         assert report.delivered == report.invoked > 0
         assert emitted  # the ARQ's timers fire and the WAL listens
         assert all(observed for _, observed in emitted), sorted(set(emitted))

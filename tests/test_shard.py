@@ -18,7 +18,6 @@ paper's tagged/general split operationally:
 import asyncio
 import os
 import re
-import socket
 import subprocess
 import sys
 import zlib
@@ -29,11 +28,8 @@ from repro.cli import main
 from repro.events import Event, Message
 from repro.events.message import channel_key
 from repro.net.client import ControlLink
-from repro.net.collector import (
-    HostPull,
-    aggregate_shard_rows,
-    render_top_sharded,
-)
+from repro.net.cluster import NetRunReport
+from repro.net.collector import HostPull, render_top
 from repro.net.shard import (
     CausalLaneChecker,
     FifoLaneChecker,
@@ -50,29 +46,9 @@ from repro.net.shard.worker import ShardWorker, ShardWorkerConfig
 from repro.predicates.catalog import CAUSAL_B2, FIFO
 from repro.simulation.trace import Trace
 from repro.verification.engine import monitor_trace
-from tests.conftest import scoped_to_key
+from tests.conftest import free_port_base, scoped_to_key
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-
-
-def free_port_base(count):
-    """A base port with ``count`` contiguous free ports above it (the
-    coordinator dials ``port_base + shard``, so the run needs a run of
-    adjacent ports, which ``free_ports`` does not guarantee)."""
-    for base in range(7950, 9300, 16):
-        sockets = []
-        try:
-            for index in range(count):
-                sock = socket.socket()
-                sock.bind(("127.0.0.1", base + index))
-                sockets.append(sock)
-            return base
-        except OSError:
-            continue
-        finally:
-            for sock in sockets:
-                sock.close()
-    raise RuntimeError("no contiguous port range free")
 
 
 def merged_trace(rows, n_processes):
@@ -330,13 +306,14 @@ class TestShardedFleet:
                 await fleet.stop()
 
         report, rows = asyncio.run(scenario())
+        assert isinstance(report, NetRunReport)
         assert report.ok, report.render()
         assert report.delivered == report.offered == report.invoked
         assert report.pending == 0
         assert report.oracle is not None
         assert report.oracle["memberships"]["async"] is True
-        assert {body["shard"] for body in report.per_shard} == {0, 1}
-        assert report.per_key  # per-key stats came back
+        assert {body["shard"] for body in report.host_stats} == {0, 1}
+        assert all(body["per_key"] for body in report.host_stats)
 
         assert len(rows) == report.delivered
         assert len({row[3] for row in rows}) == 6
@@ -391,7 +368,7 @@ class TestShardedFleet:
                 serve.wait()
         out = capsys.readouterr().out
         assert code == 0 and served == 0, out
-        assert "2 shards, 4 processes, 8 keys" in out
+        assert "over 4 processes, 2 shards, 8 keys" in out
         line = next(line for line in out.splitlines() if "offered" in line)
         offered, invoked, delivered, pending = map(int, re.findall(r"\d+", line))
         assert offered == invoked == delivered == 400 and pending == 0
@@ -477,49 +454,40 @@ class TestShardedFleet:
             oracle=False,
         )
         assert report.ok, report.render()
-        stalled = report.per_key["k0"]["p99_ms"]
-        others = [
-            row["p99_ms"]
-            for key, row in report.per_key.items()
-            if key != "k0"
-        ]
+        per_key = {
+            key: row
+            for body in report.host_stats
+            for key, row in body["per_key"].items()
+        }
+        stalled = per_key["k0"]["p99_ms"]
+        others = [row["p99_ms"] for key, row in per_key.items() if key != "k0"]
         assert stalled >= 250.0
         assert others and max(others) < 100.0
 
 
 class TestShardedTopView:
-    def _pull(self, shard, per_process, pending=0, violation=None):
-        return HostPull(
-            process=shard,
-            stats_body={
-                "shard": shard,
-                "shards": 2,
-                "pending": pending,
-                "violation": violation,
-                "per_process": [
-                    {"process": p, "invoked": i, "deliveries": d}
-                    for p, i, d in per_process
-                ],
-            },
-        )
+    """`repro top` over a fleet prints what each worker's STATS has, one
+    row per shard, as it does one row per host."""
 
-    def test_rows_collapse_per_logical_process(self):
-        pulls = [
-            self._pull(0, [(0, 10, 9), (1, 5, 6)]),
-            self._pull(1, [(0, 3, 4), (1, 0, 0)]),
-        ]
-        rows = aggregate_shard_rows(pulls)
-        assert rows[0] == {"invoked": 13, "delivered": 13, "shards": {0, 1}}
-        # Shard 1 moved no traffic for process 1: not in its shards set.
-        assert rows[1]["shards"] == {0}
+    def test_one_row_per_shard_then_sum_and_violation(self):
+        def pull(shard, invoked, delivered, violation=None):
+            return HostPull(
+                process=shard,
+                stats_body={
+                    "shard": shard,
+                    "invoked": invoked,
+                    "deliveries": delivered,
+                    "pending": invoked - delivered,
+                    "violation": violation,
+                },
+            )
 
-    def test_render_has_shards_column_and_sum(self):
-        pulls = [
-            self._pull(0, [(0, 10, 10)]),
-            self._pull(1, [(0, 5, 5)], violation="lane k0 ..."),
-        ]
-        text = render_top_sharded(pulls)
-        assert "shards" in text.splitlines()[0]
-        assert "2/2" in text
-        assert "sum" in text and "2 shards" in text
-        assert "VIOLATION" in text
+        lines = render_top(
+            [pull(0, 10, 10), pull(1, 7, 5, violation="lane k0 (fifo): ...")]
+        ).splitlines()
+        assert len(lines) == 5
+        assert lines[1].split()[:3] == ["0", "10", "10"]
+        assert lines[2].split()[:3] == ["1", "7", "5"]
+        assert lines[2].split()[8] == "2"  # the pending column
+        assert lines[3].split()[:3] == ["sum", "17", "15"]
+        assert lines[4] == "VIOLATION: lane k0 (fifo): ..."
