@@ -10,10 +10,12 @@ Three tables, all produced by the same seeded chaos harness the
     message lost or double-delivered, re-convergence within deadline.
 
 ``chaos_reconnect``
-    reconnect-and-resume time: one outage (a sever or a kill) spans the
-    whole traffic window and heals exactly when traffic stops, so the
-    convergence stopwatch measures the supervised re-dial plus the ARQ
-    catching the backlog up (for ``kill``: the WAL restart too).
+    reconnect-and-resume time: one outage (a sever, a blackhole or a
+    kill) spans the whole traffic window and heals just after traffic
+    stops.  DRAIN waits for the heal, so the convergence stopwatch
+    (DRAIN to quiescence with every link up) measures the supervised
+    re-dial plus the ARQ catching the backlog up.  A killed host's
+    restart from its WAL is part of the plan, so DRAIN waits for it too.
 
 ``chaos_backpressure``
     goodput with bounded per-peer queues + closed-loop watermark
@@ -79,7 +81,7 @@ def test_chaos_sweep_table():
                     report.acked,
                     len(report.acked_lost),
                     len(report.double_delivered),
-                    "none" if report.violation is None else "YES",
+                    "none" if report.run.violation is None else "YES",
                     "%.2f" % report.converge_seconds,
                     "OK" if report.ok else "FAILED",
                 ]
@@ -108,8 +110,9 @@ def test_chaos_sweep_table():
 
 def _outage_plan(kind, n_processes=3):
     # One outage spanning the whole traffic window: apply_action heals
-    # it (and restarts the dead host) right as the load finishes, so
-    # converge_seconds is the reconnect-and-resume time.
+    # it (and restarts the dead host) 0.3 s after the load finishes, and
+    # DRAIN waits for that, so converge_seconds is the
+    # reconnect-and-resume time.
     src = 0 if kind in ("sever", "blackhole") else None
     return ChaosPlan(
         seed=0,
@@ -131,7 +134,7 @@ def test_reconnect_and_resume_time_table():
             report = _run("fifo", attempt, plan=_outage_plan(kind))
             assert report.ok, report.render()
             seconds.append(report.converge_seconds)
-            redials += report.redials
+            redials += report.run.redials
         rows.append(
             [
                 kind,
@@ -215,11 +218,11 @@ def test_goodput_under_watermark_table():
                 [
                     protocol,
                     label,
-                    report.requested,
-                    report.delivered,
-                    "%.0f" % (report.delivered / wall),
-                    report.frames_shed,
-                    report.backpressure_signals,
+                    report.run.offered,
+                    report.run.delivered,
+                    "%.0f" % (report.run.delivered / wall),
+                    report.run.frames_shed,
+                    report.run.backpressure_signals,
                     "%.2f" % report.converge_seconds,
                     "OK" if report.ok else "FAILED",
                 ]
@@ -228,7 +231,7 @@ def test_goodput_under_watermark_table():
         [
             "protocol",
             "queueing",
-            "requested",
+            "offered",
             "delivered",
             "goodput/s",
             "shed",

@@ -4,8 +4,11 @@ Topology: every host binds a *private* port and is fronted by a
 :class:`~repro.faults.proxy.FaultProxy` on its *public* port (the one in
 the cluster's port list).  Peers, the load generator and the live
 observer all dial public ports, so the harness can sever or blackhole
-any link -- or isolate a whole host -- without the host's cooperation,
-exactly like a misbehaving network would.
+any peer link -- or isolate a whole host from its peers -- without the
+host's cooperation, exactly like a misbehaving network would.  Link
+faults leave the load generator's and the observer's streams alone:
+they are the harness's instruments, not the system under test (and a
+blackholed client stream would never answer again).
 
 Host handles come in two flavours:
 
@@ -13,18 +16,23 @@ Host handles come in two flavours:
     a :class:`~repro.net.host.NetHost` in this process.  ``kill`` is
     :meth:`~repro.net.host.NetHost.crash` (volatile state gone, WAL
     kept) followed by a fresh ``NetHost`` on the same WAL directory;
-    ``pause`` is emulated by blackholing every link to and from the
-    host at the proxies (the observable silence of a SIGSTOP without
-    the signal).
+    ``pause`` is emulated by blackholing every peer link to and from
+    the host at the proxies (the observable silence of a SIGSTOP
+    without the signal; clients keep their streams, which a stopped
+    process's kernel would buffer).
 
 :class:`ProcHost`
     a real ``repro serve`` OS process.  ``kill`` is SIGKILL + respawn;
     ``pause`` is SIGSTOP/SIGCONT.  Used by ``repro chaos --proc`` for
     full-fidelity runs; the inline flavour keeps tests fast.
 
-After the plan completes the harness heals everything and asserts the
-three resilience invariants, reducing the evidence to a
-:class:`ChaosReport`:
+A chaos run is a cluster run: :func:`~repro.net.cluster.drive_run`
+offers the load, with the plan (ending in a heal of everything and a
+restart of any dead host) beside it, then DRAINs, quiesces and reduces
+to a :class:`~repro.net.cluster.NetRunReport`.  The load generator
+re-dials a killed host once it is back and keeps loading it.  The
+:class:`ChaosReport` carries that run and the evidence only chaos
+gathers, and holds when the three resilience invariants do:
 
 1. **ordering holds**: the live :class:`~repro.verification.engine.SpecMonitor`
    saw no violation (and the end-of-run membership oracle agrees);
@@ -32,28 +40,33 @@ three resilience invariants, reducing the evidence to a
    host's WAL has exactly one matching deliver EVENT in its receiver's
    WAL -- the cross-check joins on content-addressed ids, so it survives
    retransmission and replay;
-3. **re-convergence**: within the deadline every host is reachable
-   again, all links report ``up``, and delivered == invoked with no
-   local pending work.
+3. **re-convergence**: within the deadline the run quiesces (every
+   invoked message delivered, no local pending work) and all links
+   report ``up``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import os
 import signal
 import subprocess
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.plan import ChaosAction, ChaosPlan
 from repro.faults.proxy import FaultProxy
-from repro.net import codec
-from repro.net.client import ControlLink, quiesced
-from repro.net.cluster import LiveObserver, LoadGenerator, free_ports
+from repro.net.cluster import (
+    LiveObserver,
+    LoadGenerator,
+    NetRunReport,
+    drive_run,
+    free_ports,
+)
 from repro.net.host import NetHost
 from repro.net.resilience import LINK_UP, ReconnectPolicy, ResilienceConfig
 from repro.net.transport import DEFAULT_TIME_SCALE
@@ -91,32 +104,26 @@ class InlineHost:
     ) -> None:
         self.entry = entry
         self.process_id = process_id
-        self.public_ports = list(public_ports)
-        self.private_port = private_port
-        self.wal_root = wal_root
-        self.run_id = run_id
-        self.resilience = resilience
-        self.time_scale = time_scale
-        self.wal_meta = wal_meta
+        #: One incarnation: each recovers from the same WAL directory.
+        self._incarnation = functools.partial(
+            NetHost,
+            entry.factory,
+            process_id,
+            list(public_ports),
+            run_id=run_id,
+            time_scale=time_scale,
+            wal_dir=wal_root,
+            wal_meta=wal_meta,
+            resilience=resilience,
+            listen_port=private_port,
+        )
         self.host: Optional[NetHost] = None
         self.restarts = 0
+        #: Killed incarnations' error lines (a live one's are in its STATS).
         self.errors: List[str] = []
 
-    def _make(self) -> NetHost:
-        return NetHost(
-            self.entry.factory,
-            self.process_id,
-            self.public_ports,
-            run_id=self.run_id,
-            time_scale=self.time_scale,
-            wal_dir=self.wal_root,
-            wal_meta=self.wal_meta,
-            resilience=self.resilience,
-            listen_port=self.private_port,
-        )
-
     async def start(self) -> None:
-        self.host = self._make()
+        self.host = self._incarnation()
         await self.host.start()
 
     @property
@@ -132,16 +139,10 @@ class InlineHost:
     async def restart(self) -> None:
         """A new incarnation recovers from the WAL and re-joins."""
         self.restarts += 1
-        self.host = self._make()
-        await self.host.start()
+        await self.start()
 
     async def shutdown(self) -> None:
         if self.host is not None:
-            self.errors.extend(
-                error
-                for error in self.host.errors
-                if error not in self.errors
-            )
             await self.host.shutdown()
 
 
@@ -199,11 +200,24 @@ class ProcHost:
         ]
 
     async def start(self) -> None:
+        """Spawn the process and return once it listens, as an inline
+        host's start does (a connection closed before its HELLO is one
+        a host drops without an error line)."""
         self.proc = subprocess.Popen(
             self._command(),
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
+        deadline = time.monotonic() + 20.0
+        while True:
+            try:
+                probe = await asyncio.open_connection("127.0.0.1", self.private_port)
+                probe[1].close()
+                return
+            except OSError:
+                if time.monotonic() > deadline or self.proc.poll() is not None:
+                    raise
+                await asyncio.sleep(0.05)
 
     @property
     def alive(self) -> bool:
@@ -243,77 +257,63 @@ class ProcHost:
 
 @dataclass
 class ChaosReport:
-    """What one chaos run proved (the ``repro chaos`` JSON output)."""
+    """What one chaos run proved (the ``repro chaos`` JSON output).
 
-    protocol: str
-    n_processes: int
+    ``run`` is the cluster run it was; the other fields are what only
+    chaos checks."""
+
+    run: NetRunReport
     seed: int
     mode: str  # "inline" | "proc"
     plan: Dict[str, Any]
-    requested: int = 0
-    invoked: int = 0
-    delivered: int = 0
     acked: int = 0  # durably-logged invokes (the loss-invariant universe)
     acked_lost: List[str] = field(default_factory=list)
     double_delivered: List[str] = field(default_factory=list)
-    violation: Optional[str] = None
-    reconverged: bool = False
-    converge_seconds: float = 0.0
+    converge_seconds: float = 0.0  # DRAIN -> quiescence, every link up
     convergence_deadline: float = 0.0
     links_up: bool = False
-    redials: int = 0
     restarts: int = 0
-    frames_shed: int = 0
-    backpressure_signals: int = 0
     observer_reconnects: int = 0
     link_transitions: Dict[str, int] = field(default_factory=dict)
-    errors: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        """All three invariants held."""
+        """All three invariants held: the run's own verdict with its
+        error lines (chaos debris on killed incarnations, mostly) set
+        aside, every link up, and the WAL cross-check clean."""
         return (
-            self.violation is None
+            replace(self.run, errors=[]).ok
+            and self.links_up
             and not self.acked_lost
             and not self.double_delivered
-            and self.reconverged
-            and self.links_up
         )
 
     def to_json(self) -> Dict[str, Any]:
         body = dict(self.__dict__)
+        body["run"] = {
+            key: value
+            for key, value in self.run.__dict__.items()
+            if key not in ("latencies", "e2e_latencies", "host_stats")
+        }
         body["ok"] = self.ok
         return body
 
     def render(self) -> str:
         lines = [
-            "chaos run: %s over %d processes (seed %d, %s hosts)"
-            % (self.protocol, self.n_processes, self.seed, self.mode),
-            "  plan        %s"
-            % ("; ".join(
-                ChaosAction.from_json(a).describe()
-                for a in self.plan.get("actions", [])
-            ) or "none"),
-            "  messages    %d requested, %d invoked (%d acked), %d delivered"
-            % (self.requested, self.invoked, self.acked, self.delivered),
-            "  ordering    %s"
-            % ("violation-free" if self.violation is None
-               else "VIOLATED: %s" % self.violation),
-            "  durability  %s"
-            % ("no acked message lost or double-delivered"
+            self.run.render(),
+            "chaos: seed %d, %s hosts" % (self.seed, self.mode),
+            "  plan        %s" % ChaosPlan.from_json(self.plan).describe(),
+            "  durability  %d acked: %s"
+            % (self.acked,
+               "none lost or double-delivered"
                if not self.acked_lost and not self.double_delivered
                else "%d LOST, %d DOUBLE-DELIVERED"
                % (len(self.acked_lost), len(self.double_delivered))),
-            "  convergence %s"
-            % ("re-converged in %.2fs (deadline %.1fs), all links up"
-               % (self.converge_seconds, self.convergence_deadline)
-               if self.reconverged and self.links_up
-               else "FAILED (reconverged=%s links_up=%s after %.2fs)"
-               % (self.reconverged, self.links_up, self.converge_seconds)),
-            "  recovery    %d restarts, %d re-dials, %d frames shed, "
-            "%d backpressure signals"
-            % (self.restarts, self.redials, self.frames_shed,
-               self.backpressure_signals),
+            "  convergence %.2fs after DRAIN (deadline %.1fs), %s"
+            % (self.converge_seconds, self.convergence_deadline,
+               "all links up" if self.links_up else "links NOT all up"),
+            "  recovery    %d restarts, %d observer reconnects"
+            % (self.restarts, self.observer_reconnects),
         ]
         if self.link_transitions:
             lines.append(
@@ -323,8 +323,6 @@ class ChaosReport:
                     for k, v in sorted(self.link_transitions.items())
                 )
             )
-        for error in self.errors:
-            lines.append("  error       %s" % error)
         lines.append("  verdict     %s" % ("OK" if self.ok else "FAILED"))
         return "\n".join(lines)
 
@@ -366,32 +364,6 @@ def wal_cross_check(
     lost = sorted(mid for mid, count in copies if count == 0)
     double = sorted(mid for mid, count in copies if count > 1)
     return len(invoked), lost, double
-
-
-# -- wire polling (fresh connection per poll: load streams die with hosts) -----
-
-
-async def poll_stats(
-    port: int,
-    run_id: str,
-    host: str = "127.0.0.1",
-    timeout: float = 2.0,
-) -> Optional[Dict[str, Any]]:
-    """One STATS body over a throwaway load connection, or ``None`` if
-    the host is unreachable / not (yet) ready within ``timeout``."""
-    link = ControlLink(host, port, "load", run_id)
-
-    async def once() -> Dict[str, Any]:
-        await link.connect(timeout=0.0)  # a down host is an answer, not a wait
-        await link.ready(timeout=None)
-        return await link.request(codec.STATS)
-
-    try:
-        return await asyncio.wait_for(once(), timeout)
-    except (OSError, asyncio.TimeoutError, codec.CodecError):
-        return None
-    finally:
-        await link.close()
 
 
 # -- the run -------------------------------------------------------------------
@@ -441,63 +413,48 @@ async def run_chaos(
             kinds=tuple(kinds) if kinds else ("kill", "sever", "blackhole"),
         )
     run_id = "chaos-%d" % seed
+    if proc and port_base is None:
+        raise ValueError("proc mode needs an explicit port_base "
+                         "(serve processes use contiguous ports)")
     if port_base is not None:
-        public = [port_base + index for index in range(n_processes)]
-        private = [port_base + n_processes + index for index in range(n_processes)]
+        ports = list(range(port_base, port_base + 2 * n_processes))
     else:
-        if proc:
-            raise ValueError("proc mode needs an explicit port_base "
-                             "(serve processes use contiguous ports)")
         ports = free_ports(2 * n_processes)
-        public, private = ports[:n_processes], ports[n_processes:]
+    public, private = ports[:n_processes], ports[n_processes:]
 
     if resilience is None:
         resilience = fast_resilience(deadline=max(convergence_deadline, 10.0))
-    report = ChaosReport(
-        protocol=protocol,
-        n_processes=n_processes,
-        seed=seed,
-        mode="proc" if proc else "inline",
-        plan=plan.to_json(),
-        convergence_deadline=convergence_deadline,
-    )
 
     proxies = [
         FaultProxy(public[index], private[index])
         for index in range(n_processes)
     ]
-    handles: List[Any] = []
-    if proc:
-        assert port_base is not None
-        for index in range(n_processes):
-            handles.append(
-                ProcHost(
-                    entry,
-                    index,
-                    port_base,
-                    n_processes,
-                    private[index],
-                    wal_root,
-                    run_id,
-                    time_scale=time_scale,
-                    heartbeat_interval=resilience.heartbeat_interval,
-                )
-            )
-    else:
-        for index in range(n_processes):
-            handles.append(
-                InlineHost(
-                    entry,
-                    index,
-                    public,
-                    private[index],
-                    wal_root,
-                    run_id,
-                    resilience,
-                    time_scale=time_scale,
-                    wal_meta={"protocol": protocol},
-                )
-            )
+    handles: List[Any] = [
+        ProcHost(
+            entry,
+            index,
+            public[0],
+            n_processes,
+            private[index],
+            wal_root,
+            run_id,
+            time_scale=time_scale,
+            heartbeat_interval=resilience.heartbeat_interval,
+        )
+        if proc
+        else InlineHost(
+            entry,
+            index,
+            public,
+            private[index],
+            wal_root,
+            run_id,
+            resilience,
+            time_scale=time_scale,
+            wal_meta={"protocol": protocol},
+        )
+        for index in range(n_processes)
+    ]
 
     observer = (
         LiveObserver(n_processes, spec=spec, reconnect=True)
@@ -512,78 +469,38 @@ async def run_chaos(
             await handle.kill()
             await asyncio.sleep(action.duration)
             await handle.restart()
-        elif action.kind == "pause":
-            if proc:
-                handle.pause()
-                await asyncio.sleep(action.duration)
-                handle.resume()
-            else:
-                # SIGSTOP emulation: total silence at the proxies, both
-                # the host's inbound and everything it says to others.
-                proxies[action.target].blackhole()
-                for index, proxy in enumerate(proxies):
-                    if index != action.target:
-                        proxy.blackhole(action.target)
-                await asyncio.sleep(action.duration)
-                proxies[action.target].heal()
-                for index, proxy in enumerate(proxies):
-                    if index != action.target:
-                        proxy.heal(action.target)
-        elif action.kind == "sever":
-            proxies[action.target].sever(action.src)
+            return
+        if action.kind == "pause" and proc:
+            handle.pause()
             await asyncio.sleep(action.duration)
-            proxies[action.target].heal(action.src)
-        elif action.kind == "blackhole":
-            proxies[action.target].blackhole(action.src)
-            await asyncio.sleep(action.duration)
-            proxies[action.target].heal(action.src)
+            handle.resume()
+            return
+        # Peer links only (see the module docstring).
+        target = action.target
+        sources = (
+            [action.src]
+            if action.src is not None
+            else [peer for peer in range(n_processes) if peer != target]
+        )
+        links = [(proxies[target], src) for src in sources]
+        if action.kind == "pause":
+            # SIGSTOP emulation: silence on every peer link, both ways.
+            links += [(proxies[src], target) for src in sources]
+        fault = FaultProxy.sever if action.kind == "sever" else FaultProxy.blackhole
+        for proxy, src in links:
+            fault(proxy, src)
+        await asyncio.sleep(action.duration)
+        for proxy, src in links:
+            proxy.heal(src)
 
-    async def execute_plan(started: float) -> None:
+    async def execute_plan() -> None:
         loop = asyncio.get_running_loop()
+        started = loop.time()
         for action in plan.actions:
             delay = started + action.at - loop.time()
             if delay > 0:
                 await asyncio.sleep(delay)
             await apply_action(action)
-
-    async def poll_all() -> List[Optional[Dict[str, Any]]]:
-        return await asyncio.gather(
-            *(poll_stats(port, run_id) for port in public)
-        )
-
-    def links_up(bodies: List[Dict[str, Any]]) -> bool:
-        return all(
-            state == LINK_UP
-            for body in bodies
-            for state in body.get("links", {}).values()
-        )
-
-    stats: List[Dict[str, Any]] = []
-    try:
-        for proxy in proxies:
-            await proxy.start()
-        for handle in handles:
-            await handle.start()
-        # Readiness probe that works for both handle flavours.
-        ready_deadline = time.monotonic() + 20.0
-        while time.monotonic() < ready_deadline:
-            if all(body is not None for body in await poll_all()):
-                break
-            await asyncio.sleep(0.1)
-        else:
-            raise RuntimeError("cluster did not become ready for chaos")
-        if observer is not None:
-            await observer.connect(public, run_id=run_id)
-        await load.connect()
-
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        load_task = loop.create_task(
-            load.run(rate, duration, closed_loop=closed_loop)
-        )
-        plan_task = loop.create_task(execute_plan(started))
-        await asyncio.gather(load_task, plan_task)
-
         # Belt and braces: nothing stays faulted past the plan.
         for proxy in proxies:
             proxy.heal()
@@ -591,50 +508,60 @@ async def run_chaos(
             if not handle.alive:
                 await handle.restart()
 
-        # Invariant 3: re-convergence within the deadline.
-        converge_start = time.monotonic()
-        deadline = converge_start + convergence_deadline
-        converged = False
-        while time.monotonic() < deadline:
-            polled = await poll_all()
-            if all(body is not None for body in polled):
-                stats = list(polled)  # type: ignore[arg-type]
-                if quiesced(stats) and links_up(stats):
-                    converged = True
-                    break
-            await asyncio.sleep(0.1)
-        report.converge_seconds = time.monotonic() - converge_start
-        report.reconverged = converged
-        if not stats:
-            stats = [body for body in await poll_all() if body is not None]
-        report.links_up = bool(stats) and links_up(stats)
+    def all_links_up(stats: List[Dict[str, Any]]) -> bool:
+        return bool(stats) and all(
+            state == LINK_UP
+            for body in stats
+            for state in body.get("links", {}).values()
+        )
 
-        # Invariant 1: the live ordering monitor.
+    shutdown_errors: List[str] = []
+    try:
+        for proxy in proxies:
+            await proxy.start()
+        for handle in handles:
+            await handle.start()
         if observer is not None:
-            await observer.settle(3.0)
-            observer.final_check()
-            found = observer.violation
-            if found is not None:
-                report.violation = (
-                    found if isinstance(found, str) else repr(found)
-                )
+            await observer.connect(public, run_id=run_id)
+        await load.connect()
+        # Invariant 3, first half: quiescence within the deadline.
+        run = await drive_run(
+            load,
+            observer,
+            protocol,
+            rate,
+            duration,
+            convergence_deadline,
+            closed_loop=closed_loop,
+            beside=execute_plan(),
+        )
+        # Second half: every link up, within the same deadline.
+        converging = run.elapsed - run.load_seconds
+        checked = time.monotonic()
+        stats = run.host_stats
+        while (
+            not all_links_up(stats)
+            and time.monotonic() - checked < convergence_deadline - converging
+        ):
+            await asyncio.sleep(0.1)
+            stats = await load.stats()
+        report = ChaosReport(
+            run=run,
+            seed=seed,
+            mode="proc" if proc else "inline",
+            plan=plan.to_json(),
+            converge_seconds=converging + time.monotonic() - checked,
+            convergence_deadline=convergence_deadline,
+            links_up=all_links_up(stats),
+            restarts=sum(handle.restarts for handle in handles),
+        )
+        if observer is not None:
             report.observer_reconnects = observer.reconnects
             report.link_transitions = {
                 probe: count
                 for probe, count in observer.probe_counts.items()
                 if probe.startswith("link.")
             }
-
-        report.requested = load.requested
-        report.invoked = sum(body.get("invoked", 0) for body in stats)
-        report.delivered = sum(body.get("deliveries", 0) for body in stats)
-        report.redials = sum(body.get("redials", 0) for body in stats)
-        report.frames_shed = sum(body.get("frames_shed", 0) for body in stats)
-        report.backpressure_signals = load.backpressure_signals
-        report.restarts = sum(handle.restarts for handle in handles)
-        report.errors.extend(load.errors)
-        if observer is not None:
-            report.errors.extend(observer.errors)
     finally:
         await load.close()
         if observer is not None:
@@ -643,7 +570,7 @@ async def run_chaos(
             try:
                 await handle.shutdown()
             except Exception as exc:  # noqa: BLE001 - teardown must finish
-                report.errors.append(
+                shutdown_errors.append(
                     "shutdown of host %s: %s" % (handle.process_id, exc)
                 )
         for proxy in proxies:
@@ -657,9 +584,11 @@ async def run_chaos(
     # chaos debris on *killed* incarnations; real problems (protocol
     # errors, WAL corruption) surface through the invariants.  Keep host
     # errors out of the verdict but visible for forensics.
+    run.errors.extend(shutdown_errors)
     for handle in handles:
-        for error in getattr(handle, "errors", []):
-            report.errors.append("P%d: %s" % (handle.process_id, error))
+        run.errors.extend(
+            "P%d: %s" % (handle.process_id, error) for error in handle.errors
+        )
     return report
 
 

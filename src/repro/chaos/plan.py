@@ -35,7 +35,7 @@ class ChaosAction:
 
     ``at`` is seconds after traffic starts.  ``target`` is the faulted
     host; for link faults ``src`` names the peer whose traffic *into*
-    the target is faulted (``None`` = every source, a full isolation).
+    the target is faulted (``None`` = every peer, a full isolation).
     ``duration`` is how long the outage lasts before the harness heals
     it (for ``kill``: how long the process stays dead).
     """
@@ -178,10 +178,13 @@ class ChaosPlan:
 
     @classmethod
     def from_json(cls, body: Dict[str, Any]) -> "ChaosPlan":
+        """A plan from its JSON, or from a report's that carries it."""
+        if isinstance(body, dict) and isinstance(body.get("plan"), dict):
+            body = body["plan"]
+        if not isinstance(body, dict) or not isinstance(body.get("actions"), list):
+            raise ValueError("a chaos plan needs an 'actions' list")
         return cls(
             seed=int(body["seed"]),
             n_processes=int(body["n_processes"]),
-            actions=tuple(
-                ChaosAction.from_json(entry) for entry in body.get("actions", [])
-            ),
+            actions=tuple(ChaosAction.from_json(entry) for entry in body["actions"]),
         )

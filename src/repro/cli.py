@@ -809,18 +809,18 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import ChaosPlan, run_chaos_sync
 
     kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-    wal_root = args.wal or tempfile.mkdtemp(prefix="repro-chaos-")
     keep_wal = args.wal is not None
     plan = None
-    if args.plan:
-        with open(args.plan) as handle:
-            plan = ChaosPlan.from_json(json.load(handle))
     try:
+        if args.plan:
+            with open(args.plan) as handle:
+                plan = ChaosPlan.from_json(json.load(handle))
+        wal_root = args.wal or tempfile.mkdtemp(prefix="repro-chaos-")
         report = run_chaos_sync(
             args.protocol,
             wal_root=wal_root,
             n_processes=args.processes,
-            seed=args.seed,
+            seed=args.seed if plan is None else plan.seed,
             rate=args.rate,
             duration=args.duration,
             n_actions=args.actions,
@@ -1382,7 +1382,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=None,
         help="run this exact plan (JSON from a previous report) instead "
-        "of generating one from the seed",
+        "of generating one from the seed; the plan's seed seeds the load",
     )
     p_chaos.add_argument(
         "--deadline", type=float, default=15.0,

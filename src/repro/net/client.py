@@ -16,11 +16,17 @@ kind instead of handing it to the wrong caller.  :class:`ClusterClient`
 holds one link per endpoint port; READY states the endpoint's layout (a
 host ``{process, processes}``, a shard worker ``{shard, shards,
 processes}``), so given the first port alone it dials the rest.  The
-load generator, the collector, the shard coordinator and the chaos
-poller are all built on it, and
-the live observer uses a bare :class:`ControlLink` for its attach (an
-observer stream carries no replies, so it reads the link's stream
-itself).
+load generator, the collector and the shard coordinator are all built
+on it, and the live observer uses a bare :class:`ControlLink` for its
+attach (an observer stream carries no replies, so it reads the link's
+stream itself).
+
+One rule keeps a client alive across an endpoint's restart: a link
+whose stream ended re-dials (HELLO, READY, within the client's connect
+timeout) before its next request.  The load phase re-dials a dead
+endpoint in the background and holds its rows until it is back, and
+:meth:`ClusterClient.quiesce` counts an unreachable endpoint as not
+quiesced and keeps polling until its timeout.
 
 :data:`PULLS` is the server half of the same table:
 :mod:`repro.net.endpoint`, the accept side, answers those request kinds
@@ -83,11 +89,21 @@ class ControlLink:
         self.failure: Optional[Exception] = None
         self._replies: Optional[asyncio.Queue] = None
         self._task: Optional[asyncio.Task] = None
+        #: The last :meth:`connect`'s timeout, which a re-dial gets too.
+        self._timeout = 20.0
+
+    @property
+    def up(self) -> bool:
+        """Whether the stream is open: dialed, and no EOF read since."""
+        return self._task is not None and not self._task.done()
 
     async def connect(self, timeout: float = 20.0) -> None:
         """Dial, retrying refused connects until ``timeout`` has passed
         (``0`` is a single attempt), then send the HELLO."""
-        deadline = time.monotonic() + timeout
+        self._timeout = timeout
+        await self._open(time.monotonic() + timeout)
+
+    async def _open(self, deadline: float) -> None:
         while True:
             try:
                 self.reader, self.writer = await asyncio.open_connection(
@@ -109,6 +125,26 @@ class ControlLink:
         self._replies = asyncio.Queue()
         self._task = asyncio.get_running_loop().create_task(self._demultiplex())
         return await self.reply(codec.READY, timeout)
+
+    async def redial(self) -> None:
+        """Dial again after the stream ended: HELLO and READY, retried
+        until the last :meth:`connect`'s timeout has passed.  The link was
+        READY once, so an EOF before READY now means the endpoint is not
+        back yet (a fault proxy accepts for a host that is down)."""
+        deadline = time.monotonic() + self._timeout
+        while True:
+            await self.close()
+            try:
+                await self._open(deadline)
+                await self.ready(max(0.0, deadline - time.monotonic()))
+                self.paused = False  # a new incarnation starts unloaded
+                return
+            except (OSError, asyncio.TimeoutError, codec.CodecError) as exc:
+                if time.monotonic() >= deadline:
+                    raise ConnectionError(
+                        "%s:%d did not come back: %s" % (self.host, self.port, exc)
+                    ) from exc
+            await asyncio.sleep(0.05)
 
     async def _demultiplex(self) -> None:
         assert self.reader is not None and self._replies is not None
@@ -157,8 +193,10 @@ class ControlLink:
     async def request(
         self, kind: int, body: Optional[Dict[str, Any]] = None
     ) -> Dict[str, Any]:
-        """Send one frame and return its same-kind reply's body."""
-        assert self.writer is not None
+        """Send one frame and return its same-kind reply's body,
+        re-dialing first if the stream has ended."""
+        if not self.up:
+            await self.redial()
         self.send(kind, body)
         await self.writer.drain()
         return await self.reply(kind)
@@ -244,12 +282,14 @@ class ClusterClient:
     async def round_trip(
         self, kind: int, body: Optional[Dict[str, Any]] = None
     ) -> List[Dict[str, Any]]:
-        """Send one frame to every endpoint; one reply body per endpoint."""
+        """Send one frame to every endpoint; one reply body per endpoint.
+        A link whose stream ended re-dials first."""
         for link in self.links:
+            if not link.up:
+                await link.redial()
             link.send(kind, body)
         bodies = []
         for link in self.links:
-            assert link.writer is not None
             await link.writer.drain()
             bodies.append(await link.reply(kind))
         return bodies
@@ -281,12 +321,22 @@ class ClusterClient:
         self, timeout: float = 30.0, poll: float = 0.1
     ) -> Tuple[bool, List[Dict[str, Any]]]:
         """Poll STATS until :func:`quiesced` or ``timeout``; returns
-        (quiesced, final stats)."""
+        (quiesced, the last stats every endpoint answered).  A poll that
+        cannot reach every endpoint counts as not quiesced."""
         deadline = time.monotonic() + timeout
-        stats = await self.stats()
-        while time.monotonic() < deadline:
-            if quiesced(stats):
-                return True, stats
+        stats: List[Dict[str, Any]] = []
+        while True:
+            try:
+                stats = await asyncio.wait_for(
+                    self.stats(), max(0.0, deadline - time.monotonic())
+                )
+                if quiesced(stats):
+                    return True, stats
+            except (OSError, asyncio.TimeoutError, codec.CodecError):
+                # Replies the other links still owe would answer the
+                # next poll: every link starts afresh.
+                for link in self.links:
+                    await link.close()
+            if time.monotonic() >= deadline:
+                return False, stats
             await asyncio.sleep(poll)
-            stats = await self.stats()
-        return False, stats

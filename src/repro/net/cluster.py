@@ -43,7 +43,7 @@ import socket
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.events import Event, EventKind, Message
 from repro.events.message import channel_key
@@ -570,15 +570,17 @@ class LoadGenerator(ClusterClient):
 
     async def run(
         self, rate: float, duration: float, closed_loop: bool = False
-    ) -> float:
-        """Offer ``rate`` msgs/sec for ``duration`` seconds; returns the
-        actual wall seconds of the load phase.
+    ) -> None:
+        """Offer ``rate`` msgs/sec for ``duration`` seconds.
 
         With ``closed_loop=True`` the generator honours the hosts'
         BACKPRESSURE signals: traffic for a host that reported ``high``
         is *held* (batched locally, order preserved) until it reports
         ``low`` again, so the offered load closes the loop on cluster
         capacity instead of burying a degraded host.
+
+        An endpoint whose stream ended (a host that died) is re-dialed in
+        the background; its rows are held until it is back, then written.
         """
         if rate <= 0 or duration <= 0:
             raise ValueError("rate and duration must be positive")
@@ -588,9 +590,12 @@ class LoadGenerator(ClusterClient):
         route = self._route
         sent = 0
         #: Rows drawn and not yet written, per endpoint: one tick's, or
-        #: more while a paused host's wait (closed-loop mode).
+        #: more while a paused or dead endpoint's wait.
         unsent: List[List[list]] = [[] for _ in self.links]
-        writers = [link.writer for link in self.links]
+        #: Background re-dials, the newest per endpoint; every one is
+        #: awaited before the run ends.
+        redials: Dict[int, asyncio.Task] = {}
+        dialed: List[asyncio.Task] = []
         async for tick in pacer.schedule():
             due = pacer.due(tick)
             offered = time.time()
@@ -598,11 +603,14 @@ class LoadGenerator(ClusterClient):
                 row = self._next_row(offered)
                 unsent[route(row)].append(row)
                 sent += 1
-            for index, writer in enumerate(writers):
-                if writer.is_closing():
-                    continue  # a crashed host; chaos runs tolerate this
-                if unsent[index] and not (closed_loop and self.links[index].paused):
-                    _write_rows(writer, unsent[index])
+            for index, link in enumerate(self.links):
+                if index in redials and not redials[index].done():
+                    continue
+                if not link.up:
+                    redials[index] = loop.create_task(link.redial())
+                    dialed.append(redials[index])
+                elif unsent[index] and not (closed_loop and link.paused):
+                    _write_rows(link.writer, unsent[index])
                     unsent[index] = []
             if self.wal is not None:
                 self.wal.checkpoint(
@@ -610,14 +618,15 @@ class LoadGenerator(ClusterClient):
                     elapsed=loop.time() - start,
                     seed=self.seed,
                 )
-        # Release anything still held: the run is over, the hosts drain
-        # at their own pace (withholding forever would lose messages).
-        for index, writer in enumerate(writers):
-            if unsent[index] and not writer.is_closing():
-                _write_rows(writer, unsent[index])
-        for writer in writers:
-            if not writer.is_closing():
-                await writer.drain()
+        # Release anything still held once the re-dials are through: the
+        # run is over, the hosts drain at their own pace (withholding
+        # forever would lose messages).
+        await asyncio.gather(*dialed, return_exceptions=True)
+        for index, link in enumerate(self.links):
+            if link.up:
+                if unsent[index]:
+                    _write_rows(link.writer, unsent[index])
+                await link.writer.drain()
         if self.wal is not None:
             self.wal.checkpoint(
                 requested=self.requested,
@@ -625,7 +634,6 @@ class LoadGenerator(ClusterClient):
                 seed=self.seed,
                 done=True,
             )
-        return loop.time() - start
 
     # -- reduction -----------------------------------------------------------
 
@@ -709,6 +717,8 @@ async def drive_run(
     quiesce_timeout: float = 30.0,
     *,
     oracle: bool = True,
+    closed_loop: bool = False,
+    beside: Optional[Awaitable[Any]] = None,
 ) -> NetRunReport:
     """The arc of one run over connected roles, hosts or a shard fleet.
 
@@ -717,16 +727,24 @@ async def drive_run(
     found a violation, or, over shard workers and with ``oracle``, page
     back the delivered rows and judge them with the cross-key oracle.
 
-    ``duration <= 0`` skips the load phase (a resumed soak that had
-    already offered everything)."""
+    ``beside`` (a chaos plan) runs beside the load phase, and DRAIN
+    waits for it: the load phase lasts until both are done.
+    ``closed_loop`` is :meth:`LoadGenerator.run`'s.  ``duration <= 0``
+    skips the load (a resumed soak that had already offered
+    everything)."""
     # A kept cluster's counters -- and its error lines -- span its
     # earlier runs; the report is of this one.
     baseline = await load.stats()
     requested = load.requested
     started = time.monotonic()
-    load_seconds = await load.run(rate, duration) if duration > 0 else 0.0
+    phase = [load.run(rate, duration, closed_loop)] if duration > 0 else []
+    if beside is not None:
+        phase.append(beside)
+    await asyncio.gather(*phase)
+    load_seconds = time.monotonic() - started
     await load.drain()
     quiesced, stats = await load.quiesce(timeout=quiesce_timeout, poll=0.05)
+    elapsed = time.monotonic() - started  # not the verdict's own time
     if observer is not None:
         await observer.settle()
         observer.final_check()
@@ -736,7 +754,7 @@ async def drive_run(
         baseline,
         stats,
         load_seconds,
-        time.monotonic() - started,
+        elapsed,
         quiesced,
         observer=observer,
     )

@@ -101,7 +101,6 @@ class LaneEndpoint:
         #: key -> this endpoint's causal clock for the key (causal mode).
         self._vc: Dict[str, List[int]] = {}
         self.rows_sent = 0
-        self.rows_delivered = 0
 
     def submit(self, row: list) -> None:
         """Queue one invoke row ``[id, sender, receiver, key, offered,
@@ -222,8 +221,7 @@ class ShardWorker(Endpoint):
             return
         # FIFO fast path: row = [id, key, seq, invoked, sent].
         now = time.time()
-        endpoint = self.endpoints[dst]
-        checker = endpoint.checker
+        checker = self.endpoints[dst].checker
         stats = self.key_stats
         collect = self._collect
         for row in rows:
@@ -235,7 +233,6 @@ class ShardWorker(Endpoint):
             if len(collect) == collect.maxlen:
                 self._collect_dropped += 1
             collect.append((row[0], src, dst, key, row[4], now))
-            endpoint.rows_delivered += 1
         self.delivered += len(rows)
 
     def _deliver_causal(self, src: int, dst: int, rows: List[list]) -> None:
@@ -276,7 +273,6 @@ class ShardWorker(Endpoint):
         if len(self._collect) == self._collect.maxlen:
             self._collect_dropped += 1
         self._collect.append((row[0], src, dst, row[1], row[4], now))
-        endpoint.rows_delivered += 1
         self.delivered += 1
 
     def _schedule_flush(self) -> None:

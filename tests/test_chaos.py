@@ -3,6 +3,7 @@
 import json
 import os
 import tempfile
+from collections import Counter
 
 import pytest
 
@@ -15,12 +16,15 @@ from repro.chaos import (
     wal_cross_check,
 )
 from repro.chaos.harness import InlineHost, ProcHost, fast_resilience
+from repro.cli import main
 from repro.events import Message
 from repro.net import codec
+from repro.net.cluster import NetRunReport
+from repro.obs.metrics import Histogram
 from repro.protocols.registry import resolve
 from repro.protocols.reliable import ReliableProtocol
-from repro.wal import EVENT, SegmentWriter, content_id
-from repro.wal.records import WalRecord, invoke_record
+from repro.wal import EVENT, SegmentWriter, content_id, read_log
+from repro.wal.records import INPUT, META, WalRecord, invoke_record
 
 
 class TestChaosAction:
@@ -179,15 +183,31 @@ class TestWalCrossCheck:
             assert wal_cross_check(root, 3) == (0, [], [])
 
 
+def _run(**overrides):
+    base = dict(
+        protocol="fifo",
+        n_processes=3,
+        offered=10,
+        invoked=10,
+        delivered=10,
+        pending=0,
+        load_seconds=1.0,
+        elapsed=1.5,
+        quiesced=True,
+        latencies=Histogram("latency.delivery"),
+        e2e_latencies=Histogram("latency.end_to_end"),
+    )
+    base.update(overrides)
+    return NetRunReport(**base)
+
+
 class TestChaosReport:
     def _report(self, **overrides):
         base = dict(
-            protocol="fifo",
-            n_processes=3,
+            run=_run(),
             seed=0,
             mode="inline",
             plan=ChaosPlan.generate(0, 3, 3.0).to_json(),
-            reconverged=True,
             links_up=True,
         )
         base.update(overrides)
@@ -195,20 +215,23 @@ class TestChaosReport:
 
     def test_ok_requires_all_three_invariants(self):
         assert self._report().ok
-        assert not self._report(violation="fifo: m2 before m1").ok
+        assert not self._report(run=_run(violation="fifo: m2 before m1")).ok
         assert not self._report(acked_lost=["m1"]).ok
         assert not self._report(double_delivered=["m1"]).ok
-        assert not self._report(reconverged=False).ok
+        assert not self._report(run=_run(quiesced=False)).ok
         assert not self._report(links_up=False).ok
 
     def test_host_errors_inform_but_do_not_fail(self):
-        assert self._report(errors=["P1: transient redial noise"]).ok
+        assert self._report(run=_run(errors=["P1: transient redial noise"])).ok
 
     def test_render_carries_the_verdict_and_plan(self):
-        text = self._report().render()
+        report = self._report()
+        text = report.render()
+        assert text.index("net run: fifo") < text.index("chaos: seed 0")
+        assert ChaosPlan.from_json(report.plan).describe() in text
+        assert "violations  none" in text
+        assert "none lost or double-delivered" in text
         assert "verdict     OK" in text
-        assert "violation-free" in text
-        assert "no acked message lost" in text
         bad = self._report(acked_lost=["m1", "m2"]).render()
         assert "2 LOST" in bad
         assert "verdict     FAILED" in bad
@@ -216,7 +239,42 @@ class TestChaosReport:
     def test_to_json_is_serializable_and_carries_ok(self):
         body = self._report().to_json()
         assert body["ok"] is True
+        assert (body["run"]["offered"], body["run"]["invoked"]) == (10, 10)
+        assert body["run"]["pending"] == 0 and body["run"]["quiesced"] is True
         json.dumps(body)  # must be wire-clean
+
+
+class TestPlanReplay:
+    def test_cli_replays_a_saved_report(self, tmp_path, monkeypatch):
+        """`--plan` takes "JSON from a previous report", which keeps the
+        plan under "plan": the replay runs its actions and its seed."""
+        plan = ChaosPlan.generate(1, 3, 2.5)
+        saved = tmp_path / "report.json"
+        saved.write_text(
+            json.dumps({"seed": 1, "mode": "inline", "plan": plan.to_json()})
+        )
+        ran = {}
+
+        def record(protocol, **kwargs):
+            ran.update(kwargs)
+            raise RuntimeError("recorded")
+
+        monkeypatch.setattr("repro.chaos.run_chaos_sync", record)
+        assert main(["chaos", "--plan", str(saved)]) == 2
+        assert ran["plan"] == plan and ran["seed"] == 1
+
+    def test_a_file_without_actions_is_one_line_and_exit_2(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        saved = tmp_path / "empty.json"
+        saved.write_text(json.dumps({"seed": 0, "n_processes": 3}))
+        monkeypatch.setattr(
+            "repro.chaos.run_chaos_sync",
+            lambda *args, **kwargs: pytest.fail("ran without a plan"),
+        )
+        assert main(["chaos", "--plan", str(saved)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'actions'" in err
 
 
 class TestHandlesRunOneCatalogueEntry:
@@ -260,3 +318,32 @@ class TestLiveChaos:
             )
             assert report.acked > 0
             assert report.ok, report.render()
+
+    def test_a_killed_host_gets_load_after_its_restart(self):
+        # P1 dies inside the load phase: the generator re-dials it once
+        # it is back, and its new incarnation logs invokes of its own.
+        plan = ChaosPlan(
+            seed=0,
+            n_processes=3,
+            actions=(ChaosAction(at=0.3, kind="kill", target=1, duration=0.3),),
+        )
+        with tempfile.TemporaryDirectory() as root:
+            report = run_chaos_sync(
+                "fifo",
+                wal_root=root,
+                plan=plan,
+                rate=100.0,
+                duration=1.5,
+                convergence_deadline=10.0,
+            )
+            assert report.ok, report.render()
+            assert report.restarts == 1
+            assert report.run.invoked == report.acked > 0
+            invokes = Counter()
+            incarnation = None
+            for record in read_log(os.path.join(root, "p1")).records:
+                if record.kind == META:
+                    incarnation = record.body["incarnation"]
+                elif record.kind == INPUT and record.body["op"] == "invoke":
+                    invokes[incarnation] += 1
+            assert invokes[0] > 0 and invokes[1] > 0, invokes

@@ -1,11 +1,11 @@
 """The one control-protocol client, against stub and real endpoints.
 
 Every consumer of the control plane (load generator, collector, shard
-coordinator, chaos poller, observer attach) is built on
-:mod:`repro.net.client`, so the awkward cases are pinned here once: a
-``BACKPRESSURE`` frame pushed between a request and its reply, a reply
-of the wrong kind, EOF in the middle of a request, an endpoint that is
-not listening yet, and an endpoint serving another run id.
+coordinator, observer attach) is built on :mod:`repro.net.client`, so
+the awkward cases are pinned here once: a ``BACKPRESSURE`` frame pushed
+between a request and its reply, a reply of the wrong kind, EOF in the
+middle of a request, an endpoint that is not listening yet, an endpoint
+serving another run id, and an endpoint that restarts (or never does).
 """
 
 import asyncio
@@ -21,11 +21,14 @@ from repro.net.collector import ClusterCollector
 from repro.net.shard import ShardWorker, ShardWorkerConfig
 
 
-async def _stub_endpoint(port, answer):
+async def _stub_endpoint(port, answer, conns=None):
     """A server that completes the rendezvous and then hands each
-    request frame to ``answer(frame, writer)``."""
+    request frame to ``answer(frame, writer)``; ``conns`` collects the
+    accepted connections' writers."""
 
     async def handler(reader, writer):
+        if conns is not None:
+            conns.append(writer)
         hello = await codec.read_frame(reader)
         assert hello.kind == codec.HELLO and hello.body["role"] == "load"
         writer.write(codec.encode_frame(codec.READY, {"process": 0}))
@@ -147,6 +150,117 @@ class TestDialUntilDeadline:
         with pytest.raises(ConnectionRefusedError):
             asyncio.run(link.connect(timeout=0.0))
         assert time.monotonic() - started < 1.0
+
+
+async def _kill(server, conns):
+    """The endpoint dies: no listener, every connection closed."""
+    server.close()
+    for writer in conns:
+        writer.close()
+    await server.wait_closed()
+
+
+class TestRedialAfterTheStreamEnds:
+    """A link whose stream ended re-dials (HELLO, READY, within its
+    connect timeout) before its next request, so a client outlives an
+    endpoint's restart on the same port."""
+
+    def test_round_trip_after_a_restart_succeeds(self):
+        port = free_ports(1)[0]
+
+        async def scenario():
+            conns = []
+            server = await _stub_endpoint(port, _congested, conns)
+            client = ClusterClient([port])
+            await client.connect(timeout=5.0)
+            first = await client.stats()
+            await _kill(server, conns)
+            await asyncio.sleep(0.05)  # the EOF reaches the link
+            server = await _stub_endpoint(port, _congested)
+            async with server:
+                second = await client.stats()
+                await client.close()
+            return first, second, client.links[0]
+
+        first, second, link = asyncio.run(scenario())
+        assert first[0]["process"] == second[0]["process"] == 0
+        assert link.backpressure_signals == 2  # one per incarnation's reply
+
+    def test_quiesce_polls_through_a_down_endpoint(self):
+        port = free_ports(1)[0]
+
+        async def scenario():
+            conns = []
+            server = await _stub_endpoint(port, _congested, conns)
+            client = ClusterClient([port])
+            await client.connect(timeout=5.0)
+            await _kill(server, conns)
+
+            async def come_back():
+                await asyncio.sleep(0.4)
+                return await _stub_endpoint(port, _congested)
+
+            returning = asyncio.get_running_loop().create_task(come_back())
+            started = time.monotonic()
+            outcome = await client.quiesce(timeout=5.0, poll=0.05)
+            waited = time.monotonic() - started
+            async with await returning:
+                await client.close()
+            return outcome, waited
+
+        (quiesced, stats), waited = asyncio.run(scenario())
+        assert quiesced and stats[0]["process"] == 0
+        assert 0.3 < waited < 3.0
+
+    def test_an_endpoint_that_never_returns(self):
+        """quiesce gives up at its timeout, not the re-dial's; DRAIN
+        then fails with one ConnectionError."""
+        port = free_ports(1)[0]
+
+        async def scenario():
+            conns = []
+            server = await _stub_endpoint(port, _congested, conns)
+            client = ClusterClient([port])
+            await client.connect(timeout=0.3)
+            await _kill(server, conns)
+            started = time.monotonic()
+            outcome = await client.quiesce(timeout=1.0, poll=0.05)
+            waited = time.monotonic() - started
+            try:
+                await client.drain()
+            except Exception as exc:  # noqa: BLE001 - the type is the point
+                failure = exc
+            await client.close()
+            return outcome, waited, failure
+
+        (quiesced, stats), waited, failure = asyncio.run(scenario())
+        assert not quiesced and stats == []
+        assert 0.9 < waited < 1.8
+        assert isinstance(failure, ConnectionError)
+        assert "did not come back" in str(failure)
+
+    def test_collector_pull_survives_a_restart(self):
+        """`repro top` keeps watching a host that restarts."""
+        port = free_ports(1)[0]
+
+        async def scenario():
+            conns = []
+            server = await _stub_endpoint(port, _congested, conns)
+            collector = ClusterCollector([port])
+            await collector.connect(timeout=5.0)
+            before = await collector.pull(rounds=1)
+            await _kill(server, conns)
+            await asyncio.sleep(0.05)
+            server = await _stub_endpoint(port, _congested)
+            async with server:
+                after = await collector.pull(rounds=1)
+                await collector.close()
+            return before, after
+
+        before, after = asyncio.run(scenario())
+        for pulls in (before, after):
+            assert [pull.process for pull in pulls] == [0]
+            assert pulls[0].stats_body and pulls[0].metrics_body
 
 
 class TestShardWorkerChecksTheRunId:
