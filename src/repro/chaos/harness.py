@@ -60,6 +60,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.plan import ChaosAction, ChaosPlan
 from repro.faults.proxy import FaultProxy
+from repro.net import codec
 from repro.net.cluster import (
     LiveObserver,
     LoadGenerator,
@@ -273,7 +274,9 @@ class ChaosReport:
     convergence_deadline: float = 0.0
     links_up: bool = False
     restarts: int = 0
-    observer_reconnects: int = 0
+    observer_reconnects: int = 0  # re-attaches that reached READY
+    #: The hosts' ``link.*`` counters, summed from one METRICS pull once
+    #: the run converged; a killed incarnation's counts died with it.
     link_transitions: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -325,6 +328,22 @@ class ChaosReport:
             )
         lines.append("  verdict     %s" % ("OK" if self.ok else "FAILED"))
         return "\n".join(lines)
+
+
+def link_counts(bodies: List[Dict[str, Any]]) -> Dict[str, int]:
+    """The ``link.*`` counters of METRICS bodies, summed over hosts and
+    keyed by the probe that counts them."""
+    counts: Counter = Counter()
+    for body in bodies:
+        snapshot = body.get("snapshot", {})
+        by_state = snapshot.get("link.transitions", {}).get("by_label", {})
+        for state, count in by_state.items():
+            counts["link." + state] += int(count)
+        for name in ("redial", "giveup"):
+            counts["link." + name] += int(
+                snapshot.get("link.%ss" % name, {}).get("value", 0)
+            )
+    return {probe: count for probe, count in counts.items() if count}
 
 
 # -- invariant 2: the WAL cross-check -----------------------------------------
@@ -456,11 +475,7 @@ async def run_chaos(
         for index in range(n_processes)
     ]
 
-    observer = (
-        LiveObserver(n_processes, spec=spec, reconnect=True)
-        if spec is not None
-        else None
-    )
+    observer = LiveObserver(n_processes, spec=spec) if spec is not None else None
     load = LoadGenerator(public, run_id=run_id, seed=seed)
 
     async def apply_action(action: ChaosAction) -> None:
@@ -554,14 +569,12 @@ async def run_chaos(
             convergence_deadline=convergence_deadline,
             links_up=all_links_up(stats),
             restarts=sum(handle.restarts for handle in handles),
+            observer_reconnects=observer.reconnects if observer is not None else 0,
         )
-        if observer is not None:
-            report.observer_reconnects = observer.reconnects
-            report.link_transitions = {
-                probe: count
-                for probe, count in observer.probe_counts.items()
-                if probe.startswith("link.")
-            }
+        try:
+            report.link_transitions = link_counts(await load.metrics())
+        except (ConnectionError, codec.CodecError) as exc:
+            run.errors.append("metrics pull: %s" % exc)
     finally:
         await load.close()
         if observer is not None:

@@ -377,13 +377,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         where = "%d-%d" % (args.port_base, args.port_base + args.shards - 1)
         notes = ""
     else:
-        drop_rate = args.drop_rate or (0.05 if args.soak else 0.0)
         faults = None
-        if drop_rate or args.dup_rate or args.spike_rate:
+        if args.drop_rate or args.dup_rate or args.spike_rate:
             from repro.faults import FaultPlan
 
             faults = FaultPlan(
-                drop_rate=drop_rate,
+                drop_rate=args.drop_rate,
                 dup_rate=args.dup_rate,
                 spike_rate=args.spike_rate,
                 spike_delay=args.spike_delay,
@@ -1125,11 +1124,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="extra virtual-time latency a spiked packet suffers",
     )
     _shared(p_serve, "--fault-seed")
-    p_serve.add_argument(
-        "--soak",
-        action="store_true",
-        help="shorthand for a 5%% drop fault plan over the real transport",
-    )
     _shared(
         p_serve,
         "--no-reliable",

@@ -9,24 +9,27 @@ request/reply round trips -- ``STATS``, ``METRICS``, ``TRACE``,
 ``BACKPRESSURE`` frames at any moment in between.
 
 :class:`ControlLink` is one such connection.  Its reader task is the
-single answer to "what if a ``BACKPRESSURE`` frame arrives before my
-reply": pushed frames update the link's pause flag, every other frame
-is a reply, and :meth:`ControlLink.reply` refuses a reply of the wrong
-kind instead of handing it to the wrong caller.  :class:`ClusterClient`
+single answer to "what if a frame arrives that is not my reply": it
+reads 64 KiB at a time through one :class:`~repro.net.codec.FrameDecoder`
+and hands each pushed frame to its owner -- ``BACKPRESSURE`` updates the
+link's pause flag, ``RECORDS`` go to the link's ``on_records`` handler
+(an observer's chunk merge) -- and queues every other frame as a reply,
+which :meth:`ControlLink.reply` refuses if it is of the wrong kind
+instead of handing it to the wrong caller.  :class:`ClusterClient`
 holds one link per endpoint port; READY states the endpoint's layout (a
 host ``{process, processes}``, a shard worker ``{shard, shards,
 processes}``), so given the first port alone it dials the rest.  The
-load generator, the collector and the shard coordinator are all built
-on it, and the live observer uses a bare :class:`ControlLink` for its
-attach (an observer stream carries no replies, so it reads the link's
-stream itself).
+load generator, the collector, the shard coordinator and the live
+observer are all built on it.
 
 One rule keeps a client alive across an endpoint's restart: a link
 whose stream ended re-dials (HELLO, READY, within the client's connect
-timeout) before its next request.  The load phase re-dials a dead
-endpoint in the background and holds its rows until it is back, and
-:meth:`ClusterClient.quiesce` counts an unreachable endpoint as not
-quiesced and keeps polling until its timeout.
+timeout), counted once READY arrives.  A request re-dials first; the
+load phase re-dials a dead endpoint in the background and holds its
+rows until it is back; :meth:`ClusterClient.quiesce` counts an
+unreachable endpoint as not quiesced until its timeout; a followed
+observer stream (:meth:`ControlLink.follow`) re-dials at once.  Only a
+malformed frame or a refused chunk stops a stream for good.
 
 :data:`PULLS` is the server half of the same table:
 :mod:`repro.net.endpoint`, the accept side, answers those request kinds
@@ -37,11 +40,14 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.net import codec
 
 __all__ = ["PULLS", "ClusterClient", "ControlLink", "exposition", "quiesced"]
+
+#: Most bytes one stream read takes, a client's or a host's peer's.
+READ_CHUNK = 1 << 16
 
 #: Request kind -> the endpoint method whose return value is the reply
 #: body.  :meth:`ClusterClient.stats` / ``metrics`` / ``traces`` are the
@@ -72,23 +78,38 @@ def exposition(bodies: Sequence[Dict[str, Any]]) -> str:
 
 
 class ControlLink:
-    """One client connection to one endpoint (see the module docstring)."""
+    """One client connection to one endpoint (see the module docstring).
 
-    def __init__(self, host: str, port: int, role: str, run_id: str) -> None:
+    ``on_records``, if given, owns the pushed RECORDS frames."""
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        role: str,
+        run_id: str,
+        on_records: Optional[Callable[[bytes], None]] = None,
+    ) -> None:
         self.host = host
         self.port = port
         self.role = role
         self.run_id = run_id
+        self.on_records = on_records
         self.reader: Optional[asyncio.StreamReader] = None
         self.writer: Optional[asyncio.StreamWriter] = None
         #: Latest BACKPRESSURE state the endpoint pushed, and how many
         #: such frames arrived.
         self.paused = False
         self.backpressure_signals = 0
-        #: What tore the stream (a codec or connection error), if anything.
+        #: Re-dials that reached READY.
+        self.redials = 0
+        #: A malformed frame or a refused chunk (or, on a followed link,
+        #: an endpoint that did not come back).  A stream that just ended
+        #: -- EOF, a reset, a frame torn at EOF -- re-dials instead.
         self.failure: Optional[Exception] = None
         self._replies: Optional[asyncio.Queue] = None
         self._task: Optional[asyncio.Task] = None
+        self._follower: Optional[asyncio.Task] = None
         #: The last :meth:`connect`'s timeout, which a re-dial gets too.
         self._timeout = 20.0
 
@@ -126,6 +147,26 @@ class ControlLink:
         self._task = asyncio.get_running_loop().create_task(self._demultiplex())
         return await self.reply(codec.READY, timeout)
 
+    async def follow(self, timeout: Optional[float] = 20.0) -> None:
+        """Wait for READY, then re-dial the stream each time it ends,
+        until :meth:`close` or a :attr:`failure`."""
+        try:
+            await self.ready(timeout)
+        except ValueError as exc:
+            if exc is not self.failure:
+                raise
+            return  # a malformed frame before READY
+        self._follower = asyncio.get_running_loop().create_task(self._follow())
+
+    async def _follow(self) -> None:
+        while self.failure is None:
+            await asyncio.gather(self._task, return_exceptions=True)
+            try:
+                if self.failure is None:
+                    await self.redial()
+            except (ConnectionError, ValueError) as exc:
+                self.failure = exc
+
     async def redial(self) -> None:
         """Dial again after the stream ended: HELLO and READY, retried
         until the last :meth:`connect`'s timeout has passed.  The link was
@@ -133,13 +174,14 @@ class ControlLink:
         back yet (a fault proxy accepts for a host that is down)."""
         deadline = time.monotonic() + self._timeout
         while True:
-            await self.close()
+            await self._hang_up()
             try:
                 await self._open(deadline)
                 await self.ready(max(0.0, deadline - time.monotonic()))
                 self.paused = False  # a new incarnation starts unloaded
+                self.redials += 1
                 return
-            except (OSError, asyncio.TimeoutError, codec.CodecError) as exc:
+            except (OSError, asyncio.TimeoutError) as exc:
                 if time.monotonic() >= deadline:
                     raise ConnectionError(
                         "%s:%d did not come back: %s" % (self.host, self.port, exc)
@@ -148,17 +190,24 @@ class ControlLink:
 
     async def _demultiplex(self) -> None:
         assert self.reader is not None and self._replies is not None
+        decoder = codec.FrameDecoder()
         try:
             while True:
-                frame = await codec.read_frame(self.reader)
-                if frame is None:
+                data = await self.reader.read(READ_CHUNK)
+                if not data:
+                    decoder.eof()  # EOF inside a frame is a torn stream
                     break
-                if frame.kind == codec.BACKPRESSURE:
-                    self.backpressure_signals += 1
-                    self.paused = frame.body.get("state") == "high"
-                else:
-                    self._replies.put_nowait(frame)
-        except (codec.CodecError, ConnectionError) as exc:
+                for frame in decoder.feed(data):
+                    if frame.kind == codec.RECORDS and self.on_records is not None:
+                        self.on_records(frame.body)
+                    elif frame.kind == codec.BACKPRESSURE:
+                        self.backpressure_signals += 1
+                        self.paused = frame.body.get("state") == "high"
+                    else:
+                        self._replies.put_nowait(frame)
+        except (codec.FrameTruncated, ConnectionError):
+            pass  # the stream ended
+        except ValueError as exc:  # a malformed frame or a refused chunk
             self.failure = exc
         self._replies.put_nowait(None)
 
@@ -202,6 +251,14 @@ class ControlLink:
         return await self.reply(kind)
 
     async def close(self) -> None:
+        """Hang up; a followed stream is not re-dialed any more."""
+        if self._follower is not None:
+            self._follower.cancel()
+            await asyncio.gather(self._follower, return_exceptions=True)
+            self._follower = None
+        await self._hang_up()
+
+    async def _hang_up(self) -> None:
         if self.writer is not None and not self.writer.is_closing():
             self.writer.close()
         if self._task is not None:
@@ -241,7 +298,8 @@ class ClusterClient:
 
     @property
     def errors(self) -> List[str]:
-        """One line per link whose stream was torn (run reports carry it)."""
+        """One line per link that read a malformed frame (run reports
+        carry it)."""
         return [
             "load stream %d: %s" % (index, link.failure)
             for index, link in enumerate(self.links)

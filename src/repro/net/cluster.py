@@ -8,9 +8,11 @@ hosts
     processes via ``repro serve``);
 
 observer
-    :class:`LiveObserver` taps every host's trace stream (RECORDS
-    chunks of WAL ``EVENT`` records, read by ``repro replay``'s resolver),
-    merges the per-host streams into one causally-consistent
+    :class:`LiveObserver` follows every host's trace stream over one
+    :class:`~repro.net.client.ControlLink` each (RECORDS chunks of WAL
+    ``EVENT`` records, read by ``repro replay``'s resolver, with a
+    stream that ends re-dialed like any client's), merges the per-host
+    streams into one causally-consistent
     :class:`~repro.simulation.trace.Trace`, and feeds it to the
     incremental :class:`~repro.verification.engine.SpecMonitor` --
     ordering violations are flagged *while the system runs*;
@@ -33,15 +35,16 @@ keeps one FIFO queue per host and only appends a queue's *head*, holding
 receive/deliver events until their send has been appended.  Head-blocking
 preserves per-location order (what vector-clock causality needs) and can
 never deadlock: a blocking chain would have to run backwards through
-real time.  A chunk that does not resolve by itself ends its stream.
+real time.  A chunk that does not resolve by itself stops its stream.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import socket
 import time
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -49,7 +52,7 @@ from repro.events import Event, EventKind, Message
 from repro.events.message import channel_key
 from repro.net import codec
 from repro.net.client import ClusterClient, ControlLink
-from repro.net.host import _READ_CHUNK, NetHost
+from repro.net.host import NetHost
 from repro.net.transport import DEFAULT_TIME_SCALE
 from repro.obs.metrics import Histogram
 from repro.simulation.trace import Trace
@@ -87,12 +90,7 @@ class LiveObserver:
     :func:`~repro.verification.engine.capped_monitor`'s, not ours).
     """
 
-    def __init__(
-        self,
-        n_processes: int,
-        spec: Optional[Any] = None,
-        reconnect: bool = False,
-    ) -> None:
+    def __init__(self, n_processes: int, spec: Optional[Any] = None) -> None:
         self.n_processes = n_processes
         self.trace = Trace(n_processes)
         self.spec = spec
@@ -106,20 +104,26 @@ class LiveObserver:
         self._oracle_rejection: Optional[str] = None
         self.events_seen = 0
         self.events_merged = 0
-        self.probe_counts: Dict[str, int] = Counter()
-        self.errors: List[str] = []
         #: Per-host FIFOs of not-yet-appended (time, process, event, message).
         self._queues: List[deque] = [deque() for _ in range(n_processes)]
+        #: One followed ``observer`` link per host (see :meth:`connect`).
         self._links: List[ControlLink] = []
-        self._readers: List[asyncio.Task] = []
-        #: Re-attach to a host whose stream dies (it replays its full
-        #: trace on attach; :meth:`_append` dedupes, so a reconnect is
-        #: safe).  Off by default: a plain run treats EOF as the end.
-        self.reconnect = reconnect
-        self.reconnects = 0
-        self._closing = False
-        self._attach_timeout = 20.0
         self._recorder: Optional[Any] = None
+
+    @property
+    def errors(self) -> List[str]:
+        """One line per host stream a malformed chunk stopped, or whose
+        host did not come back."""
+        return [
+            "observer stream %d: %s" % (index, link.failure)
+            for index, link in enumerate(self._links)
+            if link.failure is not None
+        ]
+
+    @property
+    def reconnects(self) -> int:
+        """Re-attaches that reached READY, over every host stream."""
+        return sum(link.redials for link in self._links)
 
     @property
     def violation(self):
@@ -168,15 +172,16 @@ class LiveObserver:
         run_id: str = "default",
         timeout: float = 20.0,
     ) -> None:
-        """Attach to every host and start the stream readers."""
-        self._attach_timeout = timeout
+        """Attach to every host and read each history up to READY.  A
+        stream that ends is re-attached until :meth:`close`: the host
+        replays its trace, and :meth:`_append` drops what was merged."""
         for index, port in enumerate(ports, len(self._links)):
-            link = ControlLink(host, port, "observer", run_id)
-            await link.connect(timeout)
-            self._links.append(link)
-            self._readers.append(
-                asyncio.get_running_loop().create_task(self._read_stream(index))
+            link = ControlLink(
+                host, port, "observer", run_id, functools.partial(self._on_chunk, index)
             )
+            self._links.append(link)
+            await link.connect(timeout)
+            await link.follow(timeout)
 
     def record(self, directory: str, meta: Dict[str, Any]) -> None:
         """Record the merged view of the run into one WAL, which
@@ -188,54 +193,10 @@ class LiveObserver:
         self._recorder.attach_trace(self.trace)
 
     async def close(self) -> None:
-        self._closing = True
         for link in self._links:
             await link.close()
-        for task in self._readers:
-            task.cancel()
-        await asyncio.gather(*self._readers, return_exceptions=True)
         if self._recorder is not None:
             self._recorder.close()
-
-    async def _read_stream(self, index: int) -> None:
-        link = self._links[index]
-        while True:
-            reader = link.reader
-            decoder = codec.FrameDecoder()
-            try:
-                while True:
-                    data = await reader.read(_READ_CHUNK)
-                    if not data:
-                        decoder.eof()  # EOF inside a frame is a torn stream
-                        break
-                    for frame in decoder.feed(data):
-                        if frame.kind == codec.RECORDS:
-                            self._on_chunk(index, frame.body)
-                        elif frame.kind == codec.PROBE:
-                            self.probe_counts[frame.body.get("probe", "?")] += 1
-                        # READY and anything else: ignored (forward compat).
-            except (codec.CodecError, wal_records.WalError, ConnectionError) as exc:
-                if not self.reconnect:
-                    self.errors.append("observer stream %d: %s" % (index, exc))
-            except asyncio.CancelledError:
-                return
-            if not self.reconnect or self._closing:
-                return
-            # The host went away (crash, restart, severed link).  Keep
-            # re-attaching until it is back: the replay-on-attach plus
-            # merge-side dedup make this exactly-once for the trace.
-            await link.close()
-            try:
-                await link.connect(self._attach_timeout)
-            except (OSError, asyncio.CancelledError):
-                if self._closing:
-                    return
-                self.errors.append(
-                    "observer stream %d: host %s:%d did not come back"
-                    % (index, link.host, link.port)
-                )
-                return
-            self.reconnects += 1
 
     def _on_chunk(self, index: int, data: bytes) -> None:
         """Queue a RECORDS chunk's events, all or none, and merge once."""

@@ -47,7 +47,9 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.events import Message
 
-#: Wire protocol version this build speaks.  Version 5 retired INVOKE (a
+#: Wire protocol version this build speaks.  Version 6 retired PROBE (a
+#: host bridged fault and link probes to its observers, and a run's link
+#: counters now come from each host's METRICS); version 5 retired INVOKE (a
 #: load client offers every message as an INVOKE_BATCH row, to hosts and
 #: shard workers alike) and made READY state the endpoint's layout;
 #: version 4 replaced the EVENT frame with RECORDS; version 3 gave USER
@@ -55,7 +57,7 @@ from repro.events import Message
 #: ordering-key field on USER message bodies and the batch frame kinds
 #: the sharded runtime uses.  Every endpoint of a run is the same build,
 #: so a frame of any other version is refused.
-WIRE_VERSION = 5
+WIRE_VERSION = 6
 
 #: Upper bound on one frame's (version + kind + body) size.  Generous for
 #: protocol traffic (tags are tens of bytes) while still bounding the
@@ -74,7 +76,7 @@ USER = 3  # a released user message: src/dst/message/tag/timestamps
 CONTROL = 4  # a protocol control message: src/dst/payload
 # 5 was INVOKE, one message per frame (retired in version 5)
 # 6 was EVENT, one JSON trace record per frame (retired in version 4)
-PROBE = 7  # host -> observer: one bridged obs probe
+# 7 was PROBE, one bridged obs probe (retired in version 6)
 STATS = 8  # stats request (empty body) and reply (counters + latencies)
 DRAIN = 9  # load generator -> host: no further invokes are coming
 BYE = 10  # orderly shutdown request/ack
@@ -92,7 +94,6 @@ KIND_NAMES = {
     READY: "ready",
     USER: "user",
     CONTROL: "control",
-    PROBE: "probe",
     STATS: "stats",
     DRAIN: "drain",
     BYE: "bye",

@@ -16,6 +16,10 @@ the simulator enforces.  The only substitutions are at the edges:
 
 Everything above those edges -- protocols, tags, the trace contract,
 probe points -- is byte-for-byte the simulation stack.
+
+An ``observer`` stream carries the trace alone: the history in RECORDS
+chunks, READY, then each new record through the tap.  Probes stay in
+the host; their counts reach clients as its METRICS.
 """
 
 from __future__ import annotations
@@ -27,13 +31,9 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set,
 
 from repro.events import Message
 from repro.net import codec
+from repro.net.client import READ_CHUNK
 from repro.net.endpoint import Endpoint
-from repro.net.resilience import (
-    LINK_DOWN,
-    LINK_UP,
-    LinkMonitor,
-    ResilienceConfig,
-)
+from repro.net.resilience import LINK_DOWN, LinkMonitor, ResilienceConfig
 from repro.net.transport import (
     DEFAULT_TIME_SCALE,
     AsyncTransport,
@@ -57,32 +57,8 @@ from repro.simulation.trace import (
 )
 from repro.wal import records as wal_records
 
-#: Bus probes bridged to observers (kept narrow: the fault/recovery
-#: stream an operator actually watches; the firehose stays local).
-BRIDGED_PROBES = (
-    "fault.drop",
-    "fault.dup",
-    "fault.partition",
-    "fault.spike",
-    "retx.send",
-    "retx.dup",
-    "retx.resume",
-    "host.inhibit",
-    "link.up",
-    "link.suspect",
-    "link.down",
-    "link.redial",
-    "link.giveup",
-    "net.shed",
-    "net.backpressure",
-)
-
 #: Seconds the rendezvous gets: each peer dial, and :meth:`NetHost.ready`.
 DIAL_TIMEOUT = 20.0
-
-#: Most bytes one peer-stream read takes, hence the most arrivals one
-#: batch (and one cumulative ack) can cover.
-_READ_CHUNK = 1 << 16
 
 #: Most record bytes one RECORDS frame holds (less its version and kind).
 _CHUNK_BYTES = codec.MAX_FRAME_BYTES - 2
@@ -268,8 +244,8 @@ class NetHost(Endpoint):
         self._observer_writers: List[asyncio.StreamWriter] = []
         self._tapped: List[Tuple[TraceRecord, Message]] = []
         self._inbound_peers: Set[int] = set()
-        #: Unsubscribers of the probe bridge to observers, once one came.
-        self._bridge: List[Callable[[], None]] = []
+        #: Whether the trace tap feeding observers is attached.
+        self._tapping = False
         #: Durable replay log (repro.wal).  Recovery runs *before* the
         #: sink attaches, so replayed inputs are not logged twice.
         self.wal: Optional[Any] = None
@@ -429,9 +405,6 @@ class NetHost(Endpoint):
         and the dialed links too (peers then see EOF in both directions,
         exactly as they would if the process had gone)."""
         self.clock.cancel_all()
-        for unsubscribe in self._bridge:
-            unsubscribe()
-        self._bridge = []
         for writer in self._peer_writers:
             if not writer.is_closing():
                 writer.close()
@@ -760,7 +733,7 @@ class NetHost(Endpoint):
         decoder = codec.FrameDecoder()
         try:
             while True:
-                chunk = await reader.read(_READ_CHUNK)
+                chunk = await reader.read(READ_CHUNK)
                 if not chunk:
                     decoder.eof()  # EOF inside a frame is a torn stream
                     return
@@ -838,15 +811,12 @@ class NetHost(Endpoint):
         for frame in record_frames(history):
             writer.write(frame)
         self._observer_writers.append(writer)
-        if not self._bridge:
+        if not self._tapping:
             # Once per host, not once per first observer: the tap outlives
             # an observer that leaves, and the next run's must not add a
             # second one (every event would be framed twice).
             self.trace.attach_tap(self._tap_record)
-            self._bridge = [
-                self.bus.subscribe(probe, self._forward_probe)
-                for probe in BRIDGED_PROBES
-            ]
+            self._tapping = True
 
     def _tap_record(self, record: TraceRecord, message: Message) -> None:
         if not self._tapped:
@@ -857,25 +827,9 @@ class NetHost(Endpoint):
     def _flush_tap(self) -> None:
         tapped, self._tapped = self._tapped, []
         for frame in record_frames(tapped):
-            self._write_observers(frame)
-
-    def _write_observers(self, frame: bytes) -> None:
-        for writer in self._observer_writers:
-            if not writer.is_closing():
-                writer.write(frame)
-
-    def _forward_probe(self, event) -> None:
-        """Bridge one fault/recovery probe to the observers."""
-        frame = codec.encode_frame(
-            codec.PROBE,
-            {
-                "probe": event.probe,
-                "t": event.time,
-                "process": self.process_id,
-                "data": codec.encode_value(dict(event.data)),
-            },
-        )
-        self._write_observers(frame)
+            for writer in self._observer_writers:
+                if not writer.is_closing():
+                    writer.write(frame)
 
     # -- load clients ----------------------------------------------------------
 

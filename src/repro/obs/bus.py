@@ -21,9 +21,8 @@ attaching a bus never perturbs the deterministic schedule.
 
 :data:`PROBES` is exactly what some component subscribes to (the WAL
 sink, :class:`~repro.obs.metrics.MetricsRecorder`,
-:class:`~repro.obs.watchdog.Watchdog`, the flight recorder's context
-stream and the cluster observer bridge); a new probe point lands with
-its first subscriber.  The names and payload fields are a stable,
+:class:`~repro.obs.watchdog.Watchdog` and the flight recorder's context
+stream); a new probe point lands with its first subscriber.  The names and payload fields are a stable,
 documented contract:
 
 ====================  =======================================================
@@ -40,7 +39,6 @@ probe                 payload fields
 ``retx.send``         ``process``, ``message_id``, ``receiver``, ``kind``
 ``retx.ack``          ``process``, ``peer``, ``cumulative``
 ``retx.dup``          ``process``, ``message_id``, ``sender``
-``retx.resume``       ``peer``, ``unacked``
 ``timer.fire``        ``process``
 ``link.up``           ``process``, ``peer``, ``previous``
 ``link.suspect``      ``process``, ``peer``, ``previous``
@@ -75,11 +73,9 @@ the cluster resilience layer (:mod:`repro.net.resilience` plus the
 ``link.suspect`` / ``link.down`` mark each failure-detector state
 transition for one peer link (``previous`` is the state it left),
 ``link.redial`` a successful supervised reconnect after ``attempts``
-tries, ``link.giveup`` an abandoned one, ``retx.resume`` the ARQ
-sublayer retransmitting its unacked window on a restored link,
-``net.shed`` a frame shed from (or flushed out of) a down-link queue,
-and ``net.backpressure`` a high/low watermark crossing of the host's
-local pending work.
+tries, ``link.giveup`` an abandoned one, ``net.shed`` a frame shed
+from (or flushed out of) a down-link queue, and ``net.backpressure`` a
+high/low watermark crossing of the host's local pending work.
 """
 
 from __future__ import annotations
@@ -100,7 +96,6 @@ PROBES = frozenset(
         "retx.send",
         "retx.ack",
         "retx.dup",
-        "retx.resume",
         "timer.fire",
         "link.up",
         "link.suspect",

@@ -207,7 +207,6 @@ class ReliableProtocol(Protocol):
         self._retries[dst] = 0
         self._rto_cur[dst] = self.rto
         if self._unacked.get(dst):
-            ctx.emit("retx.resume", peer=dst, unacked=len(self._unacked[dst]))
             self._retransmit_all(ctx, dst)
             self._arm(ctx, dst)
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.events import DELIVER, SEND, Event
-from repro.poset import Digraph
-from repro.poset.algorithms import topological_sort
+from repro.poset import CycleError, Digraph
+from repro.poset.algorithms import find_cycle, topological_sort
 from repro.runs.user_run import UserRun
 
 
@@ -72,8 +72,22 @@ def sync_numbering(run: UserRun) -> Optional[Dict[str, int]]:
 
     ``T`` satisfies the paper's SYNC condition:
     ``x.h ▷ y.f ⇒ T(x) < T(y)`` for all distinct messages ``x, y``.
+
+    Linear in the generating relation: each recorded ``a ▷ b`` between
+    two messages is the edge ``msg(a) → msg(b)``.  That edge is in
+    :func:`message_graph`, and each message-graph edge is a walk of such
+    edges, so both graphs are acyclic together and a topological order
+    of this one is a SYNC numbering.  An invalid run raises
+    :class:`~repro.poset.poset.CycleError`, as any ``▷`` query does.
     """
-    graph = message_graph(run)
+    pairs = run.generating_pairs()
+    cycle = find_cycle(Digraph(edges=pairs))
+    if cycle is not None:
+        raise CycleError(cycle)
+    graph = Digraph(nodes=run.message_ids())
+    for low, high in pairs:
+        if low.message_id != high.message_id:
+            graph.add_edge(low.message_id, high.message_id)
     try:
         order = topological_sort(graph)
     except ValueError:

@@ -122,6 +122,11 @@ class UserRun:
         """Whether two events are incomparable under ▷."""
         return self._order.concurrent(a, b)
 
+    def generating_pairs(self) -> List[Tuple[Event, Event]]:
+        """The relations of ▷ as recorded (usually far fewer than the
+        closure)."""
+        return self._order.generating_pairs()
+
     def relation_pairs(self) -> List[Tuple[Event, Event]]:
         """The full closure of ▷ as sorted pairs."""
         return self._order.relation_pairs()
@@ -173,7 +178,7 @@ class UserRun:
         from collections import deque
 
         successors: Dict[Event, List[Event]] = {}
-        for tail, head in self._order.generating_pairs():
+        for tail, head in self.generating_pairs():
             successors.setdefault(tail, []).append(head)
         queue = deque([(a, [a])])
         seen = {a}

@@ -337,7 +337,9 @@ class TestLiveChaos:
                 convergence_deadline=10.0,
             )
             assert report.ok, report.render()
-            assert report.restarts == 1
+            assert report.restarts == report.observer_reconnects == 1
+            # The survivors' re-dials to P1's new incarnation, over METRICS.
+            assert report.link_transitions.get("link.redial", 0) > 0
             assert report.run.invoked == report.acked > 0
             invokes = Counter()
             incarnation = None

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.events import Event, Message
+from repro.poset import CycleError
 from repro.runs.enumeration import enumerate_universe
 from repro.runs.limit_sets import (
     causal_violations,
@@ -63,6 +64,22 @@ class TestLogicalSynchrony:
                     for make_f in kinds:
                         if sync_run.before(make_h(x), make_f(y)):
                             assert numbering[x] < numbering[y]
+
+    @pytest.mark.parametrize("two_messages", [False, True])
+    def test_an_invalid_run_raises_as_a_before_query_does(self, two_messages):
+        """A cycle of ▷ itself -- inside one message's events or across
+        two -- is no verdict: the run is not a partial order."""
+        run = UserRun([Message(id="m1", sender=0, receiver=1)])
+        if two_messages:
+            run.add_message(Message(id="m2", sender=1, receiver=0))
+            run.order_chain([Event.deliver("m1"), Event.send("m2")])
+            run.order(Event.deliver("m2"), Event.send("m1"))
+        else:
+            run.order(Event.deliver("m1"), Event.send("m1"))
+        with pytest.raises(CycleError):
+            run.before(Event.send("m1"), Event.deliver("m1"))
+        with pytest.raises(CycleError):
+            sync_numbering(run)
 
     def test_message_graph_edges(self, sync_run):
         assert message_graph(sync_run).edges() == [("m1", "m2")]

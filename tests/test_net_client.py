@@ -263,6 +263,57 @@ class TestRedialAfterTheStreamEnds:
             assert pulls[0].stats_body and pulls[0].metrics_body
 
 
+class TestFollowedStream:
+    """An observer stream: RECORDS go to their owner, a stream that ends
+    is re-dialed, and a chunk its owner refuses stops it for good."""
+
+    def _run(self, on_records):
+        port = free_ports(1)[0]
+        chunk = codec.encode_frame(codec.RECORDS, b"chunk")
+
+        async def scenario():
+            accepted = []
+
+            async def handler(reader, writer):
+                accepted.append(writer)
+                await codec.read_frame(reader)  # the HELLO
+                writer.write(chunk + codec.encode_frame(codec.READY, {"process": 0}))
+                await writer.drain()
+                if len(accepted) == 1:
+                    writer.close()  # the first incarnation's stream ends
+                else:
+                    await reader.read()
+
+            server = await asyncio.start_server(handler, "127.0.0.1", port)
+            link = ControlLink("127.0.0.1", port, "observer", "default", on_records)
+            async with server:
+                await link.connect(timeout=5.0)
+                await link.follow(timeout=5.0)
+                for _ in range(100):
+                    if link.redials or link.failure:
+                        break
+                    await asyncio.sleep(0.02)
+                await asyncio.sleep(0.1)
+                await link.close()
+            return link, len(accepted)
+
+        return asyncio.run(scenario())
+
+    def test_an_ended_stream_is_redialed_once_it_is_ready(self):
+        chunks = []
+        link, accepted = self._run(chunks.append)
+        assert (link.redials, accepted, link.failure) == (1, 2, None)
+        assert chunks == [b"chunk", b"chunk"]  # the history, replayed
+
+    def test_a_refused_chunk_stops_the_stream(self):
+        def refuse(data):
+            raise ValueError("bad chunk")
+
+        link, accepted = self._run(refuse)
+        assert (link.redials, accepted) == (0, 1)
+        assert str(link.failure) == "bad chunk"
+
+
 class TestShardWorkerChecksTheRunId:
     def test_mismatching_hello_is_rejected_like_a_nethost_does(self):
         """`repro serve --shards --run-id X` documents "connections for

@@ -15,6 +15,7 @@ import pytest
 
 from repro.events import Event, Message
 from repro.faults import FaultPlan
+from repro.faults.proxy import FaultProxy
 from repro.mc.mutations import mutation_factories
 from repro.cli import main
 from repro.net import NetHost, codec, run_cluster_sync
@@ -260,19 +261,20 @@ def _chunk_frames(*groups):
 
 
 async def _observe(observer, data):
-    """Attach ``observer`` to a stand-in host that answers the HELLO
-    with ``data`` and closes; returns once the stream has ended."""
+    """Attach ``observer`` to a stand-in host that answers the HELLO with
+    ``data`` and then READY, as a host sends its history; returns once
+    the observer has read up to READY (or a malformed chunk stopped it)."""
 
     async def serve(reader, writer):
         await codec.read_frame(reader)
-        writer.write(data)
+        writer.write(data + codec.encode_frame(codec.READY, {"process": 0}))
         await writer.drain()
+        await reader.read()  # until the observer hangs up
         writer.close()
 
     server = await asyncio.start_server(serve, "127.0.0.1", 0)
     try:
         await observer.connect([server.sockets[0].getsockname()[1]], run_id="t-obs")
-        await asyncio.wait_for(asyncio.gather(*observer._readers), 5.0)
     finally:
         await observer.close()
         server.close()
@@ -404,6 +406,55 @@ class TestObserverChunks:
         observer, host_errors = asyncio.run(scenario())
         assert observer.errors == host_errors == []
         assert observer.events_seen == observer.events_merged == 4 * count
+
+
+class TestObserverReattach:
+    def test_a_restart_behind_a_fault_proxy_is_one_reconnect(self):
+        """While a host is down its fault proxy accepts and hangs up at
+        once.  The observer's stream re-dials through that until READY,
+        and only the re-attach that reached READY counts: one restart is
+        one reconnect, not one per dial while the host was down."""
+        entry = catalogue()["fifo"]
+        message = Message(id="m1", sender=0, receiver=0)
+
+        async def scenario():
+            public, private = free_ports(2)
+            proxy = FaultProxy(public, private)
+            await proxy.start()
+
+            def incarnation():
+                return NetHost(
+                    entry.factory,
+                    0,
+                    [public],
+                    run_id="t-reattach",
+                    time_scale=FAST,
+                    listen_port=private,
+                )
+
+            host = incarnation()
+            await host.start()
+            observer = LiveObserver(1, spec=entry.spec)
+            try:
+                await observer.connect([public], run_id="t-reattach")
+                await host.crash()
+                await asyncio.sleep(0.6)  # down: the proxy refuses upstream
+                host = incarnation()
+                await host.start()
+                host.invoke(message)
+                for _ in range(200):
+                    if observer.events_merged == 4:
+                        break
+                    await asyncio.sleep(0.02)
+                await asyncio.sleep(0.2)  # time for a spurious re-dial
+                return observer.reconnects, observer.events_merged, observer.errors
+            finally:
+                await observer.close()
+                await host.shutdown()
+                await proxy.close()
+
+        reconnects, merged, errors = asyncio.run(scenario())
+        assert (reconnects, merged, errors) == (1, 4, [])
 
 
 class TestSoakUnderLoss:

@@ -29,12 +29,6 @@ def _sample_bodies():
             "payload": codec.encode_value({"acks": [1, 2]}),
             "sent": 2.0,
         },
-        codec.PROBE: {
-            "probe": "fault.drop",
-            "t": 4.0,
-            "process": 0,
-            "data": codec.encode_value({"reason": "random"}),
-        },
         codec.STATS: {"deliveries": 7, "latencies": codec.encode_value([0.1])},
         codec.DRAIN: {},
         codec.BYE: {},

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.net.host import BRIDGED_PROBES
 from repro.obs import PROBES, Bus, MetricsRecorder, ProbeEvent, Watchdog
 from repro.obs.flight import CONTEXT_PROBES
 from repro.wal.sink import _PROBE_KINDS
@@ -65,7 +64,6 @@ class TestBus:
             "retx.send",
             "retx.ack",
             "retx.dup",
-            "retx.resume",
             "timer.fire",
             "link.up",
             "link.suspect",
@@ -78,16 +76,11 @@ class TestBus:
 
     def test_every_probe_has_a_subscriber(self):
         """The bus carries only what something reads: the WAL sink, the
-        metrics recorder, the watchdog, the flight recorder's context
-        stream and the cluster observer bridge subscribe to all of
-        :data:`PROBES` between them, and to nothing else."""
+        metrics recorder, the watchdog and the flight recorder's context
+        stream subscribe to all of :data:`PROBES` between them, and to
+        nothing else."""
         bus = Bus()
         MetricsRecorder(bus)
         Watchdog(bus)
-        subscribed = (
-            bus.observed
-            | set(_PROBE_KINDS)
-            | set(CONTEXT_PROBES)
-            | set(BRIDGED_PROBES)
-        )
+        subscribed = bus.observed | set(_PROBE_KINDS) | set(CONTEXT_PROBES)
         assert subscribed == PROBES

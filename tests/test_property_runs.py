@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.events import Event, EventKind, Message
+from repro.poset.algorithms import is_acyclic
 from repro.runs.construction import is_realizable, system_run_from_user_run
 from repro.runs.limit_sets import (
     causal_violations,
@@ -110,6 +111,19 @@ class TestLimitSetProperties:
                     for f in (Event.send, Event.deliver):
                         if run.before(h(x), f(y)):
                             assert numbering[x] < numbering[y]
+
+    @given(random_user_runs(max_messages=8))
+    def test_sync_numbering_agrees_with_the_message_graph(self, run):
+        """The contracted generating relation is acyclic exactly when
+        the message graph is, and its order is a SYNC numbering:
+        ``x.h ▷ y.f ⇒ T(x) < T(y)``."""
+        numbering = sync_numbering(run)
+        graph = message_graph(run)
+        assert (numbering is None) == (not is_acyclic(graph))
+        if numbering is not None:
+            assert sorted(numbering) == run.message_ids()
+            for x, y in graph.edges():  # x.h ▷ y.f for some h, f
+                assert numbering[x] < numbering[y]
 
     @given(random_user_runs())
     def test_message_graph_matches_direct_definition(self, run):
