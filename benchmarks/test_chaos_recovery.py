@@ -34,8 +34,10 @@ import tempfile
 
 from conftest import format_table, write_result
 
-from repro.chaos import ChaosAction, ChaosPlan, run_chaos_sync
+from repro.chaos import run_chaos_sync
+from repro.faults import FaultAction, FaultPlan
 from repro.net.resilience import ReconnectPolicy, ResilienceConfig
+from repro.net.transport import DEFAULT_TIME_SCALE
 
 SMOKE = bool(os.environ.get("CHAOS_RECOVERY_SMOKE"))
 
@@ -45,7 +47,7 @@ SWEEP_PROTOCOLS = (
     ("fifo", "causal-rst") if SMOKE else ("fifo", "causal-rst", "causal-ses", "tagless")
 )
 #: Seed 0 schedules link severs, seed 1 kill-restarts plus a sever
-#: (see ChaosPlan.generate): together every run mixes both shapes.
+#: (see FaultPlan.generate): together every run mixes both shapes.
 SWEEP_SEEDS = (0, 1)
 RATE = 80.0
 DURATION = 1.5 if SMOKE else 2.0
@@ -70,9 +72,7 @@ def test_chaos_sweep_table():
     for protocol in SWEEP_PROTOCOLS:
         for seed in SWEEP_SEEDS:
             report = _run(protocol, seed)
-            kinds = sorted(
-                {action["kind"] for action in report.plan["actions"]}
-            )
+            kinds = sorted({action.kind for action in report.plan.actions})
             rows.append(
                 [
                     protocol,
@@ -108,21 +108,27 @@ def test_chaos_sweep_table():
     assert any("sever" in mix for mix in fault_mixes)
 
 
-def _outage_plan(kind, n_processes=3):
-    # One outage spanning the whole traffic window: apply_action heals
-    # it (and restarts the dead host) 0.3 s after the load finishes, and
-    # DRAIN waits for that, so converge_seconds is the
-    # reconnect-and-resume time.
-    src = 0 if kind in ("sever", "blackhole") else None
-    return ChaosPlan(
-        seed=0,
-        n_processes=n_processes,
+def _outage(kind, target, src=None):
+    """One outage from 0.3 s spanning the whole traffic window, in the
+    plan's virtual units."""
+    return FaultPlan(
         actions=(
-            ChaosAction(
-                at=0.3, kind=kind, target=1, duration=DURATION, src=src
+            FaultAction(
+                at=0.3 / DEFAULT_TIME_SCALE,
+                kind=kind,
+                target=target,
+                duration=DURATION / DEFAULT_TIME_SCALE,
+                src=src,
             ),
         ),
     )
+
+
+def _outage_plan(kind):
+    # apply_action heals the outage (and restarts the dead host) 0.3 s
+    # after the load finishes, and DRAIN waits for that, so
+    # converge_seconds is the reconnect-and-resume time.
+    return _outage(kind, 1, src=0 if kind in ("sever", "blackhole") else None)
 
 
 def test_reconnect_and_resume_time_table():
@@ -185,18 +191,7 @@ def test_goodput_under_watermark_table():
     # throttles a closed-loop generator).
     scenarios = (
         ("fifo", _outage_plan("blackhole")),
-        (
-            "sync-coord",
-            ChaosPlan(
-                seed=0,
-                n_processes=3,
-                actions=(
-                    ChaosAction(
-                        at=0.3, kind="blackhole", target=0, duration=DURATION
-                    ),
-                ),
-            ),
-        ),
+        ("sync-coord", _outage("blackhole", 0)),
     )
     rows = []
     for protocol, plan in scenarios:

@@ -8,15 +8,16 @@ restoring it underneath an unmodified catalogue protocol:
    wrapped, everything is delivered and the FIFO spec still holds;
 2. the same network eats messages from the *bare* protocol, and the
    watchdog names the loss ("lost in network ... never retransmitted");
-3. a process crashes mid-run, loses its volatile timers, restarts from
-   its durable snapshot and retransmits its way back to a clean run;
+3. a process is killed mid-run, loses its volatile timers, restarts by
+   replaying its write-ahead log and retransmits its way back to a
+   clean run;
 4. the model checker plays a bounded adversary (``--fault-budget``):
    every 1-fault schedule of the wrapped protocol is verified.
 
 Usage:  python examples/faulty_channels_tour.py
 """
 
-from repro.faults import CrashEvent, FaultPlan
+from repro.faults import FaultAction, FaultPlan
 from repro.mc import check_protocol, pair_workload
 from repro.obs import Watchdog
 from repro.predicates.catalog import FIFO_ORDERING
@@ -65,7 +66,9 @@ def crash_and_recover() -> None:
             for t in (0.0, 10.0, 20.0)
         ),
     )
-    plan = FaultPlan(crashes=(CrashEvent(process=1, at=5.0, restart_at=60.0),))
+    plan = FaultPlan(
+        actions=(FaultAction(at=5.0, kind="kill", target=1, duration=55.0),)
+    )
     result = run_simulation(
         make_reliable(make_factory(FifoProtocol)),
         workload,

@@ -7,11 +7,13 @@ double-delivered across crashes, and the live ordering specification
 stays violation-free through all of it.  This package *checks* those
 claims instead of trusting them:
 
-:class:`~repro.chaos.plan.ChaosPlan`
+:meth:`FaultPlan.generate <repro.faults.plan.FaultPlan.generate>`
     a seeded, reproducible schedule of faults -- process kills (with
     restart from the WAL), pauses (SIGSTOP-shaped silence), severed
     links and blackholed links -- generated from a single integer seed
-    so a failing run is a bug report, not an anecdote;
+    so a failing run is a bug report, not an anecdote.  The same plan
+    runs in the simulator (:func:`~repro.simulation.run_simulation`),
+    so a failing live seed can be replayed there;
 
 :func:`~repro.chaos.harness.run_chaos`
     executes the plan against a live loopback cluster (every host
@@ -22,7 +24,6 @@ claims instead of trusting them:
 ``repro chaos`` is the command-line entry point.
 """
 
-from repro.chaos.plan import ChaosAction, ChaosPlan, ACTION_KINDS
 from repro.chaos.harness import (
     ChaosReport,
     run_chaos,
@@ -31,9 +32,6 @@ from repro.chaos.harness import (
 )
 
 __all__ = [
-    "ACTION_KINDS",
-    "ChaosAction",
-    "ChaosPlan",
     "ChaosReport",
     "run_chaos",
     "run_chaos_sync",

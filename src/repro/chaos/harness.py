@@ -1,4 +1,4 @@
-"""Execute a :class:`~repro.chaos.plan.ChaosPlan` against a live cluster.
+"""Execute a :class:`~repro.faults.plan.FaultPlan` against a live cluster.
 
 Topology: every host binds a *private* port and is fronted by a
 :class:`~repro.faults.proxy.FaultProxy` on its *public* port (the one in
@@ -26,9 +26,14 @@ Host handles come in two flavours:
     ``pause`` is SIGSTOP/SIGCONT.  Used by ``repro chaos --proc`` for
     full-fidelity runs; the inline flavour keeps tests fast.
 
+The plan's virtual times are scaled by ``time_scale``.  Packet-fault
+rates, a never-healing action and overlapping actions are refused: the
+proxies fault links, not packets, a chaos run must re-converge, and the
+harness applies one action at a time, in order.
+
 A chaos run is a cluster run: :func:`~repro.net.cluster.drive_run`
-offers the load, with the plan (ending in a heal of everything and a
-restart of any dead host) beside it, then DRAINs, quiesces and reduces
+offers the load, with the plan (ending in a restart of any dead host)
+beside it, then DRAINs, quiesces and reduces
 to a :class:`~repro.net.cluster.NetRunReport`.  The load generator
 re-dials a killed host once it is back and keeps loading it.  The
 :class:`ChaosReport` carries that run and the evidence only chaos
@@ -58,7 +63,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.chaos.plan import ChaosAction, ChaosPlan
+from repro.faults.plan import FaultAction, FaultPlan
 from repro.faults.proxy import FaultProxy
 from repro.net import codec
 from repro.net.cluster import (
@@ -266,7 +271,7 @@ class ChaosReport:
     run: NetRunReport
     seed: int
     mode: str  # "inline" | "proc"
-    plan: Dict[str, Any]
+    plan: FaultPlan
     acked: int = 0  # durably-logged invokes (the loss-invariant universe)
     acked_lost: List[str] = field(default_factory=list)
     double_delivered: List[str] = field(default_factory=list)
@@ -293,6 +298,7 @@ class ChaosReport:
 
     def to_json(self) -> Dict[str, Any]:
         body = dict(self.__dict__)
+        body["plan"] = self.plan.to_json()
         body["run"] = {
             key: value
             for key, value in self.run.__dict__.items()
@@ -305,7 +311,7 @@ class ChaosReport:
         lines = [
             self.run.render(),
             "chaos: seed %d, %s hosts" % (self.seed, self.mode),
-            "  plan        %s" % ChaosPlan.from_json(self.plan).describe(),
+            "  plan        %s" % self.plan.describe(),
             "  durability  %d acked: %s"
             % (self.acked,
                "none lost or double-delivered"
@@ -398,7 +404,7 @@ async def run_chaos(
     duration: float = 3.0,
     n_actions: int = 3,
     kinds: Optional[Sequence[str]] = None,
-    plan: Optional[ChaosPlan] = None,
+    plan: Optional[FaultPlan] = None,
     spec: Any = "auto",
     convergence_deadline: float = 15.0,
     proc: bool = False,
@@ -424,13 +430,28 @@ async def run_chaos(
         spec = entry.spec
 
     if plan is None:
-        plan = ChaosPlan.generate(
+        plan = FaultPlan.generate(
             seed,
             n_processes,
-            duration,
+            duration / time_scale,
             n_actions=n_actions,
             kinds=tuple(kinds) if kinds else ("kill", "sever", "blackhole"),
         )
+    if plan.packet_faults:
+        raise ValueError("a chaos run faults links, not packets: "
+                         "its plan takes no rates, channel overrides or script")
+    previous = None
+    for action in plan.actions:
+        if action.duration is None:
+            raise ValueError("a chaos run must re-converge, but %r never heals"
+                             % action.describe())
+        if previous is not None and action.at < previous.ends_at:
+            raise ValueError("a chaos run applies one action at a time, but %r "
+                             "overlaps %r" % (action.describe(), previous.describe()))
+        previous = action
+        if {action.target, action.src} - set(range(n_processes)) - {None}:
+            raise ValueError("%r names a process outside the %d hosts"
+                             % (action.describe(), n_processes))
     run_id = "chaos-%d" % seed
     if proc and port_base is None:
         raise ValueError("proc mode needs an explicit port_base "
@@ -478,25 +499,22 @@ async def run_chaos(
     observer = LiveObserver(n_processes, spec=spec) if spec is not None else None
     load = LoadGenerator(public, run_id=run_id, seed=seed)
 
-    async def apply_action(action: ChaosAction) -> None:
+    async def apply_action(action: FaultAction) -> None:
         handle = handles[action.target]
+        outage = action.duration * time_scale
         if action.kind == "kill":
             await handle.kill()
-            await asyncio.sleep(action.duration)
+            await asyncio.sleep(outage)
             await handle.restart()
             return
         if action.kind == "pause" and proc:
             handle.pause()
-            await asyncio.sleep(action.duration)
+            await asyncio.sleep(outage)
             handle.resume()
             return
         # Peer links only (see the module docstring).
         target = action.target
-        sources = (
-            [action.src]
-            if action.src is not None
-            else [peer for peer in range(n_processes) if peer != target]
-        )
+        sources = action.sources(n_processes)
         links = [(proxies[target], src) for src in sources]
         if action.kind == "pause":
             # SIGSTOP emulation: silence on every peer link, both ways.
@@ -504,7 +522,7 @@ async def run_chaos(
         fault = FaultProxy.sever if action.kind == "sever" else FaultProxy.blackhole
         for proxy, src in links:
             fault(proxy, src)
-        await asyncio.sleep(action.duration)
+        await asyncio.sleep(outage)
         for proxy, src in links:
             proxy.heal(src)
 
@@ -512,13 +530,12 @@ async def run_chaos(
         loop = asyncio.get_running_loop()
         started = loop.time()
         for action in plan.actions:
-            delay = started + action.at - loop.time()
+            delay = started + action.at * time_scale - loop.time()
             if delay > 0:
                 await asyncio.sleep(delay)
             await apply_action(action)
-        # Belt and braces: nothing stays faulted past the plan.
-        for proxy in proxies:
-            proxy.heal()
+        # Every action healed (a never-healing one was refused); a host
+        # that died outside the plan is restarted all the same.
         for handle in handles:
             if not handle.alive:
                 await handle.restart()
@@ -564,7 +581,7 @@ async def run_chaos(
             run=run,
             seed=seed,
             mode="proc" if proc else "inline",
-            plan=plan.to_json(),
+            plan=plan,
             converge_seconds=converging + time.monotonic() - checked,
             convergence_deadline=convergence_deadline,
             links_up=all_links_up(stats),

@@ -805,7 +805,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     import shutil
     import tempfile
 
-    from repro.chaos import ChaosPlan, run_chaos_sync
+    from repro.chaos import run_chaos_sync
+    from repro.faults import FaultPlan
 
     kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
     keep_wal = args.wal is not None
@@ -813,7 +814,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     try:
         if args.plan:
             with open(args.plan) as handle:
-                plan = ChaosPlan.from_json(json.load(handle))
+                plan = FaultPlan.from_json(json.load(handle))
         wal_root = args.wal or tempfile.mkdtemp(prefix="repro-chaos-")
         report = run_chaos_sync(
             args.protocol,

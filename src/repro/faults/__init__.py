@@ -1,34 +1,28 @@
-"""Fault injection for the simulated network (loss, duplication,
-partitions, delay spikes, crash-restart).
+"""Fault injection: loss, duplication, delay spikes, and timed kills,
+pauses, severed and blackholed links.
 
 The paper assumes reliable channels; this package removes that
-assumption so the ordering protocols can be tested against a
-misbehaving transport.  A :class:`FaultPlan` describes *what* goes
-wrong; a :class:`FaultyTransport` decorates any
-:class:`~repro.simulation.network.Transport` (the seeded
-``LatencyTransport`` or the model checker's ``ControlledTransport``)
-and applies the plan at transmit time; a :class:`FaultInjector`
-drives crash/restart events against the protocol hosts using the
-``Protocol.snapshot()/restore()`` hooks.
+assumption.  One :class:`FaultPlan` describes *what* goes wrong, and
+each backend runs what it can express: a :class:`FaultyTransport`
+applies packet faults and link cuts on any transport (simulator, model
+checker, ``repro serve --drop-rate``), a :class:`FaultInjector` kills
+simulated hosts and restarts them by WAL redo, and the :mod:`repro.chaos`
+harness runs the actions live through
+:class:`~repro.faults.proxy.FaultProxy`, which severs and blackholes
+real TCP links.
 
 The recovery layer lives in :mod:`repro.protocols.reliable`.
-
-For the *real* network runtime there is additionally
-:class:`~repro.faults.proxy.FaultProxy`, which injects faults at the
-socket layer (sever / blackhole live TCP links) rather than the packet
-layer -- the failure shapes the :mod:`repro.net.resilience` machinery
-and the :mod:`repro.chaos` harness exercise.
 """
 
-from repro.faults.plan import CrashEvent, FaultPlan, Partition
+from repro.faults.plan import ACTION_KINDS, FaultAction, FaultPlan
 from repro.faults.transport import FaultyTransport
 from repro.faults.injector import FaultInjector, FaultSummary
 
 __all__ = [
-    "CrashEvent",
+    "ACTION_KINDS",
+    "FaultAction",
     "FaultPlan",
     "FaultProxy",
-    "Partition",
     "FaultyTransport",
     "FaultInjector",
     "FaultSummary",

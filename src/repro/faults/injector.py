@@ -1,13 +1,10 @@
-"""Crash/restart orchestration against live protocol hosts.
+"""Timed fault actions against simulated protocol hosts.
 
-The injector turns a :class:`~repro.faults.plan.FaultPlan`'s
-:class:`~repro.faults.plan.CrashEvent` entries into simulator events.
-On crash it snapshots the protocol (volatile state excluded), marks the
-host down (arrivals blackhole, timers die via the host's crash epoch);
-on restart it restores the snapshot, bumps the epoch, runs the
-protocol's ``on_restart`` hook, and replays any user invokes that
-arrived while the process was down (the application retries once the
-process is back).
+A ``kill`` marks the host down (arrivals blackhole, timers die with its
+crash epoch); its restart recovers by WAL redo, as a live host does.
+The :class:`~repro.faults.transport.FaultyTransport` cuts what link
+faults and pauses cut; a sever's heal calls ``on_link_restored`` on
+each source, as a live re-dial does.
 """
 
 from __future__ import annotations
@@ -15,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultAction, FaultPlan
 from repro.faults.transport import FaultyTransport
 from repro.simulation.sim import Simulator
 
@@ -30,7 +27,7 @@ class FaultSummary:
 
     packets_dropped: int = 0
     packets_duplicated: int = 0
-    partition_drops: int = 0
+    partition_drops: int = 0  # cut by a link fault or a pause
     crash_drops: int = 0
     spikes: int = 0
     crashes: int = 0
@@ -38,48 +35,46 @@ class FaultSummary:
 
 
 class FaultInjector:
-    """Drives the crash/restart events of a plan against the hosts."""
+    """Drives the timed actions of a plan against the hosts.
+
+    ``wal`` is the :class:`~repro.wal.WalSink` the hosts log their
+    inputs to; a restart rebuilds the protocol from it with
+    ``protocol_factory``.
+    """
 
     def __init__(
         self,
         sim: Simulator,
         transport: FaultyTransport,
         hosts: "Dict[int, ProtocolHost]",
+        wal: Any,
+        protocol_factory: Callable[[int, int], Any],
         bus: "Optional[Bus]" = None,
-        wal: "Optional[Any]" = None,
-        protocol_factory: "Optional[Callable[[int, int], Any]]" = None,
     ):
         self.sim = sim
         self.transport = transport
         self.hosts = hosts
-        self._bus = bus
-        # With a WAL sink and the factory, restarts rebuild protocol
-        # state by replaying the logged inputs (repro.wal.recovery)
-        # instead of restoring a crash-instant snapshot -- redo-log
-        # durability rather than checkpoint-at-crash magic.
-        self._wal = wal if protocol_factory is not None else None
+        self._wal = wal
         self._factory = protocol_factory
-        self._snapshots: Dict[int, Dict[str, Any]] = {}
+        self._bus = bus
         self._deferred: Dict[int, List[Callable[[], None]]] = {}
         self.crashes = 0
         self.restarts = 0
 
     def install(self, plan: FaultPlan) -> None:
-        """Schedule every crash/restart of ``plan`` on the simulator."""
-        for crash in plan.crashes:
-            if crash.process not in self.hosts:
-                raise ValueError(
-                    "crash scheduled for unknown process %d" % crash.process
-                )
-            self.sim.schedule(
-                max(0.0, crash.at - self.sim.now),
-                lambda c=crash: self._crash(c.process),
-            )
-            if crash.restart_at is not None:
-                self.sim.schedule(
-                    max(0.0, crash.restart_at - self.sim.now),
-                    lambda c=crash: self._restart(c.process),
-                )
+        """Schedule every kill, restart and sever heal of ``plan``."""
+        for action in plan.actions:
+            for process in (action.target, action.src):
+                if process is not None and process not in self.hosts:
+                    raise ValueError(
+                        "fault scheduled for unknown process %d" % process
+                    )
+            if action.kind == "kill":
+                self._at(action.at, lambda a=action: self._crash(a.target))
+                if action.ends_at is not None:
+                    self._at(action.ends_at, lambda a=action: self._restart(a.target))
+            elif action.kind == "sever" and action.ends_at is not None:
+                self._at(action.ends_at, lambda a=action: self._restore_link(a))
 
     def defer_invoke(self, process_id: int, thunk: Callable[[], None]) -> None:
         """Queue a user invoke that hit a crashed process; it is replayed
@@ -101,41 +96,39 @@ class FaultInjector:
 
     # Internals --------------------------------------------------------------
 
+    def _at(self, time: float, action: Callable[[], None]) -> None:
+        self.sim.schedule(max(0.0, time - self.sim.now), action)
+
+    def _restore_link(self, action: FaultAction) -> None:
+        for src in action.sources(len(self.hosts)):
+            host = self.hosts[src]
+            if not host.down:
+                host.protocol.on_link_restored(host.ctx, action.target)
+
     def _crash(self, process_id: int) -> None:
         host = self.hosts[process_id]
         if host.down:
             return
         host.down = True
-        self.transport.mark_down(process_id)
-        if self._wal is None:
-            self._snapshots[process_id] = host.protocol.snapshot()
+        self.transport.down.add(process_id)
         self.crashes += 1
         bus = self._bus
         if bus is not None and bus.active:
             bus.emit("crash", self.sim.now, process=process_id)
 
     def _restart(self, process_id: int) -> None:
+        from repro.wal import rebuild_protocol
+
         host = self.hosts[process_id]
         if not host.down:
             return
         host.down = False
         host.crash_epoch += 1
-        self.transport.mark_up(process_id)
-        if self._wal is not None:
-            from repro.wal import rebuild_protocol
-
-            # The log, not the dead instance, is the recovery authority:
-            # replay every input this process ever handled into a fresh
-            # protocol built by the same factory.
-            assert self._factory is not None
-            host.protocol = rebuild_protocol(
-                self._factory,
-                process_id,
-                host.n_processes,
-                self._wal.reload().records,
-            )
-        else:
-            host.protocol.restore(self._snapshots.pop(process_id))
+        self.transport.down.discard(process_id)
+        # The log, not the dead instance, is the recovery authority.
+        host.protocol = rebuild_protocol(
+            self._factory, process_id, host.n_processes, self._wal.reload().records
+        )
         self.restarts += 1
         bus = self._bus
         if bus is not None and bus.active:

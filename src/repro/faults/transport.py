@@ -94,24 +94,13 @@ class FaultyTransport(Transport):
         """The inner transport's per-channel FIFO flag."""
         return bool(getattr(self.inner, "fifo_channels", False))
 
-    # Crash state (driven by repro.faults.injector) --------------------------
-
-    def mark_down(self, process_id: int) -> None:
-        """Start blackholing arrivals at ``process_id``."""
-        self.down.add(process_id)
-
-    def mark_up(self, process_id: int) -> None:
-        """Stop blackholing arrivals at ``process_id``."""
-        self.down.discard(process_id)
-
     # Transport --------------------------------------------------------------
 
     def transmit(self, network: Network, packet: Packet) -> None:
         """Decide the packet's fate, then hand survivors to the inner
         transport (through the arrival guard)."""
         plan = self.plan
-        now = network.sim.now
-        if plan.partitioned(packet.src, packet.dst, now):
+        if plan.cuts(packet.src, packet.dst, network.sim.now):
             self.partition_drops += 1
             self._note_user_loss(packet)
             self._emit(network, "fault.partition", packet)

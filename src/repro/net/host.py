@@ -25,6 +25,7 @@ the host; their counts reach clients as its METRICS.
 from __future__ import annotations
 
 import asyncio
+import math
 import random
 import time
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
@@ -438,23 +439,45 @@ class NetHost(Endpoint):
                     raise
                 await asyncio.sleep(0.05)
 
-    async def _dial_once(self, dst: int) -> None:
-        """One connect + HELLO attempt; registers the link on success."""
+    async def _dial_once(self, dst: int, confirm: bool = False) -> None:
+        """One connect + HELLO attempt; registers the link on success.
+
+        With ``confirm`` (a re-dial), the link counts only once the
+        peer echoes a HEARTBEAT sent after the HELLO: a connect that a
+        blackholing middlebox accepts is not a restored link, and the
+        frames queued for it must keep queueing.  No echo within the
+        silence that reads a fresh link as down is a failed attempt.
+        """
         reader, writer = await asyncio.open_connection(
             self.bind_host, self.ports[dst]
         )
-        writer.write(
-            codec.encode_frame(
-                codec.HELLO,
-                {
-                    "process": self.process_id,
-                    "role": "peer",
-                    "run": self.run_id,
-                    "incarnation": self.incarnation,
-                },
-            )
-        )
-        await writer.drain()
+        hello = {
+            "process": self.process_id,
+            "role": "peer",
+            "run": self.run_id,
+            "incarnation": self.incarnation,
+        }
+        try:
+            writer.write(codec.encode_frame(codec.HELLO, hello))
+            if confirm:
+                beat = {"process": self.process_id, "n": 0}
+                writer.write(codec.encode_frame(codec.HEARTBEAT, beat))
+            await writer.drain()
+            if confirm:
+                config = self.resilience
+                try:
+                    echo = await asyncio.wait_for(
+                        codec.read_frame(reader),
+                        config.down_phi * math.log(10.0) * config.heartbeat_interval,
+                    )
+                except (asyncio.TimeoutError, codec.CodecError):
+                    echo = None
+                if echo is None or echo.kind != codec.HEARTBEAT or self.crashed:
+                    raise ConnectionError("peer %d did not echo a heartbeat" % dst)
+        except BaseException:
+            # A failed attempt (reset, cancel, no echo) leaves no socket.
+            writer.close()
+            raise
         self.transport.connect(dst, writer)
         self._peer_writers = [
             peer_writer
@@ -474,7 +497,9 @@ class NetHost(Endpoint):
 
         Replaces the original one-shot re-dial.  The first attempt fires
         immediately (a restarted peer's listener is usually already
-        back); each refused attempt backs off.  A link that flaps right
+        back); each refused or unanswered attempt backs off (the link
+        counts only once the peer echoes, so a connect a blackholing
+        proxy accepts is a failed attempt).  A link that flaps right
         after "succeeding" (a fault proxy accepting, then severing)
         escalates a leading delay across supervisor runs so the loop
         converges to the backoff cadence instead of spinning.
@@ -496,7 +521,7 @@ class NetHost(Endpoint):
                     return  # restored concurrently (peer dial-back path)
                 attempts += 1
                 try:
-                    await self._dial_once(dst)
+                    await self._dial_once(dst, confirm=True)
                 except OSError:
                     continue
                 self._on_link_restored(dst, attempts)
@@ -680,7 +705,7 @@ class NetHost(Endpoint):
                 # The protocol already re-lived its history during WAL
                 # replay (on_start included); what it needs now is the
                 # restart hook -- the ARQ sublayer retransmits everything
-                # unacked, exactly like a snapshot restore would.
+                # unacked, as a simulated restart does.
                 if self.bus.active:
                     self.bus.emit("restart", self.clock.now, process=self.process_id)
                 self.host.protocol.on_restart(self.host.ctx)

@@ -10,8 +10,7 @@ messages.
 
 from __future__ import annotations
 
-import copy
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Optional
 
 from repro.events import Message
 from repro.simulation.host import HostContext
@@ -27,10 +26,6 @@ class Protocol:
     #: protocol that deduplicates (e.g. the ARQ sublayer of
     #: :mod:`repro.protocols.reliable`) should opt in.
     accepts_duplicates = False
-    #: Attribute names excluded from :meth:`snapshot` -- state a crash
-    #: destroys (timers, caches).  ``restore`` drops them; recreate what is
-    #: needed in :meth:`on_restart`.
-    volatile_attrs: Tuple[str, ...] = ()
     #: Declares that every timer this protocol schedules is pure loss
     #: recovery: in an execution where no packet is destroyed, firing (or
     #: never firing) its timers cannot change the user-visible run.  The
@@ -89,35 +84,11 @@ class Protocol:
 
     # -- crash-restart hooks (see repro.faults) -----------------------------
 
-    def snapshot(self) -> Dict[str, Any]:
-        """The protocol's durable state, captured at a crash point.
-
-        The default deep-copies every attribute except
-        :attr:`volatile_attrs` -- checkpoint-at-crash semantics; whatever a
-        subclass declares volatile (armed timers, caches) is lost, which
-        is the "volatile loss" the fault injector models.
-        """
-        return copy.deepcopy(
-            {
-                name: value
-                for name, value in self.__dict__.items()
-                if name not in self.volatile_attrs
-            }
-        )
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Rebuild the instance from a :meth:`snapshot` after a restart.
-
-        Volatile attributes are *removed* (they did not survive the
-        crash); :meth:`on_restart` runs afterwards and may recreate them.
-        """
-        for name in self.volatile_attrs:
-            self.__dict__.pop(name, None)
-        self.__dict__.update(copy.deepcopy(state))
-
     def on_restart(self, ctx: HostContext) -> None:
-        """Called after :meth:`restore` when the process rejoins the run
-        (e.g. to re-arm retransmission timers).  The default does nothing.
+        """Called when a crashed process rejoins the run, after its state
+        was rebuilt by replaying its WAL (:func:`repro.wal.rebuild_protocol`).
+        Timers died with the crash and the log does not hold them, so
+        this is where recovery re-arms them.  The default does nothing.
         """
 
     def on_link_restored(self, ctx: HostContext, dst: int) -> None:

@@ -28,8 +28,9 @@ Wire format (all tuples, sized by
     as it stands then, so segments that arrived together share one.
 
 Crash-restart: sequence numbers, unacked segments, and reassembly
-buffers are durable (snapshotted); timers, their backoff state and the
-owed-ack set are volatile and rebuilt by
+buffers are durable (a restart rebuilds them by replaying the WAL);
+timers, their backoff state and the owed-ack set are volatile and
+rebuilt by
 :meth:`ReliableProtocol.on_restart`, which also retransmits everything
 still unacked (an owed ack lost in a crash is a lost ack: the sender's
 retransmission is re-acked as a duplicate).
@@ -99,14 +100,6 @@ class ReliableProtocol(Protocol):
 
     protocol_class = "general"
     accepts_duplicates = True
-    volatile_attrs = (
-        "_timer_armed",
-        "_arm_frontier",
-        "_rto_cur",
-        "_retries",
-        "_rng",
-        "_ack_owed",
-    )
     # Sound because the receive side dedups by sequence number: in a
     # loss-free execution a retransmission is a byte-identical copy that
     # the peer absorbs without the inner protocol ever observing it, so
@@ -160,7 +153,7 @@ class ReliableProtocol(Protocol):
         # configuration the model checker explores.
         self.send_window = send_window
         self._queued: Dict[int, list] = {}  # dst -> [segment, ...] awaiting room
-        # Durable (survives crash-restart via snapshot/restore):
+        # Durable (rebuilt by WAL redo after a crash):
         self._next_seq: Dict[int, int] = {}  # dst -> next segment seq
         self._unacked: Dict[int, Dict[int, Segment]] = {}  # dst -> seq -> segment
         self._expected: Dict[int, int] = {}  # src -> next in-order seq

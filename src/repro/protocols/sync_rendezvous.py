@@ -106,7 +106,7 @@ class SyncRendezvousProtocol(Protocol):
         ctx.schedule(delay, wake)
 
     def on_restart(self, ctx: HostContext) -> None:
-        # The backoff timer was volatile (no snapshot or redo log holds
+        # The backoff timer was volatile (the redo log does not hold
         # it), so a process restarted while backing off retries now.
         if self._phase == BACKOFF:
             self._phase = IDLE

@@ -39,10 +39,8 @@ class SimulationResult:
     # given a ``spec`` to monitor (``repro.verification.engine``); ``None``
     # with no spec or a clean run.
     first_violation: Optional[Any] = None
-    # The fault plan the run executed under (``repro.faults``), ``None``
-    # for a reliable network; ``fault_summary`` aggregates what the
-    # injector and faulty transport actually did.
-    fault_plan: Optional[Any] = None
+    # What the fault layer (``repro.faults``) did, ``None`` for a
+    # reliable network.
     fault_summary: Optional[Any] = None
     # Ids of user messages that lost at least one copy to a fault (drop,
     # partition, or crash blackhole), in first-loss order.  Feed these to
@@ -122,19 +120,19 @@ def run_simulation(
     inspected once, in execution order -- and the earliest completing
     event lands in :attr:`SimulationResult.first_violation`.
 
-    With ``faults`` (a :class:`repro.faults.FaultPlan`), the latency
-    transport is wrapped in a :class:`repro.faults.FaultyTransport` and a
-    :class:`repro.faults.FaultInjector` drives the plan's crash/restart
-    events; user invokes hitting a crashed process are deferred to its
-    restart.  The fault RNG is private to the plan's ``seed``, so the
-    same ``seed`` argument still produces the same latency stream.
+    With ``faults`` (a :class:`repro.faults.FaultPlan`), a
+    :class:`repro.faults.FaultyTransport` wraps the latency transport
+    and a :class:`repro.faults.FaultInjector` runs the plan's actions;
+    user invokes hitting a crashed process are deferred to its restart.
+    The fault RNG is private to the plan's ``seed``, so the same
+    ``seed`` argument still produces the same latency stream.
 
-    With a ``wal`` (a :class:`repro.wal.WalSink`), the run is recorded
-    durably: every trace record, every host input (in processing order)
-    and the fault/retx/timer probe streams are appended to the sink's
-    segment directory, and crash-restart events recover protocol state
-    by *replaying the log* instead of restoring a crash-instant snapshot
-    -- the honest durability semantics (see :mod:`repro.wal`).
+    With a ``wal`` (a :class:`repro.wal.WalSink`), every trace record,
+    every host input (in processing order) and the fault/retx/timer
+    probe streams are appended to the sink's segment directory.  A
+    killed process restarts by *replaying the log*, as a live host
+    does; a plan with a ``kill`` and no ``wal`` logs to a temporary
+    directory, removed when the run ends.
     """
     import time as _time
 
@@ -147,7 +145,7 @@ def run_simulation(
     transport: Any = LatencyTransport(
         latency=latency_model, seed=seed, fifo_channels=fifo_channels
     )
-    injector = None
+    injector = scratch = None
     if faults is not None:
         from repro.faults import FaultInjector, FaultyTransport
 
@@ -172,45 +170,58 @@ def run_simulation(
         )
         for process_id in range(workload.n_processes)
     ]
-    if wal is not None:
-        wal.set_clock(lambda: sim.now)
-        wal.attach_trace(trace)
+    kills = faults is not None and any(a.kind == "kill" for a in faults.actions)
+    if wal is None and kills:
+        import tempfile
+
+        from repro.wal import WalSink
+
+        scratch = tempfile.TemporaryDirectory(prefix="repro-sim-wal-")
+        wal = WalSink(scratch.name, fsync=False)
+    try:
+        if wal is not None:
+            wal.set_clock(lambda: sim.now)
+            wal.attach_trace(trace)
+            for host in hosts:
+                wal.attach_host(host)
+            if bus is not None:
+                wal.attach_bus(bus)
+        if faults is not None:
+            injector = FaultInjector(
+                sim,
+                transport,
+                {host.process_id: host for host in hosts},
+                wal,
+                protocol_factory,
+                bus=bus,
+            )
+            injector.install(faults)
         for host in hosts:
-            wal.attach_host(host)
-        if bus is not None:
-            wal.attach_bus(bus)
-    if faults is not None:
-        injector = FaultInjector(
-            sim,
-            transport,
-            {host.process_id: host for host in hosts},
-            bus=bus,
-            wal=wal,
-            protocol_factory=protocol_factory,
-        )
-        injector.install(faults)
-    for host in hosts:
-        host.start()
+            host.start()
 
-    messages = workload.messages()
-    for request, message in zip(workload.requests, messages):
-        host = hosts[message.sender]
+        messages = workload.messages()
+        for request, message in zip(workload.requests, messages):
+            host = hosts[message.sender]
 
-        def invoke(h=host, m=message):
-            if h.down:
-                # The process is crashed: the application retries the
-                # request once it comes back up (or never, if it stays
-                # down -- the message then counts as undelivered).
-                assert injector is not None
-                injector.defer_invoke(h.process_id, lambda: h.invoke(m))
-                return
-            h.invoke(m)
+            def invoke(h=host, m=message):
+                if h.down:
+                    # The process is crashed: the application retries the
+                    # request once it comes back up (or never, if it stays
+                    # down -- the message then counts as undelivered).
+                    assert injector is not None
+                    injector.defer_invoke(h.process_id, lambda: h.invoke(m))
+                    return
+                h.invoke(m)
 
-        sim.schedule(request.time, invoke)
+            sim.schedule(request.time, invoke)
 
-    executed = sim.run(max_events=max_events)
-    if wal is not None:
-        wal.sync()
+        executed = sim.run(max_events=max_events)
+        if wal is not None:
+            wal.sync()
+    finally:
+        if scratch is not None:
+            wal.close()
+            scratch.cleanup()
     if executed >= max_events:
         raise RuntimeError(
             "simulation exceeded %d events; suspected protocol livelock"
@@ -248,7 +259,6 @@ def run_simulation(
         undelivered=undelivered,
         protocols=[host.protocol for host in hosts],
         first_violation=violation,
-        fault_plan=faults,
         fault_summary=fault_summary,
         dropped_messages=dropped_messages,
         wall_seconds=_time.perf_counter() - wall_start,

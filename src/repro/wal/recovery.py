@@ -19,8 +19,8 @@ Two replay shapes:
   :class:`~repro.net.host.NetHost` uses.
 - :func:`rebuild_protocol` does the same into a throwaway host around a
   *fresh protocol instance* and keeps only the instance.  The sim fault
-  injector uses it to give crash events honest durability semantics
-  (the WAL, not a crash-instant snapshot, is the authority).
+  injector restarts every killed process with it, so a simulated crash
+  recovers as a live one does.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def rebuild_protocol(
     discipline -- first copy, duplicate, end of batch -- and not by a
     copy of it.  The caller installs the returned instance and then runs
     ``on_restart`` through the real context, the same hook order as a
-    snapshot restore.
+    restarted :class:`~repro.net.host.NetHost`.
     """
     clock: Any = _ReplayClock()  # duck-types Simulator
     host = _ScratchHost(

@@ -54,6 +54,31 @@ def scoped_to_key(predicate, name):
     )
 
 
+#: The ARQ sublayer's timer state: armed timers, their backoff and the
+#: acks owed at a batch end die with a crash, and no redo log holds them.
+ARQ_TIMER_STATE = (
+    "_timer_armed",
+    "_arm_frontier",
+    "_rto_cur",
+    "_retries",
+    "_rng",
+    "_ack_owed",
+)
+
+
+def protocol_state(protocol):
+    """A protocol's attributes, to compare one rebuilt from its WAL with
+    the live instance: a wrapped protocol's are expanded in place, and
+    the ARQ timer state is left out."""
+    from repro.protocols.base import Protocol
+
+    return {
+        name: protocol_state(value) if isinstance(value, Protocol) else value
+        for name, value in vars(protocol).items()
+        if name not in ARQ_TIMER_STATE
+    }
+
+
 @pytest.fixture
 def co_violating_run() -> UserRun:
     """Two messages 0 → 1 delivered against their causal send order."""

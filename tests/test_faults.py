@@ -1,12 +1,14 @@
-"""Fault injection: plans, the faulty transport, crashes, watchdog loss
-attribution (the robustness layer of ``repro.faults``)."""
+"""Fault injection: plans, the faulty transport, timed actions (link
+faults, pauses, kills), watchdog loss attribution (the robustness layer
+of ``repro.faults``)."""
 
 import pytest
 
-from repro.faults import CrashEvent, FaultPlan, Partition
+from repro.faults import ACTION_KINDS, FaultAction, FaultPlan
 from repro.obs import Bus, Watchdog
+from repro.predicates.catalog import FIFO_ORDERING
 from repro.protocols import FifoProtocol, make_factory, make_reliable
-from repro.simulation import FixedLatency, run_simulation
+from repro.simulation import FixedLatency, random_traffic, run_simulation
 from repro.simulation.persistence import trace_to_dict
 from repro.simulation.workloads import SendRequest, Workload
 
@@ -40,19 +42,22 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="scripted action"):
             FaultPlan(script={(0, 1, 0): "explode"})
 
-    def test_partition_needs_two_disjoint_groups(self):
-        with pytest.raises(ValueError, match="two groups"):
-            Partition(groups=({0, 1},))
-        with pytest.raises(ValueError, match="disjoint"):
-            Partition(groups=({0, 1}, {1, 2}))
-        with pytest.raises(ValueError, match="heal_at"):
-            Partition(groups=({0}, {1}), start=5.0, heal_at=5.0)
+    def test_link_fault_needs_a_distinct_source_and_a_heal_after_start(self):
+        with pytest.raises(ValueError, match="src != target"):
+            FaultAction(at=0.0, kind="blackhole", target=1, src=1)
+        with pytest.raises(ValueError, match="duration"):
+            FaultAction(at=5.0, kind="blackhole", target=1, src=0, duration=0.0)
 
-    def test_crash_validation(self):
-        with pytest.raises(ValueError, match="restart_at"):
-            CrashEvent(process=0, at=3.0, restart_at=3.0)
-        with pytest.raises(ValueError, match="duplicate crash"):
-            FaultPlan(crashes=(CrashEvent(0, 1.0), CrashEvent(0, 1.0)))
+    def test_kill_validation(self):
+        with pytest.raises(ValueError, match="duration"):
+            FaultAction(at=3.0, kind="kill", target=0, duration=0.0)
+        with pytest.raises(ValueError, match="duplicate kill"):
+            FaultPlan(
+                actions=(
+                    FaultAction(at=1.0, kind="kill", target=0),
+                    FaultAction(at=1.0, kind="kill", target=0),
+                )
+            )
 
     def test_channel_overrides_and_any_faults(self):
         plan = FaultPlan(drop_rate=0.1, channel_drop={(0, 1): 0.5})
@@ -60,14 +65,25 @@ class TestPlanValidation:
         assert plan.drop_rate_for(1, 0) == 0.1
         assert plan.any_faults
         assert not FaultPlan().any_faults
+        kill = FaultAction(at=1.0, kind="kill", target=0)
+        assert FaultPlan(actions=(kill,)).any_faults
 
-    def test_partition_windows(self):
-        partition = Partition(groups=({0}, {1}), start=10.0, heal_at=20.0)
-        assert not partition.severs(0, 1, 5.0)
-        assert partition.severs(0, 1, 10.0)
-        assert partition.severs(1, 0, 19.9)
-        assert not partition.severs(0, 1, 20.0)  # healed
-        assert not partition.severs(0, 2, 15.0)  # 2 is in no group
+    def test_link_fault_windows(self):
+        cut = FaultAction(at=10.0, kind="blackhole", target=1, src=0, duration=10.0)
+        assert not cut.cuts(0, 1, 5.0)
+        assert cut.cuts(0, 1, 10.0)
+        assert cut.cuts(0, 1, 19.9)
+        assert not cut.cuts(0, 1, 20.0)  # healed
+        assert not cut.cuts(1, 0, 15.0)  # directed: only src -> target
+        assert not cut.cuts(2, 1, 15.0)  # another source's link
+
+    def test_pause_cuts_every_link_to_and_from_the_target(self):
+        pause = FaultAction(at=0.0, kind="pause", target=1, duration=10.0)
+        assert pause.cuts(0, 1, 5.0) and pause.cuts(1, 2, 5.0)
+        assert not pause.cuts(0, 2, 5.0)
+        isolate = FaultAction(at=0.0, kind="sever", target=1, duration=10.0)
+        assert isolate.cuts(0, 1, 5.0) and isolate.cuts(2, 1, 5.0)
+        assert not isolate.cuts(1, 0, 5.0)
 
 
 class TestScriptedFaults:
@@ -111,11 +127,19 @@ class TestScriptedFaults:
         assert result.dropped_messages == [result.undelivered[0]]
 
 
-class TestPartitions:
-    def test_partition_heals_and_arq_recovers(self):
-        plan = FaultPlan(
-            partitions=(Partition(groups=({0}, {1}), start=0.0, heal_at=35.0),)
+def _partition(duration=None):
+    """0 and 1 cut off from each other: a blackhole each way."""
+    return FaultPlan(
+        actions=tuple(
+            FaultAction(at=0.0, kind="blackhole", target=dst, src=src, duration=duration)
+            for src, dst in ((0, 1), (1, 0))
         )
+    )
+
+
+class TestLinkFaults:
+    def test_partition_heals_and_arq_recovers(self):
+        plan = _partition(duration=35.0)
         result = run_simulation(
             reliable_fifo(),
             chain_workload(2),
@@ -127,9 +151,7 @@ class TestPartitions:
         assert result.stats.retransmissions >= 1
 
     def test_permanent_partition_never_delivers(self):
-        plan = FaultPlan(
-            partitions=(Partition(groups=({0}, {1}), start=0.0, heal_at=None),)
-        )
+        plan = _partition()
         result = run_simulation(
             make_reliable(make_factory(FifoProtocol), max_retries=2),
             chain_workload(1),
@@ -140,9 +162,51 @@ class TestPartitions:
         assert result.fault_summary.partition_drops > 0
 
 
+class TestEveryActionKind:
+    """Each kind the live chaos harness runs also runs in the simulator,
+    and reliable-fifo delivers every message exactly once through it."""
+
+    @pytest.mark.parametrize("kind", ACTION_KINDS)
+    def test_reliable_fifo_delivers_everything_once(self, kind):
+        restored = []
+        base = reliable_fifo()
+
+        def factory(process_id, n_processes):
+            protocol = base(process_id, n_processes)
+            hook = protocol.on_link_restored
+
+            def on_link_restored(ctx, dst):
+                restored.append((process_id, dst, ctx.now))
+                hook(ctx, dst)
+
+            protocol.on_link_restored = on_link_restored
+            return protocol
+
+        src = 0 if kind in ("sever", "blackhole") else None
+        plan = FaultPlan(
+            actions=(FaultAction(at=10.0, kind=kind, target=1, src=src, duration=40.0),)
+        )
+        workload = random_traffic(3, 30, seed=2, rate=0.5)
+        result = run_simulation(
+            factory, workload, latency=FixedLatency(1.0), spec=FIFO_ORDERING, faults=plan
+        )
+        assert result.delivered_all, result.undelivered
+        assert result.stats.deliveries == len(workload.requests)
+        assert result.first_violation is None
+        summary = result.fault_summary
+        if kind == "kill":
+            assert summary.crashes == summary.restarts == 1
+        else:
+            assert summary.partition_drops > 0
+        # Only a severed link is re-dialed, by its source, at the heal.
+        assert restored == ([(0, 1, 50.0)] if kind == "sever" else [])
+
+
 class TestCrashRestart:
     def test_crash_blackholes_then_restart_recovers(self):
-        plan = FaultPlan(crashes=(CrashEvent(process=1, at=5.0, restart_at=60.0),))
+        plan = FaultPlan(
+            actions=(FaultAction(at=5.0, kind="kill", target=1, duration=55.0),)
+        )
         result = run_simulation(
             reliable_fifo(),
             chain_workload(3),
@@ -157,7 +221,7 @@ class TestCrashRestart:
         assert summary.crashes == 1 and summary.restarts == 1
 
     def test_crash_without_restart_stays_down(self):
-        plan = FaultPlan(crashes=(CrashEvent(process=1, at=5.0),))
+        plan = FaultPlan(actions=(FaultAction(at=5.0, kind="kill", target=1),))
         result = run_simulation(
             make_reliable(make_factory(FifoProtocol), max_retries=2),
             chain_workload(2),

@@ -402,6 +402,65 @@ class TestNetHostLifecycle:
 
         assert asyncio.run(scenario()) == 1
 
+    def test_a_redial_into_a_blackhole_is_not_a_restored_link(self):
+        """Host 1's proxy blackholes host 0's stream.  Host 0's re-dials
+        connect to the proxy, but no heartbeat echo comes back, so none
+        counts: the link stays down and frames for host 1 stay queued
+        until the heal, when one confirmed re-dial flushes them."""
+
+        async def scenario():
+            from repro.faults.proxy import FaultProxy
+            from repro.net.resilience import ReconnectPolicy, ResilienceConfig
+
+            resilience = ResilienceConfig(
+                heartbeat_interval=0.05,
+                reconnect=ReconnectPolicy(base=0.05, cap=0.2, deadline=10.0),
+            )
+            public0, public1, private1 = free_ports(3)
+            ports = [public0, public1]
+            proxy = FaultProxy(public1, private1)
+            await proxy.start()
+            hosts = [
+                NetHost(_fifo_factory(), 0, ports, run_id="bh", resilience=resilience),
+                NetHost(
+                    _fifo_factory(),
+                    1,
+                    ports,
+                    run_id="bh",
+                    resilience=resilience,
+                    listen_port=private1,
+                ),
+            ]
+            for host in hosts:
+                await host.start()
+            await asyncio.wait_for(asyncio.gather(*(h.ready() for h in hosts)), 15.0)
+            sender, receiver = hosts
+            proxy.blackhole(0)
+            while sender.transport.link_up(1):
+                await asyncio.sleep(0.02)
+            for n in range(5):
+                sender.invoke(Message(id="m%d" % n, sender=0, receiver=1))
+            await asyncio.sleep(1.5)  # several re-dial attempts
+            during = (
+                sender.transport.link_up(1),
+                sender.redials,
+                sender.transport.pending_frames,
+            )
+            proxy.heal(0)
+            for _ in range(400):
+                if receiver.stats.deliveries == 5:
+                    break
+                await asyncio.sleep(0.01)
+            after = (receiver.stats.deliveries, sender.redials)
+            for host in hosts:
+                await host.shutdown()
+            await proxy.close()
+            return during, after
+
+        during, after = asyncio.run(scenario())
+        assert during == (False, 0, 5)
+        assert after == (5, 1)
+
     def test_handshake_interrupted_mid_hello_leaves_host_serving(self):
         async def scenario():
             ports = free_ports(1)

@@ -166,30 +166,3 @@ class TestWindows:
             faults=plan,
         )
         assert result.delivered_all
-
-
-class TestSnapshotRestore:
-    def test_volatile_state_excluded_from_snapshot(self):
-        protocol = ReliableProtocol(FifoProtocol())
-        protocol._next_seq[1] = 4
-        protocol._timer_armed[1] = True
-        state = protocol.snapshot()
-        assert "_next_seq" in state
-        for name in ReliableProtocol.volatile_attrs:
-            assert name not in state
-
-    def test_restore_round_trips_durable_state(self):
-        protocol = ReliableProtocol(FifoProtocol())
-        protocol._next_seq[1] = 4
-        protocol._expected[1] = 2
-        state = protocol.snapshot()
-        fresh = ReliableProtocol(FifoProtocol())
-        fresh.restore(state)
-        assert fresh._next_seq == {1: 4}
-        assert fresh._expected == {1: 2}
-        # Volatile state did not survive; on_restart is what recreates it.
-        assert not hasattr(fresh, "_timer_armed")
-
-    def test_inner_protocol_state_rides_the_snapshot(self):
-        protocol = ReliableProtocol(FifoProtocol())
-        assert "inner" in protocol.snapshot()

@@ -19,7 +19,6 @@ from repro.events import Message
 from repro.faults import FaultPlan
 from repro.mc import DEFAULT_MAX_DEPTH, check_protocol, named_workloads
 from repro.net import NetHost, free_ports, run_cluster_sync
-from repro.protocols import ReliableProtocol
 from repro.protocols.registry import catalogue_entry
 from repro.simulation import random_traffic, run_simulation
 from repro.simulation.host import ProtocolHost
@@ -209,8 +208,6 @@ class TestLiveBatches:
         dispatching a segment (WAL written, delivery done) but before
         the batch ended never sent the ack; restarted from its WAL it
         absorbs the sender's retransmission as a duplicate and acks it."""
-        assert "_ack_owed" in ReliableProtocol.volatile_attrs
-
         async def scenario():
             ports = free_ports(2)
             hosts = [_spawn(i, ports, str(tmp_path), "t-batch-crash") for i in range(2)]

@@ -1,27 +1,27 @@
 """Redo-log crash recovery in the simulator (repro.wal.recovery).
 
-With a WAL attached, the fault injector's restarts rebuild protocol
-state by replaying the logged inputs into a *fresh* instance -- no
-crash-instant snapshot.  These tests pin the equivalence: a crashed-and-
-recovered run behaves exactly like the snapshot-based one, and the
-rebuilt protocol's durable state matches the live instance attribute by
-attribute.
+A killed process restarts the way a live host does: the fault injector
+replays the inputs its WAL logged into a *fresh* instance.  These tests
+pin that the rebuilt protocol's state equals the live instance's,
+attribute by attribute, that a crash-restart run stays clean, and that
+a kill with no WAL given still recovers by redo.
 """
 
 import pytest
 
-from repro.faults import CrashEvent, FaultPlan
+import repro.wal
+from repro.faults import FaultAction, FaultPlan
 from repro.protocols import catalogue
 from repro.protocols.reliable import make_reliable
 from repro.simulation import UniformLatency, random_traffic, run_simulation
 from repro.verification.engine import SpecMonitor
 from repro.wal import (
     WalSink,
-    delivery_order,
     read_log,
     rebuild_protocol,
     replay_log,
 )
+from tests.conftest import protocol_state
 
 LATENCY = UniformLatency(low=1.0, high=20.0)
 
@@ -30,7 +30,9 @@ def _crash_plan(process=1, at=25.0, restart_at=60.0, drop_rate=0.0, seed=0):
     return FaultPlan(
         drop_rate=drop_rate,
         seed=seed,
-        crashes=(CrashEvent(process=process, at=at, restart_at=restart_at),),
+        actions=(
+            FaultAction(at=at, kind="kill", target=process, duration=restart_at - at),
+        ),
     )
 
 
@@ -45,31 +47,22 @@ def _run(factory, workload, seed, faults=None, wal=None):
     )
 
 
-class TestRedoLogRestartMatchesSnapshotRestart:
-    """The WAL rebuild and the snapshot restore are observationally
-    equivalent for deterministic protocols -- same deliveries, same
-    order, same final verdict."""
-
+class TestCrashRestartByRedo:
     @pytest.mark.parametrize("name", ["fifo", "causal-rst", "tagless"])
-    def test_crash_restart_run_is_identical(self, name, tmp_path):
+    def test_crash_restart_run_is_clean(self, name, tmp_path):
         entry = catalogue()[name]
         factory = make_reliable(entry.factory)
         workload = random_traffic(3, 20, seed=3)
-        faults = _crash_plan()
-
-        snapshot_run = _run(factory, workload, 3, faults=_crash_plan())
         sink = WalSink(str(tmp_path), meta={"protocol": name}, fsync=False)
         try:
-            wal_run = _run(factory, workload, 3, faults=faults, wal=sink)
+            wal_run = _run(factory, workload, 3, faults=_crash_plan(), wal=sink)
         finally:
             sink.close()
 
         faults = wal_run.fault_summary
         assert faults.crashes == 1 and faults.restarts == 1
         assert wal_run.delivered_all, wal_run.undelivered
-        assert delivery_order(wal_run.trace) == delivery_order(
-            snapshot_run.trace
-        )
+        assert wal_run.stats.deliveries == len(workload.requests)
         assert SpecMonitor(entry.spec).advance(wal_run.trace) is None
 
     def test_acknowledged_messages_survive_the_crash(self, tmp_path):
@@ -93,9 +86,17 @@ class TestRedoLogRestartMatchesSnapshotRestart:
         assert faults.crashes == 1 and faults.restarts == 1
         assert result.delivered_all, result.undelivered
 
-    def test_crash_without_wal_keeps_snapshot_semantics(self):
-        """No WAL, no behaviour change: the legacy snapshot path still
-        runs (guards the injector's conditional)."""
+    def test_crash_without_a_wal_recovers_by_redo(self, monkeypatch):
+        """No ``wal`` given: the run logs to a scratch sink, and the
+        restart rebuilds the killed process from it."""
+        rebuilt = []
+
+        def rebuild(factory, process_id, n_processes, records):
+            records = list(records)
+            rebuilt.append((process_id, len(records)))
+            return rebuild_protocol(factory, process_id, n_processes, records)
+
+        monkeypatch.setattr(repro.wal, "rebuild_protocol", rebuild)
         entry = catalogue()["fifo"]
         factory = make_reliable(entry.factory)
         workload = random_traffic(3, 16, seed=5)
@@ -103,12 +104,37 @@ class TestRedoLogRestartMatchesSnapshotRestart:
         faults = result.fault_summary
         assert faults.crashes == 1 and faults.restarts == 1
         assert result.delivered_all
+        assert [process for process, _ in rebuilt] == [1]
+        assert rebuilt[0][1] > 0  # the scratch log held the inputs
 
 
 class TestRebuildProtocolStateEquivalence:
-    """rebuild_protocol reconstructs the durable attributes exactly."""
+    """rebuild_protocol reconstructs the durable attributes exactly: the
+    reference a crash-restart run recovers to."""
 
     DURABLE_ARQ_ATTRS = ("_next_seq", "_expected", "_buffer")
+
+    @pytest.mark.parametrize("name", ["fifo", "causal-rst", "tagless"])
+    def test_rebuilt_state_equals_the_live_state(self, name, tmp_path):
+        entry = catalogue()[name]
+        factory = make_reliable(entry.factory)
+        workload = random_traffic(3, 20, seed=3)
+        sink = WalSink(str(tmp_path), meta={"protocol": name}, fsync=False)
+        try:
+            live = _run(factory, workload, 3, wal=sink)
+        finally:
+            sink.close()
+        records = read_log(str(tmp_path)).records
+        for process_id, live_protocol in enumerate(live.protocols):
+            rebuilt = rebuild_protocol(factory, process_id, 3, records)
+            expected = protocol_state(live_protocol)
+            got = protocol_state(rebuilt)
+            assert got.keys() == expected.keys()
+            for attr, value in expected.items():
+                assert got[attr] == value, "process %d: %s diverged" % (
+                    process_id,
+                    attr,
+                )
 
     def test_arq_sequence_state_rebuilt_exactly(self, tmp_path):
         entry = catalogue()["fifo"]
@@ -151,7 +177,7 @@ class TestRebuildProtocolStateEquivalence:
         records = read_log(str(tmp_path)).records
         for process_id, live_protocol in enumerate(live.protocols):
             rebuilt = rebuild_protocol(entry.factory, process_id, 3, records)
-            assert rebuilt.snapshot() == live_protocol.snapshot(), (
+            assert protocol_state(rebuilt) == protocol_state(live_protocol), (
                 "process %d state diverged" % process_id
             )
 
@@ -165,8 +191,8 @@ class TestRebuildProtocolStateEquivalence:
             sink.close()
         records = read_log(str(tmp_path)).records
         rebuilt = rebuild_protocol(entry.factory, 1, 3, records)
-        assert rebuilt.snapshot() == live.protocols[1].snapshot()
-        assert rebuilt.snapshot() != live.protocols[0].snapshot()
+        assert protocol_state(rebuilt) == protocol_state(live.protocols[1])
+        assert protocol_state(rebuilt) != protocol_state(live.protocols[0])
 
 
 class TestRecordedFaultHistory:

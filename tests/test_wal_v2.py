@@ -43,6 +43,7 @@ from repro.wal import (
     workload_from_records,
 )
 from repro.wal import records as rec
+from tests.conftest import protocol_state
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "wal_v1")
 LATENCY = UniformLatency(low=1.0, high=30.0)
@@ -210,7 +211,7 @@ class TestResolvedStreamsMatchTheLiveRun:
         for process_id, live_protocol in enumerate(live.protocols):
             rebuilt = rebuild_protocol(factory, process_id, n_processes, records)
             if not lossy:
-                assert rebuilt.snapshot() == live_protocol.snapshot()
+                assert protocol_state(rebuilt) == protocol_state(live_protocol)
                 continue
             for attr in self.DURABLE_ARQ_ATTRS:
                 assert getattr(rebuilt, attr) == getattr(live_protocol, attr), attr
