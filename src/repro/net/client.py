@@ -62,10 +62,10 @@ PULLS = {
 
 def quiesced(stats: Sequence[Dict[str, Any]]) -> bool:
     """Whether STATS bodies show every invoked message delivered and no
-    endpoint holding local pending work."""
+    endpoint holding local pending work or an unacknowledged segment."""
     invoked = sum(s.get("invoked", 0) for s in stats)
     delivered = sum(s.get("deliveries", 0) for s in stats)
-    pending = sum(s.get("pending", 0) for s in stats)
+    pending = sum(s.get("pending", 0) + s.get("unacked", 0) for s in stats)
     return delivered >= invoked and pending == 0
 
 

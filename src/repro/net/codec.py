@@ -47,7 +47,9 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.events import Message
 
-#: Wire protocol version this build speaks.  Version 6 retired PROBE (a
+#: Wire protocol version this build speaks.  Version 7 lets an ARQ
+#: segment's tag carry a piggybacked acknowledgment as a 4th field (see
+#: :mod:`repro.protocols.reliable`); version 6 retired PROBE (a
 #: host bridged fault and link probes to its observers, and a run's link
 #: counters now come from each host's METRICS); version 5 retired INVOKE (a
 #: load client offers every message as an INVOKE_BATCH row, to hosts and
@@ -57,7 +59,7 @@ from repro.events import Message
 #: ordering-key field on USER message bodies and the batch frame kinds
 #: the sharded runtime uses.  Every endpoint of a run is the same build,
 #: so a frame of any other version is refused.
-WIRE_VERSION = 6
+WIRE_VERSION = 7
 
 #: Upper bound on one frame's (version + kind + body) size.  Generous for
 #: protocol traffic (tags are tens of bytes) while still bounding the

@@ -61,6 +61,14 @@ from repro.wal import records as wal_records
 #: Seconds the rendezvous gets: each peer dial, and :meth:`NetHost.ready`.
 DIAL_TIMEOUT = 20.0
 
+#: Virtual units a batch of peer arrivals stays open after the read
+#: that opened it: the ARQ's owed acks wait that long for a segment
+#: going the other way to carry them (TCP's delayed ACK).  1/60 of the
+#: ARQ's 30-unit RTO, so a delayed ack never races a retransmission;
+#: in virtual units so it scales with ``time_scale`` as the RTO does
+#: (5 ms at the default 0.01).
+ACK_DELAY = 0.5
+
 #: Most record bytes one RECORDS frame holds (less its version and kind).
 _CHUNK_BYTES = codec.MAX_FRAME_BYTES - 2
 
@@ -275,6 +283,8 @@ class NetHost(Endpoint):
         #: Backpressure: latched congestion state + transition counter.
         self._congested = False
         self.backpressure_transitions = 0
+        #: Whether peer arrivals are in a batch that has not ended yet.
+        self._batch_open = False
         if wal_dir is not None:
             self._init_wal(wal_dir, wal_meta, wal_sync_every)
         if observability:
@@ -751,10 +761,10 @@ class NetHost(Endpoint):
     async def _peer_loop(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        # One wakeup = one batch: every frame a read returned is
-        # dispatched, then the protocol is told the batch is over, inside
-        # the same callback -- what it sends then (the ARQ's one ack for
-        # the lot) rides the transport flush the dispatches scheduled.
+        # A batch is every frame read, from any peer, within ACK_DELAY
+        # of the read that opened it: what the protocol sends meanwhile
+        # (a reply, a new invoke's segment) carries the acks it owes, and
+        # the batch end pays the rest.
         decoder = codec.FrameDecoder()
         try:
             while True:
@@ -764,15 +774,21 @@ class NetHost(Endpoint):
                     return
                 for frame in decoder.feed(chunk):
                     self._on_peer_frame(frame, writer)
-                try:
-                    self.host.end_batch()
-                except Exception as exc:  # noqa: BLE001 - as in _dispatch_packet
-                    self.errors.append("dispatch: %s" % exc)
+                if not self._batch_open:
+                    self._batch_open = True
+                    self.clock.schedule(ACK_DELAY, self._end_batch)
         except (codec.CodecError, ConnectionError) as exc:
             if not self._done.is_set():
                 self.errors.append("peer stream: %s" % exc)
         except asyncio.CancelledError:
             pass
+
+    def _end_batch(self) -> None:
+        self._batch_open = False
+        try:
+            self.host.end_batch()
+        except Exception as exc:  # noqa: BLE001 - as in _dispatch_packet
+            self.errors.append("dispatch: %s" % exc)
 
     def _on_peer_frame(
         self, frame: "codec.Frame", writer: asyncio.StreamWriter
@@ -802,7 +818,7 @@ class NetHost(Endpoint):
             if invoked is not None:
                 self.host.invoked_wall.setdefault(message.id, invoked)
         try:
-            self.host._handle_packet(packet)  # _peer_loop ends the batch
+            self.host._handle_packet(packet)  # _end_batch ends the batch
         except Exception as exc:  # ProtocolError and protocol bugs
             self.errors.append("dispatch: %s" % exc)
 
@@ -893,6 +909,7 @@ class NetHost(Endpoint):
             "retransmissions": stats.retransmissions,
             "duplicate_receives": stats.duplicate_receives,
             "pending": self.local_pending(),
+            "unacked": self.host.protocol.unacked(),
             "frames_sent": self.transport.frames_sent,
             "bytes_sent": self.transport.bytes_sent,
             "errors": list(self.errors),

@@ -114,6 +114,17 @@ class Protocol:
         """
         return None
 
+    def unacked(self) -> int:
+        """Segments this instance sent, or holds to send, that the peer
+        has not acknowledged yet: work a settled run must not hold.
+
+        A recovery sublayer reports its retransmission state here (see
+        :class:`~repro.protocols.reliable.ReliableProtocol`).  The
+        default is 0: a protocol that assumes reliable channels never
+        waits for an acknowledgment.
+        """
+        return 0
+
 
 def make_factory(protocol_cls, *args, **kwargs) -> Callable[[int, int], Protocol]:
     """A factory producing one independent instance per process.

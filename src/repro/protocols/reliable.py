@@ -14,18 +14,32 @@ checks as ``FIFOProtocol`` over a reliable one.
 Wire format (all tuples, sized by
 :func:`~repro.simulation.trace.estimate_size`):
 
-``("rdata", seq, inner_tag)``
+``("rdata", seq, inner_tag[, ack])``
     tag of a released user message -- segment ``seq`` to that receiver;
-``("rctl", seq, payload)``
+``("rctl", seq, payload[, ack])``
     control packet tunnelling the inner protocol's ``payload`` as
     segment ``seq``;
 ``("rack", n)``
     cumulative acknowledgment: every segment below ``n`` arrived.
     Acks are unsequenced and never retransmitted (they are refreshed
     by duplicates instead).  An arrival only records that its source
-    is *owed* one; the ack goes out when the host ends the batch
+    is *owed* one, once the inner protocol has handled it; the ack
+    goes out when the host ends the batch
     (:meth:`ReliableProtocol.on_batch_end`) and carries the frontier
     as it stands then, so segments that arrived together share one.
+
+The optional 4th field ``ack`` is a piggybacked ``rack``: a segment
+sent to a source that is owed an ack carries the frontier, and the
+debt is paid.  A segment to a peer owed nothing keeps the 3-field
+shape, and a retransmission carries no ack (``_unacked`` stores the
+segment without one).  Since the debt is recorded only after the
+inner protocol handled the arrival, a reply sent from inside that
+handler does not carry that arrival's ack: a batch of one packet --
+the simulator, the model checker, WAL replay -- sends exactly the
+packets of an ARQ without piggybacking.  A
+:class:`~repro.net.host.NetHost` keeps its batch open for
+:data:`~repro.net.host.ACK_DELAY`, which is what lets a reverse
+segment turn up and carry the ack.
 
 Crash-restart: sequence numbers, unacked segments, and reassembly
 buffers are durable (a restart rebuilds them by replaying the WAL);
@@ -209,11 +223,12 @@ class ReliableProtocol(Protocol):
         self.inner.on_invoke(_InnerContext(self, ctx), message)
 
     def on_user_message(self, ctx: HostContext, message: Message, tag: Any) -> None:
-        kind, seq, inner_tag = tag
-        if kind != "rdata":
+        if tag[0] != "rdata":
             raise ValueError("unexpected reliable data tag %r" % (tag,))
+        if len(tag) == 4:
+            self._ack_arrived(ctx, message.sender, tag[3])
         self._segment_arrived(
-            ctx, message.sender, seq, ("data", message, inner_tag)
+            ctx, message.sender, tag[1], ("data", message, tag[2])
         )
 
     def on_duplicate(self, ctx: HostContext, message: Message, tag: Any) -> None:
@@ -225,8 +240,9 @@ class ReliableProtocol(Protocol):
         lost); a repeat of a still-buffered gap segment would re-ack the
         same value, so it is suppressed.
         """
-        _, seq, _ = tag
-        if seq < self._expected.get(message.sender, 0):
+        if len(tag) == 4:
+            self._ack_arrived(ctx, message.sender, tag[3])
+        if tag[1] < self._expected.get(message.sender, 0):
             self._ack_owed.add(message.sender)
 
     def on_control(self, ctx: HostContext, src: int, payload: Any) -> None:
@@ -234,6 +250,8 @@ class ReliableProtocol(Protocol):
         if kind == "rack":
             self._ack_arrived(ctx, src, payload[1])
         elif kind == "rctl":
+            if len(payload) == 4:
+                self._ack_arrived(ctx, src, payload[3])
             self._segment_arrived(ctx, src, payload[1], ("ctl", payload[2]))
         else:
             raise ValueError("unexpected reliable control payload %r" % (payload,))
@@ -247,6 +265,12 @@ class ReliableProtocol(Protocol):
             for src in sorted(owed):
                 ctx.send_control(src, ("rack", self._expected.get(src, 0)))
             owed.clear()
+
+    def unacked(self) -> int:
+        """Unacked plus window-queued segments, over every peer."""
+        return sum(map(len, self._unacked.values())) + sum(
+            map(len, self._queued.values())
+        )
 
     def blocking_reason(self, message_id: str) -> Optional[str]:
         """ARQ-level holds first (reassembly gaps, unacked sends), then
@@ -313,11 +337,16 @@ class ReliableProtocol(Protocol):
     def _transmit_segment(self, ctx: HostContext, dst: int, segment: Segment) -> None:
         seq = self._next(dst)
         self._unacked.setdefault(dst, {})[seq] = segment
+        # An ack owed to ``dst`` rides this segment instead of a ``rack``.
+        ack: Tuple[int, ...] = ()
+        if dst in self._ack_owed:
+            self._ack_owed.discard(dst)
+            ack = (self._expected.get(dst, 0),)
         if segment[0] == "data":
             _, message, inner_tag = segment
-            ctx.release(message, tag=("rdata", seq, inner_tag))
+            ctx.release(message, tag=("rdata", seq, inner_tag) + ack)
         else:
-            ctx.send_control(dst, ("rctl", seq, segment[1]))
+            ctx.send_control(dst, ("rctl", seq, segment[1]) + ack)
         self._arm(ctx, dst)
 
     def _drain_queue(self, ctx: HostContext, dst: int) -> None:

@@ -40,6 +40,7 @@ __all__ = [
     "segment_paths",
     "read_segment",
     "read_log",
+    "LogTail",
     "WalLog",
     "SegmentWriter",
 ]
@@ -84,7 +85,18 @@ def read_segment(path: str, strict: bool = False) -> Tuple[List[WalRecord], int]
     that an unknown version on the *first* record always raises: that is
     not damage, it is a file this reader cannot speak.
     """
+    records, end, size = _read_from(path, 0, strict)
+    return records, size - end
+
+
+def _read_from(
+    path: str, start: int, strict: bool
+) -> Tuple[List[WalRecord], int, int]:
+    """Decode ``path`` from byte ``start`` on, as :func:`read_segment`
+    does; returns ``(records, end, size)``: where the last whole record
+    ends, and how many bytes the file held."""
     with open(path, "rb") as handle:
+        handle.seek(start)
         buffer = handle.read()
     records: List[WalRecord] = []
     offset = 0
@@ -92,17 +104,17 @@ def read_segment(path: str, strict: bool = False) -> Tuple[List[WalRecord], int]
         try:
             record, offset = decode_record(buffer, offset)
         except WalTruncated:
-            return records, len(buffer) - offset
+            break
         except UnknownWalVersion:
-            if strict or offset == 0:
+            if strict or start + offset == 0:
                 raise
-            return records, len(buffer) - offset
+            break
         except WalCorrupt:
             if strict:
                 raise
-            return records, len(buffer) - offset
+            break
         records.append(record)
-    return records, 0
+    return records, start + offset, start + len(buffer)
 
 
 @dataclass
@@ -114,15 +126,42 @@ class WalLog:
     tail_dropped: int = 0
 
 
+class LogTail:
+    """A WAL directory read as it grows.
+
+    Each :meth:`read` returns the whole log so far, but decodes only
+    what was appended since the previous call: segments are append-only
+    and numbered in log order, so the records already read stay valid,
+    and only the last segment read can have grown.
+    """
+
+    def __init__(self, directory: str, strict: bool = False) -> None:
+        self.directory = directory
+        self.strict = strict
+        self.log = WalLog()
+        #: Per segment read: (bytes decoded, bytes the file held).
+        self._extents: List[Tuple[int, int]] = []
+
+    def read(self) -> WalLog:
+        """The log (the same object on every call, grown in place)."""
+        log, extents = self.log, self._extents
+        paths = segment_paths(self.directory)
+        for index in range(max(len(extents) - 1, 0), len(paths)):
+            if index == len(extents):
+                log.segments.append(paths[index])
+                extents.append((0, 0))
+            records, end, size = _read_from(
+                paths[index], extents[index][0], self.strict
+            )
+            log.records.extend(records)
+            extents[index] = (end, size)
+        log.tail_dropped = sum(size - end for end, size in extents)
+        return log
+
+
 def read_log(directory: str, strict: bool = False) -> WalLog:
     """Read every segment in ``directory`` into one ordered record list."""
-    log = WalLog()
-    for path in segment_paths(directory):
-        records, dropped = read_segment(path, strict=strict)
-        log.records.extend(records)
-        log.segments.append(path)
-        log.tail_dropped += dropped
-    return log
+    return LogTail(directory, strict).read()
 
 
 class SegmentWriter:

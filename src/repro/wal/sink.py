@@ -31,8 +31,9 @@ from repro.wal.records import WalError, WalRecord, frame_text
 from repro.wal.segment import (
     DEFAULT_MAX_SEGMENT_BYTES,
     DEFAULT_SYNC_EVERY,
+    LogTail,
     SegmentWriter,
-    read_log,
+    WalLog,
 )
 
 __all__ = ["WalSink"]
@@ -79,6 +80,7 @@ class WalSink:
             header_factory=self._header,
         )
         self._unsubscribes: List[Callable[[], None]] = []
+        self._tail = LogTail(directory)
         self.closed = False
 
     def _header(self, segment_index: int) -> WalRecord:
@@ -165,10 +167,12 @@ class WalSink:
         """Force buffered records to disk."""
         self.writer.sync()
 
-    def reload(self):
-        """Sync, then read the directory back (testing/inspection aid)."""
+    def reload(self) -> WalLog:
+        """Sync, then read the directory back: the records an earlier
+        call read are kept, and only what was appended since is decoded
+        (a simulated restart rebuilds from this log, once per kill)."""
         self.sync()
-        return read_log(self.directory)
+        return self._tail.read()
 
     def close(self) -> None:
         """Unsubscribe probe taps, final sync, close the writer."""

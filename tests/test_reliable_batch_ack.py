@@ -1,17 +1,20 @@
 """The ARQ acknowledges a batch, not a segment.
 
-``ReliableProtocol`` notes which sources are owed an acknowledgment and
-pays one cumulative ``rack`` per source when the host ends the batch
-(:meth:`Protocol.on_batch_end`).  A batch is one packet in the
+``ReliableProtocol`` notes which sources are owed an acknowledgment; the
+next segment to an owed source carries the ack as a 4th tag field, and
+the batch end (:meth:`Protocol.on_batch_end`) pays one cumulative
+``rack`` per source still owed.  A batch is one packet in the
 simulator, the model checker and WAL replay -- so those paths must be
 byte-identical to the per-segment ARQ they replace (GOLDEN) -- and
-one socket read on a :class:`NetHost`, where the saving is.
+everything a :class:`NetHost` reads within ``ACK_DELAY``, where the
+saving is.
 """
 
 import asyncio
 import hashlib
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -19,10 +22,12 @@ from repro.events import Message
 from repro.faults import FaultPlan
 from repro.mc import DEFAULT_MAX_DEPTH, check_protocol, named_workloads
 from repro.net import NetHost, free_ports, run_cluster_sync
+from repro.protocols.base import Protocol
 from repro.protocols.registry import catalogue_entry
+from repro.protocols.reliable import ReliableProtocol
 from repro.simulation import random_traffic, run_simulation
 from repro.simulation.host import ProtocolHost
-from repro.simulation.network import FixedLatency, Network
+from repro.simulation.network import FixedLatency, Network, Packet
 from repro.simulation.sim import Simulator
 from repro.simulation.trace import SimulationStats, Trace
 from repro.wal import delivery_order
@@ -318,3 +323,188 @@ class TestHostContract:
         hosts[0].invoke(Message(id="m1", sender=0, receiver=1))
         sim.run()
         assert stats.deliveries == 1
+
+
+# -- piggybacked acks ---------------------------------------------------------
+
+
+class _Echo(Protocol):
+    """Delivers each message and answers its sender with a control
+    ``"pong"`` from inside the arrival's handler."""
+
+    name = "echo"
+    protocol_class = "general"
+
+    def on_invoke(self, ctx, message):
+        ctx.release(message)
+
+    def on_user_message(self, ctx, message, tag):
+        ctx.deliver(message)
+        ctx.send_control(message.sender, "pong")
+
+    def on_control(self, ctx, src, payload):
+        pass
+
+
+def _started(protocols):
+    sim, network, hosts, stats = _rig(protocols)
+    for host in hosts:
+        host.start()
+    network.transport = capture = _CaptureTransport()
+    return hosts, capture, stats
+
+
+def _take(capture):
+    packets = list(capture.packets)
+    del capture.packets[:]
+    return packets
+
+
+def _fifo(n):
+    factory = catalogue_entry("fifo").reliable_factory()
+    return [factory(i, n) for i in range(n)]
+
+
+class TestPiggybackedAcks:
+    def test_an_owed_peer_s_next_segment_carries_the_frontier(self):
+        """P1 owes P0 an ack for two segments; its next segment to P0
+        carries it, and the batch end then sends P0 no ``rack``."""
+        hosts, capture, _ = _started(_fifo(2))
+        for index in range(2):
+            hosts[0].invoke(Message(id="m%d" % index, sender=0, receiver=1))
+        for packet in _take(capture):
+            hosts[1]._handle_packet(packet)
+        hosts[1].invoke(Message(id="r0", sender=1, receiver=0))
+        [reply] = _take(capture)
+        assert reply.dst == 0 and reply.tag[0] == "rdata" and len(reply.tag) == 4
+        assert reply.tag[3] == 2
+        hosts[1].end_batch()
+        assert capture.packets == []
+        hosts[0]._handle_packet(reply)
+        assert not hosts[0].protocol._unacked[1]
+
+    def test_a_peer_owed_nothing_gets_a_three_field_tag(self):
+        """P1 owes P0, not P2: its segment to P2 keeps today's shape,
+        and P0 still gets its ``rack`` at the batch end."""
+        hosts, capture, _ = _started(_fifo(3))
+        hosts[0].invoke(Message(id="m0", sender=0, receiver=1))
+        for packet in _take(capture):
+            hosts[1]._handle_packet(packet)
+        hosts[1].invoke(Message(id="r0", sender=1, receiver=2))
+        [segment] = _take(capture)
+        assert segment.dst == 2 and len(segment.tag) == 3
+        hosts[1].end_batch()
+        assert [(p.dst, p.payload) for p in capture.packets] == [(0, ("rack", 1))]
+
+    def test_an_arrival_s_own_in_handler_reply_carries_no_ack(self):
+        """The debt is recorded after the inner protocol handled the
+        arrival, so the reply it sends then is a 3-field ``rctl`` and the
+        ack is a ``rack`` at the batch end: a batch of one sends what an
+        ARQ without piggybacking did."""
+        hosts, capture, _ = _started([ReliableProtocol(_Echo()) for _ in range(2)])
+        hosts[0].invoke(Message(id="m0", sender=0, receiver=1))
+        [segment] = _take(capture)
+        hosts[1]._handle_packet(segment)
+        [reply] = _take(capture)
+        assert (reply.dst, reply.payload) == (0, ("rctl", 0, "pong"))
+        hosts[1].end_batch()
+        assert [(p.dst, p.payload) for p in capture.packets] == [(0, ("rack", 1))]
+
+    def test_a_four_field_rdata_or_rctl_acks(self):
+        protocols = [ReliableProtocol(_Echo()) for _ in range(2)]
+        hosts, capture, _ = _started(protocols)
+        for index in range(2):
+            hosts[0].invoke(Message(id="m%d" % index, sender=0, receiver=1))
+        _take(capture)
+        assert sorted(protocols[0]._unacked[1]) == [0, 1]
+        hosts[0]._handle_packet(
+            Packet(src=1, dst=0, kind="control", payload=("rctl", 0, "pong", 1))
+        )
+        assert sorted(protocols[0]._unacked[1]) == [1]
+        hosts[1].invoke(Message(id="r0", sender=1, receiver=0))
+        [segment] = _take(capture)
+        assert segment.tag == ("rdata", 0, None)  # P1 owes P0 nothing
+        hosts[0]._handle_packet(replace(segment, tag=segment.tag + (2,)))
+        assert not protocols[0]._unacked[1]
+        assert protocols[0].unacked() == 0
+
+    def test_a_retransmission_carries_no_ack(self):
+        """``_unacked`` holds the segment without the ack it first rode
+        with, and a copy resent while an ack is owed carries none."""
+        hosts, capture, _ = _started(_fifo(2))
+        hosts[1].invoke(Message(id="a0", sender=1, receiver=0))
+        for packet in _take(capture):
+            hosts[0]._handle_packet(packet)  # P0 now owes P1
+        hosts[0].invoke(Message(id="m0", sender=0, receiver=1))
+        [first] = _take(capture)
+        assert len(first.tag) == 4
+        hosts[1].invoke(Message(id="a1", sender=1, receiver=0))
+        for packet in _take(capture):
+            hosts[0]._handle_packet(packet)  # owed again
+        hosts[0].protocol.on_link_restored(hosts[0].ctx, 1)
+        [copy] = _take(capture)
+        assert copy.tag == first.tag[:3]
+        assert 1 in hosts[0].protocol._ack_owed
+
+
+class TestLiveSyncCoord:
+    def test_acks_ride_the_reverse_segments(self):
+        """Three hosts of reliable-sync-coord, 64 messages outstanding at
+        the default time scale: every message delivered once, nothing
+        retransmitted, and fewer than 4.5 frames per message (a ``rack``
+        for every arrival cost 5.7)."""
+        total = 600
+
+        async def scenario():
+            ports = free_ports(3)
+            factory = catalogue_entry("sync-coord").reliable_factory()
+            hosts = [
+                NetHost(factory, i, ports, run_id="t-piggyback", observability=False)
+                for i in range(3)
+            ]
+            loop = asyncio.get_running_loop()
+            done = loop.create_future()
+            delivered = []
+            script = [
+                Message(id="m%d" % index, sender=index % 3, receiver=(index + 1) % 3)
+                for index in range(total)
+            ]
+            sent = 0
+
+            def invoke_next():
+                nonlocal sent
+                if sent < total:
+                    message = script[sent]
+                    sent += 1
+                    hosts[message.sender].invoke(message)
+
+            def on_deliver(message):
+                delivered.append(message.id)
+                loop.call_soon(invoke_next)
+                if len(delivered) == total and not done.done():
+                    done.set_result(None)
+
+            try:
+                for host in hosts:
+                    host.host.delivery_listener = on_deliver
+                    await host.start()
+                await asyncio.gather(*(host.ready() for host in hosts))
+                for _ in range(64):
+                    invoke_next()
+                await asyncio.wait_for(done, 60.0)
+                await _until(
+                    lambda: all(h.host.protocol.unacked() == 0 for h in hosts)
+                )
+                frames = sum(host.transport.frames_sent for host in hosts)
+                retransmissions = sum(h.stats.retransmissions for h in hosts)
+                errors = [error for host in hosts for error in host.errors]
+                return delivered, frames, retransmissions, errors
+            finally:
+                for host in hosts:
+                    await host.shutdown()
+
+        delivered, frames, retransmissions, errors = asyncio.run(scenario())
+        assert errors == []
+        assert sorted(delivered) == sorted("m%d" % i for i in range(total))
+        assert retransmissions == 0
+        assert frames / total < 4.5, frames / total

@@ -25,7 +25,13 @@ from repro.net.host import NetHost
 from repro.predicates.catalog import FIFO_ORDERING, LOGICALLY_SYNCHRONOUS
 from repro.protocols import catalogue
 from repro.protocols.reliable import make_reliable
-from repro.wal import WalSink, delivery_order, read_log, replay_log
+from repro.wal import (
+    WalSink,
+    delivery_order,
+    read_log,
+    replay_log,
+    resolve_inputs,
+)
 
 # 1 virtual unit == 1ms so the ARQ's 30-unit RTO is 30ms (see
 # test_net_cluster.py -- same convention).
@@ -228,17 +234,31 @@ async def _offer(load, count):
         await link.writer.drain()
 
 
-async def _two_phase_soak(base_dir, crash, recover_with_wal=True):
+def _durable(protocol):
+    """The ARQ state a WAL redo must rebuild."""
+    return {
+        "next_seq": dict(protocol._next_seq),
+        "expected": dict(protocol._expected),
+        "unacked": {
+            dst: dict(segments)
+            for dst, segments in protocol._unacked.items()
+            if segments
+        },
+    }
+
+
+async def _two_phase_soak(base_dir, crash, recover_with_wal=True, protocol="fifo"):
     """Drive two load phases over a 3-host cluster under 10% drops.
 
     ``crash=True`` kills process 1 abruptly between the phases
     (volatile state gone, segment preserved) and restarts it -- from its
     WAL when ``recover_with_wal``, else as a blank host (the PR 4
     volatile-loss baseline).  Returns the final durable state of every
-    host: the ARQ sequence maps and the delivered-set.
+    host: the ARQ sequence maps and the delivered-set; and, for a crash,
+    the dead instance's ARQ state beside the one its successor rebuilt.
     """
     ports = free_ports(3)
-    factory = make_reliable(catalogue()["fifo"].factory)
+    factory = make_reliable(catalogue()[protocol].factory)
     run_id = "t-soak-crash"
     wal_dir = str(base_dir)
 
@@ -252,10 +272,11 @@ async def _two_phase_soak(base_dir, crash, recover_with_wal=True):
             time_scale=FAST,
             observability=False,
             wal_dir=wal_dir if with_wal else None,
-            wal_meta={"protocol": "fifo"},
+            wal_meta={"protocol": protocol},
         )
 
     hosts = {i: spawn(i) for i in range(3)}
+    rebuilt = None
     try:
         for host in hosts.values():
             await host.start()
@@ -273,9 +294,11 @@ async def _two_phase_soak(base_dir, crash, recover_with_wal=True):
 
         if crash:
             await hosts[CRASH_PROCESS].crash()
+            dead = _durable(hosts[CRASH_PROCESS].host.protocol)
             hosts[CRASH_PROCESS] = spawn(
                 CRASH_PROCESS, with_wal=recover_with_wal
             )
+            rebuilt = (dead, _durable(hosts[CRASH_PROCESS].host.protocol))
             await hosts[CRASH_PROCESS].start()
             await asyncio.gather(
                 *(host.ready() for host in hosts.values())
@@ -294,19 +317,13 @@ async def _two_phase_soak(base_dir, crash, recover_with_wal=True):
 
         state = {}
         for process_id, host in hosts.items():
-            protocol = host.host.protocol
-            state[process_id] = {
-                "delivered": {mid for _, mid in delivery_order(host.trace)},
-                "next_seq": dict(protocol._next_seq),
-                "expected": dict(protocol._expected),
-                "unacked": {
-                    dst: dict(segments)
-                    for dst, segments in protocol._unacked.items()
-                    if segments
-                },
+            state[process_id] = _durable(host.host.protocol)
+            state[process_id]["delivered"] = {
+                mid for _, mid in delivery_order(host.trace)
             }
         return {
             "state": state,
+            "rebuilt": rebuilt,
             "quiesced": quiesced2,
             "recovered": hosts[CRASH_PROCESS].recovered,
             "requested": load2.requested,
@@ -343,6 +360,36 @@ class TestCrashRestartFromWalSegment:
                 "process %d ARQ receive state diverged" % process_id
             )
             assert ours["unacked"] == theirs["unacked"] == {}
+
+    def test_piggybacked_acks_in_the_log_rebuild_the_same_state(self, tmp_path):
+        """The same kill under reliable-sync-coord, whose grants and
+        completions carry acks as a 4th tag field: the restarted host's
+        log holds such segments, its redo rebuilds the ARQ state the dead
+        instance had, and the run ends where a never-crashed one does."""
+        control = asyncio.run(
+            _two_phase_soak(tmp_path / "control", crash=False, protocol="sync-coord")
+        )
+        crashed = asyncio.run(
+            _two_phase_soak(tmp_path / "wal", crash=True, protocol="sync-coord")
+        )
+        log = read_log(str(tmp_path / "wal" / ("p%d" % CRASH_PROCESS)))
+        piggybacked = [
+            packet
+            for op, _, _, packet in resolve_inputs(log.records)
+            if op != "invoke"
+            and len(packet.tag if packet.is_user else packet.payload) == 4
+        ]
+        assert piggybacked, "no arrival in the log carried an ack"
+
+        assert control["quiesced"] and crashed["quiesced"]
+        assert crashed["recovered"]
+        dead, rebuilt = crashed["rebuilt"]
+        assert rebuilt == dead
+        for process_id in range(3):
+            assert crashed["state"][process_id] == control["state"][process_id], (
+                "process %d diverged from the never-crashed run" % process_id
+            )
+            assert crashed["state"][process_id]["unacked"] == {}
 
     def test_volatile_restart_loses_acknowledged_messages(self, tmp_path):
         """The PR 4 baseline this subsystem exists to fix: the same

@@ -108,6 +108,63 @@ class TestCrashRestartByRedo:
         assert rebuilt[0][1] > 0  # the scratch log held the inputs
 
 
+class TestIncrementalReload:
+    def test_each_restart_decodes_only_what_was_appended(
+        self, monkeypatch, tmp_path
+    ):
+        """Three kills over a log that rotates: every restart rebuilds
+        from the whole log, equal to a full read of the directory, yet
+        across all of them each record is decoded once."""
+        import repro.wal.segment as segment
+
+        decoded, counting = [0], [True]
+        decode = segment.decode_record
+
+        def counted(buffer, offset):
+            decoded[0] += counting[0]
+            return decode(buffer, offset)
+
+        monkeypatch.setattr(segment, "decode_record", counted)
+        seen = []
+
+        def rebuild(factory, process_id, n_processes, records):
+            counting[0] = False
+            full = read_log(str(tmp_path)).records
+            counting[0] = True
+            seen.append((list(records), full))
+            return rebuild_protocol(factory, process_id, n_processes, records)
+
+        monkeypatch.setattr(repro.wal, "rebuild_protocol", rebuild)
+        plan = FaultPlan(
+            actions=tuple(
+                FaultAction(at=at, kind="kill", target=target, duration=4.0)
+                for at, target in ((10.0, 1), (20.0, 2), (30.0, 0))
+            )
+        )
+        sink = WalSink(str(tmp_path), fsync=False, max_segment_bytes=2048)
+        try:
+            result = _run(
+                make_reliable(catalogue()["fifo"].factory),
+                random_traffic(3, 40, seed=2),
+                2,
+                faults=plan,
+                wal=sink,
+            )
+        finally:
+            sink.close()
+        counting[0] = False
+        assert result.fault_summary.restarts == 3 and result.delivered_all
+        assert len(read_log(str(tmp_path)).segments) > 3
+        assert [len(records) for records, _ in seen] == sorted(
+            len(records) for records, _ in seen
+        )
+        for records, full in seen:
+            assert [(r.kind, r.text) for r in records] == [
+                (r.kind, r.text) for r in full
+            ]
+        assert decoded[0] == len(seen[-1][0])
+
+
 class TestRebuildProtocolStateEquivalence:
     """rebuild_protocol reconstructs the durable attributes exactly: the
     reference a crash-restart run recovers to."""
