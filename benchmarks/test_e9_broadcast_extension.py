@@ -3,9 +3,9 @@ implemented).
 
 Regenerates, for the broadcast orderings:
 
-- the grouped classification: causal broadcast stays tagged; total-order
-  (atomic) broadcast needs control messages (its violation cycle breaks
-  at two cross-site deliveries);
+- the classification (``classify`` reads group guards): causal
+  broadcast stays tagged; total-order (atomic) broadcast needs control
+  messages (its violation cycle breaks at two cross-site deliveries);
 - a simulation study mirroring E6: the BSS protocol is causal with
   vector tags and no control traffic but diverges on total order; the
   sequencer protocol is totally ordered with control traffic.
@@ -19,10 +19,9 @@ from repro.broadcast import (
     CausalBroadcastProtocol,
     SequencerBroadcastProtocol,
     check_total_order,
-    classify_broadcast,
     group_broadcasts,
 )
-from repro.core.classifier import ProtocolClass
+from repro.core.classifier import ProtocolClass, classify
 from repro.predicates.catalog import CAUSAL_B2, CAUSAL_ORDERING
 from repro.protocols.base import make_factory
 from repro.simulation import UniformLatency, run_simulation
@@ -35,8 +34,8 @@ SEEDS = range(5)
 
 
 def test_e9_grouped_classification(benchmark):
-    verdict = benchmark(classify_broadcast, TOTAL_ORDER_VIOLATION)
-    unicast_causal = classify_broadcast(CAUSAL_B2)
+    verdict = benchmark(classify, TOTAL_ORDER_VIOLATION)
+    unicast_causal = classify(CAUSAL_B2)
     rows = [
         (
             "causal-broadcast",

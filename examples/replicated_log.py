@@ -3,7 +3,7 @@
 Replicas apply commands they deliver.  Under causal broadcast (tags
 only), replicas can diverge on concurrent commands; under total-order
 broadcast (sequencer, control messages) every replica applies the same
-sequence.  The grouped classifier derives *why*: the total-order
+sequence.  The classifier derives *why*: the total-order
 violation pattern breaks at two cross-site deliveries, so its cycle has
 order 2 and control messages are unavoidable.
 
@@ -16,10 +16,10 @@ from repro.broadcast import (
     CausalBroadcastProtocol,
     SequencerBroadcastProtocol,
     check_total_order,
-    classify_broadcast,
     delivery_order_at,
     group_broadcasts,
 )
+from repro.core.classifier import classify
 from repro.protocols.base import make_factory
 from repro.simulation import UniformLatency, run_simulation
 
@@ -34,14 +34,12 @@ def show_logs(result) -> None:
 
 def main() -> None:
     print("total-order violation pattern:", TOTAL_ORDER_VIOLATION)
-    verdict = classify_broadcast(TOTAL_ORDER_VIOLATION)
+    verdict = classify(TOTAL_ORDER_VIOLATION)
     print(
-        "grouped classification: %s (cycle order %d)"
+        "classification: %s (cycle order %d)"
         % (verdict.protocol_class.value, verdict.min_order)
     )
-    for cycle in verdict.cycles[:1]:
-        for item in cycle.breaks:
-            print("  break:", item)
+    print("  witness:", verdict.witness)
     print()
 
     workload = group_broadcasts(n_processes=4, rounds=8, seed=4)

@@ -14,18 +14,14 @@ A logical broadcast is modelled as a *group* of unicast copies sharing
   synchronous run is always totally ordered and total order fails for
   merely causal runs).
 
-Boundary of the base theory: the predicate-graph classifier treats
-variables as independent messages, so it cannot see that group-equal
-variables share a send; grouped predicates are therefore classified by
-:func:`classify_broadcast` (which collapses each group to one
-super-message) rather than by ``repro.classify``.
+Grouped predicates go through ``repro.classify`` like any other: the
+predicate graph gives the group-equal variables of one broadcast one
+vertex (they share a send), and a cycle also breaks where two sites'
+deliveries of one broadcast meet.  ``repro.protocol_for`` answers a
+grouped general predicate with the sequencer.
 """
 
-from repro.broadcast.orderings import (
-    ATOMIC_BROADCAST,
-    TOTAL_ORDER_VIOLATION,
-    classify_broadcast,
-)
+from repro.broadcast.orderings import ATOMIC_BROADCAST, TOTAL_ORDER_VIOLATION
 from repro.broadcast.checkers import (
     broadcast_groups,
     check_agreement,
@@ -44,7 +40,6 @@ from repro.broadcast.workloads import group_broadcasts, random_multicasts
 __all__ = [
     "ATOMIC_BROADCAST",
     "TOTAL_ORDER_VIOLATION",
-    "classify_broadcast",
     "broadcast_groups",
     "delivery_order_at",
     "check_total_order",

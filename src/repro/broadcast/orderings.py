@@ -1,49 +1,25 @@
-"""Broadcast orderings and the grouped-predicate classifier (§7).
+"""The total-order (atomic) broadcast specification (§7).
 
-The unicast theory's predicate graph treats every variable as an
-independent message.  A *grouped* predicate links variables through
-``group(x) = group(y)`` guards: they bind copies of one logical
-broadcast, which share a send but deliver at different sites.  Collapsing
-each group to one super-vertex, a cycle's chain can break in **two**
-ways:
+A *grouped* predicate links variables through ``group(x) = group(y)``
+guards: they bind copies of one logical broadcast, which share a send but
+deliver at different sites.  ``repro.classify`` reads such guards
+directly: the predicate graph gives each group one vertex, and a cycle
+also breaks where one site's delivery meets another site's delivery of
+the same broadcast (see :mod:`repro.graphs.beta`).
 
-- the unicast β discontinuity (in-edge ends at a delivery, out-edge
-  leaves the send): crossing it needs one message boundary, exactly as in
-  the paper; and
-- the new multicast discontinuity: in-edge ends at a delivery **at one
-  site**, out-edge leaves a delivery **at a different site**.  The two
-  deliveries of one broadcast are causally unrelated, so this break also
-  costs a boundary no tag can bridge.
-
-Counting both kinds gives the grouped cycle order, and the paper's table
-applies unchanged: order 0 → tagless, order 1 → tagged, ≥ 2 → general.
-
-The flagship instance is **total-order (atomic) broadcast**: two sites
-delivering two broadcasts in opposite orders is a two-super-vertex cycle
-whose both junctions are cross-site delivery breaks -- order 2, so
-control messages are necessary (and the sequencer protocol is the
-constructive witness).  This matches the folklore that in this model
+Two sites delivering two broadcasts in opposite orders is a two-vertex
+cycle whose both junctions are such cross-site breaks: order 2, so
+control messages are necessary, and the sequencer protocol is the
+constructive witness.  This matches the folklore that in this model
 totally ordered broadcast needs coordination while causally ordered
 broadcast needs only vector tags.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-from repro.core.classifier import ProtocolClass
-from repro.events import DELIVER, SEND, EventKind
-from repro.poset.digraph import Digraph
-from repro.graphs.cycles import simple_cycles_digraph
-from repro.predicates.ast import Conjunct, ForbiddenPredicate, deliver_of, send_of
+from repro.predicates.ast import Conjunct, ForbiddenPredicate, deliver_of
 from repro.predicates.guards import GroupGuard, ProcessGuard
 from repro.predicates.spec import Specification
-
-# ---------------------------------------------------------------------------
-# The total-order broadcast specification.
-# ---------------------------------------------------------------------------
 
 # Forbidden: copies x1, x2 of one broadcast and y1, y2 of another such
 # that site(x1) = site(y1) delivers x before y while site(x2) = site(y2)
@@ -69,213 +45,3 @@ ATOMIC_BROADCAST = Specification(
     predicates=(TOTAL_ORDER_VIOLATION,),
     description="All sites deliver broadcasts in one total order.",
 )
-
-
-# ---------------------------------------------------------------------------
-# The grouped classifier.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GroupedEdge:
-    """A conjunct edge between super-vertices, keeping the original
-    variables so site (receiver) relations stay visible."""
-
-    tail_super: str
-    head_super: str
-    p: EventKind
-    q: EventKind
-    tail_var: str
-    head_var: str
-    index: int
-
-    def __repr__(self) -> str:
-        return "%s.%s>%s.%s" % (
-            self.tail_var,
-            self.p.symbol,
-            self.head_var,
-            self.q.symbol,
-        )
-
-
-@dataclass(frozen=True)
-class GroupedCycleReport:
-    vertices: Tuple[str, ...]
-    edges: Tuple[GroupedEdge, ...]
-    order: int
-    breaks: Tuple[str, ...]  # one description per discontinuity
-
-
-@dataclass(frozen=True)
-class BroadcastClassification:
-    predicate: ForbiddenPredicate
-    protocol_class: ProtocolClass
-    cycles: Tuple[GroupedCycleReport, ...]
-    min_order: Optional[int]
-    notes: Tuple[str, ...] = ()
-
-
-class _UnionFind:
-    def __init__(self) -> None:
-        self._parent: Dict[object, object] = {}
-
-    def find(self, item):
-        self._parent.setdefault(item, item)
-        while self._parent[item] != item:
-            self._parent[item] = self._parent[self._parent[item]]
-            item = self._parent[item]
-        return item
-
-    def union(self, a, b) -> None:
-        self._parent[self.find(a)] = self.find(b)
-
-    def same(self, a, b) -> bool:
-        return self.find(a) == self.find(b)
-
-
-def classify_broadcast(predicate: ForbiddenPredicate) -> BroadcastClassification:
-    """Classify a grouped forbidden predicate.
-
-    Model assumptions (documented in the package docstring): group-equal
-    variables are copies of one broadcast -- same sender, one logical send
-    event, one delivery per site.  Receiver relations at every
-    delivery-to-delivery junction must be pinned by guards (equality or
-    disequality); otherwise a ``ValueError`` asks the caller to refine the
-    predicate.
-    """
-    groups = _UnionFind()
-    receivers = _UnionFind()
-    receiver_diseq: List[Tuple[str, str]] = []
-    for guard in predicate.guards:
-        if isinstance(guard, GroupGuard) and guard.equal:
-            groups.union(guard.left, guard.right)
-        elif isinstance(guard, ProcessGuard):
-            if guard.left[1] == "receiver" and guard.right[1] == "receiver":
-                if guard.equal:
-                    receivers.union(guard.left[0], guard.right[0])
-                else:
-                    receiver_diseq.append((guard.left[0], guard.right[0]))
-
-    def super_of(variable: str) -> str:
-        members = sorted(
-            v for v in predicate.variables if groups.same(v, variable)
-        )
-        return members[0]
-
-    def receiver_relation(a: str, b: str) -> Optional[bool]:
-        """True = same site, False = different sites, None = unknown."""
-        if receivers.same(a, b):
-            return True
-        for left, right in receiver_diseq:
-            if (receivers.same(a, left) and receivers.same(b, right)) or (
-                receivers.same(a, right) and receivers.same(b, left)
-            ):
-                return False
-        return None
-
-    edges = [
-        GroupedEdge(
-            tail_super=super_of(conjunct.left.variable),
-            head_super=super_of(conjunct.right.variable),
-            p=conjunct.left.kind,
-            q=conjunct.right.kind,
-            tail_var=conjunct.left.variable,
-            head_var=conjunct.right.variable,
-            index=index,
-        )
-        for index, conjunct in enumerate(predicate.conjuncts)
-    ]
-
-    vertices = sorted({e.tail_super for e in edges} | {e.head_super for e in edges})
-    graph = Digraph(nodes=vertices)
-    for edge in edges:
-        if edge.tail_super != edge.head_super:
-            graph.add_edge(edge.tail_super, edge.head_super)
-
-    reports: List[GroupedCycleReport] = []
-    for vertex_cycle in simple_cycles_digraph(graph):
-        k = len(vertex_cycle)
-        options = [
-            [
-                e
-                for e in edges
-                if e.tail_super == vertex_cycle[i]
-                and e.head_super == vertex_cycle[(i + 1) % k]
-            ]
-            for i in range(k)
-        ]
-        for combo in itertools.product(*options):
-            order, breaks = _grouped_order(
-                vertex_cycle, combo, receiver_relation
-            )
-            reports.append(
-                GroupedCycleReport(
-                    vertices=tuple(vertex_cycle),
-                    edges=tuple(combo),
-                    order=order,
-                    breaks=tuple(breaks),
-                )
-            )
-
-    notes: List[str] = []
-    if not reports:
-        return BroadcastClassification(
-            predicate=predicate,
-            protocol_class=ProtocolClass.NOT_IMPLEMENTABLE,
-            cycles=(),
-            min_order=None,
-            notes=("no cycle among broadcast super-vertices",),
-        )
-    min_order = min(report.order for report in reports)
-    if min_order == 0:
-        protocol_class = ProtocolClass.TAGLESS
-        notes.append("a chain closes without any discontinuity: unsatisfiable")
-    elif min_order == 1:
-        protocol_class = ProtocolClass.TAGGED
-        notes.append("one discontinuity per cycle: tagging suffices")
-    else:
-        protocol_class = ProtocolClass.GENERAL
-        notes.append(
-            "every cycle breaks at >= 2 points (message boundaries or "
-            "cross-site deliveries): control messages are necessary"
-        )
-    return BroadcastClassification(
-        predicate=predicate,
-        protocol_class=protocol_class,
-        cycles=tuple(reports),
-        min_order=min_order,
-        notes=tuple(notes),
-    )
-
-
-def _grouped_order(vertex_cycle, combo, receiver_relation):
-    order = 0
-    breaks: List[str] = []
-    k = len(vertex_cycle)
-    for i in range(k):
-        incoming = combo[(i - 1) % k]
-        outgoing = combo[i]
-        q_in, p_out = incoming.q, outgoing.p
-        if q_in is SEND:
-            continue  # chain arrives at the broadcast's (shared) send
-        if p_out is SEND:
-            order += 1
-            breaks.append(
-                "β at %s: %r into %r" % (vertex_cycle[i], incoming, outgoing)
-            )
-            continue
-        # delivery in, delivery out: connected only at the same site.
-        relation = receiver_relation(incoming.head_var, outgoing.tail_var)
-        if relation is None:
-            raise ValueError(
-                "receiver relation between %s and %s is not pinned by "
-                "guards; refine the predicate with receiver equality or "
-                "disequality" % (incoming.head_var, outgoing.tail_var)
-            )
-        if not relation:
-            order += 1
-            breaks.append(
-                "cross-site deliveries at %s: %r into %r"
-                % (vertex_cycle[i], incoming, outgoing)
-            )
-    return order, breaks

@@ -28,20 +28,6 @@ from repro.simulation import UniformLatency, random_traffic
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     specification = resolve_spec(args.predicate, args.distinct)
-    if args.broadcast:
-        from repro.broadcast import classify_broadcast
-
-        for predicate in specification.all_predicates(max_arity=6):
-            verdict = classify_broadcast(predicate)
-            print("predicate:  %r" % (predicate,))
-            print("class:      %s (grouped analysis)" % verdict.protocol_class.value)
-            for cycle in verdict.cycles:
-                print("  cycle order %d:" % cycle.order)
-                for item in cycle.breaks:
-                    print("    %s" % item)
-            for note in verdict.notes:
-                print("  note: %s" % note)
-        return 0
     if len(specification.predicates) == 1 and not specification.families:
         verdict = classify(specification.predicates[0])
         print(verdict.summary())
@@ -901,11 +887,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--distinct",
         action="store_true",
         help="quantify over distinct messages",
-    )
-    p_classify.add_argument(
-        "--broadcast",
-        action="store_true",
-        help="use the grouped (multicast) classifier of repro.broadcast",
     )
     p_classify.set_defaults(func=_cmd_classify)
 

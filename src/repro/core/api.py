@@ -40,9 +40,13 @@ def protocol_for(
       the specification's predicates;
     - general  → the coordinator-based logically synchronous protocol
       (whose run set ``X_sync`` is contained in every implementable
-      specification, Corollary 1);
+      specification, Corollary 1); if a general predicate is grouped,
+      the sequencer broadcast instead, since logical synchrony over
+      unicast copies does not order one broadcast's copies at all sites;
     - not implementable → ``ValueError``.
     """
+    from repro.broadcast import SequencerBroadcastProtocol
+    from repro.graphs.predicate_graph import PredicateGraph
     from repro.protocols.base import make_factory
     from repro.protocols.generated import GeneratedTaggedProtocol
     from repro.protocols.sync_coordinator import SyncCoordinatorProtocol
@@ -65,6 +69,12 @@ def protocol_for(
             if v.protocol_class is ProtocolClass.TAGGED
         ]
         return make_factory(GeneratedTaggedProtocol, enforced)
+    if any(
+        PredicateGraph(v.predicate).grouped
+        for v in verdicts
+        if v.protocol_class is ProtocolClass.GENERAL
+    ):
+        return make_factory(SequencerBroadcastProtocol)
     return make_factory(SyncCoordinatorProtocol)
 
 

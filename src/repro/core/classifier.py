@@ -21,7 +21,7 @@ caveat in DESIGN.md).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from repro.graphs.beta import beta_vertices, cycle_order
@@ -29,8 +29,9 @@ from repro.graphs.cycles import ResolvedCycle, resolved_cycles
 from repro.graphs.predicate_graph import PredicateGraph
 from repro.graphs.reduction import Reduction, reduce_cycle
 from repro.poset.algorithms import find_cycle
-from repro.predicates.ast import ForbiddenPredicate
-from repro.predicates.guards import guards_satisfiable
+from repro.events import DELIVER
+from repro.predicates.ast import Conjunct, EventTerm, ForbiddenPredicate
+from repro.predicates.guards import ColorGuard, ProcessGuard, guards_satisfiable
 from repro.predicates.spec import Specification
 
 
@@ -71,10 +72,22 @@ class CycleReport:
     betas: Tuple[str, ...]
     order: int
 
+    @property
+    def cross_site(self) -> Tuple[str, ...]:
+        """The β vertices where two sites' deliveries of one broadcast
+        meet (§7): the out-edge leaves a delivery, not the send."""
+        return tuple(
+            vertex
+            for i, vertex in enumerate(self.cycle.vertices)
+            if vertex in self.betas and self.cycle.outgoing_edge(i).p is DELIVER
+        )
+
     def __repr__(self) -> str:
-        return "CycleReport(order=%d, betas=%s, %r)" % (
+        cross = ", cross-site=%s" % list(self.cross_site) if self.cross_site else ""
+        return "CycleReport(order=%d, betas=%s%s, %r)" % (
             self.order,
             list(self.betas),
+            cross,
             self.cycle,
         )
 
@@ -143,13 +156,8 @@ def _quotient(predicate: ForbiddenPredicate, partition) -> ForbiddenPredicate:
         for variable in block:
             representative[variable] = rep
 
-    def rename_term(term):
-        from repro.predicates.ast import EventTerm
-
+    def rename_term(term: EventTerm) -> EventTerm:
         return EventTerm(representative[term.variable], term.kind)
-
-    from repro.predicates.ast import Conjunct
-    from repro.predicates.guards import ColorGuard, KeyGuard, ProcessGuard
 
     conjuncts = []
     seen = set()
@@ -162,28 +170,22 @@ def _quotient(predicate: ForbiddenPredicate, partition) -> ForbiddenPredicate:
     for guard in predicate.guards:
         if isinstance(guard, ProcessGuard):
             guards.append(
-                ProcessGuard(
-                    (representative[guard.left[0]], guard.left[1]),
-                    (representative[guard.right[0]], guard.right[1]),
-                    equal=guard.equal,
+                replace(
+                    guard,
+                    left=(representative[guard.left[0]], guard.left[1]),
+                    right=(representative[guard.right[0]], guard.right[1]),
                 )
             )
         elif isinstance(guard, ColorGuard):
+            guards.append(replace(guard, variable=representative[guard.variable]))
+        else:  # KeyGuard and GroupGuard relate two variables
             guards.append(
-                ColorGuard(
-                    representative[guard.variable], guard.color, equal=guard.equal
+                replace(
+                    guard,
+                    left=representative[guard.left],
+                    right=representative[guard.right],
                 )
             )
-        elif isinstance(guard, KeyGuard):
-            guards.append(
-                KeyGuard(
-                    representative[guard.left],
-                    representative[guard.right],
-                    equal=guard.equal,
-                )
-            )
-        else:  # pragma: no cover - no other guard types exist
-            guards.append(guard)
     return ForbiddenPredicate.build(
         conjuncts, guards=guards, name=predicate.name, distinct=True
     )
@@ -199,28 +201,6 @@ def classify(predicate: ForbiddenPredicate) -> Classification:
     all self-falsify on repeated bindings, where the two notions agree; the
     crowns are the exception and are declared ``distinct``.)
     """
-    from repro.predicates.guards import GroupGuard
-
-    if any(isinstance(g, GroupGuard) for g in predicate.guards):
-        verdict = _classify_distinct(predicate)
-        return Classification(
-            predicate=verdict.predicate,
-            protocol_class=verdict.protocol_class,
-            satisfiable=verdict.satisfiable,
-            guards_ok=verdict.guards_ok,
-            cycles=verdict.cycles,
-            min_order=verdict.min_order,
-            witness=verdict.witness,
-            reduction=verdict.reduction,
-            degenerate=verdict.degenerate,
-            notes=verdict.notes
-            + (
-                "predicate links variables through group guards: the "
-                "unicast graph ignores the shared-send structure; use "
-                "repro.broadcast.classify_broadcast for the multicast "
-                "semantics",
-            ),
-        )
     if predicate.distinct or predicate.arity == 1:
         return _classify_distinct(predicate)
     verdicts = []
@@ -278,12 +258,14 @@ def _classify_distinct(predicate: ForbiddenPredicate) -> Classification:
         )
 
     # ``x.s > x.r`` conjuncts are tautologies over complete runs (every
-    # sent message is delivered): drop them.  A predicate reduced to
-    # nothing forbids the mere existence of a guard-matching delivered
-    # message, which no live protocol can guarantee.
-    tautologies = [c for c in predicate.conjuncts if c.is_degenerate_self_edge]
+    # sent message is delivered; a copy of a broadcast shares the send of
+    # its group): drop them.  A predicate reduced to nothing forbids the
+    # mere existence of a guard-matching delivered message, which no live
+    # protocol can guarantee.
+    pgraph = PredicateGraph(predicate)
+    tautologies = [e for e in pgraph.edges if e.is_degenerate]
     core_conjuncts = [
-        c for c in predicate.conjuncts if not c.is_degenerate_self_edge
+        predicate.conjuncts[e.index] for e in pgraph.edges if not e.is_degenerate
     ]
     if tautologies:
         notes.append(
@@ -314,9 +296,7 @@ def _classify_distinct(predicate: ForbiddenPredicate) -> Classification:
             name=predicate.name,
             distinct=predicate.distinct,
         )
-    else:
-        core = predicate
-    pgraph = PredicateGraph(core)
+        pgraph = PredicateGraph(core)
 
     all_cycles = resolved_cycles(pgraph)
     reports = tuple(
@@ -351,7 +331,8 @@ def _classify_distinct(predicate: ForbiddenPredicate) -> Classification:
 
     # After dropping tautologies no x.s > x.r self-loops remain, and the
     # other self-loop shapes are event cycles caught by the check above,
-    # so every surviving cycle is a usable cycle through >= 2 vertices.
+    # so every surviving cycle is usable: it runs through >= 2 vertices,
+    # or it is a grouped vertex's loop between two copies' deliveries.
     if not reports:
         notes.append(
             "predicate graph is acyclic; by Theorem 2 the specification "

@@ -67,6 +67,10 @@ def explain(predicate: ForbiddenPredicate) -> str:
 
     lines.append("## Predicate graph")
     lines.append("vertices: %s" % ", ".join(graph.vertices))
+    for vertex in graph.vertices:
+        copies = [v for v in predicate.variables if graph.vertex_of[v] == vertex]
+        if len(copies) > 1:
+            lines.append("  %s: broadcast copies %s" % (vertex, ", ".join(copies)))
     for edge in graph.edges:
         lines.append("  edge %r  (conjunct %d)" % (edge, edge.index + 1))
     lines.append("")
@@ -83,9 +87,17 @@ def explain(predicate: ForbiddenPredicate) -> str:
         lines.append("## Cycles and β vertices")
         for report in verdict.cycles:
             marker = "  <- witness" if report is verdict.witness else ""
+            cross = report.cross_site
+            cross_site = " (cross-site at %s)" % list(cross) if cross else ""
             lines.append(
-                "- %r: β = %s, order %d%s"
-                % (report.cycle, list(report.betas) or "none", report.order, marker)
+                "- %r: β = %s%s, order %d%s"
+                % (
+                    report.cycle,
+                    list(report.betas) or "none",
+                    cross_site,
+                    report.order,
+                    marker,
+                )
             )
         lines.append("")
     else:
@@ -110,6 +122,11 @@ def explain(predicate: ForbiddenPredicate) -> str:
     lines.append("")
 
     suggestion = _PROTOCOL_SUGGESTIONS.get(verdict.protocol_class)
+    if verdict.protocol_class is ProtocolClass.GENERAL and graph.grouped:
+        suggestion = (
+            "repro.broadcast.SequencerBroadcastProtocol (synchrony over "
+            "unicast copies does not totally order broadcasts)"
+        )
     if suggestion:
         lines.append("## Implementation")
         lines.append("use: %s" % suggestion)

@@ -1,8 +1,9 @@
 """Predicate graphs (§4.2): the decision structure for classification.
 
-The predicate graph of ``B`` has one vertex per message variable and one
-directed edge per conjunct ``xj.p ▷ xk.q`` labeled ``(p, q)``.  Cycles and
-their β vertices decide implementability and the protocol class.
+The predicate graph of ``B`` has one vertex per message variable (one per
+broadcast for group-equal variables, §7) and one directed edge per
+conjunct ``xj.p ▷ xk.q`` labeled ``(p, q)``.  Cycles and their β vertices
+decide implementability and the protocol class.
 """
 
 from repro.graphs.predicate_graph import LabeledEdge, PredicateGraph

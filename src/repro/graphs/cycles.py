@@ -9,12 +9,13 @@ tiny, so the product is cheap), and also reports self-loop cycles.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.poset.digraph import Digraph, Node
 from repro.poset.algorithms import strongly_connected_components
 from repro.graphs.predicate_graph import LabeledEdge, PredicateGraph
+from repro.predicates.guards import SlotClasses
 
 
 def simple_cycles_digraph(graph: Digraph) -> List[List[Node]]:
@@ -94,11 +95,13 @@ class ResolvedCycle:
 
     ``vertices[i]`` is the tail of ``edges[i]``; ``edges[i]`` runs to
     ``vertices[(i + 1) % len]``.  Self-loop cycles have one vertex and one
-    edge.
+    edge.  ``slots`` are the predicate's guard classes, which decide
+    whether two copies of one broadcast meet at a site.
     """
 
     vertices: Tuple[str, ...]
     edges: Tuple[LabeledEdge, ...]
+    slots: Optional[SlotClasses] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.vertices) != len(self.edges):
@@ -146,5 +149,9 @@ def resolved_cycles(pgraph: PredicateGraph) -> List[ResolvedCycle]:
             pgraph.parallel_edges(cycle[i], cycle[(i + 1) % k]) for i in range(k)
         ]
         for combo in itertools.product(*edge_options):
-            results.append(ResolvedCycle(vertices=tuple(cycle), edges=tuple(combo)))
+            results.append(
+                ResolvedCycle(
+                    vertices=tuple(cycle), edges=tuple(combo), slots=pgraph.slots
+                )
+            )
     return results

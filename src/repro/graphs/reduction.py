@@ -3,10 +3,12 @@
 Every non-β vertex ``y`` on a cycle can be eliminated: its incoming
 conjunct ``x.p ▷ y.h`` and outgoing conjunct ``y.h' ▷ z.q`` (with
 ``(h, h') ≠ (r, s)``) together imply ``x.p ▷ z.q`` (using ``y.s ▷ y.r``
-when ``h = s, h' = r``).  Repeating this while more than two vertices
-remain and a non-β vertex exists yields a weaker predicate whose graph is
-either a two-vertex cycle or an all-β cycle of the same order -- the
-canonical forms of Lemma 3.
+when ``h = s, h' = r``).  On a grouped vertex the two conjuncts may name
+different copies of one broadcast: they still compose, through the
+shared send or through one delivery at a common site.  Repeating this
+while more than two vertices remain and a non-β vertex exists yields a
+weaker predicate whose graph is either a two-vertex cycle or an all-β
+cycle of the same order -- the canonical forms of Lemma 3.
 """
 
 from __future__ import annotations
@@ -85,6 +87,8 @@ def _contract(cycle: ResolvedCycle, position: int) -> Tuple[ResolvedCycle, Reduc
         p=incoming.p,
         q=outgoing.q,
         index=-1,  # derived edge; not a conjunct of the original predicate
+        tail_var=incoming.tail_var,
+        head_var=outgoing.head_var,
     )
     k = cycle.length
     vertices: List[str] = []
@@ -96,7 +100,9 @@ def _contract(cycle: ResolvedCycle, position: int) -> Tuple[ResolvedCycle, Reduc
         if offset < k - 1:
             edges.append(cycle.outgoing_edge(i))
     edges.append(new_edge)
-    reduced = ResolvedCycle(vertices=tuple(vertices), edges=tuple(edges))
+    reduced = ResolvedCycle(
+        vertices=tuple(vertices), edges=tuple(edges), slots=cycle.slots
+    )
     step = ReductionStep(
         removed=cycle.vertices[position],
         merged_in=incoming,
@@ -107,9 +113,13 @@ def _contract(cycle: ResolvedCycle, position: int) -> Tuple[ResolvedCycle, Reduc
 
 
 def cycle_to_predicate(cycle: ResolvedCycle, name: Optional[str] = None) -> ForbiddenPredicate:
-    """The forbidden predicate whose graph is exactly this cycle."""
+    """The forbidden predicate whose conjuncts are this cycle's edges.
+
+    Each conjunct keeps its own variables.  Guards are not carried over,
+    so a grouped cycle's predicate needs its group and receiver guards
+    re-attached to mean the same."""
     conjuncts = [
-        Conjunct(EventTerm(edge.tail, edge.p), EventTerm(edge.head, edge.q))
+        Conjunct(EventTerm(edge.tail_var, edge.p), EventTerm(edge.head_var, edge.q))
         for edge in cycle.edges
     ]
     return ForbiddenPredicate.build(conjuncts, name=name)

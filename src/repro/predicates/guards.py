@@ -9,7 +9,7 @@ causality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.events import Message
 
@@ -130,9 +130,9 @@ class GroupGuard(Guard):
     """``group(x) = group(y)`` (or ``≠``), both groups being present.
 
     Part of the §7 multicast extension: two variables in the same group
-    bind copies of one logical broadcast.  NOTE: the predicate-graph
-    classifier does not model the shared-send structure group equality
-    implies; see :mod:`repro.broadcast` for the supported treatment.
+    bind copies of one logical broadcast, which share one send and
+    deliver once per site.  The predicate graph gives each group one
+    vertex (see :class:`repro.graphs.PredicateGraph`).
     """
 
     left: str
@@ -158,27 +158,74 @@ class GroupGuard(Guard):
         return "group(%s) %s group(%s)" % (self.left, op, self.right)
 
 
+# Each equality-style guard compares two attribute *slots*
+# ``(variable, attribute)``.  Process slots name a role; key and group
+# slots live in namespaces no role can take, so they never merge with one.
+Slot = Tuple[str, str]
+KEY_SLOT = "#key"
+GROUP_SLOT = "#group"
+
+
+def _slot_pair(guard: Guard) -> Optional[Tuple[Slot, Slot]]:
+    """The two slots ``guard`` compares (``None`` for colour guards)."""
+    if isinstance(guard, ProcessGuard):
+        return guard.left, guard.right
+    if isinstance(guard, KeyGuard):
+        return (guard.left, KEY_SLOT), (guard.right, KEY_SLOT)
+    if isinstance(guard, GroupGuard):
+        return (guard.left, GROUP_SLOT), (guard.right, GROUP_SLOT)
+    return None
+
+
+class SlotClasses:
+    """The equality classes that guards force on attribute slots.
+
+    Equality guards merge classes (union-find); disequality guards are
+    kept as pairs, to be tested against the classes.
+    """
+
+    def __init__(self, guards: Iterable[Guard]) -> None:
+        self._parent: Dict[Slot, Slot] = {}
+        self.unequal: List[Tuple[Slot, Slot]] = []
+        for guard in guards:
+            pair = _slot_pair(guard)
+            if pair is None:
+                continue
+            if guard.equal:
+                self._parent[self.find(pair[0])] = self.find(pair[1])
+            else:
+                self.unequal.append(pair)
+
+    def find(self, slot: Slot) -> Slot:
+        """The representative of ``slot``'s class."""
+        self._parent.setdefault(slot, slot)
+        while self._parent[slot] != slot:
+            self._parent[slot] = self._parent[self._parent[slot]]
+            slot = self._parent[slot]
+        return slot
+
+    def same(self, a: Slot, b: Slot) -> bool:
+        """Whether the guards force ``a`` and ``b`` equal."""
+        return self.find(a) == self.find(b)
+
+    def apart(self, a: Slot, b: Slot) -> bool:
+        """Whether a disequality guard separates ``a``'s and ``b``'s classes."""
+        return any(
+            (self.same(a, left) and self.same(b, right))
+            or (self.same(a, right) and self.same(b, left))
+            for left, right in self.unequal
+        )
+
+
 def guards_satisfiable(guards: Tuple[Guard, ...]) -> bool:
     """Whether *some* attribute assignment satisfies all guards.
 
-    Equality guards are closed under union-find; a conflict arises when a
-    variable is forced to two different colour constants, when an equality
-    class contains contradictory colours, or when a disequality connects
-    two slots already forced equal.  Process slots have an unbounded
-    domain, so equalities alone are always satisfiable.
+    A conflict arises when a variable is forced to two different colour
+    constants or to a colour it is also said not to have, or when a
+    disequality connects two slots (process, key or group) already forced
+    equal.  Slot domains are unbounded, so equalities alone are always
+    satisfiable.
     """
-    parent: Dict[Tuple[str, str], Tuple[str, str]] = {}
-
-    def find(slot: Tuple[str, str]) -> Tuple[str, str]:
-        parent.setdefault(slot, slot)
-        while parent[slot] != slot:
-            parent[slot] = parent[parent[slot]]
-            slot = parent[slot]
-        return slot
-
-    def union(a: Tuple[str, str], b: Tuple[str, str]) -> None:
-        parent[find(a)] = find(b)
-
     color_of: Dict[str, str] = {}
     color_not: Dict[str, set] = {}
     for guard in guards:
@@ -190,22 +237,9 @@ def guards_satisfiable(guards: Tuple[Guard, ...]) -> bool:
                 color_of[guard.variable] = guard.color
             else:
                 color_not.setdefault(guard.variable, set()).add(guard.color)
-        elif isinstance(guard, ProcessGuard) and guard.equal:
-            union(guard.left, guard.right)
-        elif isinstance(guard, KeyGuard) and guard.equal:
-            # Key slots live in their own namespace ("#key" is not a
-            # process role), sharing the same union-find machinery.
-            union((guard.left, "#key"), (guard.right, "#key"))
 
     for variable, forbidden in color_not.items():
         if color_of.get(variable) in forbidden:
             return False
-
-    for guard in guards:
-        if isinstance(guard, ProcessGuard) and not guard.equal:
-            if find(guard.left) == find(guard.right):
-                return False
-        elif isinstance(guard, KeyGuard) and not guard.equal:
-            if find((guard.left, "#key")) == find((guard.right, "#key")):
-                return False
-    return True
+    classes = SlotClasses(guards)
+    return not any(classes.same(left, right) for left, right in classes.unequal)

@@ -27,7 +27,6 @@ class TestApiDocs:
             "UserRun",
             "SystemRun",
             "check_conformance",
-            "classify_broadcast",
             "run_snapshot_experiment",
             "monitor_trace",
         ):

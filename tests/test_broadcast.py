@@ -10,12 +10,13 @@ from repro.broadcast import (
     broadcast_groups,
     check_agreement,
     check_total_order,
-    classify_broadcast,
     delivery_order_at,
     group_broadcasts,
     total_order_cross_check,
 )
-from repro.core.classifier import ProtocolClass, classify
+from repro.core.api import protocol_for
+from repro.core.classifier import ProtocolClass, classify, classify_specification
+from repro.graphs.predicate_graph import PredicateGraph
 from repro.events import Event, Message
 from repro.predicates import parse_predicate
 from repro.predicates.ast import Conjunct, ForbiddenPredicate, deliver_of, send_of
@@ -52,15 +53,22 @@ class TestGroupGuard:
 
 class TestGroupedClassifier:
     def test_total_order_violation_is_general(self):
-        verdict = classify_broadcast(TOTAL_ORDER_VIOLATION)
+        verdict = classify(TOTAL_ORDER_VIOLATION)
         assert verdict.protocol_class is ProtocolClass.GENERAL
         assert verdict.min_order == 2
-        breaks = [b for cycle in verdict.cycles for b in cycle.breaks]
-        assert any("cross-site" in b for b in breaks)
+        assert verdict.witness.cross_site == ("x1", "y1")
+        assert "cross-site" in verdict.summary()
 
-    def test_reduces_to_unicast_on_ungrouped_predicates(self):
-        verdict = classify_broadcast(CAUSAL_B2)
-        assert verdict.protocol_class is classify(CAUSAL_B2).protocol_class
+    def test_atomic_broadcast_specification_is_general(self):
+        verdict = classify_specification(ATOMIC_BROADCAST)
+        assert verdict.protocol_class is ProtocolClass.GENERAL
+
+    def test_group_shares_one_vertex(self):
+        graph = PredicateGraph(TOTAL_ORDER_VIOLATION)
+        assert graph.vertices == ("x1", "y1")
+        assert graph.grouped
+        assert [repr(e) for e in graph.edges] == ["x1.r>y1.r", "y2.r>x2.r"]
+        assert not PredicateGraph(CAUSAL_B2).grouped
 
     def test_same_site_deliveries_connect(self):
         # Same-site delivery inversion within one pair of broadcasts:
@@ -73,8 +81,39 @@ class TestGroupedClassifier:
             ],
             guards=[ProcessGuard(("x1", "receiver"), ("y1", "receiver"))],
         )
-        verdict = classify_broadcast(predicate)
+        verdict = classify(predicate)
         assert verdict.protocol_class is ProtocolClass.TAGLESS
+
+    def test_same_site_copies_do_not_break(self):
+        # The total-order shape with both copies of x pinned to one site:
+        # x1.r and x2.r are one delivery, so only the junction at y breaks.
+        guards = [
+            GroupGuard("x1", "x2"),
+            GroupGuard("y1", "y2"),
+            ProcessGuard(("x1", "receiver"), ("x2", "receiver")),
+            ProcessGuard(("y1", "receiver"), ("y2", "receiver"), equal=False),
+        ]
+        predicate = ForbiddenPredicate.build(
+            [
+                Conjunct(deliver_of("x1"), deliver_of("y1")),
+                Conjunct(deliver_of("y2"), deliver_of("x2")),
+            ],
+            guards=guards,
+            distinct=True,
+        )
+        verdict = classify(predicate)
+        assert verdict.min_order == 1
+        assert verdict.witness.cross_site == ("y1",)
+
+    def test_shared_send_is_a_tautology(self):
+        # x1.s > x2.r always holds: the copies share one send.
+        predicate = ForbiddenPredicate.build(
+            [Conjunct(send_of("x1"), deliver_of("x2"))],
+            guards=[GroupGuard("x1", "x2")],
+        )
+        verdict = classify(predicate)
+        assert verdict.degenerate
+        assert verdict.protocol_class is ProtocolClass.NOT_IMPLEMENTABLE
 
     def test_unpinned_receiver_relation_rejected(self):
         predicate = ForbiddenPredicate.build(
@@ -85,11 +124,11 @@ class TestGroupedClassifier:
             guards=[GroupGuard("x1", "x2"), GroupGuard("y1", "y2")],
         )
         with pytest.raises(ValueError, match="receiver relation"):
-            classify_broadcast(predicate)
+            classify(predicate)
 
     def test_acyclic_grouped_predicate_not_implementable(self):
         predicate = parse_predicate("x.r < y.r")
-        verdict = classify_broadcast(predicate)
+        verdict = classify(predicate)
         assert verdict.protocol_class is ProtocolClass.NOT_IMPLEMENTABLE
 
 
@@ -298,3 +337,21 @@ class TestSequencerBroadcast:
             ).user_run
 
         assert once() == once()
+
+
+class TestProtocolForAtomicBroadcast:
+    def test_grouped_general_spec_gets_the_sequencer(self):
+        # Synchrony over unicast copies (sync-coord, sync-rdv) does not
+        # order one broadcast's copies alike at every site; the sequencer
+        # does, so protocol_for must not fall back to the sync protocols.
+        factory = protocol_for(ATOMIC_BROADCAST)
+        assert isinstance(factory(0, 4), SequencerBroadcastProtocol)
+        for seed in range(20):
+            result = run_simulation(
+                factory,
+                group_broadcasts(4, 6, seed=seed),
+                seed=seed,
+                latency=ADVERSARIAL,
+            )
+            assert result.delivered_all, seed
+            assert check_total_order(result.user_run) == [], seed

@@ -321,14 +321,26 @@ class TestSelftestCommand:
 
 
 class TestBroadcastClassifyFlag:
+    TEXT = (
+        "group(x1) = group(x2), group(y1) = group(y2), "
+        "group(x1) != group(y1), receiver(x1) = receiver(y1), "
+        "receiver(x2) = receiver(y2), receiver(x1) != receiver(x2) :: "
+        "x1.r < y1.r & y2.r < x2.r"
+    )
+
     def test_grouped_analysis(self, capsys):
-        text = (
-            "group(x1) = group(x2), group(y1) = group(y2), "
-            "group(x1) != group(y1), receiver(x1) = receiver(y1), "
-            "receiver(x2) = receiver(y2), receiver(x1) != receiver(x2) :: "
-            "x1.r < y1.r & y2.r < x2.r"
-        )
-        assert main(["classify", text, "--broadcast"]) == 0
+        assert main(["classify", self.TEXT]) == 0
         out = capsys.readouterr().out
-        assert "general (grouped analysis)" in out
+        assert "class:         general" in out
         assert "cross-site" in out
+
+    def test_explain_names_the_cross_site_break(self, capsys):
+        assert main(["explain", self.TEXT]) == 0
+        out = capsys.readouterr().out
+        assert "cross-site at ['x1', 'y1']" in out
+        assert "SequencerBroadcastProtocol" in out
+
+    def test_broadcast_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["classify", self.TEXT, "--broadcast"])
+        assert excinfo.value.code == 2

@@ -5,6 +5,8 @@ import pytest
 from repro.events import Message
 from repro.predicates.guards import (
     ColorGuard,
+    GroupGuard,
+    KeyGuard,
     ProcessGuard,
     guards_satisfiable,
 )
@@ -99,5 +101,33 @@ class TestSatisfiability:
     def test_disequality_between_distinct_classes_ok(self):
         guards = (
             ProcessGuard(("x", "sender"), ("y", "sender"), equal=False),
+        )
+        assert guards_satisfiable(guards)
+
+    def test_group_equality_conflicting_with_disequality(self):
+        guards = (GroupGuard("x", "y"), GroupGuard("x", "y", equal=False))
+        assert not guards_satisfiable(guards)
+
+    def test_transitive_group_conflict(self):
+        guards = (
+            GroupGuard("x", "y"),
+            GroupGuard("y", "z"),
+            GroupGuard("x", "z", equal=False),
+        )
+        assert not guards_satisfiable(guards)
+
+    def test_slot_namespaces_stay_apart(self):
+        # Equal groups say nothing about keys or receivers, and the
+        # reverse: a disequality in one namespace never meets an equality
+        # in another.
+        guards = (
+            GroupGuard("x", "y"),
+            KeyGuard("x", "y", equal=False),
+            ProcessGuard(("x", "receiver"), ("y", "receiver"), equal=False),
+        )
+        assert guards_satisfiable(guards)
+        guards = (
+            KeyGuard("x", "y"),
+            GroupGuard("x", "y", equal=False),
         )
         assert guards_satisfiable(guards)

@@ -10,28 +10,16 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestGroupGuardClassifierNote:
-    def test_unicast_classifier_warns_on_grouped_predicates(self):
+    def test_classify_reads_group_guards_without_a_warning(self):
+        """Group guards are part of the one predicate graph: the verdict
+        is the multicast one and no note sends the caller elsewhere."""
         from repro.broadcast import TOTAL_ORDER_VIOLATION
-        from repro.core.classifier import classify
-
-        verdict = classify(TOTAL_ORDER_VIOLATION)
-        assert any("classify_broadcast" in note for note in verdict.notes)
-
-    def test_grouped_and_broadcast_classifiers_may_disagree(self):
-        """The warning exists because the verdicts genuinely differ: the
-        unicast graph sees no cycle where the grouped analysis sees an
-        order-2 cycle."""
-        from repro.broadcast import TOTAL_ORDER_VIOLATION, classify_broadcast
         from repro.core.classifier import ProtocolClass, classify
 
-        assert (
-            classify(TOTAL_ORDER_VIOLATION).protocol_class
-            is ProtocolClass.NOT_IMPLEMENTABLE
-        )
-        assert (
-            classify_broadcast(TOTAL_ORDER_VIOLATION).protocol_class
-            is ProtocolClass.GENERAL
-        )
+        verdict = classify(TOTAL_ORDER_VIOLATION)
+        assert verdict.protocol_class is ProtocolClass.GENERAL
+        assert verdict.min_order == 2
+        assert not any("group guards" in note for note in verdict.notes)
 
 
 class TestLivelockGuard:

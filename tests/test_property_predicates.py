@@ -1,5 +1,7 @@
 """Property-based tests for predicates, graphs and the classifier."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from repro.graphs.predicate_graph import PredicateGraph
 from repro.graphs.reduction import reduce_cycle
 from repro.predicates.ast import Conjunct, EventTerm, ForbiddenPredicate
 from repro.predicates.dsl import format_predicate, parse_predicate
+from repro.predicates.guards import GroupGuard, ProcessGuard
 from repro.predicates.spec import Specification
 
 VARIABLES = ["x", "y", "z"]
@@ -27,6 +30,33 @@ def predicates(draw, max_conjuncts=4, distinct=False):
         right = EventTerm(draw(st.sampled_from(VARIABLES)), draw(st.sampled_from(KINDS)))
         conjuncts.append(Conjunct(left, right))
     return ForbiddenPredicate.build(conjuncts, distinct=distinct)
+
+
+# Copies x1, x2 and y1, y2 of two broadcasts, and a unicast message z:
+# three vertices, so Lemma 4 has a vertex to contract.
+GROUPED_VARIABLES = ["x1", "x2", "y1", "y2", "z"]
+
+
+@st.composite
+def grouped_predicates(draw, max_conjuncts=6):
+    """Grouped predicates with every receiver relation pinned (a junction
+    between two copies must know whether they share a site)."""
+    count = draw(st.integers(2, max_conjuncts))
+    conjuncts = []
+    for _ in range(count):
+        left = EventTerm(
+            draw(st.sampled_from(GROUPED_VARIABLES)), draw(st.sampled_from(KINDS))
+        )
+        right = EventTerm(
+            draw(st.sampled_from(GROUPED_VARIABLES)), draw(st.sampled_from(KINDS))
+        )
+        conjuncts.append(Conjunct(left, right))
+    guards = [GroupGuard("x1", "x2"), GroupGuard("y1", "y2")]
+    for a, b in itertools.combinations(GROUPED_VARIABLES, 2):
+        guards.append(
+            ProcessGuard((a, "receiver"), (b, "receiver"), equal=draw(st.booleans()))
+        )
+    return ForbiddenPredicate.build(conjuncts, guards=guards, distinct=True)
 
 
 class TestDslRoundTrip:
@@ -46,6 +76,17 @@ class TestReductionProperties:
             assert reduction.order == cycle_order(cycle)
             reduced = reduction.reduced
             assert reduced.length <= cycle.length
+            assert reduced.length == 2 or cycle_order(reduced) == reduced.length or (
+                cycle.length <= 2
+            )
+
+    @given(grouped_predicates())
+    @settings(max_examples=60)
+    def test_grouped_reduction_preserves_order(self, predicate):
+        for cycle in resolved_cycles(PredicateGraph(predicate)):
+            reduction = reduce_cycle(cycle)
+            assert reduction.order == cycle_order(cycle)
+            reduced = reduction.reduced
             assert reduced.length == 2 or cycle_order(reduced) == reduced.length or (
                 cycle.length <= 2
             )
