@@ -3,13 +3,22 @@
 Every experiment writes its regenerated table to
 ``benchmarks/results/<experiment>.txt`` so the artifacts survive the
 pytest run (EXPERIMENTS.md references them), and also prints it when
-pytest runs with ``-s``.
+pytest runs with ``-s``.  Tables are rendered by
+:func:`repro.core.report.format_table`, re-exported here.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Sequence
+import sys
+
+# The program (src/) is importable even where pytest runs without
+# PYTHONPATH, as `pytest benchmarks/perf` does (this file loads first).
+SRC = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", "src"))
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
+
+from repro.core.report import format_table  # noqa: E402,F401  (re-exported)
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -21,21 +30,3 @@ def write_result(name: str, text: str) -> str:
         handle.write(text)
     print("\n" + text)
     return path
-
-
-def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    """Monospace table with per-column widths."""
-    columns = [list(map(str, column)) for column in zip(headers, *rows)]
-    widths = [max(len(cell) for cell in column) for column in columns]
-    lines = []
-
-    def format_row(cells):
-        return "  ".join(
-            str(cell).ljust(width) for cell, width in zip(cells, widths)
-        ).rstrip()
-
-    lines.append(format_row(headers))
-    lines.append(format_row(["-" * width for width in widths]))
-    for row in rows:
-        lines.append(format_row(row))
-    return "\n".join(lines) + "\n"

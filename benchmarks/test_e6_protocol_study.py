@@ -34,7 +34,7 @@ from repro.protocols import (
 )
 from repro.protocols.base import make_factory
 from repro.simulation import UniformLatency, random_traffic, run_simulation
-from repro.verification import check_simulation
+from repro.verification import cost_study
 
 from conftest import format_table, write_result
 
@@ -54,41 +54,26 @@ STUDY = [
 
 
 def run_study():
-    rows = []
-    for name, factory, spec, klass in STUDY:
-        violations = 0
-        live = True
-        control = 0
-        tags = 0.0
-        latency = 0.0
-        e2e = 0.0
-        delayed = 0
-        for seed in SEEDS:
-            workload = random_traffic(4, 40, seed=seed, color_every=8)
-            result = run_simulation(factory, workload, seed=seed, latency=LATENCY)
-            outcome = check_simulation(result, spec)
-            violations += len(outcome.violations)
-            live = live and outcome.live and outcome.safe
-            control += result.stats.control_messages
-            tags += result.stats.mean_tag_bytes
-            latency += result.stats.mean_delivery_latency
-            e2e += result.stats.mean_end_to_end_latency
-            delayed += result.stats.delayed_deliveries
-        count = len(list(SEEDS))
-        rows.append(
-            (
-                name,
-                klass,
-                "yes" if live else "NO",
-                violations,
-                control // count,
-                "%.0f" % (tags / count),
-                delayed // count,
-                "%.1f" % (latency / count),
-                "%.1f" % (e2e / count),
-            )
+    rows = cost_study(
+        [(name, factory, spec) for name, factory, spec, _ in STUDY],
+        lambda seed: random_traffic(4, 40, seed=seed, color_every=8),
+        seeds=SEEDS,
+        latency=LATENCY,
+    )
+    return [
+        (
+            row.name,
+            klass,
+            "yes" if row.spec_ok else "NO",
+            row.violations,
+            int(row.control_messages),
+            "%.0f" % row.tag_bytes,
+            int(row.delayed_deliveries),
+            "%.1f" % row.send_to_deliver,
+            "%.1f" % row.end_to_end,
         )
-    return rows
+        for row, (*_, klass) in zip(rows, STUDY)
+    ]
 
 
 def test_e6_regenerate_study(benchmark):

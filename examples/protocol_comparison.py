@@ -1,78 +1,34 @@
 """Cost comparison across the three protocol classes.
 
-One shared workload, every protocol, the costs side by side: control
-messages (only the general class), tag bytes (only tagged classes),
-delivery inhibition, and invoke-to-deliver latency (where serialization
-bites).
+One shared workload, every catalogue protocol against its own
+specification, the costs side by side: control messages (only the
+general class), tag bytes and delivery buffering (the tagged classes),
+and send inhibition, which is where the invoke-to-deliver latency of the
+general class goes.  ``repro compare`` prints the same table.
 
 Usage:  python examples/protocol_comparison.py
 """
 
-from repro.protocols import (
-    CausalRstProtocol,
-    CausalSesProtocol,
-    FifoProtocol,
-    FlushChannelProtocol,
-    KWeakerCausalProtocol,
-    SyncCoordinatorProtocol,
-    SyncRendezvousProtocol,
-    TaglessProtocol,
-)
-from repro.protocols.base import make_factory
-from repro.simulation import UniformLatency, random_traffic, run_simulation
-
-PROTOCOLS = [
-    ("tagless (do nothing)", make_factory(TaglessProtocol)),
-    ("fifo", make_factory(FifoProtocol)),
-    ("flush channels", make_factory(FlushChannelProtocol)),
-    ("k-weaker causal, k=2", make_factory(KWeakerCausalProtocol, 2)),
-    ("causal (RST matrix)", make_factory(CausalRstProtocol)),
-    ("causal (SES vectors)", make_factory(CausalSesProtocol)),
-    ("sync (coordinator)", make_factory(SyncCoordinatorProtocol)),
-    ("sync (rendezvous)", make_factory(SyncRendezvousProtocol)),
-]
+from repro.core.report import format_table
+from repro.protocols.registry import cached_catalogue
+from repro.simulation import random_traffic
+from repro.verification import CostRow, cost_study
 
 
 def main() -> None:
-    header = "%-22s %9s %9s %9s %12s %14s" % (
-        "protocol",
-        "ctrl msgs",
-        "tag B/msg",
-        "delayed",
-        "s->r latency",
-        "invoke->r",
+    rows = cost_study(
+        [(e.name, e.factory, e.spec) for e in cached_catalogue().values()],
+        lambda seed: random_traffic(4, 30, seed=seed, color_every=8),
+        seeds=range(3),
     )
-    print(header)
-    print("-" * len(header))
-    for name, factory in PROTOCOLS:
-        control = tag = delayed = latency = e2e = 0.0
-        seeds = range(5)
-        for seed in seeds:
-            workload = random_traffic(4, 40, seed=seed, color_every=8)
-            result = run_simulation(
-                factory,
-                workload,
-                seed=seed,
-                latency=UniformLatency(low=1.0, high=40.0),
-            )
-            assert result.delivered_all
-            control += result.stats.control_messages
-            tag += result.stats.mean_tag_bytes
-            delayed += result.stats.delayed_deliveries
-            latency += result.stats.mean_delivery_latency
-            e2e += result.stats.mean_end_to_end_latency
-        n = len(list(seeds))
-        print(
-            "%-22s %9.0f %9.0f %9.0f %12.1f %14.1f"
-            % (name, control / n, tag / n, delayed / n, latency / n, e2e / n)
-        )
-
+    assert all(row.spec_ok for row in rows)
+    print(format_table(CostRow.HEADERS, [row.cells() for row in rows]))
     print(
-        "\nreading: only the sync protocols emit control messages "
-        "(Theorem 1.1), and they pay for the guarantee in invoke-to-"
-        "delivery latency; tagged protocols pay in tag bytes and delayed "
-        "deliveries; the do-nothing protocol pays nothing and guarantees "
-        "nothing."
+        "reading: only the sync protocols emit control messages "
+        "(Theorem 1.1), and they pay for the guarantee in send inhibition "
+        "and invoke-to-delivery latency; tagged protocols pay in tag bytes "
+        "and delivery buffering; the do-nothing protocol pays nothing and "
+        "guarantees nothing."
     )
 
 

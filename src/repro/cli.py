@@ -176,34 +176,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0 if outcome.ok else 1
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs import DEFAULT_PROFILE_PROTOCOLS, profile_protocols, render_profiles
-    from repro.protocols.registry import cached_catalogue
-
-    available = {name: entry.factory for name, entry in cached_catalogue().items()}
-    names = args.protocols or list(DEFAULT_PROFILE_PROTOCOLS)
-    unknown = [name for name in names if name not in available]
-    if unknown:
-        raise SystemExit(
-            "unknown protocol(s) %s; available: %s"
-            % (", ".join(unknown), ", ".join(sorted(available)))
-        )
-    workload = random_traffic(
-        args.processes, args.messages, seed=args.seed, color_every=6
-    )
-    profiles = profile_protocols(
-        [(name, available[name]) for name in names],
-        workload,
-        seed=args.seed,
-        latency=UniformLatency(low=1.0, high=args.max_latency),
-    )
-    print("workload: %s   seed: %d" % (workload.name, args.seed))
-    print("phase costs are mean virtual-time per message")
-    print()
-    print(render_profiles(profiles))
-    return 0
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     import json
 
@@ -282,28 +254,33 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.core.report import format_table
     from repro.protocols.registry import cached_catalogue
-    from repro.verification.compare import ProtocolRow, compare_protocols
+    from repro.verification import CostRow, cost_study
 
-    entries = [
-        (entry.name, entry.factory, entry.spec)
-        for entry in cached_catalogue().values()
-    ]
-    workloads = [
-        random_traffic(args.processes, args.messages, seed=s, color_every=6)
-        for s in range(args.seeds)
-    ]
-    rows = compare_protocols(entries, workloads, seed=args.seed)
-    widths = [max(len(str(c)) for c in col) for col in
-              zip(ProtocolRow.HEADERS, *[row.as_tuple() for row in rows])]
-
-    def show(cells):
-        print("  ".join(str(c).ljust(w) for c, w in zip(cells, widths)).rstrip())
-
-    show(ProtocolRow.HEADERS)
-    show(["-" * w for w in widths])
-    for row in rows:
-        show(row.as_tuple())
+    catalog = cached_catalogue()
+    names = args.protocols or list(catalog)
+    unknown = [name for name in names if name not in catalog]
+    if unknown:
+        raise SystemExit(
+            "unknown protocol(s) %s; available: %s"
+            % (", ".join(unknown), ", ".join(sorted(catalog)))
+        )
+    seeds = range(args.seed, args.seed + args.seeds)
+    rows = cost_study(
+        [(name, catalog[name].factory, catalog[name].spec) for name in names],
+        lambda seed: random_traffic(
+            args.processes, args.messages, seed=seed, color_every=6
+        ),
+        seeds=seeds,
+        latency=UniformLatency(low=1.0, high=args.max_latency),
+    )
+    print("runs: seeds %d..%d, %d messages over %d processes each"
+          % (seeds[0], seeds[-1], args.messages, args.processes))
+    print("latencies are mean virtual time per message; msgs, stuck and "
+          "violations are totals; other figures are means over runs")
+    print()
+    print(format_table(CostRow.HEADERS, [row.cells() for row in rows]), end="")
     return 0
 
 
@@ -951,23 +928,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_prof = sub.add_parser(
-        "profile",
-        help="per-phase cost breakdown (inhibit/network/buffer) per protocol",
-    )
-    p_prof.add_argument(
-        "--protocols",
-        nargs="+",
-        default=None,
-        metavar="NAME",
-        help="protocols to profile (default: tagless fifo causal-rst sync-coord)",
-    )
-    p_prof.add_argument("--processes", type=int, default=4)
-    p_prof.add_argument("--messages", type=int, default=40)
-    p_prof.add_argument("--seed", type=int, default=0)
-    p_prof.add_argument("--max-latency", type=float, default=40.0)
-    p_prof.set_defaults(func=_cmd_profile)
-
     p_check = sub.add_parser(
         "check",
         help="model-check a protocol: explore delivery schedules for a "
@@ -1048,12 +1008,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser(
         "compare",
-        help="cost table: every protocol against its own specification",
+        help="cost table: each protocol against its own specification, "
+        "with each message's latency split into inhibit/network/buffer",
+    )
+    p_cmp.add_argument(
+        "--protocols",
+        nargs="+",
+        default=None,
+        metavar="NAME",
+        help="catalogue protocols to compare (default: all)",
     )
     p_cmp.add_argument("--processes", type=int, default=4)
     p_cmp.add_argument("--messages", type=int, default=30)
-    p_cmp.add_argument("--seeds", type=int, default=3)
-    p_cmp.add_argument("--seed", type=int, default=0)
+    p_cmp.add_argument("--seeds", type=int, default=3, help="runs per protocol")
+    p_cmp.add_argument(
+        "--seed", type=int, default=0, help="seed of the first run"
+    )
+    p_cmp.add_argument("--max-latency", type=float, default=40.0)
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_serve = sub.add_parser(

@@ -35,6 +35,12 @@ from repro.predicates.guards import ColorGuard, ProcessGuard, guards_satisfiable
 from repro.predicates.spec import Specification
 
 
+#: How ``X_sync ⊆ X_B`` reads for a grouped predicate: synchrony orders
+#: each broadcast as one message, which synchrony over its unicast copies
+#: does not (two sites may then deliver two broadcasts in either order).
+GROUPED_SYNC = " (each broadcast as one message, not over its unicast copies)"
+
+
 class ProtocolClass(enum.Enum):
     """The protocol needed to implement a specification, weakest first."""
 
@@ -367,8 +373,9 @@ def _classify_distinct(predicate: ForbiddenPredicate) -> Classification:
     else:
         protocol_class = ProtocolClass.GENERAL
         notes.append(
-            "all cycles have order ≥ 2: X_sync ⊆ X_B but X_co ⊄ X_B "
+            "all cycles have order ≥ 2: X_sync ⊆ X_B%s but X_co ⊄ X_B "
             "(Theorems 3.3/4.2); control messages are necessary"
+            % (GROUPED_SYNC if pgraph.grouped else "")
         )
     return Classification(
         predicate=predicate,

@@ -5,13 +5,20 @@ intermediate object -- the predicate graph, each cycle with its β
 analysis, the Lemma 4 contraction of the witness, the limit-set
 containments the verdict implies, and the protocol recommendation -- as
 markdown-ish text.  The CLI exposes it as ``python -m repro explain``.
+``format_table`` renders the monospace tables of ``repro compare`` and of
+the experiment benchmarks.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
-from repro.core.classifier import Classification, ProtocolClass, classify
+from repro.core.classifier import (
+    GROUPED_SYNC,
+    Classification,
+    ProtocolClass,
+    classify,
+)
 from repro.graphs.predicate_graph import PredicateGraph
 from repro.graphs.reduction import cycle_to_predicate
 from repro.predicates.ast import ForbiddenPredicate
@@ -52,6 +59,21 @@ _PROTOCOL_SUGGESTIONS = {
         "every implementable specification)"
     ),
 }
+
+
+def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    """Monospace table with per-column widths, newline-terminated."""
+    columns = [list(map(str, column)) for column in zip(headers, *rows)]
+    widths = [max(len(cell) for cell in column) for column in columns]
+
+    def format_row(cells):
+        return "  ".join(
+            str(cell).ljust(width) for cell, width in zip(cells, widths)
+        ).rstrip()
+
+    lines = [format_row(headers), format_row(["-" * width for width in widths])]
+    lines.extend(format_row(row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def explain(predicate: ForbiddenPredicate) -> str:
@@ -114,6 +136,11 @@ def explain(predicate: ForbiddenPredicate) -> str:
         )
         lines.append("")
 
+    # Synchrony orders a grouped predicate's broadcasts only when each
+    # counts as one message.
+    grouped_general = (
+        verdict.protocol_class is ProtocolClass.GENERAL and graph.grouped
+    )
     lines.append("## Verdict")
     lines.append("class: **%s**" % verdict.protocol_class.value)
     lines.append(_CLASS_EXPLANATIONS[verdict.protocol_class])
@@ -122,7 +149,7 @@ def explain(predicate: ForbiddenPredicate) -> str:
     lines.append("")
 
     suggestion = _PROTOCOL_SUGGESTIONS.get(verdict.protocol_class)
-    if verdict.protocol_class is ProtocolClass.GENERAL and graph.grouped:
+    if grouped_general:
         suggestion = (
             "repro.broadcast.SequencerBroadcastProtocol (synchrony over "
             "unicast copies does not totally order broadcasts)"
@@ -135,8 +162,11 @@ def explain(predicate: ForbiddenPredicate) -> str:
     lines.append("## Limit-set containments implied")
     strength = verdict.protocol_class.strength
     lines.append(
-        "X_sync ⊆ X_B: %s"
-        % ("yes" if strength <= ProtocolClass.GENERAL.strength else "no")
+        "X_sync ⊆ X_B: %s%s"
+        % (
+            "yes" if strength <= ProtocolClass.GENERAL.strength else "no",
+            GROUPED_SYNC if grouped_general else "",
+        )
     )
     lines.append(
         "X_co   ⊆ X_B: %s"

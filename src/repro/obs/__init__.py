@@ -1,4 +1,4 @@
-"""Observability: instrumentation bus, metrics, causal spans, profiling.
+"""Observability: instrumentation bus, metrics, causal spans, forensics.
 
 The layer the ROADMAP's production ambitions need: typed probe points
 for the facts a trace does not hold -- faults, retransmissions, timers,
@@ -10,10 +10,11 @@ report on the bus (:mod:`repro.obs.metrics`); a span-based causal
 tracer reading a trace, with Chrome trace-event export so a run opens
 in Perfetto (:mod:`repro.obs.spans`, :mod:`repro.obs.export`); a
 liveness watchdog reading a host's trace to name what blocks each stuck
-message (:mod:`repro.obs.watchdog`); and a per-phase protocol profiler
-behind ``repro profile`` (:mod:`repro.obs.profile`), which needs no bus
-at all.  The bus is opt-in: with none attached the simulation path is
-unchanged and its schedule bit-identical.
+message (:mod:`repro.obs.watchdog`).  The per-phase latency a host
+writes into its registry is what ``repro compare`` tabulates
+(:func:`repro.verification.cost_study`).  The bus is opt-in: with none
+attached the simulation path is unchanged and its schedule
+bit-identical.
 
 A host's :class:`~repro.simulation.trace.Trace` is the one record of
 each message's four events; no observer keeps its own copy.
@@ -35,13 +36,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.openmetrics import parse_openmetrics, render_openmetrics
-from repro.obs.profile import (
-    DEFAULT_PROFILE_PROTOCOLS,
-    ProtocolProfile,
-    profile_protocol,
-    profile_protocols,
-    render_profiles,
-)
 from repro.obs.spans import PHASES, Flow, Span, SpanTracer
 from repro.obs.watchdog import StuckMessage, Watchdog
 
@@ -69,9 +63,4 @@ __all__ = [
     "render_forensics",
     "parse_openmetrics",
     "render_openmetrics",
-    "ProtocolProfile",
-    "DEFAULT_PROFILE_PROTOCOLS",
-    "profile_protocol",
-    "profile_protocols",
-    "render_profiles",
 ]

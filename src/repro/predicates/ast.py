@@ -70,16 +70,6 @@ class Conjunct:
             return False
         return not (self.left.kind is SEND and self.right.kind is DELIVER)
 
-    @property
-    def is_degenerate_self_edge(self) -> bool:
-        """``True`` for ``x.s ▷ x.r`` -- satisfied by *every* delivered
-        message, so forbidding it outlaws delivery itself."""
-        return (
-            self.is_self_loop
-            and self.left.kind is SEND
-            and self.right.kind is DELIVER
-        )
-
     def __repr__(self) -> str:
         return "(%r > %r)" % (self.left, self.right)
 

@@ -1,8 +1,7 @@
 """The protocol catalogue: one authoritative name -> entry registry.
 
-Every consumer that used to keep its own protocol table -- the profiler
-(:mod:`repro.obs.profile`), the model-checker registry
-(:mod:`repro.mc.registry`), the ``repro compare`` CLI, the conformance
+Every consumer that used to keep its own protocol table -- the model-checker
+registry (:mod:`repro.mc.registry`), the ``repro compare`` CLI, the conformance
 tests, and the net runtime (:mod:`repro.net`) -- resolves through
 :func:`catalogue`, so adding a protocol means adding exactly one entry
 here.

@@ -7,8 +7,9 @@ destroying concurrency, and these numbers show it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.events import Event
 from repro.runs.user_run import UserRun
@@ -40,39 +41,24 @@ class RunMetrics:
 
 
 def run_metrics(run: UserRun) -> RunMetrics:
-    """Compute all metrics in one pass over the closure."""
+    """Compute all metrics from each event's causal past."""
     events = run.events()
     n = len(events)
-    comparable = concurrent = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if run.before(events[i], events[j]) or run.before(
-                events[j], events[i]
-            ):
-                comparable += 1
-            else:
-                concurrent += 1
+    # Every comparable pair is counted once, at its later event.
+    past = {event: run.down_set(event) for event in events}
+    comparable = sum(len(below) for below in past.values())
 
-    # Longest chain via longest-path DP over a linear extension.
-    order = run.partial_order()
+    # Longest chain via longest-path DP: a strictly larger past comes
+    # later in every linear extension, so sorting by its size is one.
     depth: Dict[Event, int] = {}
-    for event in order.a_linear_extension():
-        predecessors = order.down_set(event)
-        depth[event] = 1 + max((depth[p] for p in predecessors), default=0)
+    for event in sorted(events, key=lambda e: len(past[e])):
+        depth[event] = 1 + max((depth[p] for p in past[event]), default=0)
     longest = max(depth.values(), default=0)
 
-    # Greedy antichain: take a maximal set of pairwise-concurrent events
-    # scanning by depth (a lower bound on the true width).
-    width = 0
-    by_depth: Dict[int, List[Event]] = {}
-    for event, d in depth.items():
-        by_depth.setdefault(d, []).append(event)
-    for level_events in by_depth.values():
-        antichain: List[Event] = []
-        for event in level_events:
-            if all(run.concurrent(event, other) for other in antichain):
-                antichain.append(event)
-        width = max(width, len(antichain))
+    # Events of one depth are pairwise concurrent (order would raise the
+    # later one's depth), so the largest level is an antichain: a lower
+    # bound on the true width.
+    width = max(Counter(depth.values()).values(), default=0)
 
     # Same-channel delivery inversions (the FIFO reordering count).
     reordered = 0
@@ -94,7 +80,7 @@ def run_metrics(run: UserRun) -> RunMetrics:
         events=n,
         messages=len(messages),
         comparable_pairs=comparable,
-        concurrent_pairs=concurrent,
+        concurrent_pairs=n * (n - 1) // 2 - comparable,
         longest_chain=longest,
         width=width,
         reordered_channel_pairs=reordered,

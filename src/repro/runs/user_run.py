@@ -122,6 +122,10 @@ class UserRun:
         """Whether two events are incomparable under ▷."""
         return self._order.concurrent(a, b)
 
+    def down_set(self, event: Event) -> Set[Event]:
+        """The strict causal past of ``event``: every ``e`` with ``e ▷ event``."""
+        return self._order.down_set(event)
+
     def generating_pairs(self) -> List[Tuple[Event, Event]]:
         """The relations of ▷ as recorded (usually far fewer than the
         closure)."""

@@ -8,10 +8,11 @@ from repro.verification.checker import (
 )
 from repro.verification.harness import (
     ConformanceReport,
+    CostRow,
     assert_implements,
     check_conformance,
+    cost_study,
 )
-from repro.verification.compare import ProtocolRow, compare_protocols
 
 __all__ = [
     "CheckResult",
@@ -21,6 +22,6 @@ __all__ = [
     "ConformanceReport",
     "check_conformance",
     "assert_implements",
-    "ProtocolRow",
-    "compare_protocols",
+    "CostRow",
+    "cost_study",
 ]

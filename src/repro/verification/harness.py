@@ -6,6 +6,10 @@ harness sweeps a protocol over workload/seed/latency grids and reports
 both obligations, along with the costs that betray the protocol's class
 (control messages, tag bytes).
 
+:func:`cost_study` is the same sweep read the other way: one
+:class:`CostRow` per protocol, with where each message's latency went, for
+``repro compare``, the E6 benchmark and ``examples/protocol_comparison.py``.
+
 >>> from repro.verification.harness import assert_implements
 >>> assert_implements(my_factory, CAUSAL_ORDERING)   # raises on failure
 """
@@ -13,10 +17,11 @@ both obligations, along with the costs that betray the protocol's class
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.predicates.ast import ForbiddenPredicate
 from repro.predicates.spec import Specification
+from repro.runs.metrics import run_metrics
 from repro.simulation.network import (
     AlternatingLatency,
     LatencyModel,
@@ -136,3 +141,109 @@ def assert_implements(
     if not report.conforms:
         raise AssertionError("protocol does not implement spec:\n" + report.summary())
     return report
+
+
+@dataclass(frozen=True)
+class CostRow:
+    """What one protocol paid over a :func:`cost_study`.
+
+    A message's latency splits into the paper's three phases: send
+    inhibition (``x.s* -> x.s``), network transit (``x.s -> x.r*``) and
+    delivery buffering (``x.r* -> x.r``).  Per-run and per-message figures
+    are the mean over runs of each run's own figure.
+    """
+
+    name: str
+    runs: int
+    spec_ok: bool
+    violations: int  # summed over runs, as are messages and undelivered
+    messages: int
+    undelivered: int
+    control_messages: float  # per run, as are the next three
+    control_bytes: float
+    delayed_deliveries: float
+    reordered_arrivals: float
+    tag_bytes: float  # per message, as are the latencies
+    inhibition: float
+    network: float
+    buffering: float
+    send_to_deliver: float
+    end_to_end: float
+    end_to_end_p95: float
+    concurrency: float  # the run's concurrent share of event pairs
+
+    HEADERS = (
+        "protocol", "spec ok", "violations", "msgs", "stuck", "inhibit",
+        "network", "buffer", "invoke->r", "p95", "ctrl/run", "ctrlB/run",
+        "tagB/msg", "delayed/run", "reordered/run", "concurrency",
+    )
+
+    def cells(self) -> Tuple:
+        """The row formatted for :func:`~repro.core.report.format_table`
+        (matches ``HEADERS``)."""
+        return (
+            self.name,
+            "yes" if self.spec_ok else "NO",
+            self.violations,
+            self.messages,
+            self.undelivered,
+            *("%.2f" % value for value in (
+                self.inhibition, self.network, self.buffering,
+                self.end_to_end, self.end_to_end_p95,
+            )),
+            "%.0f" % self.control_messages,
+            "%.0f" % self.control_bytes,
+            "%.1f" % self.tag_bytes,
+            "%.1f" % self.delayed_deliveries,
+            "%.0f" % self.reordered_arrivals,
+            "%.2f" % self.concurrency,
+        )
+
+
+def cost_study(
+    entries: Sequence[Tuple[str, Callable[[int, int], object],
+                            Union[Specification, ForbiddenPredicate]]],
+    workload: Callable[[int], Workload],
+    seeds: Sequence[int] = range(5),
+    latency: Optional[LatencyModel] = None,
+) -> List[CostRow]:
+    """One :class:`CostRow` per ``(name, factory, spec)``, in entry order.
+
+    Run ``k`` simulates ``workload(k)`` under network seed ``k`` and
+    checks the result against ``spec``.
+    """
+    latency = latency or UniformLatency(low=1.0, high=40.0)
+    grid = [(seed, workload(seed)) for seed in seeds]
+    if not grid:
+        raise ValueError("a cost study needs at least one seed")
+    rows = []
+    for name, factory, spec in entries:
+        ok, violations, messages, undelivered = True, 0, 0, 0
+        per_run = []
+        for seed, load in grid:
+            result = run_simulation(factory, load, seed=seed, latency=latency)
+            outcome = check_simulation(result, spec)
+            stats, registry = result.stats, result.stats.registry
+            ok = ok and outcome.ok
+            violations += len(outcome.violations)
+            messages += stats.invocations
+            undelivered += len(result.undelivered)
+            per_run.append((
+                stats.control_messages,
+                stats.control_bytes,
+                stats.delayed_deliveries,
+                registry.counter("channel.reordered").value,
+                stats.mean_tag_bytes,
+                registry.histogram("latency.inhibition").mean,
+                registry.histogram("latency.network").mean,
+                registry.histogram("latency.buffering").mean,
+                stats.mean_delivery_latency,
+                stats.mean_end_to_end_latency,
+                registry.histogram("latency.end_to_end").percentile(95),
+                run_metrics(result.user_run).concurrency_ratio,
+            ))
+        means = [sum(column) / len(grid) for column in zip(*per_run)]
+        rows.append(CostRow(
+            name, len(grid), ok, violations, messages, undelivered, *means
+        ))
+    return rows

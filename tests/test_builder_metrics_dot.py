@@ -199,9 +199,9 @@ class TestCompareProtocols:
         from repro.protocols.base import make_factory
         from repro.predicates.catalog import ASYNC_ORDERING, LOGICALLY_SYNCHRONOUS
         from repro.simulation import random_traffic
-        from repro.verification.compare import compare_protocols
+        from repro.verification import cost_study
 
-        rows = compare_protocols(
+        rows = cost_study(
             [
                 ("tagless", make_factory(TaglessProtocol), ASYNC_ORDERING),
                 ("causal", make_factory(CausalRstProtocol), CAUSAL_ORDERING),
@@ -211,35 +211,12 @@ class TestCompareProtocols:
                     LOGICALLY_SYNCHRONOUS,
                 ),
             ],
-            workloads=[random_traffic(3, 20, seed=s) for s in range(2)],
-            seed=1,
+            lambda seed: random_traffic(3, 20, seed=seed),
+            seeds=range(2),
         )
         by_name = {row.name: row for row in rows}
         assert all(row.spec_ok for row in rows)
-        assert by_name["tagless"].control_messages_per_run == 0
-        assert by_name["sync"].control_messages_per_run > 0
-        assert (
-            by_name["causal"].tag_bytes_per_message
-            > by_name["tagless"].tag_bytes_per_message
-        )
-        assert (
-            by_name["sync"].mean_concurrency_ratio
-            < by_name["tagless"].mean_concurrency_ratio
-        )
-
-    def test_as_tuple_matches_headers(self):
-        from repro.verification.compare import ProtocolRow
-
-        row = ProtocolRow(
-            name="x",
-            runs=1,
-            spec_ok=True,
-            violations=0,
-            control_messages_per_run=0,
-            tag_bytes_per_message=0,
-            delayed_deliveries_per_run=0,
-            mean_send_latency=0,
-            mean_end_to_end_latency=0,
-            mean_concurrency_ratio=0,
-        )
-        assert len(row.as_tuple()) == len(ProtocolRow.HEADERS)
+        assert by_name["tagless"].control_messages == 0
+        assert by_name["sync"].control_messages > 0
+        assert by_name["causal"].tag_bytes > by_name["tagless"].tag_bytes
+        assert by_name["sync"].concurrency < by_name["tagless"].concurrency

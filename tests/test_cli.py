@@ -169,6 +169,9 @@ class TestSimulateCommand:
             assert json.loads(metrics_path.read_text()) == json.load(handle)
 
 
+# `repro profile`'s table at --messages 20 --seed 1 (the verb is now
+# `repro compare`).  Every value stays pinned; a header naming a per-run
+# figure gained "/run".
 PROFILE_TABLE = """\
 protocol    msgs  inhibit  network  buffer  invoke->r  p95     ctrl  ctrlB  tagB/msg  reordered  stuck
 ----------  ----  -------  -------  ------  ---------  ------  ----  -----  --------  ---------  -----
@@ -177,35 +180,19 @@ fifo        20    0.00     20.14    3.03    23.17      36.16   0     0      8.0 
 causal-rst  20    0.00     20.14    3.03    23.17      36.16   0     0      168.0     5          0
 sync-coord  20    439.57   18.96    0.00    458.52     961.57  48    576    1.0       0          0
 """
+RENAMED = {"ctrl": "ctrl/run", "ctrlB": "ctrlB/run", "reordered": "reordered/run"}
 
 
-class TestProfileCommand:
-    def test_table_text_is_pinned(self, capsys):
-        """Host facts come from the stats view, phases from the recorder;
-        the table reads as it did when the recorder counted both."""
-        assert main(["profile", "--messages", "20", "--seed", "1"]) == 0
-        out = capsys.readouterr().out
-        assert out.endswith(PROFILE_TABLE)
+def _table(text):
+    """``{protocol: {header: cell}}``, columns cut where the rule's
+    dashes start."""
+    header, rule, *rows = text.strip().splitlines()
+    starts = [i for i, c in enumerate(rule) if c == "-" and rule[i - 1 : i] != "-"]
 
-    def test_default_breakdown(self, capsys):
-        assert main(["profile", "--messages", "20", "--seed", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "inhibit" in out and "buffer" in out and "tagB/msg" in out
-        for name in ("tagless", "fifo", "causal-rst", "sync-coord"):
-            assert name in out
+    def cells(line):
+        return [line[a:b].strip() for a, b in zip(starts, starts[1:] + [None])]
 
-    def test_explicit_protocol_subset(self, capsys):
-        code = main(
-            ["profile", "--protocols", "fifo", "flush", "--messages", "10"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "fifo" in out and "flush" in out
-        assert "sync-coord" not in out
-
-    def test_unknown_protocol_rejected(self):
-        with pytest.raises(SystemExit, match="unknown protocol"):
-            main(["profile", "--protocols", "carrier-pigeon"])
+    return {cells(row)[0]: dict(zip(cells(header), cells(row))) for row in rows}
 
 
 class TestCompareCommand:
@@ -216,6 +203,43 @@ class TestCompareCommand:
         assert "tagless" in out and "sync-coord" in out
         # Every protocol passes its own spec in the table.
         assert "NO" not in out
+
+    def test_profile_table_values_are_pinned(self, capsys):
+        """Host facts come from the stats view, phases from the registry;
+        the cells read as `repro profile` printed them."""
+        code = main(
+            ["compare", "--protocols", "tagless", "fifo", "causal-rst",
+             "sync-coord", "--messages", "20", "--seeds", "1", "--seed", "1"]
+        )
+        assert code == 0
+        table = capsys.readouterr().out.split("\n\n", 1)[1]
+        got = _table(table)
+        assert list(got) == ["tagless", "fifo", "causal-rst", "sync-coord"]
+        for name, pinned in _table(PROFILE_TABLE).items():
+            for header, cell in pinned.items():
+                assert got[name][RENAMED.get(header, header)] == cell, (
+                    name,
+                    header,
+                )
+
+    def test_explicit_protocol_subset(self, capsys):
+        code = main(
+            ["compare", "--protocols", "fifo", "flush", "--messages", "10",
+             "--seeds", "1"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "fifo" in out and "flush" in out
+        assert "sync-coord" not in out
+
+    def test_unknown_protocol_rejected(self):
+        with pytest.raises(SystemExit, match="unknown protocol"):
+            main(["compare", "--protocols", "carrier-pigeon"])
+
+    def test_profile_verb_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile"])
+        assert excinfo.value.code == 2
 
 
 class TestCheckCommand:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.events import DELIVER, INVOKE, SEND
+from repro.graphs.predicate_graph import PredicateGraph
 from repro.predicates.ast import (
     Conjunct,
     EventTerm,
@@ -45,8 +46,13 @@ class TestConjunct:
         assert not Conjunct(send_of("x"), send_of("y")).is_intrinsically_false
 
     def test_degenerate_self_edge(self):
-        assert Conjunct(send_of("x"), deliver_of("x")).is_degenerate_self_edge
-        assert not Conjunct(deliver_of("x"), send_of("x")).is_degenerate_self_edge
+        # ``x.s ▷ x.r`` holds for every delivered message; the predicate
+        # graph's edge for it is the degenerate one.
+        def edge(conjunct):
+            return PredicateGraph(ForbiddenPredicate.build([conjunct])).edges[0]
+
+        assert edge(Conjunct(send_of("x"), deliver_of("x"))).is_degenerate
+        assert not edge(Conjunct(deliver_of("x"), send_of("x"))).is_degenerate
 
 
 class TestForbiddenPredicate:

@@ -159,6 +159,37 @@ class TestMetricsProperties:
         assert metrics.comparable_pairs + metrics.concurrent_pairs == n * (n - 1) // 2
         assert 0.0 <= metrics.concurrency_ratio <= 1.0
 
+    @given(random_user_runs(max_messages=8))
+    def test_pair_counts_match_the_pair_definition(self, run):
+        from itertools import combinations
+
+        from repro.runs.metrics import run_metrics
+
+        comparable = sum(
+            run.before(a, b) or run.before(b, a)
+            for a, b in combinations(run.events(), 2)
+        )
+        metrics = run_metrics(run)
+        assert metrics.comparable_pairs == comparable
+        assert metrics.concurrent_pairs == (
+            len(run) * (len(run) - 1) // 2 - comparable
+        )
+
+    @given(random_user_runs())
+    def test_width_is_the_largest_antichain_of_one_depth(self, run):
+        from collections import defaultdict
+        from itertools import combinations
+
+        from repro.clocks import assign_lamport_clocks
+        from repro.runs.metrics import run_metrics
+
+        levels = defaultdict(list)
+        for event, clock in assign_lamport_clocks(run).items():
+            levels[clock].append(event)
+        for level in levels.values():
+            assert all(run.concurrent(a, b) for a, b in combinations(level, 2))
+        assert run_metrics(run).width == max(map(len, levels.values()), default=0)
+
     @given(random_user_runs())
     def test_chain_and_width_bounds(self, run):
         from repro.runs.metrics import run_metrics

@@ -34,6 +34,22 @@ class TestExplain:
         assert "**general**" in text
         assert "SyncCoordinatorProtocol" in text
 
+    def test_grouped_general_containment_is_qualified(self):
+        from repro.broadcast.orderings import TOTAL_ORDER_VIOLATION
+        from repro.core.classifier import GROUPED_SYNC, classify
+
+        lines = explain(TOTAL_ORDER_VIOLATION).splitlines()
+        assert "X_sync ⊆ X_B: yes" + GROUPED_SYNC in lines
+        assert "X_sync ⊆ X_B: yes" not in lines
+        (note,) = classify(TOTAL_ORDER_VIOLATION).notes
+        assert "X_sync ⊆ X_B" + GROUPED_SYNC in note
+        assert "SequencerBroadcastProtocol" in "\n".join(lines)
+
+    def test_ungrouped_general_containment_is_plain(self):
+        text = explain(crown(3))
+        assert "X_sync ⊆ X_B: yes\n" in text
+        assert "broadcast" not in text
+
     def test_unimplementable_report(self):
         text = explain(SECOND_BEFORE_FIRST)
         assert "acyclic" in text
