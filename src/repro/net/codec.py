@@ -47,7 +47,9 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.events import Message
 
-#: Wire protocol version this build speaks.  Version 7 lets an ARQ
+#: Wire protocol version this build speaks.  Version 8 spells the
+#: causal-rst tag as one flat row-major list of n*n ints, not a list of n
+#: rows (see :mod:`repro.protocols.causal_rst`); version 7 lets an ARQ
 #: segment's tag carry a piggybacked acknowledgment as a 4th field (see
 #: :mod:`repro.protocols.reliable`); version 6 retired PROBE (a
 #: host bridged fault and link probes to its observers, and a run's link
@@ -59,7 +61,7 @@ from repro.events import Message
 #: ordering-key field on USER message bodies and the batch frame kinds
 #: the sharded runtime uses.  Every endpoint of a run is the same build,
 #: so a frame of any other version is refused.
-WIRE_VERSION = 7
+WIRE_VERSION = 8
 
 #: Upper bound on one frame's (version + kind + body) size.  Generous for
 #: protocol traffic (tags are tens of bytes) while still bounding the
@@ -226,7 +228,8 @@ _INT = frozenset({int})
 
 def _items_text(value: Any) -> str:
     """A list's or tuple's items, comma-separated; a row of exact ints
-    (a vector clock, a matrix row) is spelled in one join, not per item."""
+    (a vector clock, RST's flat matrix) is spelled in one join, not per
+    item."""
     if _INT.issuperset(map(type, value)):
         return ",".join(map(int.__repr__, value))
     return ",".join(map(dumps_value, value))
@@ -316,8 +319,8 @@ def decode_value(value: Any) -> Any:
 
     A JSON scalar is taken as it is, so a container calls this once per
     item that is itself a container: a ``T`` / ``L`` of plain scalars
-    (the rows of a vector or matrix clock) is copied in one C-level
-    step.  Nesting past the recursion limit is :class:`MalformedFrame`.
+    (a vector clock, RST's flat matrix) is copied in one C-level step.
+    Nesting past the recursion limit is :class:`MalformedFrame`.
     """
     if type(value) is not dict:  # one test for a wrapper, the common case
         if type(value) in _EXACT_SCALARS or isinstance(value, _SCALAR_TYPES):

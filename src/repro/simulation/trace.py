@@ -28,7 +28,7 @@ _NUMBERS = frozenset({int, float})
 
 def _row_size(obj: Any) -> int:
     """A list's or tuple's size; a row of exact ints and floats (a
-    vector clock, a matrix row) is priced in one step, not per item."""
+    vector clock, RST's flat matrix) is priced in one step, not per item."""
     if _NUMBERS.issuperset(map(type, obj)):
         return 8 + 8 * len(obj)
     return _items_size(obj)

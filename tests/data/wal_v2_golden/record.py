@@ -11,6 +11,14 @@ takes its message texts from ``repro.net.codec`` and spells record heads
 with fixed-shape writers, and ``tests/test_wal_v2_golden.py`` runs
 :func:`segments` and :func:`content_ids` from this tree to show that
 WAL format 2 did not move by a byte.
+
+The causal-rst run records with the nested-matrix reference protocol
+(``tests/rst_reference.py``): the catalogue's RST now tags with one flat
+list, and the recorded segments hold the nested tags it used to send.
+The writer is what this golden pins, not that tag.  From a checkout of
+this tree the recipe is run with the repository root on the path::
+
+    PYTHONPATH=src:. python tests/data/wal_v2_golden/record.py
 """
 
 import hashlib
@@ -23,9 +31,11 @@ from repro.events import Message
 from repro.faults import FaultPlan
 from repro.obs import Bus
 from repro.protocols import catalogue
+from repro.protocols.base import make_factory
 from repro.protocols.reliable import make_reliable
 from repro.simulation import UniformLatency, random_traffic, run_simulation
 from repro.wal import WalSink, content_id, read_segment
+from tests.rst_reference import NestedCausalRstProtocol
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 
@@ -64,7 +74,10 @@ MESSAGES = {
 def record(name, directory):
     """Record ``RUNS[name]`` through the simulator sink into ``directory``."""
     protocol, processes, messages, seed, faults = RUNS[name]
-    factory = catalogue()[protocol].factory
+    if protocol == "causal-rst":
+        factory = make_factory(NestedCausalRstProtocol)
+    else:
+        factory = catalogue()[protocol].factory
     plan = None
     if faults is not None:
         factory = make_reliable(factory)

@@ -177,7 +177,7 @@ protocol    msgs  inhibit  network  buffer  invoke->r  p95     ctrl  ctrlB  tagB
 ----------  ----  -------  -------  ------  ---------  ------  ----  -----  --------  ---------  -----
 tagless     20    0.00     20.14    0.00    20.14      36.16   0     0      1.0       5          0
 fifo        20    0.00     20.14    3.03    23.17      36.16   0     0      8.0       5          0
-causal-rst  20    0.00     20.14    3.03    23.17      36.16   0     0      168.0     5          0
+causal-rst  20    0.00     20.14    3.03    23.17      36.16   0     0      136.0     5          0
 sync-coord  20    439.57   18.96    0.00    458.52     961.57  48    576    1.0       0          0
 """
 RENAMED = {"ctrl": "ctrl/run", "ctrlB": "ctrlB/run", "reordered": "reordered/run"}

@@ -53,9 +53,10 @@ class CausalWithTruncatedMatrix(CausalRstProtocol):
 
     def on_invoke(self, ctx, message):
         self._ensure_state(ctx)
-        tag = [row[:] for row in self._sent]
-        tag[-1] = [0] * ctx.n_processes  # drop knowledge about the last process
-        self._sent[ctx.process_id][message.receiver] += 1
+        n = ctx.n_processes
+        tag = self._sent[:]
+        tag[-n:] = [0] * n  # drop knowledge about the last process
+        self._sent[ctx.process_id * n + message.receiver] += 1
         ctx.release(message, tag=tag)
 
 

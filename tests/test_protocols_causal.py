@@ -84,8 +84,8 @@ class TestTagShapes:
             random_traffic(n, 30, seed=0),
             seed=0,
         )
-        # n*n ints plus n+1 container overheads.
-        expected = 8 + n * (8 + n * 8)
+        # n*n ints in one row-major list: one container overhead.
+        expected = 8 + 8 * n * n
         assert result.stats.max_tag_bytes == expected
 
     def test_ses_tag_smaller_than_rst_on_sparse_traffic(self):

@@ -37,6 +37,9 @@ FAST = 0.001
 
 # Generated at the parent commit (per-segment acks), one entry per
 # protocol/seed, by this module's own _simulate(); zero counters left out.
+# The causal-rst rows' tag_bytes_total and max_tag_bytes were re-taken when
+# RST's 3x3 matrix tag became one flat list (8n = 24 bytes less per tag);
+# their delivery order and trace rows are the originals.
 with open(
     os.path.join(os.path.dirname(__file__), "data", "reliable_batch_ack_golden.json")
 ) as _handle:
