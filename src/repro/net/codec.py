@@ -43,7 +43,16 @@ import re
 import struct
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    MutableSequence,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.events import Message
 
@@ -822,11 +831,18 @@ class FrameDecoder:
         self.max_frame_bytes = max_frame_bytes
         self._buffer = bytearray()
 
-    def feed(self, data: bytes) -> List[Frame]:
-        """Buffer ``data`` and return every now-complete frame."""
+    def feed(
+        self, data: bytes, frames: Optional[MutableSequence[Frame]] = None
+    ) -> MutableSequence[Frame]:
+        """Buffer ``data`` and return every now-complete frame.
+
+        Given ``frames`` (a list or deque), the frames are appended to it
+        and it is returned: a caller then keeps those decoded before a
+        malformed frame whose error :meth:`feed` raises."""
         buffer = self._buffer
         buffer.extend(data)
-        frames: List[Frame] = []
+        if frames is None:
+            frames = []
         offset = 0
         try:
             # By offset over the one buffer (a chunk holds many frames):

@@ -18,6 +18,12 @@ who may connect and what a connection is owed is decided here once:
 - one task set, one table of accepted streams, one
   :meth:`Endpoint._teardown`, and :meth:`Endpoint.serve_forever` with
   the SIGINT/SIGTERM graceful drain.
+
+Every accepted stream is read in whole chunks through one
+:class:`FrameStream`, HELLO included, so a role's handler gets the
+frames that arrived with the HELLO instead of losing them; a role that
+wants its reads as callbacks (a host's peer links) takes the stream
+over with :meth:`FrameStream.hand_over`.
 """
 
 from __future__ import annotations
@@ -25,13 +31,87 @@ from __future__ import annotations
 import asyncio
 import signal
 import time
-from collections import defaultdict
-from typing import Any, Callable, DefaultDict, Dict, List, Optional, Set
+from collections import defaultdict, deque
+from typing import Any, Callable, DefaultDict, Deque, Dict, List, Optional, Set
 
 from repro.net import codec
-from repro.net.client import PULLS
+from repro.net.client import PULLS, READ_CHUNK
 
-__all__ = ["Endpoint"]
+__all__ = ["Endpoint", "FrameStream"]
+
+
+class FrameStream:
+    """An accepted stream's frames, from whole-chunk reads.
+
+    Each chunk goes through one :class:`~repro.net.codec.FrameDecoder`
+    and may hold more than the frame asked for: :meth:`read` returns the
+    frames it decoded one at a time, and the decoder keeps a partial tail
+    for the next chunk.  A codec error is raised once the frames decoded
+    before it have been taken.
+    """
+
+    def __init__(self, reader: asyncio.StreamReader) -> None:
+        self.reader = reader
+        self.decoder = codec.FrameDecoder()
+        self._frames: Deque[codec.Frame] = deque()
+        self._error: Optional[codec.CodecError] = None
+        #: Whether the reader holds no byte the decoder has not seen: a
+        #: read shorter than ``READ_CHUNK`` took its whole buffer.
+        self._drained = True
+
+    async def _fill(self) -> bool:
+        """Read one chunk into the decoder; False at a clean EOF."""
+        if self._error is not None:
+            raise self._error
+        chunk = await self.reader.read(READ_CHUNK)
+        self._drained = len(chunk) < READ_CHUNK
+        try:
+            if not chunk:
+                self.decoder.eof()  # EOF inside a frame is a torn stream
+                return False
+            self.decoder.feed(chunk, self._frames)
+        except codec.CodecError as exc:
+            self._error = exc
+        return True
+
+    async def read(self) -> Optional[codec.Frame]:
+        """The next frame; ``None`` at a clean EOF.  Raises
+        :class:`~repro.net.codec.CodecError` for a malformed or torn one."""
+        while not self._frames:
+            if not await self._fill():
+                return None
+        return self._frames.popleft()
+
+    async def hand_over(
+        self, transport: asyncio.BaseTransport, protocol: Any
+    ) -> None:
+        """Make ``protocol`` the reader of the stream under ``transport``,
+        losing and reordering no byte.
+
+        ``protocol`` is an asyncio protocol that reads through
+        this stream's :attr:`decoder` and also takes a list of decoded
+        frames by ``frames_received``: the frames read and not yet
+        returned go there first.  The switch waits for a read that left
+        the reader's buffer empty -- one shorter than ``READ_CHUNK``, as
+        the HELLO's read nearly always is -- so the reader holds no byte
+        the decoder has not seen; an EOF that came with that read is
+        then passed on as ``eof_received`` followed by a close.  Codec and
+        connection errors of the reads before the switch raise here.
+        """
+        while True:
+            if self._frames:
+                frames = list(self._frames)
+                self._frames.clear()
+                protocol.frames_received(frames)
+            if self._error is not None:
+                raise self._error
+            if self._drained or not await self._fill():
+                break
+        transport.set_protocol(protocol)
+        if self.reader.at_eof():
+            protocol.eof_received()
+            transport.close()
+            protocol.connection_lost(None)
 
 
 class Endpoint:
@@ -57,8 +137,9 @@ class Endpoint:
         self.ready_body = ready_body
         self.draining = False
         self.errors: List[str] = []
-        #: HELLO role -> ``async handler(reader, writer, hello_body)``,
-        #: which serves one accepted stream until it ends.
+        #: HELLO role -> ``async handler(stream, writer, hello_body)``
+        #: (``stream`` a :class:`FrameStream`), which serves one accepted
+        #: stream until it ends.
         self._roles: Dict[str, Callable] = {"load": self._load_loop}
         #: Load-role request kind -> ``handler(frame)`` returning the
         #: same-kind reply's body (``None``: a one-way frame).
@@ -167,9 +248,10 @@ class Endpoint:
         task = asyncio.current_task()
         assert task is not None
         self._track(task)
+        stream = FrameStream(reader)
         try:
             try:
-                hello = await codec.read_frame(reader)
+                hello = await stream.read()
             except codec.CodecError as exc:
                 self.errors.append("handshake: %s" % exc)
                 return
@@ -191,7 +273,7 @@ class Endpoint:
             writers = self._writers[role]
             writers.add(writer)
             try:
-                await handler(reader, writer, hello.body)
+                await handler(stream, writer, hello.body)
             finally:
                 writers.discard(writer)
         except asyncio.CancelledError:
@@ -210,7 +292,7 @@ class Endpoint:
 
     async def _load_loop(
         self,
-        reader: asyncio.StreamReader,
+        stream: FrameStream,
         writer: asyncio.StreamWriter,
         hello: Dict[str, Any],
     ) -> None:
@@ -221,7 +303,7 @@ class Endpoint:
         try:
             await writer.drain()
             while True:
-                frame = await codec.read_frame(reader)
+                frame = await stream.read()
                 if frame is None:
                     return
                 kind = frame.kind

@@ -33,7 +33,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set,
 from repro.events import Message
 from repro.net import codec
 from repro.net.client import READ_CHUNK
-from repro.net.endpoint import Endpoint
+from repro.net.endpoint import Endpoint, FrameStream
 from repro.net.resilience import LINK_DOWN, LinkMonitor, ResilienceConfig
 from repro.net.transport import (
     DEFAULT_TIME_SCALE,
@@ -90,6 +90,82 @@ def record_frames(tapped: Iterable[Tuple[TraceRecord, Message]]) -> Iterator[byt
         data += encoded
     if data:
         yield codec.encode_frame(codec.RECORDS, data)
+
+
+class PeerLink(asyncio.BufferedProtocol):
+    """An accepted peer stream past its HELLO, read by callback.
+
+    :meth:`data_received` feeds the stream's decoder and dispatches each
+    frame the read completed within the same callback, and the replies
+    that dispatch queued leave before it returns (see
+    :class:`~repro.net.transport.AsyncTransport`): a hop costs one loop
+    iteration.  A malformed frame, an EOF inside a frame or a lost
+    connection ends the link with one ``peer stream: ...`` error.
+
+    The socket is read into the host's one ``READ_CHUNK`` buffer
+    (:class:`asyncio.BufferedProtocol`), which the decoder copies out of
+    before anything else can read: a plain protocol's transport
+    allocates a 256 KiB bytes object per read and shrinks it, which costs
+    a loopback read several times what the read itself does.
+    """
+
+    def __init__(
+        self,
+        host: "NetHost",
+        decoder: codec.FrameDecoder,
+        transport: asyncio.Transport,
+    ) -> None:
+        self._host = host
+        self._decoder = decoder
+        self._transport = transport
+        self._buffer = host._read_buffer
+        #: Resolved once the link has ended, by whatever ended it.
+        self.closed: asyncio.Future = asyncio.get_running_loop().create_future()
+
+    def frames_received(self, frames: List[codec.Frame]) -> None:
+        """Dispatch frames decoded from this stream (those read before
+        the hand-over come here directly)."""
+        if self.closed.done():
+            return
+        try:
+            self._host._on_peer_frames(frames, self._transport)
+        except codec.CodecError as exc:
+            self._end(exc)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(self._buffer[:nbytes])
+
+    def data_received(self, data: "bytes | memoryview") -> None:
+        """Decode one read and dispatch the frames it completed."""
+        frames: List[codec.Frame] = []
+        try:
+            self._decoder.feed(data, frames)
+        except codec.CodecError as exc:
+            self.frames_received(frames)  # those before the bad one
+            self._end(exc)
+            return
+        self.frames_received(frames)
+
+    def eof_received(self) -> bool:
+        try:
+            self._decoder.eof()  # EOF inside a frame is a torn stream
+        except codec.CodecError as exc:
+            self._end(exc)
+        return False  # close
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._end(exc)
+
+    def _end(self, exc: Optional[BaseException]) -> None:
+        if self.closed.done():
+            return
+        self.closed.set_result(None)
+        if exc is not None and not self._host._done.is_set():
+            self._host.errors.append("peer stream: %s" % exc)
+        self._transport.close()
 
 
 class NetProtocolHost(ProtocolHost):
@@ -247,6 +323,8 @@ class NetHost(Endpoint):
         if observability:
             self.metrics = MetricsRecorder(self.bus, self.stats.registry)
             self.watchdog = Watchdog(self.bus)
+        #: What every accepted peer link's socket reads go into.
+        self._read_buffer = memoryview(bytearray(READ_CHUNK))
         #: Dialed peer streams (the accepted ones are the endpoint's).
         self._peer_writers: List[asyncio.StreamWriter] = []
         #: Observer streams past their history replay: what the tap feeds.
@@ -726,7 +804,7 @@ class NetHost(Endpoint):
 
     async def _serve_peer(
         self,
-        reader: asyncio.StreamReader,
+        stream: FrameStream,
         writer: asyncio.StreamWriter,
         hello: Dict[str, Any],
     ) -> None:
@@ -756,32 +834,36 @@ class NetHost(Endpoint):
             self._redialing.add(peer)
             self._spawn(self._redial(peer))
         self._check_ready()
-        await self._peer_loop(reader, writer)
-
-    async def _peer_loop(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        # A batch is every frame read, from any peer, within ACK_DELAY
-        # of the read that opened it: what the protocol sends meanwhile
-        # (a reply, a new invoke's segment) carries the acks it owes, and
-        # the batch end pays the rest.
-        decoder = codec.FrameDecoder()
+        # From here on the link reads by callback; this task only waits
+        # for it to end (teardown cancels it and closes the stream).
+        link = PeerLink(self, stream.decoder, writer.transport)
         try:
-            while True:
-                chunk = await reader.read(READ_CHUNK)
-                if not chunk:
-                    decoder.eof()  # EOF inside a frame is a torn stream
-                    return
-                for frame in decoder.feed(chunk):
-                    self._on_peer_frame(frame, writer)
-                if not self._batch_open:
-                    self._batch_open = True
-                    self.clock.schedule(ACK_DELAY, self._end_batch)
+            await stream.hand_over(writer.transport, link)
         except (codec.CodecError, ConnectionError) as exc:
-            if not self._done.is_set():
-                self.errors.append("peer stream: %s" % exc)
-        except asyncio.CancelledError:
-            pass
+            link.connection_lost(exc)
+        await link.closed
+
+    def _on_peer_frames(
+        self, frames: List[codec.Frame], link: asyncio.Transport
+    ) -> None:
+        """Dispatch the frames one peer read completed.
+
+        A batch is every frame read, from any peer, within ACK_DELAY of
+        the read that opened it: what the protocol sends meanwhile (a
+        reply, a new invoke's segment) carries the acks it owes, and the
+        batch end pays the rest.  What the dispatch sends is a reply,
+        written when the read ends."""
+        if frames:
+            transport = self.transport
+            transport.hold_replies()
+            try:
+                for frame in frames:
+                    self._on_peer_frame(frame, link)
+            finally:
+                transport.send_replies()
+        if not self._batch_open:
+            self._batch_open = True
+            self.clock.schedule(ACK_DELAY, self._end_batch)
 
     def _end_batch(self) -> None:
         self._batch_open = False
@@ -791,7 +873,7 @@ class NetHost(Endpoint):
             self.errors.append("dispatch: %s" % exc)
 
     def _on_peer_frame(
-        self, frame: "codec.Frame", writer: asyncio.StreamWriter
+        self, frame: "codec.Frame", link: asyncio.Transport
     ) -> None:
         if frame.kind in (codec.USER, codec.CONTROL):
             self._dispatch_packet(packet_from_frame(frame), frame.body.get("invoked"))
@@ -800,7 +882,7 @@ class NetHost(Endpoint):
             # feeds its failure detector from these.
             body = dict(frame.body)
             body["echo"] = True
-            writer.write(codec.encode_frame(codec.HEARTBEAT, body))
+            link.write(codec.encode_frame(codec.HEARTBEAT, body))
         # Anything else on a peer link is ignored (forward compat).
 
     def _dispatch_packet(
@@ -826,7 +908,7 @@ class NetHost(Endpoint):
 
     async def _observer_loop(
         self,
-        reader: asyncio.StreamReader,
+        stream: FrameStream,
         writer: asyncio.StreamWriter,
         hello: Dict[str, Any],
     ) -> None:
@@ -836,7 +918,7 @@ class NetHost(Endpoint):
         try:
             await writer.drain()
             while True:  # observers never send after HELLO; wait for EOF
-                if await codec.read_frame(reader) is None:
+                if await stream.read() is None:
                     return
         except (codec.CodecError, ConnectionError, asyncio.CancelledError):
             pass

@@ -23,7 +23,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, Iterable, Optional, Set, Tuple
 
 from repro.net import codec
 from repro.simulation.network import Network, Packet, Transport
@@ -123,6 +123,18 @@ class AsyncTransport(Transport):
     by message id so a retransmission carries its *original* release
     time and latency accounting at the receiver stays honest.
 
+    Frames for a live link wait in a per-peer outbox, and each write
+    takes a peer's whole outbox in order.  When it is written depends on
+    what queued it:
+
+    - a *reply* -- a frame queued while a peer read dispatches (between
+      :meth:`hold_replies` and :meth:`send_replies`: a GRANT for a REQ,
+      the USER a GRANT releases, a DONE for a delivery) -- leaves at the
+      end of the read that made it, so a hop costs one loop iteration;
+    - everything else (invokes, timers, batch-end acks) goes in one write
+      per peer per loop tick, from a :meth:`flush_outboxes` scheduled
+      with ``call_soon`` by the first frame of the tick.
+
     A packet for a destination whose link is down is not discarded: it
     goes into a bounded per-peer queue (``queue_limit`` frames) that
     :meth:`flush` writes out when the reconnect supervisor restores the
@@ -143,13 +155,15 @@ class AsyncTransport(Transport):
         self.bytes_sent = 0
         #: Frame writes coalesce: frames for a live link are buffered in
         #: a per-peer outbox and written as *one* ``writer.write`` per
-        #: peer per loop tick (scheduled with ``call_soon``, so the
-        #: flush runs before the loop next blocks for IO).  All kinds go
+        #: peer (see the class docstring for when).  All kinds go
         #: through the outbox, so per-connection FIFO order is exactly
         #: preserved; only the syscall count changes.  Requires a bound
         #: loop -- before :meth:`bind_loop` frames write through.
         self._outbox: Dict[int, list] = {}
         self._flush_scheduled = False
+        #: Peers a running read's dispatch queued frames for; ``None``
+        #: outside a read.
+        self._replies: Optional[Set[int]] = None
         self.flushes = 0
         #: Packets for peers with no (or a closed) connection -- counted,
         #: not raised: during shutdown in-flight traffic may race closes.
@@ -257,7 +271,9 @@ class AsyncTransport(Transport):
             self._outbox.setdefault(packet.dst, []).append((kind, data, network))
             self.frames_sent += 1
             self.bytes_sent += len(data)
-            if not self._flush_scheduled:
+            if self._replies is not None:
+                self._replies.add(packet.dst)
+            elif not self._flush_scheduled:
                 self._flush_scheduled = True
                 self._loop.call_soon(self.flush_outboxes)
             return
@@ -265,17 +281,33 @@ class AsyncTransport(Transport):
         self.frames_sent += 1
         self.bytes_sent += len(data)
 
-    def flush_outboxes(self) -> None:
-        """Write every peer's coalesced outbox (one write per peer).
+    def hold_replies(self) -> None:
+        """A peer read starts dispatching: what it queues is a reply."""
+        self._replies = set()
+
+    def send_replies(self) -> None:
+        """The read that :meth:`hold_replies` opened ends: write the
+        whole outbox of each peer it queued a frame for."""
+        replies, self._replies = self._replies, None
+        if replies:
+            self.flush_outboxes(replies)
+
+    def flush_outboxes(self, dsts: Optional[Iterable[int]] = None) -> None:
+        """Write the coalesced outbox of each peer in ``dsts`` (default:
+        every peer, the tick's scheduled flush), one write per peer.
 
         A link that went down *within* the tick demotes its buffered
         frames to the reconnect queue frame-by-frame, so the resilience
         layer's kind-aware shedding still applies.
         """
-        self._flush_scheduled = False
-        if not self._outbox:
-            return
-        outbox, self._outbox = self._outbox, {}
+        if dsts is None:
+            self._flush_scheduled = False
+            if not self._outbox:
+                return
+            outbox, self._outbox = self._outbox, {}
+        else:
+            queued = self._outbox
+            outbox = {dst: queued.pop(dst) for dst in dsts}
         for dst, items in outbox.items():
             writer = self._writers.get(dst)
             if writer is None or writer.is_closing():
