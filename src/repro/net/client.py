@@ -8,14 +8,15 @@ request/reply round trips -- ``STATS``, ``METRICS``, ``TRACE``,
 ``DRAIN``, ``BYE``, ``COLLECT`` -- while the endpoint is free to push
 ``BACKPRESSURE`` frames at any moment in between.
 
-:class:`ControlLink` is one such connection.  Its reader task is the
-single answer to "what if a frame arrives that is not my reply": it
-reads 64 KiB at a time through one :class:`~repro.net.codec.FrameDecoder`
-and hands each pushed frame to its owner -- ``BACKPRESSURE`` updates the
-link's pause flag, ``RECORDS`` go to the link's ``on_records`` handler
-(an observer's chunk merge) -- and queues every other frame as a reply,
-which :meth:`ControlLink.reply` refuses if it is of the wrong kind
-instead of handing it to the wrong caller.  :class:`ClusterClient`
+:class:`ControlLink` is one such connection, read by callback through
+one :class:`~repro.net.codec.FrameLink` (the reader of every socket the
+runtime opens).  Its frame handler is the single answer to "what if a
+frame arrives that is not my reply": each pushed frame goes to its
+owner -- ``BACKPRESSURE`` updates the link's pause flag, ``RECORDS`` go
+to the link's ``on_records`` handler (an observer's chunk merge) -- and
+every other frame is queued as a reply, which
+:meth:`ControlLink.reply` refuses if it is of the wrong kind instead of
+handing it to the wrong caller.  :class:`ClusterClient`
 holds one link per endpoint port; READY states the endpoint's layout (a
 host ``{process, processes}``, a shard worker ``{shard, shards,
 processes}``), so given the first port alone it dials the rest.  The
@@ -45,9 +46,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.net import codec
 
 __all__ = ["PULLS", "ClusterClient", "ControlLink", "exposition", "quiesced"]
-
-#: Most bytes one stream read takes, a client's or a host's peer's.
-READ_CHUNK = 1 << 16
 
 #: Request kind -> the endpoint method whose return value is the reply
 #: body.  :meth:`ClusterClient.stats` / ``metrics`` / ``traces`` are the
@@ -95,8 +93,8 @@ class ControlLink:
         self.role = role
         self.run_id = run_id
         self.on_records = on_records
-        self.reader: Optional[asyncio.StreamReader] = None
-        self.writer: Optional[asyncio.StreamWriter] = None
+        #: The stream, once dialed; each re-dial opens a new one.
+        self.stream: Optional[codec.FrameLink] = None
         #: Latest BACKPRESSURE state the endpoint pushed, and how many
         #: such frames arrived.
         self.paused = False
@@ -107,16 +105,18 @@ class ControlLink:
         #: an endpoint that did not come back).  A stream that just ended
         #: -- EOF, a reset, a frame torn at EOF -- re-dials instead.
         self.failure: Optional[Exception] = None
+        #: The current stream's replies (``None`` once it has ended), and
+        #: its end.
         self._replies: Optional[asyncio.Queue] = None
-        self._task: Optional[asyncio.Task] = None
+        self._lost: Optional[asyncio.Future] = None
         self._follower: Optional[asyncio.Task] = None
         #: The last :meth:`connect`'s timeout, which a re-dial gets too.
         self._timeout = 20.0
 
     @property
     def up(self) -> bool:
-        """Whether the stream is open: dialed, and no EOF read since."""
-        return self._task is not None and not self._task.done()
+        """Whether the stream is open: dialed, and not ended since."""
+        return self.stream is not None and not self.stream.closed
 
     async def connect(self, timeout: float = 20.0) -> None:
         """Dial, retrying refused connects until ``timeout`` has passed
@@ -125,10 +125,15 @@ class ControlLink:
         await self._open(time.monotonic() + timeout)
 
     async def _open(self, deadline: float) -> None:
+        loop = asyncio.get_running_loop()
+        self._replies = asyncio.Queue()
+        self._lost = loop.create_future()
         while True:
             try:
-                self.reader, self.writer = await asyncio.open_connection(
-                    self.host, self.port
+                _, self.stream = await loop.create_connection(
+                    lambda: codec.FrameLink(self._demultiplex, self._ended),
+                    self.host,
+                    self.port,
                 )
                 break
             except OSError:
@@ -138,13 +143,10 @@ class ControlLink:
         self.send(
             codec.HELLO, {"process": -1, "role": self.role, "run": self.run_id}
         )
-        await self.writer.drain()
+        await self.stream.drain()
 
     async def ready(self, timeout: Optional[float] = 20.0) -> Dict[str, Any]:
-        """Start the demultiplexing reader and wait for READY (which an
-        endpoint sends once its own rendezvous is complete)."""
-        self._replies = asyncio.Queue()
-        self._task = asyncio.get_running_loop().create_task(self._demultiplex())
+        """Wait for READY, which the endpoint sends once its rendezvous is done."""
         return await self.reply(codec.READY, timeout)
 
     async def follow(self, timeout: Optional[float] = 20.0) -> None:
@@ -160,7 +162,7 @@ class ControlLink:
 
     async def _follow(self) -> None:
         while self.failure is None:
-            await asyncio.gather(self._task, return_exceptions=True)
+            await self._lost
             try:
                 if self.failure is None:
                     await self.redial()
@@ -174,7 +176,7 @@ class ControlLink:
         back yet (a fault proxy accepts for a host that is down)."""
         deadline = time.monotonic() + self._timeout
         while True:
-            await self._hang_up()
+            self._hang_up()
             try:
                 await self._open(deadline)
                 await self.ready(max(0.0, deadline - time.monotonic()))
@@ -188,33 +190,27 @@ class ControlLink:
                     ) from exc
             await asyncio.sleep(0.05)
 
-    async def _demultiplex(self) -> None:
-        assert self.reader is not None and self._replies is not None
-        decoder = codec.FrameDecoder()
-        try:
-            while True:
-                data = await self.reader.read(READ_CHUNK)
-                if not data:
-                    decoder.eof()  # EOF inside a frame is a torn stream
-                    break
-                for frame in decoder.feed(data):
-                    if frame.kind == codec.RECORDS and self.on_records is not None:
-                        self.on_records(frame.body)
-                    elif frame.kind == codec.BACKPRESSURE:
-                        self.backpressure_signals += 1
-                        self.paused = frame.body.get("state") == "high"
-                    else:
-                        self._replies.put_nowait(frame)
-        except (codec.FrameTruncated, ConnectionError):
-            pass  # the stream ended
-        except ValueError as exc:  # a malformed frame or a refused chunk
-            self.failure = exc
+    def _demultiplex(self, link: codec.FrameLink, frames: List[codec.Frame]) -> None:
+        for frame in frames:
+            if frame.kind == codec.RECORDS and self.on_records is not None:
+                self.on_records(frame.body)
+            elif frame.kind == codec.BACKPRESSURE:
+                self.backpressure_signals += 1
+                self.paused = frame.body.get("state") == "high"
+            else:
+                self._replies.put_nowait(frame)
+
+    def _ended(self, link: codec.FrameLink, exc: Optional[BaseException]) -> None:
+        if isinstance(exc, ValueError) and not isinstance(exc, codec.FrameTruncated):
+            self.failure = exc  # a malformed frame or a refused chunk
         self._replies.put_nowait(None)
+        if not self._lost.done():
+            self._lost.set_result(None)
 
     def send(self, kind: int, body: Optional[Dict[str, Any]] = None) -> None:
         """Write one frame (no drain, no reply expected by this call)."""
-        assert self.writer is not None
-        self.writer.write(codec.encode_frame(kind, body))
+        assert self.stream is not None
+        self.stream.write(codec.encode_frame(kind, body))
 
     async def reply(
         self, kind: int, timeout: Optional[float] = None
@@ -247,7 +243,7 @@ class ControlLink:
         if not self.up:
             await self.redial()
         self.send(kind, body)
-        await self.writer.drain()
+        await self.stream.drain()
         return await self.reply(kind)
 
     async def close(self) -> None:
@@ -256,14 +252,11 @@ class ControlLink:
             self._follower.cancel()
             await asyncio.gather(self._follower, return_exceptions=True)
             self._follower = None
-        await self._hang_up()
+        self._hang_up()
 
-    async def _hang_up(self) -> None:
-        if self.writer is not None and not self.writer.is_closing():
-            self.writer.close()
-        if self._task is not None:
-            self._task.cancel()
-            await asyncio.gather(self._task, return_exceptions=True)
+    def _hang_up(self) -> None:
+        if self.stream is not None:
+            self.stream.close()
 
 
 class ClusterClient:
@@ -348,7 +341,7 @@ class ClusterClient:
             link.send(kind, body)
         bodies = []
         for link in self.links:
-            await link.writer.drain()
+            await link.stream.drain()
             bodies.append(await link.reply(kind))
         return bodies
 

@@ -247,13 +247,9 @@ class LiveObserver:
 BATCH_ROWS = 20_000
 
 
-def _write_rows(writer: asyncio.StreamWriter, rows: List[list]) -> None:
+def _write_rows(link: ControlLink, rows: List[list]) -> None:
     for start in range(0, len(rows), BATCH_ROWS):
-        writer.write(
-            codec.encode_frame(
-                codec.INVOKE_BATCH, {"rows": rows[start : start + BATCH_ROWS]}
-            )
-        )
+        link.send(codec.INVOKE_BATCH, {"rows": rows[start : start + BATCH_ROWS]})
 
 
 class Pacer:
@@ -571,7 +567,7 @@ class LoadGenerator(ClusterClient):
                     redials[index] = loop.create_task(link.redial())
                     dialed.append(redials[index])
                 elif unsent[index] and not (closed_loop and link.paused):
-                    _write_rows(link.writer, unsent[index])
+                    _write_rows(link, unsent[index])
                     unsent[index] = []
             if self.wal is not None:
                 self.wal.checkpoint(
@@ -586,8 +582,8 @@ class LoadGenerator(ClusterClient):
         for index, link in enumerate(self.links):
             if link.up:
                 if unsent[index]:
-                    _write_rows(link.writer, unsent[index])
-                await link.writer.drain()
+                    _write_rows(link, unsent[index])
+                await link.stream.drain()
         if self.wal is not None:
             self.wal.checkpoint(
                 requested=self.requested,

@@ -32,6 +32,9 @@ Decoding is strict: anything malformed raises a descriptive
 :class:`CodecError` subclass instead of silently degrading, because a
 corrupt frame on a protocol channel is indistinguishable from a
 protocol bug and must be surfaced as such.
+
+Every socket the runtime accepts or dials is read by one
+:class:`FrameLink`, which decodes each read in the callback that made it.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import hashlib
 import json
 import re
 import struct
+import weakref
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import (
@@ -874,42 +878,111 @@ class FrameDecoder:
         return len(self._buffer)
 
 
-async def read_frame(
-    reader: "asyncio.StreamReader", max_frame_bytes: int = MAX_FRAME_BYTES
-) -> Optional[Frame]:
-    """Read exactly one frame from an asyncio stream.
+#: Most bytes one socket read takes.
+READ_CHUNK = 1 << 16
 
-    Returns ``None`` on a clean EOF at a frame boundary; raises
-    :class:`FrameTruncated` when the peer dies mid-frame and
-    :class:`FrameOversized` when the length prefix exceeds
-    ``max_frame_bytes`` -- checked before the body read is even issued,
-    so a corrupt prefix cannot pin the reader's buffer.
+#: Each event loop's one read buffer (see :class:`FrameLink`).
+_read_buffers: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+class FrameLink(asyncio.BufferedProtocol):
+    """One stream of frames, read by callback.
+
+    Each read lands in the loop's one read buffer and goes through the
+    link's :class:`FrameDecoder`; the frames it completed (none, one or
+    many) go to ``on_frames(link, frames)`` in the same callback, and the
+    owner switches ``on_frames`` as the conversation moves on.  The link
+    ends once, with ``on_end(link, exc)``: ``exc`` is ``None`` for a
+    clean EOF or :meth:`close`, else the :class:`CodecError` of a
+    malformed or torn frame, a ``ValueError`` out of ``on_frames``, or
+    what lost the connection.  Writes go to :attr:`transport`.
     """
-    try:
-        prefix = await reader.readexactly(_LENGTH.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise FrameTruncated(
-            "stream closed inside a length prefix (%d of %d bytes)"
-            % (len(exc.partial), _LENGTH.size)
-        ) from exc
-    (size,) = _LENGTH.unpack(prefix)
-    if size > max_frame_bytes:
-        raise FrameOversized(
-            "frame advertises %d bytes, exceeding the %d-byte limit"
-            % (size, max_frame_bytes)
-        )
-    if size < _HEAD.size:
-        raise MalformedFrame(
-            "frame advertises %d bytes, smaller than its own header" % size
-        )
-    try:
-        rest = await reader.readexactly(size)
-    except asyncio.IncompleteReadError as exc:
-        raise FrameTruncated(
-            "stream closed inside a frame body (%d of %d bytes)"
-            % (len(exc.partial), size)
-        ) from exc
-    version, kind = _HEAD.unpack_from(rest)
-    return _decode_payload(kind, version, rest[_HEAD.size :])
+
+    def __init__(
+        self,
+        on_frames: Callable[["FrameLink", List[Frame]], None],
+        on_end: Callable[["FrameLink", Optional[BaseException]], None],
+    ) -> None:
+        self.on_frames = on_frames
+        self.on_end = on_end
+        self.decoder = FrameDecoder()
+        self.transport: Any = None
+        #: Set once the link has ended; later reads and writes are dropped.
+        self.closed = False
+        # Every link of a loop reads into one buffer: the loop runs one
+        # read callback at a time, and the decoder copies what it keeps.
+        loop = asyncio.get_running_loop()
+        if loop not in _read_buffers:
+            _read_buffers[loop] = memoryview(bytearray(READ_CHUNK))
+        self._buffer = _read_buffers[loop]
+        #: While the transport has paused writing: what :meth:`drain` waits on.
+        self._drained: Optional[asyncio.Future] = None
+
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(self._buffer[:nbytes])
+
+    def data_received(self, data: "bytes | memoryview") -> None:
+        """Decode one read and hand on the frames it completed."""
+        frames: List[Frame] = []
+        try:
+            self.decoder.feed(data, frames)
+        except CodecError as exc:
+            self.frames_received(frames)  # those before the bad one
+            self._end(exc)
+            return
+        self.frames_received(frames)
+
+    def frames_received(self, frames: List[Frame]) -> None:
+        """Pass decoded frames to ``on_frames`` (unless the link ended)."""
+        if self.closed:
+            return
+        try:
+            self.on_frames(self, frames)
+        except ValueError as exc:
+            self._end(exc)
+
+    def eof_received(self) -> bool:
+        try:
+            self.decoder.eof()  # EOF inside a frame is a torn stream
+        except CodecError as exc:
+            self._end(exc)
+        self._end(None)
+        return False  # close
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._end(exc)
+        self.resume_writing()
+
+    def pause_writing(self) -> None:
+        self._drained = asyncio.get_running_loop().create_future()
+
+    def resume_writing(self) -> None:
+        drained, self._drained = self._drained, None
+        if drained is not None:
+            drained.set_result(None)
+
+    async def drain(self) -> None:
+        """Wait while the transport has paused writing (until it resumes
+        or the connection is lost)."""
+        if self._drained is not None:
+            await asyncio.shield(self._drained)
+
+    def write(self, data: bytes) -> None:
+        if not self.closed:
+            self.transport.write(data)
+
+    def close(self) -> None:
+        """End the link (``on_end`` sees ``None``); writes still go out."""
+        self._end(None)
+
+    def _end(self, exc: Optional[BaseException]) -> None:
+        if not self.closed:
+            self.closed = True
+            self.transport.close()
+            self.on_end(self, exc)

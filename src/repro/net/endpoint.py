@@ -15,15 +15,13 @@ who may connect and what a connection is owed is decided here once:
   ``DRAIN`` is a *per-run barrier* -- no invokes until the client that
   raised it disconnects, so an endpoint left serving takes the next
   run -- and ``BYE`` is acked and shuts the endpoint down;
-- one task set, one table of accepted streams, one
+- one task set, one table of accepted links, one
   :meth:`Endpoint._teardown`, and :meth:`Endpoint.serve_forever` with
   the SIGINT/SIGTERM graceful drain.
 
-Every accepted stream is read in whole chunks through one
-:class:`FrameStream`, HELLO included, so a role's handler gets the
-frames that arrived with the HELLO instead of losing them; a role that
-wants its reads as callbacks (a host's peer links) takes the stream
-over with :meth:`FrameStream.hand_over`.
+Every accepted stream is one :class:`~repro.net.codec.FrameLink` from
+accept to close: its frames go to the HELLO check, then to the role's
+handler, which gets the frames that shared the HELLO's read first.
 """
 
 from __future__ import annotations
@@ -31,87 +29,12 @@ from __future__ import annotations
 import asyncio
 import signal
 import time
-from collections import defaultdict, deque
-from typing import Any, Callable, DefaultDict, Deque, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.net import codec
-from repro.net.client import PULLS, READ_CHUNK
+from repro.net.client import PULLS
 
-__all__ = ["Endpoint", "FrameStream"]
-
-
-class FrameStream:
-    """An accepted stream's frames, from whole-chunk reads.
-
-    Each chunk goes through one :class:`~repro.net.codec.FrameDecoder`
-    and may hold more than the frame asked for: :meth:`read` returns the
-    frames it decoded one at a time, and the decoder keeps a partial tail
-    for the next chunk.  A codec error is raised once the frames decoded
-    before it have been taken.
-    """
-
-    def __init__(self, reader: asyncio.StreamReader) -> None:
-        self.reader = reader
-        self.decoder = codec.FrameDecoder()
-        self._frames: Deque[codec.Frame] = deque()
-        self._error: Optional[codec.CodecError] = None
-        #: Whether the reader holds no byte the decoder has not seen: a
-        #: read shorter than ``READ_CHUNK`` took its whole buffer.
-        self._drained = True
-
-    async def _fill(self) -> bool:
-        """Read one chunk into the decoder; False at a clean EOF."""
-        if self._error is not None:
-            raise self._error
-        chunk = await self.reader.read(READ_CHUNK)
-        self._drained = len(chunk) < READ_CHUNK
-        try:
-            if not chunk:
-                self.decoder.eof()  # EOF inside a frame is a torn stream
-                return False
-            self.decoder.feed(chunk, self._frames)
-        except codec.CodecError as exc:
-            self._error = exc
-        return True
-
-    async def read(self) -> Optional[codec.Frame]:
-        """The next frame; ``None`` at a clean EOF.  Raises
-        :class:`~repro.net.codec.CodecError` for a malformed or torn one."""
-        while not self._frames:
-            if not await self._fill():
-                return None
-        return self._frames.popleft()
-
-    async def hand_over(
-        self, transport: asyncio.BaseTransport, protocol: Any
-    ) -> None:
-        """Make ``protocol`` the reader of the stream under ``transport``,
-        losing and reordering no byte.
-
-        ``protocol`` is an asyncio protocol that reads through
-        this stream's :attr:`decoder` and also takes a list of decoded
-        frames by ``frames_received``: the frames read and not yet
-        returned go there first.  The switch waits for a read that left
-        the reader's buffer empty -- one shorter than ``READ_CHUNK``, as
-        the HELLO's read nearly always is -- so the reader holds no byte
-        the decoder has not seen; an EOF that came with that read is
-        then passed on as ``eof_received`` followed by a close.  Codec and
-        connection errors of the reads before the switch raise here.
-        """
-        while True:
-            if self._frames:
-                frames = list(self._frames)
-                self._frames.clear()
-                protocol.frames_received(frames)
-            if self._error is not None:
-                raise self._error
-            if self._drained or not await self._fill():
-                break
-        transport.set_protocol(protocol)
-        if self.reader.at_eof():
-            protocol.eof_received()
-            transport.close()
-            protocol.connection_lost(None)
+__all__ = ["Endpoint"]
 
 
 class Endpoint:
@@ -137,15 +60,20 @@ class Endpoint:
         self.ready_body = ready_body
         self.draining = False
         self.errors: List[str] = []
-        #: HELLO role -> ``async handler(stream, writer, hello_body)``
-        #: (``stream`` a :class:`FrameStream`), which serves one accepted
-        #: stream until it ends.
-        self._roles: Dict[str, Callable] = {"load": self._load_loop}
+        #: HELLO role -> ``(serve(link, hello_body), end(link, exc))``:
+        #: ``serve`` sets what the link's frames go to from the HELLO on,
+        #: and ``end`` is told once the link has ended.
+        self._roles: Dict[str, Tuple[Callable, Callable]] = {
+            "load": (self._serve_load, self._end_load)
+        }
         #: Load-role request kind -> ``handler(frame)`` returning the
         #: same-kind reply's body (``None``: a one-way frame).
         self._requests: Dict[int, Callable] = dict.fromkeys(PULLS, self._pull)
-        #: Accepted streams by HELLO role, from handshake to close.
-        self._writers: DefaultDict[str, Set[asyncio.StreamWriter]] = defaultdict(set)
+        #: Every accepted link, from accept to end, and its HELLO role
+        #: (``""`` until the HELLO is in).
+        self._links: Dict[codec.FrameLink, str] = {}
+        #: Load links whose DRAIN holds the per-run barrier.
+        self._barriers: Set[codec.FrameLink] = set()
         self._server: Optional[asyncio.base_events.Server] = None
         self._tasks: Set[asyncio.Task] = set()
         self._ready = asyncio.Event()
@@ -172,14 +100,12 @@ class Endpoint:
 
     async def start(self) -> None:
         """Start listening."""
-        self._server = await asyncio.start_server(
-            self._on_connection, self.bind_host, self.listen_port
+        self._server = await asyncio.get_running_loop().create_server(
+            self._accept, self.bind_host, self.listen_port
         )
 
     def _spawn(self, coro) -> asyncio.Task:
-        return self._track(asyncio.get_running_loop().create_task(coro))
-
-    def _track(self, task: asyncio.Task) -> asyncio.Task:
+        task = asyncio.get_running_loop().create_task(coro)
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
         return task
@@ -202,7 +128,7 @@ class Endpoint:
         await self._teardown()
 
     async def _teardown(self) -> None:
-        """Stop the server and the tasks and close every accepted stream
+        """Stop the server and the tasks and close every accepted link
         (clients then see EOF, exactly as if the process had gone)."""
         self._stopping = True
         self.draining = True
@@ -212,10 +138,8 @@ class Endpoint:
         for task in list(self._tasks):
             if task is not current:
                 task.cancel()
-        for writers in self._writers.values():
-            for writer in writers:
-                if not writer.is_closing():
-                    writer.close()
+        for link in list(self._links):
+            link.close()
         if self._server is not None:
             await self._server.wait_closed()
         self._done.set()
@@ -242,95 +166,95 @@ class Endpoint:
 
     # -- inbound connections -------------------------------------------------------
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None
-        self._track(task)
-        stream = FrameStream(reader)
-        try:
-            try:
-                hello = await stream.read()
-            except codec.CodecError as exc:
-                self.errors.append("handshake: %s" % exc)
-                return
-            except ConnectionError:
-                return  # gone before saying anything
-            if hello is None or hello.kind != codec.HELLO:
-                return
-            if hello.body.get("run") != self.run_id:
-                self.errors.append(
-                    "rejected connection for run %r (serving %r)"
-                    % (hello.body.get("run"), self.run_id)
-                )
-                return
-            role = hello.body.get("role")
-            handler = self._roles.get(role) if isinstance(role, str) else None
-            if handler is None:
-                self.errors.append("unknown connection role %r" % (role,))
-                return
-            writers = self._writers[role]
-            writers.add(writer)
-            try:
-                await handler(stream, writer, hello.body)
-            finally:
-                writers.discard(writer)
-        except asyncio.CancelledError:
-            # The stream protocol's done-callback reads the task's
-            # exception, so a connection that teardown cancelled ends
-            # normally instead of logging the cancellation.
-            if not self._stopping:
-                raise
-        finally:
-            writer.close()
+    def _accept(self) -> codec.FrameLink:
+        link = codec.FrameLink(self._on_hello, self._on_end)
+        self._links[link] = ""
+        return link
+
+    def _on_hello(self, link: codec.FrameLink, frames: List[codec.Frame]) -> None:
+        if not frames:
+            return
+        hello = frames[0]
+        if hello.kind != codec.HELLO:
+            link.close()
+            return
+        if hello.body.get("run") != self.run_id:
+            self.errors.append(
+                "rejected connection for run %r (serving %r)"
+                % (hello.body.get("run"), self.run_id)
+            )
+            link.close()
+            return
+        role = hello.body.get("role")
+        handlers = self._roles.get(role) if isinstance(role, str) else None
+        if handlers is None:
+            self.errors.append("unknown connection role %r" % (role,))
+            link.close()
+            return
+        self._links[link] = role
+        handlers[0](link, hello.body)
+        if len(frames) > 1 and not link.closed:
+            link.on_frames(link, frames[1:])  # those that came with the HELLO
+
+    def _on_end(self, link: codec.FrameLink, exc: Optional[BaseException]) -> None:
+        role = self._links.pop(link, "")
+        if role:
+            self._roles[role][1](link, exc)
+        elif isinstance(exc, codec.CodecError):
+            self.errors.append("handshake: %s" % exc)
 
     # -- load clients ----------------------------------------------------------------
 
     def _pull(self, frame: "codec.Frame") -> Dict[str, Any]:
         return getattr(self, PULLS[frame.kind])()
 
-    async def _load_loop(
-        self,
-        stream: FrameStream,
-        writer: asyncio.StreamWriter,
-        hello: Dict[str, Any],
-    ) -> None:
+    def _serve_load(self, link: codec.FrameLink, hello: Dict[str, Any]) -> None:
+        # Nothing is read until READY: the frames of the HELLO's read wait
+        # here, and the socket holds the rest.
+        held: List[codec.Frame] = []
+        link.on_frames = lambda link, frames: held.extend(frames)
+        link.transport.pause_reading()
+        self._spawn(self._open_load(link, held))
+
+    async def _open_load(self, link: codec.FrameLink, held: List[codec.Frame]) -> None:
         await self._ready.wait()
-        writer.write(codec.encode_frame(codec.READY, self.ready_body))
+        link.write(codec.encode_frame(codec.READY, self.ready_body))
+        await link.drain()
+        link.on_frames = self._on_load_frames
+        link.transport.resume_reading()
+        link.frames_received(held)
+
+    def _on_load_frames(self, link: codec.FrameLink, frames: List[codec.Frame]) -> None:
         requests = self._requests
-        drained_here = False
-        try:
-            await writer.drain()
-            while True:
-                frame = await stream.read()
-                if frame is None:
-                    return
-                kind = frame.kind
-                handler = requests.get(kind)
-                if handler is not None:
-                    body = handler(frame)
-                    if body is not None:
-                        writer.write(codec.encode_frame(kind, body))
-                elif kind == codec.DRAIN:
-                    self.draining = True
-                    drained_here = True
-                    writer.write(codec.encode_frame(codec.DRAIN, {}))
-                elif kind == codec.BYE:
-                    drained_here = False  # terminal: shutdown owns the flag
-                    writer.write(codec.encode_frame(codec.BYE, {}))
-                    try:
-                        await writer.drain()
-                    except ConnectionError:
-                        pass
-                    self._spawn(self.shutdown())
-                    return
-                # Any other kind on a load stream is ignored (forward compat).
-        except (codec.CodecError, ConnectionError) as exc:
+        for frame in frames:
+            kind = frame.kind
+            handler = requests.get(kind)
+            if handler is not None:
+                body = handler(frame)
+                if body is not None:
+                    link.write(codec.encode_frame(kind, body))
+            elif kind == codec.DRAIN:
+                self.draining = True
+                self._barriers.add(link)
+                link.write(codec.encode_frame(codec.DRAIN, {}))
+            elif kind == codec.BYE:
+                self._barriers.discard(link)  # terminal: shutdown owns the flag
+                link.write(codec.encode_frame(codec.BYE, {}))
+                link.transport.pause_reading()
+                self._spawn(self._bye(link))
+                return
+            # Any other kind on a load stream is ignored (forward compat).
+
+    async def _bye(self, link: codec.FrameLink) -> None:
+        await link.drain()
+        await self.shutdown()
+
+    def _end_load(self, link: codec.FrameLink, exc: Optional[BaseException]) -> None:
+        if exc is not None and not self._stopping:
+            self.errors.append("load stream: %s" % exc)
+        if link in self._barriers:
+            self._barriers.discard(link)
             if not self._stopping:
-                self.errors.append("load stream: %s" % exc)
-        finally:
-            if drained_here and not self._stopping:
                 # DRAIN is a per-run barrier, not a terminal state: once
                 # the drained load client goes away, a keep-serving
                 # endpoint must take the next run's invokes.

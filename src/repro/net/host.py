@@ -17,6 +17,12 @@ the simulator enforces.  The only substitutions are at the edges:
 Everything above those edges -- protocols, tags, the trace contract,
 probe points -- is byte-for-byte the simulation stack.
 
+Every stream is a :class:`~repro.net.codec.FrameLink`.  An accepted
+peer's reads are dispatched in the callback that read them, and the
+replies it queues leave before it returns, so a hop costs one loop
+iteration; a dialed peer link brings back only HEARTBEAT echoes, and
+its end hands the peer to the re-dial supervisor.
+
 An ``observer`` stream carries the trace alone: the history in RECORDS
 chunks, READY, then each new record through the tap.  Probes stay in
 the host; their counts reach clients as its METRICS.
@@ -25,6 +31,7 @@ the host; their counts reach clients as its METRICS.
 from __future__ import annotations
 
 import asyncio
+import functools
 import math
 import random
 import time
@@ -32,8 +39,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set,
 
 from repro.events import Message
 from repro.net import codec
-from repro.net.client import READ_CHUNK
-from repro.net.endpoint import Endpoint, FrameStream
+from repro.net.endpoint import Endpoint
 from repro.net.resilience import LINK_DOWN, LinkMonitor, ResilienceConfig
 from repro.net.transport import (
     DEFAULT_TIME_SCALE,
@@ -90,82 +96,6 @@ def record_frames(tapped: Iterable[Tuple[TraceRecord, Message]]) -> Iterator[byt
         data += encoded
     if data:
         yield codec.encode_frame(codec.RECORDS, data)
-
-
-class PeerLink(asyncio.BufferedProtocol):
-    """An accepted peer stream past its HELLO, read by callback.
-
-    :meth:`data_received` feeds the stream's decoder and dispatches each
-    frame the read completed within the same callback, and the replies
-    that dispatch queued leave before it returns (see
-    :class:`~repro.net.transport.AsyncTransport`): a hop costs one loop
-    iteration.  A malformed frame, an EOF inside a frame or a lost
-    connection ends the link with one ``peer stream: ...`` error.
-
-    The socket is read into the host's one ``READ_CHUNK`` buffer
-    (:class:`asyncio.BufferedProtocol`), which the decoder copies out of
-    before anything else can read: a plain protocol's transport
-    allocates a 256 KiB bytes object per read and shrinks it, which costs
-    a loopback read several times what the read itself does.
-    """
-
-    def __init__(
-        self,
-        host: "NetHost",
-        decoder: codec.FrameDecoder,
-        transport: asyncio.Transport,
-    ) -> None:
-        self._host = host
-        self._decoder = decoder
-        self._transport = transport
-        self._buffer = host._read_buffer
-        #: Resolved once the link has ended, by whatever ended it.
-        self.closed: asyncio.Future = asyncio.get_running_loop().create_future()
-
-    def frames_received(self, frames: List[codec.Frame]) -> None:
-        """Dispatch frames decoded from this stream (those read before
-        the hand-over come here directly)."""
-        if self.closed.done():
-            return
-        try:
-            self._host._on_peer_frames(frames, self._transport)
-        except codec.CodecError as exc:
-            self._end(exc)
-
-    def get_buffer(self, sizehint: int) -> memoryview:
-        return self._buffer
-
-    def buffer_updated(self, nbytes: int) -> None:
-        self.data_received(self._buffer[:nbytes])
-
-    def data_received(self, data: "bytes | memoryview") -> None:
-        """Decode one read and dispatch the frames it completed."""
-        frames: List[codec.Frame] = []
-        try:
-            self._decoder.feed(data, frames)
-        except codec.CodecError as exc:
-            self.frames_received(frames)  # those before the bad one
-            self._end(exc)
-            return
-        self.frames_received(frames)
-
-    def eof_received(self) -> bool:
-        try:
-            self._decoder.eof()  # EOF inside a frame is a torn stream
-        except codec.CodecError as exc:
-            self._end(exc)
-        return False  # close
-
-    def connection_lost(self, exc: Optional[Exception]) -> None:
-        self._end(exc)
-
-    def _end(self, exc: Optional[BaseException]) -> None:
-        if self.closed.done():
-            return
-        self.closed.set_result(None)
-        if exc is not None and not self._host._done.is_set():
-            self._host.errors.append("peer stream: %s" % exc)
-        self._transport.close()
 
 
 class NetProtocolHost(ProtocolHost):
@@ -273,8 +203,8 @@ class NetHost(Endpoint):
             run_id,
             {"process": process_id, "processes": n_processes},
         )
-        self._roles["peer"] = self._serve_peer
-        self._roles["observer"] = self._observer_loop
+        self._roles["peer"] = (self._serve_peer, self._end_peer)
+        self._roles["observer"] = (self._serve_observer, self._end_observer)
         self._requests[codec.INVOKE_BATCH] = self._handle_invoke
         self.process_id = process_id
         self.n_processes = n_processes
@@ -323,12 +253,8 @@ class NetHost(Endpoint):
         if observability:
             self.metrics = MetricsRecorder(self.bus, self.stats.registry)
             self.watchdog = Watchdog(self.bus)
-        #: What every accepted peer link's socket reads go into.
-        self._read_buffer = memoryview(bytearray(READ_CHUNK))
-        #: Dialed peer streams (the accepted ones are the endpoint's).
-        self._peer_writers: List[asyncio.StreamWriter] = []
-        #: Observer streams past their history replay: what the tap feeds.
-        self._observer_writers: List[asyncio.StreamWriter] = []
+        #: Observer links past their history replay: what the tap feeds.
+        self._observers: Set[codec.FrameLink] = set()
         self._tapped: List[Tuple[TraceRecord, Message]] = []
         self._inbound_peers: Set[int] = set()
         #: Whether the trace tap feeding observers is attached.
@@ -494,10 +420,9 @@ class NetHost(Endpoint):
         and the dialed links too (peers then see EOF in both directions,
         exactly as they would if the process had gone)."""
         self.clock.cancel_all()
-        for writer in self._peer_writers:
-            if not writer.is_closing():
-                writer.close()
         await super()._teardown()
+        for writer in list(self.transport._writers.values()):
+            writer.close()  # the dialed links' ends see _stopping: no re-dial
 
     # -- rendezvous ----------------------------------------------------------
 
@@ -536,8 +461,22 @@ class NetHost(Endpoint):
         frames queued for it must keep queueing.  No echo within the
         silence that reads a fresh link as down is a failed attempt.
         """
-        reader, writer = await asyncio.open_connection(
-            self.bind_host, self.ports[dst]
+        loop = asyncio.get_running_loop()
+        #: Whether the first frame back is a HEARTBEAT (False: the link ended).
+        echoed = loop.create_future()
+
+        def first_frame(link: codec.FrameLink, frames: List[codec.Frame]) -> None:
+            if frames and not echoed.done():
+                echoed.set_result(frames[0].kind == codec.HEARTBEAT)
+
+        def ended(link: codec.FrameLink, exc: Optional[BaseException]) -> None:
+            if not echoed.done():
+                echoed.set_result(False)
+
+        _, link = await loop.create_connection(
+            lambda: codec.FrameLink(first_frame, ended),
+            self.bind_host,
+            self.ports[dst],
         )
         hello = {
             "process": self.process_id,
@@ -546,38 +485,35 @@ class NetHost(Endpoint):
             "incarnation": self.incarnation,
         }
         try:
-            writer.write(codec.encode_frame(codec.HELLO, hello))
+            link.write(codec.encode_frame(codec.HELLO, hello))
             if confirm:
                 beat = {"process": self.process_id, "n": 0}
-                writer.write(codec.encode_frame(codec.HEARTBEAT, beat))
-            await writer.drain()
+                link.write(codec.encode_frame(codec.HEARTBEAT, beat))
+            await link.drain()
             if confirm:
                 config = self.resilience
                 try:
-                    echo = await asyncio.wait_for(
-                        codec.read_frame(reader),
+                    ok = await asyncio.wait_for(
+                        echoed,
                         config.down_phi * math.log(10.0) * config.heartbeat_interval,
                     )
-                except (asyncio.TimeoutError, codec.CodecError):
-                    echo = None
-                if echo is None or echo.kind != codec.HEARTBEAT or self.crashed:
+                except asyncio.TimeoutError:
+                    ok = False
+                if not ok or self.crashed:
                     raise ConnectionError("peer %d did not echo a heartbeat" % dst)
+            if link.closed:
+                raise ConnectionError("peer %d closed the link" % dst)
         except BaseException:
             # A failed attempt (reset, cancel, no echo) leaves no socket.
-            writer.close()
+            link.close()
             raise
-        self.transport.connect(dst, writer)
-        self._peer_writers = [
-            peer_writer
-            for peer_writer in self._peer_writers
-            if not peer_writer.is_closing()
-        ]
-        self._peer_writers.append(writer)
+        # From here on the link carries the peer's heartbeat echoes, and
+        # its end hands the peer to the reconnect supervisor.
+        link.on_frames = functools.partial(self._on_echoes, dst)
+        link.on_end = functools.partial(self._on_dialed_end, dst)
+        self.transport.connect(dst, link.transport)
         self._link_up_at[dst] = time.monotonic()
         self.monitor.watch(dst, time.monotonic())
-        # Heartbeat echoes travel host-ward on a dialed link; parse them
-        # (and detect the EOF that tears the link down).
-        self._spawn(self._watch_peer_link(dst, reader, writer))
 
     async def _redial(self, dst: int) -> None:
         """Supervised reconnection: retry with exponential backoff and
@@ -667,31 +603,24 @@ class NetHost(Endpoint):
                 probe, self.clock.now, process=self.process_id, peer=peer, **data
             )
 
-    async def _watch_peer_link(
-        self,
-        dst: int,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
+    def _on_echoes(
+        self, dst: int, link: codec.FrameLink, frames: List[codec.Frame]
     ) -> None:
-        try:
-            while True:
-                frame = await codec.read_frame(reader)
-                if frame is None:
-                    break
-                if frame.kind == codec.HEARTBEAT:
-                    self.monitor.observe(dst, time.monotonic())
-                # Anything else host-ward on a dialed link is ignored.
-        except asyncio.CancelledError:
+        for frame in frames:
+            if frame.kind == codec.HEARTBEAT:
+                self.monitor.observe(dst, time.monotonic())
+            # Anything else host-ward on a dialed link is ignored.
+
+    def _on_dialed_end(
+        self, dst: int, link: codec.FrameLink, exc: Optional[BaseException]
+    ) -> None:
+        """EOF (or a torn stream): the peer's incarnation -- or just the
+        link -- is gone.  Tear it down so ``link_up`` reports it, then
+        hand the destination to the reconnect supervisor."""
+        if self._stopping:
             return
-        except (codec.CodecError, ConnectionError):
-            pass
-        # EOF (or a torn stream): the peer's incarnation -- or just the
-        # link -- is gone.  Tear it down so ``link_up`` reports it, then
-        # hand the destination to the reconnect supervisor.
-        if self.transport._writers.get(dst) is writer:
+        if self.transport._writers.get(dst) is link.transport:
             self.transport.disconnect(dst)
-        if not writer.is_closing():
-            writer.close()
         transition = self.monitor.mark_down(dst)
         if transition is not None:
             self._emit_link_probe("link.down", dst, previous=transition[0])
@@ -777,9 +706,9 @@ class NetHost(Endpoint):
             codec.BACKPRESSURE,
             {"process": self.process_id, "state": state, "pending": pending},
         )
-        for writer in self._writers["load"]:
-            if not writer.is_closing():
-                writer.write(frame)
+        for link, role in self._links.items():
+            if role == "load":
+                link.write(frame)
 
     def _check_ready(self) -> None:
         peers = self.n_processes - 1
@@ -802,12 +731,7 @@ class NetHost(Endpoint):
 
     # -- inbound connections ---------------------------------------------------
 
-    async def _serve_peer(
-        self,
-        stream: FrameStream,
-        writer: asyncio.StreamWriter,
-        hello: Dict[str, Any],
-    ) -> None:
+    def _serve_peer(self, link: codec.FrameLink, hello: Dict[str, Any]) -> None:
         peer = int(hello.get("process", -1))
         incarnation = int(hello.get("incarnation", 0))
         known = self._peer_incarnations.get(peer)
@@ -819,6 +743,7 @@ class NetHost(Endpoint):
                 "rejected stale HELLO from peer %d "
                 "(incarnation %d < %d)" % (peer, incarnation, known)
             )
+            link.close()
             return
         self._peer_incarnations[peer] = incarnation
         self._inbound_peers.add(peer)
@@ -834,18 +759,13 @@ class NetHost(Endpoint):
             self._redialing.add(peer)
             self._spawn(self._redial(peer))
         self._check_ready()
-        # From here on the link reads by callback; this task only waits
-        # for it to end (teardown cancels it and closes the stream).
-        link = PeerLink(self, stream.decoder, writer.transport)
-        try:
-            await stream.hand_over(writer.transport, link)
-        except (codec.CodecError, ConnectionError) as exc:
-            link.connection_lost(exc)
-        await link.closed
+        link.on_frames = self._on_peer_frames
 
-    def _on_peer_frames(
-        self, frames: List[codec.Frame], link: asyncio.Transport
-    ) -> None:
+    def _end_peer(self, link: codec.FrameLink, exc: Optional[BaseException]) -> None:
+        if exc is not None and not self._stopping:
+            self.errors.append("peer stream: %s" % exc)
+
+    def _on_peer_frames(self, link: codec.FrameLink, frames: List[codec.Frame]) -> None:
         """Dispatch the frames one peer read completed.
 
         A batch is every frame read, from any peer, within ACK_DELAY of
@@ -872,9 +792,7 @@ class NetHost(Endpoint):
         except Exception as exc:  # noqa: BLE001 - as in _dispatch_packet
             self.errors.append("dispatch: %s" % exc)
 
-    def _on_peer_frame(
-        self, frame: "codec.Frame", link: asyncio.Transport
-    ) -> None:
+    def _on_peer_frame(self, frame: "codec.Frame", link: codec.FrameLink) -> None:
         if frame.kind in (codec.USER, codec.CONTROL):
             self._dispatch_packet(packet_from_frame(frame), frame.body.get("invoked"))
         elif frame.kind == codec.HEARTBEAT and not frame.body.get("echo"):
@@ -906,34 +824,31 @@ class NetHost(Endpoint):
 
     # -- observers -------------------------------------------------------------
 
-    async def _observer_loop(
-        self,
-        stream: FrameStream,
-        writer: asyncio.StreamWriter,
-        hello: Dict[str, Any],
-    ) -> None:
-        await self._ready.wait()
-        self._attach_observer(writer)
-        writer.write(codec.encode_frame(codec.READY, self.ready_body))
-        try:
-            await writer.drain()
-            while True:  # observers never send after HELLO; wait for EOF
-                if await stream.read() is None:
-                    return
-        except (codec.CodecError, ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            if writer in self._observer_writers:
-                self._observer_writers.remove(writer)
+    def _serve_observer(self, link: codec.FrameLink, hello: Dict[str, Any]) -> None:
+        link.on_frames = lambda link, frames: None  # observers only listen
+        self._spawn(self._open_observer(link))
 
-    def _attach_observer(self, writer: asyncio.StreamWriter) -> None:
+    async def _open_observer(self, link: codec.FrameLink) -> None:
+        await self._ready.wait()
+        if link.closed:
+            return
+        self._attach_observer(link)
+        link.write(codec.encode_frame(codec.READY, self.ready_body))
+        await link.drain()
+
+    def _end_observer(
+        self, link: codec.FrameLink, exc: Optional[BaseException]
+    ) -> None:
+        self._observers.discard(link)
+
+    def _attach_observer(self, link: codec.FrameLink) -> None:
         # What the tap holds is already in the trace the newcomer is sent.
         self._flush_tap()
         trace = self.trace
         history = [(r, trace.message(r.event.message_id)) for r in trace.records()]
         for frame in record_frames(history):
-            writer.write(frame)
-        self._observer_writers.append(writer)
+            link.write(frame)
+        self._observers.add(link)
         if not self._tapping:
             # Once per host, not once per first observer: the tap outlives
             # an observer that leaves, and the next run's must not add a
@@ -950,9 +865,8 @@ class NetHost(Endpoint):
     def _flush_tap(self) -> None:
         tapped, self._tapped = self._tapped, []
         for frame in record_frames(tapped):
-            for writer in self._observer_writers:
-                if not writer.is_closing():
-                    writer.write(frame)
+            for link in self._observers:
+                link.write(frame)
 
     # -- load clients ----------------------------------------------------------
 

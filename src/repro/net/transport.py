@@ -149,12 +149,12 @@ class AsyncTransport(Transport):
             raise ValueError("queue_limit must be >= 1")
         self.process_id = process_id
         self._stamp: Optional[Callable[[Packet], "tuple[float, float]"]] = None
-        self._writers: Dict[int, asyncio.StreamWriter] = {}
+        self._writers: Dict[int, asyncio.WriteTransport] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self.frames_sent = 0
         self.bytes_sent = 0
         #: Frame writes coalesce: frames for a live link are buffered in
-        #: a per-peer outbox and written as *one* ``writer.write`` per
+        #: a per-peer outbox and written as *one* ``transport.write`` per
         #: peer (see the class docstring for when).  All kinds go
         #: through the outbox, so per-connection FIFO order is exactly
         #: preserved; only the syscall count changes.  Requires a bound
@@ -180,8 +180,8 @@ class AsyncTransport(Transport):
     def bind_loop(self, loop: asyncio.AbstractEventLoop) -> None:
         self._loop = loop
 
-    def connect(self, dst: int, writer: asyncio.StreamWriter) -> None:
-        """Register the outbound stream for destination ``dst``."""
+    def connect(self, dst: int, writer: asyncio.WriteTransport) -> None:
+        """Register the outbound stream's transport for destination ``dst``."""
         self._writers[dst] = writer
 
     def disconnect(self, dst: int) -> None:

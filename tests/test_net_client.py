@@ -19,6 +19,7 @@ from repro.net.client import ClusterClient, ControlLink
 from repro.net.cluster import free_ports
 from repro.net.collector import ClusterCollector
 from repro.net.shard import ShardWorker, ShardWorkerConfig
+from tests.frame_client import read_frame
 
 
 async def _stub_endpoint(port, answer, conns=None):
@@ -29,15 +30,17 @@ async def _stub_endpoint(port, answer, conns=None):
     async def handler(reader, writer):
         if conns is not None:
             conns.append(writer)
-        hello = await codec.read_frame(reader)
-        assert hello.kind == codec.HELLO and hello.body["role"] == "load"
-        writer.write(codec.encode_frame(codec.READY, {"process": 0}))
-        while True:
-            frame = await codec.read_frame(reader)
-            if frame is None:
-                break
-            answer(frame, writer)
-        writer.close()
+        try:
+            hello = await read_frame(reader)
+            assert hello.kind == codec.HELLO and hello.body["role"] == "load"
+            writer.write(codec.encode_frame(codec.READY, {"process": 0}))
+            while True:
+                frame = await read_frame(reader)
+                if frame is None:
+                    break
+                answer(frame, writer)
+        finally:  # also when the loop ends first and cancels the handler
+            writer.close()
 
     return await asyncio.start_server(handler, "127.0.0.1", port)
 
@@ -276,13 +279,15 @@ class TestFollowedStream:
 
             async def handler(reader, writer):
                 accepted.append(writer)
-                await codec.read_frame(reader)  # the HELLO
-                writer.write(chunk + codec.encode_frame(codec.READY, {"process": 0}))
-                await writer.drain()
-                if len(accepted) == 1:
-                    writer.close()  # the first incarnation's stream ends
-                else:
-                    await reader.read()
+                try:
+                    await read_frame(reader)  # the HELLO
+                    ready = codec.encode_frame(codec.READY, {"process": 0})
+                    writer.write(chunk + ready)
+                    await writer.drain()
+                    if len(accepted) > 1:
+                        await reader.read()
+                finally:  # the first incarnation's stream ends at once
+                    writer.close()
 
             server = await asyncio.start_server(handler, "127.0.0.1", port)
             link = ControlLink("127.0.0.1", port, "observer", "default", on_records)
@@ -366,8 +371,10 @@ class TestShardedLoadOperatorErrors:
 
         async def scenario():
             async def mute(reader, writer):
-                await reader.read()  # swallow the HELLO, answer nothing
-                writer.close()
+                try:
+                    await reader.read()  # swallow the HELLO, answer nothing
+                finally:
+                    writer.close()
 
             server = await asyncio.start_server(mute, "127.0.0.1", port)
             async with server:

@@ -37,6 +37,7 @@ from repro.protocols.base import make_factory
 from repro.simulation.trace import TraceRecord
 from repro.wal import records as wal_records
 from tests.conftest import free_port_base
+from tests.frame_client import read_frame
 
 # Fast wall mapping for tests: 1 virtual unit == 1ms, so the ARQ's
 # 30-unit RTO is 30ms and soak runs converge quickly.
@@ -266,11 +267,13 @@ async def _observe(observer, data):
     the observer has read up to READY (or a malformed chunk stopped it)."""
 
     async def serve(reader, writer):
-        await codec.read_frame(reader)
-        writer.write(data + codec.encode_frame(codec.READY, {"process": 0}))
-        await writer.drain()
-        await reader.read()  # until the observer hangs up
-        writer.close()
+        try:
+            await read_frame(reader)
+            writer.write(data + codec.encode_frame(codec.READY, {"process": 0}))
+            await writer.drain()
+            await reader.read()  # until the observer hangs up
+        finally:  # also when the loop ends first and cancels the handler
+            writer.close()
 
     server = await asyncio.start_server(serve, "127.0.0.1", 0)
     try:
@@ -579,19 +582,19 @@ class TestOneLoadDriver:
         await load.connect()
         written = [Counter() for _ in load.links]
         for index, link in enumerate(load.links):
-            write = link.writer.write
+            write = link.stream.write
 
             def sniff(data, index=index, write=write):
                 for frame in codec.FrameDecoder().feed(data):
                     written[index][frame.kind] += 1
                 write(data)
 
-            link.writer.write = sniff
+            link.stream.write = sniff
         try:
             await load.run(cls.RATE, cls.DURATION)
         finally:
             for link in load.links:
-                del link.writer.write
+                del link.stream.write
         await load.drain()
         quiesced, stats = await load.quiesce(timeout=10.0, poll=0.02)
         await load.close()

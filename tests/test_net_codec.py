@@ -9,6 +9,7 @@ from repro.events import Event, Message
 from repro.net import codec
 from repro.simulation.trace import TraceRecord
 from repro.wal import records as wal_records
+from tests.frame_client import FakeTransport, feed
 
 
 def _sample_bodies():
@@ -267,19 +268,16 @@ class TestFrameSizeBoundary:
                 {"pad": "x" * (codec.MAX_FRAME_BYTES - base + 1)},
             )
 
-    def test_limit_frame_survives_the_stream_reader(self):
+    def test_limit_frame_survives_the_one_reader(self):
         data = self._frame_of_exact_size(codec.MAX_FRAME_BYTES)
-
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(data)
-            reader.feed_eof()
-            frame = await codec.read_frame(reader)
-            assert frame is not None and frame.kind == codec.STATS
-            assert await codec.read_frame(reader) is None  # clean EOF
-            return frame
-
-        frame = asyncio.run(scenario())
+        chunk = codec.READ_CHUNK
+        reads = [data[start : start + chunk] for start in range(0, len(data), chunk)]
+        calls, ends = _read_by_link(reads)
+        assert len(reads) > 60
+        assert calls[:-1] == [[]] * (len(reads) - 1)  # one call per read
+        (frame,) = calls[-1]
+        assert frame.kind == codec.STATS
+        assert ends == [None]  # clean EOF
         assert len(codec.encode_frame(frame.kind, frame.body)) == len(data)
 
     def test_decoder_respects_a_custom_limit(self):
@@ -291,47 +289,54 @@ class TestFrameSizeBoundary:
             decoder.feed(big)
 
 
-class TestStreamReadFrame:
-    def _run(self, coro):
-        return asyncio.run(coro)
+def _read_by_link(reads):
+    """Feed ``reads`` to a :class:`codec.FrameLink` as socket reads, then
+    EOF; returns the frame lists ``on_frames`` got and what ``on_end`` got."""
 
-    def test_reads_frames_then_clean_eof(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(self._two_frames())
-            reader.feed_eof()
-            first = await codec.read_frame(reader)
-            second = await codec.read_frame(reader)
-            third = await codec.read_frame(reader)
-            return first, second, third
+    async def scenario():
+        calls, ends = [], []
+        link = codec.FrameLink(
+            lambda link, frames: calls.append(frames),
+            lambda link, exc: ends.append(exc),
+        )
+        link.connection_made(FakeTransport())
+        for data in reads:
+            feed(link, data)
+        assert link.eof_received() is False  # the transport closes
+        assert link.closed and link.transport.closed
+        return calls, ends
 
-        first, second, third = self._run(scenario())
-        assert first.kind == codec.DRAIN
-        assert second.kind == codec.BYE
-        assert third is None
+    return asyncio.run(scenario())
+
+
+class TestFrameLinkReads:
+    """The one reader, fed reads and an EOF by hand with no socket."""
 
     def _two_frames(self):
         return codec.encode_frame(codec.DRAIN, {}) + codec.encode_frame(
             codec.BYE, {}
         )
 
-    def test_eof_inside_prefix_raises(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(self._two_frames()[:2])
-            reader.feed_eof()
-            await codec.read_frame(reader)
+    def test_reads_frames_then_clean_eof(self):
+        calls, ends = _read_by_link([self._two_frames()])
+        assert [[frame.kind for frame in frames] for frames in calls] == [
+            [codec.DRAIN, codec.BYE]
+        ]
+        assert ends == [None]
 
-        with pytest.raises(codec.FrameTruncated, match="length prefix"):
-            self._run(scenario())
+    def test_eof_inside_prefix_ends_the_link(self):
+        calls, ends = _read_by_link([self._two_frames()[:2]])
+        assert calls == [[]]
+        (error,) = ends
+        assert isinstance(error, codec.FrameTruncated)
+        assert "with 2 buffered bytes" in str(error)
 
-    def test_eof_inside_body_raises(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(self._two_frames()[:-1])
-            reader.feed_eof()
-            await codec.read_frame(reader)
-            await codec.read_frame(reader)
-
-        with pytest.raises(codec.FrameTruncated, match="frame body"):
-            self._run(scenario())
+    def test_eof_inside_body_ends_the_link(self):
+        data = self._two_frames()
+        calls, ends = _read_by_link([data[:-1]])
+        assert [[frame.kind for frame in frames] for frames in calls] == [
+            [codec.DRAIN]
+        ]
+        (error,) = ends
+        assert isinstance(error, codec.FrameTruncated)
+        assert "with %d buffered bytes" % (len(data) // 2 - 1) in str(error)

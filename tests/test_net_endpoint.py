@@ -20,6 +20,7 @@ from repro.net.cluster import free_ports
 from repro.net.shard import ShardWorker, ShardWorkerConfig
 from repro.net.shard.worker import spawn_worker
 from repro.protocols.registry import catalogue_entry
+from tests.frame_client import dial, read_frame
 
 RUN = "mine"
 
@@ -154,10 +155,9 @@ class TestHandshake:
 
         async def scenario():
             async with serving(kind) as rig:
-                stranger = rig.link(role=role)
-                await stranger.connect(timeout=1.0)
-                await rig.eof(stranger.reader)
-                await stranger.close()
+                reader, writer = await dial(rig.port, process=-1, role=role, run=RUN)
+                await rig.eof(reader)
+                writer.close()
                 return rig.endpoint.errors
 
         assert asyncio.run(scenario()) == ["unknown connection role %r" % role]
@@ -168,14 +168,13 @@ class TestLoadStream:
     def test_codec_error_mid_stream_is_recorded(self, kind):
         async def scenario():
             async with serving(kind) as rig:
-                link = rig.link()
-                await link.connect(timeout=1.0)
-                assert (await codec.read_frame(link.reader)).kind == codec.READY
-                link.writer.write(bad_version(codec.STATS))
+                reader, writer = await dial(rig.port, process=-1, role="load", run=RUN)
+                assert (await read_frame(reader)).kind == codec.READY
+                writer.write(bad_version(codec.STATS))
                 deadline = time.monotonic() + 1.0
                 while not rig.endpoint.errors and time.monotonic() < deadline:
                     await asyncio.sleep(0.01)
-                await link.close()
+                writer.close()
                 return rig.endpoint.errors
 
         (line,) = asyncio.run(scenario())

@@ -19,6 +19,7 @@ from repro.net.transport import packet_from_frame
 from repro.protocols import catalogue
 from repro.simulation.network import Packet
 from repro.wal import records as wal_records
+from tests.frame_client import read_frame
 
 
 class TestWallClock:
@@ -188,7 +189,7 @@ class TestObserverTap:
             )
             chunks = []
             while True:  # the history comes before READY
-                frame = await asyncio.wait_for(codec.read_frame(reader), 5.0)
+                frame = await asyncio.wait_for(read_frame(reader), 5.0)
                 if frame.kind == codec.READY:
                     return reader, writer, chunks
                 chunks.append(frame.body)
@@ -209,7 +210,7 @@ class TestObserverTap:
             streams = []
             for reader, writer, chunks in (early, late):
                 while True:
-                    frame = await asyncio.wait_for(codec.read_frame(reader), 5.0)
+                    frame = await asyncio.wait_for(read_frame(reader), 5.0)
                     if frame is None:
                         break
                     if frame.kind == codec.RECORDS:
@@ -340,7 +341,7 @@ class TestNetHostLifecycle:
                 )
             )
             await writer.drain()
-            assert await codec.read_frame(reader) is None  # closed on us
+            assert await read_frame(reader) is None  # closed on us
             writer.close()
             await host.shutdown()
             return host.errors
@@ -484,7 +485,7 @@ class TestNetHostLifecycle:
             )
             writer.write(hello)
             await writer.drain()
-            frame = await asyncio.wait_for(codec.read_frame(reader), 5.0)
+            frame = await asyncio.wait_for(read_frame(reader), 5.0)
             writer.close()
             errors = list(host.errors)
             await host.shutdown()
@@ -523,7 +524,7 @@ class TestNetHostLifecycle:
             )
             stale_writer.write(peer_hello(1))
             await stale_writer.drain()
-            closed = await asyncio.wait_for(codec.read_frame(stale_reader), 5.0)
+            closed = await asyncio.wait_for(read_frame(stale_reader), 5.0)
             stale_writer.close()
             # The live session must be undisturbed: its heartbeats still
             # echo on the same socket.
@@ -531,7 +532,7 @@ class TestNetHostLifecycle:
                 codec.encode_frame(codec.HEARTBEAT, {"process": 1, "n": 7})
             )
             await live_writer.drain()
-            echo = await asyncio.wait_for(codec.read_frame(live_reader), 5.0)
+            echo = await asyncio.wait_for(read_frame(live_reader), 5.0)
             live_writer.close()
             errors = list(host.errors)
             await host.shutdown()
@@ -564,11 +565,11 @@ class TestNetHostLifecycle:
                 )
             )
             await writer.drain()
-            ready = await asyncio.wait_for(codec.read_frame(reader), 5.0)
+            ready = await asyncio.wait_for(read_frame(reader), 5.0)
             assert ready is not None and ready.kind == codec.READY
             writer.write(codec.encode_frame(codec.DRAIN, {}))
             await writer.drain()
-            ack = await asyncio.wait_for(codec.read_frame(reader), 5.0)
+            ack = await asyncio.wait_for(read_frame(reader), 5.0)
             assert ack is not None and ack.kind == codec.DRAIN
             mid_drain = host.draining
             writer.close()
@@ -623,7 +624,7 @@ class TestNetHostLifecycle:
             writer.write(codec.encode_frame(codec.DRAIN, {}))
             await writer.drain()
             for _ in range(2):  # READY then the DRAIN ack
-                assert await asyncio.wait_for(codec.read_frame(reader), 5.0)
+                assert await asyncio.wait_for(read_frame(reader), 5.0)
             writer.close()
             await victim.crash()
             # Stay dead until the survivor's supervisor gives up.

@@ -1,25 +1,22 @@
 """An accepted peer link reads by callback, and a reply leaves with its read.
 
-After the HELLO, a :class:`NetHost` hands the peer stream from the
-endpoint's handshake reader to a :class:`PeerLink` protocol: each
-``data_received`` decodes and dispatches in the same callback, and the
-frames that dispatch queued are written before it returns.  The hand-over
-must lose, repeat and reorder no byte; the reply rule must leave every
-other frame to the tick's one write per peer.
+After the HELLO, a :class:`NetHost` points the accepted stream's
+:class:`~repro.net.codec.FrameLink` at its peer dispatch: each read is
+decoded and dispatched in the same callback, and the frames that dispatch
+queued are written before it returns.  A read must lose, repeat and
+reorder no frame, a bad one must end the link with one ``peer stream``
+line, and the reply rule must leave every other frame to the tick's one
+write per peer.
 """
 
 import asyncio
 
-import pytest
-
 from repro.events import Message
 from repro.net import NetHost, codec, free_ports
-from repro.net import host as host_module
-from repro.net.client import READ_CHUNK
-from repro.net.endpoint import FrameStream
 from repro.net.transport import packet_from_frame
 from repro.protocols.base import Protocol
 from repro.protocols.registry import catalogue
+from tests.frame_client import FakeTransport
 
 RUN = "link"
 HELLO = codec.encode_frame(codec.HELLO, {"process": 1, "role": "peer", "run": RUN})
@@ -64,51 +61,23 @@ async def _hung_up(reader):
     assert await asyncio.wait_for(reader.read(), 5.0) == b""
 
 
-class TestHandOver:
-    def test_frames_in_the_hello_s_write_are_dispatched_once_in_order(self):
-        async def script(reader, writer, host, seen):
-            writer.write(HELLO + b"".join(_control(("c", i)) for i in range(5)))
-            await writer.drain()
-            await _until(lambda: len(seen) >= 5)
-            writer.write(_control(("c", 5)))  # and one after the hand-over
-            await _until(lambda: len(seen) >= 6)
-            await asyncio.sleep(0.05)  # nothing arrives twice
-
-        seen, errors = _play_peer(script)
-        assert seen == [("c", i) for i in range(6)]
-        assert errors == []
-
-    def test_a_frame_torn_by_the_hand_over_is_dispatched_once(self):
-        frame = _control(("torn", 0))
-
-        async def script(reader, writer, host, seen):
-            writer.write(HELLO + frame[:7])
-            await writer.drain()
-            await _until(lambda: 1 in host._inbound_peers)
-            await asyncio.sleep(0.05)
-            writer.write(frame[7:])
-            await _until(lambda: seen)
-            await asyncio.sleep(0.05)
-
-        seen, errors = _play_peer(script)
-        assert seen == [("torn", 0)]
-        assert errors == []
-
+class TestPeerStream:
     def test_a_frame_split_across_two_reads_is_dispatched_once(self, monkeypatch):
         reads = []
-        received = host_module.PeerLink.data_received
+        received = codec.FrameLink.data_received
 
         def counted(link, data):
             reads.append(len(data))
             received(link, data)
 
-        monkeypatch.setattr(host_module.PeerLink, "data_received", counted)
+        monkeypatch.setattr(codec.FrameLink, "data_received", counted)
         frame = _control(("split", 0))
 
         async def script(reader, writer, host, seen):
             writer.write(HELLO + _control(("first", 0)))
             await writer.drain()
             await _until(lambda: seen)
+            reads.clear()
             writer.write(frame[:10])
             await writer.drain()
             await _until(lambda: reads)
@@ -121,17 +90,12 @@ class TestHandOver:
         assert reads == [10, len(frame) - 10]
         assert errors == []
 
-    @pytest.mark.parametrize("after_hand_over", [False, True])
-    def test_eof_inside_a_frame_is_one_peer_stream_error(self, after_hand_over):
+    def test_eof_inside_a_frame_is_one_peer_stream_error(self):
         async def script(reader, writer, host, seen):
-            if after_hand_over:
-                writer.write(HELLO)
-                await writer.drain()
-                await _until(lambda: 1 in host._inbound_peers)
-                await asyncio.sleep(0.05)
-                writer.write(_control(("cut", 0))[:9])
-            else:
-                writer.write(HELLO + _control(("cut", 0))[:9])
+            writer.write(HELLO)
+            await writer.drain()
+            await _until(lambda: 1 in host._inbound_peers)
+            writer.write(_control(("cut", 0))[:9])
             writer.write_eof()
             await _hung_up(reader)
 
@@ -167,8 +131,9 @@ class TestHandOver:
                 hello = {"process": peer, "role": "peer", "run": RUN}
                 writer.write(codec.encode_frame(codec.HELLO, hello))
                 streams.append((reader, writer))
-            await _until(lambda: len(host._writers["peer"]) == 2)
-            accepted = list(host._writers["peer"])
+            peers = lambda: [l for l, role in host._links.items() if role == "peer"]
+            await _until(lambda: len(peers()) == 2)
+            accepted = peers()
             await host.shutdown()
             for reader, writer in streams:
                 await _hung_up(reader)
@@ -177,80 +142,8 @@ class TestHandOver:
 
         accepted, errors = asyncio.run(scenario())
         assert len(accepted) == 2
-        assert all(writer.transport.is_closing() for writer in accepted)
+        assert all(link.closed and link.transport.is_closing() for link in accepted)
         assert errors == []
-
-
-class _Link:
-    """What :meth:`FrameStream.hand_over` feeds, recorded."""
-
-    def __init__(self):
-        self.calls = []
-
-    def frames_received(self, frames):
-        payloads = [packet_from_frame(frame).payload for frame in frames]
-        self.calls.append(("frames", payloads))
-
-    def data_received(self, data):
-        self.calls.append(("data", data))
-
-    def eof_received(self):
-        self.calls.append(("eof",))
-
-    def connection_lost(self, exc):
-        self.calls.append(("lost", exc))
-
-
-class _Transport:
-    def __init__(self):
-        self.protocol = None
-        self.closed = False
-
-    def set_protocol(self, protocol):
-        self.protocol = protocol
-
-    def close(self):
-        self.closed = True
-
-
-class TestFrameStream:
-    """The hand-over's edges, on a reader fed by hand: what the reader
-    took before the switch reaches the protocol, in order, once."""
-
-    def _handed_over(self, feed):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            stream = FrameStream(reader)
-            feed(reader)
-            hello = await stream.read()
-            link, transport = _Link(), _Transport()
-            await stream.hand_over(transport, link)
-            return hello, link.calls, transport
-
-        return asyncio.run(scenario())
-
-    def test_frames_read_with_the_hello_go_first_then_the_eof(self):
-        def feed(reader):
-            reader.feed_data(HELLO + _control(("a", 0)) + _control(("b", 0)))
-            reader.feed_eof()
-
-        hello, calls, transport = self._handed_over(feed)
-        assert hello.kind == codec.HELLO
-        assert calls[0] == ("frames", [("a", 0), ("b", 0)])
-        assert calls[1:] == [("eof",), ("lost", None)]
-        assert transport.protocol is not None and transport.closed
-
-    def test_a_full_chunk_is_read_on_until_the_reader_is_empty(self):
-        filler = _control(("x" * 200, 0))
-        count = 2 * READ_CHUNK // len(filler) + 3
-
-        def feed(reader):
-            reader.feed_data(HELLO + filler * count)
-
-        hello, calls, transport = self._handed_over(feed)
-        payloads = [payload for _, batch in calls for payload in batch]
-        assert payloads == [("x" * 200, 0)] * count
-        assert transport.protocol is not None and not transport.closed
 
 
 # -- the reply rule ---------------------------------------------------------------
@@ -290,6 +183,13 @@ class _Writer:
         return False
 
 
+def _peer_link(host):
+    """An accepted peer stream past its HELLO, with no socket."""
+    link = codec.FrameLink(host._on_peer_frames, host._end_peer)
+    link.connection_made(FakeTransport())
+    return link
+
+
 class TestReplyRule:
     def test_a_reply_leaves_with_its_read_and_an_invoke_with_the_tick(self):
         async def scenario():
@@ -304,7 +204,7 @@ class TestReplyRule:
             # Earlier in the tick: one invoke for each peer.
             host.invoke(Message(id="to1", sender=0, receiver=1))
             host.invoke(Message(id="to2", sender=0, receiver=2))
-            link = host_module.PeerLink(host, codec.FrameDecoder(), _Writer())
+            link = _peer_link(host)
             link.data_received(_control(("req", 7)))
             # The read has returned: peer 1's whole outbox went in one
             # write, the invoke before the reply; peer 2's still waits.
@@ -339,7 +239,7 @@ class TestReplyRule:
                 host.transport.connect(dst, writer)
             for index in range(3):
                 host.invoke(Message(id="m%d" % index, sender=0, receiver=1 + index % 2))
-            link = host_module.PeerLink(host, codec.FrameDecoder(), _Writer())
+            link = _peer_link(host)
             link.data_received(_control(("noise", 0)))
             during = sum(len(writer.writes) for writer in peers.values())
             await asyncio.sleep(0)

@@ -231,7 +231,7 @@ async def _offer(load, count):
         if rows:
             link.send(codec.INVOKE_BATCH, {"rows": rows})
     for link in load.links:
-        await link.writer.drain()
+        await link.stream.drain()
 
 
 def _durable(protocol):
