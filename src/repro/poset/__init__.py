@@ -2,9 +2,10 @@
 
 A :class:`PartialOrder` stores a finite strict partial order as a DAG of
 *generating* edges and answers reachability (``h -> g`` / ``h ▷ g``)
-queries via a cached transitive closure.  It is the common data structure
-under system runs, user-view runs, and the constructed runs of the
-theorem proofs.
+queries from a cached transitive closure, kept as one ``int`` bitset of
+successors and one of predecessors per element.  It is the common data
+structure under system runs, user-view runs, and the constructed runs of
+the theorem proofs.
 """
 
 from repro.poset.digraph import Digraph

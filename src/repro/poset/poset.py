@@ -1,4 +1,12 @@
-"""Strict finite partial orders with cached transitive closure."""
+"""Strict finite partial orders with a bitset transitive closure.
+
+Elements are numbered in insertion order, and the closure is one Python
+``int`` per element: bit ``j`` of ``up[i]`` says element ``i`` < element
+``j``, and ``down`` is the mirror.  A closure over ``E`` elements thus
+keeps ``2·E²/8`` bytes, and ``less`` is a shift and a mask; the sets that
+``down_set``, ``up_set`` and ``relation_pairs`` return are built from the
+bits only when asked.
+"""
 
 from __future__ import annotations
 
@@ -21,18 +29,34 @@ class CycleError(ValueError):
         self.cycle = cycle
 
 
+def _indices(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    digits = bin(mask)[:1:-1]  # least significant digit first
+    position = digits.find("1")
+    while position >= 0:
+        yield position
+        position = digits.find("1", position + 1)
+
+
+def _popcount(mask: int) -> int:
+    # ``int.bit_count`` needs Python 3.10; this also runs on 3.9.
+    return bin(mask).count("1")
+
+
 class PartialOrder:
     """A strict partial order ``<`` over a finite set of elements.
 
     The order is stored as a DAG of generating pairs; ``less(a, b)`` answers
-    whether ``a < b`` in the transitive closure.  The closure (and its
-    mirror, the ancestor map) is maintained *incrementally*: adding the
-    relation ``low < high`` only unions the descendants of ``high`` into
-    the ancestors of ``low`` and vice versa, so append-heavy construction
-    (online replay, run builders) never pays a global recomputation.  An
-    edge that would close a cycle drops back to the lazy path, so
-    :meth:`validate` (or any query) still detects cycles introduced by
-    ``add_relation``.
+    whether ``a < b`` in the transitive closure, kept as one bitset of
+    successors (``up``) and one of predecessors (``down``) per element.
+    The first query builds both in one topological pass over the
+    generating pairs.  After that the closure is maintained
+    *incrementally*: adding the relation ``low < high`` ORs the
+    descendants of ``high`` into the ``up`` bits of each ancestor of
+    ``low`` and vice versa, so append-heavy construction (online replay,
+    run builders) never pays a global recomputation.  An edge that would
+    close a cycle drops back to the lazy path, so :meth:`validate` (or any
+    query) still detects cycles introduced by ``add_relation``.
     """
 
     def __init__(
@@ -41,8 +65,10 @@ class PartialOrder:
         relations: Iterable[Tuple[Node, Node]] = (),
     ):
         self._graph = Digraph()
-        self._closure: Optional[Dict[Node, Set[Node]]] = None
-        self._ancestors: Optional[Dict[Node, Set[Node]]] = None
+        self._nodes: List[Node] = []
+        self._index: Dict[Node, int] = {}
+        # (up, down), or None until a query builds it.
+        self._bits: Optional[Tuple[List[int], List[int]]] = None
         for element in elements:
             self.add_element(element)
         for low, high in relations:
@@ -52,76 +78,94 @@ class PartialOrder:
 
     def add_element(self, element: Node) -> None:
         """Register an element (isolated until related)."""
+        if element in self._index:
+            return
+        self._index[element] = len(self._nodes)
+        self._nodes.append(element)
         self._graph.add_node(element)
-        # Adding an isolated element cannot create order, so the closure map
-        # stays valid; just register the element if it is cached.
-        if self._closure is not None and element not in self._closure:
-            self._closure[element] = set()
-        if self._ancestors is not None and element not in self._ancestors:
-            self._ancestors[element] = set()
+        # An isolated element adds no order: a cached closure stays valid.
+        if self._bits is not None:
+            for row in self._bits:
+                row.append(0)
 
     def add_relation(self, low: Node, high: Node) -> None:
         """Record ``low < high``.  Cycles are detected lazily."""
         if low == high:
             raise CycleError([low, high])
+        self.add_element(low)
+        self.add_element(high)
         self._graph.add_edge(low, high)
-        if self._closure is None or self._ancestors is None:
+        if self._bits is None:
             return
-        closure, ancestors = self._closure, self._ancestors
-        closure.setdefault(low, set())
-        closure.setdefault(high, set())
-        ancestors.setdefault(low, set())
-        ancestors.setdefault(high, set())
-        if low in closure[high]:
+        up, down = self._bits
+        lo, hi = self._index[low], self._index[high]
+        if up[hi] >> lo & 1:
             # The new edge closes a cycle; fall back to the lazy path so
             # the next query raises CycleError exactly as before.
-            self._closure = None
-            self._ancestors = None
+            self._bits = None
             return
-        if high in closure[low]:
+        if up[lo] >> hi & 1:
             return  # already implied; nothing new to propagate
         # New pairs are exactly (anc*(low) x desc*(high)): the edge is the
         # only way order can newly flow from low's side to high's side.
-        new_descendants = closure[high] | {high}
-        new_ancestors = ancestors[low] | {low}
-        for node in new_ancestors:
-            closure[node] |= new_descendants
-        for node in new_descendants:
-            ancestors[node] |= new_ancestors
+        descendants = up[hi] | 1 << hi
+        ancestors = down[lo] | 1 << lo
+        for i in _indices(ancestors):
+            up[i] |= descendants
+        for j in _indices(descendants):
+            down[j] |= ancestors
 
     def copy(self) -> "PartialOrder":
         """An independent copy with the same generating relations."""
         clone = PartialOrder()
         clone._graph = self._graph.copy()
+        clone._nodes = list(self._nodes)
+        clone._index = dict(self._index)
+        if self._bits is not None:
+            # Ints are immutable, so copying the lists copies the closure.
+            clone._bits = (list(self._bits[0]), list(self._bits[1]))
         return clone
 
     # Internal -------------------------------------------------------------
 
-    def _closure_map(self) -> Dict[Node, Set[Node]]:
-        if self._closure is None:
-            cycle = find_cycle(self._graph)
-            if cycle is not None:
-                raise CycleError(cycle)
-            self._closure = {
-                node: self._graph.reachable_from(node) for node in self._graph
-            }
-            ancestors: Dict[Node, Set[Node]] = {node: set() for node in self._graph}
-            for node, above in self._closure.items():
-                for high in above:
-                    ancestors[high].add(node)
-            self._ancestors = ancestors
-        return self._closure
+    def _closure(self) -> Tuple[List[int], List[int]]:
+        """The ``(up, down)`` bitsets, built on first use."""
+        if self._bits is None:
+            self._bits = self._build()
+        return self._bits
 
-    def _ancestor_map(self) -> Dict[Node, Set[Node]]:
-        self._closure_map()
-        assert self._ancestors is not None
-        return self._ancestors
+    def _build(self) -> Tuple[List[int], List[int]]:
+        index = self._index
+        try:
+            order = [index[node] for node in topological_sort(self._graph)]
+        except ValueError:
+            raise CycleError(find_cycle(self._graph)) from None  # type: ignore[arg-type]
+        successors = [
+            [index[head] for head in self._graph.successors(node)]
+            for node in self._nodes
+        ]
+        up = [0] * len(successors)
+        for i in reversed(order):
+            bits = 0
+            for j in successors[i]:
+                bits |= up[j] | 1 << j
+            up[i] = bits
+        down = [0] * len(successors)
+        for i in order:
+            below = down[i] | 1 << i
+            for j in successors[i]:
+                down[j] |= below
+        return up, down
+
+    def _members(self, mask: int) -> Set[Node]:
+        nodes = self._nodes
+        return {nodes[i] for i in _indices(mask)}
 
     # Queries --------------------------------------------------------------
 
     def validate(self) -> None:
         """Raise :class:`CycleError` if the generating relation is cyclic."""
-        self._closure_map()
+        self._closure()
 
     def is_valid(self) -> bool:
         """Whether the generating relation is acyclic."""
@@ -136,17 +180,20 @@ class PartialOrder:
         return self._graph.nodes()
 
     def __len__(self) -> int:
-        return len(self._graph)
+        return len(self._nodes)
 
     def __contains__(self, element: Node) -> bool:
-        return element in self._graph
+        return element in self._index
 
     def __iter__(self) -> Iterator[Node]:
         return iter(self._graph)
 
     def less(self, a: Node, b: Node) -> bool:
-        """``True`` iff ``a < b`` (a happened before b)."""
-        return b in self._closure_map().get(a, ())
+        """``True`` iff ``a < b`` (a happened before b); ``False`` when
+        either is not an element."""
+        up = self._closure()[0]
+        i, j = self._index.get(a), self._index.get(b)
+        return i is not None and j is not None and bool(up[i] >> j & 1)
 
     def leq(self, a: Node, b: Node) -> bool:
         """``a <= b``: equal or strictly before."""
@@ -162,25 +209,25 @@ class PartialOrder:
 
     def down_set(self, element: Node) -> Set[Node]:
         """All strict predecessors of ``element`` (its causal past)."""
-        return set(self._ancestor_map().get(element, ()))
+        down = self._closure()[1]
+        i = self._index.get(element)
+        return set() if i is None else self._members(down[i])
 
     def up_set(self, element: Node) -> Set[Node]:
         """All strict successors of ``element`` (its causal future)."""
-        return set(self._closure_map().get(element, ()))
+        up = self._closure()[0]
+        i = self._index.get(element)
+        return set() if i is None else self._members(up[i])
 
     def minimal_elements(self) -> List[Node]:
         """Elements with no strict predecessor."""
-        closure = self._closure_map()
-        below: Set[Node] = set()
-        for node in self._graph:
-            below |= closure[node]
-        return sorted(set(self._graph.nodes()) - below)
+        down = self._closure()[1]
+        return sorted(node for node, below in zip(self._nodes, down) if not below)
 
     def maximal_elements(self) -> List[Node]:
         """Elements with no strict successor."""
-        return sorted(
-            node for node in self._graph if not self._closure_map()[node]
-        )
+        up = self._closure()[0]
+        return sorted(node for node, above in zip(self._nodes, up) if not above)
 
     def generating_pairs(self) -> List[Tuple[Node, Node]]:
         """The relations as recorded (a superset of the covering relation,
@@ -189,10 +236,15 @@ class PartialOrder:
 
     def relation_pairs(self) -> List[Tuple[Node, Node]]:
         """Every ordered pair ``(a, b)`` with ``a < b`` (the full closure)."""
-        closure = self._closure_map()
+        up, nodes = self._closure()[0], self._nodes
         return sorted(
-            (low, high) for low, above in closure.items() for high in above
+            (low, nodes[j]) for low, above in zip(nodes, up) for j in _indices(above)
         )
+
+    def relation_count(self) -> int:
+        """The number of pairs ``a < b``: ``len(relation_pairs())``, counted
+        from the bits without listing them."""
+        return sum(map(_popcount, self._closure()[0]))
 
     def covering_pairs(self) -> List[Tuple[Node, Node]]:
         """The covering relation (transitive reduction of the closure)."""
@@ -241,5 +293,5 @@ class PartialOrder:
     def __repr__(self) -> str:
         return "PartialOrder(elements=%d, relations=%d)" % (
             len(self),
-            len(self.relation_pairs()),
+            self.relation_count(),
         )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List
 
 from repro.events import Event
 from repro.runs.user_run import UserRun
@@ -41,18 +41,20 @@ class RunMetrics:
 
 
 def run_metrics(run: UserRun) -> RunMetrics:
-    """Compute all metrics from each event's causal past."""
+    """Compute all metrics from the run's order and its generating pairs."""
     events = run.events()
     n = len(events)
-    # Every comparable pair is counted once, at its later event.
-    past = {event: run.down_set(event) for event in events}
-    comparable = sum(len(below) for below in past.values())
+    order = run.partial_order()
+    comparable = order.relation_count()
 
-    # Longest chain via longest-path DP: a strictly larger past comes
-    # later in every linear extension, so sorting by its size is one.
+    # Longest chain via longest-path DP over the generating pairs, in a
+    # linear extension: a chain of ▷ is a path of generating pairs.
+    below: Dict[Event, List[Event]] = {}
+    for low, high in order.generating_pairs():
+        below.setdefault(high, []).append(low)
     depth: Dict[Event, int] = {}
-    for event in sorted(events, key=lambda e: len(past[e])):
-        depth[event] = 1 + max((depth[p] for p in past[event]), default=0)
+    for event in order.a_linear_extension():
+        depth[event] = 1 + max((depth[p] for p in below.get(event, ())), default=0)
     longest = max(depth.values(), default=0)
 
     # Events of one depth are pairwise concurrent (order would raise the

@@ -73,18 +73,13 @@ class UserRun:
             self.order(before, after)
 
     def copy(self) -> "UserRun":
-        """An independent copy of messages, events and order."""
+        """An independent copy of messages, events and order (the copy
+        keeps the generating pairs, so it has the same closure)."""
         clone = UserRun()
         for message in self.messages():
-            has_send = Event.send(message.id) in self._present
-            has_deliver = Event.deliver(message.id) in self._present
             clone._table.add(message)
-            if has_send:
-                clone.add_event(Event.send(message.id))
-            if has_deliver:
-                clone.add_event(Event.deliver(message.id))
-        for low, high in self._order.relation_pairs():
-            clone._order.add_relation(low, high)
+        clone._present = set(self._present)
+        clone._order = self._order.copy()
         return clone
 
     # Basic queries ----------------------------------------------------------
@@ -115,7 +110,8 @@ class UserRun:
     # Order queries ----------------------------------------------------------
 
     def before(self, a: Event, b: Event) -> bool:
-        """``True`` iff ``a ▷ b`` in this run."""
+        """``True`` iff ``a ▷ b`` in this run (``False`` when either event
+        is not part of it)."""
         return self._order.less(a, b)
 
     def concurrent(self, a: Event, b: Event) -> bool:
@@ -226,7 +222,7 @@ class UserRun:
         return "UserRun(messages=%d, events=%d, relations=%d)" % (
             len(self._table),
             len(self._present),
-            len(self._order.relation_pairs()),
+            self._order.relation_count(),
         )
 
     # Process structure ----------------------------------------------------

@@ -92,12 +92,12 @@ def batch_find_assignment(
 
 
 def _ordered_in(run: UserRun) -> Ordered:
-    """The batch reference's ``ordered``: asked of the run's events."""
-    has_event, before = run.has_event, run.before
+    """The batch reference's ``ordered``: asked of the run's events
+    (``before`` is ``False`` for an event the run does not have)."""
+    before = run.before
 
     def ordered(a_id: str, a_kind: EventKind, b_id: str, b_kind: EventKind) -> bool:
-        a, b = Event(a_id, a_kind), Event(b_id, b_kind)
-        return has_event(a) and has_event(b) and before(a, b)
+        return before(Event(a_id, a_kind), Event(b_id, b_kind))
 
     return ordered
 

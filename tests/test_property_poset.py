@@ -1,9 +1,11 @@
 """Property-based tests for the partial-order substrate."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import tracemalloc
 
-from repro.poset import PartialOrder
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from repro.poset import CycleError, PartialOrder
 from repro.poset.algorithms import (
     find_cycle,
     is_acyclic,
@@ -133,3 +135,135 @@ class TestCycleDetectionProperties:
             len(c) > 1 for c in strongly_connected_components(graph)
         )
         assert is_acyclic(graph) == (not nontrivial and not has_self_loop)
+
+
+@st.composite
+def order_scripts(draw, max_nodes=9):
+    """A random DAG as a script of ``add_element`` / ``add_relation`` /
+    query steps.  Edges follow a random rank, not the labels or the
+    insertion order, so index order is not a topological order."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    rank = draw(st.permutations(range(n)))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1]
+    )
+    step = st.one_of(
+        st.tuples(st.just("element"), st.integers(0, n - 1)),
+        pairs.map(lambda e: ("relation", tuple(sorted(e, key=rank.__getitem__)))),
+        st.just(("query",)),
+    )
+    return draw(st.lists(step, max_size=4 * n))
+
+
+def _check_against_reachability(order, elements, edges):
+    """Every closure query of ``order`` equals brute-force reachability
+    over the generating ``edges``."""
+    successors = {element: set() for element in elements}
+    for low, high in edges:
+        successors[low].add(high)
+
+    def reachable(start):
+        seen, stack = set(), list(successors[start])
+        while stack:
+            node = stack.pop()
+            if node not in seen:
+                seen.add(node)
+                stack.extend(successors[node])
+        return seen
+
+    above = {element: reachable(element) for element in elements}
+    below = {
+        element: {low for low in elements if element in above[low]}
+        for element in elements
+    }
+    pairs = sorted((low, high) for low in elements for high in above[low])
+    for a in elements:
+        assert order.up_set(a) == above[a]
+        assert order.down_set(a) == below[a]
+        for b in elements:
+            assert order.less(a, b) == (b in above[a])
+    assert order.relation_pairs() == pairs
+    assert order.relation_count() == len(pairs)
+    assert order.minimal_elements() == sorted(e for e in elements if not below[e])
+    assert order.maximal_elements() == sorted(e for e in elements if not above[e])
+    absent = "absent"
+    assert not any(order.less(e, absent) or order.less(absent, e) for e in elements)
+    assert order.down_set(absent) == order.up_set(absent) == set()
+
+
+class TestBitsetClosure:
+    @settings(max_examples=200)
+    @given(order_scripts())
+    def test_interleaved_updates_match_reachability(self, script):
+        # A query between two updates caches the closure, so the updates
+        # after it take the incremental path and the first query the
+        # lazy build.
+        order, elements, edges = PartialOrder(), set(), []
+        for step in script:
+            if step[0] == "element":
+                order.add_element(step[1])
+                elements.add(step[1])
+            elif step[0] == "relation":
+                order.add_relation(*step[1])
+                elements.update(step[1])
+                edges.append(step[1])
+            else:
+                _check_against_reachability(order, elements, edges)
+        _check_against_reachability(order, elements, edges)
+
+    @given(dags(), st.data())
+    def test_cycle_closed_after_caching_raises_on_next_query(self, graph, data):
+        order = PartialOrder(elements=graph.nodes(), relations=graph.edges())
+        pairs = order.relation_pairs()  # caches the closure
+        assume(pairs)
+        low, high = data.draw(st.sampled_from(pairs))
+        order.add_relation(high, low)
+        with pytest.raises(CycleError) as raised:
+            order.less(low, high)
+        cycle = raised.value.cycle
+        assert cycle[0] == cycle[-1]
+        assert all(
+            (tail, head) in order.generating_pairs()
+            for tail, head in zip(cycle, cycle[1:])
+        )
+        assert not order.is_valid()
+
+    @given(dags(), st.booleans())
+    def test_copy_is_independent_of_its_original(self, graph, cached):
+        order = PartialOrder(elements=graph.nodes(), relations=graph.edges())
+        if cached:
+            order.validate()
+        pairs = order.relation_pairs()
+        clone = order.copy()
+        assert clone == order
+        top, bottom = len(graph), -1  # labels no DAG node carries
+        for element in graph.nodes():
+            clone.add_relation(element, top)
+        order.add_relation(bottom, 0)
+        assert order.relation_pairs() == sorted(
+            pairs
+            + [(bottom, 0)]
+            + [(bottom, high) for low, high in pairs if low == 0]
+        )
+        assert top not in order and bottom not in clone
+        assert clone.relation_pairs() == sorted(
+            pairs + [(element, top) for element in graph.nodes()]
+        )
+
+
+def test_batch_fifo_verdict_keeps_no_quadratic_closure():
+    """The closure of a 200-message run is 400 bitsets, not a set per
+    event: a batch verdict's allocations stay under 1 MB."""
+    from repro.predicates.catalog import FIFO_ORDERING
+    from repro.protocols.registry import resolve
+    from repro.simulation import random_traffic, run_simulation
+
+    workload = random_traffic(3, 200, seed=1)
+    run = run_simulation(resolve("fifo").factory, workload, seed=1).user_run
+    tracemalloc.start()
+    try:
+        assert FIFO_ORDERING.admits(run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, "batch verdict peaked at %d bytes" % peak
