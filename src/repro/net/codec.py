@@ -527,8 +527,10 @@ def spell_message(message: Message) -> MessageTexts:
 #: ``id(message) -> its texts``.  Keyed on the object, not on
 #: ``Message.__eq__``: ``Message(payload=1)`` and ``Message(payload=True)``
 #: compare and hash equal yet are spelled differently.  An entry holds its
-#: message, so the ``id`` cannot be recycled while it is cached.
-_MESSAGE_CACHE_SIZE = 8192
+#: message, so the ``id`` cannot be recycled while it is cached; a miss
+#: only spells the message again, so the cache holds little more than the
+#: messages in flight.
+_MESSAGE_CACHE_SIZE = 1024
 _message_cache: Dict[int, MessageTexts] = {}
 
 

@@ -200,6 +200,8 @@ class Trace:
     def register_message(self, message: Message) -> None:
         """Declare a message of the run (idempotent; conflicts rejected)."""
         existing = self._messages.get(message.id)
+        if existing is message:
+            return
         if existing is not None and existing != message:
             raise ValueError("conflicting registration for message %r" % message.id)
         self._messages[message.id] = message
@@ -215,9 +217,7 @@ class Trace:
         slot = event.kind.value
         if row[slot] is not None:
             raise ValueError("event %r recorded twice" % (event,))
-        record = row[slot] = TraceRecord(
-            time=time, sequence=self._sequence, process=process, event=event
-        )
+        record = row[slot] = TraceRecord(time, self._sequence, process, event)
         self._records.append(record)
         self._sequence += 1
         if self._taps:

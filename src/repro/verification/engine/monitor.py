@@ -97,6 +97,8 @@ class SpecMonitor:
             cap = self.spec.family_arity_cap
             settle = None if cap is None else max(settle, cap)
         self._members_settle = settle
+        # The member list once the count has reached ``_members_settle``.
+        self._settled: Optional[List[CompiledPredicate]] = None
 
     @property
     def violation(self) -> Optional[FirstViolation]:
@@ -176,9 +178,12 @@ class SpecMonitor:
     def _current_members(self) -> List[CompiledPredicate]:
         """The compiled member predicates for the current message count
         (the same set ``Specification.members_for`` instantiates)."""
+        if self._settled is not None:
+            return self._settled
         count = len(self._index)
-        if self._members_settle is not None:
-            count = min(count, self._members_settle)
+        settle = self._members_settle
+        if settle is not None:
+            count = min(count, settle)
         members = self._members.get(count)
         if members is None:
             spec = self.spec
@@ -190,6 +195,8 @@ class SpecMonitor:
                 raw.extend(family.instances(family_arity))
             members = [compile_predicate(p) for p in raw]
             self._members[count] = members
+        if count == settle:
+            self._settled = members
         return members
 
     # -- DFS snapshots -------------------------------------------------------
@@ -210,6 +217,8 @@ class SpecMonitor:
         self._causality.rewind(causality_mark)
         self._index.rewind(index_mark)
         self._violation = violation
+        if index_mark < (self._members_settle or 0):
+            self._settled = None
 
     def __repr__(self) -> str:
         return "SpecMonitor(spec=%s, consumed=%d, violation=%r)" % (

@@ -21,6 +21,11 @@ already-bound event draws its candidates from that event's causal cone
 when the cone is smaller than the attribute bucket (:attr:`PlanStep.cones`).
 The unanchored batch search takes neither and stays the reference.
 
+Each plan is then compiled to its *evaluator*: nested closures, one per
+step, each holding its step's guards and conjuncts as direct tests, so a
+candidate costs a call per level and no interpretation of the plan.
+The batch plan and every anchored plan run through the same compiler.
+
 Compilation is cached (:func:`compile_predicate` is memoized on the
 frozen :class:`~repro.predicates.ast.ForbiddenPredicate`), so the model
 checker pays it once per predicate per process lifetime.
@@ -29,17 +34,9 @@ checker pays it once per predicate per process lifetime.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.events import DELIVER, SEND, EventKind, Message
 from repro.predicates.ast import Conjunct, EventTerm, ForbiddenPredicate
@@ -60,6 +57,9 @@ Assignment = Dict[str, Message]
 #: ``ordered(a_id, a_kind, b_id, b_kind)``: both events happened and
 #: ``a ▷ b`` (:meth:`OnlineCausality.ordered`'s signature).
 Ordered = Callable[[str, EventKind, str, EventKind], bool]
+#: ``evaluate(assignment, index, ordered, causality, stats)``: the first
+#: completion of ``assignment`` by a compiled plan, or ``None``.
+Evaluator = Callable[..., Optional[Assignment]]
 
 # Narrower shapes (attribute lookups that bound a variable's candidates):
 #   ("color", constant)            -- ColorGuard equality with a constant
@@ -100,27 +100,6 @@ class Anchor:
     #: predicate also uses the message's delivery, which cannot have
     #: happened yet (``OnlineCausality.observe`` rejects that order).
     dead: bool
-
-
-def _conjunct_holds(
-    conjunct: Conjunct, assignment: Assignment, ordered: Ordered
-) -> bool:
-    left, right = conjunct.left, conjunct.right
-    return ordered(
-        assignment[left.variable].id,
-        left.kind,
-        assignment[right.variable].id,
-        right.kind,
-    )
-
-
-def _step_checks_pass(
-    step: PlanStep, assignment: Assignment, ordered: Ordered
-) -> bool:
-    return all(guard.holds(assignment) for guard in step.guards) and all(
-        _conjunct_holds(conjunct, assignment, ordered)
-        for conjunct in step.conjuncts
-    )
 
 
 def _narrower_for(
@@ -241,6 +220,135 @@ def _build_steps(
     )
 
 
+def _candidates(
+    step: PlanStep,
+    assignment: Assignment,
+    index: MessageIndex,
+    causality: Optional[OnlineCausality],
+) -> Sequence[Message]:
+    """The messages ``step`` tries for its variable, in registration order."""
+    narrower = step.narrower
+    if narrower is None:
+        bucket = index.all_messages()
+    elif narrower[0] == "color":
+        bucket = index.bucket(COLOR, narrower[1])
+    elif narrower[0] == "process":
+        _, role, other, other_role = narrower
+        bucket = index.bucket(role, getattr(assignment[other], other_role))
+    else:
+        _, other = narrower
+        group = assignment[other].group
+        if group is None:
+            return ()
+        bucket = index.bucket(GROUP, group)
+    if causality is None or not step.cones or not bucket:
+        return bucket
+    # The step's conjuncts confine every passing candidate to each of
+    # these cones as its guards confine it to the bucket: draw from
+    # whichever is smallest, in the bucket's (registration) order.  (A
+    # bound event that has not occurred has empty cones.)
+    smallest, chosen = len(bucket), None
+    for future, bound, kind in step.cones:
+        cone = (causality.future_of if future else causality.past_of)(
+            assignment[bound.variable].id, bound.kind, kind
+        )
+        size = sum(stop - start for _, start, stop in cone)
+        if size < smallest:
+            if not size:
+                return ()
+            smallest, chosen = size, cone
+    if chosen is None:
+        return bucket
+    return sorted(
+        (
+            message
+            for chain, start, stop in chosen
+            for _, _, message in chain[start:stop]
+        ),
+        key=index.position,
+    )
+
+
+def _guard_test(guard: Guard) -> Callable[[Assignment], bool]:
+    """``guard.holds``, with the process and colour guards read as plain
+    attribute comparisons."""
+    if type(guard) is ProcessGuard:
+        (left, left_role), (right, right_role) = guard.left, guard.right
+        left_of, right_of = attrgetter(left_role), attrgetter(right_role)
+        equal = guard.equal
+        return lambda assignment: (
+            left_of(assignment[left]) == right_of(assignment[right])
+        ) == equal
+    if type(guard) is ColorGuard:
+        variable, color, equal = guard.variable, guard.color, guard.equal
+        return lambda assignment: (assignment[variable].color == color) == equal
+    return guard.holds
+
+
+def _compile_step(
+    step: PlanStep, inner: Evaluator, distinct: bool, pinned: bool
+) -> Evaluator:
+    """The closure of one step: bind each candidate to the step's variable
+    (or, ``pinned``, take the anchor bound there), check the step's guards
+    and conjuncts, and hand what passes to ``inner``."""
+    variable = step.variable
+    guards = tuple(map(_guard_test, step.guards))
+    conjuncts = tuple(
+        (c.left.variable, c.left.kind, c.right.variable, c.right.kind)
+        for c in step.conjuncts
+    )
+
+    def passes(assignment: Assignment, ordered: Ordered) -> bool:
+        for holds in guards:
+            if not holds(assignment):
+                return False
+        for a, a_kind, b, b_kind in conjuncts:
+            if not ordered(assignment[a].id, a_kind, assignment[b].id, b_kind):
+                return False
+        return True
+
+    if pinned:
+        if not (guards or conjuncts):
+            return inner
+
+        def check(assignment, index, ordered, causality, stats):
+            if passes(assignment, ordered):
+                return inner(assignment, index, ordered, causality, stats)
+            return None
+
+        return check
+
+    def bind(assignment, index, ordered, causality, stats):
+        candidates = _candidates(step, assignment, index, causality)
+        if not candidates:
+            return None
+        taken = {bound.id for bound in assignment.values()} if distinct else ()
+        for message in candidates:
+            if stats is not None:
+                stats.candidates += 1
+            if message.id in taken:
+                continue
+            assignment[variable] = message
+            if passes(assignment, ordered):
+                found = inner(assignment, index, ordered, causality, stats)
+                if found is not None:
+                    return found
+        assignment.pop(variable, None)
+        return None
+
+    return bind
+
+
+def _compile_plan(
+    steps: Tuple[PlanStep, ...], distinct: bool, pinned: bool = False
+) -> Evaluator:
+    """A plan's evaluator: its step closures nested, first step outermost."""
+    evaluate: Evaluator = lambda assignment, *_: dict(assignment)  # noqa: E731
+    for depth in range(len(steps) - 1, -1, -1):
+        evaluate = _compile_step(steps[depth], evaluate, distinct, pinned and not depth)
+    return evaluate
+
+
 @dataclass(frozen=True)
 class CompiledPredicate:
     """A forbidden predicate with its precomputed evaluation plans."""
@@ -257,94 +365,20 @@ class CompiledPredicate:
     #: pinning each of them to the newest message makes the search cover
     #: exactly the instances *using* that event.
     anchors: Dict[EventKind, Tuple[Anchor, ...]]
+    #: :attr:`plan` compiled (:func:`_compile_plan`).
+    evaluate: Evaluator = field(repr=False, compare=False)
+    #: :attr:`anchored_plans` compiled, each entered with its anchor bound.
+    anchored: Dict[str, Evaluator] = field(repr=False, compare=False)
 
     @property
     def name(self) -> str:
         return self.predicate.name or "anonymous"
 
-    def _candidates(
-        self,
-        step: PlanStep,
-        assignment: Assignment,
-        index: MessageIndex,
-        causality: Optional[OnlineCausality],
-    ) -> Sequence[Message]:
-        narrower = step.narrower
-        if narrower is None:
-            bucket = index.all_messages()
-        elif narrower[0] == "color":
-            bucket = index.bucket(COLOR, narrower[1])
-        elif narrower[0] == "process":
-            _, role, other, other_role = narrower
-            bucket = index.bucket(role, assignment[other].attribute(other_role))
-        else:
-            _, other = narrower
-            group = assignment[other].group
-            if group is None:
-                return ()
-            bucket = index.bucket(GROUP, group)
-        if causality is None or not step.cones:
-            return bucket
-        # The step's conjuncts confine every passing candidate to each of
-        # these cones as its guards confine it to the bucket: draw from
-        # whichever is smallest, in the bucket's (registration) order.  (A
-        # bound event that has not occurred has empty cones.)
-        smallest, chosen = len(bucket), None
-        for future, bound, kind in step.cones:
-            cone = (causality.future_of if future else causality.past_of)(
-                assignment[bound.variable].id, bound.kind, kind
-            )
-            size = sum(stop - start for _, start, stop in cone)
-            if size < smallest:
-                smallest, chosen = size, cone
-        if chosen is None:
-            return bucket
-        return sorted(
-            (
-                message
-                for chain, start, stop in chosen
-                for _, _, message in chain[start:stop]
-            ),
-            key=index.position,
-        )
-
-    def _search(
-        self,
-        steps: Tuple[PlanStep, ...],
-        assignment: Assignment,
-        depth: int,
-        index: MessageIndex,
-        ordered: Ordered,
-        causality: Optional[OnlineCausality] = None,
-        stats: Optional["MonitorStats"] = None,
-    ) -> Iterator[Assignment]:
-        if depth == len(steps):
-            yield dict(assignment)
-            return
-        step = steps[depth]
-        distinct = self.predicate.distinct
-        for message in self._candidates(step, assignment, index, causality):
-            if stats is not None:
-                stats.candidates += 1
-            if distinct and any(
-                bound.id == message.id for bound in assignment.values()
-            ):
-                continue
-            assignment[step.variable] = message
-            if _step_checks_pass(step, assignment, ordered):
-                for complete in self._search(
-                    steps, assignment, depth + 1, index, ordered, causality, stats
-                ):
-                    yield complete
-            del assignment[step.variable]
-
     def find(self, index: MessageIndex, ordered: Ordered) -> Optional[Assignment]:
         """The first satisfying assignment, or ``None``."""
         if self.never_satisfiable:
             return None
-        for assignment in self._search(self.plan, {}, 0, index, ordered):
-            return assignment
-        return None
+        return self.evaluate({}, index, ordered, None, None)
 
     def find_anchored(
         self,
@@ -371,14 +405,11 @@ class CompiledPredicate:
         for anchor in self.anchors.get(kind, ()):
             if anchor.dead and causality is not None:
                 continue
-            steps = self.anchored_plans[anchor.variable]
-            assignment: Assignment = {anchor.variable: message}
-            if not _step_checks_pass(steps[0], assignment, ordered):
-                continue
-            for complete in self._search(
-                steps, assignment, 1, index, ordered, causality, stats
-            ):
-                return complete
+            found = self.anchored[anchor.variable](
+                {anchor.variable: message}, index, ordered, causality, stats
+            )
+            if found is not None:
+                return found
         return None
 
 
@@ -410,16 +441,24 @@ def _anchors(predicate: ForbiddenPredicate) -> Dict[EventKind, Tuple[Anchor, ...
 def compile_predicate(predicate: ForbiddenPredicate) -> CompiledPredicate:
     """Compile (and cache) the evaluation plans of one predicate."""
     anchors = _anchors(predicate)
+    plan = _build_steps(predicate, _selectivity_order(predicate))
+    anchored_plans = {
+        anchor.variable: _build_steps(
+            predicate, _selectivity_order(predicate, first=anchor.variable)
+        )
+        for rows in anchors.values()
+        for anchor in rows
+    }
+    distinct = predicate.distinct
     return CompiledPredicate(
         predicate=predicate,
         never_satisfiable=_plan_never_satisfiable(predicate),
-        plan=_build_steps(predicate, _selectivity_order(predicate)),
-        anchored_plans={
-            anchor.variable: _build_steps(
-                predicate, _selectivity_order(predicate, first=anchor.variable)
-            )
-            for rows in anchors.values()
-            for anchor in rows
-        },
+        plan=plan,
+        anchored_plans=anchored_plans,
         anchors=anchors,
+        evaluate=_compile_plan(plan, distinct),
+        anchored={
+            variable: _compile_plan(steps, distinct, pinned=True)
+            for variable, steps in anchored_plans.items()
+        },
     )

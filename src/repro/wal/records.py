@@ -236,16 +236,18 @@ def content_id(message: Message) -> str:
 # -- framing ------------------------------------------------------------------
 
 def _parse_body(text: str) -> Dict[str, Any]:
-    """A record body's value: one C scan of the text, then
-    :func:`~repro.net.codec.decode_value`.
+    """A record body's value: one C scan of the text, then its dict.
 
     Every writer puts the body's value at character 0 and nothing after
     it.  Any other text -- padded with whitespace, which no writer does,
     or not one JSON value -- goes to ``json.loads``, which reads the
-    first and raises its usual error on the second.  Malformed input
-    raises ``ValueError``, or ``RecursionError`` from the scanner when
-    nested too deep; :func:`decode_record` reports either as
-    :class:`WalCorrupt`.
+    first and raises its usual error on the second.  A ``{"D": [[key,
+    value], ...]}`` body with string keys, each once, is built in one
+    loop, only its wrapped values going through
+    :func:`~repro.net.codec.decode_value`; any other value goes to that
+    function whole, which decodes or rejects it.  Malformed input raises
+    ``ValueError``, or ``RecursionError`` from the scanner when nested
+    too deep; :func:`decode_record` reports either as :class:`WalCorrupt`.
     """
     try:
         value, end = codec._scan_json(text, 0)
@@ -253,6 +255,23 @@ def _parse_body(text: str) -> Dict[str, Any]:
         end = -1
     if end != len(text):
         value = json.loads(text)
+    pairs = value.get("D") if type(value) is dict and len(value) == 1 else None
+    if type(pairs) is list:
+        body: Dict[str, Any] = {}
+        decode = codec.decode_value
+        try:
+            for pair in pairs:
+                if type(pair) is not list or len(pair) != 2:
+                    break
+                key, item = pair
+                if type(key) is not str or type(item) is list:
+                    break
+                body[key] = decode(item) if type(item) is dict else item
+            else:
+                if len(body) == len(pairs):
+                    return body
+        except (codec.CodecError, RecursionError):
+            pass
     return codec.decode_value(value)
 
 
@@ -287,11 +306,15 @@ def decode_record(buffer: bytes, offset: int = 0) -> Tuple[WalRecord, int]:
     mismatch, malformed JSON, a body nested past the recursion limit).
     """
     end = len(buffer)
-    if offset + _LENGTH.size > end:
+    if offset + _FRAME.size <= end:
+        size, version, kind, crc = _FRAME.unpack_from(buffer, offset)
+    elif offset + _LENGTH.size <= end:
+        # No room for a whole head: one of the size checks below raises.
+        (size,) = _LENGTH.unpack_from(buffer, offset)
+    else:
         raise WalTruncated(
             "record length prefix truncated at offset %d" % offset
         )
-    (size,) = _LENGTH.unpack_from(buffer, offset)
     if size < _HEAD.size or size > MAX_RECORD_BYTES:
         raise WalCorrupt("implausible record size %d at offset %d" % (size, offset))
     start = offset + _LENGTH.size
@@ -300,7 +323,6 @@ def decode_record(buffer: bytes, offset: int = 0) -> Tuple[WalRecord, int]:
             "record of %d bytes truncated at offset %d (%d available)"
             % (size, offset, end - start)
         )
-    version, kind, crc = _HEAD.unpack_from(buffer, start)
     if version not in (1, WAL_VERSION):
         raise UnknownWalVersion(
             "WAL version %d (this reader speaks 1 and %d)" % (version, WAL_VERSION)

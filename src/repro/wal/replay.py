@@ -71,9 +71,10 @@ def trace_from_records(
     identical record sequence (and the trace re-checks the event
     preconditions as it goes)."""
     trace = Trace(n_processes)
+    register, record = trace.register_message, trace.record
     for t, process, event, message in resolve_events(records, verify):
-        trace.register_message(message)
-        trace.record(t, process, event)
+        register(message)
+        record(t, process, event)
     return trace
 
 

@@ -184,6 +184,32 @@ class TestMonitorEquivalence:
         assert first == straight
         assert second == straight
 
+    def test_pop_below_the_settled_count_drops_the_settled_members(self):
+        """A member joins once the run has as many messages as its arity;
+        after a rewind to fewer messages it must be out again."""
+        # Not distinct: x = y = m completes with one delivered message.
+        predicate = ForbiddenPredicate.build(
+            [
+                Conjunct(send_of("x"), deliver_of("y")),
+                Conjunct(send_of("y"), deliver_of("x")),
+            ]
+        )
+        monitor = SpecMonitor(predicate)
+        frame = monitor.push()
+        two = Trace(2)
+        two.register_message(Message(id="m1", sender=0, receiver=1))
+        two.register_message(Message(id="m2", sender=1, receiver=0))
+        two.record(0.0, 0, Event.send("m1"))
+        two.record(1.0, 1, Event.send("m2"))
+        two.record(2.0, 1, Event.deliver("m1"))
+        assert monitor.advance(two) is not None
+        monitor.pop(frame)
+        one = Trace(2)
+        one.register_message(Message(id="m3", sender=0, receiver=1))
+        one.record(0.0, 0, Event.send("m3"))
+        one.record(1.0, 1, Event.deliver("m3"))
+        assert monitor.advance(one) is None
+
     def test_unknown_message_id_raises_descriptive_error(self):
         """A trace record whose message was never registered names the
         record and the missing id instead of a bare ``KeyError``."""

@@ -8,6 +8,7 @@ violations; a deliberately broken one must be flagged live.
 """
 
 import asyncio
+import gc
 import time
 from collections import Counter
 
@@ -568,6 +569,22 @@ class TestKeptFleet:
         for recorder_state, inhibition_samples, released in per_host:
             assert recorder_state == {"registry", "_unsubscribers"}
             assert inhibition_samples == released > 0
+
+    def test_spelled_messages_do_not_outlive_their_traffic(self):
+        """The codec's spelling cache starts over at its cap, so a process
+        that runs cluster after cluster keeps a flat number of spelled
+        messages alive, well short of everything it ever sent."""
+        live, sent = [], 0
+        for seed in range(8):
+            report = _run("fifo", seed, rate=1000.0, duration=0.3, spec=None)
+            assert report.ok, report.render()
+            sent += report.invoked
+            gc.collect()
+            live.append(
+                sum(1 for obj in gc.get_objects() if type(obj) is codec.MessageTexts)
+            )
+            assert len(codec._message_cache) <= codec._MESSAGE_CACHE_SIZE
+        assert max(live) <= codec._MESSAGE_CACHE_SIZE < sent, (live, sent)
 
 
 class TestOneLoadDriver:

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.events import Event, Message
+from repro.poset import PartialOrder
+from repro.protocols.base import make_factory
+from repro.protocols.tagless import TaglessProtocol
 from repro.runs.system_run import SystemRun, in_x_gn, in_x_td, in_x_u, numbering_scheme
+from repro.simulation.runner import run_simulation
+from repro.simulation.workloads import random_traffic
 
 
 def make_run(n=2, messages=()):
@@ -96,6 +101,34 @@ class TestHappenedBefore:
         order = run.happened_before()
         assert order.less(Event.invoke("m1"), Event.deliver("m1"))
         assert order.less(Event.send("m1"), Event.receive("m1"))
+
+    def test_before_agrees_with_a_fresh_order_as_the_run_grows(self):
+        trace = run_simulation(
+            make_factory(TaglessProtocol), random_traffic(3, 8, seed=4), seed=4
+        ).trace
+        run = SystemRun(3, trace.messages())
+        for record in trace.records():
+            # Each append follows the previous round of queries.
+            run.append(record.process, record.event)
+            events = run.events()
+            # Built from the generating graph here, not from the run's order.
+            fresh = PartialOrder(events, run.order_graph().edges())
+            handed_out = run.happened_before()
+            for a in events:
+                for b in events:
+                    assert run.before(a, b) == fresh.less(a, b), (a, b)
+                    assert handed_out.less(a, b) == fresh.less(a, b), (a, b)
+        assert len(run) == len(trace) == 32
+
+    def test_happened_before_is_the_callers_own(self):
+        run = make_run(messages=[M1, M2])
+        full_transfer(run, M1)
+        full_transfer(run, M2)
+        low, high = Event.deliver("m2"), Event.invoke("m1")
+        assert not run.before(low, high)
+        run.happened_before().add_relation(low, high)
+        assert not run.before(low, high)
+        assert not run.happened_before().less(low, high)
 
     def test_validate_passes_for_appended_runs(self):
         run = make_run(messages=[M1, M2])

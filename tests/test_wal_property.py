@@ -9,10 +9,13 @@ Two invariants, hammered with generated data:
   half-record.
 """
 
+import sys
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.events import Event, Message
+from repro.net import codec
 from repro.simulation.network import Packet
 from repro.simulation.trace import TraceRecord
 from repro.wal import (
@@ -25,6 +28,8 @@ from repro.wal import (
 )
 from repro.wal.records import (
     CHECKPOINT,
+    WalCorrupt,
+    _parse_body,
     EVENT,
     FAULT,
     RETX,
@@ -34,6 +39,7 @@ from repro.wal.records import (
     decode_record,
     encode_record,
     event_record,
+    frame_text,
     invoke_record,
     packet_record,
     probe_record,
@@ -275,6 +281,98 @@ class TestTornFinalWrite:
             assert dropped == cut - boundaries[whole]
             assert len(list(resolve_events(salvaged))) == events[whole]
             assert len(list(resolve_inputs(salvaged))) == inputs[whole]
+
+
+# A record body as writers make it: a str-keyed dict whose values are
+# scalars, flat int rows (a vector clock, RST's matrix) and wrappers
+# nested in each other.
+hashables = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.text(max_size=6),
+)
+int_rows = st.lists(st.integers(min_value=-(2**31), max_value=2**31), max_size=9)
+body_values = st.recursive(
+    st.one_of(
+        scalars, int_rows, int_rows.map(tuple), st.frozensets(hashables, max_size=4)
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=6), children, max_size=3),
+    ),
+    max_leaves=10,
+)
+bodies = st.dictionaries(st.text(max_size=8), body_values, max_size=6)
+
+DEEP = sys.getrecursionlimit() + 50
+#: Texts that stand where one ``[key, value]`` pair of a body should:
+#: each makes the record malformed.
+MALFORMED_PAIRS = {
+    "a 2-character string": '"ab"',
+    "a 2-key object": '{"a":1,"b":2}',
+    "a 3-item pair": '["x",1,2]',
+    "a non-string key": "[[1],2]",
+    "a wrapped key": '[{"L":[1]},2]',
+    "a bare list value": '["x",[1,2]]',
+    "nesting past the recursion limit": '["x",%s1%s]'
+    % ('{"L":[' * DEEP, "]}" * DEEP),
+}
+
+
+def _exactly(value):
+    """``value`` with every type spelled out, so that ``1``, ``1.0`` and
+    ``True`` (equal in Python) compare unequal, and set order is moot."""
+    if isinstance(value, dict):
+        return ("dict", [(_exactly(k), _exactly(v)) for k, v in value.items()])
+    if isinstance(value, (set, frozenset)):
+        return (type(value).__name__, sorted(map(repr, map(_exactly, value))))
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, [_exactly(item) for item in value])
+    return (type(value).__name__, value)
+
+
+class TestOneLoopBody:
+    """``_parse_body`` builds a ``{"D": [...]}`` body's dict in one loop;
+    the generic decoder it stands in for is the reference."""
+
+    @given(bodies)
+    @settings(max_examples=300, deadline=None)
+    def test_a_body_decodes_as_the_generic_decoder_decodes_it(self, body):
+        text = codec.dumps_value(body)
+        expected = codec.decode_value(codec._scan_json(text, 0)[0])
+        assert _exactly(_parse_body(text)) == _exactly(expected) == _exactly(body)
+
+    @pytest.mark.parametrize("key", ["1", "null", '{"T":[1,"a"]}', '{"F":[2]}'])
+    def test_a_well_formed_key_of_another_type_takes_the_generic_path(self, key):
+        text = '{"D":[["t",1.5],[%s,{"T":[1,2]}]]}' % key
+        expected = codec.decode_value(codec._scan_json(text, 0)[0])
+        assert _exactly(_parse_body(text)) == _exactly(expected)
+
+    @given(bodies, st.sampled_from(sorted(MALFORMED_PAIRS)), st.integers(0, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_a_malformed_pair_anywhere_is_corrupt(self, body, case, where):
+        pairs = _pair_texts(body)
+        pairs.insert(min(where, len(pairs)), MALFORMED_PAIRS[case])
+        with pytest.raises(WalCorrupt):
+            decode_record(frame_text(CHECKPOINT, '{"D":[%s]}' % ",".join(pairs)))
+
+    @given(bodies, st.integers(0, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_a_repeated_key_is_corrupt(self, body, where):
+        pairs = _pair_texts(dict(body, t=1))
+        pairs.insert(min(where, len(pairs)), '["t",2]')
+        with pytest.raises(WalCorrupt, match="repeats a key"):
+            decode_record(frame_text(CHECKPOINT, '{"D":[%s]}' % ",".join(pairs)))
+
+
+def _pair_texts(body):
+    """The ``[key,value]`` items of ``codec.dumps_value(body)``."""
+    return [
+        "[%s,%s]" % (codec.dumps_value(key), codec.dumps_value(value))
+        for key, value in body.items()
+    ]
 
 
 class _NoHost:
